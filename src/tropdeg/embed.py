@@ -23,11 +23,9 @@ from .exactlin import (
     vsub,
 )
 from .polytope import (
-    LatticePolytope,
     _clear_fractions,
+    clip_by_halfspace,
     hull,
-    normalize_point,
-    polytope_from_inequalities,
     standard_simplex,
 )
 from .tropical import TropicalSpace
@@ -38,7 +36,6 @@ class FibrationData:
 
     cone lives in M + Z (position, level); the component functionals y_i and
     the smoothing functional p are linear there and nonnegative on the cone.
-    The plus map sends (y_0, ..., y_r, p) to (sum y_i, p).
     """
 
     def __init__(self, cone, y_functionals, p_functional):
@@ -57,10 +54,6 @@ class FibrationData:
     def rank(self):
         return len(self.y) - 1
 
-    def plus_map(self, values):
-        *ys, q = values
-        return (sum(ys), q)
-
 
 EMPTY_FIBRE = None
 
@@ -68,18 +61,36 @@ EMPTY_FIBRE = None
 def local_fibre(fib, target):
     """The polytope cut from the cone by <y_i, .> = target_i, <p, .> = target[-1].
 
-    Returns None (the explicit empty polytope) when the fibre is empty.
+    Returns None (the explicit empty polytope) when the fibre is empty.  The
+    fibre lies in the slice of the cone where w = p + sum y_i equals the sum of
+    the targets; that slice is the hull of the generators rescaled onto it,
+    and each y-equation is then a two-sided clip (the p-equation follows).
+    Raises ValueError when the fibre is nonempty but unbounded, which happens
+    when some generator has w = 0.
     """
     if len(target) != len(fib.y) + 1:
         raise ValueError("target length must be number of y functionals plus one")
     key = tuple(Fraction(t) for t in target)
     if key in fib._fibre_cache:
         return fib._fibre_cache[key]
-    ambient = fib.cone.ambient_dim
-    ineqs = [(n, 0) for n in fib.cone.facet_normals]
-    eqs = [(f, -Fraction(t)) for f, t in zip(fib.y, target[:-1])]
-    eqs.append((fib.p, -Fraction(target[-1])))
-    poly = polytope_from_inequalities(ineqs, eqs, ambient)
+    w = tuple(sum(col) for col in zip(fib.p, *fib.y))
+    level = sum(key)
+    flat = [g for g in fib.cone.generators if dot(w, g) == 0]
+    gens = [g for g in fib.cone.generators if dot(w, g) != 0]
+    if level == 0:
+        poly = hull([tuple(0 for _ in range(fib.cone.ambient_dim))])
+    elif level > 0 and gens:
+        poly = hull([tuple(level * x / dot(w, g) for x in g) for g in gens])
+    else:
+        poly = None
+    for f, t in zip(fib.y, key):
+        if poly is not None:
+            poly = clip_by_halfspace(poly, f, -t)
+        if poly is not None:
+            poly = clip_by_halfspace(poly, tuple(-x for x in f), t)
+    # the generators with w = 0 lie in the recession cone of the fibre
+    if poly is not None and flat:
+        raise ValueError("local fibre is unbounded: a cone generator has w = 0")
     fib._fibre_cache[key] = poly
     return poly
 
@@ -108,11 +119,9 @@ def wall_fibration_data(space, coord, level):
         vals = [v[coord] for v in cell.vertices]
         if not (min(vals) <= level <= max(vals)):
             continue
-        clipped = polytope_from_inequalities(
-            list(cell.facets) + [(e, 1 - level), (tuple(-x for x in e), 1 + level)],
-            list(cell.equations),
-            n,
-        )
+        clipped = clip_by_halfspace(cell, e, 1 - level)
+        if clipped is not None:
+            clipped = clip_by_halfspace(clipped, tuple(-x for x in e), 1 + level)
         if clipped is None or clipped.dim != cell.dim:
             continue
         cone = cone_over_cell(cell, collar=clipped.vertices)
@@ -351,6 +360,7 @@ def lg_truncate(space, u_functional):
     """
     coeffs, const = u_functional
     ambient = space.ambient_dim
+    neg_coeffs = tuple(-Fraction(a) for a in coeffs)
     clipped = []
     for c in space.maximal_cells:
         vals = [dot(coeffs, v) + const for v in c.vertices]
@@ -359,11 +369,7 @@ def lg_truncate(space, u_functional):
         if max(vals) <= 1:
             clipped.append(c)
             continue
-        x = polytope_from_inequalities(
-            list(c.facets) + [(tuple(-Fraction(a) for a in coeffs), Fraction(1) - Fraction(const))],
-            list(c.equations),
-            ambient,
-        )
+        x = clip_by_halfspace(c, neg_coeffs, Fraction(1) - Fraction(const))
         if x is not None and x.dim == c.dim:
             clipped.append(x)
     from .polytope import _face_facets

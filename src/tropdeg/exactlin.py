@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 IntVector = tuple
 IntMatrix = tuple
@@ -21,6 +21,11 @@ def content(v):
     for x in v:
         g = gcd(g, abs(int(x)))
     return g
+
+
+def denominator_lcm(values):
+    """Least common multiple of the denominators of ints and Fractions."""
+    return lcm(*(x.denominator for x in values))
 
 
 def primitive(v):
@@ -50,10 +55,6 @@ def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vscale(c, v):
-    return tuple(c * a for a in v)
-
-
 def vneg(v):
     return tuple(-a for a in v)
 
@@ -73,11 +74,6 @@ def mat_vec(a, v):
 
 def mat_transpose(a):
     return tuple(zip(*a))
-
-
-def mat_is_identity(a):
-    n = len(a)
-    return all(len(r) == n for r in a) and a == mat_identity(n)
 
 
 def det(m):
@@ -486,15 +482,13 @@ def cone_from_generators(gens, ambient_dim):
         # solve span_t^T y = n_span  (y in Q^n), then clear denominators
         y = solve_linear(tuple(span), n_span)
         assert y is not None
-        den = 1
-        for c in y:
-            den = den * c.denominator // gcd(den, c.denominator)
+        den = denominator_lcm(y)
         f = tuple(int(c * den) for c in y)
         if not is_zero(f):
             facet_normals.append(primitive(f))
     facet_normals = sorted(set(facet_normals + span_cut))
-    # extreme rays among gens: keep only generators not in the cone of the rest
-    extreme = _extreme_generators(gens, facet_normals)
+    # extreme rays among gens, by the rank of their tight facet normals
+    extreme = _extreme_generators(gens, facet_normals, ambient_dim)
     return RationalCone(ambient_dim, extreme, facet_normals)
 
 
@@ -523,35 +517,17 @@ def _dual_rays_general(gens, dim):
     return sorted(set(rays))
 
 
-def _extreme_generators(gens, facet_normals):
-    """Drop generators that are nonnegative combinations of the others."""
-    final = []
-    for i, g in enumerate(gens):
-        others = [h for j, h in enumerate(gens) if j != i]
-        if not others or not _in_cone_of(g, others):
-            final.append(g)
-    return sorted(final)
+def _extreme_generators(gens, facet_normals, ambient_dim):
+    """The generators spanning extreme rays, by the rank of their tight facets.
 
-
-def _in_cone_of(v, gens):
-    """Is v a nonnegative rational combination of gens?  Exact LP by search.
-
-    Small instances only: solves with Fourier-Motzkin style recursion via
-    vertex enumeration on the coefficient polytope.
+    In a pointed cone g is extreme exactly when the facet normals vanishing
+    at g have rank ambient_dim - 1 (the rule `hull` uses for vertices).  A
+    cone with a lineality space has no extreme rays; its deduplicated
+    generators are kept as they are.
     """
-    # Solve gens^T x = v, x >= 0.  Use a simple exact simplex-free method:
-    # iterate over subsets of gens of size <= rank and test basic solutions.
-    n = len(gens)
-    rank = mat_rank(tuple(gens))
-    for size in range(1, rank + 1):
-        for sub in combinations(range(n), size):
-            m = mat_transpose(tuple(gens[i] for i in sub))
-            x = solve_linear(m, v)
-            if x is None:
-                continue
-            if all(c >= 0 for c in x) and mat_vec(m, x) == tuple(Fraction(a) for a in v):
-                return True
-    return False
+    if mat_rank(facet_normals) < ambient_dim:
+        return gens
+    return [g for g in gens if mat_rank(tuple(n for n in facet_normals if dot(n, g) == 0)) == ambient_dim - 1]
 
 
 def dualize_cone(cone):
@@ -560,10 +536,6 @@ def dualize_cone(cone):
     Applying twice returns a cone equal (as a set) to the input.
     """
     if not cone.generators:
-        # dual of {x : <n,x> >= 0} with the zero cone's normals is everything;
-        # the zero cone arises as dual of the full space and vice versa
-        if all(is_zero(n) for n in cone.facet_normals) or not cone.facet_normals:
-            pass
         # dual of {0} is the full space
         idm = mat_identity(cone.ambient_dim)
         gens = [tuple(r) for r in idm] + [vneg(r) for r in idm]

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product as iproduct
-from math import gcd
 
 from .exactlin import (
+    denominator_lcm,
     dot,
     hnf_column_basis,
     is_zero,
@@ -25,6 +25,7 @@ from .exactlin import (
     vadd,
     vsub,
 )
+from .jsonio import num_json, parse_num
 
 
 def normalize_point(p):
@@ -181,12 +182,8 @@ def _face_facets(pts):
     """Facet tight-sets of conv(pts) inside its own affine span (local idx)."""
     anchor = min(range(len(pts)), key=lambda i: pts[i])
     raw_diffs = [vsub(p, pts[anchor]) for p in pts]
-    den = 1
-    for v in raw_diffs:
-        for x in v:
-            q = Fraction(x).denominator
-            den = den * q // gcd(den, q)
-    diffs = [tuple(int(Fraction(x) * den) for x in v) for v in raw_diffs]
+    den = denominator_lcm(x for v in raw_diffs for x in v)
+    diffs = [tuple(int(x * den) for x in v) for v in raw_diffs]
     basis = hnf_column_basis(diffs)
     r = len(basis)
     if r == 0:
@@ -228,14 +225,6 @@ class FaceLattice:
     def faces(self, dim):
         return self.faces_by_dim.get(dim, [])
 
-    def all_faces(self):
-        for d in sorted(self.faces_by_dim):
-            for f in self.faces_by_dim[d]:
-                yield d, f
-
-    def is_face_of(self, small, big):
-        return small <= big
-
     def euler_alternating_sum(self):
         """Alternating sum over nonempty faces including the full face."""
         return sum((-1) ** d * len(fs) for d, fs in self.faces_by_dim.items() if d >= 0)
@@ -271,11 +260,7 @@ class LatticePolytope:
             raise ValueError("points of mixed dimension")
         anchor = pts[0]
         diffs = [vsub(p, anchor) for p in pts]
-        den = 1
-        for v in diffs:
-            for x in v:
-                q = Fraction(x).denominator
-                den = den * q // gcd(den, q)
+        den = denominator_lcm(x for v in diffs for x in v)
         int_diffs = [tuple(int(x * den) for x in v) for v in diffs]
         basis = saturate_lattice(int_diffs, ambient)
         d = len(basis)
@@ -304,9 +289,7 @@ class LatticePolytope:
         for n, c, tight in facs:
             y = solve_linear(tuple(basis), n)
             assert y is not None
-            dd = 1
-            for comp in y:
-                dd = dd * comp.denominator // gcd(dd, comp.denominator)
+            dd = denominator_lcm(y)
             f = primitive(tuple(int(comp * dd) for comp in y))
             vals = [dot(f, p) for p in pts]
             lo = min(vals)
@@ -324,7 +307,7 @@ class LatticePolytope:
 
     @staticmethod
     def from_json(obj):
-        verts = [tuple(_parse_coord(x) for x in v) for v in obj["vertices"]]
+        verts = [tuple(parse_num(x) for x in v) for v in obj["vertices"]]
         p = LatticePolytope.hull(verts)
         if p.ambient_dim != obj["ambient_dim"]:
             raise ValueError("ambient_dim mismatch in polytope JSON")
@@ -333,7 +316,7 @@ class LatticePolytope:
     def to_json(self):
         return {
             "ambient_dim": self.ambient_dim,
-            "vertices": [[_coord_json(x) for x in v] for v in self.vertices],
+            "vertices": [[num_json(x) for x in v] for v in self.vertices],
         }
 
     # -- basic predicates
@@ -378,10 +361,6 @@ class LatticePolytope:
     def is_lattice(self):
         return all(is_lattice_point(v) for v in self.vertices)
 
-    def vertices_on_facet(self, facet):
-        n, c = facet
-        return tuple(v for v in self.vertices if dot(n, v) == -c)
-
     def bounding_box(self):
         lo = tuple(min(v[i] for v in self.vertices) for i in range(self.ambient_dim))
         hi = tuple(max(v[i] for v in self.vertices) for i in range(self.ambient_dim))
@@ -417,25 +396,15 @@ class LatticePolytope:
         ranges = [range(_ceil(a), _floor(b) + 1) for a, b in zip(lo, hi)]
         return sorted(p for p in iproduct(*ranges) if self.contains(p))
 
-    def boundary_lattice_points(self):
-        return [p for p in self.lattice_points() if not self.contains_strictly(p)]
-
     def normalized_volume(self):
         """dim! times the Euclidean volume within the affine span (an integer)."""
         if self.dim == 0:
             return 1
         anchor = self.vertices[0]
         bm = _basis_matrix(self.span_basis)
-        coords = []
-        den = 1
-        raw = []
-        for v in self.vertices:
-            x = solve_linear(bm, vsub(v, anchor))
-            raw.append(x)
-            for c in x:
-                den = den * c.denominator // gcd(den, c.denominator)
-        for x in raw:
-            coords.append(tuple(int(c * den) for c in x))
+        raw = [solve_linear(bm, vsub(v, anchor)) for v in self.vertices]
+        den = denominator_lcm(c for x in raw for c in x)
+        coords = [tuple(int(c * den) for c in x) for x in raw]
         vol_scaled = _nvol_full_dim(coords, self.dim)
         nv = Fraction(vol_scaled, den**self.dim)
         assert nv.denominator == 1 or not self.is_lattice()
@@ -506,11 +475,8 @@ def _aff_dim(points):
 
 
 def _clear_fractions(v):
-    den = 1
-    for x in v:
-        q = Fraction(x).denominator
-        den = den * q // gcd(den, q)
-    return tuple(int(Fraction(x) * den) for x in v)
+    den = denominator_lcm(v)
+    return tuple(int(x * den) for x in v)
 
 
 def _nvol_full_dim(coords, d):
@@ -552,18 +518,6 @@ def _floor(x):
     return f.numerator // f.denominator
 
 
-def _parse_coord(x):
-    if isinstance(x, str):
-        num, _, den = x.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
-    return int(x)
-
-
-def _coord_json(x):
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
 # --- derived constructions -------------------------------------------------
 
 
@@ -574,8 +528,10 @@ def hull(points):
 def polytope_from_inequalities(ineqs, equations, ambient_dim):
     """Vertex enumeration of {x : <n,x> >= -c, <f,x> = -e}; bounded inputs only.
 
-    Brute force over constraint subsets; all the cells this package intersects
-    are small, so this stays cheap.
+    Brute force over every C(m, n) subset of constraints.  The package itself
+    intersects polyhedra with `clip_by_halfspace` and never calls this; it is
+    kept as the independent reference that tests and the benchmark tracer
+    compare against.
     """
     from itertools import combinations
 
@@ -605,13 +561,15 @@ def polytope_from_inequalities(ineqs, equations, ambient_dim):
 def clip_by_halfspace(cell, normal, offset):
     """cell intersected with {<normal, x> >= -offset}, by exact edge clipping.
 
-    Much cheaper than vertex enumeration over constraint subsets: kept
-    vertices plus edge crossings already form the vertex set of the clip.
+    The vertices of the clip are the cell's vertices inside the halfspace plus
+    the points where edges cross its boundary hyperplane.  Returns the cell
+    itself when it lies inside, and None when the intersection is empty; a
+    cell touching the hyperplane from outside clips to the touching face.
     """
     vals = [Fraction(dot(normal, v)) + offset for v in cell.vertices]
     if all(v >= 0 for v in vals):
         return cell
-    if all(v <= 0 for v in vals):
+    if all(v < 0 for v in vals):
         return None
     verts = list(cell.vertices)
     tight_sets = [frozenset(n for n, c in cell.facets if dot(n, v) == -c) for v in verts]

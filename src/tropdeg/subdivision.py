@@ -9,17 +9,15 @@ construction produce identical cell lists.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
-from .exactlin import dot, mat_rank, solve_linear, vsub
+from .exactlin import denominator_lcm, dot, mat_rank, solve_linear, vsub
 from .polytope import (
-    LatticePolytope,
     _clear_fractions,
     _hull_full_dim,
+    clip_by_halfspace,
     hull,
     minkowski_sum,
     normalize_point,
-    polytope_from_inequalities,
     product,
     segment,
 )
@@ -28,15 +26,6 @@ from .polytope import (
 def affine_value(functional, point):
     coeffs, const = functional
     return Fraction(dot(coeffs, point)) + const
-
-
-def affine_from_values(points, values, ambient_dim):
-    """One affine functional (coeffs, const) matching the given values."""
-    rows = [tuple(p) + (1,) for p in points]
-    sol = solve_linear(tuple(rows), tuple(values))
-    if sol is None:
-        raise ValueError("values are not affine on the given points")
-    return (tuple(sol[:-1]), sol[-1])
 
 
 class PLFunction:
@@ -90,7 +79,6 @@ class Subdivision:
         self.support = support
         self.maximal_cells = tuple(sorted(maximal_cells, key=lambda c: c.key()))
         self._walls = None
-        self._faces = None
 
     def __repr__(self):
         return f"Subdivision({len(self.maximal_cells)} cells, support dim={self.support.dim})"
@@ -118,23 +106,6 @@ class Subdivision:
     def volume_check(self):
         total = sum(c.normalized_volume() for c in self.maximal_cells)
         return total == self.support.normalized_volume()
-
-    def all_cells(self):
-        """Every face of every maximal cell, deduplicated, keyed by vertices."""
-        if self._faces is None:
-            out = {}
-            for cell in self.maximal_cells:
-                fl = cell.faces()
-                verts = cell.vertices
-                for d, faces in fl.faces_by_dim.items():
-                    if d < 0:
-                        continue
-                    for f in faces:
-                        key = tuple(sorted(verts[i] for i in f))
-                        if key not in out:
-                            out[key] = hull(list(key))
-            self._faces = dict(sorted(out.items()))
-        return self._faces
 
     def transform(self, u):
         """Image subdivision under a unimodular integer matrix u."""
@@ -171,21 +142,18 @@ def regular_subdivision(points, heights):
         f = PLFunction(support, {cell.key(): (tuple(0 for _ in range(ambient)), hts[0])}, "from_heights", True)
         return Subdivision(support, [cell]), f
     bm = tuple(zip(*basis))
-    den = 1
-    for h in hts:
-        den = den * h.denominator // gcd(den, h.denominator)
+    den = denominator_lcm(hts)
     span_pts = []
-    for p, h in zip(pts, hts):
-        x = solve_linear(bm, _clear_fractions(vsub(p, anchor)))
-        scale = _span_scale(p, anchor)
+    for p in pts:
+        # span coordinates of the difference, cleared to integers for the
+        # solve and scaled back
+        diff = vsub(p, anchor)
+        scale = denominator_lcm(diff)
+        x = solve_linear(bm, _clear_fractions(diff))
         coords = tuple(int(c / scale) if (c / scale).denominator == 1 else (c / scale) for c in x)
         span_pts.append(coords)
     # clear rational span coordinates (rational inputs) and heights uniformly
-    sden = 1
-    for c in span_pts:
-        for x in c:
-            q = Fraction(x).denominator
-            sden = sden * q // gcd(sden, q)
+    sden = denominator_lcm(x for c in span_pts for x in c)
     lifted = [
         tuple(int(Fraction(x) * sden) for x in c) + (int(h * den) * sden,)
         for c, h in zip(span_pts, hts)
@@ -209,17 +177,6 @@ def regular_subdivision(points, heights):
     sub = Subdivision(support, cells)
     f = PLFunction(support, pieces, "from_heights", True)
     return sub, f
-
-
-def _span_scale(p, anchor):
-    """Denominator clearing factor used when span coords were computed from
-    cleared integer differences."""
-    v = vsub(p, anchor)
-    den = 1
-    for x in v:
-        q = Fraction(x).denominator
-        den = den * q // gcd(den, q)
-    return den
 
 
 def _interpolate_ambient(points, values, ambient_dim):
@@ -260,53 +217,28 @@ def check_convex_certificate(f, subdivision):
     return True
 
 
-def _split_functional(sub):
-    """For a two-cell subdivision, the halfspace data of its single wall."""
-    if len(sub.maximal_cells) != 2:
-        return None
-    a, b = sub.maximal_cells
-    for n, c in a.facets:
-        neg = (tuple(-x for x in n), -c)
-        if neg in b.facets:
-            return n, c
-    return None
-
-
 def common_refinement(sub1, sub2):
-    """Cells = full-dimensional intersections of cells from the two inputs."""
+    """Cells = full-dimensional intersections of cells from the two inputs.
+
+    Each intersection clips a cell of sub1 by the facets of a cell of sub2;
+    both cells span the common support, so the equations already agree.
+    """
     if sub1.support.vertices != sub2.support.vertices:
         raise ValueError("domain mismatch")
     dim = sub1.support.dim
-    ambient = sub1.support.ambient_dim
-    split = _split_functional(sub2)
     cells = []
     seen = set()
-    if split is not None:
-        # sub2 is a single hyperplane split: exact edge clipping is much
-        # cheaper than vertex enumeration over constraint subsets
-        from .polytope import clip_by_halfspace
-
-        n, c = split
-        neg = tuple(-x for x in n)
-        for a in sub1.maximal_cells:
-            for normal, off in ((n, c), (neg, -c)):
-                x = clip_by_halfspace(a, normal, off)
-                if x is None or x.dim != dim or x.key() in seen:
-                    continue
-                seen.add(x.key())
-                cells.append(x)
-        return Subdivision(sub1.support, cells)
     for a in sub1.maximal_cells:
         for b in sub2.maximal_cells:
-            ineqs = list(a.facets) + list(b.facets)
-            eqs = list(a.equations) + list(b.equations)
-            x = polytope_from_inequalities(ineqs, eqs, ambient)
-            if x is None or x.dim != dim:
-                continue
-            if x.key() in seen:
-                continue
-            seen.add(x.key())
-            cells.append(x)
+            x = a
+            for n, c in b.facets:
+                x = clip_by_halfspace(x, n, c)
+                if x is None or x.dim != dim:
+                    break
+            else:
+                if x.key() not in seen:
+                    seen.add(x.key())
+                    cells.append(x)
     return Subdivision(sub1.support, cells)
 
 
@@ -453,8 +385,8 @@ def hyperplane_split(poly, coord_index, level):
     ambient = poly.ambient_dim
     e_i = tuple(1 if j == coord_index else 0 for j in range(ambient))
     neg_e_i = tuple(-x for x in e_i)
-    low = polytope_from_inequalities(list(poly.facets) + [(neg_e_i, level)], list(poly.equations), ambient)
-    high = polytope_from_inequalities(list(poly.facets) + [(e_i, -level)], list(poly.equations), ambient)
+    low = clip_by_halfspace(poly, neg_e_i, level)
+    high = clip_by_halfspace(poly, e_i, -level)
     sub = Subdivision(poly, [low, high])
     zero = tuple(0 for _ in range(ambient))
     pieces = {
@@ -520,10 +452,6 @@ class GraphDegeneration:
         self.refinement = refinement
         self.total_complex = tuple(sorted(total_cells, key=lambda c: c.key()))
         self.parameter_count = parameter_count
-
-    def shadow_of(self, cell):
-        """Projection of a lifted cell back to the base."""
-        return hull([v[: self.base.ambient_dim] for v in cell.vertices])
 
     def diagonal_restriction(self):
         """Map (x, t_1..t_r) -> (x, sum t_i) applied to the lifted cells."""

@@ -27,6 +27,7 @@ from .exactlin import (
     solve_linear,
     vsub,
 )
+from .jsonio import num_json
 from .polytope import _face_facets, hull, normalize_point
 
 
@@ -106,9 +107,6 @@ class TropicalSpace:
         if key in self.boundary_keys:
             return True
         return any(set(key) <= set(bk) for bk in self.boundary_keys)
-
-    def star_of_vertex(self, v):
-        return [c for c in self.maximal_cells if v in c.vertices]
 
     def boundary_cells(self):
         """All faces of the recorded boundary cells, keyed by vertices.
@@ -332,9 +330,6 @@ class Discriminant:
     def total_multiplicity(self):
         return sum(e["multiplicity"] for e in self.entries)
 
-    def support_points(self):
-        return sorted(e["edge_midpoint"] for e in self.entries)
-
 
 def _barycenter_of_key(key):
     k = len(key)
@@ -475,21 +470,16 @@ class MonodromyReport:
             out.append(
                 {
                     "loop": {
-                        "edge": [list(map(_num_json, p)) for p in e["edge"]],
-                        "wall": [list(map(_num_json, p)) for p in e["wall"]],
+                        "edge": [list(map(num_json, p)) for p in e["edge"]],
+                        "wall": [list(map(num_json, p)) for p in e["wall"]],
                     },
                     "matrix": [list(r) for r in e["matrix"]] if e["matrix"] is not None else None,
-                    "polytope": [list(map(_num_json, p)) for p in e["polytope"].vertices],
+                    "polytope": [list(map(num_json, p)) for p in e["polytope"].vertices],
                     "multiplicity": e["multiplicity"],
                     "elementary": e["elementary"],
                 }
             )
         return out
-
-
-def _num_json(x):
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def is_simple(space):

@@ -34,9 +34,6 @@ class GluingData:
                 raise ValueError("twist must be a tuple of ambient_dim+1 nonzero scalars")
             self.twists[pair] = vec
 
-    def is_vanilla(self):
-        return all(all(x == 1 for x in vec) for vec in self.twists.values())
-
     def transport(self, from_key, to_key, point, height):
         """Scalar applied to z^(point, height) when moving between charts."""
         if from_key == to_key:

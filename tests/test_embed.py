@@ -66,6 +66,16 @@ def test_local_fibre_empty():
     assert local_fibre(fib, (-1, 1)) is None
 
 
+def test_local_fibre_unbounded_raises():
+    # y = p = e1*: the generator e2 lies in every fibre's recession cone
+    cone = orthant_cone(2)
+    fib = FibrationData(cone, [(1, 0)], (1, 0))
+    with pytest.raises(ValueError, match="unbounded"):
+        local_fibre(fib, (1, 1))
+    # an empty fibre is still reported as empty
+    assert local_fibre(fib, (1, 2)) is None
+
+
 def k3_sphere():
     base = centered_dilated_simplex(2)
     sub_q, f_q = fine_crepant_subdivision(base)

@@ -4,7 +4,7 @@ from itertools import combinations, product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tropdeg.exactlin import (
@@ -20,6 +20,7 @@ from tropdeg.exactlin import (
     mat_identity,
     mat_mul,
     mat_rank,
+    mat_transpose,
     mat_vec,
     primitive,
     quotient_chart,
@@ -277,3 +278,57 @@ def test_cone_lower_dimensional():
 def test_cone_rejects_redundant_generators():
     c = cone_from_generators([(1, 0), (0, 1), (1, 1)], 2)
     assert sorted(c.generators) == [(0, 1), (1, 0)]
+
+
+def _in_cone_of(v, gens):
+    """Is v a nonnegative rational combination of gens?  Exact LP by search.
+
+    Small instances only: solves with Fourier-Motzkin style recursion via
+    vertex enumeration on the coefficient polytope.
+    """
+    # Solve gens^T x = v, x >= 0.  Use a simple exact simplex-free method:
+    # iterate over subsets of gens of size <= rank and test basic solutions.
+    n = len(gens)
+    rank = mat_rank(tuple(gens))
+    for size in range(1, rank + 1):
+        for sub in combinations(range(n), size):
+            m = mat_transpose(tuple(gens[i] for i in sub))
+            x = solve_linear(m, v)
+            if x is None:
+                continue
+            if all(c >= 0 for c in x) and mat_vec(m, x) == tuple(Fraction(a) for a in v):
+                return True
+    return False
+
+
+@st.composite
+def pointed_cone_generators(draw):
+    """Generators of a random pointed cone in Z^dim, dim = 2..4.
+
+    The cone is built in Z^k (k <= dim) over points at positive height, so it
+    is pointed, then mapped into Z^dim by an injective integer matrix; some
+    sums of pairs are added as redundant generators.
+    """
+    dim = draw(st.integers(min_value=2, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=dim))
+    coord = st.integers(min_value=-3, max_value=3)
+    base = draw(
+        st.lists(st.tuples(*[coord] * (k - 1), st.integers(min_value=1, max_value=3)), min_size=1, max_size=k + 3)
+    )
+    embed = draw(st.lists(st.tuples(*[coord] * k), min_size=dim, max_size=dim))
+    assume(mat_rank(tuple(embed)) == k)
+    gens = [mat_vec(embed, g) for g in base]
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(gens) - 1), st.integers(0, len(gens) - 1)), max_size=2))
+    gens += [tuple(a + b for a, b in zip(gens[i], gens[j])) for i, j in pairs]
+    return gens, dim
+
+
+@settings(max_examples=80, deadline=None)
+@given(pointed_cone_generators())
+def test_extreme_generators_match_cone_membership_search(case):
+    gens, dim = case
+    c = cone_from_generators(gens, dim)
+    assert c.is_pointed()
+    distinct = sorted({primitive(g) for g in gens})
+    expected = [g for g in distinct if not _in_cone_of(g, [h for h in distinct if h != g])]
+    assert list(c.generators) == expected

@@ -4,11 +4,15 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tropdeg.exactlin import dot
 from tropdeg.polytope import (
     LatticePolytope,
     NefPartition,
     centered_dilated_simplex,
+    clip_by_halfspace,
     cube,
     hull,
     minkowski_sum,
@@ -265,3 +269,70 @@ def test_contains_and_interior(quintic):
     assert quintic.contains((4, -1, -1, -1))
     assert not quintic.contains_strictly((4, -1, -1, -1))
     assert not quintic.contains((5, 0, 0, 0))
+
+
+# --- clipping ------------------------------------------------------------
+
+
+def test_clip_touching_from_outside_keeps_the_face():
+    # {x >= 1} meets the square [-1, 1]^2 in its edge x = 1
+    edge = clip_by_halfspace(cube(2), (1, 0), -1)
+    assert edge is not None
+    assert edge.vertices == ((1, -1), (1, 1))
+    assert edge.dim == 1
+    assert clip_by_halfspace(cube(2), (1, 0), -2) is None
+    assert clip_by_halfspace(cube(2), (1, 0), 1) == cube(2)
+
+
+@st.composite
+def clip_chains(draw):
+    """A random integer polytope and a chain of halfspaces to clip it by.
+
+    Offsets are random, or make the hyperplane support the starting polytope
+    from either side; an "equation" step is a two-sided clip to a level
+    between its extreme values.
+    """
+    d = draw(st.integers(min_value=1, max_value=4))
+    coord = st.integers(min_value=-3, max_value=3)
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 3))
+    normal = st.tuples(*[st.integers(min_value=-2, max_value=2)] * d).filter(lambda n: any(n))
+    steps = draw(
+        st.lists(
+            st.tuples(normal, st.sampled_from(["random", "touch_max", "touch_min", "equation"]), st.integers(-6, 6)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    return pts, steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(clip_chains())
+def test_clip_chain_matches_vertex_enumeration(chain):
+    pts, steps = chain
+    poly = hull(pts)
+    halfspaces = []
+    for n, kind, r in steps:
+        vals = [dot(n, v) for v in poly.vertices]
+        if kind == "random":
+            halfspaces.append((n, r))
+        elif kind == "touch_max":
+            halfspaces.append((n, -max(vals)))
+        elif kind == "touch_min":
+            halfspaces.append((n, -min(vals)))
+        else:
+            level = min(vals) + Fraction(abs(r), 6) * (max(vals) - min(vals))
+            halfspaces += [(n, -level), (tuple(-x for x in n), level)]
+    clipped = poly
+    for n, c in halfspaces:
+        if clipped is not None:
+            clipped = clip_by_halfspace(clipped, n, c)
+    oracle = polytope_from_inequalities(list(poly.facets) + halfspaces, list(poly.equations), poly.ambient_dim)
+    if oracle is None:
+        assert clipped is None
+        return
+    assert clipped is not None
+    assert clipped.vertices == oracle.vertices
+    assert clipped.facets == oracle.facets
+    assert clipped.equations == oracle.equations
+    assert clipped.span_basis == oracle.span_basis
