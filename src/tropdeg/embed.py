@@ -12,10 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactlin import (
-    RationalCone,
     cone_from_generators,
     dot,
     is_integrally_surjective,
+    mat_identity,
     mat_rank,
     saturate_lattice,
     snf_diagonal,
@@ -25,6 +25,7 @@ from .exactlin import (
 from .polytope import (
     _clear_fractions,
     clip_by_halfspace,
+    containing_cell,
     hull,
     standard_simplex,
 )
@@ -372,18 +373,13 @@ def lg_truncate(space, u_functional):
         x = clip_by_halfspace(c, neg_coeffs, Fraction(1) - Fraction(const))
         if x is not None and x.dim == c.dim:
             clipped.append(x)
-    from .polytope import _face_facets
-
     level_keys = set()
     wall_hosts = {}
     for c in clipped:
-        verts = list(c.vertices)
-        below = any(dot(coeffs, v) + const < 1 for v in verts)
-        for tight in _face_facets(verts):
-            face = [verts[i] for i in tight]
-            key = tuple(sorted(face))
+        below = any(dot(coeffs, v) + const < 1 for v in c.vertices)
+        for key in c.facet_keys():
             wall_hosts.setdefault(key, []).append(below)
-            if all(dot(coeffs, p) + const == 1 for p in face):
+            if all(dot(coeffs, p) + const == 1 for p in key):
                 level_keys.add(key)
     for key in level_keys:
         hosts = wall_hosts.get(key, [])
@@ -413,17 +409,13 @@ def open_embed_LG(t_z, t_x):
     """
     entries = []
     covered = set()
+    n = t_x.ambient_dim
+    ident = mat_identity(n)
     for c in t_z.maximal_cells:
-        target = None
-        for big in t_x.maximal_cells:
-            if all(big.contains(v) for v in c.vertices):
-                target = big
-                break
+        target = containing_cell(t_x.maximal_cells, c)
         if target is None:
             raise ValueError("no locally isomorphic correspondence for cell " + str(c.key()))
         covered.add(target.key())
-        n = t_x.ambient_dim
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         entries.append(
             {
                 "source": c.key(),
@@ -444,17 +436,13 @@ def specialization_map(xi_gen, xi_zero):
     """
     entries = []
     covered_sources = set()
+    n = xi_gen.ambient_dim
+    ident = mat_identity(n)
     for c in xi_zero.maximal_cells:
-        source = None
-        for big in xi_gen.maximal_cells:
-            if all(big.contains(v) for v in c.vertices):
-                source = big
-                break
+        source = containing_cell(xi_gen.maximal_cells, c)
         if source is None:
             raise ValueError("inputs come from unrelated pipelines: unmatched cell " + str(c.key()))
         covered_sources.add(source.key())
-        n = xi_gen.ambient_dim
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         entries.append(
             {
                 "source": source.key(),

@@ -420,36 +420,26 @@ class RationalCone:
 def _extreme_rays_of_halfspaces(normals, dim):
     """Extreme rays of {x : <n,x> >= 0 for all n}, assuming the cone is pointed.
 
-    Brute force over (dim-1)-subsets of normals; fine for the small cones here.
+    In a pointed cone a ray is extreme exactly when the normals tight at it
+    have rank dim - 1, so it spans the kernel of some dim - 1 of them.  The
+    scan tries every (dim-1)-subset of rank dim - 1 and keeps the kernel
+    direction that satisfies all inequalities; brute force, fine for the
+    small cones here.
     """
-    rays = []
-    seen = set()
     if mat_rank(normals) < dim:
         raise ValueError("cone is not pointed")
     if dim == 1:
         return sorted(c for c in ((1,), (-1,)) if all(dot(c, n) >= 0 for n in normals))
+    rays = set()
     for sub in combinations(range(len(normals)), dim - 1):
         m = tuple(normals[i] for i in sub)
         if mat_rank(m) != dim - 1:
             continue
-        ker = kernel_basis(m)
-        if len(ker) != 1:
-            continue
-        r = primitive(ker[0])
+        r = primitive(kernel_basis(m)[0])
         for cand in (r, vneg(r)):
             if all(dot(cand, n) >= 0 for n in normals):
-                if cand not in seen:
-                    seen.add(cand)
-                    rays.append(cand)
-    # drop rays that are nonnegative combinations of the others: an extreme ray
-    # is the unique ray whose tight set is not contained in another's
-    out = []
-    tights = {r: frozenset(i for i, n in enumerate(normals) if dot(r, n) == 0) for r in rays}
-    for r in rays:
-        if any(r2 != r and tights[r] < tights[r2] for r2 in rays):
-            continue
-        out.append(r)
-    return sorted(out)
+                rays.add(cand)
+    return sorted(rays)
 
 
 def cone_from_generators(gens, ambient_dim):

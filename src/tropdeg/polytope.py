@@ -443,27 +443,34 @@ class LatticePolytope:
         """Image under the integer matrix u (applied on the left)."""
         return LatticePolytope.hull([tuple(dot(row, v) for row in u) for v in self.vertices])
 
+    def facet_keys(self):
+        """Vertex tuples of the facets, read off the facet inequalities.
+
+        Entry i is the sorted tuple of vertices tight at `facets[i]`; no hull
+        is computed.  A point has no facets.
+        """
+        return [tuple(v for v in self.vertices if dot(n, v) == -c) for n, c in self.facets]
+
     def faces(self):
-        """The complete graded face poset, faces as vertex index sets."""
+        """The complete graded face poset, faces as vertex index sets.
+
+        Every proper nonempty face is an intersection of facets, so the faces
+        are the facets' vertex-index sets closed under intersection, plus the
+        full set and the empty face.
+        """
+        index = {v: i for i, v in enumerate(self.vertices)}
+        facets = {frozenset(index[v] for v in key) for key in self.facet_keys()}
+        found = set(facets)
+        frontier = facets
+        while frontier:
+            frontier = {f & g for f in frontier for g in facets} - found - {frozenset()}
+            found |= frontier
+        found.add(frozenset(range(len(self.vertices))))
         by_dim = {}
-        seen = set()
-
-        def visit(vidx):
-            key = frozenset(vidx)
-            if key in seen:
-                return
-            seen.add(key)
-            sub = [self.vertices[i] for i in vidx]
-            subdim = _aff_dim(sub)
-            by_dim.setdefault(subdim, []).append(key)
-            if subdim == 0:
-                return
-            for tight_local in _face_facets(sub):
-                visit([vidx[i] for i in tight_local])
-
-        visit(list(range(len(self.vertices))))
-        by_dim[-1] = [frozenset()]
-        faces_sorted = {d: sorted(fs, key=lambda s: sorted(s)) for d, fs in by_dim.items()}
+        for face in found:
+            by_dim.setdefault(_aff_dim([self.vertices[i] for i in face]), []).append(face)
+        faces_sorted = {d: sorted(by_dim[d], key=sorted) for d in range(self.dim, -1, -1)}
+        faces_sorted[-1] = [frozenset()]
         return FaceLattice(faces_sorted, self.dim)
 
 
@@ -523,6 +530,20 @@ def _floor(x):
 
 def hull(points):
     return LatticePolytope.hull(points)
+
+
+def walls(cells):
+    """Each facet key of the cells, mapped to the indices of the cells having it."""
+    out = {}
+    for ci, cell in enumerate(cells):
+        for key in cell.facet_keys():
+            out.setdefault(key, []).append(ci)
+    return {k: tuple(v) for k, v in sorted(out.items())}
+
+
+def containing_cell(cells, cell):
+    """The first of the cells that contains every vertex of cell, or None."""
+    return next((big for big in cells if all(big.contains(v) for v in cell.vertices)), None)
 
 
 def polytope_from_inequalities(ineqs, equations, ambient_dim):

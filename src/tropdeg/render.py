@@ -204,21 +204,17 @@ def _cycle(cell):
     verts = list(cell.vertices)
     if len(verts) <= 3:
         return verts
-    from .polytope import _face_facets
-
-    edges = _face_facets(verts)
     adj = {}
-    for e in edges:
-        a, b = e
+    for a, b in cell.facet_keys():
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
-    order = [0]
+    order = [verts[0]]
     prev = None
     while len(order) < len(verts):
         nxt = [x for x in adj[order[-1]] if x != prev]
         prev = order[-1]
         order.append(nxt[0])
-    return [verts[i] for i in order]
+    return order
 
 
 def _svg_document(cells, points, boundary_segments=()):

@@ -15,11 +15,13 @@ from .polytope import (
     _clear_fractions,
     _hull_full_dim,
     clip_by_halfspace,
+    containing_cell,
     hull,
     minkowski_sum,
     normalize_point,
     product,
     segment,
+    walls,
 )
 
 
@@ -51,21 +53,6 @@ class PLFunction:
                 return affine_value(self.pieces[cell.key()], point)
         raise ValueError("point outside the subdivision support")
 
-    def transform(self, u, new_domain, cell_map):
-        """Pushforward along a unimodular map u (pieces composed with u^-1)."""
-        # invert u exactly: solve u x = e_i column by column
-        n = len(u)
-        cols = []
-        for i in range(n):
-            e = tuple(1 if j == i else 0 for j in range(n))
-            cols.append(solve_linear(u, e))
-        uinv_cols = cols
-        new_pieces = {}
-        for key, (coeffs, const) in self.pieces.items():
-            new_coeffs = tuple(sum(Fraction(coeffs[j]) * uinv_cols[i][j] for j in range(n)) for i in range(n))
-            new_pieces[cell_map[key]] = (new_coeffs, const)
-        return PLFunction(new_domain, new_pieces, self.tag, self.convex)
-
 
 class Subdivision:
     """A polyhedral decomposition of a support polytope into maximal cells.
@@ -89,15 +76,7 @@ class Subdivision:
     def walls(self):
         """Codimension-1 cells with the list of maximal cells containing each."""
         if self._walls is None:
-            facet_map = {}
-            for ci, cell in enumerate(self.maximal_cells):
-                verts = list(cell.vertices)
-                from .polytope import _face_facets
-
-                for tight in _face_facets(verts):
-                    fkey = tuple(sorted(verts[i] for i in tight))
-                    facet_map.setdefault(fkey, []).append(ci)
-            self._walls = {k: tuple(v) for k, v in sorted(facet_map.items())}
+            self._walls = walls(self.maximal_cells)
         return self._walls
 
     def interior_walls(self):
@@ -259,10 +238,10 @@ def sum_refinement(f, g, sub_f, sub_g):
 
 def _piece_on(f, sub, cell):
     """The affine piece of f valid on a cell of a finer subdivision."""
-    for big in sub.maximal_cells:
-        if all(big.contains(v) for v in cell.vertices):
-            return f.pieces[big.key()]
-    raise ValueError("cell not contained in any cell of the coarser subdivision")
+    big = containing_cell(sub.maximal_cells, cell)
+    if big is None:
+        raise ValueError("cell not contained in any cell of the coarser subdivision")
+    return f.pieces[big.key()]
 
 
 def product_pullback(f, sub, other, side="left"):

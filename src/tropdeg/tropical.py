@@ -18,7 +18,6 @@ from .exactlin import (
     content,
     dot,
     mat_identity,
-    mat_mul,
     mat_rank,
     mat_vec,
     primitive,
@@ -28,7 +27,7 @@ from .exactlin import (
     vsub,
 )
 from .jsonio import num_json
-from .polytope import _face_facets, hull, normalize_point
+from .polytope import hull, normalize_point, walls
 
 
 class TropicalSpace:
@@ -61,22 +60,7 @@ class TropicalSpace:
     def cells(self):
         """All faces of all maximal cells, deduplicated by vertex key."""
         if self._cells is None:
-            out = {}
-            for cell in self.maximal_cells:
-                verts = list(cell.vertices)
-                stack = [tuple(range(len(verts)))]
-                seen_local = set()
-                while stack:
-                    idx = stack.pop()
-                    key = tuple(sorted(verts[i] for i in idx))
-                    if key in seen_local:
-                        continue
-                    seen_local.add(key)
-                    if key not in out:
-                        out[key] = hull(list(key))
-                    for tight in _face_facets([verts[i] for i in idx]):
-                        stack.append(tuple(idx[i] for i in tight))
-            self._cells = dict(sorted(out.items()))
+            self._cells = _faces_by_key(self.maximal_cells)
         return self._cells
 
     def cells_of_dim(self, d):
@@ -91,13 +75,7 @@ class TropicalSpace:
     def walls(self):
         """Codimension-1 cells mapped to the maximal cells containing them."""
         if self._walls is None:
-            out = {}
-            for ci, cell in enumerate(self.maximal_cells):
-                verts = list(cell.vertices)
-                for tight in _face_facets(verts):
-                    key = tuple(sorted(verts[i] for i in tight))
-                    out.setdefault(key, []).append(ci)
-            self._walls = {k: tuple(v) for k, v in sorted(out.items())}
+            self._walls = walls(self.maximal_cells)
         return self._walls
 
     def interior_walls(self):
@@ -114,18 +92,7 @@ class TropicalSpace:
         Cheaper than filtering cells(): only the boundary subcomplex is
         walked, which matters for large solid complexes.
         """
-        out = {}
-        for key in self.boundary_keys:
-            stack = [tuple(key)]
-            while stack:
-                verts = stack.pop()
-                k = tuple(sorted(verts))
-                if k in out:
-                    continue
-                out[k] = hull(list(k))
-                for tight in _face_facets(list(k)):
-                    stack.append(tuple(k[i] for i in tight))
-        return dict(sorted(out.items()))
+        return _faces_by_key([hull(list(key)) for key in self.boundary_keys])
 
     # -- charts and fan structures
 
@@ -221,6 +188,23 @@ class TropicalSpace:
         return _mat_mul_rational(m_to, _mat_inverse(m_from))
 
 
+def _faces_by_key(polys):
+    """All nonempty faces of the polytopes, keyed by vertices.
+
+    Each polytope stands for itself; each proper face is hulled once.
+    """
+    out = {}
+    for poly in polys:
+        for dim, faces in poly.faces().faces_by_dim.items():
+            if dim < 0:
+                continue
+            for face in faces:
+                key = tuple(poly.vertices[i] for i in sorted(face))
+                if key not in out:
+                    out[key] = poly if key == poly.vertices else hull(list(key))
+    return dict(sorted(out.items()))
+
+
 def _mat_inverse(m):
     n = len(m)
     cols = []
@@ -252,21 +236,12 @@ def dual_intersection_complex(graph_deg):
             raise ValueError("graph degeneration carries a non-convex certificate")
     support = graph_deg.base
     cells = graph_deg.refinement.maximal_cells
-    boundary = []
-    for cell in cells:
-        verts = list(cell.vertices)
-        for tight in _face_facets(verts):
-            face = [verts[i] for i in tight]
-            for n, c in support.facets:
-                if all(dot(n, p) == -c for p in face):
-                    boundary.append(tuple(sorted(face)))
-                    break
     return TropicalSpace(
         support.ambient_dim,
         support.dim,
         cells,
         "solid",
-        boundary_keys=boundary,
+        boundary_keys=_support_facet_keys(cells, support),
         metadata={"slice": "fibre over (1,...,1) of the cone complex", "parameters": graph_deg.parameter_count},
     )
 
@@ -287,18 +262,7 @@ def hypersurface_trop(poly, subdivision, tents=(), enforce_fine=True):
         from .subdivision import common_refinement
 
         sub = common_refinement(sub, tent_sub)
-    boundary_cells = {}
-    for cell in sub.maximal_cells:
-        verts = list(cell.vertices)
-        for tight in _face_facets(verts):
-            face = [verts[i] for i in tight]
-            for n, c in poly.facets:
-                if all(dot(n, p) == -c for p in face):
-                    key = tuple(sorted(face))
-                    if key not in boundary_cells:
-                        boundary_cells[key] = hull(face)
-                    break
-    cells = list(boundary_cells.values())
+    cells = [hull(list(key)) for key in _support_facet_keys(sub.maximal_cells, poly)]
     if enforce_fine:
         # fineness: every boundary lattice point must be a vertex of the complex
         vertex_set = set()
@@ -315,6 +279,12 @@ def hypersurface_trop(poly, subdivision, tents=(), enforce_fine=True):
         boundary_keys=(),
         metadata={"support": "boundary of reflexive polytope", "fine": enforce_fine},
     )
+
+
+def _support_facet_keys(cells, support):
+    """Facet keys of the cells that lie on a facet of the support, sorted."""
+    keys = {key for cell in cells for key in cell.facet_keys()}
+    return sorted(key for key in keys if any(all(dot(n, p) == -c for p in key) for n, c in support.facets))
 
 
 class Discriminant:

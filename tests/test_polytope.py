@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 
 from tropdeg.exactlin import dot
 from tropdeg.polytope import (
+    FaceLattice,
     LatticePolytope,
     NefPartition,
+    _aff_dim,
+    _face_facets,
     centered_dilated_simplex,
     clip_by_halfspace,
     cube,
@@ -336,3 +339,76 @@ def test_clip_chain_matches_vertex_enumeration(chain):
     assert clipped.facets == oracle.facets
     assert clipped.equations == oracle.equations
     assert clipped.span_basis == oracle.span_basis
+
+
+# --- face lattice ----------------------------------------------------------
+
+
+def _faces_by_rehulling(poly):
+    """The recursive face walk that re-hulls every face (differential oracle)."""
+    by_dim = {}
+    seen = set()
+
+    def visit(vidx):
+        key = frozenset(vidx)
+        if key in seen:
+            return
+        seen.add(key)
+        sub = [poly.vertices[i] for i in vidx]
+        subdim = _aff_dim(sub)
+        by_dim.setdefault(subdim, []).append(key)
+        if subdim == 0:
+            return
+        for tight_local in _face_facets(sub):
+            visit([vidx[i] for i in tight_local])
+
+    visit(list(range(len(poly.vertices))))
+    by_dim[-1] = [frozenset()]
+    faces_sorted = {d: sorted(fs, key=lambda s: sorted(s)) for d, fs in by_dim.items()}
+    return FaceLattice(faces_sorted, poly.dim)
+
+
+@st.composite
+def embedded_point_sets(draw):
+    """Integer points of dimension 1 to 4, mapped into ambient dimension up to 5.
+
+    The map is a random integer matrix plus a translation, so the image can
+    be lower-dimensional than both the source and the ambient space.
+    """
+    d = draw(st.integers(min_value=1, max_value=4))
+    ambient = draw(st.integers(min_value=d, max_value=5))
+    coord = st.integers(min_value=-3, max_value=3)
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 4))
+    if ambient == d and draw(st.booleans()):
+        return pts
+    entry = st.integers(min_value=-2, max_value=2)
+    m = draw(st.lists(st.tuples(*[entry] * d), min_size=ambient, max_size=ambient))
+    shift = draw(st.tuples(*[coord] * ambient))
+    return [tuple(dot(row, p) + t for row, t in zip(m, shift)) for p in pts]
+
+
+@settings(max_examples=80, deadline=None)
+@given(embedded_point_sets())
+def test_faces_match_recursive_rehulling(pts):
+    poly = hull(pts)
+    oracle = _faces_by_rehulling(poly)
+    assert list(poly.faces().faces_by_dim.items()) == list(oracle.faces_by_dim.items())
+    verts = list(poly.vertices)
+    expected_keys = sorted(tuple(verts[i] for i in tight) for tight in _face_facets(verts))
+    assert sorted(poly.facet_keys()) == expected_keys
+
+
+@settings(max_examples=60, deadline=None)
+@given(embedded_point_sets(), st.lists(st.integers(min_value=1, max_value=3), min_size=9, max_size=9))
+def test_hull_of_vertices_equals_hull_of_points(pts, dens):
+    # TropicalSpace.cells() returns a maximal cell itself as its own face,
+    # which relies on the hull depending only on the vertex set
+    pts = [tuple(Fraction(x, den) for x in p) for p, den in zip(pts, dens)]
+    poly = hull(pts)
+    again = hull(poly.vertices)
+    assert (again.facets, again.equations, again.span_basis, again.anchor) == (
+        poly.facets,
+        poly.equations,
+        poly.span_basis,
+        poly.anchor,
+    )
