@@ -12,18 +12,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactlin import (
-    cone_from_generators,
+    RationalCone,
+    clear_fractions,
     dot,
     is_integrally_surjective,
     mat_identity,
     mat_rank,
+    primitive,
     saturate_lattice,
     snf_diagonal,
     solve_linear,
+    vneg,
     vsub,
 )
 from .polytope import (
-    _clear_fractions,
     clip_by_halfspace,
     containing_cell,
     hull,
@@ -96,19 +98,27 @@ def local_fibre(fib, target):
     return poly
 
 
-def cone_over_cell(cell, collar=None):
-    """The cone over (cell, 1) in M + Z, optionally clipping to a collar."""
-    pts = cell.vertices if collar is None else collar
-    gens = [tuple(v) + (1,) for v in pts]
-    return cone_from_generators(gens, cell.ambient_dim + 1)
+def cone_over_cell(cell):
+    """The cone over (cell, 1) in M + Z, read off the cell's own facets.
+
+    Each vertex v gives the ray (v, 1), each facet <n, x> >= -c the facet
+    normal (n, c), and each span equation <f, x> = -e the pair +-(f, e),
+    all cleared of denominators and made primitive; no hull is computed.
+    """
+    rays = [primitive(clear_fractions(v + (1,))) for v in cell.vertices]
+    normals = [primitive(clear_fractions(n + (c,))) for n, c in cell.facets]
+    for f, e in cell.equations:
+        lift = primitive(clear_fractions(f + (e,)))
+        normals += [lift, vneg(lift)]
+    return RationalCone(cell.ambient_dim + 1, rays, normals)
 
 
 def wall_fibration_data(space, coord, level):
     """Per-cell fibration data for a rank-1 Tyurin wall {x_coord = level}.
 
     Only cells meeting the wall get data (the positive integral
-    neighbourhood); their cones are clipped to the unit collar so the
-    component functionals stay nonnegative.
+    neighbourhood); each gets the cone over its clip to the unit collar, so
+    the component functionals stay nonnegative.
     """
     n = space.ambient_dim
     e = tuple(1 if i == coord else 0 for i in range(n))
@@ -125,8 +135,7 @@ def wall_fibration_data(space, coord, level):
             clipped = clip_by_halfspace(clipped, tuple(-x for x in e), 1 + level)
         if clipped is None or clipped.dim != cell.dim:
             continue
-        cone = cone_over_cell(cell, collar=clipped.vertices)
-        out[cell.key()] = FibrationData(cone, [y0, y1], p)
+        out[cell.key()] = FibrationData(cone_over_cell(clipped), [y0, y1], p)
     return out
 
 
@@ -167,7 +176,7 @@ def _slice_lattice_chart(cells):
     """Anchor and saturated direction basis of the affine span of a cell union."""
     verts = sorted({v for c in cells for v in c.vertices})
     anchor = verts[0]
-    diffs = [_clear_fractions(vsub(v, anchor)) for v in verts[1:]]
+    diffs = [clear_fractions(vsub(v, anchor)) for v in verts[1:]]
     ambient = len(anchor)
     basis = saturate_lattice(diffs, ambient) if diffs else []
     return anchor, basis
@@ -282,7 +291,7 @@ def _assert_fan_compatibility(space, cells, hosts, host_cells):
                 if all(x == 0 for x in d):
                     continue
                 imgs.append(tuple(sum(Fraction(chart[r][c]) * Fraction(d[c]) for c in range(len(d))) for r in range(len(chart))))
-            if imgs and mat_rank(tuple(_clear_fractions(x) for x in imgs)) != cell.dim:
+            if imgs and mat_rank(tuple(clear_fractions(x) for x in imgs)) != cell.dim:
                 raise ValueError("embedding is not compatible with the fan structure at " + str(v))
 
 

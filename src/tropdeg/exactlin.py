@@ -8,7 +8,6 @@ since reflexivity and monodromy verdicts depend on exact offsets.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 
 IntVector = tuple
@@ -16,10 +15,15 @@ IntMatrix = tuple
 
 
 def content(v):
-    """gcd of the entries of v (0 for the zero vector)."""
+    """gcd of the entries of v (0 for the zero vector).
+
+    Raises ValueError on an entry that is not an integer.
+    """
     g = 0
     for x in v:
-        g = gcd(g, abs(int(x)))
+        if x.denominator != 1:
+            raise ValueError(f"content of a vector with non-integer entry {x}")
+        g = gcd(g, int(x))
     return g
 
 
@@ -28,10 +32,17 @@ def denominator_lcm(values):
     return lcm(*(x.denominator for x in values))
 
 
+def clear_fractions(v):
+    """v scaled by the lcm of its denominators, as a tuple of ints."""
+    den = denominator_lcm(v)
+    return tuple(int(x * den) for x in v)
+
+
 def primitive(v):
     """v divided by the gcd of its entries.
 
-    Raises ValueError on the zero vector.  Idempotent.
+    Raises ValueError on the zero vector and on a non-integer entry.
+    Idempotent.
     """
     g = content(v)
     if g == 0:
@@ -336,8 +347,7 @@ def kernel_basis(m):
     if rows == 0:
         return [tuple(mat_identity(cols)[i]) for i in range(cols)]
     s, _, v = smith_normal_form(m)
-    d = snf_diagonal(m)
-    rank = sum(1 for x in d if x != 0)
+    rank = sum(1 for i in range(min(rows, cols)) if s[i][i] != 0)
     vt = mat_transpose(v)
     return [vt[j] for j in range(rank, cols)]
 
@@ -417,94 +427,22 @@ class RationalCone:
         return mat_rank(self.generators) if self.generators else 0
 
 
-def _extreme_rays_of_halfspaces(normals, dim):
-    """Extreme rays of {x : <n,x> >= 0 for all n}, assuming the cone is pointed.
-
-    In a pointed cone a ray is extreme exactly when the normals tight at it
-    have rank dim - 1, so it spans the kernel of some dim - 1 of them.  The
-    scan tries every (dim-1)-subset of rank dim - 1 and keeps the kernel
-    direction that satisfies all inequalities; brute force, fine for the
-    small cones here.
-    """
-    if mat_rank(normals) < dim:
-        raise ValueError("cone is not pointed")
-    if dim == 1:
-        return sorted(c for c in ((1,), (-1,)) if all(dot(c, n) >= 0 for n in normals))
-    rays = set()
-    for sub in combinations(range(len(normals)), dim - 1):
-        m = tuple(normals[i] for i in sub)
-        if mat_rank(m) != dim - 1:
-            continue
-        r = primitive(kernel_basis(m)[0])
-        for cand in (r, vneg(r)):
-            if all(dot(cand, n) >= 0 for n in normals):
-                rays.add(cand)
-    return sorted(rays)
-
-
 def cone_from_generators(gens, ambient_dim):
-    """Build a RationalCone from ray generators (double description)."""
-    gens = [primitive(g) for g in gens if not is_zero(g)]
-    gens = sorted(set(gens))
-    if not gens:
-        return RationalCone(ambient_dim, [], [tuple(r) for r in mat_identity(ambient_dim)] + [vneg(r) for r in mat_identity(ambient_dim)])
-    # facet normals of cone(gens) = extreme rays of the dual cone, computed in
-    # the span when the cone is not full dimensional
-    span = saturate_lattice(gens, ambient_dim)
-    rank = len(span)
-    # coordinates of generators in the span basis
-    span_t = mat_transpose(tuple(span))
-    coords = []
-    for g in gens:
-        x = solve_linear(span_t, g)
-        assert x is not None and all(xf.denominator == 1 for xf in x)
-        coords.append(tuple(int(xf) for xf in x))
-    dual_in_span = _dual_rays_general(coords, rank)
-    # facet normals back in ambient coordinates: n_span composed with the
-    # coordinate functionals of the span; plus +-normals cutting the span
-    ann = kernel_basis(tuple(span))
-    span_cut = [tuple(a) for a in ann] + [vneg(a) for a in ann]
-    # lift span-normals: need integer functional on Z^n restricting correctly;
-    # use a rational solve against span basis then clear denominators
-    facet_normals = []
-    for n_span in dual_in_span:
-        # functional f with f(span_j) = n_span_j, f = y @ (rows = identity):
-        # solve span_t^T y = n_span  (y in Q^n), then clear denominators
-        y = solve_linear(tuple(span), n_span)
-        assert y is not None
-        den = denominator_lcm(y)
-        f = tuple(int(c * den) for c in y)
-        if not is_zero(f):
-            facet_normals.append(primitive(f))
-    facet_normals = sorted(set(facet_normals + span_cut))
-    # extreme rays among gens, by the rank of their tight facet normals
-    extreme = _extreme_generators(gens, facet_normals, ambient_dim)
-    return RationalCone(ambient_dim, extreme, facet_normals)
+    """Build a RationalCone from ray generators, rational ones included.
 
-
-def _dual_rays_general(gens, dim):
-    """Extreme rays of the dual cone {m : <m,g> >= 0}, gens full rank in Z^dim.
-
-    Handles the non-pointed dual (when gens do not span positively) by
-    splitting off the lineality space {m : <m,g> = 0 for all g}.
+    The facets of cone(gens) are the facets of P = conv({0} u gens) through
+    the origin, plus a +- pair per equation of P's affine span, so `hull`
+    finds them; the extreme generators are then picked by rank.
     """
-    if dim == 0:
-        return []
-    lin = kernel_basis(tuple(gens))
-    if not lin:
-        return _extreme_rays_of_halfspaces(tuple(gens), dim)
-    # dual = lineality + pointed part in the quotient by the lineality span
-    lin_t = tuple(lin)
-    comp = kernel_basis(lin_t)  # functionals vanishing... complement lattice
-    if not comp:
-        return sorted(set([primitive(b) for b in lin] + [vneg(primitive(b)) for b in lin]))
-    proj = tuple(comp)  # rows: basis of the complement lattice (as vectors)
-    # constraints in complement coordinates: <m, g> with m = sum c_i comp_i
-    constr = tuple(tuple(dot(c, g) for c in proj) for g in gens)
-    sub_rays = _extreme_rays_of_halfspaces(constr, len(proj))
-    rays = [primitive(tuple(dot(tuple(r[i] for i in range(len(proj))), col) for col in zip(*proj))) for r in sub_rays]
-    rays += [primitive(b) for b in lin] + [vneg(primitive(b)) for b in lin]
-    return sorted(set(rays))
+    from .polytope import hull
+
+    gens = sorted({primitive(clear_fractions(g)) for g in gens if not is_zero(g)})
+    p = hull([tuple(0 for _ in range(ambient_dim))] + gens)
+    normals = {n for n, c in p.facets if c == 0}
+    for f, _ in p.equations:
+        normals |= {f, vneg(f)}
+    normals = sorted(normals)
+    return RationalCone(ambient_dim, _extreme_generators(gens, normals, ambient_dim), normals)
 
 
 def _extreme_generators(gens, facet_normals, ambient_dim):
@@ -523,12 +461,7 @@ def _extreme_generators(gens, facet_normals, ambient_dim):
 def dualize_cone(cone):
     """The dual cone {m : <m, v> >= 0 for all v in cone}.
 
-    Applying twice returns a cone equal (as a set) to the input.
+    It is generated by the facet normals, so applying it twice returns a
+    cone equal (as a set) to the input.
     """
-    if not cone.generators:
-        # dual of {0} is the full space
-        idm = mat_identity(cone.ambient_dim)
-        gens = [tuple(r) for r in idm] + [vneg(r) for r in idm]
-        return cone_from_generators(gens, cone.ambient_dim)
-    rays = _dual_rays_general([tuple(g) for g in cone.generators], cone.ambient_dim)
-    return cone_from_generators(rays, cone.ambient_dim)
+    return cone_from_generators(cone.facet_normals, cone.ambient_dim)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .embed import (
-    ComplexMap,
     FibrationData,
     barycenter_fibre,
     cone_over_cell,
@@ -35,7 +34,6 @@ from .polytope import (
 from .subdivision import (
     Subdivision,
     blowup_refinement,
-    common_refinement,
     fine_crepant_subdivision,
     graph_degeneration,
     hyperplane_split,

@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import product as iproduct
 
 from .exactlin import (
+    clear_fractions,
     denominator_lcm,
     dot,
     hnf_column_basis,
@@ -271,13 +272,7 @@ class LatticePolytope:
                 eqs.append((f, -dot(f, anchor)))
         if d == 0:
             return LatticePolytope(ambient, [anchor], [], eqs, [], anchor)
-        coords = []
-        bm = _basis_matrix(basis)
-        for v in int_diffs:
-            x = solve_linear(bm, v)
-            assert x is not None and all(c.denominator == 1 for c in x)
-            coords.append(tuple(int(c) for c in x))
-        facs = _hull_full_dim(coords, d)
+        facs = _hull_full_dim(_span_coordinates(int_diffs, basis), d)
         # vertices: points whose tight facet normals span the full span dim
         tight_at = {i: [] for i in range(len(pts))}
         for n, c, tight in facs:
@@ -478,12 +473,7 @@ def _aff_dim(points):
     if len(points) <= 1:
         return 0
     a = points[0]
-    return mat_rank(tuple(_clear_fractions(vsub(p, a)) for p in points[1:]))
-
-
-def _clear_fractions(v):
-    den = denominator_lcm(v)
-    return tuple(int(x * den) for x in v)
+    return mat_rank(tuple(clear_fractions(vsub(p, a)) for p in points[1:]))
 
 
 def _nvol_full_dim(coords, d):
@@ -504,14 +494,9 @@ def _nvol_full_dim(coords, d):
         # the saturated lattice, so facet volumes are measured in the induced
         # lattice of the ambient space rather than the sublattice the
         # differences happen to generate
-        basis = saturate_lattice([vsub(p, anchor) for p in sub], d)
-        bm = _basis_matrix(basis)
-        sub_coords = []
-        for p in sub:
-            x = solve_linear(bm, vsub(p, anchor))
-            assert x is not None and all(cc.denominator == 1 for cc in x)
-            sub_coords.append(tuple(int(cc) for cc in x))
-        total += abs(h) * _nvol_full_dim(sub_coords, d - 1)
+        diffs = [vsub(p, anchor) for p in sub]
+        basis = saturate_lattice(diffs, d)
+        total += abs(h) * _nvol_full_dim(_span_coordinates(diffs, basis), d - 1)
     return total
 
 
@@ -561,7 +546,7 @@ def polytope_from_inequalities(ineqs, equations, ambient_dim):
     rows_eq = [f for f, _ in all_eqs]
     rhs_eq = [-e for _, e in all_eqs]
     n_ineq = len(ineqs)
-    need = ambient_dim - mat_rank(tuple(_clear_fractions(r) for r in rows_eq)) if rows_eq else ambient_dim
+    need = ambient_dim - mat_rank(tuple(clear_fractions(r) for r in rows_eq)) if rows_eq else ambient_dim
     cand = set()
     for sub in combinations(range(n_ineq), min(need, n_ineq)):
         rows = list(rows_eq) + [ineqs[i][0] for i in sub]
@@ -569,7 +554,7 @@ def polytope_from_inequalities(ineqs, equations, ambient_dim):
         x = solve_linear(tuple(rows), tuple(rhs))
         if x is None:
             continue
-        if mat_rank(tuple(_clear_fractions(r) for r in rows)) != ambient_dim:
+        if mat_rank(tuple(clear_fractions(r) for r in rows)) != ambient_dim:
             continue
         ok = all(dot(f, x) == -e for f, e in all_eqs) and all(dot(n, x) >= -c for n, c in ineqs)
         if ok:
@@ -594,7 +579,7 @@ def clip_by_halfspace(cell, normal, offset):
         return None
     verts = list(cell.vertices)
     tight_sets = [frozenset(n for n, c in cell.facets if dot(n, v) == -c) for v in verts]
-    eq_rows = tuple(_clear_fractions(f) for f, _ in cell.equations)
+    eq_rows = tuple(clear_fractions(f) for f, _ in cell.equations)
     pts = [v for v, val in zip(verts, vals) if val >= 0]
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):

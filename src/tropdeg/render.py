@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactlin import dot, primitive, solve_linear, vsub
-from .polytope import _clear_fractions
+from .exactlin import clear_fractions, dot, primitive, solve_linear, vsub
 from .tropical import discriminant
 
 SCALE = 48
@@ -25,7 +24,7 @@ def _facet_chart(poly, facet):
     anchor = min(verts)
     from .exactlin import saturate_lattice
 
-    basis = saturate_lattice([_clear_fractions(vsub(v, anchor)) for v in verts if v != anchor], poly.ambient_dim)
+    basis = saturate_lattice([clear_fractions(vsub(v, anchor)) for v in verts if v != anchor], poly.ambient_dim)
     assert len(basis) == 2
     return anchor, basis
 
@@ -75,7 +74,7 @@ def _net_charts(poly):
                 continue
             shared = ridge[(i, j)]
             p0 = shared[0]
-            delta = primitive(_clear_fractions(vsub(shared[-1], p0)))
+            delta = primitive(clear_fractions(vsub(shared[-1], p0)))
             anchor_j, basis_j = _facet_chart(poly, facets[j])
             # linear part: edge direction matches; the completion direction is
             # sent to the opposite side of the placed edge

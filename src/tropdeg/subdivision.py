@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactlin import denominator_lcm, dot, mat_rank, solve_linear, vsub
+from .exactlin import clear_fractions, denominator_lcm, dot, mat_rank, solve_linear, vsub
 from .polytope import (
-    _clear_fractions,
     _hull_full_dim,
     clip_by_halfspace,
     containing_cell,
@@ -128,7 +127,7 @@ def regular_subdivision(points, heights):
         # solve and scaled back
         diff = vsub(p, anchor)
         scale = denominator_lcm(diff)
-        x = solve_linear(bm, _clear_fractions(diff))
+        x = solve_linear(bm, clear_fractions(diff))
         coords = tuple(int(c / scale) if (c / scale).denominator == 1 else (c / scale) for c in x)
         span_pts.append(coords)
     # clear rational span coordinates (rational inputs) and heights uniformly

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactlin import (
+    cone_from_generators,
     content,
     dot,
     mat_identity,
@@ -22,7 +23,6 @@ from .exactlin import (
     mat_vec,
     primitive,
     quotient_chart,
-    saturate_lattice,
     solve_linear,
     vsub,
 )
@@ -49,7 +49,6 @@ class TropicalSpace:
         self._cells = None
         self._walls = None
         self._chart_cache = {}
-        self._tangent_cache = {}
         self._disc_cache = None
 
     def __repr__(self):
@@ -112,24 +111,17 @@ class TropicalSpace:
 
     def tangent_basis(self, cell):
         """Saturated lattice basis of the cell's direction space."""
-        key = cell.key()
-        if key not in self._tangent_cache:
-            diffs = [vsub(p, cell.vertices[0]) for p in cell.vertices[1:]]
-            idiffs = [tuple(int(x) for x in d) for d in diffs]
-            self._tangent_cache[key] = tuple(saturate_lattice(idiffs, self.ambient_dim))
-        return self._tangent_cache[key]
+        return cell.span_basis
 
     def fan_cone(self, v, cell):
         """The cone of the fan structure at v corresponding to a cell at v."""
-        from .exactlin import cone_from_generators
-
         chart = self.chart_matrix(v, cell)
         gens = []
         for w in cell.vertices:
             d = vsub(w, v)
             if all(x == 0 for x in d):
                 continue
-            gens.append(mat_vec(chart, tuple(int(x) for x in d)))
+            gens.append(mat_vec(chart, d))
         rank = len(chart)
         return cone_from_generators(gens, rank)
 

@@ -1,12 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropdeg.exactlin import cone_from_generators
 from tropdeg.embed import (
     ComplexMap,
     FibrationData,
     barycenter_fibre,
+    cone_over_cell,
     embed_D,
     lg_truncate,
     local_fibre,
@@ -372,3 +376,34 @@ def test_complex_map_face_compatibility(k3):
             if v in values:
                 assert values[v] == img
             values[v] = img
+
+
+def test_cone_over_rational_triangle():
+    tri = hull([(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))])
+    cone = cone_over_cell(tri)
+    assert cone.generators == ((0, 0, 1), (0, 1, 2), (1, 0, 2))
+    assert cone.contains((1, 1, 4)) and not cone.contains((1, 1, 3))
+
+
+@st.composite
+def small_polytopes(draw):
+    """Hull of up to six points in Q^dim, dim = 1..3, integral or with
+    denominators up to 3; few points give lower-dimensional polytopes."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    dens = st.just(1) if draw(st.booleans()) else st.integers(min_value=1, max_value=3)
+    coord = st.builds(Fraction, st.integers(min_value=-3, max_value=3), dens)
+    return hull(draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=6)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polytopes())
+def test_cone_over_cell_matches_cone_of_lifted_vertices(cell):
+    cone = cone_over_cell(cell)
+    ref = cone_from_generators([v + (1,) for v in cell.vertices], cell.ambient_dim + 1)
+    assert cone.generators == ref.generators
+    assert cone.contains_all(ref.generators) and ref.contains_all(cone.generators)
+    # the two facet descriptions cut out the same cone
+    box = itertools.product(range(-2, 3), repeat=cell.ambient_dim)
+    for x in box:
+        for t in range(4):
+            assert cone.contains(x + (t,)) == ref.contains(x + (t,))

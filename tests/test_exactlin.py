@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 
 from tropdeg.exactlin import (
     RationalCone,
+    _extreme_generators,
     cone_from_generators,
     complete_to_unimodular,
+    content,
+    denominator_lcm,
     det,
     dot,
     dualize_cone,
     hnf_column_basis,
     is_integrally_surjective,
+    is_zero,
     kernel_basis,
     mat_identity,
     mat_mul,
@@ -40,6 +44,14 @@ def test_primitive_examples():
     assert primitive((1, 0, 0)) == (1, 0, 0)
     with pytest.raises(ValueError, match="zero vector"):
         primitive((0, 0))
+
+
+def test_content_and_primitive_reject_non_integers():
+    assert primitive((Fraction(4, 2), 6)) == (1, 3)
+    with pytest.raises(ValueError, match="non-integer"):
+        content((Fraction(1, 2), 1))
+    with pytest.raises(ValueError, match="non-integer"):
+        primitive((Fraction(1, 2), 0, 1))
 
 
 @given(st.lists(small_ints, min_size=1, max_size=6))
@@ -332,3 +344,147 @@ def test_extreme_generators_match_cone_membership_search(case):
     distinct = sorted({primitive(g) for g in gens})
     expected = [g for g in distinct if not _in_cone_of(g, [h for h in distinct if h != g])]
     assert list(c.generators) == expected
+
+
+def test_cone_from_rational_generators_clears_denominators():
+    c = cone_from_generators([(0, 0, 1), (Fraction(1, 2), 0, 1), (0, Fraction(1, 2), 1)], 3)
+    assert c.generators == ((0, 0, 1), (0, 1, 2), (1, 0, 2))
+
+
+# The double description by subset scan that cone_from_generators used before
+# it read facets off `hull`, kept verbatim as the differential oracle.
+
+
+def _extreme_rays_of_halfspaces(normals, dim):
+    """Extreme rays of {x : <n,x> >= 0 for all n}, assuming the cone is pointed.
+
+    In a pointed cone a ray is extreme exactly when the normals tight at it
+    have rank dim - 1, so it spans the kernel of some dim - 1 of them.  The
+    scan tries every (dim-1)-subset of rank dim - 1 and keeps the kernel
+    direction that satisfies all inequalities; brute force, fine for the
+    small cones here.
+    """
+    if mat_rank(normals) < dim:
+        raise ValueError("cone is not pointed")
+    if dim == 1:
+        return sorted(c for c in ((1,), (-1,)) if all(dot(c, n) >= 0 for n in normals))
+    rays = set()
+    for sub in combinations(range(len(normals)), dim - 1):
+        m = tuple(normals[i] for i in sub)
+        if mat_rank(m) != dim - 1:
+            continue
+        r = primitive(kernel_basis(m)[0])
+        for cand in (r, vneg(r)):
+            if all(dot(cand, n) >= 0 for n in normals):
+                rays.add(cand)
+    return sorted(rays)
+
+
+def _cone_by_subset_scan(gens, ambient_dim):
+    """Build a RationalCone from ray generators (double description)."""
+    gens = [primitive(g) for g in gens if not is_zero(g)]
+    gens = sorted(set(gens))
+    if not gens:
+        return RationalCone(ambient_dim, [], [tuple(r) for r in mat_identity(ambient_dim)] + [vneg(r) for r in mat_identity(ambient_dim)])
+    # facet normals of cone(gens) = extreme rays of the dual cone, computed in
+    # the span when the cone is not full dimensional
+    span = saturate_lattice(gens, ambient_dim)
+    rank = len(span)
+    # coordinates of generators in the span basis
+    span_t = mat_transpose(tuple(span))
+    coords = []
+    for g in gens:
+        x = solve_linear(span_t, g)
+        assert x is not None and all(xf.denominator == 1 for xf in x)
+        coords.append(tuple(int(xf) for xf in x))
+    dual_in_span = _dual_rays_general(coords, rank)
+    # facet normals back in ambient coordinates: n_span composed with the
+    # coordinate functionals of the span; plus +-normals cutting the span
+    ann = kernel_basis(tuple(span))
+    span_cut = [tuple(a) for a in ann] + [vneg(a) for a in ann]
+    # lift span-normals: need integer functional on Z^n restricting correctly;
+    # use a rational solve against span basis then clear denominators
+    facet_normals = []
+    for n_span in dual_in_span:
+        # functional f with f(span_j) = n_span_j, f = y @ (rows = identity):
+        # solve span_t^T y = n_span  (y in Q^n), then clear denominators
+        y = solve_linear(tuple(span), n_span)
+        assert y is not None
+        den = denominator_lcm(y)
+        f = tuple(int(c * den) for c in y)
+        if not is_zero(f):
+            facet_normals.append(primitive(f))
+    facet_normals = sorted(set(facet_normals + span_cut))
+    # extreme rays among gens, by the rank of their tight facet normals
+    extreme = _extreme_generators(gens, facet_normals, ambient_dim)
+    return RationalCone(ambient_dim, extreme, facet_normals)
+
+
+def _dual_rays_general(gens, dim):
+    """Extreme rays of the dual cone {m : <m,g> >= 0}, gens full rank in Z^dim.
+
+    Handles the non-pointed dual (when gens do not span positively) by
+    splitting off the lineality space {m : <m,g> = 0 for all g}.
+    """
+    if dim == 0:
+        return []
+    lin = kernel_basis(tuple(gens))
+    if not lin:
+        return _extreme_rays_of_halfspaces(tuple(gens), dim)
+    # dual = lineality + pointed part in the quotient by the lineality span
+    lin_t = tuple(lin)
+    comp = kernel_basis(lin_t)  # functionals vanishing... complement lattice
+    if not comp:
+        return sorted(set([primitive(b) for b in lin] + [vneg(primitive(b)) for b in lin]))
+    proj = tuple(comp)  # rows: basis of the complement lattice (as vectors)
+    # constraints in complement coordinates: <m, g> with m = sum c_i comp_i
+    constr = tuple(tuple(dot(c, g) for c in proj) for g in gens)
+    sub_rays = _extreme_rays_of_halfspaces(constr, len(proj))
+    rays = [primitive(tuple(dot(tuple(r[i] for i in range(len(proj))), col) for col in zip(*proj))) for r in sub_rays]
+    rays += [primitive(b) for b in lin] + [vneg(primitive(b)) for b in lin]
+    return sorted(set(rays))
+
+
+def _dualize_by_subset_scan(cone):
+    """The dual cone {m : <m, v> >= 0 for all v in cone}.
+
+    Applying twice returns a cone equal (as a set) to the input.
+    """
+    if not cone.generators:
+        # dual of {0} is the full space
+        idm = mat_identity(cone.ambient_dim)
+        gens = [tuple(r) for r in idm] + [vneg(r) for r in idm]
+        return _cone_by_subset_scan(gens, cone.ambient_dim)
+    rays = _dual_rays_general([tuple(g) for g in cone.generators], cone.ambient_dim)
+    return _cone_by_subset_scan(rays, cone.ambient_dim)
+
+
+@st.composite
+def cone_generator_sets(draw):
+    """Generators of a random cone in Z^dim, dim = 1..4.
+
+    Built in Z^k (k <= dim) and mapped into Z^dim by an injective integer
+    matrix, so the cone may be lower-dimensional; negated copies make it
+    non-pointed, and repeated, doubled and zero generators are mixed in.
+    """
+    dim = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=dim))
+    coord = st.integers(min_value=-3, max_value=3)
+    base = draw(st.lists(st.tuples(*[coord] * k), max_size=6))
+    embed = draw(st.lists(st.tuples(*[coord] * k), min_size=dim, max_size=dim))
+    assume(mat_rank(tuple(embed)) == k)
+    gens = [mat_vec(embed, g) for g in base]
+    if gens:
+        extra = draw(st.lists(st.tuples(st.integers(0, len(gens) - 1), st.sampled_from([-1, 1, 2])), max_size=3))
+        gens += [tuple(s * x for x in gens[i]) for i, s in extra]
+    return gens, dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(cone_generator_sets())
+def test_cone_from_generators_matches_subset_scan(case):
+    gens, dim = case
+    c = cone_from_generators(gens, dim)
+    ref = _cone_by_subset_scan(gens, dim)
+    assert (c.generators, c.facet_normals) == (ref.generators, ref.facet_normals)
+    assert dualize_cone(c) == _dualize_by_subset_scan(ref)

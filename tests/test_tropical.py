@@ -95,6 +95,14 @@ def test_dual_complex_tent_1d():
     assert rays == [(-1,), (1,)]  # complete 1D fan at the interior vertex
 
 
+def test_rational_cell_tangent_basis_and_fan_cone():
+    # differences of rational vertices must not be truncated to integers
+    tri = hull([(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))])
+    space = TropicalSpace(2, 2, [tri], "solid")
+    assert space.tangent_basis(tri) == ((1, 0), (0, 1))
+    assert space.fan_cone((0, 0), tri).generators == ((0, 1), (1, 0))
+
+
 def test_dual_complex_k3_is_3d_with_four_face_types(k3):
     base, prism, refined, solid, sphere = k3
     assert solid.dim == 3
