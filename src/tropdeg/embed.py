@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .exactlin import (
     RationalCone,
+    basis_coordinates,
     clear_fractions,
     dot,
     is_integrally_surjective,
@@ -21,7 +22,6 @@ from .exactlin import (
     primitive,
     saturate_lattice,
     snf_diagonal,
-    solve_linear,
     vneg,
     vsub,
 )
@@ -183,13 +183,7 @@ def _slice_lattice_chart(cells):
 
 
 def _reduce_cell(cell, anchor, basis):
-    bm = tuple(zip(*basis))
-    red = []
-    for v in cell.vertices:
-        x = solve_linear(bm, vsub(v, anchor))
-        assert x is not None
-        red.append(tuple(x))
-    return hull(red)
+    return hull(basis_coordinates(basis, [vsub(v, anchor) for v in cell.vertices]))
 
 
 def embed_D(space, fibration):
@@ -291,7 +285,7 @@ def _assert_fan_compatibility(space, cells, hosts, host_cells):
                 if all(x == 0 for x in d):
                     continue
                 imgs.append(tuple(sum(Fraction(chart[r][c]) * Fraction(d[c]) for c in range(len(d))) for r in range(len(chart))))
-            if imgs and mat_rank(tuple(clear_fractions(x) for x in imgs)) != cell.dim:
+            if imgs and mat_rank(tuple(imgs)) != cell.dim:
                 raise ValueError("embedding is not compatible with the fan structure at " + str(v))
 
 

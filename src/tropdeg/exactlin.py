@@ -87,53 +87,53 @@ def mat_transpose(a):
     return tuple(zip(*a))
 
 
-def det(m):
-    """Determinant by fraction-free Bareiss elimination (exact ints)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    assert all(len(row) == n for row in m)
-    a = [list(row) for row in m]
+def _eliminate(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    The pivot of each of the first ncols columns is the first nonzero entry
+    at or below the current rank; later columns (a right-hand side, an
+    identity block) are carried along.  Every update divides exactly by the
+    previous pivot (Bareiss, Math. Comp. 22, 1968, carried on above the
+    pivot as in Montante's method), so all entries stay integers, each row
+    is a nonzero multiple of the row plain elimination would give, and every
+    pivot ends equal to d, the determinant of the pivot block.
+
+    Returns (pivot columns, d, sign), sign being the parity of the swaps.
+    """
+    pivots = []
+    d = 1
     sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    for c in range(ncols):
+        k = len(pivots)
+        piv = next((r for r in range(k, len(rows)) if rows[r][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        pr = rows[k]
+        p = pr[c]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // d for x, y in zip(row, pr)]
+        pivots.append(c)
+        d = p
+    return pivots, d, sign
+
+
+def det(m):
+    """Determinant of a square integer matrix, by fraction-free elimination."""
+    n = len(m)
+    assert all(len(row) == n for row in m)
+    pivots, d, sign = _eliminate([list(row) for row in m], n)
+    return sign * d if len(pivots) == n else 0
 
 
 def mat_rank(m):
     """Rank over the rationals, by fraction-free elimination."""
-    if not m:
-        return 0
-    a = [[Fraction(x) for x in row] for row in m]
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if a[r][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pr = a[rank]
-        for r in range(rows):
-            if r != rank and a[r][c] != 0:
-                f = a[r][c] / pr[c]
-                a[r] = [x - f * y for x, y in zip(a[r], pr)]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    rows = [list(clear_fractions(row)) for row in m]
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[0])
 
 
 def solve_linear(m, rhs):
@@ -141,31 +141,64 @@ def solve_linear(m, rhs):
 
     Free variables are set to 0.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [[Fraction(x) for x in m[r]] + [Fraction(rhs[r])] for r in range(rows)]
-    pivots = []
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if a[r][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pr = [x / a[rank][c] for x in a[rank]]
-        a[rank] = pr
-        for r in range(rows):
-            if r != rank and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], pr)]
-        pivots.append(c)
-        rank += 1
-    for r in range(rank, rows):
-        if a[r][cols] != 0:
-            return None
+    cols = len(m[0]) if m else 0
+    rows = [list(clear_fractions(tuple(row) + (b,))) for row, b in zip(m, rhs, strict=True)]
+    pivots, _, _ = _eliminate(rows, cols)
+    if any(row[cols] != 0 for row in rows[len(pivots) :]):
+        return None
     x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = a[r][cols]
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(row[cols], row[c])
     return tuple(x)
+
+
+def left_inverse(m):
+    """(a, d) with a @ m = d * I, for an integer n x r matrix m of rank r.
+
+    One fraction-free elimination of [m^T | I_r].  Column j of a is zero
+    unless j is a pivot column of m^T, so a^T y / d is the solution of
+    m^T x = y that `solve_linear` finds (free variables 0).  Raises
+    ValueError when the rank is below r or an entry is not an integer.
+    """
+    if any(x.denominator != 1 for row in m for x in row):
+        raise ValueError("left inverse of a matrix with a non-integer entry")
+    n = len(m)
+    r = len(m[0]) if n else 0
+    rows = [[int(x) for x in col] + [1 if i == k else 0 for i in range(r)] for k, col in enumerate(zip(*m))]
+    pivots, d, _ = _eliminate(rows, n)
+    if len(pivots) < r:
+        raise ValueError("left inverse needs linearly independent columns")
+    a = [[0] * n for _ in range(r)]
+    for row, c in zip(rows, pivots):
+        for i in range(r):
+            a[i][c] = row[n + i]
+    return tuple(tuple(row) for row in a), d
+
+
+def basis_coordinates(basis, vectors):
+    """Exact coordinates of each vector in a basis of independent integer rows.
+
+    One left inverse serves every vector.  A coordinate is an int where it
+    is integral and a Fraction otherwise.  Raises ValueError on a vector
+    outside the span of the basis.
+    """
+    m = mat_transpose(basis)
+    a, d = left_inverse(m)
+    out = []
+    for v in vectors:
+        s = denominator_lcm(v)
+        w = tuple(int(x * s) for x in v)
+        y = mat_vec(a, w)
+        if mat_vec(m, y) != tuple(d * x for x in w):
+            raise ValueError("vector is not in the span of the basis")
+        out.append(tuple(_ratio(c, d * s) for c in y))
+    return out
+
+
+def _ratio(num, den):
+    """num / den as an int when it is integral, else as a Fraction."""
+    q, r = divmod(num, den)
+    return q if r == 0 else Fraction(num, den)
 
 
 def _exgcd(a, b):

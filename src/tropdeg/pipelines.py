@@ -32,7 +32,10 @@ from .polytope import (
     standard_simplex,
 )
 from .subdivision import (
+    PLFunction,
     Subdivision,
+    _piece_on,
+    affine_value,
     blowup_refinement,
     fine_crepant_subdivision,
     graph_degeneration,
@@ -83,8 +86,6 @@ def _diagonal_matches(two_param, summed):
     """Restriction of the r-parameter graph to the diagonal equals the
     one-parameter graph of the summed function, cell by cell (compared on
     lifted vertex sets, which determine the graph cells)."""
-    from .subdivision import affine_value
-
     acc_sub, acc_f = summed
     n = two_param.base.ambient_dim
     expected = sorted(
@@ -189,8 +190,6 @@ def _orthant_tents(poly, skip_coord):
     verifies.
     """
     sub = Subdivision(poly, [poly])
-    from .subdivision import PLFunction
-
     f = PLFunction(poly, {poly.key(): (tuple(0 for _ in range(poly.ambient_dim)), Fraction(0))}, "sum", True)
     for j in range(poly.ambient_dim):
         if j == skip_coord:
@@ -206,8 +205,6 @@ def _orthant_tents(poly, skip_coord):
 
 def _linear_across(f, f_sub, refined, coord, level):
     """No bend of f across any wall of the refinement inside {x_coord = level}."""
-    from .subdivision import _piece_on, affine_value
-
     cells = refined.maximal_cells
     for wall, (i, j) in refined.interior_walls().items():
         if not all(v[coord] == level for v in wall):

@@ -10,16 +10,21 @@ dimension than their ambient space carry an explicit affine-span basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iproduct
 
 from .exactlin import (
+    basis_coordinates,
     clear_fractions,
     denominator_lcm,
     dot,
     hnf_column_basis,
     is_zero,
     kernel_basis,
+    left_inverse,
     mat_rank,
+    mat_transpose,
+    mat_vec,
     primitive,
     saturate_lattice,
     solve_linear,
@@ -199,18 +204,9 @@ def _face_facets(pts):
 
 def _span_coordinates(diffs, basis):
     """Integer coordinates of difference vectors in a lattice basis of them."""
-    bm = _basis_matrix(basis)
-    coords = []
-    for v in diffs:
-        x = solve_linear(bm, v)
-        assert x is not None and all(c.denominator == 1 for c in x)
-        coords.append(tuple(int(c) for c in x))
+    coords = basis_coordinates(basis, diffs)
+    assert all(c.denominator == 1 for x in coords for c in x)
     return coords
-
-
-def _basis_matrix(basis):
-    """Matrix with the given (row) vectors as columns."""
-    return tuple(zip(*basis))
 
 
 class FaceLattice:
@@ -279,21 +275,17 @@ class LatticePolytope:
             for i in tight:
                 tight_at[i].append(n)
         verts = [pts[i] for i in range(len(pts)) if mat_rank(tuple(tight_at[i])) == d]
-        # lift facet functionals to ambient integer functionals
+        # lift facet functionals to ambient integer functionals: with
+        # a @ basis^T = dd * I, the functional dd * a^T n takes the values
+        # dd^2 * n on the basis, so it is inward and tight where n is
+        a, dd = left_inverse(mat_transpose(basis))
+        lift = tuple(tuple(dd * x for x in col) for col in zip(*a))
         ambient_facets = []
         for n, c, tight in facs:
-            y = solve_linear(tuple(basis), n)
-            assert y is not None
-            dd = denominator_lcm(y)
-            f = primitive(tuple(int(comp * dd) for comp in y))
+            f = primitive(mat_vec(lift, n))
             vals = [dot(f, p) for p in pts]
             lo = min(vals)
-            tight_set = frozenset(i for i, v in enumerate(vals) if v == lo)
-            if tight_set != frozenset(tight):
-                f = tuple(-x for x in f)
-                vals = [dot(f, p) for p in pts]
-                lo = min(vals)
-                assert frozenset(i for i, v in enumerate(vals) if v == lo) == frozenset(tight)
+            assert frozenset(i for i, v in enumerate(vals) if v == lo) == frozenset(tight)
             off = -lo
             off = int(off) if Fraction(off).denominator == 1 else Fraction(off)
             ambient_facets.append((f, off))
@@ -370,11 +362,7 @@ class LatticePolytope:
             return [v] if is_lattice_point(v) else []
         if self.is_lattice():
             anchor = self.vertices[0]
-            bm = _basis_matrix(self.span_basis)
-            coords = []
-            for v in self.vertices:
-                x = solve_linear(bm, vsub(v, anchor))
-                coords.append(tuple(x))
+            coords = basis_coordinates(self.span_basis, [vsub(v, anchor) for v in self.vertices])
             lo = [min(c[i] for c in coords) for i in range(self.dim)]
             hi = [max(c[i] for c in coords) for i in range(self.dim)]
             ranges = [range(_ceil(a), _floor(b) + 1) for a, b in zip(lo, hi)]
@@ -396,8 +384,7 @@ class LatticePolytope:
         if self.dim == 0:
             return 1
         anchor = self.vertices[0]
-        bm = _basis_matrix(self.span_basis)
-        raw = [solve_linear(bm, vsub(v, anchor)) for v in self.vertices]
+        raw = basis_coordinates(self.span_basis, [vsub(v, anchor) for v in self.vertices])
         den = denominator_lcm(c for x in raw for c in x)
         coords = [tuple(int(c * den) for c in x) for x in raw]
         vol_scaled = _nvol_full_dim(coords, self.dim)
@@ -473,7 +460,7 @@ def _aff_dim(points):
     if len(points) <= 1:
         return 0
     a = points[0]
-    return mat_rank(tuple(clear_fractions(vsub(p, a)) for p in points[1:]))
+    return mat_rank(tuple(vsub(p, a) for p in points[1:]))
 
 
 def _nvol_full_dim(coords, d):
@@ -539,8 +526,6 @@ def polytope_from_inequalities(ineqs, equations, ambient_dim):
     kept as the independent reference that tests and the benchmark tracer
     compare against.
     """
-    from itertools import combinations
-
     all_eqs = sorted({(tuple(f), Fraction(e)) for f, e in equations})
     ineqs = sorted({(tuple(n), Fraction(c)) for n, c in ineqs})
     rows_eq = [f for f, _ in all_eqs]
@@ -579,7 +564,7 @@ def clip_by_halfspace(cell, normal, offset):
         return None
     verts = list(cell.vertices)
     tight_sets = [frozenset(n for n, c in cell.facets if dot(n, v) == -c) for v in verts]
-    eq_rows = tuple(clear_fractions(f) for f, _ in cell.equations)
+    eq_rows = tuple(f for f, _ in cell.equations)
     pts = [v for v, val in zip(verts, vals) if val >= 0]
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactlin import clear_fractions, dot, primitive, solve_linear, vsub
+from .exactlin import basis_coordinates, clear_fractions, det, dot, left_inverse, mat_mul, primitive, saturate_lattice, vsub
 from .tropical import discriminant
 
 SCALE = 48
@@ -22,18 +22,14 @@ def _facet_chart(poly, facet):
     n, c = facet
     verts = [v for v in poly.vertices if dot(n, v) == -c]
     anchor = min(verts)
-    from .exactlin import saturate_lattice
-
     basis = saturate_lattice([clear_fractions(vsub(v, anchor)) for v in verts if v != anchor], poly.ambient_dim)
     assert len(basis) == 2
     return anchor, basis
 
 
-def _local_coords(point, anchor, basis):
-    bm = tuple(zip(*basis))
-    x = solve_linear(bm, vsub(point, anchor))
-    assert x is not None
-    return tuple(x)
+def _local_coords(points, anchor, basis):
+    """Coordinates of points of a facet plane in its chart, one solve for all."""
+    return basis_coordinates(basis, [vsub(p, anchor) for p in points])
 
 
 def _net_charts(poly):
@@ -62,12 +58,8 @@ def _net_charts(poly):
         i = queue.pop(0)
         anchor_i, basis_i, lin_i, off_i = charts[i]
 
-        def place(p):
-            loc = _local_coords(p, anchor_i, basis_i)
-            return (
-                lin_i[0][0] * loc[0] + lin_i[0][1] * loc[1] + off_i[0],
-                lin_i[1][0] * loc[0] + lin_i[1][1] * loc[1] + off_i[1],
-            )
+        def place(points):
+            return [_apply(lin_i, off_i, loc) for loc in _local_coords(points, anchor_i, basis_i)]
 
         for j in range(len(facets)):
             if j in seen or (i, j) not in ridge:
@@ -75,45 +67,40 @@ def _net_charts(poly):
             shared = ridge[(i, j)]
             p0 = shared[0]
             delta = primitive(clear_fractions(vsub(shared[-1], p0)))
+            p1 = tuple(a + b for a, b in zip(p0, delta))
+            # vertices of facets i and j off the ridge fix the orientation below
+            q_i = next(v for v in poly.vertices if dot(facets[i][0], v) == -facets[i][1] and v not in shared)
+            q_j = next(v for v in poly.vertices if dot(facets[j][0], v) == -facets[j][1] and v not in shared)
             anchor_j, basis_j = _facet_chart(poly, facets[j])
             # linear part: edge direction matches; the completion direction is
             # sent to the opposite side of the placed edge
-            d_img = vsub(place(tuple(Fraction(a) + Fraction(b) for a, b in zip(p0, delta))), place(p0))
-            d_img = tuple(int(x) for x in d_img)
-            d_loc_j = _local_coords(tuple(a + b for a, b in zip(p0, delta)), anchor_j, basis_j)
-            p0_loc_j = _local_coords(p0, anchor_j, basis_j)
+            p1_img, p0_img, qi_img = place([p1, p0, q_i])
+            d_img = tuple(int(x) for x in vsub(p1_img, p0_img))
+            d_loc_j, p0_loc_j, qj_loc = _local_coords([p1, p0, q_j], anchor_j, basis_j)
             d_j = tuple(int(a - b) for a, b in zip(d_loc_j, p0_loc_j))
             # basis of the j-chart: (d_j, e_j) with e_j any unimodular completion
             e_j = None
             for cand in [(0, 1), (1, 0), (1, 1), (-1, 1)]:
                 m = ((d_j[0], cand[0]), (d_j[1], cand[1]))
-                from .exactlin import det
-
                 if abs(det(m)) == 1:
                     e_j = cand
                     break
             assert e_j is not None
             d_perp_img = None
             for cand in [(0, 1), (1, 0), (1, 1), (-1, 1)]:
-                from .exactlin import det
-
                 if abs(det(((d_img[0], cand[0]), (d_img[1], cand[1])))) == 1:
                     d_perp_img = cand
                     break
             assert d_perp_img is not None
             # choose the orientation putting facet j opposite facet i
-            q_i = next(v for v in poly.vertices if dot(facets[i][0], v) == -facets[i][1] and v not in shared)
-            q_j = next(v for v in poly.vertices if dot(facets[j][0], v) == -facets[j][1] and v not in shared)
-            qi_img = place(q_i)
-            side_i = _side(place(p0), d_img, qi_img)
+            side_i = _side(p0_img, d_img, qi_img)
             for sign in (1, -1):
                 w_img = (sign * d_perp_img[0], sign * d_perp_img[1])
                 # linear map: d_j -> d_img, e_j -> w_img
                 m = _solve_linear_map(d_j, e_j, d_img, w_img)
-                off = _affine_offset(m, p0_loc_j, place(p0))
-                qj_loc = _local_coords(q_j, anchor_j, basis_j)
+                off = _affine_offset(m, p0_loc_j, p0_img)
                 qj_img = _apply(m, off, qj_loc)
-                if _side(place(p0), d_img, qj_img) == -side_i:
+                if _side(p0_img, d_img, qj_img) == -side_i:
                     charts[j] = (anchor_j, basis_j, m, off)
                     break
             else:
@@ -124,12 +111,9 @@ def _net_charts(poly):
 
 
 def _solve_linear_map(v1, v2, w1, w2):
-    """2x2 integer matrix M with M v1 = w1, M v2 = w2."""
-    rows = []
-    for k in range(2):
-        sol = solve_linear(((v1[0], v2[0]), (v1[1], v2[1])), (w1[k], w2[k]))
-        rows.append(tuple(int(x) for x in sol))
-    return tuple(rows)
+    """2x2 integer matrix M with M v1 = w1, M v2 = w2, for unimodular (v1 v2)."""
+    inv, d = left_inverse(((v1[0], v2[0]), (v1[1], v2[1])))
+    return tuple(tuple(x // d for x in row) for row in mat_mul(((w1[0], w2[0]), (w1[1], w2[1])), inv))
 
 
 def _affine_offset(m, loc, target):
@@ -175,17 +159,17 @@ def render_svg(space, support=None):
         for cell in space.maximal_cells:
             idx = host_facet(cell)
             anchor, basis, m, off = charts[idx]
-            pts = [_apply(m, off, _local_coords(v, anchor, basis)) for v in _cycle(cell)]
+            pts = [_apply(m, off, loc) for loc in _local_coords(_cycle(cell), anchor, basis)]
             placed_cells.append(pts)
         for entry in disc.entries:
-            cell = space.cells()[entry["edge"]]
             adj_key = min(
                 c.key() for c in space.maximal_cells if set(entry["edge"]) <= set(c.vertices)
             )
             adj = next(c for c in space.maximal_cells if c.key() == adj_key)
             idx = host_facet(adj)
             anchor, basis, m, off = charts[idx]
-            placed_points.append(_apply(m, off, _local_coords(entry["edge_midpoint"], anchor, basis)))
+            (loc,) = _local_coords([entry["edge_midpoint"]], anchor, basis)
+            placed_points.append(_apply(m, off, loc))
     else:
         for cell in space.maximal_cells:
             placed_cells.append([(Fraction(v[0]), Fraction(v[1])) for v in _cycle(cell)])

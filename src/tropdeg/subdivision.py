@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactlin import clear_fractions, denominator_lcm, dot, mat_rank, solve_linear, vsub
+from .exactlin import basis_coordinates, denominator_lcm, dot, mat_rank, solve_linear, vsub
 from .polytope import (
+    NefPartition,
     _hull_full_dim,
     clip_by_halfspace,
     containing_cell,
@@ -119,17 +120,8 @@ def regular_subdivision(points, heights):
         cell = support
         f = PLFunction(support, {cell.key(): (tuple(0 for _ in range(ambient)), hts[0])}, "from_heights", True)
         return Subdivision(support, [cell]), f
-    bm = tuple(zip(*basis))
     den = denominator_lcm(hts)
-    span_pts = []
-    for p in pts:
-        # span coordinates of the difference, cleared to integers for the
-        # solve and scaled back
-        diff = vsub(p, anchor)
-        scale = denominator_lcm(diff)
-        x = solve_linear(bm, clear_fractions(diff))
-        coords = tuple(int(c / scale) if (c / scale).denominator == 1 else (c / scale) for c in x)
-        span_pts.append(coords)
+    span_pts = basis_coordinates(basis, [vsub(p, anchor) for p in pts])
     # clear rational span coordinates (rational inputs) and heights uniformly
     sden = denominator_lcm(x for c in span_pts for x in c)
     lifted = [
@@ -488,6 +480,4 @@ def blowup_refinement(nef, delta_a, delta_b):
     expected = product(nef.parent, segment(-1, 1))
     if total.vertices != expected.vertices:
         raise ValueError("Minkowski split invalid: parts do not tile parent x [-1,1]")
-    from .polytope import NefPartition
-
     return total, parts, NefPartition(total, parts)

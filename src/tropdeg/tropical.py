@@ -15,15 +15,17 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactlin import (
+    clear_fractions,
     cone_from_generators,
     content,
     dot,
+    left_inverse,
     mat_identity,
+    mat_mul,
     mat_rank,
     mat_vec,
     primitive,
     quotient_chart,
-    solve_linear,
     vsub,
 )
 from .jsonio import num_json
@@ -103,10 +105,9 @@ class TropicalSpace:
         if self.chart_kind == "solid":
             return mat_identity(self.ambient_dim)
         if v not in self._chart_cache:
-            vv = tuple(int(x) for x in v)
-            if all(x == 0 for x in vv):
+            if all(x == 0 for x in v):
                 raise ValueError("boundary chart undefined at the origin")
-            self._chart_cache[v] = quotient_chart(primitive(vv))
+            self._chart_cache[v] = quotient_chart(primitive(clear_fractions(v)))
         return self._chart_cache[v]
 
     def tangent_basis(self, cell):
@@ -131,6 +132,8 @@ class TropicalSpace:
         """Square matrix of the chart at v restricted to the cell's tangent lattice."""
         chart = self.chart_matrix(v, cell)
         basis = self.tangent_basis(cell)
+        if len(basis) != len(chart):
+            raise ValueError("chart restriction is singular")
         cols = [mat_vec(chart, b) for b in basis]
         return tuple(zip(*cols))  # columns are chart images of the basis
 
@@ -159,25 +162,19 @@ class TropicalSpace:
         m_mp = self._chart_on_cell(v_minus, sigma_plus)
         m_mm = self._chart_on_cell(v_minus, sigma_minus)
         m_pm = self._chart_on_cell(v_plus, sigma_minus)
-        t = _mat_mul_rational(m_pm, _mat_inverse(m_mm))
-        t = _mat_mul_rational(t, m_mp)
-        t = _mat_mul_rational(t, _mat_inverse(m_pp))
-        out = []
-        for row in t:
-            irow = []
-            for x in row:
-                f = Fraction(x)
-                if f.denominator != 1:
-                    raise ValueError("monodromy is not integral; charts are incompatible on the lattice")
-                irow.append(int(f))
-            out.append(tuple(irow))
-        return tuple(out)
+        inv_mm, d_mm = left_inverse(m_mm)
+        inv_pp, d_pp = left_inverse(m_pp)
+        t = mat_mul(mat_mul(mat_mul(m_pm, inv_mm), m_mp), inv_pp)
+        d = d_mm * d_pp
+        if any(x % d for row in t for x in row):
+            raise ValueError("monodromy is not integral; charts are incompatible on the lattice")
+        return tuple(tuple(x // d for x in row) for row in t)
 
     def transition(self, v_from, v_to, cell):
         """Chart transition v_from -> v_to across one shared maximal cell."""
         m_to = self._chart_on_cell(v_to, cell)
-        m_from = self._chart_on_cell(v_from, cell)
-        return _mat_mul_rational(m_to, _mat_inverse(m_from))
+        inv, d = left_inverse(self._chart_on_cell(v_from, cell))
+        return tuple(tuple(Fraction(x, d) for x in row) for row in mat_mul(m_to, inv))
 
 
 def _faces_by_key(polys):
@@ -195,23 +192,6 @@ def _faces_by_key(polys):
                 if key not in out:
                     out[key] = poly if key == poly.vertices else hull(list(key))
     return dict(sorted(out.items()))
-
-
-def _mat_inverse(m):
-    n = len(m)
-    cols = []
-    for i in range(n):
-        e = tuple(1 if j == i else 0 for j in range(n))
-        x = solve_linear(m, e)
-        if x is None:
-            raise ValueError("chart restriction is singular")
-        cols.append(x)
-    return tuple(zip(*cols))
-
-
-def _mat_mul_rational(a, b):
-    bt = tuple(zip(*b))
-    return tuple(tuple(sum(Fraction(x) * Fraction(y) for x, y in zip(row, col)) for col in bt) for row in a)
 
 
 # --- constructions ----------------------------------------------------------
@@ -238,23 +218,17 @@ def dual_intersection_complex(graph_deg):
     )
 
 
-def hypersurface_trop(poly, subdivision, tents=(), enforce_fine=True):
+def hypersurface_trop(poly, subdivision, enforce_fine=True):
     """Tropicalization of the anticanonical hypersurface: the boundary sphere.
 
-    Cells are the boundary faces of the given (tent-refined) solid
-    subdivision of the reflexive polytope; charts quotient by each vertex.
+    Cells are the boundary faces of the given solid subdivision of the reflexive polytope; charts quotient by each vertex.
     Pass enforce_fine=False for deliberately coarse slice complexes (the
     hyperplane-split pipelines), where monodromy is not meaningful but the
     wall structure is.
     """
     if not poly.is_reflexive():
         raise ValueError("hypersurface tropicalization needs a reflexive polytope")
-    sub = subdivision
-    for tent_sub, tent_f in tents:
-        from .subdivision import common_refinement
-
-        sub = common_refinement(sub, tent_sub)
-    cells = [hull(list(key)) for key in _support_facet_keys(sub.maximal_cells, poly)]
+    cells = [hull(list(key)) for key in _support_facet_keys(subdivision.maximal_cells, poly)]
     if enforce_fine:
         # fineness: every boundary lattice point must be a vertex of the complex
         vertex_set = set()
@@ -483,7 +457,6 @@ def count_focus_focus(space):
 
 def charts_globally_compatible(space):
     """True iff the vertex charts glue to a global integral affine structure."""
-    cells = space.cells()
     for wall_key, adj in space.interior_walls().items():
         s1 = space.maximal_cells[adj[0]]
         s2 = space.maximal_cells[adj[1]]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from tropdeg.exactlin import (
     RationalCone,
     _extreme_generators,
+    basis_coordinates,
     cone_from_generators,
     complete_to_unimodular,
     content,
@@ -21,6 +22,7 @@ from tropdeg.exactlin import (
     is_integrally_surjective,
     is_zero,
     kernel_basis,
+    left_inverse,
     mat_identity,
     mat_mul,
     mat_rank,
@@ -488,3 +490,189 @@ def test_cone_from_generators_matches_subset_scan(case):
     ref = _cone_by_subset_scan(gens, dim)
     assert (c.generators, c.facet_normals) == (ref.generators, ref.facet_normals)
     assert dualize_cone(c) == _dualize_by_subset_scan(ref)
+
+
+# det, mat_rank and solve_linear as they were before they shared one
+# fraction-free elimination, kept verbatim as the differential oracles.
+
+
+def _bareiss_det(m):
+    """Determinant by fraction-free Bareiss elimination (exact ints)."""
+    n = len(m)
+    if n == 0:
+        return 1
+    assert all(len(row) == n for row in m)
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def _fraction_rank(m):
+    """Rank over the rationals, by fraction-free elimination."""
+    if not m:
+        return 0
+    a = [[Fraction(x) for x in row] for row in m]
+    rows, cols = len(a), len(a[0])
+    rank = 0
+    for c in range(cols):
+        piv = next((r for r in range(rank, rows) if a[r][c] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        pr = a[rank]
+        for r in range(rows):
+            if r != rank and a[r][c] != 0:
+                f = a[r][c] / pr[c]
+                a[r] = [x - f * y for x, y in zip(a[r], pr)]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def _fraction_solve(m, rhs):
+    """One rational solution x of m x = rhs, or None if inconsistent.
+
+    Free variables are set to 0.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [[Fraction(x) for x in m[r]] + [Fraction(rhs[r])] for r in range(rows)]
+    pivots = []
+    rank = 0
+    for c in range(cols):
+        piv = next((r for r in range(rank, rows) if a[r][c] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        pr = [x / a[rank][c] for x in a[rank]]
+        a[rank] = pr
+        for r in range(rows):
+            if r != rank and a[r][c] != 0:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], pr)]
+        pivots.append(c)
+        rank += 1
+    for r in range(rank, rows):
+        if a[r][cols] != 0:
+            return None
+    x = [Fraction(0)] * cols
+    for r, c in enumerate(pivots):
+        x[c] = a[r][cols]
+    return tuple(x)
+
+
+@st.composite
+def linear_systems(draw):
+    """(m, rhs list, integral): a rows x cols matrix, rows and cols in 0..6,
+    square half of the time.
+
+    Entries are ints or rationals.  A third of the matrices are products
+    through an inner dimension below both sides, so rank-deficient ones are
+    common.  One right-hand side is random (often inconsistent), the other
+    lies in the column span.
+    """
+    rows = draw(st.integers(0, 6))
+    cols = rows if draw(st.booleans()) else draw(st.integers(0, 6))
+    integral = draw(st.booleans())
+    entry = small_ints if integral else st.builds(Fraction, small_ints, st.integers(1, 6))
+
+    def matrix(r, c):
+        return [[draw(entry) for _ in range(c)] for _ in range(r)]
+
+    if draw(st.integers(0, 2)) == 0:
+        k = draw(st.integers(0, max(0, min(rows, cols) - 1)))
+        a, b = matrix(rows, k), matrix(k, cols)
+        m = tuple(tuple(sum((a[i][t] * b[t][j] for t in range(k)), 0) for j in range(cols)) for i in range(rows))
+    else:
+        m = tuple(map(tuple, matrix(rows, cols)))
+    free = tuple(draw(entry) for _ in range(rows))
+    x = [draw(small_ints) for _ in range(cols)]
+    spanned = tuple(sum((a * b for a, b in zip(row, x)), 0) for row in m)
+    return m, [free, spanned], integral
+
+
+@settings(max_examples=400, deadline=None)
+@given(linear_systems())
+def test_elimination_matches_fraction_oracles(case):
+    m, rhs_list, integral = case
+    assert mat_rank(m) == _fraction_rank(m)
+    if integral and all(len(row) == len(m) for row in m):
+        assert det(m) == _bareiss_det(m)
+    for rhs in rhs_list:
+        assert solve_linear(m, rhs) == _fraction_solve(m, rhs)
+
+
+@st.composite
+def spanning_sets(draw):
+    """(basis, vectors): r rows in Z^n (1 <= r <= n <= 6) and test vectors.
+
+    The last basis row is sometimes a combination of the others, so the
+    rank can fall short.  The first vectors are integer and rational
+    combinations of the basis; the last ones are random and usually lie
+    outside its span.
+    """
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(1, n))
+    basis = [tuple(draw(small_ints) for _ in range(n)) for _ in range(r)]
+    if r > 1 and draw(st.booleans()):
+        c = draw(small_ints)
+        basis[-1] = tuple(x + c * y for x, y in zip(basis[0], basis[-2]))
+    coeff = st.one_of(small_ints, st.builds(Fraction, small_ints, st.integers(1, 6)))
+    vectors = []
+    for _ in range(draw(st.integers(1, 4))):
+        cs = [draw(coeff) for _ in range(r)]
+        vectors.append(tuple(sum((c * b[i] for c, b in zip(cs, basis)), 0) for i in range(n)))
+    spanned = len(vectors)
+    vectors += [tuple(draw(small_ints) for _ in range(n)) for _ in range(draw(st.integers(0, 2)))]
+    return tuple(basis), vectors, spanned
+
+
+@settings(max_examples=300, deadline=None)
+@given(spanning_sets())
+def test_left_inverse_and_basis_coordinates_match_oracle_solve(case):
+    basis, vectors, spanned = case
+    m = mat_transpose(basis)
+    r = len(basis)
+    if _fraction_rank(basis) < r:
+        with pytest.raises(ValueError, match="independent"):
+            left_inverse(m)
+        return
+    a, d = left_inverse(m)
+    assert d != 0
+    assert mat_mul(a, m) == tuple(tuple(d if i == j else 0 for j in range(r)) for i in range(r))
+    # a^T / d solves the transposed system as the oracle does (free variables 0)
+    for y in (tuple(range(1, r + 1)), tuple(v[0] for v in basis)):
+        assert tuple(Fraction(x, d) for x in mat_vec(mat_transpose(a), y)) == _fraction_solve(basis, y)
+    expected = [_fraction_solve(m, v) for v in vectors]
+    assert all(x is not None for x in expected[:spanned])
+    assert basis_coordinates(basis, vectors[:spanned]) == expected[:spanned]
+    for v, x in zip(vectors[spanned:], expected[spanned:]):
+        if x is None:
+            with pytest.raises(ValueError, match="not in the span"):
+                basis_coordinates(basis, [v])
+        else:
+            assert basis_coordinates(basis, [v]) == [x]
+
+
+def test_left_inverse_rejects_non_integers_and_basis_coordinates_keep_ints():
+    with pytest.raises(ValueError, match="non-integer"):
+        left_inverse(((Fraction(1, 2), 0), (0, 1)))
+    coords = basis_coordinates(((2, 0), (0, 1)), [(4, 3), (1, 0)])
+    assert coords == [(2, 3), (Fraction(1, 2), 0)]
+    assert type(coords[0][0]) is int and type(coords[1][0]) is Fraction

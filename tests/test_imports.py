@@ -1,4 +1,5 @@
-"""Every name a tropdeg module imports is used in that module (or exported)."""
+"""Every name a tropdeg module imports is used in that module (or exported),
+and no function repeats an import its module already makes at top level."""
 
 import ast
 import pathlib
@@ -23,6 +24,21 @@ def _unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _repeated_imports(source):
+    """Lines of `from x import ...` inside a function whose module imports from x at top level."""
+    tree = ast.parse(source)
+    top = {(node.level, node.module) for node in tree.body if isinstance(node, ast.ImportFrom)}
+    return sorted(
+        {
+            node.lineno
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+            if isinstance(node, ast.ImportFrom) and (node.level, node.module) in top
+        }
+    )
+
+
 def test_unused_imports_are_detected():
     source = "from os import path, sep\nimport sys\n__all__ = ['sep']\n"
     assert _unused_imports(source) == [(1, "path"), (2, "sys")]
@@ -31,3 +47,23 @@ def test_unused_imports_are_detected():
 def test_no_unused_imports_in_package():
     unused = {p.name: found for p in sorted(SRC.glob("*.py")) if (found := _unused_imports(p.read_text()))}
     assert unused == {}
+
+
+def test_repeated_imports_are_detected():
+    source = (
+        "from os import path\n"
+        "from .a import b\n"
+        "def f():\n"
+        "    from os import sep\n"
+        "    from sys import argv\n"
+        "    from .c import d\n"
+        "    def g():\n"
+        "        from .a import e\n"
+        "    return sep, argv, d, g\n"
+    )
+    assert _repeated_imports(source) == [4, 8]
+
+
+def test_no_repeated_imports_in_package():
+    repeated = {p.name: found for p in sorted(SRC.glob("*.py")) if (found := _repeated_imports(p.read_text()))}
+    assert repeated == {}

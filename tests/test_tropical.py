@@ -103,6 +103,25 @@ def test_rational_cell_tangent_basis_and_fan_cone():
     assert space.fan_cone((0, 0), tri).generators == ((0, 1), (1, 0))
 
 
+def test_boundary_chart_at_rational_vertex_is_quotient_by_its_ray():
+    # the chart at (1/2, 1/2, 1) quotients by the primitive ray (1, 1, 2);
+    # truncating the coordinates to integers would quotient by (0, 0, 1)
+    v = (Fraction(1, 2), Fraction(1, 2), 1)
+    cell = hull([v, (1, 0, 1), (0, 1, 1)])
+    space = TropicalSpace(3, 2, [cell], "boundary")
+    assert space.chart_matrix(v) == ((-1, 1, 0), (-2, 0, 1))
+    assert space.chart_matrix(v) != space.chart_matrix((0, 0, 1))
+
+
+def test_monodromy_needs_charts_of_the_cell_dimension():
+    # identity charts of Z^3 restricted to planar cells are not square
+    left = hull([(-1, 0, 0), (0, 0, 0), (-1, 1, 0), (0, 1, 0)])
+    right = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+    space = TropicalSpace(3, 2, [left, right], "solid")
+    with pytest.raises(ValueError, match="singular"):
+        discriminant(space)
+
+
 def test_dual_complex_k3_is_3d_with_four_face_types(k3):
     base, prism, refined, solid, sphere = k3
     assert solid.dim == 3
