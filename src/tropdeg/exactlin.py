@@ -390,11 +390,10 @@ def saturate_lattice(vectors, dim):
     basis = hnf_column_basis(vectors)
     if not basis:
         return []
-    # saturation = ker(ann) where ann = ker(basis), both over Z
-    ann = kernel_basis(tuple(basis))
-    if not ann:
+    if len(basis) == dim:
         return [tuple(r) for r in mat_identity(dim)]
-    return hnf_column_basis(kernel_basis(tuple(ann)))
+    # saturation = ker(ann) where ann = ker(basis), both over Z
+    return hnf_column_basis(kernel_basis(tuple(kernel_basis(tuple(basis)))))
 
 
 def complete_to_unimodular(v):

@@ -2,6 +2,8 @@
 
 Convex hulls are computed by exact gift wrapping over the integers (rational
 input is cleared to a common denominator first), facet by facet across ridges.
+Each ridge is wrapped once, ratios are compared by integer cross-multiplication
+and each facet carries its values at the points, so no Fraction enters the wrap.
 Facet inequalities are stored as <n, x> >= -c with n primitive and inward, so
 reflexivity is the field scan "all offsets equal 1".  Polytopes of lower
 dimension than their ambient space carry an explicit affine-span basis.
@@ -16,6 +18,7 @@ from itertools import product as iproduct
 from .exactlin import (
     basis_coordinates,
     clear_fractions,
+    content,
     denominator_lcm,
     dot,
     hnf_column_basis,
@@ -53,75 +56,79 @@ def is_lattice_point(p):
 def _initial_facet(pts, d):
     """One hull facet of a full-dimensional integer point set, by rotation.
 
-    Returns (inward_normal, tight_indices).
+    Returns (inward_normal, its values at pts, tight_indices).
     """
     # inward normal convention: <n, p> >= <n, p0> for all p
     n = tuple(1 if i == 0 else 0 for i in range(d))
-    vals = [dot(n, p) for p in pts]
-    lo = min(vals)
-    contact = [i for i, v in enumerate(vals) if v == lo]
-    p0 = pts[contact[0]]
+    vals = [p[0] for p in pts]
     while True:
+        lo = min(vals)
+        contact = [i for i, v in enumerate(vals) if v == lo]
+        p0 = pts[contact[0]]
         tangent = hnf_column_basis([vsub(pts[i], p0) for i in contact])
         if len(tangent) == d - 1:
-            return n, contact
+            return n, vals, contact
         ann = kernel_basis(tuple(tangent)) if tangent else [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-        moved = False
         for v in ann:
-            pairs = [(dot(n, vsub(p, p0)), dot(v, vsub(p, p0))) for p in pts]
-            if all(b == 0 for a, b in pairs if a > 0):
+            wv = [dot(v, p) for p in pts]
+            if all(y == wv[contact[0]] for x, y in zip(vals, wv) if x > lo):
                 continue
             # rotate n toward -v until the first outside point is hit
-            t_star = max(Fraction(b, a) for a, b in pairs if a > 0)
-            num, den = t_star.numerator, t_star.denominator
-            cand = tuple(num * ni - den * vi for ni, vi in zip(n, v))
+            a, b = _max_ratio(vals, wv, contact[0])
+            cand = tuple(b * ni - a * vi for ni, vi in zip(n, v))
             if is_zero(cand):
                 continue
-            n = primitive(cand)
-            vals = [dot(n, p) for p in pts]
-            lo = min(vals)
-            contact = [i for i, val in enumerate(vals) if val == lo]
-            p0 = pts[contact[0]]
-            moved = True
+            g = content(cand)
+            n = tuple(x // g for x in cand)
+            vals = [(b * x - a * y) // g for x, y in zip(vals, wv)]
             break
-        if not moved:
+        else:
             raise AssertionError("initial facet search stalled; input not full-dimensional?")
 
 
-def _neighbor_facet(pts, d, normal, facet_idx, ridge_idx):
-    """Wrap across a ridge: the other facet containing the given ridge."""
-    p_r = pts[ridge_idx[0]]
+def _max_ratio(vals, wv, r):
+    """(a, b) maximizing b/a over the points q with a = vals[q] - vals[r] > 0.
+
+    b is wv[q] - wv[r]; ratios are compared by integer cross-multiplication.
+    Returns (None, None) when no point has a > 0.
+    """
+    v_r, w_r = vals[r], wv[r]
+    best_a = best_b = None
+    for x, y in zip(vals, wv):
+        a = x - v_r
+        if a > 0 and (best_a is None or (y - w_r) * best_a > best_b * a):
+            best_a, best_b = a, y - w_r
+    return best_a, best_b
+
+
+def _neighbor_facet(pts, d, normal, vals, facet_idx, ridge_idx):
+    """Wrap across a ridge: the other facet containing the given ridge.
+
+    vals are the values of normal at pts.  Returns the new normal, its values
+    at pts and its tight indices.
+    """
+    r = ridge_idx[0]
+    p_r = pts[r]
     tangent = hnf_column_basis([vsub(pts[i], p_r) for i in ridge_idx])
     if tangent:
         ann = kernel_basis(tuple(tangent))
     else:
         ann = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-    w = None
-    for cand in ann:
-        if any(dot(cand, vsub(pts[i], p_r)) != 0 for i in facet_idx):
-            w = cand
-            break
+    w = next((cand for cand in ann if any(dot(cand, vsub(pts[i], p_r)) != 0 for i in facet_idx)), None)
     assert w is not None, "ridge annihilator degenerate"
-    beta = next(dot(w, vsub(pts[i], p_r)) for i in facet_idx if dot(w, vsub(pts[i], p_r)) != 0)
+    wv = [dot(w, p) for p in pts]
+    beta = next(wv[i] - wv[r] for i in facet_idx if wv[i] != wv[r])
     if beta > 0:
         w = tuple(-x for x in w)
+        wv = [-x for x in wv]
     # new normal n' = t*n - w with t* = max over off-facet points of w_q/a_q
-    best = None
-    for q in pts:
-        a_q = dot(normal, vsub(q, p_r))
-        if a_q <= 0:
-            continue
-        w_q = dot(w, vsub(q, p_r))
-        r = Fraction(w_q, a_q)
-        if best is None or r > best:
-            best = r
-    assert best is not None, "no neighbor facet; point set not full-dimensional"
-    num, den = best.numerator, best.denominator
-    n2 = primitive(tuple(num * ni - den * wi for ni, wi in zip(normal, w)))
-    vals = [dot(n2, p) for p in pts]
-    lo = min(vals)
-    tight = [i for i, v in enumerate(vals) if v == lo]
-    return n2, tight
+    a, b = _max_ratio(vals, wv, r)
+    assert a is not None, "no neighbor facet; point set not full-dimensional"
+    cand = tuple(b * ni - a * wi for ni, wi in zip(normal, w))
+    g = content(cand)
+    vals2 = [(b * x - a * y) // g for x, y in zip(vals, wv)]
+    lo = min(vals2)
+    return tuple(x // g for x in cand), vals2, [i for i, v in enumerate(vals2) if v == lo]
 
 
 def _simplex_facets(pts, d):
@@ -158,30 +165,32 @@ def _hull_full_dim(pts, d):
         ]
     if len(pts) == d + 1:
         return _simplex_facets(pts, d)
-    first_n, first_tight = _initial_facet(pts, d)
+    first_n, first_vals, first_tight = _initial_facet(pts, d)
     facets = {}
-    queue = [(first_n, tuple(first_tight))]
+    wrapped = set()
+    queue = [(first_n, first_vals, tuple(first_tight))]
     while queue:
-        n, tight = queue.pop()
+        n, vals, tight = queue.pop()
         if n in facets:
             continue
-        facets[n] = tight
+        facets[n] = (-vals[tight[0]], tight)
         # ridges = facets of the (d-1)-dimensional face conv(tight); for a
-        # simplicial facet these are just the (d-1)-subsets
+        # simplicial facet these are just the (d-1)-subsets.  A ridge has the
+        # same points from either facet, so it is wrapped only once.
         if len(tight) == d:
             ridge_sets = [tuple(tight[j] for j in range(d) if j != i) for i in range(d)]
         else:
             sub_pts = [pts[i] for i in tight]
             ridge_sets = [tuple(tight[i] for i in ridge_local) for ridge_local in _face_facets(sub_pts)]
         for ridge_idx in ridge_sets:
-            n2, tight2 = _neighbor_facet(pts, d, n, tight, ridge_idx)
+            key = frozenset(ridge_idx)
+            if key in wrapped:
+                continue
+            wrapped.add(key)
+            n2, vals2, tight2 = _neighbor_facet(pts, d, n, vals, tight, ridge_idx)
             if n2 not in facets:
-                queue.append((n2, tuple(tight2)))
-    out = []
-    for n, tight in sorted(facets.items()):
-        c = -dot(n, pts[tight[0]])
-        out.append((n, c, tuple(sorted(tight))))
-    return out
+                queue.append((n2, vals2, tuple(tight2)))
+    return [(n, c, tuple(sorted(tight))) for n, (c, tight) in sorted(facets.items())]
 
 
 def _face_facets(pts):
@@ -269,12 +278,12 @@ class LatticePolytope:
         if d == 0:
             return LatticePolytope(ambient, [anchor], [], eqs, [], anchor)
         facs = _hull_full_dim(_span_coordinates(int_diffs, basis), d)
-        # vertices: points whose tight facet normals span the full span dim
-        tight_at = {i: [] for i in range(len(pts))}
+        # vertices: points whose facets meet in that point alone
+        meet = {}
         for n, c, tight in facs:
             for i in tight:
-                tight_at[i].append(n)
-        verts = [pts[i] for i in range(len(pts)) if mat_rank(tuple(tight_at[i])) == d]
+                meet[i] = meet[i].intersection(tight) if i in meet else frozenset(tight)
+        verts = [pts[i] for i, face in meet.items() if len(face) == 1]
         # lift facet functionals to ambient integer functionals: with
         # a @ basis^T = dd * I, the functional dd * a^T n takes the values
         # dd^2 * n on the basis, so it is inward and tight where n is
@@ -448,19 +457,13 @@ class LatticePolytope:
             frontier = {f & g for f in frontier for g in facets} - found - {frozenset()}
             found |= frontier
         found.add(frozenset(range(len(self.vertices))))
-        by_dim = {}
-        for face in found:
-            by_dim.setdefault(_aff_dim([self.vertices[i] for i in face]), []).append(face)
-        faces_sorted = {d: sorted(by_dim[d], key=sorted) for d in range(self.dim, -1, -1)}
+        # grade by containment: a face sits one below the lowest face above it
+        dims = {}
+        for face in sorted(found, key=len, reverse=True):
+            dims[face] = min((dims[g] for g in dims if face < g), default=self.dim + 1) - 1
+        faces_sorted = {d: sorted((f for f in dims if dims[f] == d), key=sorted) for d in range(self.dim, -1, -1)}
         faces_sorted[-1] = [frozenset()]
         return FaceLattice(faces_sorted, self.dim)
-
-
-def _aff_dim(points):
-    if len(points) <= 1:
-        return 0
-    a = points[0]
-    return mat_rank(tuple(vsub(p, a) for p in points[1:]))
 
 
 def _nvol_full_dim(coords, d):

@@ -1,19 +1,32 @@
 import json
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropdeg.exactlin import dot
+from tropdeg import polytope
+from tropdeg.exactlin import (
+    dot,
+    hnf_column_basis,
+    is_zero,
+    kernel_basis,
+    mat_rank,
+    primitive,
+    saturate_lattice,
+    vadd,
+    vsub,
+)
 from tropdeg.polytope import (
     FaceLattice,
     LatticePolytope,
     NefPartition,
-    _aff_dim,
     _face_facets,
+    _simplex_facets,
+    _span_coordinates,
     centered_dilated_simplex,
     clip_by_halfspace,
     cube,
@@ -344,6 +357,13 @@ def test_clip_chain_matches_vertex_enumeration(chain):
 # --- face lattice ----------------------------------------------------------
 
 
+def _aff_dim(points):
+    if len(points) <= 1:
+        return 0
+    a = points[0]
+    return mat_rank(tuple(vsub(p, a) for p in points[1:]))
+
+
 def _faces_by_rehulling(poly):
     """The recursive face walk that re-hulls every face (differential oracle)."""
     by_dim = {}
@@ -412,3 +432,235 @@ def test_hull_of_vertices_equals_hull_of_points(pts, dens):
         poly.span_basis,
         poly.anchor,
     )
+
+
+# --- gift wrapping ---------------------------------------------------------
+#
+# The wrap as it was before it went integer-only and wrapped each ridge once:
+# Fraction ratios, every ridge wrapped from both of its facets, and a rank
+# test for vertices.  Kept verbatim as the differential oracle; it must run
+# with polytope._hull_full_dim patched to it, so the facet sub-hulls that
+# _face_facets makes go through the oracle too.
+
+
+def _initial_facet(pts, d):
+    """One hull facet of a full-dimensional integer point set, by rotation.
+
+    Returns (inward_normal, tight_indices).
+    """
+    # inward normal convention: <n, p> >= <n, p0> for all p
+    n = tuple(1 if i == 0 else 0 for i in range(d))
+    vals = [dot(n, p) for p in pts]
+    lo = min(vals)
+    contact = [i for i, v in enumerate(vals) if v == lo]
+    p0 = pts[contact[0]]
+    while True:
+        tangent = hnf_column_basis([vsub(pts[i], p0) for i in contact])
+        if len(tangent) == d - 1:
+            return n, contact
+        ann = kernel_basis(tuple(tangent)) if tangent else [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
+        moved = False
+        for v in ann:
+            pairs = [(dot(n, vsub(p, p0)), dot(v, vsub(p, p0))) for p in pts]
+            if all(b == 0 for a, b in pairs if a > 0):
+                continue
+            # rotate n toward -v until the first outside point is hit
+            t_star = max(Fraction(b, a) for a, b in pairs if a > 0)
+            num, den = t_star.numerator, t_star.denominator
+            cand = tuple(num * ni - den * vi for ni, vi in zip(n, v))
+            if is_zero(cand):
+                continue
+            n = primitive(cand)
+            vals = [dot(n, p) for p in pts]
+            lo = min(vals)
+            contact = [i for i, val in enumerate(vals) if val == lo]
+            p0 = pts[contact[0]]
+            moved = True
+            break
+        if not moved:
+            raise AssertionError("initial facet search stalled; input not full-dimensional?")
+
+
+def _neighbor_facet(pts, d, normal, facet_idx, ridge_idx):
+    """Wrap across a ridge: the other facet containing the given ridge."""
+    p_r = pts[ridge_idx[0]]
+    tangent = hnf_column_basis([vsub(pts[i], p_r) for i in ridge_idx])
+    if tangent:
+        ann = kernel_basis(tuple(tangent))
+    else:
+        ann = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
+    w = None
+    for cand in ann:
+        if any(dot(cand, vsub(pts[i], p_r)) != 0 for i in facet_idx):
+            w = cand
+            break
+    assert w is not None, "ridge annihilator degenerate"
+    beta = next(dot(w, vsub(pts[i], p_r)) for i in facet_idx if dot(w, vsub(pts[i], p_r)) != 0)
+    if beta > 0:
+        w = tuple(-x for x in w)
+    # new normal n' = t*n - w with t* = max over off-facet points of w_q/a_q
+    best = None
+    for q in pts:
+        a_q = dot(normal, vsub(q, p_r))
+        if a_q <= 0:
+            continue
+        w_q = dot(w, vsub(q, p_r))
+        r = Fraction(w_q, a_q)
+        if best is None or r > best:
+            best = r
+    assert best is not None, "no neighbor facet; point set not full-dimensional"
+    num, den = best.numerator, best.denominator
+    n2 = primitive(tuple(num * ni - den * wi for ni, wi in zip(normal, w)))
+    vals = [dot(n2, p) for p in pts]
+    lo = min(vals)
+    tight = [i for i, v in enumerate(vals) if v == lo]
+    return n2, tight
+
+
+def _hull_full_dim(pts, d):
+    """All facets of conv(pts), pts integer and affinely spanning R^d.
+
+    Returns a list of (inward primitive normal, offset c, tight index tuple)
+    for the inequality <n, x> >= -c.
+    """
+    if d == 0:
+        return []
+    if d == 1:
+        vals = [p[0] for p in pts]
+        lo, hi = min(vals), max(vals)
+        return [
+            ((1,), -lo, tuple(i for i, v in enumerate(vals) if v == lo)),
+            ((-1,), hi, tuple(i for i, v in enumerate(vals) if v == hi)),
+        ]
+    if len(pts) == d + 1:
+        return _simplex_facets(pts, d)
+    first_n, first_tight = _initial_facet(pts, d)
+    facets = {}
+    queue = [(first_n, tuple(first_tight))]
+    while queue:
+        n, tight = queue.pop()
+        if n in facets:
+            continue
+        facets[n] = tight
+        # ridges = facets of the (d-1)-dimensional face conv(tight); for a
+        # simplicial facet these are just the (d-1)-subsets
+        if len(tight) == d:
+            ridge_sets = [tuple(tight[j] for j in range(d) if j != i) for i in range(d)]
+        else:
+            sub_pts = [pts[i] for i in tight]
+            ridge_sets = [tuple(tight[i] for i in ridge_local) for ridge_local in _face_facets(sub_pts)]
+        for ridge_idx in ridge_sets:
+            n2, tight2 = _neighbor_facet(pts, d, n, tight, ridge_idx)
+            if n2 not in facets:
+                queue.append((n2, tuple(tight2)))
+    out = []
+    for n, tight in sorted(facets.items()):
+        c = -dot(n, pts[tight[0]])
+        out.append((n, c, tuple(sorted(tight))))
+    return out
+
+
+def _rank_vertices(pts, facs, d):
+    """The points of pts that hull's former rank test calls vertices."""
+    # vertices: points whose tight facet normals span the full span dim
+    tight_at = {i: [] for i in range(len(pts))}
+    for n, c, tight in facs:
+        for i in tight:
+            tight_at[i].append(n)
+    verts = [pts[i] for i in range(len(pts)) if mat_rank(tuple(tight_at[i])) == d]
+    return verts
+
+
+@st.composite
+def wrap_point_sets(draw):
+    """Integer point sets of dimension 1 to 5, most of their points not vertices.
+
+    Three kinds: the lattice points of a box (at most 4-dimensional, as the
+    recursive face oracle is slow on a 5-cube) under a unimodular shear,
+    Minkowski sums of two small sets, and random points (doubled) with the
+    midpoints of pairs of each facet's vertices added, so that facets carry
+    more points than vertices and are not simplicial.
+    """
+    d = draw(st.integers(min_value=1, max_value=5))
+    coord = st.integers(min_value=-2, max_value=2)
+    kind = draw(st.sampled_from(["box", "minkowski", "facet_points"] if d < 5 else ["minkowski", "facet_points"]))
+    if kind == "box":
+        sides = draw(
+            st.lists(st.integers(min_value=1, max_value=3), min_size=d, max_size=d).filter(
+                lambda s: len(list(iproduct(*[range(x + 1) for x in s]))) <= 48
+            )
+        )
+        shear = {(i, j): draw(st.integers(min_value=-1, max_value=1)) for i in range(d) for j in range(i + 1, d)}
+        box = iproduct(*[range(x + 1) for x in sides])
+        return [tuple(p[i] + sum(shear[i, j] * p[j] for j in range(i + 1, d)) for i in range(d)) for p in box]
+    point = st.tuples(*[coord] * d)
+    if kind == "minkowski":
+        a = draw(st.lists(point, min_size=1, max_size=4, unique=True))
+        b = draw(st.lists(point, min_size=2, max_size=4, unique=True))
+        return [vadd(p, q) for p in a for q in b]
+    base = draw(st.lists(point, min_size=d + 1, max_size=d + 3, unique=True))
+    pts = [tuple(2 * x for x in p) for p in base]
+    for key in hull(base).facet_keys():
+        pts += [vadd(u, v) for u, v in zip(key, key[1:] + key[:1])]
+    return pts
+
+
+def _span_input(pts):
+    """hull's sorted distinct points, their integer span coordinates, and d."""
+    pts = sorted(set(pts))
+    diffs = [vsub(p, pts[0]) for p in pts]
+    basis = saturate_lattice(diffs, len(pts[0]))
+    return pts, _span_coordinates(diffs, basis), len(basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wrap_point_sets())
+def test_integer_wrap_matches_fraction_wrap(pts):
+    pts, coords, d = _span_input(pts)
+    facs = polytope._hull_full_dim(coords, d)
+    poly = hull(pts)
+    faces = list(poly.faces().faces_by_dim.items())
+    volume = poly.normalized_volume()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytope, "_hull_full_dim", _hull_full_dim)
+        oracle_facs = _hull_full_dim(coords, d)
+        oracle = hull(pts)
+        oracle_faces = list(_faces_by_rehulling(oracle).faces_by_dim.items())
+        oracle_volume = oracle.normalized_volume()
+    assert facs == oracle_facs
+    assert list(poly.vertices) == _rank_vertices(pts, oracle_facs, d)
+    assert (poly.vertices, poly.facets, poly.equations) == (oracle.vertices, oracle.facets, oracle.equations)
+    assert faces == oracle_faces
+    assert volume == oracle_volume
+
+
+def _count_wraps(mp):
+    """Patch polytope._neighbor_facet to log the length of each normal it wraps."""
+    wrap = polytope._neighbor_facet
+    lengths = []
+
+    def counted(pts, d, normal, *rest):
+        lengths.append(len(normal))
+        return wrap(pts, d, normal, *rest)
+
+    mp.setattr(polytope, "_neighbor_facet", counted)
+    return lengths
+
+
+def test_cube_wraps_each_edge_once():
+    with pytest.MonkeyPatch.context() as mp:
+        lengths = _count_wraps(mp)
+        c = cube(3)
+    assert lengths.count(3) == len(c.faces().faces(1)) == 12
+
+
+@settings(max_examples=40, deadline=None)
+@given(wrap_point_sets())
+def test_hull_wraps_each_ridge_once(pts):
+    with pytest.MonkeyPatch.context() as mp:
+        lengths = _count_wraps(mp)
+        poly = hull(pts)
+    d = poly.dim
+    # a segment or a simplex is hulled without wrapping
+    expected = len(poly.faces().faces(d - 2)) if d >= 2 and len(set(pts)) > d + 1 else 0
+    assert lengths.count(d) == expected
