@@ -91,6 +91,8 @@ def cmd_tropicalize(args):
             heights.append(parse_num(h))
         except (TypeError, ValueError) as e:
             raise InputError(f"bad heights entry {item!r}: {e}")
+        if len(points[-1]) != support.ambient_dim or not support.contains(points[-1]):
+            raise InputError(f"heights point {point_json(points[-1])} lies outside 'support'")
     try:
         sub, f = regular_subdivision(points, heights)
     except ValueError as e:
@@ -158,9 +160,14 @@ def cmd_ring(args):
         raise InputError("ring input needs field 'cells'")
     cells = []
     ambient = None
-    for cell_pts in obj["cells"]:
+    for ci, cell_pts in enumerate(obj["cells"]):
         pts = [tuple(parse_num(x) for x in p) for p in cell_pts]
-        ambient = len(pts[0])
+        if not pts:
+            raise InputError(f"ring cell {ci} is empty")
+        if ambient is None:
+            ambient = len(pts[0])
+        if any(len(p) != ambient for p in pts):
+            raise InputError(f"ring cell {ci} has a point whose dimension is not {ambient}, the dimension of cell 0")
         cells.append(hull(pts))
     if ambient is None:
         raise InputError("ring input has no cells")

@@ -12,9 +12,13 @@ def num_json(x):
 
 
 def parse_num(x):
+    """An int, or a Fraction from a "p/q" string; ValueError on a zero q."""
     if isinstance(x, str):
         num, _, den = x.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
+        den = int(den) if den else 1
+        if den == 0:
+            raise ValueError(f"zero denominator in {x!r}")
+        return Fraction(int(num), den)
     return int(x)
 
 

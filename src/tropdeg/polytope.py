@@ -1,12 +1,13 @@
 """Lattice polytopes with exact vertex/facet double description.
 
-Convex hulls are computed by exact gift wrapping over the integers (rational
-input is cleared to a common denominator first), facet by facet across ridges.
-Each ridge is wrapped once, ratios are compared by integer cross-multiplication
-and each facet carries its values at the points, so no Fraction enters the wrap.
-Facet inequalities are stored as <n, x> >= -c with n primitive and inward, so
-reflexivity is the field scan "all offsets equal 1".  Polytopes of lower
-dimension than their ambient space carry an explicit affine-span basis.
+Convex hulls are computed by exact double description over the integers
+(rational input is cleared to a common denominator first): the points are
+added one at a time to the hull of a first simplex, and each new facet is an
+integer combination of two adjacent old ones, so no Fraction, sub-hull or
+Smith normal form enters the hull.  Facet inequalities are stored as
+<n, x> >= -c with n primitive and inward, so reflexivity is the field scan
+"all offsets equal 1".  Polytopes of lower dimension than their ambient space
+carry an explicit affine-span basis.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from itertools import combinations
 from itertools import product as iproduct
 
 from .exactlin import (
+    _eliminate,
     basis_coordinates,
     clear_fractions,
-    content,
     denominator_lcm,
     dot,
     hnf_column_basis,
-    is_zero,
     kernel_basis,
     left_inverse,
     mat_rank,
@@ -53,148 +53,60 @@ def is_lattice_point(p):
 # --- exact hull engine ----------------------------------------------------
 
 
-def _initial_facet(pts, d):
-    """One hull facet of a full-dimensional integer point set, by rotation.
-
-    Returns (inward_normal, its values at pts, tight_indices).
-    """
-    # inward normal convention: <n, p> >= <n, p0> for all p
-    n = tuple(1 if i == 0 else 0 for i in range(d))
-    vals = [p[0] for p in pts]
-    while True:
-        lo = min(vals)
-        contact = [i for i, v in enumerate(vals) if v == lo]
-        p0 = pts[contact[0]]
-        tangent = hnf_column_basis([vsub(pts[i], p0) for i in contact])
-        if len(tangent) == d - 1:
-            return n, vals, contact
-        ann = kernel_basis(tuple(tangent)) if tangent else [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-        for v in ann:
-            wv = [dot(v, p) for p in pts]
-            if all(y == wv[contact[0]] for x, y in zip(vals, wv) if x > lo):
-                continue
-            # rotate n toward -v until the first outside point is hit
-            a, b = _max_ratio(vals, wv, contact[0])
-            cand = tuple(b * ni - a * vi for ni, vi in zip(n, v))
-            if is_zero(cand):
-                continue
-            g = content(cand)
-            n = tuple(x // g for x in cand)
-            vals = [(b * x - a * y) // g for x, y in zip(vals, wv)]
-            break
-        else:
-            raise AssertionError("initial facet search stalled; input not full-dimensional?")
-
-
-def _max_ratio(vals, wv, r):
-    """(a, b) maximizing b/a over the points q with a = vals[q] - vals[r] > 0.
-
-    b is wv[q] - wv[r]; ratios are compared by integer cross-multiplication.
-    Returns (None, None) when no point has a > 0.
-    """
-    v_r, w_r = vals[r], wv[r]
-    best_a = best_b = None
-    for x, y in zip(vals, wv):
-        a = x - v_r
-        if a > 0 and (best_a is None or (y - w_r) * best_a > best_b * a):
-            best_a, best_b = a, y - w_r
-    return best_a, best_b
-
-
-def _neighbor_facet(pts, d, normal, vals, facet_idx, ridge_idx):
-    """Wrap across a ridge: the other facet containing the given ridge.
-
-    vals are the values of normal at pts.  Returns the new normal, its values
-    at pts and its tight indices.
-    """
-    r = ridge_idx[0]
-    p_r = pts[r]
-    tangent = hnf_column_basis([vsub(pts[i], p_r) for i in ridge_idx])
-    if tangent:
-        ann = kernel_basis(tuple(tangent))
-    else:
-        ann = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-    w = next((cand for cand in ann if any(dot(cand, vsub(pts[i], p_r)) != 0 for i in facet_idx)), None)
-    assert w is not None, "ridge annihilator degenerate"
-    wv = [dot(w, p) for p in pts]
-    beta = next(wv[i] - wv[r] for i in facet_idx if wv[i] != wv[r])
-    if beta > 0:
-        w = tuple(-x for x in w)
-        wv = [-x for x in wv]
-    # new normal n' = t*n - w with t* = max over off-facet points of w_q/a_q
-    a, b = _max_ratio(vals, wv, r)
-    assert a is not None, "no neighbor facet; point set not full-dimensional"
-    cand = tuple(b * ni - a * wi for ni, wi in zip(normal, w))
-    g = content(cand)
-    vals2 = [(b * x - a * y) // g for x, y in zip(vals, wv)]
-    lo = min(vals2)
-    return tuple(x // g for x in cand), vals2, [i for i, v in enumerate(vals2) if v == lo]
-
-
-def _simplex_facets(pts, d):
-    """Facets of a d-simplex given by exactly d+1 affinely independent points."""
-    out = []
-    for drop in range(d + 1):
-        rest = [pts[i] for i in range(d + 1) if i != drop]
-        anchor = rest[0]
-        tangent = tuple(vsub(p, anchor) for p in rest[1:])
-        ker = kernel_basis(tangent)
-        assert len(ker) == 1
-        n = primitive(ker[0])
-        if dot(n, vsub(pts[drop], anchor)) < 0:
-            n = tuple(-x for x in n)
-        c = -dot(n, anchor)
-        out.append((n, c, tuple(i for i in range(d + 1) if i != drop)))
-    return sorted(out)
-
-
 def _hull_full_dim(pts, d):
-    """All facets of conv(pts), pts integer and affinely spanning R^d.
+    """All facets of conv(pts), pts integer and affinely spanning R^d, d >= 1.
 
-    Returns a list of (inward primitive normal, offset c, tight index tuple)
-    for the inequality <n, x> >= -c.
+    Returns the sorted list of (inward primitive normal n, offset c, sorted
+    tight index tuple) for the inequalities <n, x> >= -c.
+
+    Double description (Fukuda and Prodon, "Double description method
+    revisited", 1996) over the points lifted to (p, 1): a facet is a
+    primitive y = (n, c) with y . (p, 1) >= 0 at every point seen so far.
+    The facets of a first simplex are the rows of its left inverse; each
+    further point drops the facets it violates and, for every pair (kept y+,
+    violated y-) of adjacent facets, adds the facet v+ y- - v- y+ through the
+    ridge they share, v being the values at the point.  Two facets are
+    adjacent when they share at least d - 1 tight points and no third facet
+    is tight at all of them (a purely combinatorial test); tight sets are int
+    bitmasks over the point indices.
     """
-    if d == 0:
-        return []
-    if d == 1:
-        vals = [p[0] for p in pts]
-        lo, hi = min(vals), max(vals)
-        return [
-            ((1,), -lo, tuple(i for i, v in enumerate(vals) if v == lo)),
-            ((-1,), hi, tuple(i for i, v in enumerate(vals) if v == hi)),
-        ]
-    if len(pts) == d + 1:
-        return _simplex_facets(pts, d)
-    first_n, first_vals, first_tight = _initial_facet(pts, d)
-    facets = {}
-    wrapped = set()
-    queue = [(first_n, first_vals, tuple(first_tight))]
-    while queue:
-        n, vals, tight = queue.pop()
-        if n in facets:
+    lifted = [tuple(p) + (1,) for p in pts]
+    start, _, _ = _eliminate([list(col) for col in zip(*lifted)], len(lifted))
+    a, det = left_inverse(mat_transpose([lifted[j] for j in start]))
+    sign = 1 if det > 0 else -1
+    simplex = sum(1 << j for j in start)
+    # the facet opposite vertex j of the simplex is tight at its other vertices
+    facets = [(primitive(tuple(sign * x for x in row)), simplex ^ (1 << j)) for row, j in zip(a, start)]
+    for i, q in enumerate(lifted):
+        bit = 1 << i
+        if simplex & bit:
             continue
-        facets[n] = (-vals[tight[0]], tight)
-        # ridges = facets of the (d-1)-dimensional face conv(tight); for a
-        # simplicial facet these are just the (d-1)-subsets.  A ridge has the
-        # same points from either facet, so it is wrapped only once.
-        if len(tight) == d:
-            ridge_sets = [tuple(tight[j] for j in range(d) if j != i) for i in range(d)]
-        else:
-            sub_pts = [pts[i] for i in tight]
-            ridge_sets = [tuple(tight[i] for i in ridge_local) for ridge_local in _face_facets(sub_pts)]
-        for ridge_idx in ridge_sets:
-            key = frozenset(ridge_idx)
-            if key in wrapped:
+        vals = [dot(y, q) for y, _ in facets]
+        new = []
+        for k, (yk, tk) in enumerate(facets):
+            if vals[k] <= 0:
                 continue
-            wrapped.add(key)
-            n2, vals2, tight2 = _neighbor_facet(pts, d, n, vals, tight, ridge_idx)
-            if n2 not in facets:
-                queue.append((n2, vals2, tuple(tight2)))
-    return [(n, c, tuple(sorted(tight))) for n, (c, tight) in sorted(facets.items())]
+            for m, (ym, tm) in enumerate(facets):
+                if vals[m] >= 0:
+                    continue
+                shared = tk & tm
+                if shared.bit_count() < d - 1 or any(
+                    t & shared == shared for j, (_, t) in enumerate(facets) if j != k and j != m
+                ):
+                    continue
+                new.append((primitive(tuple(vals[k] * b - vals[m] * c for b, c in zip(ym, yk))), shared | bit))
+        facets = [(y, t | bit if v == 0 else t) for (y, t), v in zip(facets, vals) if v >= 0] + new
+    return [(y[:d], y[d], tuple(i for i in range(len(pts)) if t >> i & 1)) for y, t in sorted(facets)]
 
 
 def _face_facets(pts):
-    """Facet tight-sets of conv(pts) inside its own affine span (local idx)."""
+    """Facet tight-sets of conv(pts) inside its own affine span (local idx).
+
+    The package itself reads faces off each hull's own facets and never calls
+    this; like `polytope_from_inequalities`, it is kept as the helper of the
+    re-hulling face oracle in the tests, and the benchmark tracer wraps it by
+    name.
+    """
     anchor = min(range(len(pts)), key=lambda i: pts[i])
     raw_diffs = [vsub(p, pts[anchor]) for p in pts]
     den = denominator_lcm(x for v in raw_diffs for x in v)

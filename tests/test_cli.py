@@ -1,12 +1,30 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
-import pytest
-
+import tropdeg
 from tropdeg.cli import main
 
 
 def run(args):
     return main(args)
+
+
+def run_cli(args):
+    """Run the CLI in a fresh interpreter; (exit code, stderr)."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tropdeg.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "tropdeg.cli", *args], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stderr
+
+
+def assert_input_error(args, *words):
+    code, err = run_cli(args)
+    assert code == 2, err
+    assert "Traceback" not in err
+    for w in words:
+        assert w in err
 
 
 def test_check_simple_kp1_2(tmp_path, capsys):
@@ -119,3 +137,35 @@ def test_render_determinism(tmp_path):
     assert run(["render", "--example", "kp1-2", "--k", "2", "--out", str(a)]) == 0
     assert run(["render", "--example", "kp1-2", "--k", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_tropicalize_zero_denominator_exit_2(tmp_path):
+    data = {
+        "support": {"ambient_dim": 1, "vertices": [[-1], [1]]},
+        "heights": [[[-1], 1], [[0], "1/0"], [[1], 1]],
+    }
+    inp = tmp_path / "zero.json"
+    inp.write_text(json.dumps(data))
+    assert_input_error(["tropicalize", "--input", str(inp)], "zero denominator")
+
+
+def test_tropicalize_height_outside_support_exit_2(tmp_path):
+    data = {
+        "support": {"ambient_dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]},
+        "heights": [[[0, 0], 0], [[1, 0], 0], [[0, 1], 0], [[3, 3], 1]],
+    }
+    inp = tmp_path / "outside.json"
+    inp.write_text(json.dumps(data))
+    assert_input_error(["tropicalize", "--input", str(inp)], "[3, 3]", "outside 'support'")
+
+
+def test_ring_empty_cell_exit_2(tmp_path):
+    complex_file = tmp_path / "empty-cell.json"
+    complex_file.write_text(json.dumps({"cells": [[[0], [1]], []]}))
+    assert_input_error(["ring", "--complex", str(complex_file)], "cell 1 is empty")
+
+
+def test_ring_mixed_dimension_exit_2(tmp_path):
+    complex_file = tmp_path / "mixed.json"
+    complex_file.write_text(json.dumps({"cells": [[[0], [1]], [[0, 0], [1, 0]]]}))
+    assert_input_error(["ring", "--complex", str(complex_file)], "cell 1")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tropdeg.exactlin import cone_from_generators
 from tropdeg.embed import (
-    ComplexMap,
     FibrationData,
     barycenter_fibre,
     cone_over_cell,

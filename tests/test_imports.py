@@ -1,22 +1,29 @@
-"""Every name a tropdeg module imports is used in that module (or exported),
-and no function repeats an import its module already makes at top level."""
+"""Every name a tropdeg or test module imports is used in that module (or
+exported, or marked `# noqa: F401`), and no tropdeg function repeats an import
+its module already makes at top level."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tropdeg"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def _unused_imports(source):
+    """(line, name) of each imported name never used; `# noqa: F401` lines are skipped."""
     tree = ast.parse(source)
+    lines = source.splitlines()
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            names = [(alias, alias.asname or alias.name.split(".")[0]) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+            names = [(alias, alias.asname or alias.name) for alias in node.names]
+        else:
+            continue
+        for alias, name in names:
+            if "# noqa: F401" not in lines[alias.lineno - 1]:
+                imported[name] = alias.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
@@ -40,12 +47,22 @@ def _repeated_imports(source):
 
 
 def test_unused_imports_are_detected():
-    source = "from os import path, sep\nimport sys\n__all__ = ['sep']\n"
-    assert _unused_imports(source) == [(1, "path"), (2, "sys")]
+    source = (
+        "from os import path, sep\n"
+        "import sys\n"
+        "import json  # noqa: F401\n"
+        "from re import (\n"
+        "    match,\n"
+        "    sub,  # noqa: F401\n"
+        ")\n"
+        "__all__ = ['sep']\n"
+    )
+    assert _unused_imports(source) == [(1, "path"), (2, "sys"), (5, "match")]
 
 
 def test_no_unused_imports_in_package():
-    unused = {p.name: found for p in sorted(SRC.glob("*.py")) if (found := _unused_imports(p.read_text()))}
+    files = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    unused = {f"{p.parent.name}/{p.name}": found for p in files if (found := _unused_imports(p.read_text()))}
     assert unused == {}
 
 

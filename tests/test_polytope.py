@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropdeg import polytope
+from tropdeg import exactlin, polytope
 from tropdeg.exactlin import (
     dot,
     hnf_column_basis,
@@ -25,7 +25,6 @@ from tropdeg.polytope import (
     LatticePolytope,
     NefPartition,
     _face_facets,
-    _simplex_facets,
     _span_coordinates,
     centered_dilated_simplex,
     clip_by_halfspace,
@@ -436,11 +435,29 @@ def test_hull_of_vertices_equals_hull_of_points(pts, dens):
 
 # --- gift wrapping ---------------------------------------------------------
 #
-# The wrap as it was before it went integer-only and wrapped each ridge once:
-# Fraction ratios, every ridge wrapped from both of its facets, and a rank
-# test for vertices.  Kept verbatim as the differential oracle; it must run
-# with polytope._hull_full_dim patched to it, so the facet sub-hulls that
-# _face_facets makes go through the oracle too.
+# The hull as it was before double description replaced it, in the form it
+# had before it went integer-only and wrapped each ridge once: gift wrapping
+# with Fraction ratios, every ridge wrapped from both of its facets, a
+# separate simplex branch, and a rank test for vertices.  Kept verbatim as the
+# differential oracle; it must run with polytope._hull_full_dim patched to it,
+# so the facet sub-hulls that _face_facets makes go through the oracle too.
+
+
+def _simplex_facets(pts, d):
+    """Facets of a d-simplex given by exactly d+1 affinely independent points."""
+    out = []
+    for drop in range(d + 1):
+        rest = [pts[i] for i in range(d + 1) if i != drop]
+        anchor = rest[0]
+        tangent = tuple(vsub(p, anchor) for p in rest[1:])
+        ker = kernel_basis(tangent)
+        assert len(ker) == 1
+        n = primitive(ker[0])
+        if dot(n, vsub(pts[drop], anchor)) < 0:
+            n = tuple(-x for x in n)
+        c = -dot(n, anchor)
+        out.append((n, c, tuple(i for i in range(d + 1) if i != drop)))
+    return sorted(out)
 
 
 def _initial_facet(pts, d):
@@ -571,28 +588,41 @@ def _rank_vertices(pts, facs, d):
     return verts
 
 
+def _box_points(draw, dim, most):
+    """The lattice points of a random box [0, s_1] x ... x [0, s_dim], at most `most`."""
+    sides = draw(
+        st.lists(st.integers(min_value=1, max_value=3), min_size=dim, max_size=dim).filter(
+            lambda s: len(list(iproduct(*[range(x + 1) for x in s]))) <= most
+        )
+    )
+    return list(iproduct(*[range(x + 1) for x in sides]))
+
+
 @st.composite
 def wrap_point_sets(draw):
     """Integer point sets of dimension 1 to 5, most of their points not vertices.
 
-    Three kinds: the lattice points of a box (at most 4-dimensional, as the
-    recursive face oracle is slow on a 5-cube) under a unimodular shear,
-    Minkowski sums of two small sets, and random points (doubled) with the
-    midpoints of pairs of each facet's vertices added, so that facets carry
-    more points than vertices and are not simplicial.
+    Four kinds: the lattice points of a box (at most 4-dimensional, as the
+    recursive face oracle is slow on a 5-cube) under a unimodular shear; the
+    lattice points of a box of one dimension less with a random integer
+    height each, the lifted point sets `regular_subdivision` hulls (at most
+    24 points, and 16 in dimension 5, where the oracle takes 5 s on 24 and
+    10 s on 48); Minkowski sums of two small sets; and random points
+    (doubled) with the midpoints of pairs of each facet's vertices added, so
+    that facets carry more points than vertices and are not simplicial.
     """
     d = draw(st.integers(min_value=1, max_value=5))
     coord = st.integers(min_value=-2, max_value=2)
-    kind = draw(st.sampled_from(["box", "minkowski", "facet_points"] if d < 5 else ["minkowski", "facet_points"]))
+    kinds = ["box"] * (d < 5) + ["lifted"] * (d > 1) + ["minkowski", "facet_points"]
+    kind = draw(st.sampled_from(kinds))
     if kind == "box":
-        sides = draw(
-            st.lists(st.integers(min_value=1, max_value=3), min_size=d, max_size=d).filter(
-                lambda s: len(list(iproduct(*[range(x + 1) for x in s]))) <= 48
-            )
-        )
+        box = _box_points(draw, d, 48)
         shear = {(i, j): draw(st.integers(min_value=-1, max_value=1)) for i in range(d) for j in range(i + 1, d)}
-        box = iproduct(*[range(x + 1) for x in sides])
         return [tuple(p[i] + sum(shear[i, j] * p[j] for j in range(i + 1, d)) for i in range(d)) for p in box]
+    if kind == "lifted":
+        box = _box_points(draw, d - 1, 24 if d < 5 else 16)
+        heights = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=len(box), max_size=len(box)))
+        return [p + (h,) for p, h in zip(box, heights)]
     point = st.tuples(*[coord] * d)
     if kind == "minkowski":
         a = draw(st.lists(point, min_size=1, max_size=4, unique=True))
@@ -627,40 +657,28 @@ def test_integer_wrap_matches_fraction_wrap(pts):
         oracle = hull(pts)
         oracle_faces = list(_faces_by_rehulling(oracle).faces_by_dim.items())
         oracle_volume = oracle.normalized_volume()
-    assert facs == oracle_facs
+    # the oracle lists the two facets of a segment unsorted
+    assert facs == sorted(oracle_facs)
     assert list(poly.vertices) == _rank_vertices(pts, oracle_facs, d)
     assert (poly.vertices, poly.facets, poly.equations) == (oracle.vertices, oracle.facets, oracle.equations)
     assert faces == oracle_faces
     assert volume == oracle_volume
 
 
-def _count_wraps(mp):
-    """Patch polytope._neighbor_facet to log the length of each normal it wraps."""
-    wrap = polytope._neighbor_facet
-    lengths = []
+def test_full_dimensional_hull_needs_no_kernel_basis():
+    # double description finds facets without a ridge annihilator, and a
+    # full-dimensional point set needs no span equations
+    calls = []
+    kernel = exactlin.kernel_basis
 
-    def counted(pts, d, normal, *rest):
-        lengths.append(len(normal))
-        return wrap(pts, d, normal, *rest)
+    def counted(m):
+        calls.append(m)
+        return kernel(m)
 
-    mp.setattr(polytope, "_neighbor_facet", counted)
-    return lengths
-
-
-def test_cube_wraps_each_edge_once():
     with pytest.MonkeyPatch.context() as mp:
-        lengths = _count_wraps(mp)
-        c = cube(3)
-    assert lengths.count(3) == len(c.faces().faces(1)) == 12
-
-
-@settings(max_examples=40, deadline=None)
-@given(wrap_point_sets())
-def test_hull_wraps_each_ridge_once(pts):
-    with pytest.MonkeyPatch.context() as mp:
-        lengths = _count_wraps(mp)
-        poly = hull(pts)
-    d = poly.dim
-    # a segment or a simplex is hulled without wrapping
-    expected = len(poly.faces().faces(d - 2)) if d >= 2 and len(set(pts)) > d + 1 else 0
-    assert lengths.count(d) == expected
+        for module in (exactlin, polytope):
+            mp.setattr(module, "kernel_basis", counted)
+        quintic = centered_dilated_simplex(4)
+        polys = [cube(3), quintic, minkowski_sum(quintic, cube(4))]
+    assert [p.dim for p in polys] == [3, 4, 4]
+    assert calls == []

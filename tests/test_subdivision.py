@@ -12,10 +12,7 @@ from tropdeg.polytope import (
     standard_simplex,
 )
 from tropdeg.subdivision import (
-    GraphDegeneration,
     PLFunction,
-    Subdivision,
-    affine_value,
     avoid_hyperplane,
     blowup_refinement,
     check_convex_certificate,

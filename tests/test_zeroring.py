@@ -15,15 +15,12 @@ from tropdeg.polytope import (
 )
 from tropdeg.subdivision import (
     fine_crepant_subdivision,
-    graph_degeneration,
-    hyperplane_split,
     product_pullback,
     regular_subdivision,
     sum_refinement,
 )
-from tropdeg.tropical import TropicalSpace, dual_intersection_complex, hypersurface_trop
+from tropdeg.tropical import TropicalSpace, hypersurface_trop
 from tropdeg.zeroring import (
-    EmbeddedIdeal,
     GluingData,
     embedded_ideal,
     genericity_scan,
