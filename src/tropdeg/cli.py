@@ -25,11 +25,31 @@ def _max_dim():
 def _load_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"input file not found: {path}")
     except json.JSONDecodeError as e:
         raise InputError(f"malformed JSON in {path}: line {e.lineno} column {e.colno}: {e.msg}")
+    if not isinstance(obj, dict):
+        raise InputError(f"top-level JSON value in {path} must be an object")
+    return obj
+
+
+def _point(value, field):
+    """Exact coordinates from a JSON list of numbers; InputError names the field."""
+    if isinstance(value, list):
+        try:
+            return tuple(parse_num(x) for x in value)
+        except TypeError:
+            pass
+    raise InputError(f"{field} must be a list of numbers")
+
+
+def _points(value, field):
+    """Exact points from a JSON list of lists of numbers; InputError names the field."""
+    if not isinstance(value, list):
+        raise InputError(f"{field} must be a list of points")
+    return [_point(p, f"{field} point {i}") for i, p in enumerate(value)]
 
 
 def _write(text, out):
@@ -81,6 +101,8 @@ def cmd_tropicalize(args):
     obj = _load_json(args.input)
     if "support" not in obj or "heights" not in obj:
         raise InputError("tropicalize input needs fields 'support' and 'heights'")
+    if not isinstance(obj["heights"], list):
+        raise InputError("tropicalize field 'heights' must be a list of [point, height] pairs")
     support = _polytope_from_json(obj["support"])
     points = []
     heights = []
@@ -153,15 +175,15 @@ def cmd_lg_truncate(args):
 def cmd_ring(args):
     from .polytope import hull
     from .tropical import TropicalSpace
-    from .zeroring import GluingData, hilbert_count, proj_ring, vanilla_gluing
+    from .zeroring import GluingData, proj_ring, vanilla_gluing
 
     obj = _load_json(args.complex)
-    if "cells" not in obj:
-        raise InputError("ring input needs field 'cells'")
+    if not isinstance(obj.get("cells"), list):
+        raise InputError("ring input needs field 'cells', a list of cells")
     cells = []
     ambient = None
     for ci, cell_pts in enumerate(obj["cells"]):
-        pts = [tuple(parse_num(x) for x in p) for p in cell_pts]
+        pts = _points(cell_pts, f"ring cell {ci}")
         if not pts:
             raise InputError(f"ring cell {ci} is empty")
         if ambient is None:
@@ -176,15 +198,20 @@ def cmd_ring(args):
     space = TropicalSpace(ambient, max(c.dim for c in cells), cells, "solid")
     gluing = vanilla_gluing(ambient)
     if "gluing" in obj:
+        if not isinstance(obj["gluing"], list):
+            raise InputError("ring field 'gluing' must be a list of entries")
         twists = {}
-        for entry in obj["gluing"]:
-            frm = tuple(sorted(tuple(parse_num(x) for x in p) for p in entry["from"]))
-            to = tuple(sorted(tuple(parse_num(x) for x in p) for p in entry["to"]))
-            twists[(frm, to)] = tuple(parse_num(x) for x in entry["twist"])
+        for gi, entry in enumerate(obj["gluing"]):
+            field = f"ring gluing entry {gi}"
+            if not isinstance(entry, dict) or not {"from", "to", "twist"} <= entry.keys():
+                raise InputError(f"{field} needs fields 'from', 'to' and 'twist'")
+            frm = tuple(sorted(_points(entry["from"], f"{field} field 'from'")))
+            to = tuple(sorted(_points(entry["to"], f"{field} field 'to'")))
+            twists[(frm, to)] = _point(entry["twist"], f"{field} field 'twist'")
         gluing = GluingData(ambient, twists)
     pres = proj_ring(space, gluing, args.degree)
     report = pres.to_json()
-    report["hilbert_counts"] = [hilbert_count(space, d) for d in range(args.degree + 1)]
+    report["hilbert_counts"] = list(pres.hilbert)
     _write(dumps(report) + "\n", args.out)
     return 0
 

@@ -9,11 +9,11 @@ gluing-of-spectra semantics.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
-from .exactlin import vadd
-from .polytope import hull
+from .exactlin import dot, vadd
 
 
 class GluingData:
@@ -51,7 +51,12 @@ class GluingData:
         return out
 
     def validate_cocycle(self, cells):
-        """Characters must compose along chains sharing a common point."""
+        """Characters must compose along chains sharing a common point.
+
+        Without twists every transport is 1, so the check cannot fail.
+        """
+        if not self.twists:
+            return
         keys = [c.key() for c in cells]
         probe_height = 1
         for a in keys:
@@ -109,11 +114,39 @@ class RingPresentation:
 
 
 def _cell_lattice_points(cell, d):
-    """Lattice points of d * cell."""
-    if d == 0:
-        return [tuple(0 for _ in range(cell.ambient_dim))]
-    scaled = hull([tuple(d * Fraction(x) for x in v) for v in cell.vertices])
-    return scaled.lattice_points()
+    """Lattice points of d * cell, in lexicographic order.
+
+    The dilate is read off the cell's own data: its facet offsets and
+    equation constants scale by d, and its vertices by d give the bounding
+    box to scan.  Each box point is tested against those scaled
+    inequalities directly, so no hull is taken and no point is normalized;
+    rational cells are counted exactly too.
+    """
+    lo = [math.ceil(d * min(v[i] for v in cell.vertices)) for i in range(cell.ambient_dim)]
+    hi = [math.floor(d * max(v[i] for v in cell.vertices)) for i in range(cell.ambient_dim)]
+    equations = [(f, -d * c) for f, c in cell.equations]
+    facets = [(n, -d * c) for n, c in cell.facets]
+    return [
+        p
+        for p in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
+        if all(dot(f, p) == e for f, e in equations) and all(dot(n, p) >= e for n, e in facets)
+    ]
+
+
+def _lattice_point_table(cells, d):
+    """Map each lattice point of some d * cell to the bitmask of the cells holding it.
+
+    Bit i stands for cells[i].
+    """
+    table = {}
+    for i, cell in enumerate(cells):
+        for p in _cell_lattice_points(cell, d):
+            table[p] = table.get(p, 0) | 1 << i
+    return table
+
+
+def _lowest_bit(mask):
+    return (mask & -mask).bit_length() - 1
 
 
 def proj_ring(space, gluing, degree_bound):
@@ -123,29 +156,34 @@ def proj_ring(space, gluing, degree_bound):
     faces via the gluing characters; relations are all binomial
     identifications among monomials of degree <= degree_bound, with products
     of generators sharing no cell set to zero.
+
+    Everything is read off one table per degree d = 1..degree_bound (degree
+    1 at least, for the generators), mapping each lattice point of the
+    dilates d * sigma to the bitmask of the maximal cells sigma holding it:
+    the cells common to a tuple of generators are the AND of their masks,
+    and the degree-d Hilbert count is the size of the degree-d table.
     """
+    if degree_bound < 0:
+        raise ValueError("degree must be nonnegative")
     cells = space.maximal_cells
     for c in cells:
         if not c.is_lattice():
             raise ValueError("proj ring needs integral cells")
     gluing.validate_cocycle(cells)
-    # generators: one per lattice point, in its lex-min containing chart
-    gen_points = sorted({p for c in cells for p in c.lattice_points()})
-    rep_chart = {}
-    for p in gen_points:
-        rep_chart[p] = min(c.key() for c in cells if c.contains(p))
-    generators = [(p, rep_chart[p]) for p in gen_points]
-    index = {p: i for i, (p, _) in enumerate(generators)}
+    keys = [c.key() for c in cells]
+    tables = {d: _lattice_point_table(cells, d) for d in range(1, max(degree_bound, 1) + 1)}
+    # generators: one per lattice point, in its lex-min containing chart.
+    # space.maximal_cells is sorted by key, so that chart is the lowest bit.
+    gen_points = sorted(tables[1])
+    masks = [tables[1][p] for p in gen_points]
+    rep_chart = [keys[_lowest_bit(m)] for m in masks]
+    generators = list(zip(gen_points, rep_chart))
     n_gen = len(generators)
-
-    def common_cells(points):
-        return [c for c in cells if all(c.contains(p) for p in points)]
 
     relations = []
     # zero relations in degree 2
     for i, j in combinations_with_replacement(range(n_gen), 2):
-        pts = [generators[i][0], generators[j][0]]
-        if not common_cells(pts):
+        if not masks[i] & masks[j]:
             expo = [0] * n_gen
             expo[i] += 1
             expo[j] += 1
@@ -154,21 +192,21 @@ def proj_ring(space, gluing, degree_bound):
     for d in range(2, degree_bound + 1):
         classes = {}
         for combo in combinations_with_replacement(range(n_gen), d):
-            pts = [generators[i][0] for i in combo]
-            hosts = common_cells(pts)
+            hosts = -1  # every bit set
+            for i in combo:
+                hosts &= masks[i]
             if not hosts:
                 continue
-            chart = min(c.key() for c in hosts)
-            total = pts[0]
-            for p in pts[1:]:
-                total = vadd(total, p)
+            chart = keys[_lowest_bit(hosts)]
+            total = gen_points[combo[0]]
+            for i in combo[1:]:
+                total = vadd(total, gen_points[i])
             # transport each factor from its representative chart, then the
             # product to the lex-min chart containing the total point
             coeff = Fraction(1)
-            for p in pts:
-                coeff *= gluing.transport(rep_chart[p], chart, p, 1)
-            total_hosts = [c.key() for c in cells if c.contains(tuple(Fraction(x, d) for x in total))]
-            canonical = min(total_hosts)
+            for i in combo:
+                coeff *= gluing.transport(rep_chart[i], chart, gen_points[i], 1)
+            canonical = keys[_lowest_bit(tables[d][total])]
             coeff *= gluing.transport(chart, canonical, total, d)
             expo = [0] * n_gen
             for i in combo:
@@ -179,20 +217,21 @@ def proj_ring(space, gluing, degree_bound):
             base_expo, base_coeff = monos[0]
             for expo, coeff in monos[1:]:
                 relations.append((expo, base_expo, coeff / base_coeff))
-    hilbert = [hilbert_count(space, d) for d in range(degree_bound + 1)]
+    hilbert = [1] + [len(tables[d]) for d in range(1, degree_bound + 1)]
     return RingPresentation(generators, relations, degree_bound, hilbert)
 
 
 def hilbert_count(space, d):
-    """Dimension of the degree-d piece: glued lattice points at height d."""
+    """Dimension of the degree-d piece: glued lattice points at height d.
+
+    It is the number of distinct lattice points over the dilates d * sigma
+    of the maximal cells, the size of the degree-d table `proj_ring` reads.
+    """
     if d < 0:
         raise ValueError("degree must be nonnegative")
     if d == 0:
         return 1
-    pts = set()
-    for c in space.maximal_cells:
-        pts.update(_cell_lattice_points(c, d))
-    return len(pts)
+    return len(_lattice_point_table(space.maximal_cells, d))
 
 
 class EmbeddedIdeal:

@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import tropdeg
 from tropdeg.cli import main
 
@@ -169,3 +171,38 @@ def test_ring_mixed_dimension_exit_2(tmp_path):
     complex_file = tmp_path / "mixed.json"
     complex_file.write_text(json.dumps({"cells": [[[0], [1]], [[0, 0], [1, 0]]]}))
     assert_input_error(["ring", "--complex", str(complex_file)], "cell 1")
+
+
+def test_ring_negative_degree_exit_2(tmp_path):
+    complex_file = tmp_path / "two-segments.json"
+    complex_file.write_text(json.dumps({"cells": [[[0], [1]], [[1], [2]]]}))
+    assert_input_error(["ring", "--complex", str(complex_file), "--degree", "-1"], "degree must be nonnegative")
+
+
+@pytest.mark.parametrize(
+    "verb, data, words",
+    [
+        ("ring", 5, ["top-level JSON value", "object"]),
+        ("tropicalize", 5, ["top-level JSON value", "object"]),
+        ("ring", {"cells": 7}, ["'cells'"]),
+        ("ring", {"cells": [[0, 1]]}, ["ring cell 0 point 0", "list of numbers"]),
+        (
+            "ring",
+            {"cells": [[[0], [1]], [[1], [2]]], "gluing": [{"from": [[0], [1]], "to": [[1], [2]]}]},
+            ["gluing entry 0", "'twist'"],
+        ),
+        (
+            "ring",
+            {"cells": [[[0], [1]], [[1], [2]]], "gluing": [{"from": 5, "to": [[1], [2]], "twist": [2, 1]}]},
+            ["gluing entry 0 field 'from'"],
+        ),
+        ("tropicalize", {"support": {"ambient_dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}, "heights": 5}, ["'heights'"]),
+    ],
+    ids=["ring-top-level", "tropicalize-top-level", "cells-not-list", "cell-not-points", "gluing-no-twist",
+         "gluing-from-not-points", "heights-not-list"],
+)
+def test_json_shape_errors_exit_2(tmp_path, verb, data, words):
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps(data))
+    flag = "--complex" if verb == "ring" else "--input"
+    assert_input_error([verb, flag, str(inp)], *words)

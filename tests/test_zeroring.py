@@ -1,12 +1,20 @@
+import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tropdeg import zeroring
+from tropdeg.cli import main
 from tropdeg.embed import embed_D, wall_fibration_data
+from tropdeg.exactlin import vadd
 from tropdeg.polytope import (
+    LatticePolytope,
     centered_dilated_simplex,
+    cube,
     hull,
     polytope_from_inequalities,
     product,
@@ -22,6 +30,7 @@ from tropdeg.subdivision import (
 from tropdeg.tropical import TropicalSpace, hypersurface_trop
 from tropdeg.zeroring import (
     GluingData,
+    RingPresentation,
     embedded_ideal,
     genericity_scan,
     hilbert_count,
@@ -132,6 +141,223 @@ def test_hilbert_matches_inclusion_exclusion():
     for space in spaces:
         for d in range(6):
             assert hilbert_count(space, d) == _hilbert_by_inclusion_exclusion(space, d)
+
+
+# --- the contains-based presentation, kept as the oracle of the table one ---
+
+
+def oracle_cell_lattice_points(cell, d):
+    """Lattice points of d * cell."""
+    if d == 0:
+        return [tuple(0 for _ in range(cell.ambient_dim))]
+    scaled = hull([tuple(d * Fraction(x) for x in v) for v in cell.vertices])
+    return scaled.lattice_points()
+
+
+def oracle_proj_ring(space, gluing, degree_bound):
+    """Presentation of the glued cone algebra up to the given degree.
+
+    Generators are the lattice points of the maximal cells, identified along
+    faces via the gluing characters; relations are all binomial
+    identifications among monomials of degree <= degree_bound, with products
+    of generators sharing no cell set to zero.
+    """
+    cells = space.maximal_cells
+    for c in cells:
+        if not c.is_lattice():
+            raise ValueError("proj ring needs integral cells")
+    gluing.validate_cocycle(cells)
+    # generators: one per lattice point, in its lex-min containing chart
+    gen_points = sorted({p for c in cells for p in c.lattice_points()})
+    rep_chart = {}
+    for p in gen_points:
+        rep_chart[p] = min(c.key() for c in cells if c.contains(p))
+    generators = [(p, rep_chart[p]) for p in gen_points]
+    index = {p: i for i, (p, _) in enumerate(generators)}
+    n_gen = len(generators)
+
+    def common_cells(points):
+        return [c for c in cells if all(c.contains(p) for p in points)]
+
+    relations = []
+    # zero relations in degree 2
+    for i, j in combinations_with_replacement(range(n_gen), 2):
+        pts = [generators[i][0], generators[j][0]]
+        if not common_cells(pts):
+            expo = [0] * n_gen
+            expo[i] += 1
+            expo[j] += 1
+            relations.append((tuple(expo), None, 0))
+    # binomial identifications per degree
+    for d in range(2, degree_bound + 1):
+        classes = {}
+        for combo in combinations_with_replacement(range(n_gen), d):
+            pts = [generators[i][0] for i in combo]
+            hosts = common_cells(pts)
+            if not hosts:
+                continue
+            chart = min(c.key() for c in hosts)
+            total = pts[0]
+            for p in pts[1:]:
+                total = vadd(total, p)
+            # transport each factor from its representative chart, then the
+            # product to the lex-min chart containing the total point
+            coeff = Fraction(1)
+            for p in pts:
+                coeff *= gluing.transport(rep_chart[p], chart, p, 1)
+            total_hosts = [c.key() for c in cells if c.contains(tuple(Fraction(x, d) for x in total))]
+            canonical = min(total_hosts)
+            coeff *= gluing.transport(chart, canonical, total, d)
+            expo = [0] * n_gen
+            for i in combo:
+                expo[i] += 1
+            classes.setdefault((canonical, total), []).append((tuple(expo), coeff))
+        for (canonical, total), monos in sorted(classes.items()):
+            monos.sort()
+            base_expo, base_coeff = monos[0]
+            for expo, coeff in monos[1:]:
+                relations.append((expo, base_expo, coeff / base_coeff))
+    hilbert = [oracle_hilbert_count(space, d) for d in range(degree_bound + 1)]
+    return RingPresentation(generators, relations, degree_bound, hilbert)
+
+
+def oracle_hilbert_count(space, d):
+    """Dimension of the degree-d piece: glued lattice points at height d."""
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    if d == 0:
+        return 1
+    pts = set()
+    for c in space.maximal_cells:
+        pts.update(oracle_cell_lattice_points(c, d))
+    return len(pts)
+
+
+ORACLE_SUPPORTS = [
+    standard_simplex(2, 2),
+    hull([(0, 0), (2, 0), (0, 1), (2, 1)]),
+    cube(2),
+    standard_simplex(3),
+    hull([(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]),
+    hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)]),
+]
+
+CHARACTER_ENTRIES = [Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3), Fraction(-2, 3)]
+
+
+@st.composite
+def ring_inputs(draw):
+    """A regular subdivision with random heights, maybe with one more segment
+    between two of its lattice points (a lower-dimensional maximal cell,
+    which may cut through other cells), maybe twisted by a coboundary
+    gluing; and a degree bound 0..3."""
+    support = draw(st.sampled_from(ORACLE_SUPPORTS))
+    pts = support.lattice_points()
+    heights = draw(st.lists(st.integers(min_value=0, max_value=6), min_size=len(pts), max_size=len(pts)))
+    sub, _ = regular_subdivision(pts, heights)
+    cells = list(sub.maximal_cells)
+    n = support.ambient_dim
+    if draw(st.booleans()):
+        cells.append(hull(draw(st.lists(st.sampled_from(pts), min_size=2, max_size=2, unique=True))))
+    space = TropicalSpace(n, n, cells, "solid")
+    gluing = vanilla_gluing(n)
+    if draw(st.booleans()):
+        # twist(a, b) = chi_b / chi_a is a coboundary, so it is a cocycle
+        entry = st.sampled_from(CHARACTER_ENTRIES)
+        chi = {c.key(): draw(st.tuples(*[entry] * (n + 1))) for c in space.maximal_cells}
+        keys = sorted(chi)
+        twists = {
+            (a, b): tuple(y / x for x, y in zip(chi[a], chi[b])) for i, a in enumerate(keys) for b in keys[i + 1 :]
+        }
+        gluing = GluingData(n, twists)
+    return space, gluing, draw(st.integers(min_value=0, max_value=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ring_inputs())
+def test_proj_ring_matches_contains_oracle(case):
+    space, gluing, degree = case
+    fast = proj_ring(space, gluing, degree)
+    slow = oracle_proj_ring(space, gluing, degree)
+    assert fast.generators == slow.generators
+    assert fast.relations == slow.relations
+    assert fast.hilbert == slow.hilbert
+    assert [hilbert_count(space, d) for d in range(degree + 1)] == list(slow.hilbert)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=2, max_size=4),
+    st.integers(min_value=2, max_value=3),
+)
+def test_rational_cells_match_oracle(pts, den):
+    rational = hull([(Fraction(x, den), Fraction(y, den)) for x, y in pts])
+    lattice = hull([(0, 0), (1, 0), (0, 1)])
+    space = TropicalSpace(2, 2, [rational, lattice], "solid")
+    for d in range(4):
+        assert hilbert_count(space, d) == oracle_hilbert_count(space, d)
+    if rational.is_lattice():
+        return
+    errors = []
+    for build in (proj_ring, oracle_proj_ring):
+        with pytest.raises(ValueError) as info:
+            build(space, vanilla_gluing(2), 2)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+
+
+def _cube_complex():
+    pts = cube(3).lattice_points()
+    rng = random.Random(11)
+    sub, _ = regular_subdivision(pts, [rng.randint(0, 1000) for _ in pts])
+    return TropicalSpace(3, 3, sub.maximal_cells, "solid")
+
+
+def test_proj_ring_makes_no_contains_or_hull_calls(monkeypatch):
+    space = _cube_complex()
+    degree = 3
+    calls = {"contains": 0, "hull": 0}
+    lattice_calls = []
+    contains, hull_fn, cell_points = LatticePolytope.contains, LatticePolytope.hull, zeroring._cell_lattice_points
+
+    def counting_contains(self, point):
+        calls["contains"] += 1
+        return contains(self, point)
+
+    def counting_hull(points):
+        calls["hull"] += 1
+        return hull_fn(points)
+
+    def counting_cell_points(cell, d):
+        lattice_calls.append((cell.key(), d))
+        return cell_points(cell, d)
+
+    monkeypatch.setattr(LatticePolytope, "contains", counting_contains)
+    monkeypatch.setattr(LatticePolytope, "hull", staticmethod(counting_hull))
+    monkeypatch.setattr(zeroring, "_cell_lattice_points", counting_cell_points)
+    pres = proj_ring(space, vanilla_gluing(3), degree)
+    assert calls == {"contains": 0, "hull": 0}
+    expected = [(c.key(), d) for c in space.maximal_cells for d in range(1, degree + 1)]
+    assert sorted(lattice_calls) == sorted(expected)
+    assert pres.hilbert == (1, 27, 125, 343)
+
+
+def test_ring_cli_reads_hilbert_counts_off_the_presentation(tmp_path, monkeypatch):
+    space = _cube_complex()
+    complex_file = tmp_path / "cube.json"
+    complex_file.write_text(json.dumps({"cells": [[list(v) for v in c.vertices] for c in space.maximal_cells]}))
+    out = tmp_path / "ring.json"
+    counted = []
+
+    def counting_hilbert_count(space, d):
+        counted.append(d)
+        return hilbert_count(space, d)
+
+    monkeypatch.setattr(zeroring, "hilbert_count", counting_hilbert_count)
+    assert main(["ring", "--complex", str(complex_file), "--degree", "2", "--out", str(out)]) == 0
+    assert counted == []
+    report = json.loads(out.read_text())
+    assert report["hilbert_counts"] == report["hilbert"] == [1, 27, 125]
 
 
 def test_gluing_cocycle_validation():
