@@ -94,9 +94,8 @@ def cmd_example(args):
 
 
 def cmd_tropicalize(args):
-    from .subdivision import regular_subdivision
+    from .subdivision import graph_degeneration, regular_subdivision
     from .tropical import dual_intersection_complex, hypersurface_trop
-    from .subdivision import graph_degeneration
 
     obj = _load_json(args.input)
     if "support" not in obj or "heights" not in obj:
@@ -284,10 +283,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except ValueError as e:
+    except (InputError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

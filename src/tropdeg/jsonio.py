@@ -12,13 +12,15 @@ def num_json(x):
 
 
 def parse_num(x):
-    """An int, or a Fraction from a "p/q" string; ValueError on a zero q."""
+    """An int, or a Fraction from a "p/q" string; ValueError on a zero q, a bool or a non-integral float."""
     if isinstance(x, str):
         num, _, den = x.partition("/")
         den = int(den) if den else 1
         if den == 0:
             raise ValueError(f"zero denominator in {x!r}")
         return Fraction(int(num), den)
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError(f"not an exact number: {x!r}")
     return int(x)
 
 

@@ -7,6 +7,7 @@ exact, and every tie-break documented in the constructions it relies on.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .embed import (
@@ -99,6 +100,11 @@ def _diagonal_matches(two_param, summed):
     return expected == got
 
 
+def _face_census(solid):
+    """Number of boundary faces of each of the four types of a product solid."""
+    return dict(sorted(Counter(classify_face(solid, k) for k in solid.faces() if solid.is_boundary_cell(k)).items()))
+
+
 def build_kp1_2(k):
     """(k+1, 2) hypersurface in P^k x P^1: the product-of-dilations pipeline."""
     if k < 1:
@@ -131,11 +137,6 @@ def build_kp1_2(k):
     t_d, iota, surjective = embed_D(sphere, fibration)
     fmap = simplex_fibration(sphere, fibration)
     fibre_keys = barycenter_fibre(sphere, fibration)
-    # census of the four boundary face types on the solid complex
-    census = {}
-    for key, cell in solid.boundary_cells().items():
-        t = classify_face(solid, cell)
-        census[t] = census.get(t, 0) + 1
     # specialization data: Tyurin-only refinement versus the full central one
     gen_space = TropicalSpace(prism.ambient_dim, prism.dim, big_s.maximal_cells, "solid", metadata={"fan_structure": False})
     zero_space = TropicalSpace(prism.ambient_dim, prism.dim, refined.maximal_cells, "solid", metadata={"fan_structure": True})
@@ -157,7 +158,7 @@ def build_kp1_2(k):
             "warnings": list(fmap.warnings),
         },
         "diagonal_compatible": diagonal_ok,
-        "face_census": dict(sorted(census.items())),
+        "face_census": _face_census(solid),
         "specialization_surjective": rho.surjective,
     }
     return PipelineResult(

@@ -449,13 +449,8 @@ def graph_degeneration(subs_and_fs, refinement=None):
     r = len(subs_and_fs)
     total = []
     for cell in refined.maximal_cells:
-        lifted = []
-        for v in cell.vertices:
-            coords = list(v)
-            for s, f in subs_and_fs:
-                coords.append(f.value_at(v, s))
-            lifted.append(tuple(coords))
-        total.append(hull(lifted))
+        pieces = [_piece_on(f, s, cell) for s, f in subs_and_fs]
+        total.append(hull([tuple(v) + tuple(affine_value(piece, v) for piece in pieces) for v in cell.vertices]))
     return GraphDegeneration(refined.support, [f for _, f in subs_and_fs], refined, total, r)
 
 

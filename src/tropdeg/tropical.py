@@ -13,6 +13,7 @@ the hand-checkable focus-focus models.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .exactlin import (
     clear_fractions,
@@ -48,6 +49,8 @@ class TropicalSpace:
         self.boundary_keys = frozenset(boundary_keys)
         self.explicit_charts = dict(explicit_charts or {})
         self.metadata = dict(metadata or {})
+        self._faces = None
+        self._boundary_faces = None
         self._cells = None
         self._walls = None
         self._chart_cache = {}
@@ -58,17 +61,31 @@ class TropicalSpace:
 
     # -- complex structure
 
+    def faces(self):
+        """The face table: each face's vertex key mapped to its dimension.
+
+        Sorted by key and read off the face lattices of the maximal cells,
+        with no hull; the boundary face keys are found with it.
+        """
+        if self._faces is None:
+            self._faces, self._boundary_faces = _face_table(self.maximal_cells, self.boundary_keys)
+        return self._faces
+
     def cells(self):
-        """All faces of all maximal cells, deduplicated by vertex key."""
+        """Every face as a polytope, keyed like faces().
+
+        Each maximal cell stands for itself; every other face is hulled once.
+        """
         if self._cells is None:
-            self._cells = _faces_by_key(self.maximal_cells)
+            own = {c.key(): c for c in self.maximal_cells}
+            self._cells = {k: own[k] if k in own else hull(list(k)) for k in self.faces()}
         return self._cells
 
     def cells_of_dim(self, d):
         return {k: c for k, c in self.cells().items() if c.dim == d}
 
     def vertices(self):
-        return sorted(k[0] for k in self.cells_of_dim(0))
+        return [k[0] for k, d in self.faces().items() if d == 0]
 
     def edges(self):
         return self.cells_of_dim(1)
@@ -83,17 +100,13 @@ class TropicalSpace:
         return {k: v for k, v in self.walls().items() if len(v) == 2 and k not in self.boundary_keys}
 
     def is_boundary_cell(self, key):
-        if key in self.boundary_keys:
-            return True
-        return any(set(key) <= set(bk) for bk in self.boundary_keys)
+        """True iff the face lies in one of the recorded boundary cells."""
+        self.faces()
+        return key in self._boundary_faces
 
     def boundary_cells(self):
-        """All faces of the recorded boundary cells, keyed by vertices.
-
-        Cheaper than filtering cells(): only the boundary subcomplex is
-        walked, which matters for large solid complexes.
-        """
-        return _faces_by_key([hull(list(key)) for key in self.boundary_keys])
+        """The faces of the recorded boundary cells, keyed by vertices."""
+        return {k: c for k, c in self.cells().items() if self.is_boundary_cell(k)}
 
     # -- charts and fan structures
 
@@ -177,21 +190,22 @@ class TropicalSpace:
         return tuple(tuple(Fraction(x, d) for x in row) for row in mat_mul(m_to, inv))
 
 
-def _faces_by_key(polys):
-    """All nonempty faces of the polytopes, keyed by vertices.
+def _face_table(cells, boundary_keys):
+    """(dimension of each face key, set of boundary face keys), with no hull.
 
-    Each polytope stands for itself; each proper face is hulled once.
+    The faces are read off each cell's face lattice, and the faces of a
+    boundary key off the lattice of each cell having that key as a face.
     """
-    out = {}
-    for poly in polys:
-        for dim, faces in poly.faces().faces_by_dim.items():
-            if dim < 0:
-                continue
-            for face in faces:
-                key = tuple(poly.vertices[i] for i in sorted(face))
-                if key not in out:
-                    out[key] = poly if key == poly.vertices else hull(list(key))
-    return dict(sorted(out.items()))
+    dims = {}
+    boundary = set()
+    for cell in cells:
+        lattice = cell.faces()
+        keyed = [(tuple(cell.vertices[i] for i in sorted(f)), d, f) for d in range(cell.dim + 1) for f in lattice.faces(d)]
+        for key, d, face in keyed:
+            dims.setdefault(key, d)
+            if key in boundary_keys:
+                boundary.update(k for k, _, f in keyed if f <= face)
+    return dict(sorted(dims.items())), frozenset(boundary)
 
 
 # --- constructions ----------------------------------------------------------
@@ -295,7 +309,8 @@ def _compute_discriminant(space):
         if space.chart_kind != "boundary":
             # identity (or explicit) charts on a 1-complex are globally flat
             return Discriminant([], n)
-        for key, cell in sorted(space.edges().items()):
+        for cell in space.maximal_cells:
+            key = cell.key()
             if space.is_boundary_cell(key):
                 continue
             length = cell.normalized_volume()
@@ -312,35 +327,35 @@ def _compute_discriminant(space):
                 }
             )
         return Discriminant(entries, n)
-    cells = space.cells()
-    walls = space.interior_walls()
-    edges = space.edges()
+    # each loop is an interior edge of an interior wall: a vertex pair of the
+    # wall that is an edge key; sorted, the loops come edge first, wall second
+    faces = space.faces()
+    loops = sorted(
+        (pair, wall_key, adj)
+        for wall_key, adj in space.interior_walls().items()
+        for pair in combinations(wall_key, 2)
+        if faces.get(pair) == 1 and not space.is_boundary_cell(pair)
+    )
     ident = None
-    for edge_key, edge in sorted(edges.items()):
-        if space.is_boundary_cell(edge_key):
+    for edge_key, wall_key, adj in loops:
+        m = space._loop_matrix(edge_key[0], edge_key[1], space.maximal_cells[adj[0]], space.maximal_cells[adj[1]])
+        if ident is None or len(ident) != len(m):
+            ident = mat_identity(len(m))
+        if m == ident:
             continue
-        for wall_key, adj in walls.items():
-            if not set(edge_key) <= set(wall_key):
-                continue
-            wall = cells[wall_key]
-            m = space.monodromy(edge, wall)
-            if ident is None or len(ident) != len(m):
-                ident = mat_identity(len(m))
-            if m == ident:
-                continue
-            disp, mult = _displacement(m)
-            entries.append(
-                {
-                    "edge": edge_key,
-                    "wall": wall_key,
-                    "edge_midpoint": _barycenter_of_key(edge_key),
-                    "wall_barycenter": _barycenter_of_key(wall_key),
-                    "matrix": m,
-                    "displacement": disp,
-                    "multiplicity": mult,
-                    "kind": "transvection",
-                }
-            )
+        disp, mult = _displacement(m)
+        entries.append(
+            {
+                "edge": edge_key,
+                "wall": wall_key,
+                "edge_midpoint": _barycenter_of_key(edge_key),
+                "wall_barycenter": _barycenter_of_key(wall_key),
+                "matrix": m,
+                "displacement": disp,
+                "multiplicity": mult,
+                "kind": "transvection",
+            }
+        )
     return Discriminant(entries, n)
 
 
@@ -377,15 +392,10 @@ def monodromy_polytope(space, disc_entry):
     if disc_entry.get("kind") == "rotation":
         mult = disc_entry["multiplicity"]
         return hull([(0,), (mult,)])
-    m = disc_entry["matrix"]
-    if m is None:
+    if disc_entry["matrix"] is None:
         raise ValueError("cell is not singular")
-    disp, mult = _displacement(m)
-    if disp is None:
-        raise ValueError("cell is not singular")
-    n = len(m)
-    origin = tuple(0 for _ in range(n))
-    return hull([origin, disp])
+    disp = disc_entry["displacement"]
+    return hull([tuple(0 for _ in disp), disp])
 
 
 class MonodromyReport:
@@ -426,12 +436,6 @@ def is_simple(space):
     for e in disc.entries:
         poly = monodromy_polytope(space, e)
         elementary = poly.is_elementary_simplex()
-        needs_review = False
-        if e.get("matrix") is not None:
-            d = e["matrix"]
-            n = len(d)
-            rank = mat_rank(tuple(tuple(d[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)))
-            needs_review = rank > 1
         if not elementary:
             verdict = False
         entries.append(
@@ -442,7 +446,6 @@ def is_simple(space):
                 "polytope": poly,
                 "multiplicity": e["multiplicity"],
                 "elementary": elementary,
-                "needs_review": needs_review,
             }
         )
     return verdict, MonodromyReport(entries)
@@ -474,23 +477,21 @@ def charts_globally_compatible(space):
 FACE_TYPES = ("InteriorCap", "BoundaryCap", "HorizontalSide", "VerticalSide")
 
 
-def classify_face(space, cell):
-    """The four boundary face types of a (dilated simplex) x (segment) space."""
+def classify_face(space, key):
+    """The boundary face type of a face key of a (dilated simplex) x (segment) space."""
     meta = space.metadata
     if "product_vertical_coord" not in meta:
         raise ValueError("space is not product-typed")
     last = meta["product_vertical_coord"]
     factor_facets = meta["factor_facets"]
     levels = meta["vertical_levels"]
-    verts = cell.vertices
-    zs = [v[last] for v in verts]
+    zs = [v[last] for v in key]
+    proj = [tuple(x for i, x in enumerate(v) if i != last) for v in key]
+    on_factor_boundary = any(all(dot(n, p) == -c for p in proj) for n, c in factor_facets)
     if all(z == levels[1] for z in zs) or all(z == levels[0] for z in zs):
-        proj = [tuple(x for i, x in enumerate(v) if i != last) for v in verts]
-        on_factor_boundary = any(all(dot(n, p) == -c for p in proj) for n, c in factor_facets)
         return "BoundaryCap" if on_factor_boundary else "InteriorCap"
     if all(z == 0 for z in zs):
         return "HorizontalSide"
-    proj = [tuple(x for i, x in enumerate(v) if i != last) for v in verts]
-    if any(all(dot(n, p) == -c for p in proj) for n, c in factor_facets):
+    if on_factor_boundary:
         return "VerticalSide"
     raise ValueError("cell is not a boundary face of the product")

@@ -181,13 +181,14 @@ def proj_ring(space, gluing, degree_bound):
     n_gen = len(generators)
 
     relations = []
-    # zero relations in degree 2
-    for i, j in combinations_with_replacement(range(n_gen), 2):
-        if not masks[i] & masks[j]:
-            expo = [0] * n_gen
-            expo[i] += 1
-            expo[j] += 1
-            relations.append((tuple(expo), None, 0))
+    # zero relations in degree 2, when the bound reaches it
+    if degree_bound >= 2:
+        for i, j in combinations_with_replacement(range(n_gen), 2):
+            if not masks[i] & masks[j]:
+                expo = [0] * n_gen
+                expo[i] += 1
+                expo[j] += 1
+                relations.append((tuple(expo), None, 0))
     # binomial identifications per degree
     for d in range(2, degree_bound + 1):
         classes = {}

@@ -179,6 +179,26 @@ def test_ring_negative_degree_exit_2(tmp_path):
     assert_input_error(["ring", "--complex", str(complex_file), "--degree", "-1"], "degree must be nonnegative")
 
 
+@pytest.mark.parametrize("bad, word", [(0.5, "0.5"), (2.7, "2.7"), (True, "True")], ids=["half", "float", "bool"])
+def test_ring_inexact_coordinate_exit_2(tmp_path, bad, word):
+    # a float or a boolean coordinate is not read as a truncated integer
+    complex_file = tmp_path / "inexact.json"
+    complex_file.write_text(json.dumps({"cells": [[[bad], [3]]]}))
+    assert_input_error(["ring", "--complex", str(complex_file), "--degree", "1"], "not an exact number", word)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_ring_relations_stop_at_the_degree_bound(tmp_path, degree):
+    # x0 * x2 = 0 has degree 2, so it appears only from --degree 2 on
+    complex_file = tmp_path / "two-segments.json"
+    complex_file.write_text(json.dumps({"cells": [[[0], [1]], [[1], [2]]]}))
+    out = tmp_path / "ring.json"
+    assert run(["ring", "--complex", str(complex_file), "--degree", str(degree), "--out", str(out)]) == 0
+    relations = json.loads(out.read_text())["relations"]
+    assert all(sum(r["lhs"]) <= degree for r in relations)
+    assert ({"lhs": [1, 0, 1], "rhs": None, "scalar": "0"} in relations) == (degree >= 2)
+
+
 @pytest.mark.parametrize(
     "verb, data, words",
     [

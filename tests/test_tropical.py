@@ -3,16 +3,23 @@ from fractions import Fraction
 import pytest
 
 from tropdeg.exactlin import dot, mat_identity, mat_mul, mat_vec
-from tropdeg.polytope import centered_dilated_simplex, cube, hull, product, segment
+from tropdeg.embed import lg_truncate, side_subcomplex
+from tropdeg.pipelines import QUINTIC_COLUMNS, _face_census, build_hypercube, build_kp1_2
+from tropdeg.polytope import LatticePolytope, centered_dilated_simplex, cube, hull, product, segment
 from tropdeg.subdivision import (
     fine_crepant_subdivision,
     graph_degeneration,
+    hyperplane_split,
     product_pullback,
     regular_subdivision,
     sum_refinement,
 )
 from tropdeg.tropical import (
+    MonodromyReport,
     TropicalSpace,
+    _barycenter_of_key,
+    _compute_discriminant,
+    _displacement,
     charts_globally_compatible,
     classify_face,
     count_focus_focus,
@@ -129,7 +136,7 @@ def test_dual_complex_k3_is_3d_with_four_face_types(k3):
     kinds = set()
     for key, cell in solid.cells().items():
         if solid.is_boundary_cell(key):
-            kinds.add(classify_face(solid, cell))
+            kinds.add(classify_face(solid, key))
     assert kinds == {"InteriorCap", "BoundaryCap", "HorizontalSide", "VerticalSide"}
 
 
@@ -398,7 +405,7 @@ def test_classify_face_examples(k3):
     by_type = {}
     for key, cell in solid.cells().items():
         if solid.is_boundary_cell(key):
-            by_type.setdefault(classify_face(solid, cell), []).append(cell)
+            by_type.setdefault(classify_face(solid, key), []).append(cell)
     # top-cap interior triangles exist (the 9 MPCP triangles per cap)
     assert any(c.dim == 2 for c in by_type["InteriorCap"])
     # horizontal side faces sit in the vanishing of the final coordinate
@@ -412,6 +419,213 @@ def test_classify_face_examples(k3):
 
 def test_classify_face_requires_product_typed():
     space = trivial_solid_2d()
-    cell = space.maximal_cells[0]
+    key = space.maximal_cells[0].key()
     with pytest.raises(ValueError, match="product-typed"):
-        classify_face(space, cell)
+        classify_face(space, key)
+
+
+# --- the face table against the walkers it replaced ----------------------------
+#
+# The re-hulling face walkers, the boundary-key scan and the O(E*W)
+# discriminant scan that the face table replaced, kept as the oracle of a
+# differential test.
+
+
+def _faces_by_key(polys):
+    """All nonempty faces of the polytopes, keyed by vertices.
+
+    Each polytope stands for itself; each proper face is hulled once.
+    """
+    out = {}
+    for poly in polys:
+        for dim, faces in poly.faces().faces_by_dim.items():
+            if dim < 0:
+                continue
+            for face in faces:
+                key = tuple(poly.vertices[i] for i in sorted(face))
+                if key not in out:
+                    out[key] = poly if key == poly.vertices else hull(list(key))
+    return dict(sorted(out.items()))
+
+
+def _oracle_is_boundary_cell(space, key):
+    if key in space.boundary_keys:
+        return True
+    return any(set(key) <= set(bk) for bk in space.boundary_keys)
+
+
+def _oracle_boundary_cells(space):
+    return _faces_by_key([hull(list(key)) for key in space.boundary_keys])
+
+
+def _oracle_monodromy(space, edge, wall):
+    edge_key = edge.key()
+    wall_key = wall.key()
+    if _oracle_is_boundary_cell(space, edge_key) or _oracle_is_boundary_cell(space, wall_key):
+        raise ValueError("monodromy needs interior cells")
+    if not set(edge_key) <= set(wall_key):
+        raise ValueError("edge must be a face of the wall")
+    adj = space.walls().get(wall_key)
+    if adj is None or len(adj) != 2:
+        raise ValueError("wall must separate exactly two maximal cells")
+    sigma_plus = space.maximal_cells[adj[0]]
+    sigma_minus = space.maximal_cells[adj[1]]
+    v_plus, v_minus = sorted(edge.vertices)[:2]
+    return space._loop_matrix(v_plus, v_minus, sigma_plus, sigma_minus)
+
+
+def _oracle_discriminant(space):
+    entries = []
+    n = space.dim
+    if n == 0:
+        return []
+    all_cells = _faces_by_key(space.maximal_cells)
+    if n == 1:
+        if space.chart_kind != "boundary":
+            return []
+        for key, cell in sorted((k, c) for k, c in all_cells.items() if c.dim == 1):
+            if _oracle_is_boundary_cell(space, key):
+                continue
+            length = cell.normalized_volume()
+            entries.append(
+                {
+                    "edge": key,
+                    "wall": key,
+                    "edge_midpoint": _barycenter_of_key(key),
+                    "wall_barycenter": _barycenter_of_key(key),
+                    "matrix": None,
+                    "displacement": None,
+                    "multiplicity": int(length),
+                    "kind": "rotation",
+                }
+            )
+        return entries
+    cells = all_cells
+    walls = space.interior_walls()
+    edges = {k: c for k, c in all_cells.items() if c.dim == 1}
+    ident = None
+    for edge_key, edge in sorted(edges.items()):
+        if _oracle_is_boundary_cell(space, edge_key):
+            continue
+        for wall_key, adj in walls.items():
+            if not set(edge_key) <= set(wall_key):
+                continue
+            wall = cells[wall_key]
+            m = _oracle_monodromy(space, edge, wall)
+            if ident is None or len(ident) != len(m):
+                ident = mat_identity(len(m))
+            if m == ident:
+                continue
+            disp, mult = _displacement(m)
+            entries.append(
+                {
+                    "edge": edge_key,
+                    "wall": wall_key,
+                    "edge_midpoint": _barycenter_of_key(edge_key),
+                    "wall_barycenter": _barycenter_of_key(wall_key),
+                    "matrix": m,
+                    "displacement": disp,
+                    "multiplicity": mult,
+                    "kind": "transvection",
+                }
+            )
+    return entries
+
+
+def _oracle_report_json(entries):
+    """MonodromyReport JSON with each polytope re-derived from the matrix."""
+    out = []
+    for e in entries:
+        if e["kind"] == "rotation":
+            poly = hull([(0,), (e["multiplicity"],)])
+        else:
+            disp, _ = _displacement(e["matrix"])
+            poly = hull([tuple(0 for _ in disp), disp])
+        out.append({**e, "polytope": poly, "elementary": poly.is_elementary_simplex()})
+    return MonodromyReport(out).to_json()
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return "value", fn(*args)
+    except ValueError as exc:
+        return "raised", type(exc), str(exc)
+
+
+@pytest.fixture(scope="module")
+def kp1_2_results():
+    return {k: build_kp1_2(k) for k in (1, 2, 3)}
+
+
+@pytest.fixture(scope="module")
+def face_corpus(kp1_2_results):
+    spaces = {}
+    for k, result in kp1_2_results.items():
+        spaces[f"kp1-2 k={k} sphere"] = result.sphere
+        spaces[f"kp1-2 k={k} solid"] = result.solid
+    # the quintic i=1 sphere and its LG model, as build_quintic(1) makes them
+    poly = hull(list(QUINTIC_COLUMNS))
+    split_sub, _ = hyperplane_split(poly, 0, 0)
+    sphere = hypersurface_trop(poly, split_sub, enforce_fine=False)
+    t_z = side_subcomplex(sphere, 0, 0, "low")
+    spaces["quintic i=1 sphere"] = sphere
+    spaces["quintic i=1 side"] = t_z
+    spaces["quintic i=1 truncated"] = lg_truncate(t_z, ((-1, 0, 0, 0), 0))
+    for k in (1, 2, 3):
+        spaces[f"hypercube k={k} solid"] = build_hypercube(k).solid
+    spaces["focus-focus shear 1"] = focus_focus_model(1)
+    spaces["focus-focus shear 2"] = focus_focus_model(2)
+    base = centered_dilated_simplex(2)
+    sub, _ = fine_crepant_subdivision(base)
+    spaces["elliptic circle"] = hypersurface_trop(base, sub)
+    return spaces
+
+
+def test_face_table_matches_rehulling_walkers_and_pair_scan(face_corpus):
+    for name, space in face_corpus.items():
+        oracle_cells = _faces_by_key(space.maximal_cells)
+        cells = space.cells()
+        assert list(cells) == list(oracle_cells), name
+        assert [c.dim for c in cells.values()] == [c.dim for c in oracle_cells.values()], name
+        assert list(space.faces().values()) == [c.dim for c in oracle_cells.values()], name
+        assert space.vertices() == sorted(k[0] for k, c in oracle_cells.items() if c.dim == 0), name
+        boundary = [k for k in space.faces() if space.is_boundary_cell(k)]
+        assert boundary == list(_oracle_boundary_cells(space)), name
+        assert list(space.boundary_cells()) == boundary, name
+        assert boundary == [k for k in oracle_cells if _oracle_is_boundary_cell(space, k)], name
+        got = _outcome(lambda s: list(_compute_discriminant(s).entries), space)
+        want = _outcome(_oracle_discriminant, space)
+        assert got == want, name
+        if got[0] == "value":
+            assert is_simple(space)[1].to_json() == _oracle_report_json(want[1]), name
+
+
+def test_corpus_has_boundaries_and_singular_loops(face_corpus):
+    # the differential test above compares something on every axis
+    assert all(discriminant(face_corpus[f"kp1-2 k={k} sphere"]).entries for k in (2, 3))
+    assert all(face_corpus[f"kp1-2 k={k} solid"].boundary_cells() for k in (1, 2, 3))
+    assert face_corpus["quintic i=1 truncated"].boundary_keys
+
+
+def test_discriminant_and_face_census_make_no_hull_call(kp1_2_results, monkeypatch):
+    result = kp1_2_results[2]
+    sphere, solid = result.sphere, result.solid
+    # fresh copies build their face tables and walls inside the count
+    fresh_sphere = TropicalSpace(sphere.ambient_dim, sphere.dim, sphere.maximal_cells, sphere.chart_kind)
+    fresh_solid = TropicalSpace(
+        solid.ambient_dim, solid.dim, solid.maximal_cells, solid.chart_kind, boundary_keys=solid.boundary_keys, metadata=solid.metadata
+    )
+    calls = []
+    real_hull = LatticePolytope.hull
+
+    def counting_hull(points):
+        calls.append(len(points))
+        return real_hull(points)
+
+    monkeypatch.setattr(LatticePolytope, "hull", staticmethod(counting_hull))
+    for space in (sphere, fresh_sphere):
+        assert _compute_discriminant(space).entries == result.discriminant.entries
+    for space in (solid, fresh_solid):
+        assert _face_census(space) == result.report()["face_census"]
+    assert calls == []

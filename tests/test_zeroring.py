@@ -180,14 +180,15 @@ def oracle_proj_ring(space, gluing, degree_bound):
         return [c for c in cells if all(c.contains(p) for p in points)]
 
     relations = []
-    # zero relations in degree 2
-    for i, j in combinations_with_replacement(range(n_gen), 2):
-        pts = [generators[i][0], generators[j][0]]
-        if not common_cells(pts):
-            expo = [0] * n_gen
-            expo[i] += 1
-            expo[j] += 1
-            relations.append((tuple(expo), None, 0))
+    # zero relations in degree 2, when the bound reaches it
+    if degree_bound >= 2:
+        for i, j in combinations_with_replacement(range(n_gen), 2):
+            pts = [generators[i][0], generators[j][0]]
+            if not common_cells(pts):
+                expo = [0] * n_gen
+                expo[i] += 1
+                expo[j] += 1
+                relations.append((tuple(expo), None, 0))
     # binomial identifications per degree
     for d in range(2, degree_bound + 1):
         classes = {}
