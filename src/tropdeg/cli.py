@@ -118,6 +118,8 @@ def cmd_tropicalize(args):
         sub, f = regular_subdivision(points, heights)
     except ValueError as e:
         raise InputError(str(e))
+    if sub.support.vertices != support.vertices:
+        raise InputError("the hull of the 'heights' points is not the polytope 'support'")
     if args.hypersurface:
         space = hypersurface_trop(support, sub, enforce_fine=not args.coarse)
     else:

@@ -210,8 +210,8 @@ def _linear_across(f, f_sub, refined, coord, level):
     for wall, (i, j) in refined.interior_walls().items():
         if not all(v[coord] == level for v in wall):
             continue
-        pi = _piece_on(f, f_sub, cells[i])
-        pj = _piece_on(f, f_sub, cells[j])
+        pi = _piece_on(f, f_sub, refined, cells[i])
+        pj = _piece_on(f, f_sub, refined, cells[j])
         pts = set(cells[i].vertices) | set(cells[j].vertices)
         if any(affine_value(pi, p) != affine_value(pj, p) for p in pts):
             return False

@@ -15,7 +15,6 @@ from .polytope import (
     NefPartition,
     _hull_full_dim,
     clip_by_halfspace,
-    containing_cell,
     hull,
     minkowski_sum,
     normalize_point,
@@ -59,12 +58,14 @@ class Subdivision:
 
     Maximal cells cover the support and intersect in common faces; normalized
     volumes of the cells sum to the support's.  The face poset is computed on
-    demand.
+    demand.  `parents` holds, for a common refinement, one pair (source,
+    {cell key: key of the source cell holding it}) per subdivision it refines.
     """
 
-    def __init__(self, support, maximal_cells):
+    def __init__(self, support, maximal_cells, parents=()):
         self.support = support
         self.maximal_cells = tuple(sorted(maximal_cells, key=lambda c: c.key()))
+        self.parents = tuple(parents)
         self._walls = None
 
     def __repr__(self):
@@ -190,14 +191,18 @@ def check_convex_certificate(f, subdivision):
 def common_refinement(sub1, sub2):
     """Cells = full-dimensional intersections of cells from the two inputs.
 
-    Each intersection clips a cell of sub1 by the facets of a cell of sub2;
-    both cells span the common support, so the equations already agree.
+    Each intersection clips a cell a of sub1 by the facets of a cell b of
+    sub2; both cells span the common support, so the equations already agree.
+    The refinement records, for each kept cell, the key of a in sub1 and of b
+    in sub2, and through them its parent in every subdivision an input
+    itself refines, so `_piece_on` reads each piece with no containment test.
     """
     if sub1.support.vertices != sub2.support.vertices:
         raise ValueError("domain mismatch")
     dim = sub1.support.dim
-    cells = []
-    seen = set()
+    cells = {}
+    up1 = {}
+    up2 = {}
     for a in sub1.maximal_cells:
         for b in sub2.maximal_cells:
             x = a
@@ -206,10 +211,16 @@ def common_refinement(sub1, sub2):
                 if x is None or x.dim != dim:
                     break
             else:
-                if x.key() not in seen:
-                    seen.add(x.key())
-                    cells.append(x)
-    return Subdivision(sub1.support, cells)
+                key = x.key()
+                if key not in cells:
+                    cells[key] = x
+                    up1[key] = a.key()
+                    up2[key] = b.key()
+    parents = []
+    for sub, up in ((sub1, up1), (sub2, up2)):
+        parents.append((sub, up))
+        parents.extend((source, {key: older[k] for key, k in up.items()}) for source, older in sub.parents)
+    return Subdivision(sub1.support, cells.values(), parents)
 
 
 def sum_refinement(f, g, sub_f, sub_g):
@@ -217,8 +228,8 @@ def sum_refinement(f, g, sub_f, sub_g):
     refined = common_refinement(sub_f, sub_g)
     pieces = {}
     for cell in refined.maximal_cells:
-        pf = _piece_on(f, sub_f, cell)
-        pg = _piece_on(g, sub_g, cell)
+        pf = _piece_on(f, sub_f, refined, cell)
+        pg = _piece_on(g, sub_g, refined, cell)
         pieces[cell.key()] = (
             tuple(Fraction(a) + Fraction(b) for a, b in zip(pf[0], pg[0])),
             Fraction(pf[1]) + Fraction(pg[1]),
@@ -227,12 +238,21 @@ def sum_refinement(f, g, sub_f, sub_g):
     return refined, PLFunction(refined.support, pieces, "sum", conv)
 
 
-def _piece_on(f, sub, cell):
-    """The affine piece of f valid on a cell of a finer subdivision."""
-    big = containing_cell(sub.maximal_cells, cell)
-    if big is None:
-        raise ValueError("cell not contained in any cell of the coarser subdivision")
-    return f.pieces[big.key()]
+def _piece_on(f, sub, refined, cell):
+    """The affine piece of f, a function on sub, valid on a maximal cell of refined.
+
+    A cell that is a maximal cell of sub takes its own piece; any other takes
+    the piece of the parent that `common_refinement` recorded for it in sub.
+    Raises ValueError when refined records no parent in sub for the cell,
+    that is when refined was not built by `common_refinement` from sub.
+    """
+    key = cell.key()
+    if key in f.pieces:
+        return f.pieces[key]
+    for source, parent in refined.parents:
+        if source is sub:
+            return f.pieces[parent[key]]
+    raise ValueError(f"cell {list(key)} has no recorded parent cell in the coarser subdivision")
 
 
 def product_pullback(f, sub, other, side="left"):
@@ -435,7 +455,12 @@ class GraphDegeneration:
 def graph_degeneration(subs_and_fs, refinement=None):
     """r-parameter degeneration from (Subdivision, PLFunction) pairs.
 
-    Pass the precomputed common refinement when the caller already has it.
+    With no `refinement`, the input subdivisions are folded with
+    `common_refinement`.  A caller that already has their refinement passes
+    it: it must come from `common_refinement` of those same subdivision
+    objects, since each cell reads its piece of each input off the parent
+    keys recorded there (an input's own cells need no record).  Any other
+    refinement raises ValueError naming the first cell with no record.
     """
     for _, f in subs_and_fs:
         if not f.convex:
@@ -449,7 +474,7 @@ def graph_degeneration(subs_and_fs, refinement=None):
     r = len(subs_and_fs)
     total = []
     for cell in refined.maximal_cells:
-        pieces = [_piece_on(f, s, cell) for s, f in subs_and_fs]
+        pieces = [_piece_on(f, s, refined, cell) for s, f in subs_and_fs]
         total.append(hull([tuple(v) + tuple(affine_value(piece, v) for piece in pieces) for v in cell.vertices]))
     return GraphDegeneration(refined.support, [f for _, f in subs_and_fs], refined, total, r)
 

@@ -54,6 +54,7 @@ class TropicalSpace:
         self._cells = None
         self._walls = None
         self._chart_cache = {}
+        self._restricted_cache = {}
         self._disc_cache = None
 
     def __repr__(self):
@@ -150,6 +151,14 @@ class TropicalSpace:
         cols = [mat_vec(chart, b) for b in basis]
         return tuple(zip(*cols))  # columns are chart images of the basis
 
+    def _restricted_chart(self, v, cell):
+        """(m, inv, d): `_chart_on_cell(v, cell)` with inv @ m = d * I, once per (v, cell)."""
+        key = (v, cell.key())
+        if key not in self._restricted_cache:
+            m = self._chart_on_cell(v, cell)
+            self._restricted_cache[key] = (m, *left_inverse(m))
+        return self._restricted_cache[key]
+
     def monodromy(self, edge, wall):
         """Loop transformation v+ -> sigma+ -> v- -> sigma- -> v+ at v+.
 
@@ -171,12 +180,10 @@ class TropicalSpace:
         return self._loop_matrix(v_plus, v_minus, sigma_plus, sigma_minus)
 
     def _loop_matrix(self, v_plus, v_minus, sigma_plus, sigma_minus):
-        m_pp = self._chart_on_cell(v_plus, sigma_plus)
-        m_mp = self._chart_on_cell(v_minus, sigma_plus)
-        m_mm = self._chart_on_cell(v_minus, sigma_minus)
-        m_pm = self._chart_on_cell(v_plus, sigma_minus)
-        inv_mm, d_mm = left_inverse(m_mm)
-        inv_pp, d_pp = left_inverse(m_pp)
+        m_pp, inv_pp, d_pp = self._restricted_chart(v_plus, sigma_plus)
+        m_mp = self._restricted_chart(v_minus, sigma_plus)[0]
+        m_mm, inv_mm, d_mm = self._restricted_chart(v_minus, sigma_minus)
+        m_pm = self._restricted_chart(v_plus, sigma_minus)[0]
         t = mat_mul(mat_mul(mat_mul(m_pm, inv_mm), m_mp), inv_pp)
         d = d_mm * d_pp
         if any(x % d for row in t for x in row):
@@ -185,8 +192,8 @@ class TropicalSpace:
 
     def transition(self, v_from, v_to, cell):
         """Chart transition v_from -> v_to across one shared maximal cell."""
-        m_to = self._chart_on_cell(v_to, cell)
-        inv, d = left_inverse(self._chart_on_cell(v_from, cell))
+        m_to = self._restricted_chart(v_to, cell)[0]
+        _, inv, d = self._restricted_chart(v_from, cell)
         return tuple(tuple(Fraction(x, d) for x in row) for row in mat_mul(m_to, inv))
 
 
@@ -407,9 +414,6 @@ class MonodromyReport:
     def all_elementary(self):
         return all(e["elementary"] for e in self.entries)
 
-    def needs_review(self):
-        return [e for e in self.entries if e.get("needs_review")]
-
     def to_json(self):
         out = []
         for e in self.entries:
@@ -429,15 +433,20 @@ class MonodromyReport:
 
 
 def is_simple(space):
-    """(verdict, report): simple iff every monodromy polytope is elementary."""
+    """(verdict, report): simple iff every monodromy polytope is elementary.
+
+    Entries with the same (kind, multiplicity, displacement) share one
+    polytope and one elementary-simplex verdict, built for the first of them.
+    """
     disc = discriminant(space)
     entries = []
-    verdict = True
+    polytopes = {}
     for e in disc.entries:
-        poly = monodromy_polytope(space, e)
-        elementary = poly.is_elementary_simplex()
-        if not elementary:
-            verdict = False
+        shape = (e["kind"], e["multiplicity"], e["displacement"])
+        if shape not in polytopes:
+            poly = monodromy_polytope(space, e)
+            polytopes[shape] = (poly, poly.is_elementary_simplex())
+        poly, elementary = polytopes[shape]
         entries.append(
             {
                 "edge": e["edge"],
@@ -448,7 +457,7 @@ def is_simple(space):
                 "elementary": elementary,
             }
         )
-    return verdict, MonodromyReport(entries)
+    return all(elementary for _, elementary in polytopes.values()), MonodromyReport(entries)
 
 
 def count_focus_focus(space):

@@ -161,6 +161,18 @@ def test_tropicalize_height_outside_support_exit_2(tmp_path):
     assert_input_error(["tropicalize", "--input", str(inp)], "[3, 3]", "outside 'support'")
 
 
+def test_tropicalize_heights_short_of_support_exit_2(tmp_path):
+    # three corners of the square subdivide only half of it
+    data = {
+        "support": {"ambient_dim": 2, "vertices": [[-1, -1], [1, -1], [-1, 1], [1, 1]]},
+        "heights": [[[-1, -1], 0], [[1, -1], 0], [[1, 1], 1]],
+    }
+    inp = tmp_path / "half.json"
+    inp.write_text(json.dumps(data))
+    for args in (["tropicalize"], ["tropicalize", "--hypersurface", "--coarse"]):
+        assert_input_error([*args, "--input", str(inp)], "'heights'", "'support'")
+
+
 def test_ring_empty_cell_exit_2(tmp_path):
     complex_file = tmp_path / "empty-cell.json"
     complex_file.write_text(json.dumps({"cells": [[[0], [1]], []]}))

@@ -1,10 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tropdeg.pipelines import _orthant_tents
 from tropdeg.polytope import (
     NefPartition,
     centered_dilated_simplex,
+    containing_cell,
     cube,
     hull,
     product,
@@ -13,6 +17,8 @@ from tropdeg.polytope import (
 )
 from tropdeg.subdivision import (
     PLFunction,
+    _piece_on,
+    affine_value,
     avoid_hyperplane,
     blowup_refinement,
     check_convex_certificate,
@@ -21,6 +27,7 @@ from tropdeg.subdivision import (
     graph_degeneration,
     hyperplane_split,
     is_strictly_convex,
+    negate_pl,
     product_pullback,
     regular_subdivision,
     sum_refinement,
@@ -294,3 +301,122 @@ def test_split_and_sum_commute():
     a, _ = sum_refinement(f, PLFunction(sq, {c.key(): ((0, 0), Fraction(0)) for c in split_sub.maximal_cells}, "sum", True), sub_f, split_sub)
     b = common_refinement(split_sub, sub_f)
     assert a.cell_keys() == b.cell_keys()
+
+
+# --- piece lookup against the containment scan it replaced --------------------
+#
+# The containment-based `_piece_on` that the recorded parent keys replaced,
+# kept verbatim as the oracle of a differential test.
+
+
+def _oracle_piece_on(f, sub, cell):
+    """The affine piece of f valid on a cell of a finer subdivision."""
+    big = containing_cell(sub.maximal_cells, cell)
+    if big is None:
+        raise ValueError("cell not contained in any cell of the coarser subdivision")
+    return f.pieces[big.key()]
+
+
+def _check_pieces(inputs):
+    """Compare every piece lookup of sum_refinement (two inputs) and of
+    graph_degeneration (folding the inputs itself, and given the refinement
+    when sum_refinement built it) with the scan; (own-key, parent-key) counts."""
+    refinements = [None]
+    if len(inputs) == 2:
+        (sub_f, f), (sub_g, g) = inputs
+        refined, summed = sum_refinement(f, g, sub_f, sub_g)
+        for cell in refined.maximal_cells:
+            pf = _oracle_piece_on(f, sub_f, cell)
+            pg = _oracle_piece_on(g, sub_g, cell)
+            want = (tuple(Fraction(a) + Fraction(b) for a, b in zip(pf[0], pg[0])), Fraction(pf[1]) + Fraction(pg[1]))
+            assert summed.pieces[cell.key()] == want
+        refinements.append(refined)
+    own = parent = 0
+    for refinement in refinements:
+        gd = graph_degeneration(inputs, refinement=refinement)
+        graphs = []
+        for cell in gd.refinement.maximal_cells:
+            pieces = [_oracle_piece_on(f, sub, cell) for sub, f in inputs]
+            for (sub, f), piece in zip(inputs, pieces):
+                assert _piece_on(f, sub, gd.refinement, cell) == piece
+                if cell.key() in f.pieces:
+                    own += 1
+                else:
+                    parent += 1
+            graphs.append(hull([tuple(v) + tuple(affine_value(p, v) for p in pieces) for v in cell.vertices]).key())
+        assert [c.key() for c in gd.total_complex] == sorted(graphs)
+    return own, parent
+
+
+def _kp1_2_inputs(k):
+    base = centered_dilated_simplex(k)
+    sub_q, f_q = fine_crepant_subdivision(base)
+    sub_s, f_s = regular_subdivision([(-1,), (0,), (1,)], [1, 0, 1])
+    return [product_pullback(f_q, sub_q, segment(-1, 1), side="left"), product_pullback(f_s, sub_s, base, side="right")]
+
+
+def _quintic_inputs(i):
+    poly = hull(QUINTIC_COLUMNS)
+    split_sub, tent = hyperplane_split(poly, 0, i - 1)
+    return [_orthant_tents(poly, skip_coord=0), (split_sub, negate_pl(tent, split_sub))]
+
+
+def _orthant_tent_inputs():
+    """The three convex tents that `_orthant_tents` folds, for an r = 3 fold."""
+    poly = hull(QUINTIC_COLUMNS)
+    out = []
+    for j in (1, 2, 3):
+        split_sub, tent = hyperplane_split(poly, j, 0)
+        out.append((split_sub, negate_pl(tent, split_sub)))
+    return out
+
+
+def _hypercube_inputs(k):
+    pts = cube(k).lattice_points()
+    pair = regular_subdivision(pts, [sum(abs(int(x)) for x in p) for p in pts])
+    return [pair, pair]
+
+
+@pytest.mark.parametrize(
+    "build, branch",
+    [
+        *(pytest.param(lambda k=k: _kp1_2_inputs(k), "parent", id=f"kp1-2-k{k}") for k in (1, 2, 3)),
+        pytest.param(lambda: _quintic_inputs(1), "parent", id="quintic-i1"),
+        pytest.param(_orthant_tent_inputs, "parent", id="quintic-orthant-tents-r3"),
+        *(pytest.param(lambda k=k: _hypercube_inputs(k), "own", id=f"hypercube-k{k}") for k in (1, 2, 3)),
+    ],
+)
+def test_recorded_parents_give_the_pieces_containment_finds(build, branch):
+    own, parent = _check_pieces(build())
+    # each case reads every piece by the branch of _piece_on it names
+    assert (own > 0, parent > 0) == (branch == "own", branch == "parent")
+
+
+_RANDOM_SUPPORTS = [
+    cube(2).lattice_points(),
+    hull([(0, 0), (3, 0), (0, 1), (3, 1)]).lattice_points(),
+    standard_simplex(2, 3).lattice_points(),
+    hull([(0, 0), (2, 1), (1, 3)]).lattice_points(),
+    cube(3).lattice_points(),
+    hull([(0, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 1)]).lattice_points(),
+    standard_simplex(3, 2).lattice_points(),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_recorded_parents_match_containment_on_random_pairs(data):
+    pts = data.draw(st.sampled_from(_RANDOM_SUPPORTS))
+    heights = st.lists(st.integers(0, 4), min_size=len(pts), max_size=len(pts))
+    _check_pieces([regular_subdivision(pts, data.draw(heights)) for _ in range(2)])
+
+
+def test_refinement_not_built_from_the_inputs_is_rejected():
+    pts = cube(2).lattice_points()
+    sub_x, f_x = regular_subdivision(pts, [abs(p[0]) for p in pts])
+    sub_y, f_y = regular_subdivision(pts, [abs(p[1]) for p in pts])
+    refined = common_refinement(sub_x, sub_y)
+    # an equal subdivision built again is not the one the refinement recorded
+    other_y, other_f = regular_subdivision(pts, [abs(p[1]) for p in pts])
+    with pytest.raises(ValueError, match="no recorded parent"):
+        graph_degeneration([(sub_x, f_x), (other_y, other_f)], refinement=refined)

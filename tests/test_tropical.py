@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
-from tropdeg.exactlin import dot, mat_identity, mat_mul, mat_vec
+from tropdeg import pipelines, subdivision, tropical
+from tropdeg.exactlin import dot, left_inverse, mat_identity, mat_mul, mat_vec
 from tropdeg.embed import lg_truncate, side_subcomplex
 from tropdeg.pipelines import QUINTIC_COLUMNS, _face_census, build_hypercube, build_kp1_2
 from tropdeg.polytope import LatticePolytope, centered_dilated_simplex, cube, hull, product, segment
@@ -288,7 +290,6 @@ def test_k3_simple_and_count(k3):
     simple, report = is_simple(sphere)
     assert simple
     assert report.all_elementary()
-    assert not report.needs_review()
     assert count_focus_focus(sphere) == 24
 
 
@@ -471,7 +472,7 @@ def _oracle_monodromy(space, edge, wall):
     sigma_plus = space.maximal_cells[adj[0]]
     sigma_minus = space.maximal_cells[adj[1]]
     v_plus, v_minus = sorted(edge.vertices)[:2]
-    return space._loop_matrix(v_plus, v_minus, sigma_plus, sigma_minus)
+    return _oracle_loop_matrix(space, v_plus, v_minus, sigma_plus, sigma_minus)
 
 
 def _oracle_discriminant(space):
@@ -629,3 +630,129 @@ def test_discriminant_and_face_census_make_no_hull_call(kp1_2_results, monkeypat
     for space in (solid, fresh_solid):
         assert _face_census(space) == result.report()["face_census"]
     assert calls == []
+
+
+# --- restricted charts and monodromy polytopes against their uncached bodies --
+#
+# `_loop_matrix` and `transition` as they were before the per-(vertex, cell)
+# memo of restricted charts, and `is_simple` before its per-shape polytope
+# memo, kept verbatim as oracles.
+
+
+def _oracle_loop_matrix(space, v_plus, v_minus, sigma_plus, sigma_minus):
+    m_pp = space._chart_on_cell(v_plus, sigma_plus)
+    m_mp = space._chart_on_cell(v_minus, sigma_plus)
+    m_mm = space._chart_on_cell(v_minus, sigma_minus)
+    m_pm = space._chart_on_cell(v_plus, sigma_minus)
+    inv_mm, d_mm = left_inverse(m_mm)
+    inv_pp, d_pp = left_inverse(m_pp)
+    t = mat_mul(mat_mul(mat_mul(m_pm, inv_mm), m_mp), inv_pp)
+    d = d_mm * d_pp
+    if any(x % d for row in t for x in row):
+        raise ValueError("monodromy is not integral; charts are incompatible on the lattice")
+    return tuple(tuple(x // d for x in row) for row in t)
+
+
+def _oracle_transition(space, v_from, v_to, cell):
+    m_to = space._chart_on_cell(v_to, cell)
+    inv, d = left_inverse(space._chart_on_cell(v_from, cell))
+    return tuple(tuple(Fraction(x, d) for x in row) for row in mat_mul(m_to, inv))
+
+
+def _oracle_is_simple(space):
+    disc = discriminant(space)
+    entries = []
+    verdict = True
+    for e in disc.entries:
+        poly = monodromy_polytope(space, e)
+        elementary = poly.is_elementary_simplex()
+        if not elementary:
+            verdict = False
+        entries.append(
+            {
+                "edge": e["edge"],
+                "wall": e["wall"],
+                "matrix": e["matrix"],
+                "polytope": poly,
+                "multiplicity": e["multiplicity"],
+                "elementary": elementary,
+            }
+        )
+    return verdict, MonodromyReport(entries)
+
+
+def _simple_json(simple, space):
+    verdict, report = simple(space)
+    return verdict, report.to_json()
+
+
+def test_cached_charts_give_the_uncached_loops_and_transitions(face_corpus):
+    compared = 0
+    for name in [f"kp1-2 k={k} sphere" for k in (1, 2, 3)] + ["focus-focus shear 1", "focus-focus shear 2"]:
+        space = face_corpus[name]
+        cells = space.maximal_cells
+        for wall_key, (i, j) in space.interior_walls().items():
+            for v, w in permutations(wall_key, 2):
+                for s_plus, s_minus in ((cells[i], cells[j]), (cells[j], cells[i])):
+                    loop = _outcome(space._loop_matrix, v, w, s_plus, s_minus)
+                    assert loop == _outcome(_oracle_loop_matrix, space, v, w, s_plus, s_minus), name
+                    assert _outcome(space.transition, v, w, s_plus) == _outcome(_oracle_transition, space, v, w, s_plus), name
+                    compared += loop[0] == "value"
+    assert compared > 0
+
+
+def test_shared_monodromy_polytopes_give_the_uncached_report(face_corpus):
+    for name, space in face_corpus.items():
+        assert _outcome(_simple_json, is_simple, space) == _outcome(_simple_json, _oracle_is_simple, space), name
+
+
+def test_build_kp1_2_reads_pieces_charts_and_polytopes_once(monkeypatch):
+    inside, piece_calls, contains_in_piece, inverses, polytopes = [], [], [], [], []
+    real_piece_on = subdivision._piece_on
+    real_contains = LatticePolytope.contains
+    real_left_inverse = tropical.left_inverse
+    real_polytope = tropical.monodromy_polytope
+
+    def watched_piece_on(*args):
+        piece_calls.append(args)
+        inside.append(True)
+        try:
+            return real_piece_on(*args)
+        finally:
+            inside.pop()
+
+    def counting_contains(self, point):
+        if inside:
+            contains_in_piece.append(point)
+        return real_contains(self, point)
+
+    def counting_left_inverse(m):
+        inverses.append(m)
+        return real_left_inverse(m)
+
+    def counting_polytope(space, entry):
+        polytopes.append(entry["displacement"])
+        return real_polytope(space, entry)
+
+    monkeypatch.setattr(subdivision, "_piece_on", watched_piece_on)
+    monkeypatch.setattr(pipelines, "_piece_on", watched_piece_on)
+    monkeypatch.setattr(LatticePolytope, "contains", counting_contains)
+    monkeypatch.setattr(tropical, "left_inverse", counting_left_inverse)
+    monkeypatch.setattr(tropical, "monodromy_polytope", counting_polytope)
+    result = build_kp1_2(2)
+    assert piece_calls and contains_in_piece == []
+    # every (vertex, cell) pair of a discriminant loop: the edge's two ends in the wall's two cells
+    sphere = result.sphere
+    faces = sphere.faces()
+    pairs = {
+        (v, sphere.maximal_cells[c].key())
+        for wall_key, adj in sphere.interior_walls().items()
+        for edge in combinations(wall_key, 2)
+        if faces.get(edge) == 1 and not sphere.is_boundary_cell(edge)
+        for v in edge
+        for c in adj
+    }
+    assert len(inverses) == len(pairs) == len(sphere._restricted_cache)
+    assert set(sphere._restricted_cache) == pairs
+    displacements = {e["displacement"] for e in result.discriminant.entries}
+    assert len(polytopes) == len(displacements) < len(result.discriminant.entries)
