@@ -87,6 +87,16 @@ def _polytope_from_json(obj):
     return poly
 
 
+def _point_table(cells):
+    """The cells' vertices, sorted, as "points", and each cell as indices into them."""
+    points = sorted({v for c in cells for v in c.vertices})
+    idx = {p: i for i, p in enumerate(points)}
+    return {
+        "points": [point_json(p) for p in points],
+        "maximal_cells": [[idx[v] for v in c.vertices] for c in cells],
+    }
+
+
 def cmd_example(args):
     result = _example_from_args(args)
     _write(result.report_json() + "\n", args.out)
@@ -124,14 +134,7 @@ def cmd_tropicalize(args):
         space = hypersurface_trop(support, sub, enforce_fine=not args.coarse)
     else:
         space = dual_intersection_complex(graph_degeneration([(sub, f)]))
-    point_table = sorted({v for c in space.maximal_cells for v in c.vertices})
-    idx = {p: i for i, p in enumerate(point_table)}
-    report = {
-        "points": [point_json(p) for p in point_table],
-        "maximal_cells": [[idx[v] for v in c.vertices] for c in space.maximal_cells],
-        "dim": space.dim,
-        "kind": space.chart_kind,
-    }
+    report = {**_point_table(space.maximal_cells), "dim": space.dim, "kind": space.chart_kind}
     _write(dumps(report) + "\n", args.out)
     return 0
 
@@ -161,11 +164,8 @@ def cmd_lg_truncate(args):
     truncated = getattr(result, "lg_truncated", None)
     if truncated is None:
         raise InputError(f"example {args.example!r} has no LG truncation")
-    point_table = sorted({v for c in truncated.maximal_cells for v in c.vertices})
-    idx = {p: i for i, p in enumerate(point_table)}
     report = {
-        "points": [point_json(p) for p in point_table],
-        "maximal_cells": [[idx[v] for v in c.vertices] for c in truncated.maximal_cells],
+        **_point_table(truncated.maximal_cells),
         "boundary_cells": len(truncated.boundary_keys),
         "dim": truncated.dim,
     }

@@ -19,6 +19,7 @@ from .exactlin import (
     is_integrally_surjective,
     mat_identity,
     mat_rank,
+    mat_vec,
     primitive,
     saturate_lattice,
     snf_diagonal,
@@ -212,9 +213,9 @@ def embed_D(space, fibration):
     _check_face_consistency(fibration)
     cells = list(fibres.values())
     anchor, basis = _slice_lattice_chart(cells)
-    dim = len(basis)
     surjective = True
     entries = []
+    reduced_cells = []
     host_cells = {c.key(): c for c in space.maximal_cells}
     for key, cell in sorted(fibres.items()):
         host = host_cells[hosts[key]]
@@ -226,6 +227,7 @@ def embed_D(space, fibration):
         if not is_integrally_surjective(tuple(rows)):
             surjective = False
         reduced = _reduce_cell(cell, anchor, basis) if basis else hull([(0,)])
+        reduced_cells.append(reduced)
         entries.append(
             {
                 "source": reduced.key(),
@@ -234,16 +236,9 @@ def embed_D(space, fibration):
                 "translation": anchor,
             }
         )
-    if basis:
-        reduced_cells = [_reduce_cell(c, anchor, basis) for c in cells]
-        t_d_ambient = dim
-    else:
-        reduced_cells = [hull([(0,)])]
-        t_d_ambient = 1
-    complex_dim = max(c.dim for c in reduced_cells)
     t_d = TropicalSpace(
-        t_d_ambient,
-        complex_dim,
+        len(basis) or 1,
+        max(c.dim for c in reduced_cells),
         reduced_cells,
         "solid",
         metadata={"embedded": "deepest stratum fibre over (1,...,1)", "anchor": anchor, "basis": basis, "rank": rank},
@@ -254,21 +249,17 @@ def embed_D(space, fibration):
 
 
 def _check_face_consistency(fibration):
-    """Fibration functionals of cells sharing a face must agree on the overlap."""
-    items = sorted(fibration.items())
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            k1, f1 = items[i]
-            k2, f2 = items[j]
-            shared = sorted(set(k1) & set(k2))
-            if not shared:
-                continue
-            for v in shared:
-                w = tuple(v) + (1,)
-                v1 = tuple(dot(y, w) for y in f1.y)
-                v2 = tuple(dot(y, w) for y in f2.y)
-                if v1 != v2:
-                    raise ValueError("fibration data inconsistent across a shared face")
+    """Fibration functionals of cells sharing a face must agree on the overlap.
+
+    Each vertex keeps the values of the first cell holding it, in key order;
+    every other cell holding the vertex must give the same values.
+    """
+    seen = {}
+    for key, fib in sorted(fibration.items()):
+        for v in key:
+            vals = tuple(dot(y, v + (1,)) for y in fib.y)
+            if seen.setdefault(v, vals) != vals:
+                raise ValueError("fibration data inconsistent across a shared face")
 
 
 def _assert_fan_compatibility(space, cells, hosts, host_cells):
@@ -284,7 +275,7 @@ def _assert_fan_compatibility(space, cells, hosts, host_cells):
                 d = vsub(w, v)
                 if all(x == 0 for x in d):
                     continue
-                imgs.append(tuple(sum(Fraction(chart[r][c]) * Fraction(d[c]) for c in range(len(d))) for r in range(len(chart))))
+                imgs.append(mat_vec(chart, d))
             if imgs and mat_rank(tuple(imgs)) != cell.dim:
                 raise ValueError("embedding is not compatible with the fan structure at " + str(v))
 

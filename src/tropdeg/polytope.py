@@ -12,6 +12,7 @@ carry an explicit affine-span basis.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as iproduct
@@ -44,6 +45,11 @@ def normalize_point(p):
         f = Fraction(x)
         out.append(int(f) if f.denominator == 1 else f)
     return tuple(out)
+
+
+def barycenter(points):
+    """The normalized barycenter of the points: one exact sum per coordinate, divided once."""
+    return normalize_point(Fraction(sum(xs), len(points)) for xs in zip(*points))
 
 
 def is_lattice_point(p):
@@ -263,8 +269,7 @@ class LatticePolytope:
         return True
 
     def barycenter(self):
-        k = len(self.vertices)
-        return normalize_point(tuple(sum(Fraction(v[i]) for v in self.vertices) / k for i in range(self.ambient_dim)))
+        return barycenter(self.vertices)
 
     def is_lattice(self):
         return all(is_lattice_point(v) for v in self.vertices)
@@ -276,29 +281,24 @@ class LatticePolytope:
 
     # -- lattice data
 
-    def lattice_points(self):
-        """All integer points of the polytope, in lexicographic order."""
-        if self.dim == 0:
-            v = self.vertices[0]
-            return [v] if is_lattice_point(v) else []
-        if self.is_lattice():
-            anchor = self.vertices[0]
-            coords = basis_coordinates(self.span_basis, [vsub(v, anchor) for v in self.vertices])
-            lo = [min(c[i] for c in coords) for i in range(self.dim)]
-            hi = [max(c[i] for c in coords) for i in range(self.dim)]
-            ranges = [range(_ceil(a), _floor(b) + 1) for a, b in zip(lo, hi)]
-            out = []
-            for xi in iproduct(*ranges):
-                p = anchor
-                for c, b in zip(xi, self.span_basis):
-                    if c:
-                        p = vadd(p, tuple(c * bb for bb in b))
-                if self.contains(p):
-                    out.append(normalize_point(p))
-            return sorted(out)
+    def lattice_points(self, dilation=1):
+        """All integer points of dilation * self, in lexicographic order.
+
+        The dilate is read off the polytope's own data: its equation
+        constants and facet offsets scale by the dilation (a nonnegative
+        integer), and its vertices by the dilation give the bounding box to
+        scan.  Each box point is tested against those scaled constraints
+        directly, so no hull is taken and no point is normalized; rational
+        polytopes are counted exactly too.
+        """
         lo, hi = self.bounding_box()
-        ranges = [range(_ceil(a), _floor(b) + 1) for a, b in zip(lo, hi)]
-        return sorted(p for p in iproduct(*ranges) if self.contains(p))
+        equations = [(f, -dilation * c) for f, c in self.equations]
+        facets = [(n, -dilation * c) for n, c in self.facets]
+        return [
+            p
+            for p in iproduct(*(range(math.ceil(dilation * a), math.floor(dilation * b) + 1) for a, b in zip(lo, hi)))
+            if all(dot(f, p) == e for f, e in equations) and all(dot(n, p) >= e for n, e in facets)
+        ]
 
     def normalized_volume(self):
         """dim! times the Euclidean volume within the affine span (an integer)."""
@@ -320,7 +320,7 @@ class LatticePolytope:
         """A lattice simplex whose only integral points are its vertices."""
         if not self.is_lattice() or not self.is_simplex():
             return False
-        return sorted(self.lattice_points()) == sorted(self.vertices)
+        return self.lattice_points() == list(self.vertices)
 
     # -- duality
 
@@ -400,16 +400,6 @@ def _nvol_full_dim(coords, d):
         basis = saturate_lattice(diffs, d)
         total += abs(h) * _nvol_full_dim(_span_coordinates(diffs, basis), d - 1)
     return total
-
-
-def _ceil(x):
-    f = Fraction(x)
-    return -((-f.numerator) // f.denominator)
-
-
-def _floor(x):
-    f = Fraction(x)
-    return f.numerator // f.denominator
 
 
 # --- derived constructions -------------------------------------------------

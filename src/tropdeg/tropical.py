@@ -30,7 +30,7 @@ from .exactlin import (
     vsub,
 )
 from .jsonio import num_json
-from .polytope import hull, normalize_point, walls
+from .polytope import barycenter, hull, normalize_point, walls
 
 
 class TropicalSpace:
@@ -288,11 +288,6 @@ class Discriminant:
         return sum(e["multiplicity"] for e in self.entries)
 
 
-def _barycenter_of_key(key):
-    k = len(key)
-    return tuple(sum(Fraction(p[i]) for p in key) / k for i in range(len(key[0])))
-
-
 def discriminant(space):
     """Barycentric joints (edge, wall) whose loop monodromy is nontrivial.
 
@@ -321,12 +316,13 @@ def _compute_discriminant(space):
             if space.is_boundary_cell(key):
                 continue
             length = cell.normalized_volume()
+            mid = barycenter(key)
             entries.append(
                 {
                     "edge": key,
                     "wall": key,
-                    "edge_midpoint": _barycenter_of_key(key),
-                    "wall_barycenter": _barycenter_of_key(key),
+                    "edge_midpoint": mid,
+                    "wall_barycenter": mid,
                     "matrix": None,
                     "displacement": None,
                     "multiplicity": int(length),
@@ -355,8 +351,8 @@ def _compute_discriminant(space):
             {
                 "edge": edge_key,
                 "wall": wall_key,
-                "edge_midpoint": _barycenter_of_key(edge_key),
-                "wall_barycenter": _barycenter_of_key(wall_key),
+                "edge_midpoint": barycenter(edge_key),
+                "wall_barycenter": barycenter(wall_key),
                 "matrix": m,
                 "displacement": disp,
                 "multiplicity": mult,

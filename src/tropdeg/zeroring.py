@@ -9,11 +9,10 @@ gluing-of-spectra semantics.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 
-from .exactlin import dot, vadd
+from .exactlin import vadd
 
 
 class GluingData:
@@ -113,26 +112,6 @@ class RingPresentation:
         }
 
 
-def _cell_lattice_points(cell, d):
-    """Lattice points of d * cell, in lexicographic order.
-
-    The dilate is read off the cell's own data: its facet offsets and
-    equation constants scale by d, and its vertices by d give the bounding
-    box to scan.  Each box point is tested against those scaled
-    inequalities directly, so no hull is taken and no point is normalized;
-    rational cells are counted exactly too.
-    """
-    lo = [math.ceil(d * min(v[i] for v in cell.vertices)) for i in range(cell.ambient_dim)]
-    hi = [math.floor(d * max(v[i] for v in cell.vertices)) for i in range(cell.ambient_dim)]
-    equations = [(f, -d * c) for f, c in cell.equations]
-    facets = [(n, -d * c) for n, c in cell.facets]
-    return [
-        p
-        for p in product(*(range(a, b + 1) for a, b in zip(lo, hi)))
-        if all(dot(f, p) == e for f, e in equations) and all(dot(n, p) >= e for n, e in facets)
-    ]
-
-
 def _lattice_point_table(cells, d):
     """Map each lattice point of some d * cell to the bitmask of the cells holding it.
 
@@ -140,7 +119,7 @@ def _lattice_point_table(cells, d):
     """
     table = {}
     for i, cell in enumerate(cells):
-        for p in _cell_lattice_points(cell, d):
+        for p in cell.lattice_points(d):
             table[p] = table.get(p, 0) | 1 << i
     return table
 

@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from oracles import oracle_dilate_lattice_points
 
 from tropdeg.cli import main as cli_main
 from tropdeg.exactlin import det, mat_identity, mat_mul, mat_vec
@@ -177,8 +178,7 @@ def _nerve_inclusion_exclusion(space, d):
     cells = list(space.maximal_cells)
 
     def points_of(poly):
-        scaled = hull([tuple(d * Fraction(x) for x in v) for v in poly.vertices])
-        return len(scaled.lattice_points())
+        return len(oracle_dilate_lattice_points(poly, d))
 
     total = 0
 

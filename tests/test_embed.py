@@ -204,6 +204,37 @@ def test_trivial_product_embed():
     assert len(t_d.maximal_cells) == 2  # B_D = the split segment
 
 
+def test_embed_d_rejects_fibration_data_disagreeing_at_a_shared_vertex():
+    # two squares sharing the wall x_0 = 0
+    left = hull([(-1, -1), (0, -1), (-1, 1), (0, 1)])
+    right = hull([(0, -1), (1, -1), (0, 1), (1, 1)])
+    space = TropicalSpace(2, 2, [left, right], "solid")
+    fib = wall_fibration_data(space, 0, 0)
+    assert sorted(fib) == sorted([left.key(), right.key()])
+    embed_D(space, fib)
+    # y_0 = x_0 + 2t instead of x_0 + t on the right square: still nonnegative
+    # there, but it gives 2, not 1, at the shared vertices (0, +-1)
+    data = fib[right.key()]
+    fib[right.key()] = FibrationData(data.cone, [(1, 0, 2), data.y[1]], data.p)
+    with pytest.raises(ValueError, match="fibration data inconsistent across a shared face"):
+        embed_D(space, fib)
+
+
+def test_embed_d_rejects_a_chart_that_kills_the_fibre_direction():
+    # the fibre over (1, 1) is the segment x_0 = 0 of the square; the chart
+    # at its vertex (0, -1) projects away the segment's direction e_2
+    square = hull([(-1, -1), (1, -1), (-1, 1), (1, 1)])
+    ident = ((1, 0), (0, 1))
+    charts = {((0, -1), square.key()): ((1, 0), (0, 0)), ((0, 1), square.key()): ident}
+    space = TropicalSpace(2, 2, [square], "explicit", explicit_charts=charts)
+    fib = wall_fibration_data(space, 0, 0)
+    with pytest.raises(ValueError, match=r"not compatible with the fan structure at \(0, -1\)"):
+        embed_D(space, fib)
+    charts[((0, -1), square.key())] = ident
+    t_d, _, surjective = embed_D(TropicalSpace(2, 2, [square], "explicit", explicit_charts=charts), fib)
+    assert surjective and t_d.dim == 1
+
+
 def test_hypercube_point_fibre():
     sq = cube(2)
     pts = sq.lattice_points()

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import oracle_dilate_lattice_points
 
 from tropdeg import exactlin, polytope
 from tropdeg.exactlin import (
@@ -260,6 +261,55 @@ def test_rational_vertices_slice():
     assert p.dim == 2
     assert p.normalized_volume() == Fraction(1, 4)
     assert p.lattice_points() == [(0, 0)]
+
+
+@st.composite
+def lattice_point_cells(draw):
+    """Lattice and rational cells of dimension 0 to 4 in ambient dimension 1 to 4.
+
+    Two kinds: the hull of 1 to n + 2 random points, and (in ambient
+    dimension 3 and 4) a thin diagonal cell, the hull of an anchor and 0/1
+    combinations of one or two directions with at least two nonzero entries
+    each, so no edge runs along a coordinate axis and most points of its
+    bounding box are off its affine span.  The points are divided by 1
+    (a lattice cell), 2 or 3 and shifted by an integer vector.  Every
+    coordinate spans at most 2 before the division (4 in ambient dimension
+    1 and 2), so the box of a dilate by 3 stays small.
+    """
+    n = draw(st.integers(min_value=1, max_value=4))
+    reach = 2 if n <= 2 else 1
+    coord = st.integers(min_value=-reach, max_value=reach)
+    point = st.tuples(*[coord] * n)
+    if n >= 3 and draw(st.booleans()):
+        direction = st.tuples(*[st.integers(min_value=-1, max_value=1)] * n).filter(
+            lambda u: sum(1 for x in u if x) >= 2
+        )
+        dirs = draw(st.lists(direction, min_size=1, max_size=2))
+        start = draw(st.tuples(*[st.integers(min_value=0, max_value=1)] * n))
+        combos = iproduct((0, 1), repeat=len(dirs))
+        pts = [tuple(a + sum(c * u[i] for c, u in zip(cs, dirs)) for i, a in enumerate(start)) for cs in combos]
+        pts = draw(st.lists(st.sampled_from(pts), min_size=2, max_size=len(pts), unique=True))
+    else:
+        size = draw(st.integers(min_value=1, max_value=n + 2))
+        pts = draw(st.lists(point, min_size=size, max_size=size, unique=True))
+    den = draw(st.sampled_from([1, 1, 2, 3]))
+    shift = draw(point)
+    return hull([tuple(Fraction(x, den) + t for x, t in zip(p, shift)) for p in pts])
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_point_cells(), st.integers(min_value=1, max_value=3))
+def test_lattice_points_match_retired_enumerator(poly, dilation):
+    assert poly.lattice_points(dilation) == oracle_dilate_lattice_points(poly, dilation)
+
+
+def test_lattice_points_of_a_thin_diagonal_dilate():
+    # the box of 2 * [(0,0,0,0), (1,1,1,1)] has 81 points, 3 on the segment
+    seg = hull([(0, 0, 0, 0), (1, 1, 1, 1)])
+    assert seg.lattice_points(2) == [(0, 0, 0, 0), (1, 1, 1, 1), (2, 2, 2, 2)]
+    tri = hull([(Fraction(1, 2), 0, 0), (0, Fraction(1, 2), 0), (0, 0, Fraction(1, 2))])
+    assert tri.lattice_points() == []
+    assert tri.lattice_points(2) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
 def test_json_round_trip(quintic):

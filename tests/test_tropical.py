@@ -7,7 +7,7 @@ from tropdeg import pipelines, subdivision, tropical
 from tropdeg.exactlin import dot, left_inverse, mat_identity, mat_mul, mat_vec
 from tropdeg.embed import lg_truncate, side_subcomplex
 from tropdeg.pipelines import QUINTIC_COLUMNS, _face_census, build_hypercube, build_kp1_2
-from tropdeg.polytope import LatticePolytope, centered_dilated_simplex, cube, hull, product, segment
+from tropdeg.polytope import LatticePolytope, barycenter, centered_dilated_simplex, cube, hull, product, segment
 from tropdeg.subdivision import (
     fine_crepant_subdivision,
     graph_degeneration,
@@ -19,7 +19,6 @@ from tropdeg.subdivision import (
 from tropdeg.tropical import (
     MonodromyReport,
     TropicalSpace,
-    _barycenter_of_key,
     _compute_discriminant,
     _displacement,
     charts_globally_compatible,
@@ -492,8 +491,8 @@ def _oracle_discriminant(space):
                 {
                     "edge": key,
                     "wall": key,
-                    "edge_midpoint": _barycenter_of_key(key),
-                    "wall_barycenter": _barycenter_of_key(key),
+                    "edge_midpoint": barycenter(key),
+                    "wall_barycenter": barycenter(key),
                     "matrix": None,
                     "displacement": None,
                     "multiplicity": int(length),
@@ -522,8 +521,8 @@ def _oracle_discriminant(space):
                 {
                     "edge": edge_key,
                     "wall": wall_key,
-                    "edge_midpoint": _barycenter_of_key(edge_key),
-                    "wall_barycenter": _barycenter_of_key(wall_key),
+                    "edge_midpoint": barycenter(edge_key),
+                    "wall_barycenter": barycenter(wall_key),
                     "matrix": m,
                     "displacement": disp,
                     "multiplicity": mult,

@@ -6,6 +6,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import oracle_dilate_lattice_points, oracle_lattice_points
 
 from tropdeg import zeroring
 from tropdeg.cli import main
@@ -125,8 +126,7 @@ def _hilbert_by_inclusion_exclusion(space, d):
             if inter is None:
                 continue
             any_nonempty = True
-            scaled = hull([tuple(d * Fraction(x) for x in v) for v in inter.vertices])
-            layer += len(scaled.lattice_points())
+            layer += len(oracle_dilate_lattice_points(inter, d))
         total += layer if r % 2 == 1 else -layer
         if not any_nonempty:
             break
@@ -146,14 +146,6 @@ def test_hilbert_matches_inclusion_exclusion():
 # --- the contains-based presentation, kept as the oracle of the table one ---
 
 
-def oracle_cell_lattice_points(cell, d):
-    """Lattice points of d * cell."""
-    if d == 0:
-        return [tuple(0 for _ in range(cell.ambient_dim))]
-    scaled = hull([tuple(d * Fraction(x) for x in v) for v in cell.vertices])
-    return scaled.lattice_points()
-
-
 def oracle_proj_ring(space, gluing, degree_bound):
     """Presentation of the glued cone algebra up to the given degree.
 
@@ -168,7 +160,7 @@ def oracle_proj_ring(space, gluing, degree_bound):
             raise ValueError("proj ring needs integral cells")
     gluing.validate_cocycle(cells)
     # generators: one per lattice point, in its lex-min containing chart
-    gen_points = sorted({p for c in cells for p in c.lattice_points()})
+    gen_points = sorted({p for c in cells for p in oracle_lattice_points(c)})
     rep_chart = {}
     for p in gen_points:
         rep_chart[p] = min(c.key() for c in cells if c.contains(p))
@@ -230,7 +222,7 @@ def oracle_hilbert_count(space, d):
         return 1
     pts = set()
     for c in space.maximal_cells:
-        pts.update(oracle_cell_lattice_points(c, d))
+        pts.update(oracle_dilate_lattice_points(c, d))
     return len(pts)
 
 
@@ -319,7 +311,7 @@ def test_proj_ring_makes_no_contains_or_hull_calls(monkeypatch):
     degree = 3
     calls = {"contains": 0, "hull": 0}
     lattice_calls = []
-    contains, hull_fn, cell_points = LatticePolytope.contains, LatticePolytope.hull, zeroring._cell_lattice_points
+    contains, hull_fn, cell_points = LatticePolytope.contains, LatticePolytope.hull, LatticePolytope.lattice_points
 
     def counting_contains(self, point):
         calls["contains"] += 1
@@ -329,13 +321,13 @@ def test_proj_ring_makes_no_contains_or_hull_calls(monkeypatch):
         calls["hull"] += 1
         return hull_fn(points)
 
-    def counting_cell_points(cell, d):
-        lattice_calls.append((cell.key(), d))
-        return cell_points(cell, d)
+    def counting_cell_points(cell, dilation=1):
+        lattice_calls.append((cell.key(), dilation))
+        return cell_points(cell, dilation)
 
     monkeypatch.setattr(LatticePolytope, "contains", counting_contains)
     monkeypatch.setattr(LatticePolytope, "hull", staticmethod(counting_hull))
-    monkeypatch.setattr(zeroring, "_cell_lattice_points", counting_cell_points)
+    monkeypatch.setattr(LatticePolytope, "lattice_points", counting_cell_points)
     pres = proj_ring(space, vanilla_gluing(3), degree)
     assert calls == {"contains": 0, "hull": 0}
     expected = [(c.key(), d) for c in space.maximal_cells for d in range(1, degree + 1)]
