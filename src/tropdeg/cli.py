@@ -28,6 +28,8 @@ def _load_json(path):
             obj = json.load(fh)
     except FileNotFoundError:
         raise InputError(f"input file not found: {path}")
+    except OSError as e:
+        raise InputError(f"cannot read input file {path}: {e.strerror or e}")
     except json.JSONDecodeError as e:
         raise InputError(f"malformed JSON in {path}: line {e.lineno} column {e.colno}: {e.msg}")
     if not isinstance(obj, dict):
@@ -56,8 +58,11 @@ def _write(text, out):
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise InputError(f"cannot write output file {out}: {e.strerror or e}")
 
 
 def _example_from_args(args):

@@ -21,7 +21,6 @@ from .exactlin import (
     mat_rank,
     mat_vec,
     primitive,
-    saturate_lattice,
     snf_diagonal,
     vneg,
     vsub,
@@ -57,9 +56,6 @@ class FibrationData:
     @property
     def rank(self):
         return len(self.y) - 1
-
-
-EMPTY_FIBRE = None
 
 
 def local_fibre(fib, target):
@@ -173,16 +169,6 @@ class ComplexMap:
         }
 
 
-def _slice_lattice_chart(cells):
-    """Anchor and saturated direction basis of the affine span of a cell union."""
-    verts = sorted({v for c in cells for v in c.vertices})
-    anchor = verts[0]
-    diffs = [clear_fractions(vsub(v, anchor)) for v in verts[1:]]
-    ambient = len(anchor)
-    basis = saturate_lattice(diffs, ambient) if diffs else []
-    return anchor, basis
-
-
 def _reduce_cell(cell, anchor, basis):
     return hull(basis_coordinates(basis, [vsub(v, anchor) for v in cell.vertices]))
 
@@ -212,7 +198,9 @@ def embed_D(space, fibration):
         raise ValueError("all local fibres over (1,...,1) are empty")
     _check_face_consistency(fibration)
     cells = list(fibres.values())
-    anchor, basis = _slice_lattice_chart(cells)
+    # the slice chart: anchor and saturated span basis of the cells' union
+    chart = hull([v for c in cells for v in c.vertices])
+    anchor, basis = chart.anchor, chart.span_basis
     surjective = True
     entries = []
     reduced_cells = []
@@ -394,6 +382,27 @@ def lg_truncate(space, u_functional):
     return out
 
 
+def _containment_entries(cells, hosts, ambient_dim, unmatched, host_is_source=False):
+    """Identity entries between each cell and the first host containing it.
+
+    Returns (entries, keys of the hosts covered).  An entry maps the cell to
+    its host, or the host to the cell when host_is_source; a cell no host
+    contains raises ValueError with `unmatched` followed by the cell's key.
+    """
+    entries = []
+    covered = set()
+    ident = mat_identity(ambient_dim)
+    zero = tuple(0 for _ in range(ambient_dim))
+    for c in cells:
+        host = containing_cell(hosts, c)
+        if host is None:
+            raise ValueError(unmatched + str(c.key()))
+        covered.add(host.key())
+        source, target = (host, c) if host_is_source else (c, host)
+        entries.append({"source": source.key(), "target": target.key(), "matrix": ident, "translation": zero})
+    return entries, covered
+
+
 def open_embed_LG(t_z, t_x):
     """Cell correspondence embedding an LG-model complex into the total one.
 
@@ -401,23 +410,9 @@ def open_embed_LG(t_z, t_x):
     per-cell certificates are identity maps, hence unimodular.  Maximal cells
     of t_x not meeting the image are reported as missing.
     """
-    entries = []
-    covered = set()
-    n = t_x.ambient_dim
-    ident = mat_identity(n)
-    for c in t_z.maximal_cells:
-        target = containing_cell(t_x.maximal_cells, c)
-        if target is None:
-            raise ValueError("no locally isomorphic correspondence for cell " + str(c.key()))
-        covered.add(target.key())
-        entries.append(
-            {
-                "source": c.key(),
-                "target": target.key(),
-                "matrix": ident,
-                "translation": tuple(0 for _ in range(n)),
-            }
-        )
+    entries, covered = _containment_entries(
+        t_z.maximal_cells, t_x.maximal_cells, t_x.ambient_dim, "no locally isomorphic correspondence for cell "
+    )
     missing = [c.key() for c in t_x.maximal_cells if c.key() not in covered]
     return ComplexMap(entries, surjective=not missing, missing_cells=missing)
 
@@ -428,22 +423,11 @@ def specialization_map(xi_gen, xi_zero):
     Every cell of xi_zero must lie in a cell of xi_gen (closure containment in
     the common refinement); the map is the identity on supports.
     """
-    entries = []
-    covered_sources = set()
-    n = xi_gen.ambient_dim
-    ident = mat_identity(n)
-    for c in xi_zero.maximal_cells:
-        source = containing_cell(xi_gen.maximal_cells, c)
-        if source is None:
-            raise ValueError("inputs come from unrelated pipelines: unmatched cell " + str(c.key()))
-        covered_sources.add(source.key())
-        entries.append(
-            {
-                "source": source.key(),
-                "target": c.key(),
-                "matrix": ident,
-                "translation": tuple(0 for _ in range(n)),
-            }
-        )
-    surjective = covered_sources == {c.key() for c in xi_gen.maximal_cells}
-    return ComplexMap(entries, surjective=surjective)
+    entries, covered = _containment_entries(
+        xi_zero.maximal_cells,
+        xi_gen.maximal_cells,
+        xi_gen.ambient_dim,
+        "inputs come from unrelated pipelines: unmatched cell ",
+        host_is_source=True,
+    )
+    return ComplexMap(entries, surjective=covered == {c.key() for c in xi_gen.maximal_cells})

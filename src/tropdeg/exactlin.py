@@ -10,10 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-IntVector = tuple
-IntMatrix = tuple
-
-
 def content(v):
     """gcd of the entries of v (0 for the zero vector).
 

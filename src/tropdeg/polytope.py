@@ -35,7 +35,7 @@ from .exactlin import (
     vadd,
     vsub,
 )
-from .jsonio import num_json, parse_num
+from .jsonio import key_json, parse_num
 
 
 def normalize_point(p):
@@ -59,6 +59,21 @@ def is_lattice_point(p):
 # --- exact hull engine ----------------------------------------------------
 
 
+def _adjacent(masks, i, j, rank):
+    """Whether items i and j of a polytope's double description are adjacent.
+
+    masks[k] is the int bitmask of the constraints tight at item k: facets
+    over the points they hold, or vertices over the facets holding them, of
+    a polytope of dimension `rank`.  Two items are adjacent when they share
+    at least rank - 1 tight constraints and no third item is tight at all of
+    them (Fukuda and Prodon's combinatorial test).
+    """
+    shared = masks[i] & masks[j]
+    return shared.bit_count() >= rank - 1 and not any(
+        m & shared == shared for k, m in enumerate(masks) if k != i and k != j
+    )
+
+
 def _hull_full_dim(pts, d):
     """All facets of conv(pts), pts integer and affinely spanning R^d, d >= 1.
 
@@ -71,10 +86,9 @@ def _hull_full_dim(pts, d):
     The facets of a first simplex are the rows of its left inverse; each
     further point drops the facets it violates and, for every pair (kept y+,
     violated y-) of adjacent facets, adds the facet v+ y- - v- y+ through the
-    ridge they share, v being the values at the point.  Two facets are
-    adjacent when they share at least d - 1 tight points and no third facet
-    is tight at all of them (a purely combinatorial test); tight sets are int
-    bitmasks over the point indices.
+    ridge they share, v being the values at the point.  Adjacency is the
+    combinatorial test `_adjacent` on the facets' tight sets, int bitmasks
+    over the point indices.
     """
     lifted = [tuple(p) + (1,) for p in pts]
     start, _, _ = _eliminate([list(col) for col in zip(*lifted)], len(lifted))
@@ -88,6 +102,7 @@ def _hull_full_dim(pts, d):
         if simplex & bit:
             continue
         vals = [dot(y, q) for y, _ in facets]
+        masks = [t for _, t in facets]
         new = []
         for k, (yk, tk) in enumerate(facets):
             if vals[k] <= 0:
@@ -95,12 +110,9 @@ def _hull_full_dim(pts, d):
             for m, (ym, tm) in enumerate(facets):
                 if vals[m] >= 0:
                     continue
-                shared = tk & tm
-                if shared.bit_count() < d - 1 or any(
-                    t & shared == shared for j, (_, t) in enumerate(facets) if j != k and j != m
-                ):
-                    continue
-                new.append((primitive(tuple(vals[k] * b - vals[m] * c for b, c in zip(ym, yk))), shared | bit))
+                if _adjacent(masks, k, m, d):
+                    y = primitive(tuple(vals[k] * b - vals[m] * c for b, c in zip(ym, yk)))
+                    new.append((y, tk & tm | bit))
         facets = [(y, t | bit if v == 0 else t) for (y, t), v in zip(facets, vals) if v >= 0] + new
     return [(y[:d], y[d], tuple(i for i in range(len(pts)) if t >> i & 1)) for y, t in sorted(facets)]
 
@@ -124,16 +136,29 @@ def _face_facets(pts):
     if len(pts) == r + 1:
         # a simplex: facets are the r-subsets
         return [tuple(j for j in range(r + 1) if j != i) for i in range(r + 1)]
-    coords = _span_coordinates(diffs, basis)
-    fac = _hull_full_dim(coords, r)
+    fac = _hull_full_dim(basis_coordinates(basis, diffs), r)
     return [tight for _, _, tight in fac]
 
 
-def _span_coordinates(diffs, basis):
-    """Integer coordinates of difference vectors in a lattice basis of them."""
-    coords = basis_coordinates(basis, diffs)
-    assert all(c.denominator == 1 for x in coords for c in x)
-    return coords
+def _lattice_chart(diffs, ambient):
+    """(basis, coords, lift): the lattice chart of integer difference vectors.
+
+    basis is the saturated lattice basis of their span, coords their integer
+    coordinates in it, and lift the integer matrix sending a functional n on
+    the span coordinates to the ambient functional lift @ n, which takes the
+    values dd^2 * n on the basis.  One left inverse a @ basis^T = dd * I gives
+    both: the coordinates of w are a w / dd, exact because the basis is
+    saturated, and lift is dd * a^T.  Raises ValueError on a remainder.
+    """
+    basis = saturate_lattice(diffs, ambient)
+    a, dd = left_inverse(mat_transpose(basis))
+    coords = []
+    for w in diffs:
+        quot = [divmod(x, dd) for x in mat_vec(a, w)]
+        if any(r for _, r in quot):
+            raise ValueError("difference vector off the saturated span lattice")
+        coords.append(tuple(q for q, _ in quot))
+    return basis, coords, tuple(tuple(dd * x for x in col) for col in zip(*a))
 
 
 class FaceLattice:
@@ -186,7 +211,7 @@ class LatticePolytope:
         diffs = [vsub(p, anchor) for p in pts]
         den = denominator_lcm(x for v in diffs for x in v)
         int_diffs = [tuple(int(x * den) for x in v) for v in diffs]
-        basis = saturate_lattice(int_diffs, ambient)
+        basis, coords, lift = _lattice_chart(int_diffs, ambient)
         d = len(basis)
         # affine-span equations: annihilator functionals of the direction space
         eqs = []
@@ -195,18 +220,14 @@ class LatticePolytope:
                 eqs.append((f, -dot(f, anchor)))
         if d == 0:
             return LatticePolytope(ambient, [anchor], [], eqs, [], anchor)
-        facs = _hull_full_dim(_span_coordinates(int_diffs, basis), d)
+        facs = _hull_full_dim(coords, d)
         # vertices: points whose facets meet in that point alone
         meet = {}
         for n, c, tight in facs:
             for i in tight:
                 meet[i] = meet[i].intersection(tight) if i in meet else frozenset(tight)
         verts = [pts[i] for i, face in meet.items() if len(face) == 1]
-        # lift facet functionals to ambient integer functionals: with
-        # a @ basis^T = dd * I, the functional dd * a^T n takes the values
-        # dd^2 * n on the basis, so it is inward and tight where n is
-        a, dd = left_inverse(mat_transpose(basis))
-        lift = tuple(tuple(dd * x for x in col) for col in zip(*a))
+        # a lifted facet functional is inward and tight where n is
         ambient_facets = []
         for n, c, tight in facs:
             f = primitive(mat_vec(lift, n))
@@ -230,7 +251,7 @@ class LatticePolytope:
     def to_json(self):
         return {
             "ambient_dim": self.ambient_dim,
-            "vertices": [[num_json(x) for x in v] for v in self.vertices],
+            "vertices": key_json(self.vertices),
         }
 
     # -- basic predicates
@@ -396,9 +417,8 @@ def _nvol_full_dim(coords, d):
         # the saturated lattice, so facet volumes are measured in the induced
         # lattice of the ambient space rather than the sublattice the
         # differences happen to generate
-        diffs = [vsub(p, anchor) for p in sub]
-        basis = saturate_lattice(diffs, d)
-        total += abs(h) * _nvol_full_dim(_span_coordinates(diffs, basis), d - 1)
+        _, sub_coords, _ = _lattice_chart([vsub(p, anchor) for p in sub], d)
+        total += abs(h) * _nvol_full_dim(sub_coords, d - 1)
     return total
 
 
@@ -467,18 +487,13 @@ def clip_by_halfspace(cell, normal, offset):
         return cell
     if all(v < 0 for v in vals):
         return None
-    verts = list(cell.vertices)
-    tight_sets = [frozenset(n for n, c in cell.facets if dot(n, v) == -c) for v in verts]
-    eq_rows = tuple(f for f, _ in cell.equations)
+    verts = cell.vertices
+    # vertex i's tight facets as a bitmask over the facet indices
+    masks = [sum(1 << k for k, (n, c) in enumerate(cell.facets) if dot(n, v) == -c) for v in verts]
     pts = [v for v, val in zip(verts, vals) if val >= 0]
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
-            if vals[i] * vals[j] >= 0:
-                continue
-            # (v_i, v_j) is an edge iff its common tight facets together with
-            # the span equations cut out a line
-            shared = tuple(tight_sets[i] & tight_sets[j])
-            if mat_rank(shared + eq_rows) != cell.ambient_dim - 1:
+            if vals[i] * vals[j] >= 0 or not _adjacent(masks, i, j, cell.dim):
                 continue
             t = vals[i] / (vals[i] - vals[j])
             pts.append(

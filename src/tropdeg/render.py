@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactlin import basis_coordinates, clear_fractions, det, dot, left_inverse, mat_mul, primitive, saturate_lattice, vsub
+from .exactlin import basis_coordinates, clear_fractions, det, dot, left_inverse, mat_mul, primitive, vsub
+from .polytope import hull
 from .tropical import discriminant
 
 SCALE = 48
@@ -18,13 +19,11 @@ MARGIN = 24
 
 
 def _facet_chart(poly, facet):
-    """Anchor and 2D lattice basis for a facet plane of a 3-polytope."""
+    """Anchor and 2D lattice basis for a facet plane of a 3-polytope, read off the facet's hull."""
     n, c = facet
-    verts = [v for v in poly.vertices if dot(n, v) == -c]
-    anchor = min(verts)
-    basis = saturate_lattice([clear_fractions(vsub(v, anchor)) for v in verts if v != anchor], poly.ambient_dim)
-    assert len(basis) == 2
-    return anchor, basis
+    face = hull([v for v in poly.vertices if dot(n, v) == -c])
+    assert face.dim == 2
+    return face.anchor, face.span_basis
 
 
 def _local_coords(points, anchor, basis):

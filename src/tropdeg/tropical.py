@@ -29,7 +29,7 @@ from .exactlin import (
     quotient_chart,
     vsub,
 )
-from .jsonio import num_json
+from .jsonio import key_json
 from .polytope import barycenter, hull, normalize_point, walls
 
 
@@ -416,11 +416,11 @@ class MonodromyReport:
             out.append(
                 {
                     "loop": {
-                        "edge": [list(map(num_json, p)) for p in e["edge"]],
-                        "wall": [list(map(num_json, p)) for p in e["wall"]],
+                        "edge": key_json(e["edge"]),
+                        "wall": key_json(e["wall"]),
                     },
                     "matrix": [list(r) for r in e["matrix"]] if e["matrix"] is not None else None,
-                    "polytope": [list(map(num_json, p)) for p in e["polytope"].vertices],
+                    "polytope": key_json(e["polytope"].vertices),
                     "multiplicity": e["multiplicity"],
                     "elementary": e["elementary"],
                 }
@@ -477,9 +477,6 @@ def charts_globally_compatible(space):
                 if t1 != t2:
                     return False
     return True
-
-
-FACE_TYPES = ("InteriorCap", "BoundaryCap", "HorizontalSide", "VerticalSide")
 
 
 def classify_face(space, key):

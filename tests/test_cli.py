@@ -173,6 +173,25 @@ def test_tropicalize_heights_short_of_support_exit_2(tmp_path):
         assert_input_error([*args, "--input", str(inp)], "'heights'", "'support'")
 
 
+@pytest.mark.parametrize(
+    "args, words",
+    [
+        (["ring", "--complex", "{dir}"], ["cannot read input file", "{dir}"]),
+        (["tropicalize", "--input", "{dir}"], ["cannot read input file", "{dir}"]),
+        (
+            ["example", "--example", "kp1-2", "--k", "1", "--out", "{dir}/missing/x.json"],
+            ["cannot write output file", "{dir}/missing/x.json"],
+        ),
+    ],
+)
+def test_file_system_errors_exit_2(tmp_path, args, words):
+    # a directory as the input file, and an output file in a missing directory
+    def fill(s):
+        return s.replace("{dir}", str(tmp_path))
+
+    assert_input_error([fill(a) for a in args], *map(fill, words))
+
+
 def test_ring_empty_cell_exit_2(tmp_path):
     complex_file = tmp_path / "empty-cell.json"
     complex_file.write_text(json.dumps({"cells": [[[0], [1]], []]}))

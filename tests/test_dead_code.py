@@ -1,0 +1,82 @@
+"""Every module-level function, class and constant of tropdeg is read by some
+tropdeg module, exported from `tropdeg/__init__.py`, or wrapped by name by the
+benchmark tracer (`LAYERS` in perfbench/tracer.py)."""
+
+import ast
+import importlib.util
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tropdeg"
+TRACER_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+# Tested constructions that no src/ module calls; whether they stay is open.
+ALLOWED = {
+    "exactlin.dualize_cone": "the dual cone, kept with its subset-scan differential test",
+    "subdivision.avoid_hyperplane": "the generic perturbation of a PL function, tested on its own",
+    "tropical.charts_globally_compatible": "the global chart-compatibility check, tested on its own",
+}
+
+
+def _definitions(tree):
+    """(line, name) of each module-level def, class and assigned name, dunders left out."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    return [(line, name) for line, name in out if not name.startswith("__")]
+
+
+def _reads(tree):
+    """Names a tree loads or imports (tropdeg modules import names, not modules)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            out |= {alias.name for alias in node.names}
+    return out
+
+
+def _unread(sources, exempt=()):
+    """'module.name' of each definition no module reads, outside its own body."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    unread = []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(_reads(t) for m, t in trees.items() if m != module))
+        for line, name in _definitions(tree):
+            here = set().union(*(_reads(n) for n in tree.body if n.lineno != line))
+            if name not in elsewhere | here | set(exempt):
+                unread.append(f"{module}.{name}")
+    return sorted(unread)
+
+
+def _tracer_names():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {path.split(".")[0] for fns in tracer.LAYERS.values() for _, path in fns}
+
+
+def test_unread_definitions_are_detected():
+    sources = {
+        "a": "X = 1\nY = X\ndef f():\n    return f()\ndef g():\n    pass\nclass C:\n    pass\n",
+        "b": "from .a import g\ndef h():\n    return g\n__all__ = []\n",
+    }
+    assert _unread(sources) == ["a.C", "a.Y", "a.f", "b.h"]
+    assert _unread(sources, exempt={"C", "h"}) == ["a.Y", "a.f"]
+
+
+def test_every_definition_is_read():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    init = ast.parse(sources["__init__"])
+    exported = {
+        elt.value
+        for node in init.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    unread = _unread(sources, exempt=exported | _tracer_names())
+    assert unread == sorted(ALLOWED)

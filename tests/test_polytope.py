@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import product as iproduct
 from math import comb
@@ -7,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_dilate_lattice_points
+from oracles import _span_coordinates, oracle_clip_by_halfspace, oracle_dilate_lattice_points, oracle_hull
 
 from tropdeg import exactlin, polytope
 from tropdeg.exactlin import (
@@ -26,7 +27,6 @@ from tropdeg.polytope import (
     LatticePolytope,
     NefPartition,
     _face_facets,
-    _span_coordinates,
     centered_dilated_simplex,
     clip_by_halfspace,
     cube,
@@ -351,27 +351,26 @@ def test_clip_touching_from_outside_keeps_the_face():
 
 @st.composite
 def clip_chains(draw):
-    """A random integer polytope and a chain of halfspaces to clip it by.
+    """A random polytope and a chain of halfspaces to clip it by.
 
-    Offsets are random, or make the hyperplane support the starting polytope
-    from either side; an "equation" step is a two-sided clip to a level
-    between its extreme values.
+    The polytope is the hull of integer points, full-dimensional or mapped
+    into a larger ambient space (so it may be of lower dimension), with its
+    points divided by a common denominator of 1 to 3.  Offsets are random,
+    or make the hyperplane support the starting polytope from either side,
+    or pass through one of its vertices; an "equation" step is a two-sided
+    clip to a level between its extreme values.
     """
-    d = draw(st.integers(min_value=1, max_value=4))
-    coord = st.integers(min_value=-3, max_value=3)
-    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 3))
-    normal = st.tuples(*[st.integers(min_value=-2, max_value=2)] * d).filter(lambda n: any(n))
-    steps = draw(
-        st.lists(
-            st.tuples(normal, st.sampled_from(["random", "touch_max", "touch_min", "equation"]), st.integers(-6, 6)),
-            min_size=1,
-            max_size=3,
-        )
-    )
+    points = draw(embedded_point_sets(max_ambient=4))
+    den = draw(st.integers(min_value=1, max_value=3))
+    pts = [tuple(Fraction(x, den) for x in p) for p in points]
+    ambient = len(pts[0])
+    normal = st.tuples(*[st.integers(min_value=-2, max_value=2)] * ambient).filter(lambda n: any(n))
+    kinds = st.sampled_from(["random", "touch_max", "touch_min", "vertex", "equation"])
+    steps = draw(st.lists(st.tuples(normal, kinds, st.integers(-6, 6)), min_size=1, max_size=3))
     return pts, steps
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(clip_chains())
 def test_clip_chain_matches_vertex_enumeration(chain):
     pts, steps = chain
@@ -385,13 +384,17 @@ def test_clip_chain_matches_vertex_enumeration(chain):
             halfspaces.append((n, -max(vals)))
         elif kind == "touch_min":
             halfspaces.append((n, -min(vals)))
+        elif kind == "vertex":
+            halfspaces.append((n, -vals[r % len(vals)]))
         else:
             level = min(vals) + Fraction(abs(r), 6) * (max(vals) - min(vals))
             halfspaces += [(n, -level), (tuple(-x for x in n), level)]
     clipped = poly
     for n, c in halfspaces:
         if clipped is not None:
+            retired = oracle_clip_by_halfspace(clipped, n, c)
             clipped = clip_by_halfspace(clipped, n, c)
+            assert _fields(clipped) == _fields(retired)
     oracle = polytope_from_inequalities(list(poly.facets) + halfspaces, list(poly.equations), poly.ambient_dim)
     if oracle is None:
         assert clipped is None
@@ -401,6 +404,11 @@ def test_clip_chain_matches_vertex_enumeration(chain):
     assert clipped.facets == oracle.facets
     assert clipped.equations == oracle.equations
     assert clipped.span_basis == oracle.span_basis
+
+
+def _fields(poly):
+    """Every field of a LatticePolytope (None for None)."""
+    return None if poly is None else vars(poly)
 
 
 # --- face lattice ----------------------------------------------------------
@@ -438,14 +446,14 @@ def _faces_by_rehulling(poly):
 
 
 @st.composite
-def embedded_point_sets(draw):
-    """Integer points of dimension 1 to 4, mapped into ambient dimension up to 5.
+def embedded_point_sets(draw, max_ambient=5):
+    """Integer points of dimension 1 to 4, mapped into ambient dimension up to max_ambient.
 
     The map is a random integer matrix plus a translation, so the image can
     be lower-dimensional than both the source and the ambient space.
     """
-    d = draw(st.integers(min_value=1, max_value=4))
-    ambient = draw(st.integers(min_value=d, max_value=5))
+    d = draw(st.integers(min_value=1, max_value=min(4, max_ambient)))
+    ambient = draw(st.integers(min_value=d, max_value=max_ambient))
     coord = st.integers(min_value=-3, max_value=3)
     pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 4))
     if ambient == d and draw(st.booleans()):
@@ -481,6 +489,54 @@ def test_hull_of_vertices_equals_hull_of_points(pts, dens):
         poly.span_basis,
         poly.anchor,
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    embedded_point_sets(),
+    st.booleans(),
+    st.lists(st.integers(min_value=1, max_value=3), min_size=9, max_size=9),
+)
+def test_hull_matches_retired_hull(pts, rational, dens):
+    # full- and lower-dimensional, integer and rational point sets in
+    # ambient dimension 1 to 5, and a single point
+    if rational:
+        pts = [tuple(Fraction(x, den) for x in p) for p, den in zip(pts, dens)]
+    assert _fields(hull(pts)) == _fields(oracle_hull(pts))
+    assert _fields(hull(pts[:1])) == _fields(oracle_hull(pts[:1]))
+
+
+def test_hull_makes_one_chart_and_hull_and_clip_share_one_adjacency_rule():
+    # the chart makes the hull's one left inverse beyond _hull_full_dim's
+    # and no basis_coordinates call; the clip finds edges with the same
+    # _adjacent as the double description and makes no rank computation
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append((name, sys._getframe(1).f_code.co_name))
+            return fn(*args)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("left_inverse", "basis_coordinates", "mat_rank", "_adjacent"):
+            mp.setattr(polytope, name, counted(name, getattr(polytope, name)))
+        full = hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 3)])
+        lower = hull([(1, 0, 0, 0), (1, 2, 0, 0), (1, 0, 2, 0), (1, 2, 2, 0), (1, 1, 1, 2)])
+        hulls = sorted(calls)
+        del calls[:]
+        clipped = clip_by_halfspace(cube(3), (1, 1, 1), 0)
+        clip_calls = [call for call in calls if call[1] == "clip_by_halfspace"]
+    assert (full.dim, lower.dim, clipped.dim) == (3, 3, 3)
+    assert sorted(set(hulls)) == [
+        ("_adjacent", "_hull_full_dim"),
+        ("left_inverse", "_hull_full_dim"),
+        ("left_inverse", "_lattice_chart"),
+    ]
+    assert hulls.count(("left_inverse", "_lattice_chart")) == 2
+    assert hulls.count(("left_inverse", "_hull_full_dim")) == 2
+    assert clip_calls and set(clip_calls) == {("_adjacent", "clip_by_halfspace")}
 
 
 # --- gift wrapping ---------------------------------------------------------

@@ -1,6 +1,11 @@
 """The SVG net of a boundary sphere glues each facet to its neighbour."""
 
+import hashlib
+
+import pytest
+
 from tropdeg import render
+from tropdeg.cli import main
 from tropdeg.exactlin import dot, solve_linear, vsub
 from tropdeg.polytope import centered_dilated_simplex, product, segment
 
@@ -24,3 +29,16 @@ def test_unfolded_net_glues_each_facet_to_an_earlier_one():
             if len(shared) >= 2 and all(place(i, v) == place(j, v) for v in shared):
                 glued = True
         assert glued, f"facet {facets[j]} is not glued to any facet placed before it"
+
+
+@pytest.mark.parametrize(
+    "args, sha256",
+    [
+        (["--example", "kp1-2", "--k", "2"], "85cefbb756957bfd01ec782863712abb90cb3bd5e902852dc588ab9304f5ec09"),
+        (["--example", "hypercube", "--k", "2"], "af28ac650e3083fd0d88b7e5d3e2dc6b0bc6be410a707d8d41ba607a86ec4d2b"),
+    ],
+)
+def test_render_bytes_are_pinned(tmp_path, args, sha256):
+    out = tmp_path / "net.svg"
+    assert main(["render", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
