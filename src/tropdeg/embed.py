@@ -4,7 +4,7 @@ The fibration data of a wall-type degeneration lives on the cone over each
 wall-adjacent cell at level 1: component functionals y_0..y_r and the level
 functional p, all nonnegative on the cone.  The deepest-stratum complex is the
 union of the local fibres over (1,...,1), and integral tangent surjectivity of
-the embedding is a Smith-normal-form check cell by cell.
+the embedding is a Smith-normal-form check on every host cell.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .polytope import (
     containing_cell,
     hull,
     standard_simplex,
+    walls,
 )
 from .tropical import TropicalSpace
 
@@ -169,8 +170,9 @@ class ComplexMap:
         }
 
 
-def _reduce_cell(cell, anchor, basis):
-    return hull(basis_coordinates(basis, [vsub(v, anchor) for v in cell.vertices]))
+def _tangent_map(host, fib):
+    """Integer matrix of y_1..y_r on the host cell's tangent lattice."""
+    return tuple(tuple(dot(y[:-1], b) for b in host.span_basis) for y in fib.y[1:])
 
 
 def embed_D(space, fibration):
@@ -178,48 +180,43 @@ def embed_D(space, fibration):
 
     Returns (T_D, iota, surjective): T_D in reduced slice coordinates, iota a
     ComplexMap back into the host, and surjective the conjunction of the
-    integral tangent surjectivity checks over all cells of T_D.
+    integral tangent surjectivity checks.  Each fibre is computed once, into
+    a table of fibre key -> (cell, host keys); every host is checked, iota
+    maps a fibre to its last host, and iota.metadata["fibres"] lists the keys.
     """
     if not fibration:
         raise ValueError("no fibration data supplied")
-    fibres = {}
-    hosts = {}
+    table = {}
     rank = None
     for key, fib in sorted(fibration.items()):
         rank = fib.rank
-        target = tuple(1 for _ in range(len(fib.y))) + (1,)
-        f = local_fibre(fib, target)
+        f = local_fibre(fib, (1,) * (len(fib.y) + 1))
         if f is None:
             continue
         level_one = hull([v[:-1] for v in f.vertices])
-        fibres[level_one.key()] = level_one
-        hosts[level_one.key()] = key
-    if not fibres:
+        table.setdefault(level_one.key(), (level_one, []))[1].append(key)
+    if not table:
         raise ValueError("all local fibres over (1,...,1) are empty")
     _check_face_consistency(fibration)
-    cells = list(fibres.values())
     # the slice chart: anchor and saturated span basis of the cells' union
-    chart = hull([v for c in cells for v in c.vertices])
+    chart = hull([v for c, _ in table.values() for v in c.vertices])
     anchor, basis = chart.anchor, chart.span_basis
     surjective = True
     entries = []
     reduced_cells = []
     host_cells = {c.key(): c for c in space.maximal_cells}
-    for key, cell in sorted(fibres.items()):
-        host = host_cells[hosts[key]]
-        tangent = space.tangent_basis(host)
-        fib = fibration[hosts[key]]
-        rows = []
-        for y in fib.y[1:]:
-            rows.append(tuple(dot(y[:-1], b) for b in tangent))
-        if not is_integrally_surjective(tuple(rows)):
-            surjective = False
-        reduced = _reduce_cell(cell, anchor, basis) if basis else hull([(0,)])
+    for _, (cell, hosts) in sorted(table.items()):
+        for h in hosts:
+            host = host_cells[h]
+            if not is_integrally_surjective(_tangent_map(host, fibration[h])):
+                surjective = False
+            _assert_fan_compatibility(space, cell, host)
+        reduced = hull(basis_coordinates(basis, [vsub(v, anchor) for v in cell.vertices])) if basis else hull([(0,)])
         reduced_cells.append(reduced)
         entries.append(
             {
                 "source": reduced.key(),
-                "target": hosts[key],
+                "target": hosts[-1],
                 "matrix": tuple(zip(*basis)) if basis else ((0,),) * len(anchor),
                 "translation": anchor,
             }
@@ -231,8 +228,7 @@ def embed_D(space, fibration):
         "solid",
         metadata={"embedded": "deepest stratum fibre over (1,...,1)", "anchor": anchor, "basis": basis, "rank": rank},
     )
-    _assert_fan_compatibility(space, cells, hosts, host_cells)
-    iota = ComplexMap(entries, surjective=surjective, metadata={"anchor": anchor, "fibration": dict(fibration)})
+    iota = ComplexMap(entries, surjective=surjective, metadata={"anchor": anchor, "fibration": dict(fibration), "fibres": sorted(table)})
     return t_d, iota, surjective
 
 
@@ -250,30 +246,28 @@ def _check_face_consistency(fibration):
                 raise ValueError("fibration data inconsistent across a shared face")
 
 
-def _assert_fan_compatibility(space, cells, hosts, host_cells):
-    """The host charts must not degenerate the embedded star at any vertex."""
-    for cell in cells:
-        host = host_cells[hosts[cell.key()]]
-        for v in cell.vertices:
-            if not all(Fraction(x).denominator == 1 for x in v):
+def _assert_fan_compatibility(space, cell, host):
+    """The host's charts must not degenerate the embedded cell at any vertex."""
+    for v in cell.vertices:
+        if not all(Fraction(x).denominator == 1 for x in v):
+            continue
+        chart = space.chart_matrix(v, host)
+        imgs = []
+        for w in cell.vertices:
+            d = vsub(w, v)
+            if all(x == 0 for x in d):
                 continue
-            chart = space.chart_matrix(v, host)
-            imgs = []
-            for w in cell.vertices:
-                d = vsub(w, v)
-                if all(x == 0 for x in d):
-                    continue
-                imgs.append(mat_vec(chart, d))
-            if imgs and mat_rank(tuple(imgs)) != cell.dim:
-                raise ValueError("embedding is not compatible with the fan structure at " + str(v))
+            imgs.append(mat_vec(chart, d))
+        if imgs and mat_rank(tuple(imgs)) != cell.dim:
+            raise ValueError("embedding is not compatible with the fan structure at " + str(v))
 
 
 def simplex_fibration(space, fibration):
     """Cellwise affine map onto the (r+1)-dilated r-simplex.
 
-    The fibre over the barycenter (1,...,1) equals the embed_D image cell by
-    cell; a warning is flagged when the fibration rescales the integral
-    affine structure (a nontrivial SNF diagonal on some cell).
+    Its fibre over the barycenter (1,...,1) is `barycenter_fibre`; a warning
+    is flagged when the fibration rescales the integral affine structure (a
+    nontrivial SNF diagonal on some cell).
     """
     if not fibration:
         raise ValueError("no fibration data supplied")
@@ -283,13 +277,9 @@ def simplex_fibration(space, fibration):
     warnings = []
     host_cells = {c.key(): c for c in space.maximal_cells}
     for key, fib in sorted(fibration.items()):
-        host = host_cells[key]
         matrix = tuple(tuple(y[:-1]) for y in fib.y[1:])
         translation = tuple(y[-1] for y in fib.y[1:])
-        tangent = space.tangent_basis(host)
-        rows = tuple(tuple(dot(y[:-1], b) for b in tangent) for y in fib.y[1:])
-        diag = snf_diagonal(rows)
-        if any(d > 1 for d in diag):
+        if any(d > 1 for d in snf_diagonal(_tangent_map(host_cells[key], fib))):
             warnings.append(f"fibration rescales the integral affine structure on {key}")
         entries.append(
             {
@@ -303,15 +293,25 @@ def simplex_fibration(space, fibration):
 
 
 def barycenter_fibre(space, fibration):
-    """Fibre of the simplex fibration over the barycenter, as cell keys."""
-    out = []
-    for key, fib in sorted(fibration.items()):
-        target = tuple(1 for _ in range(len(fib.y))) + (1,)
-        f = local_fibre(fib, target)
-        if f is None:
-            continue
-        out.append(hull([v[:-1] for v in f.vertices]).key())
-    return sorted(set(out))
+    """Fibre of the simplex fibration over the barycenter, as sorted cell keys.
+
+    Each host cell is cut by the simplex map's equations y_i(x, 1) = 1,
+    i = 1..r, each a pair of clips; no cone and no local fibre is used, so
+    the keys check those of `embed_D` independently.
+    """
+    host_cells = {c.key(): c for c in space.maximal_cells}
+    out = set()
+    for key, fib in fibration.items():
+        cell = host_cells[key]
+        for y in fib.y[1:]:
+            f, c = y[:-1], y[-1] - 1
+            if cell is not None:
+                cell = clip_by_halfspace(cell, f, c)
+            if cell is not None:
+                cell = clip_by_halfspace(cell, vneg(f), -c)
+        if cell is not None:
+            out.add(cell.key())
+    return sorted(out)
 
 
 def side_subcomplex(space, coord, level, side):
@@ -355,19 +355,15 @@ def lg_truncate(space, u_functional):
         x = clip_by_halfspace(c, neg_coeffs, Fraction(1) - Fraction(const))
         if x is not None and x.dim == c.dim:
             clipped.append(x)
+    below = [any(dot(coeffs, v) + const < 1 for v in c.vertices) for c in clipped]
     level_keys = set()
-    wall_hosts = {}
-    for c in clipped:
-        below = any(dot(coeffs, v) + const < 1 for v in c.vertices)
-        for key in c.facet_keys():
-            wall_hosts.setdefault(key, []).append(below)
-            if all(dot(coeffs, p) + const == 1 for p in key):
-                level_keys.add(key)
-    for key in level_keys:
-        hosts = wall_hosts.get(key, [])
+    for key, hosts in walls(clipped).items():
+        if not all(dot(coeffs, p) + const == 1 for p in key):
+            continue
+        level_keys.add(key)
         # a slab inside the fibre over 1: a level wall separating two cells
         # that both dip strictly below the level
-        if len(hosts) > 1 and sum(1 for b in hosts if b) > 1:
+        if sum(1 for i in hosts if below[i]) > 1:
             raise ValueError("interior wall created inside the fibre over 1")
     new_boundary = set(space.boundary_keys) | level_keys
     out = TropicalSpace(

@@ -154,7 +154,7 @@ def build_kp1_2(k):
         "embedding": {
             "integrally_surjective": surjective,
             "fibre_cells": len(t_d.maximal_cells),
-            "barycenter_fibre_matches": len(fibre_keys) == len(t_d.maximal_cells),
+            "barycenter_fibre_matches": fibre_keys == iota.metadata["fibres"],
             "warnings": list(fmap.warnings),
         },
         "diagonal_compatible": diagonal_ok,
@@ -265,7 +265,7 @@ def build_quintic(i):
             "integrally_surjective": surjective,
             "fibre_cells": len(t_d.maximal_cells),
             "fibre_dim": t_d.dim,
-            "barycenter_fibre_matches": len(fibre_keys) == len(t_d.maximal_cells),
+            "barycenter_fibre_matches": fibre_keys == iota.metadata["fibres"],
             "warnings": list(fmap.warnings),
         },
         "lg": {

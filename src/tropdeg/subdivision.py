@@ -43,9 +43,6 @@ class PLFunction:
         self.tag = tag
         self.convex = convex
 
-    def piece(self, cell):
-        return self.pieces[cell.key()]
-
     def value_at(self, point, subdivision):
         for cell in subdivision.maximal_cells:
             if cell.contains(point):
@@ -91,7 +88,7 @@ class Subdivision:
         """Image subdivision under a unimodular integer matrix u."""
         new_support = self.support.transform(u)
         cells = [c.transform(u) for c in self.maximal_cells]
-        cell_map = {c.key(): c.transform(u).key() for c in self.maximal_cells}
+        cell_map = {c.key(): image.key() for c, image in zip(self.maximal_cells, cells)}
         return Subdivision(new_support, cells), cell_map
 
 

@@ -15,6 +15,12 @@ second left inverse for the lift.
 The clip's edge test: `clip_by_halfspace` finds the edges a cut crosses with
 the combinatorial adjacency test `_adjacent` on facet bitmasks.  The clip it
 replaced ran one rank computation per pair of vertices on opposite sides.
+
+The deepest-stratum embedding: `embed.embed_D` builds one table of fibres
+over (1,...,1) with every host of each fibre, and `embed.barycenter_fibre`
+slices the host cells by the simplex map.  The `embed_D` it replaced kept
+only the last host written for each fibre, and the `barycenter_fibre` it
+replaced repeated that fibre loop.
 """
 
 from fractions import Fraction
@@ -24,6 +30,7 @@ from tropdeg.exactlin import (
     basis_coordinates,
     denominator_lcm,
     dot,
+    is_integrally_surjective,
     kernel_basis,
     left_inverse,
     mat_rank,
@@ -34,7 +41,9 @@ from tropdeg.exactlin import (
     vadd,
     vsub,
 )
+from tropdeg.embed import ComplexMap, _check_face_consistency, local_fibre
 from tropdeg.polytope import LatticePolytope, _hull_full_dim, hull, is_lattice_point, normalize_point
+from tropdeg.tropical import TropicalSpace
 
 
 def _ceil(x):
@@ -164,3 +173,118 @@ def oracle_clip_by_halfspace(cell, normal, offset):
     if not pts:
         return None
     return LatticePolytope.hull(sorted(set(normalize_point(p) for p in pts)))
+
+
+def _oracle_reduce_cell(cell, anchor, basis):
+    return hull(basis_coordinates(basis, [vsub(v, anchor) for v in cell.vertices]))
+
+
+def oracle_embed_D(space, fibration):
+    """The deepest-stratum complex as fibres over (1,...,1), with its embedding.
+
+    Returns (T_D, iota, surjective): T_D in reduced slice coordinates, iota a
+    ComplexMap back into the host, and surjective the conjunction of the
+    integral tangent surjectivity checks over all cells of T_D.
+    """
+    if not fibration:
+        raise ValueError("no fibration data supplied")
+    fibres = {}
+    hosts = {}
+    rank = None
+    for key, fib in sorted(fibration.items()):
+        rank = fib.rank
+        target = tuple(1 for _ in range(len(fib.y))) + (1,)
+        f = local_fibre(fib, target)
+        if f is None:
+            continue
+        level_one = hull([v[:-1] for v in f.vertices])
+        fibres[level_one.key()] = level_one
+        hosts[level_one.key()] = key
+    if not fibres:
+        raise ValueError("all local fibres over (1,...,1) are empty")
+    _check_face_consistency(fibration)
+    cells = list(fibres.values())
+    # the slice chart: anchor and saturated span basis of the cells' union
+    chart = hull([v for c in cells for v in c.vertices])
+    anchor, basis = chart.anchor, chart.span_basis
+    surjective = True
+    entries = []
+    reduced_cells = []
+    host_cells = {c.key(): c for c in space.maximal_cells}
+    for key, cell in sorted(fibres.items()):
+        host = host_cells[hosts[key]]
+        tangent = space.tangent_basis(host)
+        fib = fibration[hosts[key]]
+        rows = []
+        for y in fib.y[1:]:
+            rows.append(tuple(dot(y[:-1], b) for b in tangent))
+        if not is_integrally_surjective(tuple(rows)):
+            surjective = False
+        reduced = _oracle_reduce_cell(cell, anchor, basis) if basis else hull([(0,)])
+        reduced_cells.append(reduced)
+        entries.append(
+            {
+                "source": reduced.key(),
+                "target": hosts[key],
+                "matrix": tuple(zip(*basis)) if basis else ((0,),) * len(anchor),
+                "translation": anchor,
+            }
+        )
+    t_d = TropicalSpace(
+        len(basis) or 1,
+        max(c.dim for c in reduced_cells),
+        reduced_cells,
+        "solid",
+        metadata={"embedded": "deepest stratum fibre over (1,...,1)", "anchor": anchor, "basis": basis, "rank": rank},
+    )
+    _oracle_assert_fan_compatibility(space, cells, hosts, host_cells)
+    iota = ComplexMap(entries, surjective=surjective, metadata={"anchor": anchor, "fibration": dict(fibration)})
+    return t_d, iota, surjective
+
+
+def _oracle_assert_fan_compatibility(space, cells, hosts, host_cells):
+    """The host charts must not degenerate the embedded star at any vertex."""
+    for cell in cells:
+        host = host_cells[hosts[cell.key()]]
+        for v in cell.vertices:
+            if not all(Fraction(x).denominator == 1 for x in v):
+                continue
+            chart = space.chart_matrix(v, host)
+            imgs = []
+            for w in cell.vertices:
+                d = vsub(w, v)
+                if all(x == 0 for x in d):
+                    continue
+                imgs.append(mat_vec(chart, d))
+            if imgs and mat_rank(tuple(imgs)) != cell.dim:
+                raise ValueError("embedding is not compatible with the fan structure at " + str(v))
+
+
+def oracle_barycenter_fibre(space, fibration):
+    """Fibre of the simplex fibration over the barycenter, as cell keys."""
+    out = []
+    for key, fib in sorted(fibration.items()):
+        target = tuple(1 for _ in range(len(fib.y))) + (1,)
+        f = local_fibre(fib, target)
+        if f is None:
+            continue
+        out.append(hull([v[:-1] for v in f.vertices]).key())
+    return sorted(set(out))
+
+
+def unreduced_cells(t_d, iota):
+    """The T_D cells mapped back to ambient coordinates through iota, in entry order."""
+    out = []
+    cells = {c.key(): c for c in t_d.maximal_cells}
+    for e in iota.entries:
+        cell = cells[e["source"]]
+        anchor = e["translation"]
+        matrix = e["matrix"]
+        pts = []
+        for v in cell.vertices:
+            img = list(anchor)
+            for r in range(len(anchor)):
+                img[r] = img[r] + sum(matrix[r][c] * v[c] for c in range(len(v)))
+            pts.append(tuple(img))
+        out.append(hull(pts))
+    return out

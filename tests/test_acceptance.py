@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from oracles import oracle_dilate_lattice_points
+from oracles import oracle_barycenter_fibre, oracle_dilate_lattice_points, oracle_embed_D, unreduced_cells
 
 from tropdeg.cli import main as cli_main
 from tropdeg.exactlin import det, mat_identity, mat_mul, mat_vec
@@ -103,31 +103,29 @@ def test_criterion_4_embedding_lemma(kp12, quintics):
         res = quintics[i]
         assert res.surjective, f"quintic i={i}: tangent surjectivity failed"
         fibre = barycenter_fibre(res.sphere, res.fibration)
-        assert sorted(fibre) == sorted(c.key() for c in _unreduced_cells(res)), f"quintic i={i}: barycenter fibre mismatch"
+        assert sorted(fibre) == sorted(c.key() for c in unreduced_cells(res.t_d, res.iota)), f"quintic i={i}: barycenter fibre mismatch"
     for k in (1, 2, 3):
         res = kp12[k]
         assert res.surjective, f"kp1-2 k={k}: tangent surjectivity failed"
         fibre = barycenter_fibre(res.sphere, res.fibration)
-        assert sorted(fibre) == sorted(c.key() for c in _unreduced_cells(res)), f"kp1-2 k={k}: barycenter fibre mismatch"
+        assert sorted(fibre) == sorted(c.key() for c in unreduced_cells(res.t_d, res.iota)), f"kp1-2 k={k}: barycenter fibre mismatch"
     _line(4, "embed_D integrally surjective and barycenter fibre matches for quintic i=1..4 and kp1-2 k=1..3")
 
 
-def _unreduced_cells(res):
-    """Map the reduced T_D cells back to ambient coordinates via iota."""
-    out = []
-    cells = {c.key(): c for c in res.t_d.maximal_cells}
-    for e in res.iota.entries:
-        cell = cells[e["source"]]
-        anchor = e["translation"]
-        matrix = e["matrix"]
-        pts = []
-        for v in cell.vertices:
-            img = list(anchor)
-            for r in range(len(anchor)):
-                img[r] = img[r] + sum(matrix[r][c] * v[c] for c in range(len(v)))
-            pts.append(tuple(img))
-        out.append(hull(pts))
-    return out
+def test_embed_d_matches_the_retired_fibre_loop(kp12, quintics, hypercubes):
+    # the fibre table gives the same T_D, iota and verdict as the loop that
+    # kept one host per fibre, and its fibre keys are the retired ones
+    from tropdeg.embed import barycenter_fibre
+
+    for group in (kp12, quintics, hypercubes):
+        for res in group.values():
+            space = getattr(res, "sphere", res.solid)  # the hypercube embeds into its solid
+            t_d, iota, surjective = oracle_embed_D(space, res.fibration)
+            assert [c.key() for c in res.t_d.maximal_cells] == [c.key() for c in t_d.maximal_cells]
+            assert res.iota.entries == iota.entries
+            assert res.surjective == surjective
+            fibres = oracle_barycenter_fibre(space, res.fibration)
+            assert res.iota.metadata["fibres"] == fibres == barycenter_fibre(space, res.fibration)
 
 
 def test_criterion_5_monodromy_algebra(kp12):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import unreduced_cells
 
 from tropdeg.exactlin import cone_from_generators
 from tropdeg.embed import (
@@ -141,10 +142,9 @@ def test_embed_d_matches_local_fibres(k3):
     fib = wall_fibration_data(sphere, 2, 0)
     t_d, iota, _ = embed_D(sphere, fib)
     assert sorted(e["source"] for e in iota.entries) == sorted(c.key() for c in t_d.maximal_cells)
-    fibre_keys = barycenter_fibre(sphere, fib)
-    # embed_D output equals the union of local fibres, cell by cell
-    anchor = iota.metadata["anchor"]
-    assert len(fibre_keys) == len(t_d.maximal_cells)
+    # embed_D's fibres are the slice of the host cells, cell by cell
+    assert barycenter_fibre(sphere, fib) == iota.metadata["fibres"]
+    assert len(iota.metadata["fibres"]) == len(t_d.maximal_cells)
 
 
 def test_simplex_fibration_k3(k3):
@@ -156,22 +156,7 @@ def test_simplex_fibration_k3(k3):
     assert fmap.warnings == ()
     # fibre over the barycenter equals embed_D's image cellwise
     t_d, iota, _ = embed_D(sphere, fib)
-    assert sorted(barycenter_fibre(sphere, fib)) == sorted(
-        hull([tuple(v) for v in _unreduce(e, t_d)]).key() for e in iota.entries
-    )
-
-
-def _unreduce(entry, t_d):
-    anchor = entry["translation"]
-    matrix = entry["matrix"]
-    cell = next(c for c in t_d.maximal_cells if c.key() == entry["source"])
-    out = []
-    for v in cell.vertices:
-        img = list(anchor)
-        for i in range(len(anchor)):
-            img[i] = img[i] + sum(matrix[i][j] * v[j] for j in range(len(v)))
-        out.append(tuple(img))
-    return out
+    assert barycenter_fibre(sphere, fib) == sorted(c.key() for c in unreduced_cells(t_d, iota))
 
 
 def test_simplex_fibration_quintic_midpoint(quintic2):
@@ -235,6 +220,53 @@ def test_embed_d_rejects_a_chart_that_kills_the_fibre_direction():
     assert surjective and t_d.dim == 1
 
 
+def test_embed_d_checks_every_host_of_a_fibre():
+    # [-1, 0] and [0, 1] both have the fibre point 0; iota maps it to the
+    # last host, [0, 1], but y_1 = -2x + t on [-1, 0] has tangent map (-2)
+    left, right = segment(-1, 0), segment(0, 1)
+    space = TropicalSpace(1, 1, [left, right], "solid")
+    fib = wall_fibration_data(space, 0, 0)
+    assert embed_D(space, fib)[2]
+    data = fib[left.key()]
+    fib[left.key()] = FibrationData(data.cone, [data.y[0], (-2, 1)], data.p)
+    _, iota, surjective = embed_D(space, fib)
+    assert not surjective and not iota.surjective
+    assert [e["target"] for e in iota.entries] == [right.key()]
+    assert iota.metadata["fibres"] == [((0,),)]
+
+
+def test_barycenter_fibre_slices_the_host_cells():
+    # on the square the slice y_1 = 1 is the segment x_0 = 0; with
+    # y_0 = x_0 + x_1 + 2t, not constant there, the cone fibre over
+    # (1, 1, 1) shrinks to the point (0, -1) and the two key lists differ
+    square = cube(2)
+    space = TropicalSpace(2, 2, [square], "solid")
+    fib = wall_fibration_data(space, 0, 0)
+    _, iota, _ = embed_D(space, fib)
+    data = fib[square.key()]
+    tilted = {square.key(): FibrationData(data.cone, [(1, 1, 2), data.y[1]], data.p)}
+    _, tilted_iota, _ = embed_D(space, tilted)
+    assert barycenter_fibre(space, fib) == barycenter_fibre(space, tilted) == [((0, -1), (0, 1))]
+    assert iota.metadata["fibres"] == [((0, -1), (0, 1))]
+    assert tilted_iota.metadata["fibres"] == [((0, -1),)]
+
+
+def test_embed_d_computes_each_fibre_once(k3, monkeypatch):
+    calls = []
+
+    def counted(fib, target):
+        calls.append(target)
+        return local_fibre(fib, target)
+
+    monkeypatch.setattr("tropdeg.embed.local_fibre", counted)
+    prism, sphere = k3
+    fib = wall_fibration_data(sphere, 2, 0)
+    embed_D(sphere, fib)
+    assert len(calls) == len(fib)
+    barycenter_fibre(sphere, fib)
+    assert len(calls) == len(fib)
+
+
 def test_hypercube_point_fibre():
     sq = cube(2)
     pts = sq.lattice_points()
@@ -273,6 +305,13 @@ def test_lg_truncate_halfline_analogue():
     assert len(out.maximal_cells) == 1
     assert sorted(out.maximal_cells[0].vertices) == [(0,), (1,)]
     assert ((1,),) in out.boundary_keys
+
+
+def test_lg_truncate_rejects_a_level_wall_between_two_cells_below():
+    # two copies of [0, 1] share the facet x = 1 at the level u = 1
+    twice = TropicalSpace(1, 1, [segment(0, 1), segment(0, 1)], "solid")
+    with pytest.raises(ValueError, match="interior wall created inside the fibre over 1"):
+        lg_truncate(twice, ((1,), 0))
 
 
 def test_lg_truncate_quintic_component(quintic2):
