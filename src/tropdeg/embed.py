@@ -193,8 +193,11 @@ def embed_D(space, fibration):
         f = local_fibre(fib, (1,) * (len(fib.y) + 1))
         if f is None:
             continue
-        level_one = hull([v[:-1] for v in f.vertices])
-        table.setdefault(level_one.key(), (level_one, []))[1].append(key)
+        # the fibre lies in the level p = 1, so dropping that coordinate keeps its sorted vertices
+        level_one = tuple(v[:-1] for v in f.vertices)
+        if level_one not in table:
+            table[level_one] = (hull(level_one), [])
+        table[level_one][1].append(key)
     if not table:
         raise ValueError("all local fibres over (1,...,1) are empty")
     _check_face_consistency(fibration)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from itertools import product as iproduct
 
@@ -140,25 +141,128 @@ def _face_facets(pts):
     return [tight for _, _, tight in fac]
 
 
-def _lattice_chart(diffs, ambient):
-    """(basis, coords, lift): the lattice chart of integer difference vectors.
+@lru_cache(maxsize=32)
+def _span_chart(key, ambient):
+    """(basis, a, dd, annihilators): the lattice chart of a linear span.
 
-    basis is the saturated lattice basis of their span, coords their integer
-    coordinates in it, and lift the integer matrix sending a functional n on
-    the span coordinates to the ambient functional lift @ n, which takes the
-    values dd^2 * n on the basis.  One left inverse a @ basis^T = dd * I gives
-    both: the coordinates of w are a w / dd, exact because the basis is
-    saturated, and lift is dd * a^T.  Raises ValueError on a remainder.
+    key is the Hermite basis (`hnf_column_basis`) of integer vectors
+    spanning it, and the chart depends on the span alone, so one chart
+    serves every polytope with that span.  basis is the saturated lattice
+    basis of the span, in echelon form; a @ basis^T = dd * I is one left
+    inverse, whose columns vanish off the basis' pivot coordinates; and the
+    annihilators are integer functionals cutting out the span (none when it
+    is the whole space).  Every entry is a tuple of ints, so the memo holds
+    no reference to a polytope.  It is kept small: a run meets few spans
+    at a time, and each module import holds its own memo until collected.
     """
-    basis = saturate_lattice(diffs, ambient)
+    basis = tuple(saturate_lattice(key, ambient))
+    # an already saturated key is the basis: keep one copy of its tuples
+    if basis == key:
+        basis = key
     a, dd = left_inverse(mat_transpose(basis))
+    if len(basis) == ambient:
+        annihilators = ()
+    elif basis:
+        annihilators = tuple(kernel_basis(basis))
+    else:
+        annihilators = tuple(tuple(1 if i == j else 0 for i in range(ambient)) for j in range(ambient))
+    return basis, a, dd, annihilators
+
+
+def _lift(chart, n):
+    """The ambient functional dd * a^T n, which takes the values dd^2 * n on the basis.
+
+    So a functional n on span coordinates lifts to one that is inward and
+    tight where n is, and vanishes off the basis' pivot coordinates.
+    """
+    _, a, dd, _ = chart
+    return tuple(dd * sum(row[j] * x for row, x in zip(a, n)) for j in range(len(a[0])))
+
+
+def _lattice_chart(points, anchor):
+    """(chart, integer difference vectors): the span chart of normalized points.
+
+    The differences from anchor are cleared of denominators by one common
+    factor, which leaves their span, and so the chart, unchanged.
+    """
+    diffs = [vsub(p, anchor) for p in points]
+    den = denominator_lcm(x for v in diffs for x in v)
+    int_diffs = [tuple(int(x * den) for x in v) for v in diffs]
+    return _span_chart(tuple(hnf_column_basis(int_diffs)), len(anchor)), int_diffs
+
+
+def _chart_coordinates(chart, diffs):
+    """Integer coordinates of integer difference vectors in the chart's basis.
+
+    Exact because the basis is saturated; raises ValueError on a remainder.
+    """
+    _, a, dd, _ = chart
     coords = []
     for w in diffs:
         quot = [divmod(x, dd) for x in mat_vec(a, w)]
         if any(r for _, r in quot):
             raise ValueError("difference vector off the saturated span lattice")
         coords.append(tuple(q for q, _ in quot))
-    return basis, coords, tuple(tuple(dd * x for x in col) for col in zip(*a))
+    return coords
+
+
+def _offset(x):
+    """A facet offset as an int where it is integral, else as a Fraction."""
+    return int(x) if Fraction(x).denominator == 1 else Fraction(x)
+
+
+def _span_points(chart, pivots, origin, box):
+    """The integer points of the affine span through origin over a pivot box.
+
+    For each tuple of pivot coordinates in box, the chart's left inverse,
+    which vanishes off the pivots, gives the span coordinates t = a (x -
+    origin) / dd, and the point is origin + t @ basis; a point with a
+    non-integer coordinate is skipped.  All in integers: with den clearing
+    origin, den * dd * point = dd * den * origin + (den * a (x - origin)) @ basis.
+    """
+    basis, a, dd, _ = chart
+    den = denominator_lcm(origin)
+    o = [int(x * den) for x in origin]
+    rows = [[row[p] for p in pivots] for row in a]
+    scale = den * dd
+    for xp in box:
+        w = [sum(r * (den * x - o[p]) for r, x, p in zip(row, xp, pivots)) for row in rows]
+        point = []
+        for j, oj in enumerate(o):
+            q, r = divmod(dd * oj + sum(wi * b[j] for wi, b in zip(w, basis)), scale)
+            if r:
+                break
+            point.append(q)
+        else:
+            yield tuple(point)
+
+
+def _facet(chart, functional, vertices):
+    """The facet inequality (n, c) on which the functional is least over the vertices.
+
+    n is the one representative `hull` finds: the primitive lift of the
+    functional's values on the span basis, which vanishes off the basis'
+    pivot coordinates; c is read off the vertices.
+    """
+    basis = chart[0]
+    g = clear_fractions(functional)
+    n = primitive(g if len(basis) == len(g) else _lift(chart, mat_vec(basis, g)))
+    return n, _offset(-min(dot(n, v) for v in vertices))
+
+
+def _assemble(chart, vertices, facets):
+    """The LatticePolytope with these vertices and facet inequalities, and no hull.
+
+    This is the one place a polytope is put together: `hull` passes the
+    facets its double description finds, and the clip, the face and the
+    graph lift pass facets they read off a cell they already have.  The
+    vertices are normalized and span the chart's span; each facet is (n, c)
+    in the form `_facet` gives.  The equations are the chart's annihilators
+    through the least vertex, which is also the anchor.
+    """
+    anchor = min(vertices)
+    eqs = [(f, -dot(f, anchor)) for f in chart[3]]
+    return LatticePolytope(len(anchor), vertices, sorted(set(facets)), eqs, chart[0], anchor)
 
 
 class FaceLattice:
@@ -208,19 +312,11 @@ class LatticePolytope:
         if any(len(p) != ambient for p in pts):
             raise ValueError("points of mixed dimension")
         anchor = pts[0]
-        diffs = [vsub(p, anchor) for p in pts]
-        den = denominator_lcm(x for v in diffs for x in v)
-        int_diffs = [tuple(int(x * den) for x in v) for v in diffs]
-        basis, coords, lift = _lattice_chart(int_diffs, ambient)
-        d = len(basis)
-        # affine-span equations: annihilator functionals of the direction space
-        eqs = []
-        if d < ambient:
-            for f in kernel_basis(tuple(basis)) if basis else [tuple(1 if i == j else 0 for i in range(ambient)) for j in range(ambient)]:
-                eqs.append((f, -dot(f, anchor)))
+        chart, int_diffs = _lattice_chart(pts, anchor)
+        d = len(chart[0])
         if d == 0:
-            return LatticePolytope(ambient, [anchor], [], eqs, [], anchor)
-        facs = _hull_full_dim(coords, d)
+            return _assemble(chart, [anchor], [])
+        facs = _hull_full_dim(_chart_coordinates(chart, int_diffs), d)
         # vertices: points whose facets meet in that point alone
         meet = {}
         for n, c, tight in facs:
@@ -228,17 +324,14 @@ class LatticePolytope:
                 meet[i] = meet[i].intersection(tight) if i in meet else frozenset(tight)
         verts = [pts[i] for i, face in meet.items() if len(face) == 1]
         # a lifted facet functional is inward and tight where n is
-        ambient_facets = []
+        facets = []
         for n, c, tight in facs:
-            f = primitive(mat_vec(lift, n))
+            f = primitive(_lift(chart, n))
             vals = [dot(f, p) for p in pts]
             lo = min(vals)
             assert frozenset(i for i, v in enumerate(vals) if v == lo) == frozenset(tight)
-            off = -lo
-            off = int(off) if Fraction(off).denominator == 1 else Fraction(off)
-            ambient_facets.append((f, off))
-        ambient_facets = sorted(set(ambient_facets))
-        return LatticePolytope(ambient, verts, ambient_facets, eqs, basis, anchor)
+            facets.append((f, _offset(-lo)))
+        return _assemble(chart, verts, facets)
 
     @staticmethod
     def from_json(obj):
@@ -307,19 +400,48 @@ class LatticePolytope:
 
         The dilate is read off the polytope's own data: its equation
         constants and facet offsets scale by the dilation (a nonnegative
-        integer), and its vertices by the dilation give the bounding box to
-        scan.  Each box point is tested against those scaled constraints
-        directly, so no hull is taken and no point is normalized; rational
-        polytopes are counted exactly too.
+        integer), and its vertices by the dilation give the box to scan.
+        Only the box of the span's pivot coordinates is scanned: the span
+        basis is in echelon form, so a point of the span is fixed by those
+        coordinates, in the same lexicographic order, and `_span_points`
+        solves for the others.  Each integer point is tested against the
+        scaled constraints directly, so no hull is taken and no point is
+        normalized; rational polytopes are counted exactly too.
         """
         lo, hi = self.bounding_box()
         equations = [(f, -dilation * c) for f, c in self.equations]
         facets = [(n, -dilation * c) for n, c in self.facets]
-        return [
-            p
-            for p in iproduct(*(range(math.ceil(dilation * a), math.floor(dilation * b) + 1) for a, b in zip(lo, hi)))
-            if all(dot(f, p) == e for f, e in equations) and all(dot(n, p) >= e for n, e in facets)
-        ]
+        chart = _span_chart(self.span_basis, self.ambient_dim)
+        pivots = [next(i for i, x in enumerate(b) if x) for b in chart[0]]
+        box = iproduct(*(range(math.ceil(dilation * lo[i]), math.floor(dilation * hi[i]) + 1) for i in pivots))
+        if len(pivots) < self.ambient_dim:
+            box = _span_points(chart, pivots, tuple(dilation * x for x in self.vertices[0]), box)
+        return [p for p in box if all(dot(f, p) == e for f, e in equations) and all(dot(n, p) >= e for n, e in facets)]
+
+    def face(self, normal, offset):
+        """The face cut out by the supporting hyperplane <normal, x> = -offset.
+
+        Its vertices are the vertices on the hyperplane.  Its facets are the
+        maximal proper tight sets of this polytope's facets on those
+        vertices, each inequality reduced to the face's own span chart, so
+        no hull is taken.  Raises ValueError when the hyperplane misses the
+        polytope or cuts through it.
+        """
+        vals = [dot(normal, v) + offset for v in self.vertices]
+        if min(vals) < 0 < max(vals) or 0 not in vals:
+            raise ValueError("the hyperplane does not support the polytope")
+        verts = [v for v, x in zip(self.vertices, vals) if x == 0]
+        if len(verts) == len(self.vertices):
+            return self
+        full = (1 << len(verts)) - 1
+        tight = {}
+        for n, c in self.facets:
+            mask = sum(1 << i for i, v in enumerate(verts) if dot(n, v) == -c)
+            if mask and mask != full:
+                tight.setdefault(mask, n)
+        chart, _ = _lattice_chart(verts, verts[0])
+        facets = [_facet(chart, n, verts) for m, n in tight.items() if not any(m != o and m & o == m for o in tight)]
+        return _assemble(chart, verts, facets)
 
     def normalized_volume(self):
         """dim! times the Euclidean volume within the affine span (an integer)."""
@@ -413,12 +535,11 @@ def _nvol_full_dim(coords, d):
         if h == 0:
             continue
         sub = [coords[i] for i in tight]
-        anchor = sub[0]
         # the saturated lattice, so facet volumes are measured in the induced
         # lattice of the ambient space rather than the sublattice the
         # differences happen to generate
-        _, sub_coords, _ = _lattice_chart([vsub(p, anchor) for p in sub], d)
-        total += abs(h) * _nvol_full_dim(sub_coords, d - 1)
+        chart, diffs = _lattice_chart(sub, sub[0])
+        total += abs(h) * _nvol_full_dim(_chart_coordinates(chart, diffs), d - 1)
     return total
 
 
@@ -475,18 +596,23 @@ def polytope_from_inequalities(ineqs, equations, ambient_dim):
 
 
 def clip_by_halfspace(cell, normal, offset):
-    """cell intersected with {<normal, x> >= -offset}, by exact edge clipping.
+    """cell intersected with {<normal, x> >= -offset}, by one double-description step.
 
-    The vertices of the clip are the cell's vertices inside the halfspace plus
-    the points where edges cross its boundary hyperplane.  Returns the cell
-    itself when it lies inside, and None when the intersection is empty; a
-    cell touching the hyperplane from outside clips to the touching face.
+    Returns the cell itself when it lies inside, and None when the
+    intersection is empty; a cell touching the hyperplane from outside clips
+    to the touching face (`LatticePolytope.face`).  When the cut crosses the
+    cell, the clip keeps the cell's span and chart; its vertices are the
+    cell's vertices inside the halfspace plus the points where edges cross
+    the hyperplane, and its facets are the cell's facets holding a vertex
+    strictly inside, verbatim, plus the cut.  No hull is taken.
     """
     vals = [Fraction(dot(normal, v)) + offset for v in cell.vertices]
     if all(v >= 0 for v in vals):
         return cell
     if all(v < 0 for v in vals):
         return None
+    if all(v <= 0 for v in vals):
+        return cell.face(normal, offset)
     verts = cell.vertices
     # vertex i's tight facets as a bitmask over the facet indices
     masks = [sum(1 << k for k, (n, c) in enumerate(cell.facets) if dot(n, v) == -c) for v in verts]
@@ -501,9 +627,28 @@ def clip_by_halfspace(cell, normal, offset):
                     tuple(Fraction(a) + t * (Fraction(b) - Fraction(a)) for a, b in zip(verts[i], verts[j]))
                 )
             )
-    if not pts:
-        return None
-    return LatticePolytope.hull(sorted(set(normalize_point(p) for p in pts)))
+    inside = 0
+    for mask, val in zip(masks, vals):
+        if val > 0:
+            inside |= mask
+    chart = _span_chart(cell.span_basis, cell.ambient_dim)
+    kept = [facet for k, facet in enumerate(cell.facets) if inside >> k & 1]
+    return _assemble(chart, pts, kept + [_facet(chart, normal, pts)])
+
+
+def graph_lift(cell, pieces):
+    """The graph over the cell of the affine functions (coeffs, const) in pieces.
+
+    Its vertices are the points (v, f_1(v), ..., f_r(v)) over the cell's
+    vertices, and its facets are the cell's facet inequalities padded with r
+    zeros: they are still primitive, least on the same vertices, and vanish
+    off the pivot coordinates of the lifted span, which are the cell's.
+    Only the span chart is computed; no hull is taken.
+    """
+    pts = [normalize_point(tuple(v) + tuple(Fraction(dot(a, v)) + b for a, b in pieces)) for v in cell.vertices]
+    zeros = (0,) * len(pieces)
+    chart, _ = _lattice_chart(pts, min(pts))
+    return _assemble(chart, pts, [(n + zeros, c) for n, c in cell.facets])
 
 
 def minkowski_sum(p, q):

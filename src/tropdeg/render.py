@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactlin import basis_coordinates, clear_fractions, det, dot, left_inverse, mat_mul, primitive, vsub
-from .polytope import hull
 from .tropical import discriminant
 
 SCALE = 48
@@ -19,9 +18,8 @@ MARGIN = 24
 
 
 def _facet_chart(poly, facet):
-    """Anchor and 2D lattice basis for a facet plane of a 3-polytope, read off the facet's hull."""
-    n, c = facet
-    face = hull([v for v in poly.vertices if dot(n, v) == -c])
+    """Anchor and 2D lattice basis for a facet plane of a 3-polytope, read off the facet as a face."""
+    face = poly.face(*facet)
     assert face.dim == 2
     return face.anchor, face.span_basis
 

@@ -15,6 +15,7 @@ from .polytope import (
     NefPartition,
     _hull_full_dim,
     clip_by_halfspace,
+    graph_lift,
     hull,
     minkowski_sum,
     normalize_point,
@@ -472,7 +473,7 @@ def graph_degeneration(subs_and_fs, refinement=None):
     total = []
     for cell in refined.maximal_cells:
         pieces = [_piece_on(f, s, refined, cell) for s, f in subs_and_fs]
-        total.append(hull([tuple(v) + tuple(affine_value(piece, v) for piece in pieces) for v in cell.vertices]))
+        total.append(graph_lift(cell, pieces))
     return GraphDegeneration(refined.support, [f for _, f in subs_and_fs], refined, total, r)
 
 

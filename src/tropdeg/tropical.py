@@ -51,6 +51,7 @@ class TropicalSpace:
         self.metadata = dict(metadata or {})
         self._faces = None
         self._boundary_faces = None
+        self._face_owners = None
         self._cells = None
         self._walls = None
         self._chart_cache = {}
@@ -66,20 +67,23 @@ class TropicalSpace:
         """The face table: each face's vertex key mapped to its dimension.
 
         Sorted by key and read off the face lattices of the maximal cells,
-        with no hull; the boundary face keys are found with it.
+        with no hull; the boundary face keys, and the first cell holding
+        each face, are found with it.
         """
         if self._faces is None:
-            self._faces, self._boundary_faces = _face_table(self.maximal_cells, self.boundary_keys)
+            self._faces, self._boundary_faces, self._face_owners = _face_table(self.maximal_cells, self.boundary_keys)
         return self._faces
 
     def cells(self):
         """Every face as a polytope, keyed like faces().
 
-        Each maximal cell stands for itself; every other face is hulled once.
+        Each maximal cell stands for itself; every other face is the face of
+        the first cell holding it on the sum of that cell's facets tight on
+        it, so no face is hulled.
         """
         if self._cells is None:
             own = {c.key(): c for c in self.maximal_cells}
-            self._cells = {k: own[k] if k in own else hull(list(k)) for k in self.faces()}
+            self._cells = {k: own[k] if k in own else _face_of(self._face_owners[k], k) for k in self.faces()}
         return self._cells
 
     def cells_of_dim(self, d):
@@ -198,21 +202,29 @@ class TropicalSpace:
 
 
 def _face_table(cells, boundary_keys):
-    """(dimension of each face key, set of boundary face keys), with no hull.
+    """(dimension of each face key, set of boundary face keys, first cell holding each key), with no hull.
 
     The faces are read off each cell's face lattice, and the faces of a
     boundary key off the lattice of each cell having that key as a face.
     """
     dims = {}
+    owners = {}
     boundary = set()
     for cell in cells:
         lattice = cell.faces()
         keyed = [(tuple(cell.vertices[i] for i in sorted(f)), d, f) for d in range(cell.dim + 1) for f in lattice.faces(d)]
         for key, d, face in keyed:
             dims.setdefault(key, d)
+            owners.setdefault(key, cell)
             if key in boundary_keys:
                 boundary.update(k for k, _, f in keyed if f <= face)
-    return dict(sorted(dims.items())), frozenset(boundary)
+    return dict(sorted(dims.items())), frozenset(boundary), owners
+
+
+def _face_of(cell, key):
+    """The proper face of the cell with vertex key, on the sum of its facets tight there."""
+    tight = [(n, c) for n, c in cell.facets if all(dot(n, v) == -c for v in key)]
+    return cell.face(tuple(map(sum, zip(*(n for n, _ in tight)))), sum(c for _, c in tight))
 
 
 # --- constructions ----------------------------------------------------------
@@ -249,7 +261,14 @@ def hypersurface_trop(poly, subdivision, enforce_fine=True):
     """
     if not poly.is_reflexive():
         raise ValueError("hypersurface tropicalization needs a reflexive polytope")
-    cells = [hull(list(key)) for key in _support_facet_keys(subdivision.maximal_cells, poly)]
+    # each boundary facet is read off the refined cell it bounds
+    keys = set(_support_facet_keys(subdivision.maximal_cells, poly))
+    faces = {}
+    for cell in subdivision.maximal_cells:
+        for facet, key in zip(cell.facets, cell.facet_keys()):
+            if key in keys and key not in faces:
+                faces[key] = cell.face(*facet)
+    cells = list(faces.values())
     if enforce_fine:
         # fineness: every boundary lattice point must be a vertex of the complex
         vertex_set = set()

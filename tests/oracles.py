@@ -8,9 +8,9 @@ every candidate through `contains`.  The ring and criterion-6 oracles count
 through it, so they do not share the primitive they check.
 
 The hull's lattice chart: `LatticePolytope.hull` reads the span basis,
-integer coordinates and facet lift off one left inverse (`_lattice_chart`).
-The hull it replaced took the coordinates through `basis_coordinates` and a
-second left inverse for the lift.
+integer coordinates and facet lift off one left inverse of the memoized span
+chart (`_span_chart`).  The hull it replaced took the coordinates through
+`basis_coordinates` and a second left inverse for the lift.
 
 The clip's edge test: `clip_by_halfspace` finds the edges a cut crosses with
 the combinatorial adjacency test `_adjacent` on facet bitmasks.  The clip it

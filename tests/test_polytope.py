@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import _span_coordinates, oracle_clip_by_halfspace, oracle_dilate_lattice_points, oracle_hull
 
-from tropdeg import exactlin, polytope
+from tropdeg import exactlin, polytope, render
 from tropdeg.exactlin import (
     dot,
     hnf_column_basis,
@@ -30,6 +30,7 @@ from tropdeg.polytope import (
     centered_dilated_simplex,
     clip_by_halfspace,
     cube,
+    graph_lift,
     hull,
     minkowski_sum,
     polytope_from_inequalities,
@@ -37,6 +38,8 @@ from tropdeg.polytope import (
     segment,
     standard_simplex,
 )
+from tropdeg.subdivision import common_refinement, graph_degeneration, regular_subdivision
+from tropdeg.tropical import TropicalSpace
 
 QUINTIC_COLUMNS = [
     (-1, -1, -1, -1),
@@ -312,6 +315,23 @@ def test_lattice_points_of_a_thin_diagonal_dilate():
     assert tri.lattice_points(2) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
 
+def test_lattice_points_of_a_thin_cell_scan_its_span_box():
+    # the ambient box of this triangle has 21^4 (about 2 * 10^5) points; its
+    # span box over the pivot coordinates x0 and x1 has 441, and of those
+    # only the 42 with 20 | x1 are lattice points of the plane to test
+    thin = hull([(0, 0, 0, 0), (1, 0, 0, 0), (20, 20, 20, 21)])
+    calls = []
+
+    def counted(u, v):
+        calls.append(v)
+        return dot(u, v)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytope, "dot", counted)
+        assert thin.is_elementary_simplex()
+    assert len({p for p in calls if len(p) == 4}) <= 42
+
+
 def test_json_round_trip(quintic):
     s = json.dumps(quintic.to_json(), sort_keys=True)
     again = LatticePolytope.from_json(json.loads(s))
@@ -507,8 +527,9 @@ def test_hull_matches_retired_hull(pts, rational, dens):
 
 
 def test_hull_makes_one_chart_and_hull_and_clip_share_one_adjacency_rule():
-    # the chart makes the hull's one left inverse beyond _hull_full_dim's
-    # and no basis_coordinates call; the clip finds edges with the same
+    # the first hull of a span makes its chart (one saturation and one left
+    # inverse beyond _hull_full_dim's); a second hull with the same span
+    # reads the memo and makes neither; the clip finds edges with the same
     # _adjacent as the double description and makes no rank computation
     calls = []
 
@@ -519,24 +540,107 @@ def test_hull_makes_one_chart_and_hull_and_clip_share_one_adjacency_rule():
 
         return wrapper
 
+    cell = cube(3)
+    polytope._span_chart.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("left_inverse", "basis_coordinates", "mat_rank", "_adjacent"):
+        for name in ("saturate_lattice", "left_inverse", "basis_coordinates", "mat_rank", "_adjacent"):
             mp.setattr(polytope, name, counted(name, getattr(polytope, name)))
-        full = hull([(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 3)])
         lower = hull([(1, 0, 0, 0), (1, 2, 0, 0), (1, 0, 2, 0), (1, 2, 2, 0), (1, 1, 1, 2)])
-        hulls = sorted(calls)
+        first = sorted(calls)
         del calls[:]
-        clipped = clip_by_halfspace(cube(3), (1, 1, 1), 0)
+        again = hull([(5, 1, 1, 1), (5, 3, 1, 1), (5, 1, 3, 1), (5, 3, 3, 1), (5, 2, 2, 3)])
+        second = sorted(calls)
+        del calls[:]
+        clipped = clip_by_halfspace(cell, (1, 1, 1), 0)
         clip_calls = [call for call in calls if call[1] == "clip_by_halfspace"]
-    assert (full.dim, lower.dim, clipped.dim) == (3, 3, 3)
-    assert sorted(set(hulls)) == [
+    assert (lower.dim, again.dim, clipped.dim) == (3, 3, 3)
+    assert again.span_basis == lower.span_basis
+    assert sorted(set(first)) == [
         ("_adjacent", "_hull_full_dim"),
         ("left_inverse", "_hull_full_dim"),
-        ("left_inverse", "_lattice_chart"),
+        ("left_inverse", "_span_chart"),
+        ("saturate_lattice", "_span_chart"),
     ]
-    assert hulls.count(("left_inverse", "_lattice_chart")) == 2
-    assert hulls.count(("left_inverse", "_hull_full_dim")) == 2
+    assert first.count(("left_inverse", "_span_chart")) == first.count(("saturate_lattice", "_span_chart")) == 1
+    assert sorted(set(second)) == [("_adjacent", "_hull_full_dim"), ("left_inverse", "_hull_full_dim")]
     assert clip_calls and set(clip_calls) == {("_adjacent", "clip_by_halfspace")}
+
+
+def _face_functional(poly, face):
+    """The sum of the facets of poly tight at every vertex of face, with its offset."""
+    tight = [(n, c) for n, c in poly.facets if all(dot(n, v) == -c for v in face)]
+    return tuple(map(sum, zip(*(n for n, _ in tight)))), sum(c for _, c in tight)
+
+
+@settings(max_examples=60, deadline=None)
+@given(embedded_point_sets(), st.booleans(), st.lists(st.integers(min_value=1, max_value=3), min_size=9, max_size=9))
+def test_face_matches_hull_of_its_vertices(pts, rational, dens):
+    # every proper face: each facet on its own inequality, and each lower
+    # face, down to the vertices, on the sum of the facets tight there
+    if rational:
+        pts = [tuple(Fraction(x, den) for x in p) for p, den in zip(pts, dens)]
+    poly = hull(pts)
+    for n, c in poly.facets:
+        face = poly.face(n, c)
+        assert _fields(face) == _fields(oracle_hull([v for v in poly.vertices if dot(n, v) == -c]))
+    lattice = poly.faces()
+    for d in range(poly.dim):
+        for idx in lattice.faces(d):
+            verts = [poly.vertices[i] for i in sorted(idx)]
+            assert _fields(poly.face(*_face_functional(poly, verts))) == _fields(oracle_hull(verts))
+
+
+@st.composite
+def affine_pieces(draw, ambient):
+    """One to three affine functions (coeffs, const) on Q^ambient."""
+    num = st.integers(min_value=-3, max_value=3)
+    den = st.integers(min_value=1, max_value=3)
+    value = st.builds(Fraction, num, den)
+    count = draw(st.integers(min_value=1, max_value=3))
+    return [(tuple(draw(value) for _ in range(ambient)), draw(value)) for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(embedded_point_sets(max_ambient=4), st.booleans(), st.lists(st.integers(min_value=1, max_value=3), min_size=9, max_size=9), st.data())
+def test_graph_lift_matches_hull_of_lifted_vertices(pts, rational, dens, data):
+    if rational:
+        pts = [tuple(Fraction(x, den) for x in p) for p, den in zip(pts, dens)]
+    cell = hull(pts)
+    pieces = data.draw(affine_pieces(cell.ambient_dim))
+    lifted = [tuple(v) + tuple(dot(a, v) + b for a, b in pieces) for v in cell.vertices]
+    assert _fields(graph_lift(cell, pieces)) == _fields(hull(lifted))
+
+
+def test_clip_face_and_graph_degeneration_take_no_hull():
+    # the clip (crossing and touching), the face, the graph lifts of a
+    # degeneration, a tropical space's faces and the render net's facet
+    # charts are all read off cells already built
+    square = [(x, y) for x in range(3) for y in range(3)]
+    sub_f, f = regular_subdivision(square, [x * x + y * y for x, y in square])
+    sub_g, g = regular_subdivision(square, [x * x + 2 * y * y + x * y for x, y in square])
+    refined = common_refinement(sub_f, sub_g)
+    space = TropicalSpace(2, 2, refined.maximal_cells, "solid")
+    cell = cube(3)
+    calls = []
+    real = LatticePolytope.hull
+
+    def counted(points):
+        calls.append(points)
+        return real(points)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(LatticePolytope, "hull", staticmethod(counted))
+        crossing = clip_by_halfspace(cell, (1, 1, 1), 0)
+        touching = clip_by_halfspace(cell, (1, 0, 0), -1)
+        face = cell.face((1, 1, 0), 2)
+        degeneration = graph_degeneration([(sub_f, f), (sub_g, g)], refinement=refined)
+        faces = space.cells()
+        facets, charts = render._net_charts(cell)
+    assert calls == []
+    assert (crossing.dim, touching.dim, face.dim) == (3, 2, 1)
+    assert len(degeneration.total_complex) == len(refined.maximal_cells)
+    assert len(faces) == len(space.faces())
+    assert len(charts) == len(facets) == 6
 
 
 # --- gift wrapping ---------------------------------------------------------
