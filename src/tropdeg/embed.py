@@ -9,10 +9,9 @@ the embedding is a Smith-normal-form check on every host cell.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .exactlin import (
     RationalCone,
+    _ratio,
     basis_coordinates,
     clear_fractions,
     dot,
@@ -29,6 +28,7 @@ from .polytope import (
     clip_by_halfspace,
     containing_cell,
     hull,
+    is_lattice_point,
     standard_simplex,
     walls,
 )
@@ -71,7 +71,7 @@ def local_fibre(fib, target):
     """
     if len(target) != len(fib.y) + 1:
         raise ValueError("target length must be number of y functionals plus one")
-    key = tuple(Fraction(t) for t in target)
+    key = tuple(target)
     if key in fib._fibre_cache:
         return fib._fibre_cache[key]
     w = tuple(sum(col) for col in zip(fib.p, *fib.y))
@@ -81,7 +81,7 @@ def local_fibre(fib, target):
     if level == 0:
         poly = hull([tuple(0 for _ in range(fib.cone.ambient_dim))])
     elif level > 0 and gens:
-        poly = hull([tuple(level * x / dot(w, g) for x in g) for g in gens])
+        poly = hull([tuple(_ratio(level * x, dot(w, g)) for x in g) for g in gens])
     else:
         poly = None
     for f, t in zip(fib.y, key):
@@ -252,7 +252,7 @@ def _check_face_consistency(fibration):
 def _assert_fan_compatibility(space, cell, host):
     """The host's charts must not degenerate the embedded cell at any vertex."""
     for v in cell.vertices:
-        if not all(Fraction(x).denominator == 1 for x in v):
+        if not is_lattice_point(v):
             continue
         chart = space.chart_matrix(v, host)
         imgs = []
@@ -346,7 +346,7 @@ def lg_truncate(space, u_functional):
     """
     coeffs, const = u_functional
     ambient = space.ambient_dim
-    neg_coeffs = tuple(-Fraction(a) for a in coeffs)
+    neg_coeffs = vneg(coeffs)
     clipped = []
     for c in space.maximal_cells:
         vals = [dot(coeffs, v) + const for v in c.vertices]
@@ -355,7 +355,7 @@ def lg_truncate(space, u_functional):
         if max(vals) <= 1:
             clipped.append(c)
             continue
-        x = clip_by_halfspace(c, neg_coeffs, Fraction(1) - Fraction(const))
+        x = clip_by_halfspace(c, neg_coeffs, 1 - const)
         if x is not None and x.dim == c.dim:
             clipped.append(x)
     below = [any(dot(coeffs, v) + const < 1 for v in c.vertices) for c in clipped]

@@ -142,9 +142,9 @@ def solve_linear(m, rhs):
     pivots, _, _ = _eliminate(rows, cols)
     if any(row[cols] != 0 for row in rows[len(pivots) :]):
         return None
-    x = [Fraction(0)] * cols
+    x = [0] * cols
     for row, c in zip(rows, pivots):
-        x[c] = Fraction(row[cols], row[c])
+        x[c] = _ratio(row[cols], row[c])
     return tuple(x)
 
 
@@ -191,10 +191,20 @@ def basis_coordinates(basis, vectors):
     return out
 
 
-def _ratio(num, den):
-    """num / den as an int when it is integral, else as a Fraction."""
-    q, r = divmod(num, den)
-    return q if r == 0 else Fraction(num, den)
+def _ratio(num, den=1):
+    """num / den in the package's one number form: an int when integral, else a Fraction.
+
+    num and den are ints or Fractions, den nonzero; a float raises
+    TypeError.  The geometric kernel sends every number it reads from input
+    and every exact division through here, so none of its values is a float
+    or a Fraction with denominator 1.
+    """
+    if type(num) is int and type(den) is int:
+        q, r = divmod(num, den)
+        return q if r == 0 else Fraction(num, den)
+    if den != 1 or type(num) is not Fraction:
+        num = Fraction(num, den)
+    return num.numerator if num.denominator == 1 else num
 
 
 def _exgcd(a, b):
@@ -484,12 +494,3 @@ def _extreme_generators(gens, facet_normals, ambient_dim):
     if mat_rank(facet_normals) < ambient_dim:
         return gens
     return [g for g in gens if mat_rank(tuple(n for n in facet_normals if dot(n, g) == 0)) == ambient_dim - 1]
-
-
-def dualize_cone(cone):
-    """The dual cone {m : <m, v> >= 0 for all v in cone}.
-
-    It is generated by the facet normals, so applying it twice returns a
-    cone equal (as a set) to the input.
-    """
-    return cone_from_generators(cone.facet_normals, cone.ambient_dim)

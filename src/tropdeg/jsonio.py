@@ -3,22 +3,25 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+
+from .exactlin import _ratio
 
 
 def num_json(x):
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def parse_num(x):
-    """An int, or a Fraction from a "p/q" string; ValueError on a zero q, a bool or a non-integral float."""
+    """An int, or from a "p/q" string the number in normal form (`exactlin._ratio`).
+
+    Raises ValueError on a zero q, a bool or a non-integral float.
+    """
     if isinstance(x, str):
         num, _, den = x.partition("/")
         den = int(den) if den else 1
         if den == 0:
             raise ValueError(f"zero denominator in {x!r}")
-        return Fraction(int(num), den)
+        return _ratio(int(num), den)
     if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
         raise ValueError(f"not an exact number: {x!r}")
     return int(x)

@@ -8,7 +8,6 @@ exact, and every tie-break documented in the constructions it relies on.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 
 from .embed import (
     FibrationData,
@@ -191,7 +190,7 @@ def _orthant_tents(poly, skip_coord):
     verifies.
     """
     sub = Subdivision(poly, [poly])
-    f = PLFunction(poly, {poly.key(): (tuple(0 for _ in range(poly.ambient_dim)), Fraction(0))}, "sum", True)
+    f = PLFunction(poly, {poly.key(): (tuple(0 for _ in range(poly.ambient_dim)), 0)}, "sum", True)
     for j in range(poly.ambient_dim):
         if j == skip_coord:
             continue

@@ -13,13 +13,13 @@ carry an explicit affine-span basis.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from itertools import product as iproduct
 
 from .exactlin import (
     _eliminate,
+    _ratio,
     basis_coordinates,
     clear_fractions,
     denominator_lcm,
@@ -40,21 +40,17 @@ from .jsonio import key_json, parse_num
 
 
 def normalize_point(p):
-    """Canonical coordinate tuple: ints where integral, Fractions otherwise."""
-    out = []
-    for x in p:
-        f = Fraction(x)
-        out.append(int(f) if f.denominator == 1 else f)
-    return tuple(out)
+    """An input point as a coordinate tuple in the number form of `_ratio`."""
+    return tuple(map(_ratio, p))
 
 
 def barycenter(points):
-    """The normalized barycenter of the points: one exact sum per coordinate, divided once."""
-    return normalize_point(Fraction(sum(xs), len(points)) for xs in zip(*points))
+    """The barycenter of the points: one exact sum per coordinate, divided once."""
+    return tuple(_ratio(sum(xs), len(points)) for xs in zip(*points))
 
 
 def is_lattice_point(p):
-    return all(Fraction(x).denominator == 1 for x in p)
+    return all(x.denominator == 1 for x in p)
 
 
 # --- exact hull engine ----------------------------------------------------
@@ -206,11 +202,6 @@ def _chart_coordinates(chart, diffs):
     return coords
 
 
-def _offset(x):
-    """A facet offset as an int where it is integral, else as a Fraction."""
-    return int(x) if Fraction(x).denominator == 1 else Fraction(x)
-
-
 def _span_points(chart, pivots, origin, box):
     """The integer points of the affine span through origin over a pivot box.
 
@@ -247,7 +238,7 @@ def _facet(chart, functional, vertices):
     basis = chart[0]
     g = clear_fractions(functional)
     n = primitive(g if len(basis) == len(g) else _lift(chart, mat_vec(basis, g)))
-    return n, _offset(-min(dot(n, v) for v in vertices))
+    return n, _ratio(-min(dot(n, v) for v in vertices))
 
 
 def _assemble(chart, vertices, facets):
@@ -256,12 +247,13 @@ def _assemble(chart, vertices, facets):
     This is the one place a polytope is put together: `hull` passes the
     facets its double description finds, and the clip, the face and the
     graph lift pass facets they read off a cell they already have.  The
-    vertices are normalized and span the chart's span; each facet is (n, c)
-    in the form `_facet` gives.  The equations are the chart's annihilators
-    through the least vertex, which is also the anchor.
+    vertices are tuples in the number form of `_ratio` and span the chart's
+    span; each facet is (n, c) in the form `_facet` gives.  The equations are
+    the chart's annihilators through the least vertex, which is also the
+    anchor.
     """
     anchor = min(vertices)
-    eqs = [(f, -dot(f, anchor)) for f in chart[3]]
+    eqs = [(f, _ratio(-dot(f, anchor))) for f in chart[3]]
     return LatticePolytope(len(anchor), vertices, sorted(set(facets)), eqs, chart[0], anchor)
 
 
@@ -289,16 +281,19 @@ class LatticePolytope:
     Vertices may be rational (slices, fibres); facet normals are primitive
     integer functionals.  Inequalities read <normal, x> >= -offset.  For a
     lower-dimensional polytope, `equations` pins down the affine span and
-    `span_basis` is a saturated lattice basis of its direction space.
+    `span_basis` is a saturated lattice basis of its direction space.  Every
+    coordinate, offset and constant is an int or a Fraction with denominator
+    above 1, as the constructions (`_assemble`) make them; the constructor
+    takes them as they are.
     """
 
     def __init__(self, ambient_dim, vertices, facets, equations, span_basis, anchor):
         self.ambient_dim = ambient_dim
-        self.vertices = tuple(sorted(normalize_point(v) for v in vertices))
+        self.vertices = tuple(sorted(vertices))
         self.facets = tuple(facets)
         self.equations = tuple(equations)
         self.span_basis = tuple(span_basis)
-        self.anchor = normalize_point(anchor) if anchor is not None else None
+        self.anchor = anchor
         self.dim = len(self.span_basis)
 
     # -- construction
@@ -330,7 +325,7 @@ class LatticePolytope:
             vals = [dot(f, p) for p in pts]
             lo = min(vals)
             assert frozenset(i for i, v in enumerate(vals) if v == lo) == frozenset(tight)
-            facets.append((f, _offset(-lo)))
+            facets.append((f, _ratio(-lo)))
         return _assemble(chart, verts, facets)
 
     @staticmethod
@@ -362,23 +357,21 @@ class LatticePolytope:
         return f"LatticePolytope(dim={self.dim}, ambient={self.ambient_dim}, vertices={len(self.vertices)})"
 
     def contains(self, point):
-        p = normalize_point(point)
         for f, c in self.equations:
-            if dot(f, p) != -c:
+            if dot(f, point) != -c:
                 return False
         for n, c in self.facets:
-            if dot(n, p) < -c:
+            if dot(n, point) < -c:
                 return False
         return True
 
     def contains_strictly(self, point):
         """Membership in the relative interior."""
-        p = normalize_point(point)
         for f, c in self.equations:
-            if dot(f, p) != -c:
+            if dot(f, point) != -c:
                 return False
         for n, c in self.facets:
-            if dot(n, p) <= -c:
+            if dot(n, point) <= -c:
                 return False
         return True
 
@@ -451,10 +444,9 @@ class LatticePolytope:
         raw = basis_coordinates(self.span_basis, [vsub(v, anchor) for v in self.vertices])
         den = denominator_lcm(c for x in raw for c in x)
         coords = [tuple(int(c * den) for c in x) for x in raw]
-        vol_scaled = _nvol_full_dim(coords, self.dim)
-        nv = Fraction(vol_scaled, den**self.dim)
+        nv = _ratio(_nvol_full_dim(coords, self.dim), den**self.dim)
         assert nv.denominator == 1 or not self.is_lattice()
-        return int(nv) if nv.denominator == 1 else nv
+        return nv
 
     def is_simplex(self):
         return len(self.vertices) == self.dim + 1
@@ -470,10 +462,7 @@ class LatticePolytope:
     def polar_dual(self):
         if self.dim < self.ambient_dim or not self.contains_strictly(tuple(0 for _ in range(self.ambient_dim))):
             raise ValueError("polar dual undefined: origin must be interior")
-        verts = []
-        for n, c in self.facets:
-            verts.append(tuple(Fraction(x, 1) / c for x in n))
-        return LatticePolytope.hull(verts)
+        return LatticePolytope.hull([tuple(_ratio(x, c) for x in n) for n, c in self.facets])
 
     def is_reflexive(self):
         if self.dim < self.ambient_dim or not self.contains_strictly(tuple(0 for _ in range(self.ambient_dim))):
@@ -572,8 +561,8 @@ def polytope_from_inequalities(ineqs, equations, ambient_dim):
     kept as the independent reference that tests and the benchmark tracer
     compare against.
     """
-    all_eqs = sorted({(tuple(f), Fraction(e)) for f, e in equations})
-    ineqs = sorted({(tuple(n), Fraction(c)) for n, c in ineqs})
+    all_eqs = sorted({(tuple(f), e) for f, e in equations})
+    ineqs = sorted({(tuple(n), c) for n, c in ineqs})
     rows_eq = [f for f, _ in all_eqs]
     rhs_eq = [-e for _, e in all_eqs]
     n_ineq = len(ineqs)
@@ -589,7 +578,7 @@ def polytope_from_inequalities(ineqs, equations, ambient_dim):
             continue
         ok = all(dot(f, x) == -e for f, e in all_eqs) and all(dot(n, x) >= -c for n, c in ineqs)
         if ok:
-            cand.add(normalize_point(x))
+            cand.add(x)
     if not cand:
         return None
     return LatticePolytope.hull(sorted(cand))
@@ -606,7 +595,7 @@ def clip_by_halfspace(cell, normal, offset):
     the hyperplane, and its facets are the cell's facets holding a vertex
     strictly inside, verbatim, plus the cut.  No hull is taken.
     """
-    vals = [Fraction(dot(normal, v)) + offset for v in cell.vertices]
+    vals = [dot(normal, v) + offset for v in cell.vertices]
     if all(v >= 0 for v in vals):
         return cell
     if all(v < 0 for v in vals):
@@ -621,12 +610,9 @@ def clip_by_halfspace(cell, normal, offset):
         for j in range(i + 1, len(verts)):
             if vals[i] * vals[j] >= 0 or not _adjacent(masks, i, j, cell.dim):
                 continue
-            t = vals[i] / (vals[i] - vals[j])
-            pts.append(
-                normalize_point(
-                    tuple(Fraction(a) + t * (Fraction(b) - Fraction(a)) for a, b in zip(verts[i], verts[j]))
-                )
-            )
+            # the crossing a + t (b - a), t = vals[i] / (vals[i] - vals[j]), divided once
+            gap = vals[i] - vals[j]
+            pts.append(tuple(_ratio(vals[i] * b - vals[j] * a, gap) for a, b in zip(verts[i], verts[j])))
     inside = 0
     for mask, val in zip(masks, vals):
         if val > 0:
@@ -645,7 +631,7 @@ def graph_lift(cell, pieces):
     off the pivot coordinates of the lifted span, which are the cell's.
     Only the span chart is computed; no hull is taken.
     """
-    pts = [normalize_point(tuple(v) + tuple(Fraction(dot(a, v)) + b for a, b in pieces)) for v in cell.vertices]
+    pts = [v + tuple(_ratio(dot(a, v) + b) for a, b in pieces) for v in cell.vertices]
     zeros = (0,) * len(pieces)
     chart, _ = _lattice_chart(pts, min(pts))
     return _assemble(chart, pts, [(n + zeros, c) for n, c in cell.facets])

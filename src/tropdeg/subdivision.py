@@ -8,12 +8,12 @@ construction produce identical cell lists.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactlin import basis_coordinates, denominator_lcm, dot, mat_rank, solve_linear, vsub
+from .exactlin import _ratio, basis_coordinates, denominator_lcm, dot, left_inverse, mat_vec, vsub
 from .polytope import (
     NefPartition,
     _hull_full_dim,
+    _lift,
+    _span_chart,
     clip_by_halfspace,
     graph_lift,
     hull,
@@ -27,7 +27,7 @@ from .polytope import (
 
 def affine_value(functional, point):
     coeffs, const = functional
-    return Fraction(dot(coeffs, point)) + const
+    return dot(coeffs, point) + const
 
 
 class PLFunction:
@@ -97,15 +97,16 @@ def regular_subdivision(points, heights):
     """Lower-envelope subdivision of lifted points with its convex certificate.
 
     Points must affinely span their hull; duplicate points with conflicting
-    heights are an error.  Returns (Subdivision, PLFunction).
+    heights are an error.  Returns (Subdivision, PLFunction).  Each cell is a
+    lower facet of the lifted hull, and its piece is read off that facet.
     """
     table = {}
     for p, h in zip(points, heights, strict=True):
         key = normalize_point(p)
-        hf = Fraction(h)
-        if key in table and table[key] != hf:
+        h = _ratio(h)
+        if key in table and table[key] != h:
             raise ValueError(f"duplicate point {key} with conflicting heights")
-        table[key] = hf
+        table[key] = h
     pts = sorted(table)
     hts = [table[p] for p in pts]
     support = hull(pts)
@@ -113,46 +114,37 @@ def regular_subdivision(points, heights):
 
     # work in span coordinates of the support, heights cleared to integers
     anchor = support.vertices[0]
-    basis = support.span_basis
     d = support.dim
     if d == 0:
         cell = support
         f = PLFunction(support, {cell.key(): (tuple(0 for _ in range(ambient)), hts[0])}, "from_heights", True)
         return Subdivision(support, [cell]), f
     den = denominator_lcm(hts)
-    span_pts = basis_coordinates(basis, [vsub(p, anchor) for p in pts])
+    span_pts = basis_coordinates(support.span_basis, [vsub(p, anchor) for p in pts])
     # clear rational span coordinates (rational inputs) and heights uniformly
     sden = denominator_lcm(x for c in span_pts for x in c)
-    lifted = [
-        tuple(int(Fraction(x) * sden) for x in c) + (int(h * den) * sden,)
-        for c, h in zip(span_pts, hts)
-    ]
-    if mat_rank(tuple(vsub(q, lifted[0]) for q in lifted[1:])) <= d:
-        # heights affine in the points: the trivial subdivision
-        func = _interpolate_ambient(pts, hts, ambient)
-        return Subdivision(support, [support]), PLFunction(support, {support.key(): func}, "from_heights", True)
-    facs = _hull_full_dim(lifted, d + 1)
+    lifted = [tuple(int(x * sden) for x in c) + (int(h * den) * sden,) for c, h in zip(span_pts, hts)]
+    # a point one above the first keeps the lifted set full-dimensional when
+    # the heights are affine; it lies strictly above every lower facet, so it
+    # changes none of them
+    lifted.append(lifted[0][:-1] + (lifted[0][-1] + 1,))
+    chart = _span_chart(support.span_basis, ambient)
+    dd = chart[2]
     cells = []
     pieces = {}
-    for n, c, tight in facs:
+    for n, c, tight in _hull_full_dim(lifted, d + 1):
         if n[-1] <= 0:
             continue  # not a lower facet
-        cell_pts = [pts[i] for i in tight]
-        cell = hull(cell_pts)
-        if cell.dim != d:
-            continue
+        cell = hull([pts[i] for i in tight])
         cells.append(cell)
-        pieces[cell.key()] = _interpolate_ambient(cell_pts, [hts[i] for i in tight], ambient)
-    sub = Subdivision(support, cells)
-    f = PLFunction(support, pieces, "from_heights", True)
-    return sub, f
-
-
-def _interpolate_ambient(points, values, ambient_dim):
-    rows = [tuple(Fraction(x) for x in p) + (Fraction(1),) for p in points]
-    sol = solve_linear(tuple(rows), tuple(Fraction(v) for v in values))
-    assert sol is not None
-    return (tuple(sol[:-1]), sol[-1])
+        # on the facet den * sden * h = -(c + sden <n', s>) / n[-1], where
+        # s = a (x - anchor) / dd are the span coordinates and n' = n[:-1];
+        # `_lift` gives w = dd * a^T n', so <n', s> = <w, x - anchor> / dd^2
+        w = _lift(chart, n[:-1])
+        scale = den * n[-1] * dd * dd
+        coeffs = tuple(_ratio(-x, scale) for x in w)
+        pieces[cell.key()] = (coeffs, _ratio(sden * dot(w, anchor) - c * dd * dd, sden * scale))
+    return Subdivision(support, cells), PLFunction(support, pieces, "from_heights", True)
 
 
 def is_strictly_convex(f, subdivision):
@@ -228,10 +220,7 @@ def sum_refinement(f, g, sub_f, sub_g):
     for cell in refined.maximal_cells:
         pf = _piece_on(f, sub_f, refined, cell)
         pg = _piece_on(g, sub_g, refined, cell)
-        pieces[cell.key()] = (
-            tuple(Fraction(a) + Fraction(b) for a, b in zip(pf[0], pg[0])),
-            Fraction(pf[1]) + Fraction(pg[1]),
-        )
+        pieces[cell.key()] = (tuple(_ratio(a + b) for a, b in zip(pf[0], pg[0])), _ratio(pf[1] + pg[1]))
     conv = f.convex and g.convex
     return refined, PLFunction(refined.support, pieces, "sum", conv)
 
@@ -296,7 +285,7 @@ def deterministic_jitter(point, seed=0):
 
 def jittered_heights(points, seed=0):
     """Squared-norm heights plus a tie-breaking jitter strictly below 1."""
-    return [sum(int(x) * int(x) for x in p) + Fraction(deterministic_jitter(p, seed), 1 << 31) for p in points]
+    return [_ratio(sum(int(x) * int(x) for x in p) * (1 << 31) + deterministic_jitter(p, seed), 1 << 31) for p in points]
 
 
 def boundary_triangulation(poly, seed=0):
@@ -344,14 +333,23 @@ def fine_crepant_subdivision(poly):
         cones = [hull(list(c.vertices) + [origin]) for c in cells]
         sub = Subdivision(poly, cones)
         # certify regularity: interpolate the boundary heights with the origin
-        # pulled down until the assembled function is strictly convex
+        # pulled down until the assembled function is strictly convex.  Each
+        # cone is a full-dimensional simplex, so one left inverse a of its
+        # rows (v, 1), with a @ rows = d * I, fits it once: the piece is a base
+        # fit (origin at 0) plus drop times a correction (1 at the origin, 0
+        # on the base), divided by d
+        fits = []
+        for cone in cones:
+            a, d = left_inverse(tuple(v + (1,) for v in cone.vertices))
+            base = mat_vec(a, [0 if v == origin else table[v] for v in cone.vertices])
+            correction = tuple(row[cone.vertices.index(origin)] for row in a)
+            fits.append((cone.key(), base, correction, d))
         drop = -1
         for _ in range(40):
             pieces = {}
-            for cone in cones:
-                base_pts = [v for v in cone.vertices if v != origin]
-                vals = [table[v] for v in base_pts] + [Fraction(drop)]
-                pieces[cone.key()] = _interpolate_ambient(base_pts + [origin], vals, poly.ambient_dim)
+            for key, base, correction, d in fits:
+                x = tuple(_ratio(b + drop * c, d) for b, c in zip(base, correction))
+                pieces[key] = (x[:-1], x[-1])
             f = PLFunction(poly, pieces, "from_heights", True)
             if check_convex_certificate(f, sub) and is_strictly_convex(f, sub):
                 if not sub.volume_check():
@@ -378,52 +376,17 @@ def hyperplane_split(poly, coord_index, level):
     sub = Subdivision(poly, [low, high])
     zero = tuple(0 for _ in range(ambient))
     pieces = {
-        low.key(): (zero, Fraction(0)),
-        high.key(): (neg_e_i, Fraction(level)),
+        low.key(): (zero, 0),
+        high.key(): (neg_e_i, level),
     }
     f = PLFunction(poly, pieces, "min_combination", False)
     return sub, f
 
 
 def negate_pl(f, sub):
-    pieces = {k: (tuple(-Fraction(c) for c in coeffs), -Fraction(const)) for k, (coeffs, const) in f.pieces.items()}
+    pieces = {k: (tuple(-c for c in coeffs), -const) for k, (coeffs, const) in f.pieces.items()}
     tag = {"min_combination": "max_combination", "max_combination": "min_combination"}.get(f.tag, f.tag)
     return PLFunction(f.domain, pieces, tag, not f.convex if f.tag in ("min_combination", "max_combination") else f.convex)
-
-
-def avoid_hyperplane(f, sub, multiplier_bound=64):
-    """Add the smallest multiple of |last coordinate| so that no maximal cell
-    interior meets the hyperplane H = {x_last = 0}; certified afterwards.
-
-    Combinatorially this is the Minkowski sum of the dual polytope with a
-    multiple of the vertical segment, on the support-function side.
-    """
-    support = sub.support
-    ambient = support.ambient_dim
-    last = ambient - 1
-    vals = [v[last] for v in support.vertices]
-    if not (min(vals) < 0 < max(vals)):
-        # H does not cut the support: nothing to do
-        return sub, f
-    split_sub, tent = hyperplane_split(support, last, 0)
-    tent_convex = negate_pl(tent, split_sub)  # max(0, u_last) with walls on H
-    for lam in range(1, multiplier_bound + 1):
-        scaled = PLFunction(
-            support,
-            {k: (tuple(lam * Fraction(c) for c in coeffs), lam * Fraction(const)) for k, (coeffs, const) in tent_convex.pieces.items()},
-            "max_combination",
-            True,
-        )
-        refined, g = sum_refinement(f, scaled, sub, split_sub)
-        if all(not _interior_meets_hyperplane(c, last) for c in refined.maximal_cells):
-            if is_strictly_convex(g, refined):
-                return refined, g
-    raise ValueError("no multiplier up to the bound avoids the hyperplane")
-
-
-def _interior_meets_hyperplane(cell, coord):
-    vals = [v[coord] for v in cell.vertices]
-    return min(vals) < 0 < max(vals)
 
 
 class GraphDegeneration:

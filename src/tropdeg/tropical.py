@@ -12,10 +12,10 @@ the hand-checkable focus-focus models.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from .exactlin import (
+    _ratio,
     clear_fractions,
     cone_from_generators,
     content,
@@ -30,7 +30,7 @@ from .exactlin import (
     vsub,
 )
 from .jsonio import key_json
-from .polytope import barycenter, hull, normalize_point, walls
+from .polytope import barycenter, hull, walls
 
 
 class TropicalSpace:
@@ -118,8 +118,7 @@ class TropicalSpace:
     def chart_matrix(self, v, cell=None):
         """Integer matrix taking ambient tangent vectors to chart coordinates."""
         if self.chart_kind == "explicit":
-            key = (normalize_point(v), cell.key())
-            return self.explicit_charts[key]
+            return self.explicit_charts[(v, cell.key())]
         if self.chart_kind == "solid":
             return mat_identity(self.ambient_dim)
         if v not in self._chart_cache:
@@ -198,7 +197,7 @@ class TropicalSpace:
         """Chart transition v_from -> v_to across one shared maximal cell."""
         m_to = self._restricted_chart(v_to, cell)[0]
         _, inv, d = self._restricted_chart(v_from, cell)
-        return tuple(tuple(Fraction(x, d) for x in row) for row in mat_mul(m_to, inv))
+        return tuple(tuple(_ratio(x, d) for x in row) for row in mat_mul(m_to, inv))
 
 
 def _face_table(cells, boundary_keys):
@@ -401,9 +400,9 @@ def _displacement(m):
     pivot = next(i for i, x in enumerate(u) if x != 0)
     m_cov = []
     for j in range(n):
-        f = Fraction(d[pivot][j], u[pivot])
-        assert f.denominator == 1, "transvection covector is not integral"
-        m_cov.append(int(f))
+        q, r = divmod(d[pivot][j], u[pivot])
+        assert r == 0, "transvection covector is not integral"
+        m_cov.append(q)
     g = content(tuple(m_cov))
     disp = tuple(g * x for x in u)
     return disp, g
@@ -480,22 +479,6 @@ def count_focus_focus(space):
     if space.dim != 2:
         raise ValueError("focus-focus counting needs a 2-dimensional space")
     return discriminant(space).total_multiplicity()
-
-
-def charts_globally_compatible(space):
-    """True iff the vertex charts glue to a global integral affine structure."""
-    for wall_key, adj in space.interior_walls().items():
-        s1 = space.maximal_cells[adj[0]]
-        s2 = space.maximal_cells[adj[1]]
-        wall_verts = list(wall_key)
-        for i in range(len(wall_verts)):
-            for j in range(i + 1, len(wall_verts)):
-                v, w = wall_verts[i], wall_verts[j]
-                t1 = space.transition(v, w, s1)
-                t2 = space.transition(v, w, s2)
-                if t1 != t2:
-                    return False
-    return True
 
 
 def classify_face(space, key):

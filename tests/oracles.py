@@ -21,6 +21,11 @@ over (1,...,1) with every host of each fibre, and `embed.barycenter_fibre`
 slices the host cells by the simplex map.  The `embed_D` it replaced kept
 only the last host written for each fibre, and the `barycenter_fibre` it
 replaced repeated that fibre loop.
+
+The affine pieces: `regular_subdivision` reads each cell's piece off its
+lower facet of the lifted hull, and `fine_crepant_subdivision` fits each
+cone once with one left inverse.  Both used to interpolate every piece with
+one `solve_linear` over the cell's points.
 """
 
 from fractions import Fraction
@@ -38,6 +43,7 @@ from tropdeg.exactlin import (
     mat_vec,
     primitive,
     saturate_lattice,
+    solve_linear,
     vadd,
     vsub,
 )
@@ -288,3 +294,10 @@ def unreduced_cells(t_d, iota):
             pts.append(tuple(img))
         out.append(hull(pts))
     return out
+
+
+def oracle_interpolate_ambient(points, values, ambient_dim):
+    rows = [tuple(Fraction(x) for x in p) + (Fraction(1),) for p in points]
+    sol = solve_linear(tuple(rows), tuple(Fraction(v) for v in values))
+    assert sol is not None
+    return (tuple(sol[:-1]), sol[-1])

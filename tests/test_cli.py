@@ -3,11 +3,13 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import tropdeg
 from tropdeg.cli import main
+from tropdeg.jsonio import parse_num
 
 
 def run(args):
@@ -216,6 +218,12 @@ def test_ring_inexact_coordinate_exit_2(tmp_path, bad, word):
     complex_file = tmp_path / "inexact.json"
     complex_file.write_text(json.dumps({"cells": [[[bad], [3]]]}))
     assert_input_error(["ring", "--complex", str(complex_file), "--degree", "1"], "not an exact number", word)
+
+
+@pytest.mark.parametrize("text, value", [("4/2", 2), ("-3/1", -3), ("6/-4", Fraction(-3, 2)), ("7", 7)])
+def test_parse_num_gives_the_normal_form(text, value):
+    # an integral "p/q" reads as an int, not as a Fraction with denominator 1
+    assert parse_num(text) == value and type(parse_num(text)) is type(value)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2])

@@ -9,12 +9,8 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tropdeg"
 TRACER_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
-# Tested constructions that no src/ module calls; whether they stay is open.
-ALLOWED = {
-    "exactlin.dualize_cone": "the dual cone, kept with its subset-scan differential test",
-    "subdivision.avoid_hyperplane": "the generic perturbation of a PL function, tested on its own",
-    "tropical.charts_globally_compatible": "the global chart-compatibility check, tested on its own",
-}
+# Definitions that no src/ module reads and that stay anyway: none.
+ALLOWED = {}
 
 
 def _definitions(tree):

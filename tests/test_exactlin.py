@@ -17,7 +17,6 @@ from tropdeg.exactlin import (
     denominator_lcm,
     det,
     dot,
-    dualize_cone,
     hnf_column_basis,
     is_integrally_surjective,
     is_zero,
@@ -222,65 +221,6 @@ def test_complete_to_unimodular():
 # --- cones ---------------------------------------------------------------
 
 
-def _dual_by_enumeration(gens, dim, box=6):
-    """Oracle: integer points m in a box with <m, g> >= 0 for all g, reduced to
-    primitive representatives; the dual cone's rays must all appear here."""
-    pts = set()
-    for m in product(range(-box, box + 1), repeat=dim):
-        if all(x == 0 for x in m):
-            continue
-        if all(dot(m, g) >= 0 for g in gens):
-            pts.add(primitive(m))
-    return pts
-
-
-def test_dualize_orthant_self_dual():
-    c = cone_from_generators([(1, 0), (0, 1)], 2)
-    d = dualize_cone(c)
-    assert sorted(d.generators) == [(0, 1), (1, 0)]
-
-
-def test_dualize_example_2d():
-    c = cone_from_generators([(1, 0), (1, 2)], 2)
-    d = dualize_cone(c)
-    assert sorted(d.generators) == [(0, 1), (2, -1)]
-    # oracle: every dual generator appears in the enumerated dual region and
-    # every enumerated point is a nonnegative combination of the two rays
-    region = _dual_by_enumeration([(1, 0), (1, 2)], 2)
-    assert set(d.generators) <= region
-    for p in region:
-        assert d.contains(p)
-
-
-def test_dualize_full_space_is_origin():
-    c = cone_from_generators([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)
-    d = dualize_cone(c)
-    assert d.generators == ()
-    dd = dualize_cone(d)
-    assert dd.contains((1, 0)) and dd.contains((-1, 0)) and dd.contains((0, -1))
-
-
-def test_dualize_involution_on_pointed_cones():
-    rng = random.Random(23)
-    cases = [
-        [(1, 0), (1, 2)],
-        [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
-        [(1, 0, 0), (1, 2, 0), (1, 0, 3), (1, 1, 1)],
-        [(2, 1), (1, 3)],
-    ]
-    for _ in range(6):
-        gens = [tuple(rng.randint(0, 4) + (1 if i == j else 0) for i in range(3)) for j in range(3)]
-        cases.append(gens)
-    for gens in cases:
-        dim = len(gens[0])
-        c = cone_from_generators(gens, dim)
-        if not c.is_pointed() or c.dim() < dim:
-            continue
-        dd = dualize_cone(dualize_cone(c))
-        assert dd.contains_all(c.generators)
-        assert c.contains_all(dd.generators)
-
-
 def test_cone_lower_dimensional():
     c = cone_from_generators([(1, 1, 0)], 3)
     assert c.generators == ((1, 1, 0),)
@@ -447,20 +387,6 @@ def _dual_rays_general(gens, dim):
     return sorted(set(rays))
 
 
-def _dualize_by_subset_scan(cone):
-    """The dual cone {m : <m, v> >= 0 for all v in cone}.
-
-    Applying twice returns a cone equal (as a set) to the input.
-    """
-    if not cone.generators:
-        # dual of {0} is the full space
-        idm = mat_identity(cone.ambient_dim)
-        gens = [tuple(r) for r in idm] + [vneg(r) for r in idm]
-        return _cone_by_subset_scan(gens, cone.ambient_dim)
-    rays = _dual_rays_general([tuple(g) for g in cone.generators], cone.ambient_dim)
-    return _cone_by_subset_scan(rays, cone.ambient_dim)
-
-
 @st.composite
 def cone_generator_sets(draw):
     """Generators of a random cone in Z^dim, dim = 1..4.
@@ -489,7 +415,6 @@ def test_cone_from_generators_matches_subset_scan(case):
     c = cone_from_generators(gens, dim)
     ref = _cone_by_subset_scan(gens, dim)
     assert (c.generators, c.facet_normals) == (ref.generators, ref.facet_normals)
-    assert dualize_cone(c) == _dualize_by_subset_scan(ref)
 
 
 # det, mat_rank and solve_linear as they were before they shared one

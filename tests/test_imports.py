@@ -1,12 +1,16 @@
 """Every name a tropdeg or test module imports is used in that module (or
-exported, or marked `# noqa: F401`), and no tropdeg function repeats an import
-its module already makes at top level."""
+exported, or marked `# noqa: F401`), no tropdeg function repeats an import
+its module already makes at top level, and the geometric modules take their
+numbers from `exactlin._ratio` rather than from `fractions`."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tropdeg"
 TESTS = pathlib.Path(__file__).resolve().parent
+
+# modules whose numbers are all made by `exactlin._ratio`, in its one number form
+GEOMETRIC = ("polytope", "subdivision", "tropical", "embed", "pipelines")
 
 
 def _unused_imports(source):
@@ -84,3 +88,24 @@ def test_repeated_imports_are_detected():
 def test_no_repeated_imports_in_package():
     repeated = {p.name: found for p in sorted(SRC.glob("*.py")) if (found := _repeated_imports(p.read_text()))}
     assert repeated == {}
+
+
+def _fractions_imports(source):
+    """Lines that import the fractions module or a name from it, at any depth."""
+    tree = ast.parse(source)
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import) and any(alias.name == "fractions" for alias in node.names))
+    )
+
+
+def test_fractions_imports_are_detected():
+    source = "import fractions\nfrom math import gcd\ndef f():\n    from fractions import Fraction\n    return Fraction, gcd\n"
+    assert _fractions_imports(source) == [1, 4]
+
+
+def test_geometric_modules_import_nothing_from_fractions():
+    found = {m: lines for m in GEOMETRIC if (lines := _fractions_imports((SRC / f"{m}.py").read_text()))}
+    assert found == {}

@@ -3,7 +3,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import oracle_interpolate_ambient
 
+from tropdeg import exactlin, polytope
+from tropdeg.exactlin import dot
 from tropdeg.pipelines import _orthant_tents
 from tropdeg.polytope import (
     NefPartition,
@@ -19,8 +22,8 @@ from tropdeg.subdivision import (
     PLFunction,
     _piece_on,
     affine_value,
-    avoid_hyperplane,
     blowup_refinement,
+    boundary_triangulation,
     check_convex_certificate,
     common_refinement,
     fine_crepant_subdivision,
@@ -191,36 +194,6 @@ def test_hyperplane_split_segment():
 def test_hyperplane_split_level_out_of_range():
     with pytest.raises(ValueError, match="level outside"):
         hyperplane_split(cube(1), 0, 1)
-
-
-def test_avoid_hyperplane_2d():
-    sq = cube(2)
-    pts = sq.lattice_points()
-    sub0, f0 = regular_subdivision(pts, [sum(x * x for x in p) for p in pts])
-    refined, g = avoid_hyperplane(f0, sub0)
-    for c in refined.maximal_cells:
-        vals = [v[-1] for v in c.vertices]
-        assert not (min(vals) < 0 < max(vals))
-    assert is_strictly_convex(g, refined)
-
-
-def test_avoid_hyperplane_idempotent_on_fixed_points():
-    sq = cube(2)
-    pts = sq.lattice_points()
-    sub0, f0 = regular_subdivision(pts, [abs(p[1]) for p in pts])
-    refined, g = avoid_hyperplane(f0, sub0)
-    assert refined.cell_keys() == sub0.cell_keys()
-
-
-def test_avoid_hyperplane_prism():
-    base = centered_dilated_simplex(2)
-    prism = product(base, segment(-1, 1))
-    pts = prism.lattice_points()
-    sub0, f0 = regular_subdivision(pts, [sum(x * x for x in p) for p in pts])
-    refined, g = avoid_hyperplane(f0, sub0)
-    for c in refined.maximal_cells:
-        vals = [v[-1] for v in c.vertices]
-        assert not (min(vals) < 0 < max(vals))
 
 
 def test_graph_degeneration_1d_tent():
@@ -420,3 +393,87 @@ def test_refinement_not_built_from_the_inputs_is_rejected():
     other_y, other_f = regular_subdivision(pts, [abs(p[1]) for p in pts])
     with pytest.raises(ValueError, match="no recorded parent"):
         graph_degeneration([(sub_x, f_x), (other_y, other_f)], refinement=refined)
+
+
+# --- pieces without solve_linear ----------------------------------------------
+
+
+@st.composite
+def heights_on_points(draw):
+    """Points of dimension 1 to 3, mapped into ambient dimension up to 4, each with a height.
+
+    The map is a random integer matrix plus a translation, so the support can
+    be lower-dimensional; coordinates are divided by 1 to 3 and heights are
+    ints or Fractions (given as Fraction(n, 1) too), and a point met twice
+    keeps its first height.  A few points in general position give affine
+    heights, hence one cell.
+    """
+    d = draw(st.integers(1, 3))
+    ambient = draw(st.integers(d, 4))
+    coord = st.integers(-2, 2)
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 6))
+    if ambient > d or draw(st.booleans()):
+        m = draw(st.lists(st.tuples(*[coord] * d), min_size=ambient, max_size=ambient))
+        shift = draw(st.tuples(*[coord] * ambient))
+        pts = [tuple(dot(row, p) + t for row, t in zip(m, shift)) for p in pts]
+    pden = draw(st.integers(1, 3))
+    hden = draw(st.integers(1, 3))
+    table = {}
+    for p in pts:
+        table.setdefault(tuple(Fraction(x, pden) for x in p), Fraction(draw(st.integers(-6, 6)), hden))
+    return list(table), list(table.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(heights_on_points())
+def test_lower_facet_pieces_match_retired_interpolation(case):
+    # on a full-dimensional support the piece is unique, so the tuples agree;
+    # on a lower-dimensional one only its values on the cell are fixed
+    pts, heights = case
+    height = dict(zip(pts, heights))
+    sub, f = regular_subdivision(pts, heights)
+    full = sub.support.dim == sub.support.ambient_dim
+    for cell in sub.maximal_cells:
+        verts = cell.vertices
+        old = oracle_interpolate_ambient(verts, [height[v] for v in verts], cell.ambient_dim)
+        new = f.pieces[cell.key()]
+        if full:
+            assert new == old
+        assert all(affine_value(new, v) == affine_value(old, v) == height[v] for v in verts)
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [centered_dilated_simplex(2), cube(2), centered_dilated_simplex(3), cube(3)],
+    ids=["3delta2", "square", "4delta3", "cube"],
+)
+def test_fine_crepant_pieces_match_retired_interpolation(poly):
+    # each cone's piece interpolates the boundary heights and the origin's
+    # pulled-down value, as the retired per-round solve did
+    sub, f = fine_crepant_subdivision(poly)
+    origin = (0,) * poly.ambient_dim
+    cells, table = boundary_triangulation(poly, 0)
+    assert sorted(hull(list(c.vertices) + [origin]).key() for c in cells) == sub.cell_keys()
+    for cone in sub.maximal_cells:
+        drop = f.pieces[cone.key()][1]
+        assert drop < 0 and (-drop) & (-drop - 1) == 0
+        base = [v for v in cone.vertices if v != origin]
+        vals = [table[v] for v in base] + [drop]
+        assert f.pieces[cone.key()] == oracle_interpolate_ambient(base + [origin], vals, poly.ambient_dim)
+
+
+def test_pieces_make_no_linear_solve(monkeypatch):
+    calls = []
+    real = exactlin.solve_linear
+
+    def counted(m, rhs):
+        calls.append(m)
+        return real(m, rhs)
+
+    monkeypatch.setattr(polytope, "solve_linear", counted)
+    monkeypatch.setattr(exactlin, "solve_linear", counted)
+    fine_crepant_subdivision(centered_dilated_simplex(2))
+    pts = cube(2).lattice_points()
+    regular_subdivision(pts, [abs(p[0]) + 2 * abs(p[1]) for p in pts])
+    regular_subdivision(pts, [p[0] - p[1] for p in pts])
+    assert calls == []
