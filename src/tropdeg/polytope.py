@@ -13,7 +13,7 @@ carry an explicit affine-span basis.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from itertools import product as iproduct
 
@@ -69,6 +69,36 @@ def _adjacent(masks, i, j, rank):
     return shared.bit_count() >= rank - 1 and not any(
         m & shared == shared for k, m in enumerate(masks) if k != i and k != j
     )
+
+
+def _facets_of(incidence, face):
+    """{mask: k}: the facets of a face, each with the first facet k of the polytope giving it.
+
+    face is a face's vertex bitmask and incidence[k] facet k's.  The face's
+    facets are the inclusion-maximal proper nonempty masks face & incidence[k]
+    (Kaibel and Pfetsch, Comput. Geom. 23, 2002).
+    """
+    tight = {}
+    for k, m in enumerate(incidence):
+        m &= face
+        if m and m != face:
+            tight.setdefault(m, k)
+    return {m: k for m, k in tight.items() if not any(m & o == m != o for o in tight)}
+
+
+def _bits(mask):
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(out)
+
+
+def tight_at(facet, points):
+    """Whether the facet inequality (n, c) is tight at every point: the package's one such test."""
+    n, c = facet
+    return all(dot(n, p) == -c for p in points)
 
 
 def _hull_full_dim(pts, d):
@@ -357,23 +387,11 @@ class LatticePolytope:
         return f"LatticePolytope(dim={self.dim}, ambient={self.ambient_dim}, vertices={len(self.vertices)})"
 
     def contains(self, point):
-        for f, c in self.equations:
-            if dot(f, point) != -c:
-                return False
-        for n, c in self.facets:
-            if dot(n, point) < -c:
-                return False
-        return True
+        return all(dot(f, point) == -c for f, c in self.equations) and all(dot(n, point) >= -c for n, c in self.facets)
 
     def contains_strictly(self, point):
         """Membership in the relative interior."""
-        for f, c in self.equations:
-            if dot(f, point) != -c:
-                return False
-        for n, c in self.facets:
-            if dot(n, point) <= -c:
-                return False
-        return True
+        return all(dot(f, point) == -c for f, c in self.equations) and all(dot(n, point) > -c for n, c in self.facets)
 
     def barycenter(self):
         return barycenter(self.vertices)
@@ -414,27 +432,31 @@ class LatticePolytope:
     def face(self, normal, offset):
         """The face cut out by the supporting hyperplane <normal, x> = -offset.
 
-        Its vertices are the vertices on the hyperplane.  Its facets are the
-        maximal proper tight sets of this polytope's facets on those
-        vertices, each inequality reduced to the face's own span chart, so
-        no hull is taken.  Raises ValueError when the hyperplane misses the
-        polytope or cuts through it.
+        Its vertices are the vertices on the hyperplane (`face_from_mask`).
+        Raises ValueError when the hyperplane misses the polytope or cuts
+        through it.
         """
         vals = [dot(normal, v) + offset for v in self.vertices]
         if min(vals) < 0 < max(vals) or 0 not in vals:
             raise ValueError("the hyperplane does not support the polytope")
-        verts = [v for v, x in zip(self.vertices, vals) if x == 0]
-        if len(verts) == len(self.vertices):
+        return self.face_from_mask(sum(1 << i for i, x in enumerate(vals) if x == 0))
+
+    def face_from_mask(self, mask):
+        """The face with the vertices indexed by the bitmask, and no hull.
+
+        Its facets are `_facets_of` it, each reduced to the face's own span
+        chart; the full mask gives the polytope itself.
+        """
+        if mask == (1 << len(self.vertices)) - 1:
             return self
-        full = (1 << len(verts)) - 1
-        tight = {}
-        for n, c in self.facets:
-            mask = sum(1 << i for i, v in enumerate(verts) if dot(n, v) == -c)
-            if mask and mask != full:
-                tight.setdefault(mask, n)
+        verts = self.vertices_of(mask)
         chart, _ = _lattice_chart(verts, verts[0])
-        facets = [_facet(chart, n, verts) for m, n in tight.items() if not any(m != o and m & o == m for o in tight)]
+        facets = [_facet(chart, self.facets[k][0], verts) for k in _facets_of(self.incidence, mask).values()]
         return _assemble(chart, verts, facets)
+
+    def vertices_of(self, mask):
+        """The vertices whose index is in the bitmask, in order."""
+        return tuple(self.vertices[i] for i in _bits(mask))
 
     def normalized_volume(self):
         """dim! times the Euclidean volume within the affine span (an integer)."""
@@ -478,36 +500,32 @@ class LatticePolytope:
         """Image under the integer matrix u (applied on the left)."""
         return LatticePolytope.hull([tuple(dot(row, v) for row in u) for v in self.vertices])
 
-    def facet_keys(self):
-        """Vertex tuples of the facets, read off the facet inequalities.
+    @cached_property
+    def incidence(self):
+        """Entry k is the bitmask of the indices of the vertices tight at `facets[k]`, made on first use."""
+        return tuple(sum(1 << i for i, v in enumerate(self.vertices) if tight_at(f, (v,))) for f in self.facets)
 
-        Entry i is the sorted tuple of vertices tight at `facets[i]`; no hull
-        is computed.  A point has no facets.
+    def facet_keys(self):
+        """Entry i is the sorted tuple of vertices tight at `facets[i]`, read off the incidence."""
+        return [self.vertices_of(m) for m in self.incidence]
+
+    def face_masks(self):
+        """The nonempty faces as vertex bitmasks by dimension, from the top down.
+
+        Each level is the facets (`_facets_of`) of the level above, sorted by
+        vertex indices, so no containment scan grades them.
         """
-        return [tuple(v for v in self.vertices if dot(n, v) == -c) for n, c in self.facets]
+        level = [(1 << len(self.vertices)) - 1]
+        out = {self.dim: level}
+        for d in range(self.dim - 1, -1, -1):
+            level = out[d] = sorted({m for face in level for m in _facets_of(self.incidence, face)}, key=_bits)
+        return out
 
     def faces(self):
-        """The complete graded face poset, faces as vertex index sets.
-
-        Every proper nonempty face is an intersection of facets, so the faces
-        are the facets' vertex-index sets closed under intersection, plus the
-        full set and the empty face.
-        """
-        index = {v: i for i, v in enumerate(self.vertices)}
-        facets = {frozenset(index[v] for v in key) for key in self.facet_keys()}
-        found = set(facets)
-        frontier = facets
-        while frontier:
-            frontier = {f & g for f in frontier for g in facets} - found - {frozenset()}
-            found |= frontier
-        found.add(frozenset(range(len(self.vertices))))
-        # grade by containment: a face sits one below the lowest face above it
-        dims = {}
-        for face in sorted(found, key=len, reverse=True):
-            dims[face] = min((dims[g] for g in dims if face < g), default=self.dim + 1) - 1
-        faces_sorted = {d: sorted((f for f in dims if dims[f] == d), key=sorted) for d in range(self.dim, -1, -1)}
-        faces_sorted[-1] = [frozenset()]
-        return FaceLattice(faces_sorted, self.dim)
+        """The complete graded face poset, faces as vertex index sets, plus the empty face."""
+        faces_by_dim = {d: [frozenset(_bits(m)) for m in masks] for d, masks in self.face_masks().items()}
+        faces_by_dim[-1] = [frozenset()]
+        return FaceLattice(faces_by_dim, self.dim)
 
 
 def _nvol_full_dim(coords, d):
@@ -603,8 +621,8 @@ def clip_by_halfspace(cell, normal, offset):
     if all(v <= 0 for v in vals):
         return cell.face(normal, offset)
     verts = cell.vertices
-    # vertex i's tight facets as a bitmask over the facet indices
-    masks = [sum(1 << k for k, (n, c) in enumerate(cell.facets) if dot(n, v) == -c) for v in verts]
+    # vertex i's tight facets as a bitmask over the facet indices: the incidence transposed
+    masks = [sum(1 << k for k, m in enumerate(cell.incidence) if m >> i & 1) for i in range(len(verts))]
     pts = [v for v, val in zip(verts, vals) if val >= 0]
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):

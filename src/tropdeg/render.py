@@ -10,16 +10,17 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactlin import basis_coordinates, clear_fractions, det, dot, left_inverse, mat_mul, primitive, vsub
+from .exactlin import basis_coordinates, clear_fractions, det, left_inverse, mat_mul, primitive, vsub
+from .polytope import tight_at
 from .tropical import discriminant
 
 SCALE = 48
 MARGIN = 24
 
 
-def _facet_chart(poly, facet):
-    """Anchor and 2D lattice basis for a facet plane of a 3-polytope, read off the facet as a face."""
-    face = poly.face(*facet)
+def _facet_chart(poly, mask):
+    """Anchor and 2D lattice basis for a facet plane of a 3-polytope, read off the facet's vertex mask as a face."""
+    face = poly.face_from_mask(mask)
     assert face.dim == 2
     return face.anchor, face.span_basis
 
@@ -36,18 +37,12 @@ def _net_charts(poly):
     on the facet lands at linear @ local(p) + offset.
     """
     facets = list(poly.facets)
+    masks = poly.incidence
+    # facets i and j meet in a ridge when they share two vertices
+    ridge = {(i, j): f & g for i, f in enumerate(masks) for j, g in enumerate(masks) if i != j and (f & g).bit_count() >= 2}
     charts = {}
-    ridge = {}
-    for i, f in enumerate(facets):
-        for j, g in enumerate(facets):
-            if i >= j:
-                continue
-            shared = [v for v in poly.vertices if dot(f[0], v) == -f[1] and dot(g[0], v) == -g[1]]
-            if len(shared) >= 2:
-                ridge[(i, j)] = sorted(shared)
-                ridge[(j, i)] = sorted(shared)
     root = 0
-    a0, b0 = _facet_chart(poly, facets[root])
+    a0, b0 = _facet_chart(poly, masks[root])
     charts[root] = (a0, b0, ((1, 0), (0, 1)), (0, 0))
     queue = [root]
     seen = {root}
@@ -61,14 +56,13 @@ def _net_charts(poly):
         for j in range(len(facets)):
             if j in seen or (i, j) not in ridge:
                 continue
-            shared = ridge[(i, j)]
+            shared = poly.vertices_of(ridge[(i, j)])
             p0 = shared[0]
             delta = primitive(clear_fractions(vsub(shared[-1], p0)))
             p1 = tuple(a + b for a, b in zip(p0, delta))
             # vertices of facets i and j off the ridge fix the orientation below
-            q_i = next(v for v in poly.vertices if dot(facets[i][0], v) == -facets[i][1] and v not in shared)
-            q_j = next(v for v in poly.vertices if dot(facets[j][0], v) == -facets[j][1] and v not in shared)
-            anchor_j, basis_j = _facet_chart(poly, facets[j])
+            q_i, q_j = (poly.vertices_of(masks[k] & ~ridge[(i, j)])[0] for k in (i, j))
+            anchor_j, basis_j = _facet_chart(poly, masks[j])
             # linear part: edge direction matches; the completion direction is
             # sent to the opposite side of the placed edge
             p1_img, p0_img, qi_img = place([p1, p0, q_i])
@@ -76,19 +70,7 @@ def _net_charts(poly):
             d_loc_j, p0_loc_j, qj_loc = _local_coords([p1, p0, q_j], anchor_j, basis_j)
             d_j = tuple(int(a - b) for a, b in zip(d_loc_j, p0_loc_j))
             # basis of the j-chart: (d_j, e_j) with e_j any unimodular completion
-            e_j = None
-            for cand in [(0, 1), (1, 0), (1, 1), (-1, 1)]:
-                m = ((d_j[0], cand[0]), (d_j[1], cand[1]))
-                if abs(det(m)) == 1:
-                    e_j = cand
-                    break
-            assert e_j is not None
-            d_perp_img = None
-            for cand in [(0, 1), (1, 0), (1, 1), (-1, 1)]:
-                if abs(det(((d_img[0], cand[0]), (d_img[1], cand[1])))) == 1:
-                    d_perp_img = cand
-                    break
-            assert d_perp_img is not None
+            e_j, d_perp_img = _completion(d_j), _completion(d_img)
             # choose the orientation putting facet j opposite facet i
             side_i = _side(p0_img, d_img, qi_img)
             for sign in (1, -1):
@@ -105,6 +87,13 @@ def _net_charts(poly):
             seen.add(j)
             queue.append(j)
     return facets, charts
+
+
+def _completion(d):
+    """The first of four fixed vectors completing d to a unimodular basis of Z^2."""
+    e = next((c for c in ((0, 1), (1, 0), (1, 1), (-1, 1)) if abs(det(((d[0], c[0]), (d[1], c[1])))) == 1), None)
+    assert e is not None
+    return e
 
 
 def _solve_linear_map(v1, v2, w1, w2):
@@ -148,8 +137,8 @@ def render_svg(space, support=None):
         facets, charts = _net_charts(support)
 
         def host_facet(cell):
-            for idx, (n, c) in enumerate(facets):
-                if all(dot(n, v) == -c for v in cell.vertices):
+            for idx, facet in enumerate(facets):
+                if tight_at(facet, cell.vertices):
                     return idx
             raise ValueError("cell lies in no facet of the support")
 

@@ -21,6 +21,7 @@ from .polytope import (
     normalize_point,
     product,
     segment,
+    tight_at,
     walls,
 )
 
@@ -302,7 +303,7 @@ def boundary_triangulation(poly, seed=0):
     cells = []
     seen = set()
     for facet in poly.facets:
-        pts = [p for p in boundary if dot(facet[0], p) == -facet[1]]
+        pts = [p for p in boundary if tight_at(facet, (p,))]
         sub, _ = regular_subdivision(pts, [table[p] for p in pts])
         for c in sub.maximal_cells:
             if c.key() not in seen:

@@ -19,7 +19,6 @@ from .exactlin import (
     clear_fractions,
     cone_from_generators,
     content,
-    dot,
     left_inverse,
     mat_identity,
     mat_mul,
@@ -30,7 +29,7 @@ from .exactlin import (
     vsub,
 )
 from .jsonio import key_json
-from .polytope import barycenter, hull, walls
+from .polytope import barycenter, hull, tight_at, walls
 
 
 class TropicalSpace:
@@ -66,9 +65,9 @@ class TropicalSpace:
     def faces(self):
         """The face table: each face's vertex key mapped to its dimension.
 
-        Sorted by key and read off the face lattices of the maximal cells,
-        with no hull; the boundary face keys, and the first cell holding
-        each face, are found with it.
+        Sorted by key and read off the face masks of the maximal cells, with
+        no hull; the boundary face keys, and the first cell holding each
+        face with its vertex mask there, are found with it.
         """
         if self._faces is None:
             self._faces, self._boundary_faces, self._face_owners = _face_table(self.maximal_cells, self.boundary_keys)
@@ -77,13 +76,12 @@ class TropicalSpace:
     def cells(self):
         """Every face as a polytope, keyed like faces().
 
-        Each maximal cell stands for itself; every other face is the face of
-        the first cell holding it on the sum of that cell's facets tight on
-        it, so no face is hulled.
+        Each face is built from its vertex mask in the first cell holding
+        it, so a maximal cell stands for itself and no face is hulled.
         """
         if self._cells is None:
-            own = {c.key(): c for c in self.maximal_cells}
-            self._cells = {k: own[k] if k in own else _face_of(self._face_owners[k], k) for k in self.faces()}
+            self.faces()
+            self._cells = {k: cell.face_from_mask(mask) for k, (cell, mask, _) in self._face_owners.items()}
         return self._cells
 
     def cells_of_dim(self, d):
@@ -201,29 +199,22 @@ class TropicalSpace:
 
 
 def _face_table(cells, boundary_keys):
-    """(dimension of each face key, set of boundary face keys, first cell holding each key), with no hull.
+    """(dimension of each face key, set of boundary face keys, owner of each key), sorted by key, with no hull.
 
-    The faces are read off each cell's face lattice, and the faces of a
-    boundary key off the lattice of each cell having that key as a face.
+    A key's owner is (first cell holding it, its vertex mask there, its
+    dimension).  The faces are read off each cell's face masks, and the faces
+    of a boundary key are the masks inside its mask in each cell having it.
     """
-    dims = {}
     owners = {}
     boundary = set()
     for cell in cells:
-        lattice = cell.faces()
-        keyed = [(tuple(cell.vertices[i] for i in sorted(f)), d, f) for d in range(cell.dim + 1) for f in lattice.faces(d)]
+        keyed = [(cell.vertices_of(m), d, m) for d, masks in cell.face_masks().items() for m in masks]
         for key, d, face in keyed:
-            dims.setdefault(key, d)
-            owners.setdefault(key, cell)
+            owners.setdefault(key, (cell, face, d))
             if key in boundary_keys:
-                boundary.update(k for k, _, f in keyed if f <= face)
-    return dict(sorted(dims.items())), frozenset(boundary), owners
-
-
-def _face_of(cell, key):
-    """The proper face of the cell with vertex key, on the sum of its facets tight there."""
-    tight = [(n, c) for n, c in cell.facets if all(dot(n, v) == -c for v in key)]
-    return cell.face(tuple(map(sum, zip(*(n for n, _ in tight)))), sum(c for _, c in tight))
+                boundary.update(k for k, _, f in keyed if f & face == f)
+    owners = dict(sorted(owners.items()))
+    return {k: d for k, (_, _, d) in owners.items()}, frozenset(boundary), owners
 
 
 # --- constructions ----------------------------------------------------------
@@ -264,9 +255,9 @@ def hypersurface_trop(poly, subdivision, enforce_fine=True):
     keys = set(_support_facet_keys(subdivision.maximal_cells, poly))
     faces = {}
     for cell in subdivision.maximal_cells:
-        for facet, key in zip(cell.facets, cell.facet_keys()):
+        for mask, key in zip(cell.incidence, cell.facet_keys()):
             if key in keys and key not in faces:
-                faces[key] = cell.face(*facet)
+                faces[key] = cell.face_from_mask(mask)
     cells = list(faces.values())
     if enforce_fine:
         # fineness: every boundary lattice point must be a vertex of the complex
@@ -289,7 +280,7 @@ def hypersurface_trop(poly, subdivision, enforce_fine=True):
 def _support_facet_keys(cells, support):
     """Facet keys of the cells that lie on a facet of the support, sorted."""
     keys = {key for cell in cells for key in cell.facet_keys()}
-    return sorted(key for key in keys if any(all(dot(n, p) == -c for p in key) for n, c in support.facets))
+    return sorted(key for key in keys if any(tight_at(f, key) for f in support.facets))
 
 
 class Discriminant:
@@ -491,7 +482,7 @@ def classify_face(space, key):
     levels = meta["vertical_levels"]
     zs = [v[last] for v in key]
     proj = [tuple(x for i, x in enumerate(v) if i != last) for v in key]
-    on_factor_boundary = any(all(dot(n, p) == -c for p in proj) for n, c in factor_facets)
+    on_factor_boundary = any(tight_at(f, proj) for f in factor_facets)
     if all(z == levels[1] for z in zs) or all(z == levels[0] for z in zs):
         return "BoundaryCap" if on_factor_boundary else "InteriorCap"
     if all(z == 0 for z in zs):

@@ -22,6 +22,11 @@ slices the host cells by the simplex map.  The `embed_D` it replaced kept
 only the last host written for each fibre, and the `barycenter_fibre` it
 replaced repeated that fibre loop.
 
+The vertex-facet incidence: `LatticePolytope.incidence` holds, per facet,
+the bitmask of the vertices tight on it, built once per polytope; facet
+keys, faces, the clip and the face table read it.  Each of them used to
+re-scan every facet inequality over the vertices, as `facet_keys` did.
+
 The affine pieces: `regular_subdivision` reads each cell's piece off its
 lower facet of the lifted hull, and `fine_crepant_subdivision` fits each
 cone once with one left inverse.  Both used to interpolate every piece with
@@ -142,6 +147,11 @@ def oracle_hull(points):
         ambient_facets.append((f, off))
     ambient_facets = sorted(set(ambient_facets))
     return LatticePolytope(ambient, verts, ambient_facets, eqs, basis, anchor)
+
+
+def oracle_facet_keys(poly):
+    """Vertex tuples of the facets, each facet inequality scanned over the vertices."""
+    return [tuple(v for v in poly.vertices if dot(n, v) == -c) for n, c in poly.facets]
 
 
 def oracle_clip_by_halfspace(cell, normal, offset):

@@ -1,7 +1,8 @@
 """Every name a tropdeg or test module imports is used in that module (or
 exported, or marked `# noqa: F401`), no tropdeg function repeats an import
-its module already makes at top level, and the geometric modules take their
-numbers from `exactlin._ratio` rather than from `fractions`."""
+its module already makes at top level, the geometric modules take their
+numbers from `exactlin._ratio` rather than from `fractions`, and only
+`polytope` tests whether a facet inequality is tight."""
 
 import ast
 import pathlib
@@ -108,4 +109,36 @@ def test_fractions_imports_are_detected():
 
 def test_geometric_modules_import_nothing_from_fractions():
     found = {m: lines for m in GEOMETRIC if (lines := _fractions_imports((SRC / f"{m}.py").read_text()))}
+    assert found == {}
+
+
+def _tight_tests(source):
+    """Lines that compare a `dot(...)` call for equality with a negated value, the tight-facet test."""
+    tree = ast.parse(source)
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Call)
+        and getattr(node.left.func, "id", getattr(node.left.func, "attr", None)) == "dot"
+        and any(isinstance(op, ast.Eq) for op in node.ops)
+        and any(isinstance(c, ast.UnaryOp) and isinstance(c.op, ast.USub) for c in node.comparators)
+    )
+
+
+def test_tight_tests_are_detected():
+    source = (
+        "def f(n, c, v, facet):\n"
+        "    a = dot(n, v) == -c\n"
+        "    b = exactlin.dot(facet[0], v) == -facet[1]\n"
+        "    inside = dot(n, v) >= -c\n"
+        "    off = dot(n, v) != -c\n"
+        "    level = dot(n, v) == c\n"
+        "    return a, b, inside, off, level\n"
+    )
+    assert _tight_tests(source) == [2, 3]
+
+
+def test_only_polytope_evaluates_the_tight_facet_test():
+    found = {p.name: lines for p in sorted(SRC.glob("*.py")) if p.stem != "polytope" and (lines := _tight_tests(p.read_text()))}
     assert found == {}

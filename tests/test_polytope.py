@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import _span_coordinates, oracle_clip_by_halfspace, oracle_dilate_lattice_points, oracle_hull
+from oracles import _span_coordinates, oracle_clip_by_halfspace, oracle_dilate_lattice_points, oracle_facet_keys, oracle_hull
 
 from tropdeg import exactlin, polytope, render
 from tropdeg.exactlin import (
@@ -493,6 +493,31 @@ def test_faces_match_recursive_rehulling(pts):
     verts = list(poly.vertices)
     expected_keys = sorted(tuple(verts[i] for i in tight) for tight in _face_facets(verts))
     assert sorted(poly.facet_keys()) == expected_keys
+
+
+def _scanned_incidence(poly):
+    """The retired per-facet scan, as one vertex bitmask per facet."""
+    index = {v: i for i, v in enumerate(poly.vertices)}
+    return tuple(sum(1 << index[v] for v in key) for key in oracle_facet_keys(poly))
+
+
+@settings(max_examples=60, deadline=None)
+@given(embedded_point_sets(max_ambient=4), st.booleans(), st.lists(st.integers(min_value=1, max_value=3), min_size=9, max_size=9), st.data())
+def test_incidence_matches_the_retired_scan(pts, rational, dens, data):
+    # hulls, clips crossing and touching the hull, every face, and a graph lift
+    if rational:
+        pts = [tuple(Fraction(x, den) for x in p) for p, den in zip(pts, dens)]
+    poly = hull(pts)
+    ambient = poly.ambient_dim
+    normal = data.draw(st.tuples(*[st.integers(min_value=-2, max_value=2)] * ambient).filter(any))
+    vals = sorted({dot(normal, v) for v in poly.vertices})
+    made = [poly, graph_lift(poly, data.draw(affine_pieces(ambient)))]
+    made += [clip_by_halfspace(poly, normal, -x) for x in vals]
+    made += [poly.face_from_mask(m) for masks in poly.face_masks().values() for m in masks]
+    for p in made:
+        if p is not None:
+            assert p.incidence == _scanned_incidence(p)
+            assert p.facet_keys() == oracle_facet_keys(p)
 
 
 @settings(max_examples=60, deadline=None)

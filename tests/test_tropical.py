@@ -1,9 +1,10 @@
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
 
-from tropdeg import pipelines, subdivision, tropical
+from tropdeg import exactlin, pipelines, subdivision, tropical
 from tropdeg.exactlin import dot, left_inverse, mat_identity, mat_mul, mat_vec
 from tropdeg.embed import lg_truncate, side_subcomplex
 from tropdeg.pipelines import QUINTIC_COLUMNS, _face_census, build_hypercube, build_kp1_2
@@ -638,6 +639,35 @@ def test_discriminant_and_face_census_make_no_hull_call(kp1_2_results, monkeypat
     for space in (solid, fresh_solid):
         assert _face_census(space) == result.report()["face_census"]
     assert calls == []
+
+
+def test_faces_facet_keys_and_face_table_read_the_incidence_with_no_dot_call(kp1_2_results, monkeypatch):
+    result = kp1_2_results[2]
+    spaces = [
+        TropicalSpace(s.ambient_dim, s.dim, s.maximal_cells, s.chart_kind, boundary_keys=s.boundary_keys)
+        for s in (result.sphere, result.solid)
+    ]
+    for space in spaces:
+        for cell in space.maximal_cells:
+            assert len(cell.incidence) == len(cell.facets)
+    calls = []
+    real_dot = exactlin.dot
+
+    def counting_dot(*args, **kwargs):
+        calls.append(args)
+        return real_dot(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tropdeg") and getattr(module, "dot", None) is real_dot:
+            monkeypatch.setattr(module, "dot", counting_dot)
+    for space in spaces:
+        for cell in space.maximal_cells:
+            cell.faces()
+            cell.facet_keys()
+        assert space.faces()
+    assert calls == []
+    # the counter sees the scan that builds an incidence
+    assert cube(2).incidence and calls
 
 
 # --- restricted charts and monodromy polytopes against their uncached bodies --
