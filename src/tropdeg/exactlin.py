@@ -153,8 +153,10 @@ def left_inverse(m):
 
     One fraction-free elimination of [m^T | I_r].  Column j of a is zero
     unless j is a pivot column of m^T, so a^T y / d is the solution of
-    m^T x = y that `solve_linear` finds (free variables 0).  Raises
-    ValueError when the rank is below r or an entry is not an integer.
+    m^T x = y that `solve_linear` finds (free variables 0).  For square m,
+    d is the determinant of the whole pivot block (see `_eliminate`), so
+    |d| = |det m|.  Raises ValueError when the rank is below r or an entry
+    is not an integer.
     """
     if any(x.denominator != 1 for row in m for x in row):
         raise ValueError("left inverse of a matrix with a non-integer entry")

@@ -148,37 +148,6 @@ def regular_subdivision(points, heights):
     return Subdivision(support, cells), PLFunction(support, pieces, "from_heights", True)
 
 
-def is_strictly_convex(f, subdivision):
-    """True iff the affine pieces of adjacent maximal cells always differ."""
-    cells = subdivision.maximal_cells
-    for cell in cells:
-        if cell.key() not in f.pieces:
-            raise ValueError("function is not linear on some maximal cell")
-    for wall, (i, j) in subdivision.interior_walls().items():
-        pi = f.pieces[cells[i].key()]
-        pj = f.pieces[cells[j].key()]
-        test_points = set(cells[i].vertices) | set(cells[j].vertices)
-        if all(affine_value(pi, p) == affine_value(pj, p) for p in test_points):
-            return False
-    return True
-
-
-def check_convex_certificate(f, subdivision):
-    """Certify that f is convex on the subdivision: across every interior wall
-    the neighbouring piece lies weakly above the cell's own extension."""
-    cells = subdivision.maximal_cells
-    for wall, (i, j) in subdivision.interior_walls().items():
-        pi = f.pieces[cells[i].key()]
-        pj = f.pieces[cells[j].key()]
-        for p in cells[j].vertices:
-            if affine_value(pi, p) > affine_value(pj, p):
-                return False
-        for p in cells[i].vertices:
-            if affine_value(pj, p) > affine_value(pi, p):
-                return False
-    return True
-
-
 def common_refinement(sub1, sub2):
     """Cells = full-dimensional intersections of cells from the two inputs.
 
@@ -338,26 +307,38 @@ def fine_crepant_subdivision(poly):
         # cone is a full-dimensional simplex, so one left inverse a of its
         # rows (v, 1), with a @ rows = d * I, fits it once: the piece is a base
         # fit (origin at 0) plus drop times a correction (1 at the origin, 0
-        # on the base), divided by d
-        fits = []
+        # on the base), divided by d, and |d| is the cone's normalized volume
+        fits = {}
         for cone in cones:
             a, d = left_inverse(tuple(v + (1,) for v in cone.vertices))
             base = mat_vec(a, [0 if v == origin else table[v] for v in cone.vertices])
             correction = tuple(row[cone.vertices.index(origin)] for row in a)
-            fits.append((cone.key(), base, correction, d))
+            fits[cone.key()] = (base, correction, d)
+        # both cells of an interior wall are simplices sharing that facet, and
+        # their pieces agree on it, so the one vertex p of cell j off the wall
+        # decides the bend: f is strictly convex across the wall iff cell i's
+        # piece at p lies strictly below table[p].  Times |d| of cell i that
+        # reads a + drop * b > 0, with a and b fixed by the boundary heights
+        bends = []
+        for wall, (i, j) in sub.interior_walls().items():
+            base, correction, d = fits[sub.maximal_cells[i].key()]
+            p = next(v for v in sub.maximal_cells[j].vertices if v not in wall)
+            s = 1 if d > 0 else -1
+            bends.append((s * (d * table[p] - dot(base, p + (1,))), -s * dot(correction, p + (1,))))
         drop = -1
         for _ in range(40):
-            pieces = {}
-            for key, base, correction, d in fits:
-                x = tuple(_ratio(b + drop * c, d) for b, c in zip(base, correction))
-                pieces[key] = (x[:-1], x[-1])
-            f = PLFunction(poly, pieces, "from_heights", True)
-            if check_convex_certificate(f, sub) and is_strictly_convex(f, sub):
-                if not sub.volume_check():
-                    raise ValueError("boundary triangulation does not tile the polytope")
-                return sub, f
+            if all(a + drop * b > 0 for a, b in bends):
+                break
             drop *= 2
-        raise ValueError("origin pull-down failed to certify a convex function")
+        else:
+            raise ValueError("origin pull-down failed to certify a convex function")
+        if sum(abs(d) for _, _, d in fits.values()) != poly.normalized_volume():
+            raise ValueError("boundary triangulation does not tile the polytope")
+        pieces = {}
+        for key, (base, correction, d) in fits.items():
+            x = tuple(_ratio(b + drop * c, d) for b, c in zip(base, correction))
+            pieces[key] = (x[:-1], x[-1])
+        return sub, PLFunction(poly, pieces, "from_heights", True)
     raise ValueError(
         "height perturbation failed to reach an elementary triangulation; "
         f"non-elementary boundary cells remain after all deterministic seeds ({len(last_bad)} at the last seed)"

@@ -31,12 +31,25 @@ The affine pieces: `regular_subdivision` reads each cell's piece off its
 lower facet of the lifted hull, and `fine_crepant_subdivision` fits each
 cone once with one left inverse.  Both used to interpolate every piece with
 one `solve_linear` over the cell's points.
+
+The origin pull-down: `fine_crepant_subdivision` computes one exact bend
+`a + drop * b > 0` per interior wall, once, from the cones' fits, takes the
+first `drop` in -1, -2, -4, ... that satisfies them all, and checks the
+tiling by summing the fits' `|d|`.  The loop it replaced rebuilt every piece
+and a `PLFunction` per round and re-ran the two wall scanners below
+(`check_convex_certificate`, `is_strictly_convex`) over every vertex of both
+cells of every wall, then ran `Subdivision.volume_check`.
+
+The piece lookup: `subdivision._piece_on` reads the parent keys that
+`common_refinement` records.  The lookup it replaced scans the coarser
+subdivision's cells for one containing the cell.
 """
 
 from fractions import Fraction
 from itertools import product as iproduct
 
 from tropdeg.exactlin import (
+    _ratio,
     basis_coordinates,
     denominator_lcm,
     dot,
@@ -53,7 +66,8 @@ from tropdeg.exactlin import (
     vsub,
 )
 from tropdeg.embed import ComplexMap, _check_face_consistency, local_fibre
-from tropdeg.polytope import LatticePolytope, _hull_full_dim, hull, is_lattice_point, normalize_point
+from tropdeg.polytope import LatticePolytope, _hull_full_dim, containing_cell, hull, is_lattice_point, normalize_point
+from tropdeg.subdivision import PLFunction, Subdivision, affine_value, boundary_triangulation
 from tropdeg.tropical import TropicalSpace
 
 
@@ -311,3 +325,94 @@ def oracle_interpolate_ambient(points, values, ambient_dim):
     sol = solve_linear(tuple(rows), tuple(Fraction(v) for v in values))
     assert sol is not None
     return (tuple(sol[:-1]), sol[-1])
+
+
+def is_strictly_convex(f, subdivision):
+    """True iff the affine pieces of adjacent maximal cells always differ."""
+    cells = subdivision.maximal_cells
+    for cell in cells:
+        if cell.key() not in f.pieces:
+            raise ValueError("function is not linear on some maximal cell")
+    for wall, (i, j) in subdivision.interior_walls().items():
+        pi = f.pieces[cells[i].key()]
+        pj = f.pieces[cells[j].key()]
+        test_points = set(cells[i].vertices) | set(cells[j].vertices)
+        if all(affine_value(pi, p) == affine_value(pj, p) for p in test_points):
+            return False
+    return True
+
+
+def check_convex_certificate(f, subdivision):
+    """Certify that f is convex on the subdivision: across every interior wall
+    the neighbouring piece lies weakly above the cell's own extension."""
+    cells = subdivision.maximal_cells
+    for wall, (i, j) in subdivision.interior_walls().items():
+        pi = f.pieces[cells[i].key()]
+        pj = f.pieces[cells[j].key()]
+        for p in cells[j].vertices:
+            if affine_value(pi, p) > affine_value(pj, p):
+                return False
+        for p in cells[i].vertices:
+            if affine_value(pj, p) > affine_value(pi, p):
+                return False
+    return True
+
+
+def oracle_fine_crepant_subdivision(poly):
+    """Fine regular triangulation of the boundary coned at the origin.
+
+    Desk-scale stand-in for an MPCP desingularization: vertex set is all
+    boundary lattice points plus the origin, every maximal cell is the cone
+    over an elementary boundary simplex, and the returned PLFunction is the
+    regularity certificate.  Raises if the deterministic heights fail to
+    produce an elementary triangulation.
+    """
+    if not poly.is_reflexive():
+        raise ValueError("fine crepant subdivision needs a reflexive polytope")
+    origin = tuple(0 for _ in range(poly.ambient_dim))
+    last_bad = None
+    for seed in range(8):
+        cells, table = boundary_triangulation(poly, seed)
+        bad = [c.key() for c in cells if not c.is_elementary_simplex()]
+        if bad:
+            last_bad = bad
+            continue
+        cones = [hull(list(c.vertices) + [origin]) for c in cells]
+        sub = Subdivision(poly, cones)
+        # certify regularity: interpolate the boundary heights with the origin
+        # pulled down until the assembled function is strictly convex.  Each
+        # cone is a full-dimensional simplex, so one left inverse a of its
+        # rows (v, 1), with a @ rows = d * I, fits it once: the piece is a base
+        # fit (origin at 0) plus drop times a correction (1 at the origin, 0
+        # on the base), divided by d
+        fits = []
+        for cone in cones:
+            a, d = left_inverse(tuple(v + (1,) for v in cone.vertices))
+            base = mat_vec(a, [0 if v == origin else table[v] for v in cone.vertices])
+            correction = tuple(row[cone.vertices.index(origin)] for row in a)
+            fits.append((cone.key(), base, correction, d))
+        drop = -1
+        for _ in range(40):
+            pieces = {}
+            for key, base, correction, d in fits:
+                x = tuple(_ratio(b + drop * c, d) for b, c in zip(base, correction))
+                pieces[key] = (x[:-1], x[-1])
+            f = PLFunction(poly, pieces, "from_heights", True)
+            if check_convex_certificate(f, sub) and is_strictly_convex(f, sub):
+                if not sub.volume_check():
+                    raise ValueError("boundary triangulation does not tile the polytope")
+                return sub, f
+            drop *= 2
+        raise ValueError("origin pull-down failed to certify a convex function")
+    raise ValueError(
+        "height perturbation failed to reach an elementary triangulation; "
+        f"non-elementary boundary cells remain after all deterministic seeds ({len(last_bad)} at the last seed)"
+    )
+
+
+def _oracle_piece_on(f, sub, cell):
+    """The affine piece of f valid on a cell of a finer subdivision."""
+    big = containing_cell(sub.maximal_cells, cell)
+    if big is None:
+        raise ValueError("cell not contained in any cell of the coarser subdivision")
+    return f.pieces[big.key()]

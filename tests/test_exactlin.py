@@ -580,6 +580,8 @@ def test_left_inverse_and_basis_coordinates_match_oracle_solve(case):
         return
     a, d = left_inverse(m)
     assert d != 0
+    if len(m) == r:
+        assert abs(d) == abs(_bareiss_det(m))
     assert mat_mul(a, m) == tuple(tuple(d if i == j else 0 for j in range(r)) for i in range(r))
     # a^T / d solves the transposed system as the oracle does (free variables 0)
     for y in (tuple(range(1, r + 1)), tuple(v[0] for v in basis)):

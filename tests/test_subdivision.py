@@ -3,15 +3,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_interpolate_ambient
+from oracles import (
+    _oracle_piece_on,
+    check_convex_certificate,
+    is_strictly_convex,
+    oracle_fine_crepant_subdivision,
+    oracle_interpolate_ambient,
+)
 
-from tropdeg import exactlin, polytope
+from tropdeg import exactlin, polytope, subdivision
 from tropdeg.exactlin import dot
 from tropdeg.pipelines import _orthant_tents
 from tropdeg.polytope import (
     NefPartition,
     centered_dilated_simplex,
-    containing_cell,
     cube,
     hull,
     product,
@@ -24,12 +29,10 @@ from tropdeg.subdivision import (
     affine_value,
     blowup_refinement,
     boundary_triangulation,
-    check_convex_certificate,
     common_refinement,
     fine_crepant_subdivision,
     graph_degeneration,
     hyperplane_split,
-    is_strictly_convex,
     negate_pl,
     product_pullback,
     regular_subdivision,
@@ -278,16 +281,8 @@ def test_split_and_sum_commute():
 
 # --- piece lookup against the containment scan it replaced --------------------
 #
-# The containment-based `_piece_on` that the recorded parent keys replaced,
-# kept verbatim as the oracle of a differential test.
-
-
-def _oracle_piece_on(f, sub, cell):
-    """The affine piece of f valid on a cell of a finer subdivision."""
-    big = containing_cell(sub.maximal_cells, cell)
-    if big is None:
-        raise ValueError("cell not contained in any cell of the coarser subdivision")
-    return f.pieces[big.key()]
+# The containment-based `_piece_on` that the recorded parent keys replaced is
+# `oracles._oracle_piece_on`.
 
 
 def _check_pieces(inputs):
@@ -477,3 +472,88 @@ def test_pieces_make_no_linear_solve(monkeypatch):
     regular_subdivision(pts, [abs(p[0]) + 2 * abs(p[1]) for p in pts])
     regular_subdivision(pts, [p[0] - p[1] for p in pts])
     assert calls == []
+
+
+# --- the origin pull-down against the round loop it replaced ------------------
+
+HEXAGON = hull([(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)])
+OCTAHEDRON = hull([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
+
+
+@pytest.mark.parametrize(
+    "poly",
+    [cube(1), *(centered_dilated_simplex(k) for k in (1, 2, 3)), cube(2), cube(3), HEXAGON, OCTAHEDRON],
+    ids=["segment", "delta1", "3delta2", "4delta3", "square", "cube", "hexagon", "octahedron"],
+)
+def test_pull_down_matches_retired_round_loop(poly):
+    sub, f = fine_crepant_subdivision(poly)
+    old_sub, old_f = oracle_fine_crepant_subdivision(poly)
+    assert sub.cell_keys() == old_sub.cell_keys()
+    # every piece takes the origin's pulled-down value, drop, as its constant
+    (drop,) = {c for _, c in f.pieces.values()}
+    assert {c for _, c in old_f.pieces.values()} == {drop}
+    assert f.pieces == old_f.pieces
+
+
+def test_pull_down_builds_one_function_and_scans_no_wall(monkeypatch):
+    built = []
+    real_function = subdivision.PLFunction
+
+    def counted_function(*args, **kwargs):
+        built.append(args)
+        return real_function(*args, **kwargs)
+
+    values = []
+    real_value = subdivision.affine_value
+
+    def counted_value(functional, point):
+        values.append(point)
+        return real_value(functional, point)
+
+    volumes = []
+    real_volume = polytope.LatticePolytope.normalized_volume
+
+    def counted_volume(self):
+        volumes.append(self)
+        return real_volume(self)
+
+    poly = centered_dilated_simplex(3)
+    monkeypatch.setattr(subdivision, "PLFunction", counted_function)
+    monkeypatch.setattr(subdivision, "affine_value", counted_value)
+    monkeypatch.setattr(polytope.LatticePolytope, "normalized_volume", counted_volume)
+    sub, f = fine_crepant_subdivision(poly)
+    # the facets' own triangulations build theirs on the facets
+    assert sum(args[0] is poly for args in built) == 1
+    assert values == []
+    assert volumes == [poly]
+    assert sub.support is poly and f.domain is poly
+
+
+def _patched_triangulation(monkeypatch, change):
+    real = subdivision.boundary_triangulation
+
+    def patched(poly, seed=0):
+        return change(*real(poly, seed))
+
+    monkeypatch.setattr(subdivision, "boundary_triangulation", patched)
+
+
+def test_pull_down_fails_on_flat_boundary_heights(monkeypatch):
+    # zero heights make the function linear on each facet's cones, so the
+    # walls inside a facet never bend, however far the origin is pulled down
+    _patched_triangulation(monkeypatch, lambda cells, table: (cells, {p: 0 for p in table}))
+    with pytest.raises(ValueError, match="origin pull-down failed to certify a convex function"):
+        fine_crepant_subdivision(centered_dilated_simplex(2))
+
+
+def test_pull_down_rejects_a_triangulation_that_misses_a_cell(monkeypatch):
+    _patched_triangulation(monkeypatch, lambda cells, table: (cells[1:], table))
+    with pytest.raises(ValueError, match="boundary triangulation does not tile the polytope"):
+        fine_crepant_subdivision(centered_dilated_simplex(2))
+
+
+def test_pull_down_rejects_a_non_elementary_boundary_cell(monkeypatch):
+    # a whole edge of 3 * Delta^2 holds four lattice points
+    _patched_triangulation(monkeypatch, lambda cells, table: ([hull([(-1, -1), (2, -1)])] + cells, table))
+    with pytest.raises(ValueError, match="height perturbation failed to reach an elementary triangulation"):
+        fine_crepant_subdivision(centered_dilated_simplex(2))
