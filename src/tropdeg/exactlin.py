@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 def content(v):
     """gcd of the entries of v (0 for the zero vector).
@@ -51,7 +52,14 @@ def is_zero(v):
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    """The inner product of two sequences of equal length.
+
+    Raises ValueError when the lengths differ, so a vector of the wrong
+    dimension never pairs with a prefix of the other.
+    """
+    if len(u) != len(v):
+        raise ValueError(f"inner product of vectors of lengths {len(u)} and {len(v)}")
+    return sum(map(mul, u, v))
 
 
 def vadd(u, v):
@@ -71,8 +79,12 @@ def mat_identity(n):
 
 
 def mat_mul(a, b):
+    """The product a @ b; raises ValueError when a row of a is not as long as b."""
+    n = len(b)
+    if any(len(row) != n for row in a):
+        raise ValueError(f"matrix product needs rows of length {n}")
     bt = tuple(zip(*b))
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_vec(a, v):
@@ -121,7 +133,8 @@ def _eliminate(rows, ncols):
 def det(m):
     """Determinant of a square integer matrix, by fraction-free elimination."""
     n = len(m)
-    assert all(len(row) == n for row in m)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of a matrix that is not square")
     pivots, d, sign = _eliminate([list(row) for row in m], n)
     return sign * d if len(pivots) == n else 0
 

@@ -8,9 +8,10 @@ construction produce identical cell lists.
 
 from __future__ import annotations
 
-from .exactlin import _ratio, basis_coordinates, denominator_lcm, dot, left_inverse, mat_vec, vsub
+from .exactlin import _ratio, basis_coordinates, denominator_lcm, dot, left_inverse, mat_identity, mat_vec, primitive, vsub
 from .polytope import (
     NefPartition,
+    _assemble,
     _hull_full_dim,
     _lift,
     _span_chart,
@@ -81,10 +82,6 @@ class Subdivision:
 
     def interior_walls(self):
         return {k: v for k, v in self.walls().items() if len(v) == 2}
-
-    def volume_check(self):
-        total = sum(c.normalized_volume() for c in self.maximal_cells)
-        return total == self.support.normalized_volume()
 
     def transform(self, u):
         """Image subdivision under a unimodular integer matrix u."""
@@ -293,6 +290,7 @@ def fine_crepant_subdivision(poly):
     if not poly.is_reflexive():
         raise ValueError("fine crepant subdivision needs a reflexive polytope")
     origin = tuple(0 for _ in range(poly.ambient_dim))
+    chart = _span_chart(mat_identity(poly.ambient_dim), poly.ambient_dim)
     last_bad = None
     for seed in range(8):
         cells, table = boundary_triangulation(poly, seed)
@@ -300,20 +298,27 @@ def fine_crepant_subdivision(poly):
         if bad:
             last_bad = bad
             continue
-        cones = [hull(list(c.vertices) + [origin]) for c in cells]
-        sub = Subdivision(poly, cones)
         # certify regularity: interpolate the boundary heights with the origin
         # pulled down until the assembled function is strictly convex.  Each
         # cone is a full-dimensional simplex, so one left inverse a of its
         # rows (v, 1), with a @ rows = d * I, fits it once: the piece is a base
         # fit (origin at 0) plus drop times a correction (1 at the origin, 0
-        # on the base), divided by d, and |d| is the cone's normalized volume
+        # on the base), divided by d, and |d| is the cone's normalized volume.
+        # Column k of a, signed by d, is inward and vanishes at every vertex
+        # but the k-th, so made primitive it is the facet opposite that vertex
+        cones = []
         fits = {}
-        for cone in cones:
-            a, d = left_inverse(tuple(v + (1,) for v in cone.vertices))
-            base = mat_vec(a, [0 if v == origin else table[v] for v in cone.vertices])
-            correction = tuple(row[cone.vertices.index(origin)] for row in a)
+        for c in cells:
+            verts = sorted(c.vertices + (origin,))
+            a, d = left_inverse(tuple(v + (1,) for v in verts))
+            s = 1 if d > 0 else -1
+            facets = [primitive(tuple(s * x for x in col)) for col in zip(*a)]
+            cone = _assemble(chart, verts, [(y[:-1], y[-1]) for y in facets])
+            cones.append(cone)
+            base = mat_vec(a, [0 if v == origin else table[v] for v in verts])
+            correction = tuple(row[verts.index(origin)] for row in a)
             fits[cone.key()] = (base, correction, d)
+        sub = Subdivision(poly, cones)
         # both cells of an interior wall are simplices sharing that facet, and
         # their pieces agree on it, so the one vertex p of cell j off the wall
         # decides the bend: f is strictly convex across the wall iff cell i's

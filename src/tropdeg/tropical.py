@@ -13,6 +13,7 @@ the hand-checkable focus-focus models.
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd
 
 from .exactlin import (
     _ratio,
@@ -180,22 +181,43 @@ class TropicalSpace:
         v_plus, v_minus = sorted(edge.vertices)[:2]
         return self._loop_matrix(v_plus, v_minus, sigma_plus, sigma_minus)
 
-    def _loop_matrix(self, v_plus, v_minus, sigma_plus, sigma_minus):
-        m_pp, inv_pp, d_pp = self._restricted_chart(v_plus, sigma_plus)
-        m_mp = self._restricted_chart(v_minus, sigma_plus)[0]
-        m_mm, inv_mm, d_mm = self._restricted_chart(v_minus, sigma_minus)
-        m_pm = self._restricted_chart(v_plus, sigma_minus)[0]
-        t = mat_mul(mat_mul(mat_mul(m_pm, inv_mm), m_mp), inv_pp)
-        d = d_mm * d_pp
+    def _loop_matrix(self, v_plus, v_minus, sigma_plus, sigma_minus, transition=None):
+        """The loop T(v- -> v+, sigma-) @ T(v+ -> v-, sigma+) at v+, an integer matrix.
+
+        It is the identity exactly when the two forward transitions
+        T(v+ -> v-, sigma+) and T(v+ -> v-, sigma-) agree (Gross and Siebert,
+        Ann. Math. 2011), so then no product is taken.  `transition` reads a
+        transition as `_transition` gives it; the discriminant passes a memo.
+        """
+        transition = transition or self._transition
+        forward = transition(v_plus, v_minus, sigma_plus)
+        if forward == transition(v_plus, v_minus, sigma_minus):
+            return mat_identity(len(forward[0]))
+        back = transition(v_minus, v_plus, sigma_minus)
+        t = mat_mul(back[0], forward[0])
+        d = back[1] * forward[1]
         if any(x % d for row in t for x in row):
             raise ValueError("monodromy is not integral; charts are incompatible on the lattice")
         return tuple(tuple(x // d for x in row) for row in t)
 
-    def transition(self, v_from, v_to, cell):
-        """Chart transition v_from -> v_to across one shared maximal cell."""
+    def _transition(self, v_from, v_to, cell):
+        """(t, d) with t / d the chart transition v_from -> v_to across the cell.
+
+        t = m_to @ inv of the restricted charts, in lowest terms with d > 0,
+        so two transitions are equal exactly when their pairs are.
+        """
         m_to = self._restricted_chart(v_to, cell)[0]
         _, inv, d = self._restricted_chart(v_from, cell)
-        return tuple(tuple(_ratio(x, d) for x in row) for row in mat_mul(m_to, inv))
+        t = mat_mul(m_to, inv)
+        g = gcd(d, *(x for row in t for x in row))
+        if d < 0:
+            g = -g
+        return tuple(tuple(x // g for x in row) for row in t), d // g
+
+    def transition(self, v_from, v_to, cell):
+        """Chart transition v_from -> v_to across one shared maximal cell."""
+        t, d = self._transition(v_from, v_to, cell)
+        return tuple(tuple(_ratio(x, d) for x in row) for row in t)
 
 
 def _face_table(cells, boundary_keys):
@@ -348,9 +370,24 @@ def _compute_discriminant(space):
         for pair in combinations(wall_key, 2)
         if faces.get(pair) == 1 and not space.is_boundary_cell(pair)
     )
+    # every transition a loop reads runs between the ends of its edge, and
+    # the loops come edge first, so a memo cleared per edge hits as often as
+    # one over the whole space and holds a few matrices at a time
+    memo = {}
+    memo_edge = None
+
+    def transition(v_from, v_to, cell):
+        key = (v_from, v_to, cell.key())
+        if key not in memo:
+            memo[key] = space._transition(v_from, v_to, cell)
+        return memo[key]
+
     ident = None
     for edge_key, wall_key, adj in loops:
-        m = space._loop_matrix(edge_key[0], edge_key[1], space.maximal_cells[adj[0]], space.maximal_cells[adj[1]])
+        if edge_key != memo_edge:
+            memo.clear()
+            memo_edge = edge_key
+        m = space._loop_matrix(edge_key[0], edge_key[1], space.maximal_cells[adj[0]], space.maximal_cells[adj[1]], transition)
         if ident is None or len(ident) != len(m):
             ident = mat_identity(len(m))
         if m == ident:

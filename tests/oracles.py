@@ -38,7 +38,13 @@ first `drop` in -1, -2, -4, ... that satisfies them all, and checks the
 tiling by summing the fits' `|d|`.  The loop it replaced rebuilt every piece
 and a `PLFunction` per round and re-ran the two wall scanners below
 (`check_convex_certificate`, `is_strictly_convex`) over every vertex of both
-cells of every wall, then ran `Subdivision.volume_check`.
+cells of every wall, then ran `Subdivision.volume_check` (now
+`oracle_volume_check`, which sums the cells' normalized volumes).
+
+The inner product: `exactlin.dot` checks the two lengths once and sums
+`map(mul, u, v)`, and `exactlin.mat_mul` transposes b once and sums each
+entry the same way.  The forms they replaced, `oracle_dot` and
+`oracle_mat_mul`, build a generator over `zip(..., strict=True)` per entry.
 
 The piece lookup: `subdivision._piece_on` reads the parent keys that
 `common_refinement` records.  The lookup it replaced scans the coarser
@@ -69,6 +75,15 @@ from tropdeg.embed import ComplexMap, _check_face_consistency, local_fibre
 from tropdeg.polytope import LatticePolytope, _hull_full_dim, containing_cell, hull, is_lattice_point, normalize_point
 from tropdeg.subdivision import PLFunction, Subdivision, affine_value, boundary_triangulation
 from tropdeg.tropical import TropicalSpace
+
+
+def oracle_dot(u, v):
+    return sum(a * b for a, b in zip(u, v, strict=True))
+
+
+def oracle_mat_mul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(tuple(oracle_dot(row, col) for col in bt) for row in a)
 
 
 def _ceil(x):
@@ -399,7 +414,7 @@ def oracle_fine_crepant_subdivision(poly):
                 pieces[key] = (x[:-1], x[-1])
             f = PLFunction(poly, pieces, "from_heights", True)
             if check_convex_certificate(f, sub) and is_strictly_convex(f, sub):
-                if not sub.volume_check():
+                if not oracle_volume_check(sub):
                     raise ValueError("boundary triangulation does not tile the polytope")
                 return sub, f
             drop *= 2
@@ -408,6 +423,11 @@ def oracle_fine_crepant_subdivision(poly):
         "height perturbation failed to reach an elementary triangulation; "
         f"non-elementary boundary cells remain after all deterministic seeds ({len(last_bad)} at the last seed)"
     )
+
+
+def oracle_volume_check(sub):
+    total = sum(c.normalized_volume() for c in sub.maximal_cells)
+    return total == sub.support.normalized_volume()
 
 
 def _oracle_piece_on(f, sub, cell):

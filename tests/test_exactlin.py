@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import oracle_dot, oracle_mat_mul
 
 from tropdeg.exactlin import (
     RationalCone,
@@ -603,3 +604,71 @@ def test_left_inverse_rejects_non_integers_and_basis_coordinates_keep_ints():
     coords = basis_coordinates(((2, 0), (0, 1)), [(4, 3), (1, 0)])
     assert coords == [(2, 3), (Fraction(1, 2), 0)]
     assert type(coords[0][0]) is int and type(coords[1][0]) is Fraction
+
+
+# --- the inner-product kernel against the generator forms it replaced -------
+
+exact_numbers = st.one_of(small_ints, st.fractions(min_value=-9, max_value=9, max_denominator=6))
+
+
+def _outcome(fn, *args):
+    """fn(*args) with the type of each number, or the type of what it raised."""
+    try:
+        value = fn(*args)
+    except ValueError as exc:
+        return "raised", type(exc)
+    rows = value if isinstance(value, tuple) else ((value,),)
+    return "value", value, [[type(x) for x in row] for row in rows]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(exact_numbers, max_size=6), st.lists(exact_numbers, max_size=6))
+def test_dot_matches_generator_form_and_rejects_mismatched_lengths(u, v):
+    got = _outcome(dot, tuple(u), tuple(v))
+    assert got == _outcome(oracle_dot, tuple(u), tuple(v))
+    assert (got[0] == "raised") == (len(u) != len(v))
+
+
+@st.composite
+def matrix_pairs(draw):
+    """(a, b): a with r rows of length n, b with m >= 1 rows of length c >= 1.
+
+    Half the time m differs from n, or one row of a is one entry short or
+    long, so the product is undefined.
+    """
+    r, n, c = draw(st.integers(0, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    m = n if draw(st.booleans()) else draw(st.integers(1, 4))
+    a = [[draw(exact_numbers) for _ in range(n)] for _ in range(r)]
+    if r and draw(st.booleans()):
+        row = a[draw(st.integers(0, r - 1))]
+        if row and draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(exact_numbers))
+    b = [[draw(exact_numbers) for _ in range(c)] for _ in range(m)]
+    return tuple(map(tuple, a)), tuple(map(tuple, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_pairs())
+def test_mat_mul_matches_generator_form_and_rejects_mismatched_shapes(case):
+    a, b = case
+    got = _outcome(mat_mul, a, b)
+    assert got == _outcome(oracle_mat_mul, a, b)
+    assert (got[0] == "raised") == any(len(row) != len(b) for row in a)
+
+
+def test_mat_mul_rejects_rows_against_a_matrix_with_no_rows():
+    # b has no rows, so it shows no columns; the generator form never
+    # compared a row of a with it and returned one empty row
+    assert oracle_mat_mul(((0,),), ()) == ((),)
+    with pytest.raises(ValueError, match="rows of length 0"):
+        mat_mul(((0,),), ())
+    assert mat_mul(((),), ()) == ((),)
+
+
+def test_det_rejects_a_matrix_that_is_not_square():
+    assert det(((1, 2), (3, 4))) == -2
+    for m in (((1, 2),), ((1, 2), (3,)), ((1, 2, 3), (4, 5, 6))):
+        with pytest.raises(ValueError, match="not square"):
+            det(m)

@@ -9,6 +9,7 @@ from oracles import (
     is_strictly_convex,
     oracle_fine_crepant_subdivision,
     oracle_interpolate_ambient,
+    oracle_volume_check,
 )
 
 from tropdeg import exactlin, polytope, subdivision
@@ -100,7 +101,7 @@ def test_volume_additivity_and_regularity():
     hts = [sum(Fraction(x) ** 2 for x in pt) for pt in pts]
     cases.append(regular_subdivision(pts, hts))
     for sub, f in cases:
-        assert sub.volume_check()
+        assert oracle_volume_check(sub)
         assert is_strictly_convex(f, sub)
         assert check_convex_certificate(f, sub)
 
@@ -129,7 +130,7 @@ def test_sum_refinement_transverse_tents_grid():
     sub_y, f_y = regular_subdivision(pts, [t for t, _ in tent_y])
     refined, g = sum_refinement(f_x, f_y, sub_x, sub_y)
     assert len(refined.maximal_cells) == 4
-    assert refined.volume_check()
+    assert oracle_volume_check(refined)
 
 
 def test_sum_refinement_product_18_cells():
@@ -142,7 +143,7 @@ def test_sum_refinement_product_18_cells():
     big_s, g_s = product_pullback(f_s, sub_s, base, side="right")
     refined, g = sum_refinement(g_q, g_s, big_q, big_s)
     assert len(refined.maximal_cells) == 18
-    assert refined.volume_check()
+    assert oracle_volume_check(refined)
     assert is_strictly_convex(g, refined)
 
 
@@ -156,7 +157,7 @@ def test_fine_crepant_3delta2():
     origin = (0, 0)
     for c in sub.maximal_cells:
         assert origin in c.vertices
-    assert sub.volume_check()
+    assert oracle_volume_check(sub)
     assert is_strictly_convex(f, sub)
 
 
@@ -480,11 +481,14 @@ HEXAGON = hull([(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)])
 OCTAHEDRON = hull([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)])
 
 
-@pytest.mark.parametrize(
+REFLEXIVE_CORPUS = pytest.mark.parametrize(
     "poly",
     [cube(1), *(centered_dilated_simplex(k) for k in (1, 2, 3)), cube(2), cube(3), HEXAGON, OCTAHEDRON],
     ids=["segment", "delta1", "3delta2", "4delta3", "square", "cube", "hexagon", "octahedron"],
 )
+
+
+@REFLEXIVE_CORPUS
 def test_pull_down_matches_retired_round_loop(poly):
     sub, f = fine_crepant_subdivision(poly)
     old_sub, old_f = oracle_fine_crepant_subdivision(poly)
@@ -493,6 +497,32 @@ def test_pull_down_matches_retired_round_loop(poly):
     (drop,) = {c for _, c in f.pieces.values()}
     assert {c for _, c in old_f.pieces.values()} == {drop}
     assert f.pieces == old_f.pieces
+
+
+@REFLEXIVE_CORPUS
+def test_fine_crepant_cones_equal_the_hull_of_their_vertices(poly):
+    sub, _ = fine_crepant_subdivision(poly)
+    for cone in sub.maximal_cells:
+        want = hull(cone.vertices)
+        # the incidence is made on first use: make it on both
+        assert cone.incidence == want.incidence
+        assert vars(cone) == vars(want)
+
+
+def test_fine_crepant_subdivision_hulls_no_cone(monkeypatch):
+    hulled = []
+    real_hull = polytope.LatticePolytope.hull
+
+    def counted_hull(points):
+        hulled.append(tuple(points))
+        return real_hull(points)
+
+    poly = centered_dilated_simplex(3)
+    monkeypatch.setattr(polytope.LatticePolytope, "hull", staticmethod(counted_hull))
+    fine_crepant_subdivision(poly)
+    # the boundary triangulation hulls boundary points; a cone would hull the origin too
+    assert hulled
+    assert not [pts for pts in hulled if (0, 0, 0) in pts]
 
 
 def test_pull_down_builds_one_function_and_scans_no_wall(monkeypatch):

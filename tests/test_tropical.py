@@ -794,3 +794,89 @@ def test_build_kp1_2_reads_pieces_charts_and_polytopes_once(monkeypatch):
     assert set(sphere._restricted_cache) == pairs
     displacements = {e["displacement"] for e in result.discriminant.entries}
     assert len(polytopes) == len(displacements) < len(result.discriminant.entries)
+
+
+# --- loops read off shared transitions ------------------------------------
+
+
+def _discriminant_loops(space):
+    """(v+, v-, sigma+, sigma-) of each loop the discriminant reads, in its order."""
+    faces = space.faces()
+    cells = space.maximal_cells
+    return [
+        (pair[0], pair[1], cells[adj[0]], cells[adj[1]])
+        for pair, _, adj in sorted(
+            (pair, wall_key, adj)
+            for wall_key, adj in space.interior_walls().items()
+            for pair in combinations(wall_key, 2)
+            if faces.get(pair) == 1 and not space.is_boundary_cell(pair)
+        )
+    ]
+
+
+def _counting_mat_mul(monkeypatch):
+    calls = []
+    real = tropical.mat_mul
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(tropical, "mat_mul", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_discriminant_multiplies_once_per_transition_and_nontrivial_loop(kp1_2_results, monkeypatch, k):
+    sphere = kp1_2_results[k].sphere
+    space = TropicalSpace(sphere.ambient_dim, sphere.dim, sphere.maximal_cells, sphere.chart_kind)
+    # the transitions each loop needs, by the uncached oracles: both forward
+    # ones, and the back one only where the loop is not the identity
+    needed = set()
+    nontrivial = 0
+    for v_plus, v_minus, s_plus, s_minus in _discriminant_loops(space):
+        needed |= {(v_plus, v_minus, s_plus.key()), (v_plus, v_minus, s_minus.key())}
+        loop = _oracle_loop_matrix(space, v_plus, v_minus, s_plus, s_minus)
+        if loop != mat_identity(len(loop)):
+            needed.add((v_minus, v_plus, s_minus.key()))
+            nontrivial += 1
+    calls = _counting_mat_mul(monkeypatch)
+    entries = _compute_discriminant(space).entries
+    assert entries == kp1_2_results[k].discriminant.entries
+    assert len(entries) == nontrivial
+    assert len(calls) == len(needed) + nontrivial
+    assert len(calls) == {2: 174, 3: 3050}[k]
+
+
+def test_a_trivial_loop_makes_no_product_beyond_its_two_transitions(kp1_2_results, monkeypatch):
+    sphere = kp1_2_results[2].sphere
+    loops = _discriminant_loops(sphere)
+    calls = _counting_mat_mul(monkeypatch)
+    seen = set()
+    for loop in loops:
+        calls.clear()
+        m = sphere._loop_matrix(*loop)
+        trivial = m == mat_identity(len(m))
+        # uncached: two forward transitions, and past them the back one and the product
+        assert len(calls) == (2 if trivial else 4)
+        seen.add(trivial)
+    assert seen == {True, False}
+
+
+def test_loop_is_identity_iff_forward_transitions_agree(face_corpus):
+    compared = set()
+    for name, space in face_corpus.items():
+        if space.dim < 2:
+            continue
+        for v_plus, v_minus, s_plus, s_minus in _discriminant_loops(space):
+            # the loop, its reverse, and the loop based at the other end
+            variants = [(v_plus, v_minus, s_plus, s_minus), (v_plus, v_minus, s_minus, s_plus), (v_minus, v_plus, s_plus, s_minus)]
+            for v, w, a, b in variants:
+                loop = _outcome(space._loop_matrix, v, w, a, b)
+                if loop[0] != "value":
+                    continue
+                m = loop[1]
+                agree = _oracle_transition(space, v, w, a) == _oracle_transition(space, v, w, b)
+                assert (m == mat_identity(len(m))) == agree, name
+                compared.add(agree)
+    assert compared == {True, False}
