@@ -12,7 +12,6 @@ from __future__ import annotations
 from .exactlin import (
     RationalCone,
     _ratio,
-    basis_coordinates,
     clear_fractions,
     dot,
     is_integrally_surjective,
@@ -25,6 +24,8 @@ from .exactlin import (
     vsub,
 )
 from .polytope import (
+    _lattice_chart,
+    _span_coordinates,
     clip_by_halfspace,
     containing_cell,
     hull,
@@ -181,8 +182,9 @@ def embed_D(space, fibration):
     Returns (T_D, iota, surjective): T_D in reduced slice coordinates, iota a
     ComplexMap back into the host, and surjective the conjunction of the
     integral tangent surjectivity checks.  Each fibre is computed once, into
-    a table of fibre key -> (cell, host keys); every host is checked, iota
-    maps a fibre to its last host, and iota.metadata["fibres"] lists the keys.
+    a table of fibre vertices -> (dimension, host keys), and only the reduced
+    cells are hulled; every host is checked, iota maps a fibre to its last
+    host, and iota.metadata["fibres"] lists the keys.
     """
     if not fibration:
         raise ValueError("no fibration data supplied")
@@ -195,26 +197,26 @@ def embed_D(space, fibration):
             continue
         # the fibre lies in the level p = 1, so dropping that coordinate keeps its sorted vertices
         level_one = tuple(v[:-1] for v in f.vertices)
-        if level_one not in table:
-            table[level_one] = (hull(level_one), [])
-        table[level_one][1].append(key)
+        table.setdefault(level_one, (f.dim, []))[1].append(key)
     if not table:
         raise ValueError("all local fibres over (1,...,1) are empty")
     _check_face_consistency(fibration)
-    # the slice chart: anchor and saturated span basis of the cells' union
-    chart = hull([v for c, _ in table.values() for v in c.vertices])
-    anchor, basis = chart.anchor, chart.span_basis
+    # the slice chart: the span chart of the cells' union, anchored at its
+    # least point, the first vertex of the least key
+    chart = _lattice_chart([v for verts in table for v in verts])
+    anchor, basis = min(table)[0], chart[0]
     surjective = True
     entries = []
     reduced_cells = []
     host_cells = {c.key(): c for c in space.maximal_cells}
-    for _, (cell, hosts) in sorted(table.items()):
+    for verts, (dim, hosts) in sorted(table.items()):
         for h in hosts:
             host = host_cells[h]
             if not is_integrally_surjective(_tangent_map(host, fibration[h])):
                 surjective = False
-            _assert_fan_compatibility(space, cell, host)
-        reduced = hull(basis_coordinates(basis, [vsub(v, anchor) for v in cell.vertices])) if basis else hull([(0,)])
+            _assert_fan_compatibility(space, verts, dim, host)
+        rows, den = _span_coordinates(chart, anchor, verts)
+        reduced = hull([tuple(_ratio(x, den) for x in r) for r in rows]) if basis else hull([(0,)])
         reduced_cells.append(reduced)
         entries.append(
             {
@@ -249,19 +251,19 @@ def _check_face_consistency(fibration):
                 raise ValueError("fibration data inconsistent across a shared face")
 
 
-def _assert_fan_compatibility(space, cell, host):
-    """The host's charts must not degenerate the embedded cell at any vertex."""
-    for v in cell.vertices:
+def _assert_fan_compatibility(space, vertices, dim, host):
+    """The host's charts must not degenerate the embedded cell, given by its vertices and dimension, at any vertex."""
+    for v in vertices:
         if not is_lattice_point(v):
             continue
         chart = space.chart_matrix(v, host)
         imgs = []
-        for w in cell.vertices:
+        for w in vertices:
             d = vsub(w, v)
             if all(x == 0 for x in d):
                 continue
             imgs.append(mat_vec(chart, d))
-        if imgs and mat_rank(tuple(imgs)) != cell.dim:
+        if imgs and mat_rank(tuple(imgs)) != dim:
             raise ValueError("embedding is not compatible with the fan structure at " + str(v))
 
 
@@ -349,12 +351,8 @@ def lg_truncate(space, u_functional):
     neg_coeffs = vneg(coeffs)
     clipped = []
     for c in space.maximal_cells:
-        vals = [dot(coeffs, v) + const for v in c.vertices]
-        if min(vals) > 1:
-            continue
-        if max(vals) <= 1:
-            clipped.append(c)
-            continue
+        # a cell above the level clips to None, one below it to itself, and
+        # one touching it from above to a face, which the dimension drops
         x = clip_by_halfspace(c, neg_coeffs, 1 - const)
         if x is not None and x.dim == c.dim:
             clipped.append(x)

@@ -186,26 +186,6 @@ def left_inverse(m):
     return tuple(tuple(row) for row in a), d
 
 
-def basis_coordinates(basis, vectors):
-    """Exact coordinates of each vector in a basis of independent integer rows.
-
-    One left inverse serves every vector.  A coordinate is an int where it
-    is integral and a Fraction otherwise.  Raises ValueError on a vector
-    outside the span of the basis.
-    """
-    m = mat_transpose(basis)
-    a, d = left_inverse(m)
-    out = []
-    for v in vectors:
-        s = denominator_lcm(v)
-        w = tuple(int(x * s) for x in v)
-        y = mat_vec(a, w)
-        if mat_vec(m, y) != tuple(d * x for x in w):
-            raise ValueError("vector is not in the span of the basis")
-        out.append(tuple(_ratio(c, d * s) for c in y))
-    return out
-
-
 def _ratio(num, den=1):
     """num / den in the package's one number form: an int when integral, else a Fraction.
 

@@ -20,7 +20,6 @@ from itertools import product as iproduct
 from .exactlin import (
     _eliminate,
     _ratio,
-    basis_coordinates,
     clear_fractions,
     denominator_lcm,
     dot,
@@ -152,19 +151,15 @@ def _face_facets(pts):
     re-hulling face oracle in the tests, and the benchmark tracer wraps it by
     name.
     """
-    anchor = min(range(len(pts)), key=lambda i: pts[i])
-    raw_diffs = [vsub(p, pts[anchor]) for p in pts]
-    den = denominator_lcm(x for v in raw_diffs for x in v)
-    diffs = [tuple(int(x * den) for x in v) for v in raw_diffs]
-    basis = hnf_column_basis(diffs)
-    r = len(basis)
+    chart = _lattice_chart(pts)
+    r = len(chart[0])
     if r == 0:
         return []
     if len(pts) == r + 1:
         # a simplex: facets are the r-subsets
         return [tuple(j for j in range(r + 1) if j != i) for i in range(r + 1)]
-    fac = _hull_full_dim(basis_coordinates(basis, diffs), r)
-    return [tight for _, _, tight in fac]
+    rows, _ = _span_coordinates(chart, pts[0], pts)
+    return [tight for _, _, tight in _hull_full_dim(rows, r)]
 
 
 @lru_cache(maxsize=32)
@@ -205,31 +200,42 @@ def _lift(chart, n):
     return tuple(dd * sum(row[j] * x for row, x in zip(a, n)) for j in range(len(a[0])))
 
 
-def _lattice_chart(points, anchor):
-    """(chart, integer difference vectors): the span chart of normalized points.
+def _lattice_chart(points):
+    """The span chart of the affine span of normalized points.
 
-    The differences from anchor are cleared of denominators by one common
-    factor, which leaves their span, and so the chart, unchanged.
+    The differences from the first point are cleared of denominators by one
+    common factor, which leaves their span, and so the chart, unchanged.
     """
+    anchor = points[0]
     diffs = [vsub(p, anchor) for p in points]
     den = denominator_lcm(x for v in diffs for x in v)
     int_diffs = [tuple(int(x * den) for x in v) for v in diffs]
-    return _span_chart(tuple(hnf_column_basis(int_diffs)), len(anchor)), int_diffs
+    return _span_chart(tuple(hnf_column_basis(int_diffs)), len(anchor))
 
 
-def _chart_coordinates(chart, diffs):
-    """Integer coordinates of integer difference vectors in the chart's basis.
+def _span_coordinates(chart, anchor, points):
+    """(rows, den): the coordinates of the points from anchor in the chart's basis.
 
-    Exact because the basis is saturated; raises ValueError on a remainder.
+    The package's one change into span coordinates.  The coordinates are
+    rows / den with integer rows and den > 0 their least common denominator,
+    so points of the saturated lattice through anchor get den = 1.  All in
+    integers: with s clearing the differences, the chart's left inverse
+    gives the coordinates a (s (p - anchor)) / (dd s).  Raises ValueError on
+    a point off the affine span, which some annihilator of the chart does
+    not vanish on.
     """
-    _, a, dd, _ = chart
-    coords = []
-    for w in diffs:
-        quot = [divmod(x, dd) for x in mat_vec(a, w)]
-        if any(r for _, r in quot):
-            raise ValueError("difference vector off the saturated span lattice")
-        coords.append(tuple(q for q, _ in quot))
-    return coords
+    _, a, dd, annihilators = chart
+    diffs = [vsub(p, anchor) for p in points]
+    s = denominator_lcm(x for v in diffs for x in v)
+    ws = [[int(x * s) for x in v] for v in diffs]
+    if any(dot(f, w) for f in annihilators for w in ws):
+        raise ValueError("point off the affine span of the chart")
+    raw = [[dot(row, w) for row in a] for w in ws]
+    scale = dd * s
+    g = math.gcd(scale, *(x for r in raw for x in r))
+    if scale < 0:
+        g = -g
+    return [tuple(x // g for x in r) for r in raw], scale // g
 
 
 def _span_points(chart, pivots, origin, box):
@@ -280,11 +286,11 @@ def _assemble(chart, vertices, facets):
     vertices are tuples in the number form of `_ratio` and span the chart's
     span; each facet is (n, c) in the form `_facet` gives.  The equations are
     the chart's annihilators through the least vertex, which is also the
-    anchor.
+    anchor, and the polytope keeps the chart.
     """
     anchor = min(vertices)
     eqs = [(f, _ratio(-dot(f, anchor))) for f in chart[3]]
-    return LatticePolytope(len(anchor), vertices, sorted(set(facets)), eqs, chart[0], anchor)
+    return LatticePolytope(vertices, sorted(set(facets)), eqs, chart)
 
 
 class FaceLattice:
@@ -310,20 +316,22 @@ class LatticePolytope:
 
     Vertices may be rational (slices, fibres); facet normals are primitive
     integer functionals.  Inequalities read <normal, x> >= -offset.  For a
-    lower-dimensional polytope, `equations` pins down the affine span and
-    `span_basis` is a saturated lattice basis of its direction space.  Every
-    coordinate, offset and constant is an int or a Fraction with denominator
-    above 1, as the constructions (`_assemble`) make them; the constructor
-    takes them as they are.
+    lower-dimensional polytope, `equations` pins down the affine span.  The
+    polytope keeps the span chart it is built with (`chart`); its saturated
+    `span_basis`, anchor (least vertex) and dimensions are read off it and
+    the vertices.  Every coordinate, offset and constant is an int or a
+    Fraction with denominator above 1, as the constructions (`_assemble`)
+    make them; the constructor takes them as they are.
     """
 
-    def __init__(self, ambient_dim, vertices, facets, equations, span_basis, anchor):
-        self.ambient_dim = ambient_dim
+    def __init__(self, vertices, facets, equations, chart):
         self.vertices = tuple(sorted(vertices))
         self.facets = tuple(facets)
         self.equations = tuple(equations)
-        self.span_basis = tuple(span_basis)
-        self.anchor = anchor
+        self.chart = chart
+        self.anchor = self.vertices[0]
+        self.ambient_dim = len(self.anchor)
+        self.span_basis = chart[0]
         self.dim = len(self.span_basis)
 
     # -- construction
@@ -336,12 +344,11 @@ class LatticePolytope:
         ambient = len(pts[0])
         if any(len(p) != ambient for p in pts):
             raise ValueError("points of mixed dimension")
-        anchor = pts[0]
-        chart, int_diffs = _lattice_chart(pts, anchor)
+        chart = _lattice_chart(pts)
         d = len(chart[0])
         if d == 0:
-            return _assemble(chart, [anchor], [])
-        facs = _hull_full_dim(_chart_coordinates(chart, int_diffs), d)
+            return _assemble(chart, pts, [])
+        facs = _hull_full_dim(_span_coordinates(chart, pts[0], pts)[0], d)
         # vertices: points whose facets meet in that point alone
         meet = {}
         for n, c, tight in facs:
@@ -422,7 +429,7 @@ class LatticePolytope:
         lo, hi = self.bounding_box()
         equations = [(f, -dilation * c) for f, c in self.equations]
         facets = [(n, -dilation * c) for n, c in self.facets]
-        chart = _span_chart(self.span_basis, self.ambient_dim)
+        chart = self.chart
         pivots = [next(i for i, x in enumerate(b) if x) for b in chart[0]]
         box = iproduct(*(range(math.ceil(dilation * lo[i]), math.floor(dilation * hi[i]) + 1) for i in pivots))
         if len(pivots) < self.ambient_dim:
@@ -450,7 +457,7 @@ class LatticePolytope:
         if mask == (1 << len(self.vertices)) - 1:
             return self
         verts = self.vertices_of(mask)
-        chart, _ = _lattice_chart(verts, verts[0])
+        chart = _lattice_chart(verts)
         facets = [_facet(chart, self.facets[k][0], verts) for k in _facets_of(self.incidence, mask).values()]
         return _assemble(chart, verts, facets)
 
@@ -462,11 +469,8 @@ class LatticePolytope:
         """dim! times the Euclidean volume within the affine span (an integer)."""
         if self.dim == 0:
             return 1
-        anchor = self.vertices[0]
-        raw = basis_coordinates(self.span_basis, [vsub(v, anchor) for v in self.vertices])
-        den = denominator_lcm(c for x in raw for c in x)
-        coords = [tuple(int(c * den) for c in x) for x in raw]
-        nv = _ratio(_nvol_full_dim(coords, self.dim), den**self.dim)
+        rows, den = _span_coordinates(self.chart, self.anchor, self.vertices)
+        nv = _ratio(_nvol_full_dim(rows, self.dim), den**self.dim)
         assert nv.denominator == 1 or not self.is_lattice()
         return nv
 
@@ -545,8 +549,8 @@ def _nvol_full_dim(coords, d):
         # the saturated lattice, so facet volumes are measured in the induced
         # lattice of the ambient space rather than the sublattice the
         # differences happen to generate
-        chart, diffs = _lattice_chart(sub, sub[0])
-        total += abs(h) * _nvol_full_dim(_chart_coordinates(chart, diffs), d - 1)
+        rows, _ = _span_coordinates(_lattice_chart(sub), sub[0], sub)
+        total += abs(h) * _nvol_full_dim(rows, d - 1)
     return total
 
 
@@ -635,9 +639,8 @@ def clip_by_halfspace(cell, normal, offset):
     for mask, val in zip(masks, vals):
         if val > 0:
             inside |= mask
-    chart = _span_chart(cell.span_basis, cell.ambient_dim)
     kept = [facet for k, facet in enumerate(cell.facets) if inside >> k & 1]
-    return _assemble(chart, pts, kept + [_facet(chart, normal, pts)])
+    return _assemble(cell.chart, pts, kept + [_facet(cell.chart, normal, pts)])
 
 
 def graph_lift(cell, pieces):
@@ -651,7 +654,7 @@ def graph_lift(cell, pieces):
     """
     pts = [v + tuple(_ratio(dot(a, v) + b) for a, b in pieces) for v in cell.vertices]
     zeros = (0,) * len(pieces)
-    chart, _ = _lattice_chart(pts, min(pts))
+    chart = _lattice_chart(pts)
     return _assemble(chart, pts, [(n + zeros, c) for n, c in cell.facets])
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactlin import basis_coordinates, clear_fractions, det, left_inverse, mat_mul, primitive, vsub
-from .polytope import tight_at
+from .exactlin import clear_fractions, det, left_inverse, mat_mul, primitive, vsub
+from .polytope import _lattice_chart, _span_coordinates, tight_at
 from .tropical import discriminant
 
 SCALE = 48
@@ -19,21 +19,21 @@ MARGIN = 24
 
 
 def _facet_chart(poly, mask):
-    """Anchor and 2D lattice basis for a facet plane of a 3-polytope, read off the facet's vertex mask as a face."""
-    face = poly.face_from_mask(mask)
-    assert face.dim == 2
-    return face.anchor, face.span_basis
+    """Anchor (least vertex) and span chart of a facet plane of a 3-polytope, read off the facet's vertex mask."""
+    verts = poly.vertices_of(mask)
+    return verts[0], _lattice_chart(verts)
 
 
-def _local_coords(points, anchor, basis):
-    """Coordinates of points of a facet plane in its chart, one solve for all."""
-    return basis_coordinates(basis, [vsub(p, anchor) for p in points])
+def _local_coords(points, anchor, chart):
+    """Exact coordinates of points of a facet plane in its chart."""
+    rows, den = _span_coordinates(chart, anchor, points)
+    return [tuple(Fraction(x, den) for x in r) for r in rows]
 
 
 def _net_charts(poly):
     """Affine placement map per facet of a 3-polytope, glued across ridges.
 
-    Returns {facet: (anchor, basis, linear 2x2, offset 2-vector)} so a point p
+    Returns {facet: (anchor, chart, linear 2x2, offset 2-vector)} so a point p
     on the facet lands at linear @ local(p) + offset.
     """
     facets = list(poly.facets)
@@ -48,10 +48,10 @@ def _net_charts(poly):
     seen = {root}
     while queue:
         i = queue.pop(0)
-        anchor_i, basis_i, lin_i, off_i = charts[i]
+        anchor_i, chart_i, lin_i, off_i = charts[i]
 
         def place(points):
-            return [_apply(lin_i, off_i, loc) for loc in _local_coords(points, anchor_i, basis_i)]
+            return [_apply(lin_i, off_i, loc) for loc in _local_coords(points, anchor_i, chart_i)]
 
         for j in range(len(facets)):
             if j in seen or (i, j) not in ridge:
@@ -62,12 +62,12 @@ def _net_charts(poly):
             p1 = tuple(a + b for a, b in zip(p0, delta))
             # vertices of facets i and j off the ridge fix the orientation below
             q_i, q_j = (poly.vertices_of(masks[k] & ~ridge[(i, j)])[0] for k in (i, j))
-            anchor_j, basis_j = _facet_chart(poly, masks[j])
+            anchor_j, chart_j = _facet_chart(poly, masks[j])
             # linear part: edge direction matches; the completion direction is
             # sent to the opposite side of the placed edge
             p1_img, p0_img, qi_img = place([p1, p0, q_i])
             d_img = tuple(int(x) for x in vsub(p1_img, p0_img))
-            d_loc_j, p0_loc_j, qj_loc = _local_coords([p1, p0, q_j], anchor_j, basis_j)
+            d_loc_j, p0_loc_j, qj_loc = _local_coords([p1, p0, q_j], anchor_j, chart_j)
             d_j = tuple(int(a - b) for a, b in zip(d_loc_j, p0_loc_j))
             # basis of the j-chart: (d_j, e_j) with e_j any unimodular completion
             e_j, d_perp_img = _completion(d_j), _completion(d_img)
@@ -80,7 +80,7 @@ def _net_charts(poly):
                 off = _affine_offset(m, p0_loc_j, p0_img)
                 qj_img = _apply(m, off, qj_loc)
                 if _side(p0_img, d_img, qj_img) == -side_i:
-                    charts[j] = (anchor_j, basis_j, m, off)
+                    charts[j] = (anchor_j, chart_j, m, off)
                     break
             else:
                 raise AssertionError("could not orient facet in the net")
@@ -134,6 +134,8 @@ def render_svg(space, support=None):
     if space.chart_kind == "boundary":
         if support is None:
             raise ValueError("boundary spaces need their support polytope for the net")
+        if support.dim != 3:
+            raise ValueError("the net of a boundary space needs a 3-dimensional support polytope")
         facets, charts = _net_charts(support)
 
         def host_facet(cell):
@@ -144,8 +146,8 @@ def render_svg(space, support=None):
 
         for cell in space.maximal_cells:
             idx = host_facet(cell)
-            anchor, basis, m, off = charts[idx]
-            pts = [_apply(m, off, loc) for loc in _local_coords(_cycle(cell), anchor, basis)]
+            anchor, chart, m, off = charts[idx]
+            pts = [_apply(m, off, loc) for loc in _local_coords(_cycle(cell), anchor, chart)]
             placed_cells.append(pts)
         for entry in disc.entries:
             adj_key = min(
@@ -153,8 +155,8 @@ def render_svg(space, support=None):
             )
             adj = next(c for c in space.maximal_cells if c.key() == adj_key)
             idx = host_facet(adj)
-            anchor, basis, m, off = charts[idx]
-            (loc,) = _local_coords([entry["edge_midpoint"]], anchor, basis)
+            anchor, chart, m, off = charts[idx]
+            (loc,) = _local_coords([entry["edge_midpoint"]], anchor, chart)
             placed_points.append(_apply(m, off, loc))
     else:
         for cell in space.maximal_cells:

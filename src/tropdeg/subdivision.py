@@ -8,13 +8,13 @@ construction produce identical cell lists.
 
 from __future__ import annotations
 
-from .exactlin import _ratio, basis_coordinates, denominator_lcm, dot, left_inverse, mat_identity, mat_vec, primitive, vsub
+from .exactlin import _ratio, denominator_lcm, dot, left_inverse, mat_vec, primitive
 from .polytope import (
     NefPartition,
     _assemble,
     _hull_full_dim,
     _lift,
-    _span_chart,
+    _span_coordinates,
     clip_by_halfspace,
     graph_lift,
     hull,
@@ -111,22 +111,22 @@ def regular_subdivision(points, heights):
     ambient = support.ambient_dim
 
     # work in span coordinates of the support, heights cleared to integers
-    anchor = support.vertices[0]
+    anchor = support.anchor
     d = support.dim
     if d == 0:
         cell = support
         f = PLFunction(support, {cell.key(): (tuple(0 for _ in range(ambient)), hts[0])}, "from_heights", True)
         return Subdivision(support, [cell]), f
     den = denominator_lcm(hts)
-    span_pts = basis_coordinates(support.span_basis, [vsub(p, anchor) for p in pts])
-    # clear rational span coordinates (rational inputs) and heights uniformly
-    sden = denominator_lcm(x for c in span_pts for x in c)
-    lifted = [tuple(int(x * sden) for x in c) + (int(h * den) * sden,) for c, h in zip(span_pts, hts)]
+    # rational span coordinates (rational inputs) come over one denominator
+    # sden, and the heights are cleared to match
+    span_rows, sden = _span_coordinates(support.chart, anchor, pts)
+    lifted = [c + (int(h * den) * sden,) for c, h in zip(span_rows, hts)]
     # a point one above the first keeps the lifted set full-dimensional when
     # the heights are affine; it lies strictly above every lower facet, so it
     # changes none of them
     lifted.append(lifted[0][:-1] + (lifted[0][-1] + 1,))
-    chart = _span_chart(support.span_basis, ambient)
+    chart = support.chart
     dd = chart[2]
     cells = []
     pieces = {}
@@ -290,7 +290,7 @@ def fine_crepant_subdivision(poly):
     if not poly.is_reflexive():
         raise ValueError("fine crepant subdivision needs a reflexive polytope")
     origin = tuple(0 for _ in range(poly.ambient_dim))
-    chart = _span_chart(mat_identity(poly.ambient_dim), poly.ambient_dim)
+    chart = poly.chart
     last_bad = None
     for seed in range(8):
         cells, table = boundary_triangulation(poly, seed)

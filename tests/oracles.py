@@ -12,6 +12,13 @@ integer coordinates and facet lift off one left inverse of the memoized span
 chart (`_span_chart`).  The hull it replaced took the coordinates through
 `basis_coordinates` and a second left inverse for the lift.
 
+The span coordinates: `polytope._span_coordinates(chart, anchor, points)`
+reads the left inverse of the chart a polytope keeps and returns integer
+rows over their least common denominator, raising off the span by the
+chart's annihilators.  `basis_coordinates`, which it replaced in the
+volume, `regular_subdivision`, `embed_D` and the SVG net, made a fresh left
+inverse of the basis on every call and tested the span by multiplying back.
+
 The clip's edge test: `clip_by_halfspace` finds the edges a cut crosses with
 the combinatorial adjacency test `_adjacent` on facet bitmasks.  The clip it
 replaced ran one rank computation per pair of vertices on opposite sides.
@@ -56,7 +63,6 @@ from itertools import product as iproduct
 
 from tropdeg.exactlin import (
     _ratio,
-    basis_coordinates,
     denominator_lcm,
     dot,
     is_integrally_surjective,
@@ -72,9 +78,37 @@ from tropdeg.exactlin import (
     vsub,
 )
 from tropdeg.embed import ComplexMap, _check_face_consistency, local_fibre
-from tropdeg.polytope import LatticePolytope, _hull_full_dim, containing_cell, hull, is_lattice_point, normalize_point
+from tropdeg.polytope import (
+    LatticePolytope,
+    _hull_full_dim,
+    _span_chart,
+    containing_cell,
+    hull,
+    is_lattice_point,
+    normalize_point,
+)
 from tropdeg.subdivision import PLFunction, Subdivision, affine_value, boundary_triangulation
 from tropdeg.tropical import TropicalSpace
+
+
+def basis_coordinates(basis, vectors):
+    """Exact coordinates of each vector in a basis of independent integer rows.
+
+    One left inverse serves every vector.  A coordinate is an int where it
+    is integral and a Fraction otherwise.  Raises ValueError on a vector
+    outside the span of the basis.
+    """
+    m = mat_transpose(basis)
+    a, d = left_inverse(m)
+    out = []
+    for v in vectors:
+        s = denominator_lcm(v)
+        w = tuple(int(x * s) for x in v)
+        y = mat_vec(a, w)
+        if mat_vec(m, y) != tuple(d * x for x in w):
+            raise ValueError("vector is not in the span of the basis")
+        out.append(tuple(_ratio(c, d * s) for c in y))
+    return out
 
 
 def oracle_dot(u, v):
@@ -126,7 +160,7 @@ def oracle_dilate_lattice_points(poly, d):
     return oracle_lattice_points(hull([tuple(d * Fraction(x) for x in v) for v in poly.vertices]))
 
 
-def _span_coordinates(diffs, basis):
+def _integer_basis_coordinates(diffs, basis):
     """Integer coordinates of difference vectors in a lattice basis of them."""
     coords = basis_coordinates(basis, diffs)
     assert all(c.denominator == 1 for x in coords for c in x)
@@ -152,8 +186,8 @@ def oracle_hull(points):
         for f in kernel_basis(tuple(basis)) if basis else [tuple(1 if i == j else 0 for i in range(ambient)) for j in range(ambient)]:
             eqs.append((f, -dot(f, anchor)))
     if d == 0:
-        return LatticePolytope(ambient, [anchor], [], eqs, [], anchor)
-    facs = _hull_full_dim(_span_coordinates(int_diffs, basis), d)
+        return LatticePolytope([anchor], [], eqs, _span_chart((), ambient))
+    facs = _hull_full_dim(_integer_basis_coordinates(int_diffs, basis), d)
     # vertices: points whose facets meet in that point alone
     meet = {}
     for n, c, tight in facs:
@@ -175,7 +209,7 @@ def oracle_hull(points):
         off = int(off) if Fraction(off).denominator == 1 else Fraction(off)
         ambient_facets.append((f, off))
     ambient_facets = sorted(set(ambient_facets))
-    return LatticePolytope(ambient, verts, ambient_facets, eqs, basis, anchor)
+    return LatticePolytope(verts, ambient_facets, eqs, _span_chart(tuple(basis), ambient))
 
 
 def oracle_facet_keys(poly):

@@ -1,15 +1,19 @@
 """Every module-level function, class and constant of tropdeg is read by some
 tropdeg module, exported from `tropdeg/__init__.py`, or wrapped by name by the
-benchmark tracer (`LAYERS` in perfbench/tracer.py)."""
+benchmark tracer (`LAYERS` in perfbench/tracer.py); and every method of a
+tropdeg class is read as an attribute, outside its own body, by a tropdeg
+module or a test."""
 
 import ast
 import importlib.util
 import pathlib
+from collections import Counter
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "tropdeg"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "tropdeg"
 TRACER_PATH = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
-# Definitions that no src/ module reads and that stay anyway: none.
+# Definitions and methods that nothing reads and that stay anyway: none.
 ALLOWED = {}
 
 
@@ -49,6 +53,26 @@ def _unread(sources, exempt=()):
     return sorted(unread)
 
 
+def _attribute_reads(node):
+    """How often each attribute name is loaded in a tree."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def _unread_methods(sources, readers):
+    """'module.Class.method' of each method of the sources' module-level classes, dunders left out,
+    that neither the sources nor the readers load as an attribute outside the method's own body."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = sum((_attribute_reads(t) for t in [*trees.values(), *map(ast.parse, readers.values())]), Counter())
+    unread = []
+    for module, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for method in cls.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) and not method.name.startswith("__"):
+                    if reads[method.name] == _attribute_reads(method)[method.name]:
+                        unread.append(f"{module}.{cls.name}.{method.name}")
+    return sorted(unread)
+
+
 def _tracer_names():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
     tracer = importlib.util.module_from_spec(spec)
@@ -76,3 +100,19 @@ def test_every_definition_is_read():
     }
     unread = _unread(sources, exempt=exported | _tracer_names())
     assert unread == sorted(ALLOWED)
+
+
+def test_unread_methods_are_detected():
+    sources = {
+        "a": "class C:\n    def f(self):\n        return self.f()\n    def g(self):\n        pass\n"
+        "    @property\n    def h(self):\n        return 1\n    def __repr__(self):\n        return ''\n",
+        "b": "def k(c):\n    return c.h\n",
+    }
+    assert _unread_methods(sources, {}) == ["a.C.f", "a.C.g"]
+    assert _unread_methods(sources, {"t": "x.g()\nx.f = 1\n"}) == ["a.C.f"]
+
+
+def test_every_method_is_read():
+    sources = {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    readers = {p.stem: p.read_text() for p in sorted(TESTS.glob("*.py"))}
+    assert _unread_methods(sources, readers) == sorted(ALLOWED)

@@ -20,7 +20,7 @@ from tropdeg.embed import (
     specialization_map,
     wall_fibration_data,
 )
-from tropdeg.polytope import centered_dilated_simplex, cube, hull, product, segment
+from tropdeg.polytope import centered_dilated_simplex, clip_by_halfspace, cube, hull, product, segment
 from tropdeg.subdivision import (
     fine_crepant_subdivision,
     graph_degeneration,
@@ -305,6 +305,19 @@ def test_lg_truncate_halfline_analogue():
     assert len(out.maximal_cells) == 1
     assert sorted(out.maximal_cells[0].vertices) == [(0,), (1,)]
     assert ((1,),) in out.boundary_keys
+
+
+def test_lg_truncate_keeps_a_cell_below_and_drops_one_above_and_one_touching_from_above():
+    # u = x at level 1: [-1, 0] lies below it, [2, 3] above it, and [1, 2]
+    # touches it from above; the clip to u <= 1 gives the first cell itself,
+    # None and a point, and the truncation keeps the first cell alone
+    below, above, touching = segment(-1, 0), segment(2, 3), segment(1, 2)
+    assert clip_by_halfspace(below, (-1,), 1) is below
+    assert clip_by_halfspace(above, (-1,), 1) is None
+    assert clip_by_halfspace(touching, (-1,), 1).vertices == ((1,),)
+    out = lg_truncate(TropicalSpace(1, 1, [touching, above, below], "solid"), ((1,), 0))
+    assert len(out.maximal_cells) == 1 and out.maximal_cells[0] is below
+    assert out.boundary_keys == frozenset()
 
 
 def test_lg_truncate_rejects_a_level_wall_between_two_cells_below():

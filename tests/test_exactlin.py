@@ -6,12 +6,12 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import oracle_dot, oracle_mat_mul
+from oracles import basis_coordinates, oracle_dot, oracle_mat_mul
 
 from tropdeg.exactlin import (
     RationalCone,
+    _ratio,
     _extreme_generators,
-    basis_coordinates,
     cone_from_generators,
     complete_to_unimodular,
     content,
@@ -36,6 +36,7 @@ from tropdeg.exactlin import (
     solve_linear,
     vneg,
 )
+from tropdeg.polytope import _span_chart, _span_coordinates
 
 small_ints = st.integers(min_value=-9, max_value=9)
 
@@ -596,6 +597,36 @@ def test_left_inverse_and_basis_coordinates_match_oracle_solve(case):
                 basis_coordinates(basis, [v])
         else:
             assert basis_coordinates(basis, [v]) == [x]
+
+
+@settings(max_examples=300, deadline=None)
+@given(spanning_sets(), st.data())
+def test_span_coordinates_match_oracle_basis_coordinates(case, data):
+    # the chart of the basis' span, an anchor that is integer or rational,
+    # and the vectors as points from it: the coordinates are the oracle's in
+    # the chart's saturated basis, as integer rows over their least common
+    # denominator, and a point off the span raises as the oracle does
+    basis, vectors, spanned = case
+    n = len(basis[0])
+    chart = _span_chart(tuple(hnf_column_basis(basis)), n)
+    assume(chart[0])
+    coord = st.one_of(small_ints, st.builds(Fraction, small_ints, st.integers(1, 6)))
+    anchor = tuple(_ratio(x) for x in data.draw(st.tuples(*[coord] * n)))
+    points = [tuple(a + x for a, x in zip(anchor, v)) for v in vectors]
+    expected = basis_coordinates(chart[0], vectors[:spanned])
+    rows, den = _span_coordinates(chart, anchor, points[:spanned])
+    assert den == denominator_lcm(x for c in expected for x in c)
+    assert all(type(x) is int for r in rows for x in r)
+    assert [tuple(_ratio(x, den) for x in r) for r in rows] == expected
+    for p, v in zip(points[spanned:], vectors[spanned:]):
+        try:
+            (x,) = basis_coordinates(chart[0], [v])
+        except ValueError:
+            with pytest.raises(ValueError, match="off the affine span"):
+                _span_coordinates(chart, anchor, [p])
+        else:
+            ((r,), d) = _span_coordinates(chart, anchor, [p])
+            assert tuple(_ratio(y, d) for y in r) == x
 
 
 def test_left_inverse_rejects_non_integers_and_basis_coordinates_keep_ints():

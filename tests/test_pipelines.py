@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from tropdeg.pipelines import build_example, build_hypercube, build_kp1_2, build_quintic
@@ -134,3 +136,51 @@ def test_golden_reports_cheap():
         fn = golden / f"{name.replace('-', '_')}_{value}.json"
         expected = fn.read_text(encoding="utf-8")
         assert build_example(name, value).report_json() + "\n" == expected
+
+
+def test_kp1_2_k2_embed_d_hulls_only_reduced_cells_and_no_extra_left_inverse():
+    # embed_D takes no hull but the reduced cells and those inside
+    # local_fibre; and normalized_volume, regular_subdivision and embed_D
+    # make no left inverse outside _span_chart's misses and _hull_full_dim
+    from tropdeg import embed, exactlin, polytope, subdivision
+
+    watched = {
+        polytope.LatticePolytope.normalized_volume.__code__: "normalized_volume",
+        subdivision.regular_subdivision.__code__: "regular_subdivision",
+        embed.embed_D.__code__: "embed_D",
+    }
+    entered = set()
+    embed_hulls = []
+    stray_inverses = []
+
+    def callers(frame):
+        names = []
+        while frame is not None:
+            names.append(frame.f_code.co_name)
+            if frame.f_code in watched:
+                entered.add(watched[frame.f_code])
+            frame = frame.f_back
+        return names
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code is polytope.LatticePolytope.hull.__code__:
+            names = callers(frame.f_back)
+            if "embed_D" in names:
+                embed_hulls.append(names[: names.index("embed_D") + 1])
+        elif frame.f_code is exactlin.left_inverse.__code__:
+            names = callers(frame.f_back)
+            if names[0] not in ("_span_chart", "_hull_full_dim") and set(names) & set(watched.values()):
+                stray_inverses.append(names)
+
+    sys.setprofile(profile)
+    try:
+        result = build_kp1_2(2)
+    finally:
+        sys.setprofile(None)
+    assert entered == set(watched.values())
+    direct = [names for names in embed_hulls if "local_fibre" not in names]
+    assert direct and all(names == ["hull", "embed_D"] for names in direct)
+    assert len(direct) == len(result.t_d.maximal_cells)
+    assert stray_inverses == []

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import _span_coordinates, oracle_clip_by_halfspace, oracle_dilate_lattice_points, oracle_facet_keys, oracle_hull
+from oracles import _integer_basis_coordinates, basis_coordinates, oracle_clip_by_halfspace, oracle_dilate_lattice_points, oracle_facet_keys, oracle_hull
 
 from tropdeg import exactlin, polytope, render
 from tropdeg.exactlin import (
@@ -520,6 +520,42 @@ def test_incidence_matches_the_retired_scan(pts, rational, dens, data):
             assert p.facet_keys() == oracle_facet_keys(p)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    embedded_point_sets(),
+    st.lists(st.integers(min_value=1, max_value=3), min_size=9, max_size=9),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=5, max_size=5),
+)
+def test_span_coordinates_of_point_sets_match_oracle_basis_coordinates(pts, dens, stray):
+    # integer points (every den 1) and rational ones, in the chart their hull
+    # keeps: exact coordinates from the anchor over their least common
+    # denominator, and a stray point raises exactly when it is off the span
+    pts = [tuple(Fraction(x, den) for x in p) for p, den in zip(pts, dens)]
+    poly = hull(pts)
+
+    def on_span(points):
+        diffs = [vsub(p, poly.anchor) for p in points]
+        try:
+            if poly.dim:
+                expected = basis_coordinates(poly.span_basis, diffs)
+            elif any(any(v) for v in diffs):
+                raise ValueError("not in the span")
+            else:
+                expected = [()] * len(diffs)
+        except ValueError:
+            with pytest.raises(ValueError, match="off the affine span"):
+                polytope._span_coordinates(poly.chart, poly.anchor, points)
+            return False
+        rows, den = polytope._span_coordinates(poly.chart, poly.anchor, points)
+        assert all(type(x) is int for r in rows for x in r)
+        assert den == exactlin.denominator_lcm(x for c in expected for x in c)
+        assert [tuple(Fraction(x, den) for x in r) for r in rows] == expected
+        return True
+
+    assert on_span(pts)
+    on_span([tuple(stray[: poly.ambient_dim])])
+
+
 @settings(max_examples=60, deadline=None)
 @given(embedded_point_sets(), st.lists(st.integers(min_value=1, max_value=3), min_size=9, max_size=9))
 def test_hull_of_vertices_equals_hull_of_points(pts, dens):
@@ -568,7 +604,7 @@ def test_hull_makes_one_chart_and_hull_and_clip_share_one_adjacency_rule():
     cell = cube(3)
     polytope._span_chart.cache_clear()
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("saturate_lattice", "left_inverse", "basis_coordinates", "mat_rank", "_adjacent"):
+        for name in ("saturate_lattice", "left_inverse", "mat_rank", "_adjacent"):
             mp.setattr(polytope, name, counted(name, getattr(polytope, name)))
         lower = hull([(1, 0, 0, 0), (1, 2, 0, 0), (1, 0, 2, 0), (1, 2, 2, 0), (1, 1, 1, 2)])
         first = sorted(calls)
@@ -875,7 +911,7 @@ def _span_input(pts):
     pts = sorted(set(pts))
     diffs = [vsub(p, pts[0]) for p in pts]
     basis = saturate_lattice(diffs, len(pts[0]))
-    return pts, _span_coordinates(diffs, basis), len(basis)
+    return pts, _integer_basis_coordinates(diffs, basis), len(basis)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 from tropdeg import render
 from tropdeg.cli import main
 from tropdeg.exactlin import dot, solve_linear, vsub
+from tropdeg.pipelines import build_kp1_2
 from tropdeg.polytope import centered_dilated_simplex, product, segment
 
 
@@ -17,8 +18,8 @@ def test_unfolded_net_glues_each_facet_to_an_earlier_one():
     facets, charts = render._net_charts(poly)
 
     def place(idx, p):
-        anchor, basis, m, off = charts[idx]
-        x = solve_linear(tuple(zip(*basis)), vsub(p, anchor))
+        anchor, chart, m, off = charts[idx]
+        x = solve_linear(tuple(zip(*chart[0])), vsub(p, anchor))
         return tuple(m[r][0] * x[0] + m[r][1] * x[1] + off[r] for r in range(2))
 
     order = list(charts)
@@ -29,6 +30,15 @@ def test_unfolded_net_glues_each_facet_to_an_earlier_one():
             if len(shared) >= 2 and all(place(i, v) == place(j, v) for v in shared):
                 glued = True
         assert glued, f"facet {facets[j]} is not glued to any facet placed before it"
+
+
+def test_render_rejects_a_boundary_space_whose_support_is_not_3_dimensional():
+    # the kp1-2 k=2 sphere lies on the boundary of the 3-dimensional prism;
+    # its 2-dimensional base is no support for the net
+    result = build_kp1_2(2)
+    assert result.base.dim == 2 and result.sphere.chart_kind == "boundary"
+    with pytest.raises(ValueError, match="3-dimensional support"):
+        render.render_svg(result.sphere, support=result.base)
 
 
 @pytest.mark.parametrize(
