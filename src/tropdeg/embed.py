@@ -53,7 +53,6 @@ class FibrationData:
                     raise ValueError("fibration functional is negative on the cone")
         if mat_rank(self.y) != len(self.y):
             raise ValueError("component functionals must be linearly independent")
-        self._fibre_cache = {}
 
     @property
     def rank(self):
@@ -72,11 +71,8 @@ def local_fibre(fib, target):
     """
     if len(target) != len(fib.y) + 1:
         raise ValueError("target length must be number of y functionals plus one")
-    key = tuple(target)
-    if key in fib._fibre_cache:
-        return fib._fibre_cache[key]
     w = tuple(sum(col) for col in zip(fib.p, *fib.y))
-    level = sum(key)
+    level = sum(target)
     flat = [g for g in fib.cone.generators if dot(w, g) == 0]
     gens = [g for g in fib.cone.generators if dot(w, g) != 0]
     if level == 0:
@@ -85,7 +81,7 @@ def local_fibre(fib, target):
         poly = hull([tuple(_ratio(level * x, dot(w, g)) for x in g) for g in gens])
     else:
         poly = None
-    for f, t in zip(fib.y, key):
+    for f, t in zip(fib.y, target):
         if poly is not None:
             poly = clip_by_halfspace(poly, f, -t)
         if poly is not None:
@@ -93,7 +89,6 @@ def local_fibre(fib, target):
     # the generators with w = 0 lie in the recession cone of the fibre
     if poly is not None and flat:
         raise ValueError("local fibre is unbounded: a cone generator has w = 0")
-    fib._fibre_cache[key] = poly
     return poly
 
 
@@ -183,8 +178,10 @@ def embed_D(space, fibration):
     ComplexMap back into the host, and surjective the conjunction of the
     integral tangent surjectivity checks.  Each fibre is computed once, into
     a table of fibre vertices -> (dimension, host keys), and only the reduced
-    cells are hulled; every host is checked, iota maps a fibre to its last
-    host, and iota.metadata["fibres"] lists the keys.
+    cells are hulled.  Tangent surjectivity is checked on every host, and
+    fan compatibility once per fibre, since the charts are the vertices';
+    iota maps a fibre to its last host, and iota.metadata["fibres"] lists
+    the keys.
     """
     if not fibration:
         raise ValueError("no fibration data supplied")
@@ -211,10 +208,9 @@ def embed_D(space, fibration):
     host_cells = {c.key(): c for c in space.maximal_cells}
     for verts, (dim, hosts) in sorted(table.items()):
         for h in hosts:
-            host = host_cells[h]
-            if not is_integrally_surjective(_tangent_map(host, fibration[h])):
+            if not is_integrally_surjective(_tangent_map(host_cells[h], fibration[h])):
                 surjective = False
-            _assert_fan_compatibility(space, verts, dim, host)
+        _assert_fan_compatibility(space, verts, dim)
         rows, den = _span_coordinates(chart, anchor, verts)
         reduced = hull([tuple(_ratio(x, den) for x in r) for r in rows]) if basis else hull([(0,)])
         reduced_cells.append(reduced)
@@ -251,12 +247,12 @@ def _check_face_consistency(fibration):
                 raise ValueError("fibration data inconsistent across a shared face")
 
 
-def _assert_fan_compatibility(space, vertices, dim, host):
-    """The host's charts must not degenerate the embedded cell, given by its vertices and dimension, at any vertex."""
+def _assert_fan_compatibility(space, vertices, dim):
+    """The vertex charts must not degenerate the embedded cell, given by its vertices and dimension, at any vertex."""
     for v in vertices:
         if not is_lattice_point(v):
             continue
-        chart = space.chart_matrix(v, host)
+        chart = space.chart_matrix(v)
         imgs = []
         for w in vertices:
             d = vsub(w, v)
@@ -335,7 +331,6 @@ def side_subcomplex(space, coord, level, side):
         cells,
         space.chart_kind,
         boundary_keys=boundary,
-        explicit_charts=space.explicit_charts,
         metadata=dict(space.metadata),
     )
 
@@ -373,7 +368,6 @@ def lg_truncate(space, u_functional):
         clipped,
         space.chart_kind,
         boundary_keys=sorted(new_boundary),
-        explicit_charts=space.explicit_charts,
         metadata={**space.metadata, "lg_truncated": True},
     )
     return out

@@ -412,12 +412,6 @@ def complete_to_unimodular(v):
     return u
 
 
-def quotient_chart(v):
-    """Projection matrix Z^n -> Z^(n-1) with kernel exactly Zv (v primitive)."""
-    u = complete_to_unimodular(v)
-    return u[1:]
-
-
 class RationalCone:
     """A rational polyhedral cone with both generator and facet descriptions.
 

@@ -363,14 +363,10 @@ def build_hypercube(k):
     )
 
 
-EXAMPLES = {
-    "kp1-2": {"build": build_kp1_2, "parameter": "k", "range": (1, 4)},
-    "quintic": {"build": build_quintic, "parameter": "i", "range": (1, 4)},
-    "hypercube": {"build": build_hypercube, "parameter": "k", "range": (1, 3)},
-}
+EXAMPLES = {"kp1-2": build_kp1_2, "quintic": build_quintic, "hypercube": build_hypercube}
 
 
 def build_example(name, value):
     if name not in EXAMPLES:
         raise ValueError(f"unknown example {name!r}; choose from {sorted(EXAMPLES)}")
-    return EXAMPLES[name]["build"](value)
+    return EXAMPLES[name](value)

@@ -1,53 +1,58 @@
 """Tropical spaces: cell complexes with fan structures and their monodromy.
 
-Two chart conventions cover the corpus.  A "solid" space (the dual
-intersection complex of a toric total space) uses identity charts, so its
-integral affine structure is globally flat.  A "boundary" space (hypersurface
-tropicalization supported on the boundary sphere of a reflexive polytope)
-charts each vertex v by the quotient projection M -> M/Zv; the mismatch of
-these charts across codimension-2 joints is exactly the monodromy this module
-computes.  Synthetic spaces with explicit per-(vertex, cell) charts support
-the hand-checkable focus-focus models.
+Two chart kinds cover the corpus, each in closed form.  A "solid" space (the
+dual intersection complex of a toric total space) uses identity charts, so
+its integral affine structure is globally flat and every transition and loop
+is the identity.  A "boundary" space (hypersurface tropicalization supported
+on the boundary sphere of a reflexive polytope) charts each vertex v by the
+quotient projection M -> M/Zv.  Each of its cells lies in a hyperplane
+<n, x> = 1 missing the origin, so a transition is read off the two vertex
+charts and n, and the loop across a joint off the two cells' hyperplanes: it
+is the identity when they agree and a transvection otherwise.  That loop is
+the monodromy this module computes.  The boundary of a complex is the set of
+facets that one cell has.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd
 
 from .exactlin import (
     _ratio,
     clear_fractions,
+    complete_to_unimodular,
     cone_from_generators,
     content,
+    dot,
     left_inverse,
     mat_identity,
-    mat_mul,
     mat_rank,
     mat_vec,
     primitive,
-    quotient_chart,
     vsub,
 )
 from .jsonio import key_json
 from .polytope import barycenter, hull, tight_at, walls
 
+CHART_KINDS = ("solid", "boundary")
+
 
 class TropicalSpace:
     """A polyhedral complex with vertex fan structures and chart data.
 
-    `chart_kind` is "solid" (identity charts), "boundary" (quotient by the
-    vertex), or "explicit" (per-(vertex, cell) matrices, for synthetic
-    models).  `boundary_keys` marks the cells of the topological boundary.
+    `chart_kind` is "solid" (identity charts) or "boundary" (the quotient by
+    each vertex).  `boundary_keys` marks the cells of the topological
+    boundary.
     """
 
-    def __init__(self, ambient_dim, dim, maximal_cells, chart_kind, boundary_keys=(), explicit_charts=None, metadata=None):
+    def __init__(self, ambient_dim, dim, maximal_cells, chart_kind, boundary_keys=(), metadata=None):
+        if chart_kind not in CHART_KINDS:
+            raise ValueError(f"unknown chart kind {chart_kind!r}; choose from {CHART_KINDS}")
         self.ambient_dim = ambient_dim
         self.dim = dim
         self.maximal_cells = tuple(sorted(maximal_cells, key=lambda c: c.key()))
         self.chart_kind = chart_kind
         self.boundary_keys = frozenset(boundary_keys)
-        self.explicit_charts = dict(explicit_charts or {})
         self.metadata = dict(metadata or {})
         self._faces = None
         self._boundary_faces = None
@@ -55,7 +60,6 @@ class TropicalSpace:
         self._cells = None
         self._walls = None
         self._chart_cache = {}
-        self._restricted_cache = {}
         self._disc_cache = None
 
     def __repr__(self):
@@ -114,17 +118,40 @@ class TropicalSpace:
 
     # -- charts and fan structures
 
-    def chart_matrix(self, v, cell=None):
-        """Integer matrix taking ambient tangent vectors to chart coordinates."""
-        if self.chart_kind == "explicit":
-            return self.explicit_charts[(v, cell.key())]
+    def chart_matrix(self, v):
+        """Integer matrix taking ambient tangent vectors to chart coordinates at the vertex v."""
         if self.chart_kind == "solid":
             return mat_identity(self.ambient_dim)
+        return self._vertex_chart(v)[0]
+
+    def _vertex_chart(self, v):
+        """(q, s): the boundary chart q at v, with kernel Zv, and the columns s of an integer section, q @ s = I.
+
+        Made once per vertex: q is the last n - 1 rows of a unimodular u with
+        u v = e_1 (v made primitive), and s the last n - 1 columns of u's
+        inverse.
+        """
         if v not in self._chart_cache:
             if all(x == 0 for x in v):
                 raise ValueError("boundary chart undefined at the origin")
-            self._chart_cache[v] = quotient_chart(primitive(clear_fractions(v)))
+            u = complete_to_unimodular(primitive(clear_fractions(v)))
+            inv, d = left_inverse(u)  # d = det u = +-1, so u^-1 = d * inv
+            self._chart_cache[v] = u[1:], tuple(tuple(d * row[j] for row in inv) for j in range(1, len(u)))
         return self._chart_cache[v]
+
+    def _equations(self, cell):
+        """The cell's equations: none for a cell of a solid space, one (f, e) with e != 0 for a boundary one.
+
+        Any other cell raises ValueError: the vertex charts do not restrict
+        to a square matrix on a cell of another dimension, nor to an
+        invertible one on a hyperplane through the origin, which holds the
+        kernel of each of its vertices' charts.
+        """
+        if cell.dim != self.ambient_dim - (self.chart_kind == "boundary"):
+            raise ValueError("chart restriction is singular")
+        if cell.equations and cell.equations[0][1] == 0:
+            raise ValueError("boundary cell lies in a hyperplane through the origin, where no vertex chart restricts")
+        return cell.equations
 
     def tangent_basis(self, cell):
         """Saturated lattice basis of the cell's direction space."""
@@ -132,7 +159,7 @@ class TropicalSpace:
 
     def fan_cone(self, v, cell):
         """The cone of the fan structure at v corresponding to a cell at v."""
-        chart = self.chart_matrix(v, cell)
+        chart = self.chart_matrix(v)
         gens = []
         for w in cell.vertices:
             d = vsub(w, v)
@@ -143,23 +170,6 @@ class TropicalSpace:
         return cone_from_generators(gens, rank)
 
     # -- monodromy
-
-    def _chart_on_cell(self, v, cell):
-        """Square matrix of the chart at v restricted to the cell's tangent lattice."""
-        chart = self.chart_matrix(v, cell)
-        basis = self.tangent_basis(cell)
-        if len(basis) != len(chart):
-            raise ValueError("chart restriction is singular")
-        cols = [mat_vec(chart, b) for b in basis]
-        return tuple(zip(*cols))  # columns are chart images of the basis
-
-    def _restricted_chart(self, v, cell):
-        """(m, inv, d): `_chart_on_cell(v, cell)` with inv @ m = d * I, once per (v, cell)."""
-        key = (v, cell.key())
-        if key not in self._restricted_cache:
-            m = self._chart_on_cell(v, cell)
-            self._restricted_cache[key] = (m, *left_inverse(m))
-        return self._restricted_cache[key]
 
     def monodromy(self, edge, wall):
         """Loop transformation v+ -> sigma+ -> v- -> sigma- -> v+ at v+.
@@ -181,43 +191,48 @@ class TropicalSpace:
         v_plus, v_minus = sorted(edge.vertices)[:2]
         return self._loop_matrix(v_plus, v_minus, sigma_plus, sigma_minus)
 
-    def _loop_matrix(self, v_plus, v_minus, sigma_plus, sigma_minus, transition=None):
+    def _loop_matrix(self, v_plus, v_minus, sigma_plus, sigma_minus):
         """The loop T(v- -> v+, sigma-) @ T(v+ -> v-, sigma+) at v+, an integer matrix.
 
-        It is the identity exactly when the two forward transitions
-        T(v+ -> v-, sigma+) and T(v+ -> v-, sigma-) agree (Gross and Siebert,
-        Ann. Math. 2011), so then no product is taken.  `transition` reads a
-        transition as `_transition` gives it; the discriminant passes a memo.
+        By `transition`, with <n+-, .> = 1 the hyperplanes of sigma+- and q,
+        s the chart and section at v+, it is the transvection
+        I - q(v-) (x) (n- - n+) s (Haase and Zharkov, arXiv math/0205321;
+        Gross, Math. Ann. 333, 2005).  So it is the identity when both cells
+        have the same equation, and always in a solid space; then no chart
+        is made.
         """
-        transition = transition or self._transition
-        forward = transition(v_plus, v_minus, sigma_plus)
-        if forward == transition(v_plus, v_minus, sigma_minus):
-            return mat_identity(len(forward[0]))
-        back = transition(v_minus, v_plus, sigma_minus)
-        t = mat_mul(back[0], forward[0])
-        d = back[1] * forward[1]
-        if any(x % d for row in t for x in row):
+        eqs = self._equations(sigma_plus)
+        if eqs == self._equations(sigma_minus):
+            return mat_identity(self.ambient_dim - len(eqs))
+        q, s = self._vertex_chart(v_plus)
+        bend = vsub(_normal(sigma_minus), _normal(sigma_plus))
+        phi = [dot(bend, col) for col in s]
+        m = [[(1 if i == j else 0) - ui * p for j, p in enumerate(phi)] for i, ui in enumerate(mat_vec(q, v_minus))]
+        if any(x.denominator != 1 for row in m for x in row):
             raise ValueError("monodromy is not integral; charts are incompatible on the lattice")
-        return tuple(tuple(x // d for x in row) for row in t)
-
-    def _transition(self, v_from, v_to, cell):
-        """(t, d) with t / d the chart transition v_from -> v_to across the cell.
-
-        t = m_to @ inv of the restricted charts, in lowest terms with d > 0,
-        so two transitions are equal exactly when their pairs are.
-        """
-        m_to = self._restricted_chart(v_to, cell)[0]
-        _, inv, d = self._restricted_chart(v_from, cell)
-        t = mat_mul(m_to, inv)
-        g = gcd(d, *(x for row in t for x in row))
-        if d < 0:
-            g = -g
-        return tuple(tuple(x // g for x in row) for row in t), d // g
+        return tuple(tuple(x.numerator for x in row) for row in m)
 
     def transition(self, v_from, v_to, cell):
-        """Chart transition v_from -> v_to across one shared maximal cell."""
-        t, d = self._transition(v_from, v_to, cell)
-        return tuple(tuple(_ratio(x, d) for x in row) for row in t)
+        """Chart transition v_from -> v_to across a maximal cell having both vertices.
+
+        A chart vector x at v_from lifts to the tangent vector s x - <n, s x>
+        v_from of the cell, s the section at v_from and <n, .> = 1 the cell's
+        hyperplane; the chart q at v_to reads it.  So the transition is
+        q s - (q v_from) (x) n s, in the number form of `_ratio`.
+        """
+        if not self._equations(cell):
+            return mat_identity(self.ambient_dim)
+        q = self.chart_matrix(v_to)
+        s = self._vertex_chart(v_from)[1]
+        n = _normal(cell)
+        phi = [dot(n, col) for col in s]
+        return tuple(tuple(_ratio(dot(row, col) - ui * p) for col, p in zip(s, phi)) for row, ui in zip(q, mat_vec(q, v_from)))
+
+
+def _normal(cell):
+    """The covector n with <n, x> = 1 on the hyperplane of a boundary cell, f / -e for its one equation (f, e)."""
+    ((f, e),) = cell.equations
+    return tuple(_ratio(x, -e) for x in f)
 
 
 def _face_table(cells, boundary_keys):
@@ -246,19 +261,20 @@ def dual_intersection_complex(graph_deg):
     """Tropicalization of the toric total space: the base with its refinement.
 
     Fan structure at each vertex is the star with identity reference charts;
-    the level-1 slice semantics are recorded in the metadata.
+    the level-1 slice semantics are recorded in the metadata.  The boundary
+    keys are the refinement's walls that one cell has.
     """
     for f in graph_deg.heights:
         if not f.convex:
             raise ValueError("graph degeneration carries a non-convex certificate")
     support = graph_deg.base
-    cells = graph_deg.refinement.maximal_cells
+    refinement = graph_deg.refinement
     return TropicalSpace(
         support.ambient_dim,
         support.dim,
-        cells,
+        refinement.maximal_cells,
         "solid",
-        boundary_keys=_support_facet_keys(cells, support),
+        boundary_keys=[key for key, adj in refinement.walls().items() if len(adj) == 1],
         metadata={"slice": "fibre over (1,...,1) of the cone complex", "parameters": graph_deg.parameter_count},
     )
 
@@ -266,21 +282,24 @@ def dual_intersection_complex(graph_deg):
 def hypersurface_trop(poly, subdivision, enforce_fine=True):
     """Tropicalization of the anticanonical hypersurface: the boundary sphere.
 
-    Cells are the boundary faces of the given solid subdivision of the reflexive polytope; charts quotient by each vertex.
-    Pass enforce_fine=False for deliberately coarse slice complexes (the
-    hyperplane-split pipelines), where monodromy is not meaningful but the
-    wall structure is.
+    Cells are the boundary faces of the given solid subdivision of the
+    reflexive polytope, its walls that one cell has; charts quotient by each
+    vertex.  Pass enforce_fine=False for deliberately coarse slice complexes
+    (the hyperplane-split pipelines), where monodromy is not meaningful but
+    the wall structure is.
     """
     if not poly.is_reflexive():
         raise ValueError("hypersurface tropicalization needs a reflexive polytope")
-    # each boundary facet is read off the refined cell it bounds
-    keys = set(_support_facet_keys(subdivision.maximal_cells, poly))
-    faces = {}
-    for cell in subdivision.maximal_cells:
-        for mask, key in zip(cell.incidence, cell.facet_keys()):
-            if key in keys and key not in faces:
-                faces[key] = cell.face_from_mask(mask)
-    cells = list(faces.values())
+    if subdivision.support != poly:
+        raise ValueError("subdivision is not a subdivision of the polytope")
+    # each boundary facet is read off the one refined cell it bounds
+    walls = subdivision.walls()
+    cells = [
+        cell.face_from_mask(mask)
+        for cell in subdivision.maximal_cells
+        for mask, key in zip(cell.incidence, cell.facet_keys())
+        if len(walls[key]) == 1
+    ]
     if enforce_fine:
         # fineness: every boundary lattice point must be a vertex of the complex
         vertex_set = set()
@@ -297,12 +316,6 @@ def hypersurface_trop(poly, subdivision, enforce_fine=True):
         boundary_keys=(),
         metadata={"support": "boundary of reflexive polytope", "fine": enforce_fine},
     )
-
-
-def _support_facet_keys(cells, support):
-    """Facet keys of the cells that lie on a facet of the support, sorted."""
-    keys = {key for cell in cells for key in cell.facet_keys()}
-    return sorted(key for key in keys if any(tight_at(f, key) for f in support.facets))
 
 
 class Discriminant:
@@ -340,7 +353,7 @@ def _compute_discriminant(space):
         return Discriminant([], n)
     if n == 1:
         if space.chart_kind != "boundary":
-            # identity (or explicit) charts on a 1-complex are globally flat
+            # identity charts on a 1-complex are globally flat
             return Discriminant([], n)
         for cell in space.maximal_cells:
             key = cell.key()
@@ -370,24 +383,9 @@ def _compute_discriminant(space):
         for pair in combinations(wall_key, 2)
         if faces.get(pair) == 1 and not space.is_boundary_cell(pair)
     )
-    # every transition a loop reads runs between the ends of its edge, and
-    # the loops come edge first, so a memo cleared per edge hits as often as
-    # one over the whole space and holds a few matrices at a time
-    memo = {}
-    memo_edge = None
-
-    def transition(v_from, v_to, cell):
-        key = (v_from, v_to, cell.key())
-        if key not in memo:
-            memo[key] = space._transition(v_from, v_to, cell)
-        return memo[key]
-
     ident = None
     for edge_key, wall_key, adj in loops:
-        if edge_key != memo_edge:
-            memo.clear()
-            memo_edge = edge_key
-        m = space._loop_matrix(edge_key[0], edge_key[1], space.maximal_cells[adj[0]], space.maximal_cells[adj[1]], transition)
+        m = space._loop_matrix(edge_key[0], edge_key[1], space.maximal_cells[adj[0]], space.maximal_cells[adj[1]])
         if ident is None or len(ident) != len(m):
             ident = mat_identity(len(m))
         if m == ident:

@@ -56,6 +56,20 @@ entry the same way.  The forms they replaced, `oracle_dot` and
 The piece lookup: `subdivision._piece_on` reads the parent keys that
 `common_refinement` records.  The lookup it replaced scans the coarser
 subdivision's cells for one containing the cell.
+
+The monodromy: `TropicalSpace._loop_matrix` and `transition` are closed
+forms, read off one chart and section per vertex and the hyperplane of each
+cell.  The definition they replaced restricts the chart at each vertex to
+each cell's tangent lattice, a square matrix when the ranks agree, and
+composes those restrictions and their inverses (`oracle_loop_matrix`,
+`oracle_transition`).  Where a space carries per-(vertex, cell) charts as
+`explicit_charts`, as hand-built models in the tests do, the restriction
+reads those instead of the vertex chart.
+
+The boundary facets: `dual_intersection_complex` and `hypersurface_trop`
+take the facets of a subdivision that one cell has.  The scan they replaced
+(`oracle_support_facet_keys`) tests every facet key of the cells against
+every facet of the support.
 """
 
 from fractions import Fraction
@@ -68,6 +82,7 @@ from tropdeg.exactlin import (
     is_integrally_surjective,
     kernel_basis,
     left_inverse,
+    mat_mul,
     mat_rank,
     mat_transpose,
     mat_vec,
@@ -86,6 +101,7 @@ from tropdeg.polytope import (
     hull,
     is_lattice_point,
     normalize_point,
+    tight_at,
 )
 from tropdeg.subdivision import PLFunction, Subdivision, affine_value, boundary_triangulation
 from tropdeg.tropical import TropicalSpace
@@ -316,19 +332,18 @@ def oracle_embed_D(space, fibration):
         "solid",
         metadata={"embedded": "deepest stratum fibre over (1,...,1)", "anchor": anchor, "basis": basis, "rank": rank},
     )
-    _oracle_assert_fan_compatibility(space, cells, hosts, host_cells)
+    _oracle_assert_fan_compatibility(space, cells)
     iota = ComplexMap(entries, surjective=surjective, metadata={"anchor": anchor, "fibration": dict(fibration)})
     return t_d, iota, surjective
 
 
-def _oracle_assert_fan_compatibility(space, cells, hosts, host_cells):
-    """The host charts must not degenerate the embedded star at any vertex."""
+def _oracle_assert_fan_compatibility(space, cells):
+    """The vertex charts must not degenerate the embedded star at any vertex."""
     for cell in cells:
-        host = host_cells[hosts[cell.key()]]
         for v in cell.vertices:
             if not all(Fraction(x).denominator == 1 for x in v):
                 continue
-            chart = space.chart_matrix(v, host)
+            chart = space.chart_matrix(v)
             imgs = []
             for w in cell.vertices:
                 d = vsub(w, v)
@@ -470,3 +485,42 @@ def _oracle_piece_on(f, sub, cell):
     if big is None:
         raise ValueError("cell not contained in any cell of the coarser subdivision")
     return f.pieces[big.key()]
+
+
+def oracle_chart_on_cell(space, v, cell):
+    """Square matrix of the chart at v restricted to the cell's tangent lattice."""
+    charts = getattr(space, "explicit_charts", None)
+    chart = charts[(v, cell.key())] if charts else space.chart_matrix(v)
+    basis = space.tangent_basis(cell)
+    if len(basis) != len(chart):
+        raise ValueError("chart restriction is singular")
+    cols = [mat_vec(chart, b) for b in basis]
+    return tuple(zip(*cols))  # columns are chart images of the basis
+
+
+def oracle_loop_matrix(space, v_plus, v_minus, sigma_plus, sigma_minus):
+    """The loop v+ -> sigma+ -> v- -> sigma- -> v+ at v+, composed of four restricted charts."""
+    m_pp = oracle_chart_on_cell(space, v_plus, sigma_plus)
+    m_mp = oracle_chart_on_cell(space, v_minus, sigma_plus)
+    m_mm = oracle_chart_on_cell(space, v_minus, sigma_minus)
+    m_pm = oracle_chart_on_cell(space, v_plus, sigma_minus)
+    inv_mm, d_mm = left_inverse(m_mm)
+    inv_pp, d_pp = left_inverse(m_pp)
+    t = mat_mul(mat_mul(mat_mul(m_pm, inv_mm), m_mp), inv_pp)
+    d = d_mm * d_pp
+    if any(x % d for row in t for x in row):
+        raise ValueError("monodromy is not integral; charts are incompatible on the lattice")
+    return tuple(tuple(x // d for x in row) for row in t)
+
+
+def oracle_transition(space, v_from, v_to, cell):
+    """The chart transition v_from -> v_to across the cell: one restriction times the other's inverse."""
+    m_to = oracle_chart_on_cell(space, v_to, cell)
+    inv, d = left_inverse(oracle_chart_on_cell(space, v_from, cell))
+    return tuple(tuple(Fraction(x, d) for x in row) for row in mat_mul(m_to, inv))
+
+
+def oracle_support_facet_keys(cells, support):
+    """Facet keys of the cells that lie on a facet of the support, sorted."""
+    keys = {key for cell in cells for key in cell.facet_keys()}
+    return sorted(key for key in keys if any(tight_at(f, key) for f in support.facets))

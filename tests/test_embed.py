@@ -206,17 +206,15 @@ def test_embed_d_rejects_fibration_data_disagreeing_at_a_shared_vertex():
 
 
 def test_embed_d_rejects_a_chart_that_kills_the_fibre_direction():
-    # the fibre over (1, 1) is the segment x_0 = 0 of the square; the chart
-    # at its vertex (0, -1) projects away the segment's direction e_2
-    square = hull([(-1, -1), (1, -1), (-1, 1), (1, 1)])
-    ident = ((1, 0), (0, 1))
-    charts = {((0, -1), square.key()): ((1, 0), (0, 0)), ((0, 1), square.key()): ident}
-    space = TropicalSpace(2, 2, [square], "explicit", explicit_charts=charts)
+    # the fibre over (1, 1) is the segment x_0 = 0 of the square, from
+    # (0, 1) to (0, 3); the boundary chart at (0, 1) quotients by (0, 1),
+    # the segment's direction, while identity charts keep it
+    square = hull([(-1, 1), (1, 1), (-1, 3), (1, 3)])
+    space = TropicalSpace(2, 2, [square], "boundary")
     fib = wall_fibration_data(space, 0, 0)
-    with pytest.raises(ValueError, match=r"not compatible with the fan structure at \(0, -1\)"):
+    with pytest.raises(ValueError, match=r"not compatible with the fan structure at \(0, 1\)"):
         embed_D(space, fib)
-    charts[((0, -1), square.key())] = ident
-    t_d, _, surjective = embed_D(TropicalSpace(2, 2, [square], "explicit", explicit_charts=charts), fib)
+    t_d, _, surjective = embed_D(TropicalSpace(2, 2, [square], "solid"), fib)
     assert surjective and t_d.dim == 1
 
 

@@ -1,8 +1,9 @@
 """Every name a tropdeg or test module imports is used in that module (or
 exported, or marked `# noqa: F401`), no tropdeg function repeats an import
 its module already makes at top level, the geometric modules take their
-numbers from `exactlin._ratio` rather than from `fractions`, and only
-`polytope` tests whether a facet inequality is tight."""
+numbers from `exactlin._ratio` rather than from `fractions`, only
+`polytope` tests whether a facet inequality is tight, and `tropical` takes no
+matrix product and inverts only its per-vertex chart."""
 
 import ast
 import pathlib
@@ -142,3 +143,44 @@ def test_tight_tests_are_detected():
 def test_only_polytope_evaluates_the_tight_facet_test():
     found = {p.name: lines for p in sorted(SRC.glob("*.py")) if p.stem != "polytope" and (lines := _tight_tests(p.read_text()))}
     assert found == {}
+
+
+def _imported_names(source):
+    """Names a module imports with `from ... import`, at any depth."""
+    return {alias.name for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _callers(source, name):
+    """The innermost function around each call to `name`, by the function's name, in source order."""
+    out = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == name:
+            out.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_callers_are_detected():
+    source = (
+        "from .exactlin import left_inverse, mat_mul\n"
+        "x = left_inverse(((1,),))\n"
+        "class A:\n"
+        "    def chart(self, m):\n"
+        "        def inner():\n"
+        "            return exactlin.left_inverse(m)\n"
+        "        return left_inverse(m), inner\n"
+    )
+    assert _callers(source, "left_inverse") == [None, "inner", "chart"]
+    assert {"left_inverse", "mat_mul"} <= _imported_names(source)
+
+
+def test_tropical_takes_no_product_and_inverts_only_its_vertex_chart():
+    source = (SRC / "tropical.py").read_text()
+    assert "mat_mul" not in _imported_names(source)
+    assert _callers(source, "left_inverse") == ["_vertex_chart"]

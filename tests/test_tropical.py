@@ -1,15 +1,20 @@
+import importlib.util
+import pathlib
+import random
 import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from oracles import oracle_loop_matrix, oracle_support_facet_keys, oracle_transition
 
 from tropdeg import exactlin, pipelines, subdivision, tropical
-from tropdeg.exactlin import dot, left_inverse, mat_identity, mat_mul, mat_vec
+from tropdeg.exactlin import dot, mat_identity, mat_mul, mat_vec
 from tropdeg.embed import lg_truncate, side_subcomplex
 from tropdeg.pipelines import QUINTIC_COLUMNS, _face_census, build_hypercube, build_kp1_2
-from tropdeg.polytope import LatticePolytope, barycenter, centered_dilated_simplex, cube, hull, product, segment
+from tropdeg.polytope import LatticePolytope, barycenter, centered_dilated_simplex, cube, hull, is_lattice_point, product, segment
 from tropdeg.subdivision import (
+    Subdivision,
     fine_crepant_subdivision,
     graph_degeneration,
     hyperplane_split,
@@ -59,21 +64,42 @@ def k3():
     return k3_solid_and_sphere()
 
 
-def focus_focus_model(shear=1):
-    """Two unit squares glued along a vertical wall, charts bent by a shear."""
+def focus_focus_squares():
+    """Two unit squares glued along a vertical wall, as a solid space with its outer edges as boundary."""
     left = hull([(-1, -1), (-1, 1), (0, -1), (0, 1)])
     right = hull([(0, -1), (0, 1), (1, -1), (1, 1)])
-    ident = mat_identity(2)
-    bend = ((1, 0), (shear, 1))
-    charts = {}
-    for v in left.vertices:
-        charts[(v, left.key())] = ident
-    for v in right.vertices:
-        charts[(v, right.key())] = ident
-    charts[((0, 1), right.key())] = bend
-    space = TropicalSpace(2, 2, [left, right], "explicit", explicit_charts=charts)
+    space = TropicalSpace(2, 2, [left, right], "solid")
     boundary = [k for k, adj in space.walls().items() if len(adj) == 1]
-    return TropicalSpace(2, 2, [left, right], "explicit", boundary_keys=boundary, explicit_charts=charts)
+    return TropicalSpace(2, 2, [left, right], "solid", boundary_keys=boundary)
+
+
+class ExplicitChartSpace(TropicalSpace):
+    """A space whose restricted charts are given per (vertex, cell), read only by the oracles."""
+
+    def __init__(self, space, explicit_charts):
+        super().__init__(space.ambient_dim, space.dim, space.maximal_cells, space.chart_kind, boundary_keys=space.boundary_keys)
+        self.explicit_charts = explicit_charts
+
+
+def focus_focus_model(shear=1):
+    """The two squares with identity charts, but for the chart at (0, 1) on the right one, bent by a shear."""
+    space = focus_focus_squares()
+    charts = {(v, cell.key()): mat_identity(2) for cell in space.maximal_cells for v in cell.vertices}
+    charts[((0, 1), space.maximal_cells[1].key())] = ((1, 0), (shear, 1))
+    return ExplicitChartSpace(space, charts)
+
+
+def cube_boundary():
+    """The boundary of the cube [-1, 1]^3 under its one-cell subdivision: six squares."""
+    box = cube(3)
+    return hypersurface_trop(box, Subdivision(box, [box]), enforce_fine=False)
+
+
+def length_two_pair():
+    """Two triangles in the planes z = 1 and x + y - z = 1, sharing an edge of lattice length 2."""
+    low = hull([(2, 0, 1), (0, 2, 1), (0, 0, 1)])
+    high = hull([(2, 0, 1), (0, 2, 1), (2, 2, 3)])
+    return TropicalSpace(3, 2, [low, high], "boundary")
 
 
 def trivial_solid_2d():
@@ -130,6 +156,40 @@ def test_monodromy_needs_charts_of_the_cell_dimension():
         discriminant(space)
 
 
+def test_boundary_monodromy_needs_cells_of_codimension_one():
+    # quotient charts of Z^3 have rank 2, and these cells are solid
+    low = hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    high = hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
+    space = TropicalSpace(3, 3, [low, high], "boundary")
+    v, w = (0, 0, 1), (0, 1, 0)
+    for call in (lambda: space._loop_matrix(v, w, low, high), lambda: space.transition(v, w, low), lambda: discriminant(space)):
+        with pytest.raises(ValueError, match="chart restriction is singular"):
+            call()
+    with pytest.raises(ValueError, match="chart restriction is singular"):
+        oracle_loop_matrix(space, v, w, low, high)
+
+
+def test_boundary_monodromy_rejects_a_cell_in_a_hyperplane_through_the_origin():
+    # flat lies in z = 0, which holds the kernel of the chart at each of its vertices
+    flat = hull([(1, 0, 0), (0, 1, 0), (-1, -1, 0)])
+    tilted = hull([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    space = TropicalSpace(3, 2, [flat, tilted], "boundary")
+    v, w = (0, 1, 0), (1, 0, 0)
+    calls = [
+        lambda: space._loop_matrix(v, w, flat, tilted),
+        lambda: space._loop_matrix(v, w, tilted, flat),
+        lambda: space.transition(v, w, flat),
+        lambda: discriminant(space),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="hyperplane through the origin"):
+            call()
+    # the restricted chart there is singular, so the oracle has no inverse
+    with pytest.raises(ValueError, match="linearly independent"):
+        oracle_loop_matrix(space, v, w, flat, tilted)
+    assert space.transition(v, w, tilted) == oracle_transition(space, v, w, tilted)
+
+
 def test_dual_complex_k3_is_3d_with_four_face_types(k3):
     base, prism, refined, solid, sphere = k3
     assert solid.dim == 3
@@ -174,6 +234,13 @@ def test_hypersurface_k3_sphere(k3):
     assert f0 - f1 + f2 == 2
 
 
+def test_hypersurface_needs_a_subdivision_of_the_polytope():
+    base = centered_dilated_simplex(2)
+    sub, _ = fine_crepant_subdivision(base)
+    with pytest.raises(ValueError, match="not a subdivision of the polytope"):
+        hypersurface_trop(cube(2), sub)
+
+
 def test_hypersurface_requires_fine():
     base = centered_dilated_simplex(2)
     seg = segment(-1, 1)
@@ -205,10 +272,14 @@ def test_monodromy_identity_on_solid(k3):
     assert checked > 0
 
 
+# The focus-focus models check the restricted-chart oracle by hand: their
+# per-(vertex, cell) charts are read by the oracles alone.
+
+
 def test_focus_focus_standard_model():
     space = focus_focus_model(1)
-    wall = space.cells()[(((0, -1)), ((0, 1)))] if False else space.cells()[((0, -1), (0, 1))]
-    m = space.monodromy(wall, wall)
+    wall = space.cells()[((0, -1), (0, 1))]
+    m = _oracle_monodromy(space, wall, wall)
     # oracle: hand-composition of the four 2x2 transitions.  With identity
     # charts everywhere except the bent (v-, right-cell) chart S, the loop
     # composes to S^{-1}: [[1,0],[-1,1]], a unit transvection.
@@ -220,26 +291,37 @@ def test_focus_focus_standard_model():
 
 def test_focus_focus_polytope_and_count():
     space = focus_focus_model(1)
-    disc = discriminant(space)
-    assert len(disc.entries) == 1
-    poly = monodromy_polytope(space, disc.entries[0])
+    entries = _oracle_discriminant(space)
+    assert len(entries) == 1 and entries[0]["multiplicity"] == 1
+    poly = monodromy_polytope(space, entries[0])
     assert poly.is_elementary_simplex()
-    assert count_focus_focus(space) == 1
-    simple, report = is_simple(space)
-    assert simple
+    # the same cells with one chart per vertex are flat
+    assert discriminant(focus_focus_squares()).entries == ()
 
 
 def test_doubled_shear_not_simple():
     space = focus_focus_model(2)
+    entries = _oracle_discriminant(space)
+    assert len(entries) == 1 and entries[0]["multiplicity"] == 2
+    poly = monodromy_polytope(space, entries[0])
+    # oracle: 2*Delta^1 is not an elementary simplex
+    assert sorted(poly.lattice_points()) != sorted(poly.vertices)
+    assert not poly.is_elementary_simplex()
+
+
+@pytest.mark.parametrize("build, entries", [(cube_boundary, 12), (length_two_pair, 1)])
+def test_boundary_loops_of_lattice_length_two_are_not_simple(build, entries):
+    space = build()
     disc = discriminant(space)
-    assert len(disc.entries) == 1
+    assert len(disc.entries) == entries
+    assert all(e["multiplicity"] == 2 for e in disc.entries)
     poly = monodromy_polytope(space, disc.entries[0])
     # oracle: 2*Delta^1 is not an elementary simplex
     assert sorted(poly.lattice_points()) != sorted(poly.vertices)
     assert not poly.is_elementary_simplex()
     simple, report = is_simple(space)
-    assert not simple
-    assert count_focus_focus(space) == 2
+    assert not simple and not report.all_elementary()
+    assert count_focus_focus(space) == 2 * entries
 
 
 def test_monodromy_nonsingular_cell_errors():
@@ -481,7 +563,7 @@ def _oracle_monodromy(space, edge, wall):
     sigma_plus = space.maximal_cells[adj[0]]
     sigma_minus = space.maximal_cells[adj[1]]
     v_plus, v_minus = sorted(edge.vertices)[:2]
-    return _oracle_loop_matrix(space, v_plus, v_minus, sigma_plus, sigma_minus)
+    return oracle_loop_matrix(space, v_plus, v_minus, sigma_plus, sigma_minus)
 
 
 def _oracle_discriminant(space):
@@ -584,11 +666,12 @@ def face_corpus(kp1_2_results):
     spaces["quintic i=1 truncated"] = lg_truncate(t_z, ((-1, 0, 0, 0), 0))
     for k in (1, 2, 3):
         spaces[f"hypercube k={k} solid"] = build_hypercube(k).solid
-    spaces["focus-focus shear 1"] = focus_focus_model(1)
-    spaces["focus-focus shear 2"] = focus_focus_model(2)
+    spaces["focus-focus squares"] = focus_focus_squares()
     base = centered_dilated_simplex(2)
     sub, _ = fine_crepant_subdivision(base)
     spaces["elliptic circle"] = hypersurface_trop(base, sub)
+    spaces["cube boundary"] = cube_boundary()
+    spaces["length-2 pair"] = length_two_pair()
     return spaces
 
 
@@ -611,11 +694,59 @@ def test_face_table_matches_rehulling_walkers_and_pair_scan(face_corpus):
             assert is_simple(space)[1].to_json() == _oracle_report_json(want[1]), name
 
 
+def _cli_random_subdivisions():
+    """The subdivisions of the first pass of the cli-random benchmark inputs at their default seed."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "cli_inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_cli_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    rng = random.Random(f"{inputs.DEFAULT_SEED}:0")
+    out = {}
+    for name, verts in inputs.SUPPORTS.items():
+        pts = inputs.lattice_points(verts)
+        heights = [inputs.HEIGHT_SCALE * dot(p, p) + rng.randrange(inputs.HEIGHT_SCALE) for p in pts]
+        out[f"cli-random {name}"] = regular_subdivision(pts, heights)
+    return out
+
+
+def test_boundary_facets_are_the_walls_of_one_cell(kp1_2_results):
+    # the one-cell walls against the scan of every facet key over every support facet
+    subs = {f"kp1-2 k={k} refined": result.refinement for k, result in kp1_2_results.items()}
+    poly = hull(list(QUINTIC_COLUMNS))
+    for i in (1, 2, 3, 4):
+        split_sub, tent = hyperplane_split(poly, 0, i - 1)
+        tor_sub, h_tor = pipelines._orthant_tents(poly, skip_coord=0)
+        subs[f"quintic i={i} split"] = split_sub
+        subs[f"quintic i={i} refined"] = sum_refinement(h_tor, pipelines.negate_pl(tent, split_sub), tor_sub, split_sub)[0]
+    for k in (1, 2, 3):
+        pts = cube(k).lattice_points()
+        sub, f = regular_subdivision(pts, [sum(abs(x) for x in p) for p in pts])
+        subs[f"hypercube k={k} refined"] = sum_refinement(f, f, sub, sub)[0]
+    randoms = _cli_random_subdivisions()
+    subs.update({name: sub for name, (sub, _) in randoms.items()})
+    assert len(subs) == 26
+    for name, sub in subs.items():
+        want = oracle_support_facet_keys(sub.maximal_cells, sub.support)
+        assert [key for key, adj in sub.walls().items() if len(adj) == 1] == want, name
+        assert want, name
+    # the two constructions read them
+    for name, (sub, f) in randoms.items():
+        want = oracle_support_facet_keys(sub.maximal_cells, sub.support)
+        assert sorted(dual_intersection_complex(graph_degeneration([(sub, f)])).boundary_keys) == want, name
+        assert [c.key() for c in hypersurface_trop(sub.support, sub).maximal_cells] == want, name
+    for k, result in kp1_2_results.items():
+        want = oracle_support_facet_keys(result.refinement.maximal_cells, result.prism)
+        assert sorted(result.solid.boundary_keys) == want
+        assert [c.key() for c in result.sphere.maximal_cells] == want
+
+
 def test_corpus_has_boundaries_and_singular_loops(face_corpus):
     # the differential test above compares something on every axis
     assert all(discriminant(face_corpus[f"kp1-2 k={k} sphere"]).entries for k in (2, 3))
     assert all(face_corpus[f"kp1-2 k={k} solid"].boundary_cells() for k in (1, 2, 3))
     assert face_corpus["quintic i=1 truncated"].boundary_keys
+    assert face_corpus["focus-focus squares"].boundary_cells()
+    assert all(discriminant(face_corpus[name]).entries for name in ("cube boundary", "length-2 pair"))
 
 
 def test_discriminant_and_face_census_make_no_hull_call(kp1_2_results, monkeypatch):
@@ -650,16 +781,7 @@ def test_faces_facet_keys_and_face_table_read_the_incidence_with_no_dot_call(kp1
     for space in spaces:
         for cell in space.maximal_cells:
             assert len(cell.incidence) == len(cell.facets)
-    calls = []
-    real_dot = exactlin.dot
-
-    def counting_dot(*args, **kwargs):
-        calls.append(args)
-        return real_dot(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("tropdeg") and getattr(module, "dot", None) is real_dot:
-            monkeypatch.setattr(module, "dot", counting_dot)
+    calls = _counting(monkeypatch, "dot")
     for space in spaces:
         for cell in space.maximal_cells:
             cell.faces()
@@ -670,31 +792,11 @@ def test_faces_facet_keys_and_face_table_read_the_incidence_with_no_dot_call(kp1
     assert cube(2).incidence and calls
 
 
-# --- restricted charts and monodromy polytopes against their uncached bodies --
+# --- closed-form loops against restricted charts, and shared monodromy polytopes --
 #
-# `_loop_matrix` and `transition` as they were before the per-(vertex, cell)
-# memo of restricted charts, and `is_simple` before its per-shape polytope
-# memo, kept verbatim as oracles.
-
-
-def _oracle_loop_matrix(space, v_plus, v_minus, sigma_plus, sigma_minus):
-    m_pp = space._chart_on_cell(v_plus, sigma_plus)
-    m_mp = space._chart_on_cell(v_minus, sigma_plus)
-    m_mm = space._chart_on_cell(v_minus, sigma_minus)
-    m_pm = space._chart_on_cell(v_plus, sigma_minus)
-    inv_mm, d_mm = left_inverse(m_mm)
-    inv_pp, d_pp = left_inverse(m_pp)
-    t = mat_mul(mat_mul(mat_mul(m_pm, inv_mm), m_mp), inv_pp)
-    d = d_mm * d_pp
-    if any(x % d for row in t for x in row):
-        raise ValueError("monodromy is not integral; charts are incompatible on the lattice")
-    return tuple(tuple(x // d for x in row) for row in t)
-
-
-def _oracle_transition(space, v_from, v_to, cell):
-    m_to = space._chart_on_cell(v_to, cell)
-    inv, d = left_inverse(space._chart_on_cell(v_from, cell))
-    return tuple(tuple(Fraction(x, d) for x in row) for row in mat_mul(m_to, inv))
+# `_loop_matrix` and `transition` against the restricted-chart definition in
+# the oracles, and `is_simple` before its per-shape polytope memo, kept
+# verbatim as an oracle.
 
 
 def _oracle_is_simple(space):
@@ -724,19 +826,29 @@ def _simple_json(simple, space):
     return verdict, report.to_json()
 
 
-def test_cached_charts_give_the_uncached_loops_and_transitions(face_corpus):
-    compared = 0
-    for name in [f"kp1-2 k={k} sphere" for k in (1, 2, 3)] + ["focus-focus shear 1", "focus-focus shear 2"]:
-        space = face_corpus[name]
+def test_closed_form_loops_and_transitions_match_the_restricted_chart_oracle(face_corpus):
+    compared = set()
+    for name, space in face_corpus.items():
+        if space.chart_kind != "boundary":
+            continue
         cells = space.maximal_cells
         for wall_key, (i, j) in space.interior_walls().items():
             for v, w in permutations(wall_key, 2):
                 for s_plus, s_minus in ((cells[i], cells[j]), (cells[j], cells[i])):
-                    loop = _outcome(space._loop_matrix, v, w, s_plus, s_minus)
-                    assert loop == _outcome(_oracle_loop_matrix, space, v, w, s_plus, s_minus), name
-                    assert _outcome(space.transition, v, w, s_plus) == _outcome(_oracle_transition, space, v, w, s_plus), name
-                    compared += loop[0] == "value"
-    assert compared > 0
+                    pairs = [
+                        (_outcome(space._loop_matrix, v, w, s_plus, s_minus), _outcome(oracle_loop_matrix, space, v, w, s_plus, s_minus)),
+                        (_outcome(space.transition, v, w, s_plus), _outcome(oracle_transition, space, v, w, s_plus)),
+                    ]
+                    for got, want in pairs:
+                        # the same value, or both raise ValueError
+                        assert got[0] == want[0], name
+                        if got[0] == "value":
+                            assert got == want, name
+                    compared.add((name, pairs[0][0][0]))
+    # every boundary space with walls is compared on values
+    assert {name for name, outcome in compared if outcome == "value"} == {
+        name for name, space in face_corpus.items() if space.chart_kind == "boundary" and space.dim > 1
+    }
 
 
 def test_shared_monodromy_polytopes_give_the_uncached_report(face_corpus):
@@ -779,19 +891,13 @@ def test_build_kp1_2_reads_pieces_charts_and_polytopes_once(monkeypatch):
     monkeypatch.setattr(tropical, "monodromy_polytope", counting_polytope)
     result = build_kp1_2(2)
     assert piece_calls and contains_in_piece == []
-    # every (vertex, cell) pair of a discriminant loop: the edge's two ends in the wall's two cells
+    # one chart per vertex: the base of each nontrivial loop, and each
+    # lattice vertex of a fibre that the fan compatibility check reads
     sphere = result.sphere
-    faces = sphere.faces()
-    pairs = {
-        (v, sphere.maximal_cells[c].key())
-        for wall_key, adj in sphere.interior_walls().items()
-        for edge in combinations(wall_key, 2)
-        if faces.get(edge) == 1 and not sphere.is_boundary_cell(edge)
-        for v in edge
-        for c in adj
-    }
-    assert len(inverses) == len(pairs) == len(sphere._restricted_cache)
-    assert set(sphere._restricted_cache) == pairs
+    bases = {e["edge"][0] for e in result.discriminant.entries}
+    fibre_vertices = {v for verts in result.iota.metadata["fibres"] for v in verts if is_lattice_point(v)}
+    assert len(inverses) == len(sphere._chart_cache)
+    assert set(sphere._chart_cache) == bases | fibre_vertices
     displacements = {e["displacement"] for e in result.discriminant.entries}
     assert len(polytopes) == len(displacements) < len(result.discriminant.entries)
 
@@ -814,53 +920,55 @@ def _discriminant_loops(space):
     ]
 
 
-def _counting_mat_mul(monkeypatch):
+def _counting(monkeypatch, name):
+    """The argument tuples of every call to exactlin's function `name` made from a tropdeg module."""
     calls = []
-    real = tropical.mat_mul
+    real = getattr(exactlin, name)
 
-    def counted(a, b):
-        calls.append((a, b))
-        return real(a, b)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(tropical, "mat_mul", counted)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("tropdeg") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_discriminant_multiplies_once_per_transition_and_nontrivial_loop(kp1_2_results, monkeypatch, k):
+def test_discriminant_makes_no_matrix_product_and_one_chart_per_vertex(kp1_2_results, monkeypatch, k):
     sphere = kp1_2_results[k].sphere
     space = TropicalSpace(sphere.ambient_dim, sphere.dim, sphere.maximal_cells, sphere.chart_kind)
-    # the transitions each loop needs, by the uncached oracles: both forward
-    # ones, and the back one only where the loop is not the identity
-    needed = set()
-    nontrivial = 0
-    for v_plus, v_minus, s_plus, s_minus in _discriminant_loops(space):
-        needed |= {(v_plus, v_minus, s_plus.key()), (v_plus, v_minus, s_minus.key())}
-        loop = _oracle_loop_matrix(space, v_plus, v_minus, s_plus, s_minus)
-        if loop != mat_identity(len(loop)):
-            needed.add((v_minus, v_plus, s_minus.key()))
-            nontrivial += 1
-    calls = _counting_mat_mul(monkeypatch)
+    products = _counting(monkeypatch, "mat_mul")
+    inverses = _counting(monkeypatch, "left_inverse")
     entries = _compute_discriminant(space).entries
     assert entries == kp1_2_results[k].discriminant.entries
-    assert len(entries) == nontrivial
-    assert len(calls) == len(needed) + nontrivial
-    assert len(calls) == {2: 174, 3: 3050}[k]
+    assert len(entries) == {2: 24, 3: 576}[k]
+    assert products == []
+    # the charts are made at the base vertices of the nontrivial loops, once each
+    assert set(space._chart_cache) == {e["edge"][0] for e in entries}
+    assert len(inverses) == len(space._chart_cache) < len(space.vertices())
 
 
 def test_a_trivial_loop_makes_no_product_beyond_its_two_transitions(kp1_2_results, monkeypatch):
     sphere = kp1_2_results[2].sphere
-    loops = _discriminant_loops(sphere)
-    calls = _counting_mat_mul(monkeypatch)
+    space = TropicalSpace(sphere.ambient_dim, sphere.dim, sphere.maximal_cells, sphere.chart_kind)
+    products = _counting(monkeypatch, "mat_mul")
+    inverses = _counting(monkeypatch, "left_inverse")
     seen = set()
-    for loop in loops:
-        calls.clear()
-        m = sphere._loop_matrix(*loop)
+    for loop in _discriminant_loops(space):
+        inverses.clear()
+        made = set(space._chart_cache)
+        m = space._loop_matrix(*loop)
         trivial = m == mat_identity(len(m))
-        # uncached: two forward transitions, and past them the back one and the product
-        assert len(calls) == (2 if trivial else 4)
+        # a trivial loop reads its cells' equations and makes no chart; any
+        # other makes the chart at its base vertex unless it is made already
+        assert trivial == (loop[2].equations == loop[3].equations)
+        new = set(space._chart_cache) - made
+        assert new == (set() if trivial or loop[0] in made else {loop[0]})
+        assert len(inverses) == len(new)
         seen.add(trivial)
-    assert seen == {True, False}
+    assert products == [] and seen == {True, False}
 
 
 def test_loop_is_identity_iff_forward_transitions_agree(face_corpus):
@@ -876,7 +984,7 @@ def test_loop_is_identity_iff_forward_transitions_agree(face_corpus):
                 if loop[0] != "value":
                     continue
                 m = loop[1]
-                agree = _oracle_transition(space, v, w, a) == _oracle_transition(space, v, w, b)
+                agree = oracle_transition(space, v, w, a) == oracle_transition(space, v, w, b)
                 assert (m == mat_identity(len(m))) == agree, name
                 compared.add(agree)
     assert compared == {True, False}
