@@ -26,13 +26,12 @@ from .exactlin import (
     dot,
     left_inverse,
     mat_identity,
-    mat_rank,
     mat_vec,
     primitive,
     vsub,
 )
 from .jsonio import key_json
-from .polytope import barycenter, hull, tight_at, walls
+from .polytope import barycenter, tight_at, walls
 
 CHART_KINDS = ("solid", "boundary")
 
@@ -191,26 +190,28 @@ class TropicalSpace:
         v_plus, v_minus = sorted(edge.vertices)[:2]
         return self._loop_matrix(v_plus, v_minus, sigma_plus, sigma_minus)
 
-    def _loop_matrix(self, v_plus, v_minus, sigma_plus, sigma_minus):
-        """The loop T(v- -> v+, sigma-) @ T(v+ -> v-, sigma+) at v+, an integer matrix.
+    def _loop_factors(self, v_plus, v_minus, sigma_plus, sigma_minus):
+        """None when the loop at v+ is the identity, else (a, phi) with the loop I - a (x) phi.
 
         By `transition`, with <n+-, .> = 1 the hyperplanes of sigma+- and q,
-        s the chart and section at v+, it is the transvection
+        s the chart and section at v+, the loop is the transvection
         I - q(v-) (x) (n- - n+) s (Haase and Zharkov, arXiv math/0205321;
         Gross, Math. Ann. 333, 2005).  So it is the identity when both cells
         have the same equation, and always in a solid space; then no chart
         is made.
         """
-        eqs = self._equations(sigma_plus)
-        if eqs == self._equations(sigma_minus):
-            return mat_identity(self.ambient_dim - len(eqs))
+        if self._equations(sigma_plus) == self._equations(sigma_minus):
+            return None
         q, s = self._vertex_chart(v_plus)
         bend = vsub(_normal(sigma_minus), _normal(sigma_plus))
-        phi = [dot(bend, col) for col in s]
-        m = [[(1 if i == j else 0) - ui * p for j, p in enumerate(phi)] for i, ui in enumerate(mat_vec(q, v_minus))]
-        if any(x.denominator != 1 for row in m for x in row):
-            raise ValueError("monodromy is not integral; charts are incompatible on the lattice")
-        return tuple(tuple(x.numerator for x in row) for row in m)
+        return mat_vec(q, v_minus), [dot(bend, col) for col in s]
+
+    def _loop_matrix(self, v_plus, v_minus, sigma_plus, sigma_minus):
+        """The loop T(v- -> v+, sigma-) @ T(v+ -> v-, sigma+) at v+, an integer matrix read off `_loop_factors`."""
+        factors = self._loop_factors(v_plus, v_minus, sigma_plus, sigma_minus)
+        if factors is None:
+            return mat_identity(self.ambient_dim - (self.chart_kind == "boundary"))
+        return _transvection(*factors)
 
     def transition(self, v_from, v_to, cell):
         """Chart transition v_from -> v_to across a maximal cell having both vertices.
@@ -227,6 +228,14 @@ class TropicalSpace:
         n = _normal(cell)
         phi = [dot(n, col) for col in s]
         return tuple(tuple(_ratio(dot(row, col) - ui * p) for col, p in zip(s, phi)) for row, ui in zip(q, mat_vec(q, v_from)))
+
+
+def _transvection(a, phi):
+    """The integer matrix I - a (x) phi; ValueError when an entry is not an integer."""
+    m = [[(1 if i == j else 0) - x * p for j, p in enumerate(phi)] for i, x in enumerate(a)]
+    if any(x.denominator != 1 for row in m for x in row):
+        raise ValueError("monodromy is not integral; charts are incompatible on the lattice")
+    return tuple(tuple(x.numerator for x in row) for row in m)
 
 
 def _normal(cell):
@@ -383,14 +392,12 @@ def _compute_discriminant(space):
         for pair in combinations(wall_key, 2)
         if faces.get(pair) == 1 and not space.is_boundary_cell(pair)
     )
-    ident = None
     for edge_key, wall_key, adj in loops:
-        m = space._loop_matrix(edge_key[0], edge_key[1], space.maximal_cells[adj[0]], space.maximal_cells[adj[1]])
-        if ident is None or len(ident) != len(m):
-            ident = mat_identity(len(m))
-        if m == ident:
+        factors = space._loop_factors(edge_key[0], edge_key[1], space.maximal_cells[adj[0]], space.maximal_cells[adj[1]])
+        if factors is None:
             continue
-        disp, mult = _displacement(m)
+        m = _transvection(*factors)
+        disp, mult = _displacement(*factors)
         entries.append(
             {
                 "edge": edge_key,
@@ -406,43 +413,23 @@ def _compute_discriminant(space):
     return Discriminant(entries, n)
 
 
-def _displacement(m):
-    """Displacement data of a rank-one transvection M = I + u * m_cov^T.
+def _displacement(a, phi):
+    """(displacement, multiplicity) of the nontrivial loop M = I - a (x) phi, an integer matrix.
 
-    Writing the difference as u (primitive) times an integral covector m_cov,
-    the displacement (M - I) t for any primitive test vector t with the
-    minimal positive pairing <m_cov, t> = content(m_cov) is content(m_cov)*u,
-    independent of the choice of t; its lattice length is content(m_cov).
+    Write a = c u with u primitive and c > 0.  Then M - I = -u (x) c phi,
+    and c phi is integral because u is primitive, so the multiplicity, the
+    gcd of the entries of M - I, is content(c phi).  With the covector of
+    M - I oriented so that its first nonzero entry is positive, a primitive
+    t pairing with it to the least positive value is displaced by
+    (M - I) t = -sgn(phi_j0) * multiplicity * u, phi_j0 the first nonzero
+    entry of phi; so the segment [0, displacement] has lattice length the
+    multiplicity.
     """
-    n = len(m)
-    d = tuple(tuple(m[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n))
-    cols = list(zip(*d))
-    nz = [c for c in cols if any(x != 0 for x in c)]
-    if not nz:
-        return None, 0
-    if mat_rank(d) != 1:
-        raise ValueError("monodromy is not a rank-one transvection")
-    u = primitive(nz[0])
-    pivot = next(i for i, x in enumerate(u) if x != 0)
-    m_cov = []
-    for j in range(n):
-        q, r = divmod(d[pivot][j], u[pivot])
-        assert r == 0, "transvection covector is not integral"
-        m_cov.append(q)
-    g = content(tuple(m_cov))
-    disp = tuple(g * x for x in u)
-    return disp, g
-
-
-def monodromy_polytope(space, disc_entry):
-    """Convex hull of 0 and the loop displacement, in the base vertex chart."""
-    if disc_entry.get("kind") == "rotation":
-        mult = disc_entry["multiplicity"]
-        return hull([(0,), (mult,)])
-    if disc_entry["matrix"] is None:
-        raise ValueError("cell is not singular")
-    disp = disc_entry["displacement"]
-    return hull([tuple(0 for _ in disp), disp])
+    u = primitive(clear_fractions(a))
+    i = next(i for i, x in enumerate(u) if x)
+    mult = content([_ratio(a[i] * p, u[i]) for p in phi])
+    sign = -1 if next(p for p in phi if p) > 0 else 1
+    return tuple(sign * mult * x for x in u), mult
 
 
 class MonodromyReport:
@@ -464,7 +451,7 @@ class MonodromyReport:
                         "wall": key_json(e["wall"]),
                     },
                     "matrix": [list(r) for r in e["matrix"]] if e["matrix"] is not None else None,
-                    "polytope": key_json(e["polytope"].vertices),
+                    "polytope": key_json(e["polytope"]),
                     "multiplicity": e["multiplicity"],
                     "elementary": e["elementary"],
                 }
@@ -475,29 +462,25 @@ class MonodromyReport:
 def is_simple(space):
     """(verdict, report): simple iff every monodromy polytope is elementary.
 
-    Entries with the same (kind, multiplicity, displacement) share one
-    polytope and one elementary-simplex verdict, built for the first of them.
+    Each polytope is a lattice segment of length the entry's multiplicity,
+    [0, displacement] for a transvection and [0, multiplicity] for a
+    rotation, kept as its sorted vertex pair; so it is an elementary simplex
+    exactly when the multiplicity is 1, and no polytope is built.
     """
-    disc = discriminant(space)
     entries = []
-    polytopes = {}
-    for e in disc.entries:
-        shape = (e["kind"], e["multiplicity"], e["displacement"])
-        if shape not in polytopes:
-            poly = monodromy_polytope(space, e)
-            polytopes[shape] = (poly, poly.is_elementary_simplex())
-        poly, elementary = polytopes[shape]
+    for e in discriminant(space).entries:
+        end = (e["multiplicity"],) if e["kind"] == "rotation" else e["displacement"]
         entries.append(
             {
                 "edge": e["edge"],
                 "wall": e["wall"],
                 "matrix": e["matrix"],
-                "polytope": poly,
+                "polytope": tuple(sorted([tuple(0 for _ in end), end])),
                 "multiplicity": e["multiplicity"],
-                "elementary": elementary,
+                "elementary": e["multiplicity"] == 1,
             }
         )
-    return all(elementary for _, elementary in polytopes.values()), MonodromyReport(entries)
+    return all(e["elementary"] for e in entries), MonodromyReport(entries)
 
 
 def count_focus_focus(space):

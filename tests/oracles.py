@@ -66,6 +66,19 @@ composes those restrictions and their inverses (`oracle_loop_matrix`,
 `explicit_charts`, as hand-built models in the tests do, the restriction
 reads those instead of the vertex chart.
 
+The discriminant and its simplicity verdict: `tropical._compute_discriminant`
+reads each loop's rank-one factors (a, phi) once, with the loop I - a (x) phi,
+and `tropical._displacement(a, phi)` reads the displacement and multiplicity
+off them in closed form; `is_simple` calls an entry elementary when its
+multiplicity is 1 and keeps each segment as its vertex pair.  The displacement
+they replaced (`oracle_displacement`) recovers the factors from the matrix by a
+rank computation and a division scan, and `monodromy_polytope` hulls the
+segment for `is_elementary_simplex`.  The discriminant before the face table
+(`_oracle_discriminant`) scans every edge against every interior wall,
+composes each loop of restricted charts (`_oracle_monodromy`) and finds the
+faces and the boundary with the re-hulling walkers (`_faces_by_key`,
+`_oracle_is_boundary_cell`, `_oracle_boundary_cells`).
+
 The boundary facets: `dual_intersection_complex` and `hypersurface_trop`
 take the facets of a subdivision that one cell has.  The scan they replaced
 (`oracle_support_facet_keys`) tests every facet key of the cells against
@@ -79,9 +92,11 @@ from tropdeg.exactlin import (
     _ratio,
     denominator_lcm,
     dot,
+    content,
     is_integrally_surjective,
     kernel_basis,
     left_inverse,
+    mat_identity,
     mat_mul,
     mat_rank,
     mat_transpose,
@@ -97,6 +112,7 @@ from tropdeg.polytope import (
     LatticePolytope,
     _hull_full_dim,
     _span_chart,
+    barycenter,
     containing_cell,
     hull,
     is_lattice_point,
@@ -104,7 +120,7 @@ from tropdeg.polytope import (
     tight_at,
 )
 from tropdeg.subdivision import PLFunction, Subdivision, affine_value, boundary_triangulation
-from tropdeg.tropical import TropicalSpace
+from tropdeg.tropical import MonodromyReport, TropicalSpace, discriminant
 
 
 def basis_coordinates(basis, vectors):
@@ -524,3 +540,181 @@ def oracle_support_facet_keys(cells, support):
     """Facet keys of the cells that lie on a facet of the support, sorted."""
     keys = {key for cell in cells for key in cell.facet_keys()}
     return sorted(key for key in keys if any(tight_at(f, key) for f in support.facets))
+
+
+def oracle_displacement(m):
+    """Displacement data of a rank-one transvection M = I + u * m_cov^T.
+
+    Writing the difference as u (primitive) times an integral covector m_cov,
+    the displacement (M - I) t for any primitive test vector t with the
+    minimal positive pairing <m_cov, t> = content(m_cov) is content(m_cov)*u,
+    independent of the choice of t; its lattice length is content(m_cov).
+    """
+    n = len(m)
+    d = tuple(tuple(m[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n))
+    cols = list(zip(*d))
+    nz = [c for c in cols if any(x != 0 for x in c)]
+    if not nz:
+        return None, 0
+    if mat_rank(d) != 1:
+        raise ValueError("monodromy is not a rank-one transvection")
+    u = primitive(nz[0])
+    pivot = next(i for i, x in enumerate(u) if x != 0)
+    m_cov = []
+    for j in range(n):
+        q, r = divmod(d[pivot][j], u[pivot])
+        assert r == 0, "transvection covector is not integral"
+        m_cov.append(q)
+    g = content(tuple(m_cov))
+    disp = tuple(g * x for x in u)
+    return disp, g
+
+
+def monodromy_polytope(space, disc_entry):
+    """Convex hull of 0 and the loop displacement, in the base vertex chart."""
+    if disc_entry.get("kind") == "rotation":
+        mult = disc_entry["multiplicity"]
+        return hull([(0,), (mult,)])
+    if disc_entry["matrix"] is None:
+        raise ValueError("cell is not singular")
+    disp = disc_entry["displacement"]
+    return hull([tuple(0 for _ in disp), disp])
+
+
+def _faces_by_key(polys):
+    """All nonempty faces of the polytopes, keyed by vertices.
+
+    Each polytope stands for itself; each proper face is hulled once.
+    """
+    out = {}
+    for poly in polys:
+        for dim, faces in poly.faces().faces_by_dim.items():
+            if dim < 0:
+                continue
+            for face in faces:
+                key = tuple(poly.vertices[i] for i in sorted(face))
+                if key not in out:
+                    out[key] = poly if key == poly.vertices else hull(list(key))
+    return dict(sorted(out.items()))
+
+
+def _oracle_is_boundary_cell(space, key):
+    if key in space.boundary_keys:
+        return True
+    return any(set(key) <= set(bk) for bk in space.boundary_keys)
+
+
+def _oracle_boundary_cells(space):
+    return _faces_by_key([hull(list(key)) for key in space.boundary_keys])
+
+
+def _oracle_monodromy(space, edge, wall):
+    edge_key = edge.key()
+    wall_key = wall.key()
+    if _oracle_is_boundary_cell(space, edge_key) or _oracle_is_boundary_cell(space, wall_key):
+        raise ValueError("monodromy needs interior cells")
+    if not set(edge_key) <= set(wall_key):
+        raise ValueError("edge must be a face of the wall")
+    adj = space.walls().get(wall_key)
+    if adj is None or len(adj) != 2:
+        raise ValueError("wall must separate exactly two maximal cells")
+    sigma_plus = space.maximal_cells[adj[0]]
+    sigma_minus = space.maximal_cells[adj[1]]
+    v_plus, v_minus = sorted(edge.vertices)[:2]
+    return oracle_loop_matrix(space, v_plus, v_minus, sigma_plus, sigma_minus)
+
+
+def _oracle_discriminant(space):
+    entries = []
+    n = space.dim
+    if n == 0:
+        return []
+    all_cells = _faces_by_key(space.maximal_cells)
+    if n == 1:
+        if space.chart_kind != "boundary":
+            return []
+        for key, cell in sorted((k, c) for k, c in all_cells.items() if c.dim == 1):
+            if _oracle_is_boundary_cell(space, key):
+                continue
+            length = cell.normalized_volume()
+            entries.append(
+                {
+                    "edge": key,
+                    "wall": key,
+                    "edge_midpoint": barycenter(key),
+                    "wall_barycenter": barycenter(key),
+                    "matrix": None,
+                    "displacement": None,
+                    "multiplicity": int(length),
+                    "kind": "rotation",
+                }
+            )
+        return entries
+    cells = all_cells
+    walls = space.interior_walls()
+    edges = {k: c for k, c in all_cells.items() if c.dim == 1}
+    ident = None
+    for edge_key, edge in sorted(edges.items()):
+        if _oracle_is_boundary_cell(space, edge_key):
+            continue
+        for wall_key, adj in walls.items():
+            if not set(edge_key) <= set(wall_key):
+                continue
+            wall = cells[wall_key]
+            m = _oracle_monodromy(space, edge, wall)
+            if ident is None or len(ident) != len(m):
+                ident = mat_identity(len(m))
+            if m == ident:
+                continue
+            disp, mult = oracle_displacement(m)
+            entries.append(
+                {
+                    "edge": edge_key,
+                    "wall": wall_key,
+                    "edge_midpoint": barycenter(edge_key),
+                    "wall_barycenter": barycenter(wall_key),
+                    "matrix": m,
+                    "displacement": disp,
+                    "multiplicity": mult,
+                    "kind": "transvection",
+                }
+            )
+    return entries
+
+
+def _oracle_report_json(entries):
+    """MonodromyReport JSON with each polytope re-derived from the matrix."""
+    out = []
+    for e in entries:
+        if e["kind"] == "rotation":
+            poly = hull([(0,), (e["multiplicity"],)])
+        else:
+            disp, _ = oracle_displacement(e["matrix"])
+            poly = hull([tuple(0 for _ in disp), disp])
+        out.append({**e, "polytope": poly.vertices, "elementary": poly.is_elementary_simplex()})
+    return MonodromyReport(out).to_json()
+
+
+def _oracle_is_simple(space):
+    """`is_simple` with one hull per entry, of the displacement re-derived from its matrix."""
+    disc = discriminant(space)
+    entries = []
+    verdict = True
+    for e in disc.entries:
+        if e["kind"] == "transvection":
+            e = {**e, "displacement": oracle_displacement(e["matrix"])[0]}
+        poly = monodromy_polytope(space, e)
+        elementary = poly.is_elementary_simplex()
+        if not elementary:
+            verdict = False
+        entries.append(
+            {
+                "edge": e["edge"],
+                "wall": e["wall"],
+                "matrix": e["matrix"],
+                "polytope": poly.vertices,
+                "multiplicity": e["multiplicity"],
+                "elementary": elementary,
+            }
+        )
+    return verdict, MonodromyReport(entries)

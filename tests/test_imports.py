@@ -2,8 +2,9 @@
 exported, or marked `# noqa: F401`), no tropdeg function repeats an import
 its module already makes at top level, the geometric modules take their
 numbers from `exactlin._ratio` rather than from `fractions`, only
-`polytope` tests whether a facet inequality is tight, and `tropical` takes no
-matrix product and inverts only its per-vertex chart."""
+`polytope` tests whether a facet inequality is tight, `tropical` takes no
+matrix product or rank, builds no hull and inverts only its per-vertex chart,
+and the `assert`s left in each module are pinned, so their count only falls."""
 
 import ast
 import pathlib
@@ -13,6 +14,9 @@ TESTS = pathlib.Path(__file__).resolve().parent
 
 # modules whose numbers are all made by `exactlin._ratio`, in its one number form
 GEOMETRIC = ("polytope", "subdivision", "tropical", "embed", "pipelines")
+
+# the `assert` statements left in each module; a module not named has none
+ASSERTS = {"exactlin": 2, "pipelines": 2, "polytope": 2, "render": 1}
 
 
 def _unused_imports(source):
@@ -182,5 +186,20 @@ def test_callers_are_detected():
 
 def test_tropical_takes_no_product_and_inverts_only_its_vertex_chart():
     source = (SRC / "tropical.py").read_text()
-    assert "mat_mul" not in _imported_names(source)
+    assert not {"mat_mul", "mat_rank", "hull"} & _imported_names(source)
     assert _callers(source, "left_inverse") == ["_vertex_chart"]
+
+
+def _asserts(source):
+    """How many `assert` statements a module has, at any depth."""
+    return sum(isinstance(node, ast.Assert) for node in ast.walk(ast.parse(source)))
+
+
+def test_asserts_are_counted():
+    source = "assert x\ndef f(y):\n    assert y, 'y'\n    return 'assert'\n"
+    assert _asserts(source) == 2
+
+
+def test_asserts_left_in_package_are_pinned():
+    found = {p.stem: n for p in sorted(SRC.glob("*.py")) if (n := _asserts(p.read_text()))}
+    assert found == ASSERTS

@@ -6,13 +6,28 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from oracles import oracle_loop_matrix, oracle_support_facet_keys, oracle_transition
+from hypothesis import given
+from hypothesis import strategies as st
+from oracles import (
+    _faces_by_key,
+    _oracle_boundary_cells,
+    _oracle_discriminant,
+    _oracle_is_boundary_cell,
+    _oracle_is_simple,
+    _oracle_monodromy,
+    _oracle_report_json,
+    monodromy_polytope,
+    oracle_displacement,
+    oracle_loop_matrix,
+    oracle_support_facet_keys,
+    oracle_transition,
+)
 
 from tropdeg import exactlin, pipelines, subdivision, tropical
 from tropdeg.exactlin import dot, mat_identity, mat_mul, mat_vec
 from tropdeg.embed import lg_truncate, side_subcomplex
 from tropdeg.pipelines import QUINTIC_COLUMNS, _face_census, build_hypercube, build_kp1_2
-from tropdeg.polytope import LatticePolytope, barycenter, centered_dilated_simplex, cube, hull, is_lattice_point, product, segment
+from tropdeg.polytope import LatticePolytope, centered_dilated_simplex, cube, hull, is_lattice_point, product, segment
 from tropdeg.subdivision import (
     Subdivision,
     fine_crepant_subdivision,
@@ -23,7 +38,6 @@ from tropdeg.subdivision import (
     sum_refinement,
 )
 from tropdeg.tropical import (
-    MonodromyReport,
     TropicalSpace,
     _compute_discriminant,
     _displacement,
@@ -33,7 +47,6 @@ from tropdeg.tropical import (
     dual_intersection_complex,
     hypersurface_trop,
     is_simple,
-    monodromy_polytope,
 )
 
 
@@ -324,12 +337,6 @@ def test_boundary_loops_of_lattice_length_two_are_not_simple(build, entries):
     assert count_focus_focus(space) == 2 * entries
 
 
-def test_monodromy_nonsingular_cell_errors():
-    space = trivial_solid_2d()
-    with pytest.raises(ValueError, match="not singular"):
-        monodromy_polytope(space, {"kind": "transvection", "matrix": None})
-
-
 def test_k3_vertical_faces_have_vertical_displacement(k3):
     base, prism, refined, solid, sphere = k3
     disc = discriminant(sphere)
@@ -519,122 +526,8 @@ def test_classify_face_requires_product_typed():
 # --- the face table against the walkers it replaced ----------------------------
 #
 # The re-hulling face walkers, the boundary-key scan and the O(E*W)
-# discriminant scan that the face table replaced, kept as the oracle of a
-# differential test.
-
-
-def _faces_by_key(polys):
-    """All nonempty faces of the polytopes, keyed by vertices.
-
-    Each polytope stands for itself; each proper face is hulled once.
-    """
-    out = {}
-    for poly in polys:
-        for dim, faces in poly.faces().faces_by_dim.items():
-            if dim < 0:
-                continue
-            for face in faces:
-                key = tuple(poly.vertices[i] for i in sorted(face))
-                if key not in out:
-                    out[key] = poly if key == poly.vertices else hull(list(key))
-    return dict(sorted(out.items()))
-
-
-def _oracle_is_boundary_cell(space, key):
-    if key in space.boundary_keys:
-        return True
-    return any(set(key) <= set(bk) for bk in space.boundary_keys)
-
-
-def _oracle_boundary_cells(space):
-    return _faces_by_key([hull(list(key)) for key in space.boundary_keys])
-
-
-def _oracle_monodromy(space, edge, wall):
-    edge_key = edge.key()
-    wall_key = wall.key()
-    if _oracle_is_boundary_cell(space, edge_key) or _oracle_is_boundary_cell(space, wall_key):
-        raise ValueError("monodromy needs interior cells")
-    if not set(edge_key) <= set(wall_key):
-        raise ValueError("edge must be a face of the wall")
-    adj = space.walls().get(wall_key)
-    if adj is None or len(adj) != 2:
-        raise ValueError("wall must separate exactly two maximal cells")
-    sigma_plus = space.maximal_cells[adj[0]]
-    sigma_minus = space.maximal_cells[adj[1]]
-    v_plus, v_minus = sorted(edge.vertices)[:2]
-    return oracle_loop_matrix(space, v_plus, v_minus, sigma_plus, sigma_minus)
-
-
-def _oracle_discriminant(space):
-    entries = []
-    n = space.dim
-    if n == 0:
-        return []
-    all_cells = _faces_by_key(space.maximal_cells)
-    if n == 1:
-        if space.chart_kind != "boundary":
-            return []
-        for key, cell in sorted((k, c) for k, c in all_cells.items() if c.dim == 1):
-            if _oracle_is_boundary_cell(space, key):
-                continue
-            length = cell.normalized_volume()
-            entries.append(
-                {
-                    "edge": key,
-                    "wall": key,
-                    "edge_midpoint": barycenter(key),
-                    "wall_barycenter": barycenter(key),
-                    "matrix": None,
-                    "displacement": None,
-                    "multiplicity": int(length),
-                    "kind": "rotation",
-                }
-            )
-        return entries
-    cells = all_cells
-    walls = space.interior_walls()
-    edges = {k: c for k, c in all_cells.items() if c.dim == 1}
-    ident = None
-    for edge_key, edge in sorted(edges.items()):
-        if _oracle_is_boundary_cell(space, edge_key):
-            continue
-        for wall_key, adj in walls.items():
-            if not set(edge_key) <= set(wall_key):
-                continue
-            wall = cells[wall_key]
-            m = _oracle_monodromy(space, edge, wall)
-            if ident is None or len(ident) != len(m):
-                ident = mat_identity(len(m))
-            if m == ident:
-                continue
-            disp, mult = _displacement(m)
-            entries.append(
-                {
-                    "edge": edge_key,
-                    "wall": wall_key,
-                    "edge_midpoint": barycenter(edge_key),
-                    "wall_barycenter": barycenter(wall_key),
-                    "matrix": m,
-                    "displacement": disp,
-                    "multiplicity": mult,
-                    "kind": "transvection",
-                }
-            )
-    return entries
-
-
-def _oracle_report_json(entries):
-    """MonodromyReport JSON with each polytope re-derived from the matrix."""
-    out = []
-    for e in entries:
-        if e["kind"] == "rotation":
-            poly = hull([(0,), (e["multiplicity"],)])
-        else:
-            disp, _ = _displacement(e["matrix"])
-            poly = hull([tuple(0 for _ in disp), disp])
-        out.append({**e, "polytope": poly, "elementary": poly.is_elementary_simplex()})
-    return MonodromyReport(out).to_json()
+# discriminant scan that the face table replaced are the oracles of a
+# differential test; they live in `oracles`.
 
 
 def _outcome(fn, *args):
@@ -757,14 +650,7 @@ def test_discriminant_and_face_census_make_no_hull_call(kp1_2_results, monkeypat
     fresh_solid = TropicalSpace(
         solid.ambient_dim, solid.dim, solid.maximal_cells, solid.chart_kind, boundary_keys=solid.boundary_keys, metadata=solid.metadata
     )
-    calls = []
-    real_hull = LatticePolytope.hull
-
-    def counting_hull(points):
-        calls.append(len(points))
-        return real_hull(points)
-
-    monkeypatch.setattr(LatticePolytope, "hull", staticmethod(counting_hull))
+    calls = _counting_hulls(monkeypatch)
     for space in (sphere, fresh_sphere):
         assert _compute_discriminant(space).entries == result.discriminant.entries
     for space in (solid, fresh_solid):
@@ -795,30 +681,8 @@ def test_faces_facet_keys_and_face_table_read_the_incidence_with_no_dot_call(kp1
 # --- closed-form loops against restricted charts, and shared monodromy polytopes --
 #
 # `_loop_matrix` and `transition` against the restricted-chart definition in
-# the oracles, and `is_simple` before its per-shape polytope memo, kept
-# verbatim as an oracle.
-
-
-def _oracle_is_simple(space):
-    disc = discriminant(space)
-    entries = []
-    verdict = True
-    for e in disc.entries:
-        poly = monodromy_polytope(space, e)
-        elementary = poly.is_elementary_simplex()
-        if not elementary:
-            verdict = False
-        entries.append(
-            {
-                "edge": e["edge"],
-                "wall": e["wall"],
-                "matrix": e["matrix"],
-                "polytope": poly,
-                "multiplicity": e["multiplicity"],
-                "elementary": elementary,
-            }
-        )
-    return verdict, MonodromyReport(entries)
+# the oracles, `_displacement` against the matrix elimination it replaced, and
+# `is_simple` against one hull per entry.
 
 
 def _simple_json(simple, space):
@@ -856,12 +720,32 @@ def test_shared_monodromy_polytopes_give_the_uncached_report(face_corpus):
         assert _outcome(_simple_json, is_simple, space) == _outcome(_simple_json, _oracle_is_simple, space), name
 
 
+@st.composite
+def _loop_factors(draw):
+    """(a, phi) of a nontrivial integral loop I - a (x) phi: a = c x, x a nonzero integer vector and c > 0 rational, and phi with a (x) phi integral."""
+    n = draw(st.integers(2, 5))
+    entries = st.lists(st.integers(-4, 4), min_size=n, max_size=n).filter(any)
+    x = draw(entries)
+    c = Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    # a (x) phi is integral exactly when c content(x) phi is
+    g = c * exactlin.content(x)
+    return tuple(exactlin._ratio(c * xi) for xi in x), tuple(exactlin._ratio(p, g) for p in draw(entries))
+
+
+@given(_loop_factors())
+def test_closed_form_displacement_matches_the_matrix_elimination(factors):
+    a, phi = factors
+    m = tuple(tuple((1 if i == j else 0) - x * p for j, p in enumerate(phi)) for i, x in enumerate(a))
+    assert tropical._transvection(a, phi) == m
+    assert _displacement(a, phi) == oracle_displacement(m)
+
+
 def test_build_kp1_2_reads_pieces_charts_and_polytopes_once(monkeypatch):
-    inside, piece_calls, contains_in_piece, inverses, polytopes = [], [], [], [], []
+    inside, piece_calls, contains_in_piece, inverses = [], [], [], []
+    in_monodromy, monodromy_stages = [], []
     real_piece_on = subdivision._piece_on
     real_contains = LatticePolytope.contains
     real_left_inverse = tropical.left_inverse
-    real_polytope = tropical.monodromy_polytope
 
     def watched_piece_on(*args):
         piece_calls.append(args)
@@ -880,15 +764,24 @@ def test_build_kp1_2_reads_pieces_charts_and_polytopes_once(monkeypatch):
         inverses.append(m)
         return real_left_inverse(m)
 
-    def counting_polytope(space, entry):
-        polytopes.append(entry["displacement"])
-        return real_polytope(space, entry)
+    def watching_monodromy(real):
+        def watched(space):
+            monodromy_stages.append(real.__name__)
+            in_monodromy.append(True)
+            try:
+                return real(space)
+            finally:
+                in_monodromy.pop()
+
+        return watched
 
     monkeypatch.setattr(subdivision, "_piece_on", watched_piece_on)
     monkeypatch.setattr(pipelines, "_piece_on", watched_piece_on)
     monkeypatch.setattr(LatticePolytope, "contains", counting_contains)
     monkeypatch.setattr(tropical, "left_inverse", counting_left_inverse)
-    monkeypatch.setattr(tropical, "monodromy_polytope", counting_polytope)
+    hulls = _counting_hulls(monkeypatch, inside=in_monodromy)
+    for name in ("discriminant", "is_simple"):
+        monkeypatch.setattr(pipelines, name, watching_monodromy(getattr(tropical, name)))
     result = build_kp1_2(2)
     assert piece_calls and contains_in_piece == []
     # one chart per vertex: the base of each nontrivial loop, and each
@@ -898,8 +791,8 @@ def test_build_kp1_2_reads_pieces_charts_and_polytopes_once(monkeypatch):
     fibre_vertices = {v for verts in result.iota.metadata["fibres"] for v in verts if is_lattice_point(v)}
     assert len(inverses) == len(sphere._chart_cache)
     assert set(sphere._chart_cache) == bases | fibre_vertices
-    displacements = {e["displacement"] for e in result.discriminant.entries}
-    assert len(polytopes) == len(displacements) < len(result.discriminant.entries)
+    # the discriminant and the simplicity verdict build no monodromy polytope
+    assert monodromy_stages == ["discriminant", "is_simple"] and hulls == []
 
 
 # --- loops read off shared transitions ------------------------------------
@@ -920,8 +813,8 @@ def _discriminant_loops(space):
     ]
 
 
-def _counting(monkeypatch, name):
-    """The argument tuples of every call to exactlin's function `name` made from a tropdeg module."""
+def _counting(monkeypatch, name, modules="tropdeg"):
+    """The argument tuples of every call to exactlin's function `name` made from a module whose name starts with `modules`."""
     calls = []
     real = getattr(exactlin, name)
 
@@ -930,8 +823,22 @@ def _counting(monkeypatch, name):
         return real(*args)
 
     for module_name, module in list(sys.modules.items()):
-        if module_name.startswith("tropdeg") and getattr(module, name, None) is real:
+        if module_name.startswith(modules) and getattr(module, name, None) is real:
             monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _counting_hulls(monkeypatch, inside=None):
+    """The point lists of every hull built, or only of those built while the list `inside` is nonempty."""
+    calls = []
+    real_hull = LatticePolytope.hull
+
+    def counting_hull(points):
+        if inside is None or inside:
+            calls.append(points)
+        return real_hull(points)
+
+    monkeypatch.setattr(LatticePolytope, "hull", staticmethod(counting_hull))
     return calls
 
 
@@ -941,10 +848,17 @@ def test_discriminant_makes_no_matrix_product_and_one_chart_per_vertex(kp1_2_res
     space = TropicalSpace(sphere.ambient_dim, sphere.dim, sphere.maximal_cells, sphere.chart_kind)
     products = _counting(monkeypatch, "mat_mul")
     inverses = _counting(monkeypatch, "left_inverse")
+    # each loop's factors are read once: no elimination, no identity (the
+    # vertex charts' own unimodular completions aside) and no hull
+    ranks = _counting(monkeypatch, "mat_rank")
+    identities = _counting(monkeypatch, "mat_identity", "tropdeg.tropical")
+    hulls = _counting_hulls(monkeypatch)
     entries = _compute_discriminant(space).entries
     assert entries == kp1_2_results[k].discriminant.entries
     assert len(entries) == {2: 24, 3: 576}[k]
-    assert products == []
+    simple, report = is_simple(space)
+    assert simple and report.entries == kp1_2_results[k].monodromy_report.entries
+    assert products == ranks == identities == hulls == []
     # the charts are made at the base vertices of the nontrivial loops, once each
     assert set(space._chart_cache) == {e["edge"][0] for e in entries}
     assert len(inverses) == len(space._chart_cache) < len(space.vertices())
