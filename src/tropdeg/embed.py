@@ -24,6 +24,8 @@ from .exactlin import (
     vsub,
 )
 from .polytope import (
+    _assemble,
+    _facet,
     _lattice_chart,
     _span_coordinates,
     clip_by_halfspace,
@@ -64,21 +66,26 @@ def local_fibre(fib, target):
 
     Returns None (the explicit empty polytope) when the fibre is empty.  The
     fibre lies in the slice of the cone where w = p + sum y_i equals the sum of
-    the targets; that slice is the hull of the generators rescaled onto it,
-    and each y-equation is then a two-sided clip (the p-equation follows).
-    Raises ValueError when the fibre is nonempty but unbounded, which happens
-    when some generator has w = 0.
+    the targets; that slice is spanned by the generators rescaled onto it
+    (read off the cone by `_cone_slice` when it is pointed and w > 0 on every
+    generator, else their hull), and each y-equation is then a two-sided
+    clip (the p-equation follows).  Raises ValueError when the fibre is
+    nonempty but unbounded, which happens when some generator has w = 0.
     """
     if len(target) != len(fib.y) + 1:
         raise ValueError("target length must be number of y functionals plus one")
     w = tuple(sum(col) for col in zip(fib.p, *fib.y))
     level = sum(target)
-    flat = [g for g in fib.cone.generators if dot(w, g) == 0]
-    gens = [g for g in fib.cone.generators if dot(w, g) != 0]
+    cone = fib.cone
+    values = [dot(w, g) for g in cone.generators]
+    flat = [g for g, v in zip(cone.generators, values) if v == 0]
+    gens = [(g, v) for g, v in zip(cone.generators, values) if v != 0]
     if level == 0:
-        poly = hull([tuple(0 for _ in range(fib.cone.ambient_dim))])
+        poly = hull([tuple(0 for _ in range(cone.ambient_dim))])
+    elif level > 0 and gens and min(values) > 0 and cone.is_pointed():
+        poly = _cone_slice(cone, values, level)
     elif level > 0 and gens:
-        poly = hull([tuple(_ratio(level * x, dot(w, g)) for x in g) for g in gens])
+        poly = hull([tuple(_ratio(level * x, v) for x in g) for g, v in gens])
     else:
         poly = None
     for f, t in zip(fib.y, target):
@@ -90,6 +97,21 @@ def local_fibre(fib, target):
     if poly is not None and flat:
         raise ValueError("local fibre is unbounded: a cone generator has w = 0")
     return poly
+
+
+def _cone_slice(cone, values, level):
+    """The slice <w, x> = level > 0 of a pointed cone, values[i] = <w, g_i> > 0 at its generators, with no hull.
+
+    The generators are the cone's extreme rays and the slice meets each once,
+    at level / <w, g> times it, so these points are its vertices.  Its faces
+    are the cone's nonzero faces cut by it, so its facets are read off the
+    cone's facet normals that do not vanish on its span (`_facet`); the
+    others are the equations of the cone's span.
+    """
+    verts = [tuple(_ratio(level * x, v) for x in g) for g, v in zip(cone.generators, values)]
+    chart = _lattice_chart(verts)
+    normals = [n for n in cone.facet_normals if any(dot(n, b) for b in chart[0])]
+    return _assemble(chart, verts, [_facet(chart, n, verts) for n in normals])
 
 
 def cone_over_cell(cell):
@@ -346,11 +368,13 @@ def lg_truncate(space, u_functional):
     neg_coeffs = vneg(coeffs)
     clipped = []
     for c in space.maximal_cells:
-        # a cell above the level clips to None, one below it to itself, and
-        # one touching it from above to a face, which the dimension drops
-        x = clip_by_halfspace(c, neg_coeffs, 1 - const)
-        if x is not None and x.dim == c.dim:
-            clipped.append(x)
+        # a cell below the level stays, one crossing it is clipped, and one
+        # above it or touching it from above keeps nothing of its dimension
+        vals = [dot(coeffs, v) + const for v in c.vertices]
+        if max(vals) <= 1:
+            clipped.append(c)
+        elif min(vals) < 1:
+            clipped.append(clip_by_halfspace(c, neg_coeffs, 1 - const))
     below = [any(dot(coeffs, v) + const < 1 for v in c.vertices) for c in clipped]
     level_keys = set()
     for key, hosts in walls(clipped).items():

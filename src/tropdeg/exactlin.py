@@ -16,6 +16,8 @@ def content(v):
 
     Raises ValueError on an entry that is not an integer.
     """
+    if all(type(x) is int for x in v):
+        return gcd(*v)
     g = 0
     for x in v:
         if x.denominator != 1:
@@ -31,6 +33,8 @@ def denominator_lcm(values):
 
 def clear_fractions(v):
     """v scaled by the lcm of its denominators, as a tuple of ints."""
+    if all(type(x) is int for x in v):
+        return tuple(v)
     den = denominator_lcm(v)
     return tuple(int(x * den) for x in v)
 
@@ -347,20 +351,19 @@ def hnf_column_basis(vectors):
         if not nonzero:
             work = rest
             continue
-        # reduce all vectors with nonzero c-entry to a single pivot by gcd steps
-        while len(nonzero) > 1:
-            nonzero.sort(key=lambda v: abs(v[c]))
-            p = nonzero[0]
-            out = [p]
-            for v in nonzero[1:]:
-                q = v[c] // p[c]
-                w = [x - q * y for x, y in zip(v, p)]
-                if w[c] != 0:
-                    out.append(w)
-                elif not all(x == 0 for x in w):
-                    rest.append(w)
-            nonzero = out
+        # fold the vectors with nonzero c-entry into one pivot, a pair at a
+        # time: with s a + t b = g = gcd(a, b) (`_exgcd`) the unimodular step
+        # takes (p, v) to (s p + t v, (b/g) p - (a/g) v), whose c-entries are
+        # g and 0
         piv = nonzero[0]
+        for v in nonzero[1:]:
+            a, b = piv[c], v[c]
+            g, s, t = _exgcd(a, b)
+            ag, bg = a // g, b // g
+            w = [bg * x - ag * y for x, y in zip(piv, v)]
+            piv = [s * x + t * y for x, y in zip(piv, v)]
+            if any(w):
+                rest.append(w)
         if piv[c] < 0:
             piv = [-x for x in piv]
         # reduce earlier pivots against this one for canonicity

@@ -26,6 +26,7 @@ from .polytope import (
     NefPartition,
     centered_dilated_simplex,
     cube,
+    graph_points,
     hull,
     product,
     segment,
@@ -47,7 +48,7 @@ from .subdivision import (
 )
 from .tropical import (
     TropicalSpace,
-    classify_face,
+    classify_faces,
     count_focus_focus,
     discriminant,
     dual_intersection_complex,
@@ -88,10 +89,7 @@ def _diagonal_matches(two_param, summed):
     lifted vertex sets, which determine the graph cells)."""
     acc_sub, acc_f = summed
     n = two_param.base.ambient_dim
-    expected = sorted(
-        tuple(sorted(tuple(v) + (affine_value(acc_f.pieces[cell.key()], v),) for v in cell.vertices))
-        for cell in acc_sub.maximal_cells
-    )
+    expected = sorted(tuple(graph_points(cell, [acc_f.pieces[cell.key()]])) for cell in acc_sub.maximal_cells)
     got = sorted(
         tuple(sorted(tuple(v[:n]) + (sum(v[n:]),) for v in c.vertices))
         for c in two_param.total_complex
@@ -101,7 +99,7 @@ def _diagonal_matches(two_param, summed):
 
 def _face_census(solid):
     """Number of boundary faces of each of the four types of a product solid."""
-    return dict(sorted(Counter(classify_face(solid, k) for k in solid.faces() if solid.is_boundary_cell(k)).items()))
+    return dict(sorted(Counter(classify_faces(solid, [k for k in solid.faces() if solid.is_boundary_cell(k)])).items()))
 
 
 def build_kp1_2(k):

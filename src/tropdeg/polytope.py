@@ -200,17 +200,21 @@ def _lift(chart, n):
     return tuple(dd * sum(row[j] * x for row, x in zip(a, n)) for j in range(len(a[0])))
 
 
-def _lattice_chart(points):
-    """The span chart of the affine span of normalized points.
+def _cleared_differences(anchor, points):
+    """(ws, s): the differences p - anchor times s, their least common denominator, as int tuples.
 
-    The differences from the first point are cleared of denominators by one
-    common factor, which leaves their span, and so the chart, unchanged.
+    One common factor leaves the span of the differences, and so the chart,
+    unchanged.
     """
-    anchor = points[0]
     diffs = [vsub(p, anchor) for p in points]
-    den = denominator_lcm(x for v in diffs for x in v)
-    int_diffs = [tuple(int(x * den) for x in v) for v in diffs]
-    return _span_chart(tuple(hnf_column_basis(int_diffs)), len(anchor))
+    s = denominator_lcm(x for v in diffs for x in v)
+    return [tuple(int(x * s) for x in v) for v in diffs], s
+
+
+def _lattice_chart(points):
+    """The span chart of the affine span of normalized points."""
+    ws, _ = _cleared_differences(points[0], points)
+    return _span_chart(tuple(hnf_column_basis(ws)), len(points[0]))
 
 
 def _span_coordinates(chart, anchor, points):
@@ -218,18 +222,23 @@ def _span_coordinates(chart, anchor, points):
 
     The package's one change into span coordinates.  The coordinates are
     rows / den with integer rows and den > 0 their least common denominator,
-    so points of the saturated lattice through anchor get den = 1.  All in
-    integers: with s clearing the differences, the chart's left inverse
-    gives the coordinates a (s (p - anchor)) / (dd s).  Raises ValueError on
-    a point off the affine span, which some annihilator of the chart does
-    not vanish on.
+    so points of the saturated lattice through anchor get den = 1.  Raises
+    ValueError on a point off the affine span, which some annihilator of the
+    chart does not vanish on.
     """
-    _, a, dd, annihilators = chart
-    diffs = [vsub(p, anchor) for p in points]
-    s = denominator_lcm(x for v in diffs for x in v)
-    ws = [[int(x * s) for x in v] for v in diffs]
-    if any(dot(f, w) for f in annihilators for w in ws):
+    ws, s = _cleared_differences(anchor, points)
+    if any(dot(f, w) for f in chart[3] for w in ws):
         raise ValueError("point off the affine span of the chart")
+    return _cleared_coordinates(chart, ws, s)
+
+
+def _cleared_coordinates(chart, ws, s):
+    """`_span_coordinates` of differences cleared by s (`_cleared_differences`), known to lie on the span.
+
+    All in integers: the chart's left inverse gives the coordinates
+    a (s (p - anchor)) / (dd s).
+    """
+    _, a, dd, _ = chart
     raw = [[dot(row, w) for row in a] for w in ws]
     scale = dd * s
     g = math.gcd(scale, *(x for r in raw for x in r))
@@ -344,11 +353,13 @@ class LatticePolytope:
         ambient = len(pts[0])
         if any(len(p) != ambient for p in pts):
             raise ValueError("points of mixed dimension")
-        chart = _lattice_chart(pts)
+        # the differences from the anchor are cleared once, for the chart and the coordinates
+        ws, s = _cleared_differences(pts[0], pts)
+        chart = _span_chart(tuple(hnf_column_basis(ws)), ambient)
         d = len(chart[0])
         if d == 0:
             return _assemble(chart, pts, [])
-        facs = _hull_full_dim(_span_coordinates(chart, pts[0], pts)[0], d)
+        facs = _hull_full_dim(_cleared_coordinates(chart, ws, s)[0], d)
         # vertices: points whose facets meet in that point alone
         meet = {}
         for n, c, tight in facs:
@@ -514,22 +525,28 @@ class LatticePolytope:
         return [self.vertices_of(m) for m in self.incidence]
 
     def face_masks(self):
-        """The nonempty faces as vertex bitmasks by dimension, from the top down.
-
-        Each level is the facets (`_facets_of`) of the level above, sorted by
-        vertex indices, so no containment scan grades them.
-        """
-        level = [(1 << len(self.vertices)) - 1]
-        out = {self.dim: level}
-        for d in range(self.dim - 1, -1, -1):
-            level = out[d] = sorted({m for face in level for m in _facets_of(self.incidence, face)}, key=_bits)
-        return out
+        """The nonempty faces as vertex bitmasks by dimension, from the top down (`_face_masks`)."""
+        return _face_masks(self.incidence, len(self.vertices), self.dim)
 
     def faces(self):
         """The complete graded face poset, faces as vertex index sets, plus the empty face."""
         faces_by_dim = {d: [frozenset(_bits(m)) for m in masks] for d, masks in self.face_masks().items()}
         faces_by_dim[-1] = [frozenset()]
         return FaceLattice(faces_by_dim, self.dim)
+
+
+def _face_masks(incidence, nverts, dim):
+    """The nonempty faces of a polytope as vertex bitmasks by dimension, from the top down.
+
+    They depend on the incidence, the vertex count and the dimension alone.
+    Each level is the facets (`_facets_of`) of the level above, sorted by
+    vertex indices, so no containment scan grades them.
+    """
+    level = [(1 << nverts) - 1]
+    out = {dim: level}
+    for d in range(dim - 1, -1, -1):
+        level = out[d] = sorted({m for face in level for m in _facets_of(incidence, face)}, key=_bits)
+    return out
 
 
 def _nvol_full_dim(coords, d):
@@ -643,19 +660,64 @@ def clip_by_halfspace(cell, normal, offset):
     return _assemble(cell.chart, pts, kept + [_facet(cell.chart, normal, pts)])
 
 
+def graph_points(cell, pieces):
+    """The points (v, f_1(v), ..., f_r(v)) over the cell's vertices, in their order, for the affine (coeffs, const) in pieces.
+
+    Each f is taken over its least common denominator, so a value is one
+    integer inner product and one division.
+    """
+    cleared = []
+    for a, b in pieces:
+        den = denominator_lcm((*a, b))
+        cleared.append(([int(x * den) for x in a], int(b * den), den))
+    return [v + tuple(_ratio(dot(a, v) + b, den) for a, b, den in cleared) for v in cell.vertices]
+
+
 def graph_lift(cell, pieces):
     """The graph over the cell of the affine functions (coeffs, const) in pieces.
 
-    Its vertices are the points (v, f_1(v), ..., f_r(v)) over the cell's
-    vertices, and its facets are the cell's facet inequalities padded with r
-    zeros: they are still primitive, least on the same vertices, and vanish
-    off the pivot coordinates of the lifted span, which are the cell's.
-    Only the span chart is computed; no hull is taken.
+    Its vertices are the `graph_points`, and its facets are the cell's facet
+    inequalities padded with r zeros: they are still primitive, least on the
+    same vertices, and vanish off the pivot coordinates of the lifted span,
+    which are the cell's.  The span chart is read off the cell's
+    (`_graph_chart`); no hull is taken.
     """
-    pts = [v + tuple(_ratio(dot(a, v) + b) for a, b in pieces) for v in cell.vertices]
+    pts = graph_points(cell, pieces)
     zeros = (0,) * len(pieces)
-    chart = _lattice_chart(pts)
+    chart = _graph_chart(cell.chart, [a for a, _ in pieces]) if cell.dim and pieces else _lattice_chart(pts)
     return _assemble(chart, pts, [(n + zeros, c) for n, c in cell.facets])
+
+
+def _graph_chart(chart, linears):
+    """The span chart of the graph of the linear maps in linears over a span of dimension k > 0, read off its chart.
+
+    A point of the graph's saturated lattice is (x, L x) with x = t @ basis
+    for an integral t and L x integral.  With P the images L b of the basis,
+    cleared by their least common denominator den, those t are the integral
+    t with P t = 0 mod den: the vectors of the lattice generated by the
+    (P e_i, e_i) and the (den e_j, 0) whose first r coordinates vanish,
+    which its Hermite basis lists last.  Their lifts have the graph's
+    Hermite basis, which its left inverse and annihilators follow as in
+    `_span_chart`, so the chart is the one `_lattice_chart` finds, with no
+    saturation.
+    """
+    basis = chart[0]
+    k, r = len(basis), len(linears)
+    images = [[dot(f, b) for f in linears] for b in basis]
+    den = denominator_lcm(x for row in images for x in row)
+    cleared = [[int(x * den) for x in row] for row in images]
+    gens = [tuple(row) + tuple(int(i == j) for j in range(k)) for i, row in enumerate(cleared)]
+    gens += [tuple(den * (i == j) for j in range(r)) + (0,) * k for i in range(r)]
+    lifted = []
+    for v in hnf_column_basis(gens):
+        if any(v[:r]):
+            continue
+        t = v[r:]
+        x = [sum(ti * b[j] for ti, b in zip(t, basis)) for j in range(len(basis[0]))]
+        lifted.append(tuple(x) + tuple(sum(ti * row[j] for ti, row in zip(t, cleared)) // den for j in range(r)))
+    graph = tuple(hnf_column_basis(lifted))
+    a, dd = left_inverse(mat_transpose(graph))
+    return graph, a, dd, tuple(kernel_basis(graph))
 
 
 def minkowski_sum(p, q):
@@ -665,7 +727,16 @@ def minkowski_sum(p, q):
 
 
 def product(p, q):
-    return LatticePolytope.hull([a + b for a in p.vertices for b in q.vertices])
+    """p x q, read off its factors with no hull.
+
+    Its vertices are the pairs of vertices, and its facets are each factor's
+    facets padded with zeros, reduced to the product's span chart (`_facet`).
+    """
+    verts = [a + b for a in p.vertices for b in q.vertices]
+    chart = _lattice_chart(verts)
+    zp, zq = (0,) * p.ambient_dim, (0,) * q.ambient_dim
+    functionals = [n + zq for n, _ in p.facets] + [zp + m for m, _ in q.facets]
+    return _assemble(chart, verts, [_facet(chart, f, verts) for f in functionals])
 
 
 def standard_simplex(dim, dilation=1):

@@ -31,7 +31,7 @@ from .exactlin import (
     vsub,
 )
 from .jsonio import key_json
-from .polytope import barycenter, tight_at, walls
+from .polytope import _bits, _face_masks, barycenter, tight_at, walls
 
 CHART_KINDS = ("solid", "boundary")
 
@@ -59,6 +59,8 @@ class TropicalSpace:
         self._cells = None
         self._walls = None
         self._chart_cache = {}
+        self._sections = {}
+        self._normals = {}
         self._disc_cache = None
 
     def __repr__(self):
@@ -121,22 +123,31 @@ class TropicalSpace:
         """Integer matrix taking ambient tangent vectors to chart coordinates at the vertex v."""
         if self.chart_kind == "solid":
             return mat_identity(self.ambient_dim)
-        return self._vertex_chart(v)[0]
+        return self._completion(v)[1:]
 
-    def _vertex_chart(self, v):
-        """(q, s): the boundary chart q at v, with kernel Zv, and the columns s of an integer section, q @ s = I.
+    def _completion(self, v):
+        """A unimodular u with u v = e_1 (v made primitive), made once per vertex.
 
-        Made once per vertex: q is the last n - 1 rows of a unimodular u with
-        u v = e_1 (v made primitive), and s the last n - 1 columns of u's
-        inverse.
+        Its last n - 1 rows are the boundary chart q at v, with kernel Zv.
         """
         if v not in self._chart_cache:
             if all(x == 0 for x in v):
                 raise ValueError("boundary chart undefined at the origin")
-            u = complete_to_unimodular(primitive(clear_fractions(v)))
-            inv, d = left_inverse(u)  # d = det u = +-1, so u^-1 = d * inv
-            self._chart_cache[v] = u[1:], tuple(tuple(d * row[j] for row in inv) for j in range(1, len(u)))
+            self._chart_cache[v] = complete_to_unimodular(primitive(clear_fractions(v)))
         return self._chart_cache[v]
+
+    def _vertex_chart(self, v):
+        """(q, s): the boundary chart q at v and the columns s of an integer section, q @ s = I.
+
+        s is the last n - 1 columns of the inverse of the completion u, made
+        once per vertex on the first loop or transition based there, so a
+        vertex only charted (`chart_matrix`) inverts nothing.
+        """
+        if v not in self._sections:
+            u = self._completion(v)
+            inv, d = left_inverse(u)  # d = det u = +-1, so u^-1 = d * inv
+            self._sections[v] = u[1:], tuple(tuple(d * row[j] for row in inv) for j in range(1, len(u)))
+        return self._sections[v]
 
     def _equations(self, cell):
         """The cell's equations: none for a cell of a solid space, one (f, e) with e != 0 for a boundary one.
@@ -190,28 +201,40 @@ class TropicalSpace:
         v_plus, v_minus = sorted(edge.vertices)[:2]
         return self._loop_matrix(v_plus, v_minus, sigma_plus, sigma_minus)
 
-    def _loop_factors(self, v_plus, v_minus, sigma_plus, sigma_minus):
-        """None when the loop at v+ is the identity, else (a, phi) with the loop I - a (x) phi.
+    def _bend(self, sigma_plus, sigma_minus):
+        """None when sigma+- have the same equations, and always in a solid space, else n- - n+.
 
-        By `transition`, with <n+-, .> = 1 the hyperplanes of sigma+- and q,
-        s the chart and section at v+, the loop is the transvection
-        I - q(v-) (x) (n- - n+) s (Haase and Zharkov, arXiv math/0205321;
-        Gross, Math. Ann. 333, 2005).  So it is the identity when both cells
-        have the same equation, and always in a solid space; then no chart
-        is made.
+        <n+-, .> = 1 are the hyperplanes of sigma+-; each cell's n is read
+        once per space (`_cell_normal`).
         """
         if self._equations(sigma_plus) == self._equations(sigma_minus):
             return None
+        return vsub(self._cell_normal(sigma_minus), self._cell_normal(sigma_plus))
+
+    def _loop_factors(self, v_plus, v_minus, bend):
+        """(a, phi) with I - a (x) phi the loop at v+ across two cells whose hyperplanes differ by bend (`_bend`).
+
+        By `transition`, with q, s the chart and section at v+, the loop is
+        the transvection I - q(v-) (x) (n- - n+) s (Haase and Zharkov, arXiv
+        math/0205321; Gross, Math. Ann. 333, 2005).  A loop whose cells have
+        the same equation has no bend and is the identity, and no chart is
+        made for it.
+        """
         q, s = self._vertex_chart(v_plus)
-        bend = vsub(_normal(sigma_minus), _normal(sigma_plus))
         return mat_vec(q, v_minus), [dot(bend, col) for col in s]
+
+    def _cell_normal(self, cell):
+        """`_normal` of a boundary cell, made once per cell."""
+        if cell not in self._normals:
+            self._normals[cell] = _normal(cell)
+        return self._normals[cell]
 
     def _loop_matrix(self, v_plus, v_minus, sigma_plus, sigma_minus):
         """The loop T(v- -> v+, sigma-) @ T(v+ -> v-, sigma+) at v+, an integer matrix read off `_loop_factors`."""
-        factors = self._loop_factors(v_plus, v_minus, sigma_plus, sigma_minus)
-        if factors is None:
+        bend = self._bend(sigma_plus, sigma_minus)
+        if bend is None:
             return mat_identity(self.ambient_dim - (self.chart_kind == "boundary"))
-        return _transvection(*factors)
+        return _transvection(*self._loop_factors(v_plus, v_minus, bend))
 
     def transition(self, v_from, v_to, cell):
         """Chart transition v_from -> v_to across a maximal cell having both vertices.
@@ -225,7 +248,7 @@ class TropicalSpace:
             return mat_identity(self.ambient_dim)
         q = self.chart_matrix(v_to)
         s = self._vertex_chart(v_from)[1]
-        n = _normal(cell)
+        n = self._cell_normal(cell)
         phi = [dot(n, col) for col in s]
         return tuple(tuple(_ratio(dot(row, col) - ui * p) for col, p in zip(s, phi)) for row, ui in zip(q, mat_vec(q, v_from)))
 
@@ -248,13 +271,19 @@ def _face_table(cells, boundary_keys):
     """(dimension of each face key, set of boundary face keys, owner of each key), sorted by key, with no hull.
 
     A key's owner is (first cell holding it, its vertex mask there, its
-    dimension).  The faces are read off each cell's face masks, and the faces
-    of a boundary key are the masks inside its mask in each cell having it.
+    dimension).  The faces are read off each cell's face masks, made once
+    per incidence type (`_face_masks`), and the faces of a boundary key are
+    the masks inside its mask in each cell having it.
     """
     owners = {}
     boundary = set()
+    lattices = {}  # one face lattice per incidence type: each face's dimension, mask and vertex indices
     for cell in cells:
-        keyed = [(cell.vertices_of(m), d, m) for d, masks in cell.face_masks().items() for m in masks]
+        kind = (cell.incidence, len(cell.vertices), cell.dim)
+        if kind not in lattices:
+            lattices[kind] = [(d, m, _bits(m)) for d, masks in _face_masks(*kind).items() for m in masks]
+        verts = cell.vertices
+        keyed = [(tuple(verts[i] for i in bits), d, m) for d, m, bits in lattices[kind]]
         for key, d, face in keyed:
             owners.setdefault(key, (cell, face, d))
             if key in boundary_keys:
@@ -392,18 +421,30 @@ def _compute_discriminant(space):
         for pair in combinations(wall_key, 2)
         if faces.get(pair) == 1 and not space.is_boundary_cell(pair)
     )
+    # one barycenter per key: the entries share their edges and walls
+    centers = {}
+
+    def center(key):
+        if key not in centers:
+            centers[key] = barycenter(key)
+        return centers[key]
+
+    cells = space.maximal_cells
+    bends = {}  # one per interior wall: the loops across it share their two cells
     for edge_key, wall_key, adj in loops:
-        factors = space._loop_factors(edge_key[0], edge_key[1], space.maximal_cells[adj[0]], space.maximal_cells[adj[1]])
-        if factors is None:
+        if wall_key not in bends:
+            bends[wall_key] = space._bend(cells[adj[0]], cells[adj[1]])
+        if bends[wall_key] is None:
             continue
+        factors = space._loop_factors(edge_key[0], edge_key[1], bends[wall_key])
         m = _transvection(*factors)
         disp, mult = _displacement(*factors)
         entries.append(
             {
                 "edge": edge_key,
                 "wall": wall_key,
-                "edge_midpoint": barycenter(edge_key),
-                "wall_barycenter": barycenter(wall_key),
+                "edge_midpoint": center(edge_key),
+                "wall_barycenter": center(wall_key),
                 "matrix": m,
                 "displacement": disp,
                 "multiplicity": mult,
@@ -490,21 +531,36 @@ def count_focus_focus(space):
     return discriminant(space).total_multiplicity()
 
 
-def classify_face(space, key):
-    """The boundary face type of a face key of a (dilated simplex) x (segment) space."""
+def classify_faces(space, keys):
+    """The boundary face type of each face key of a (dilated simplex) x (segment) space, in order.
+
+    A face lies on the factor's boundary when one factor facet is tight at
+    the projections of all its vertices, so each vertex is tested once, into
+    the bitmask of the factor facets tight at it, and a face ANDs those of
+    its vertices.
+    """
     meta = space.metadata
     if "product_vertical_coord" not in meta:
         raise ValueError("space is not product-typed")
     last = meta["product_vertical_coord"]
     factor_facets = meta["factor_facets"]
-    levels = meta["vertical_levels"]
-    zs = [v[last] for v in key]
-    proj = [tuple(x for i, x in enumerate(v) if i != last) for v in key]
-    on_factor_boundary = any(tight_at(f, proj) for f in factor_facets)
-    if all(z == levels[1] for z in zs) or all(z == levels[0] for z in zs):
-        return "BoundaryCap" if on_factor_boundary else "InteriorCap"
-    if all(z == 0 for z in zs):
-        return "HorizontalSide"
-    if on_factor_boundary:
-        return "VerticalSide"
-    raise ValueError("cell is not a boundary face of the product")
+    low, high = meta["vertical_levels"]
+    tight = {}
+    out = []
+    for key in keys:
+        on_factor_boundary = -1
+        for v in key:
+            if v not in tight:
+                proj = v[:last] + v[last + 1 :]
+                tight[v] = sum(1 << i for i, f in enumerate(factor_facets) if tight_at(f, (proj,)))
+            on_factor_boundary &= tight[v]
+        zs = {v[last] for v in key}
+        if zs == {high} or zs == {low}:
+            out.append("BoundaryCap" if on_factor_boundary else "InteriorCap")
+        elif zs == {0}:
+            out.append("HorizontalSide")
+        elif on_factor_boundary:
+            out.append("VerticalSide")
+        else:
+            raise ValueError("cell is not a boundary face of the product")
+    return out

@@ -79,6 +79,22 @@ composes each loop of restricted charts (`_oracle_monodromy`) and finds the
 faces and the boundary with the re-hulling walkers (`_faces_by_key`,
 `_oracle_is_boundary_cell`, `_oracle_boundary_cells`).
 
+The local fibre: `embed.local_fibre` reads the slice w = level of a pointed
+cone whose generators all have w > 0 off the cone (`_cone_slice`: the
+rescaled generators are its vertices, and the facet normals that do not
+vanish on its span its facets).  The fibre it replaced (`oracle_local_fibre`)
+hulls the rescaled generators for every cone.
+
+The product: `polytope.product` reads its vertices and facets off its
+factors.  The product it replaced (`oracle_product`) hulls the vertex pairs.
+
+The Hermite basis: `exactlin.hnf_column_basis` folds the vectors with a
+nonzero entry in the current column into one pivot, one extended-gcd step
+per vector.  The basis it replaced (`oracle_hnf_column_basis`) sorts them by
+that entry and reduces them by the least, round after round, which takes as
+many rounds as Euclid's algorithm on the entries.  The Hermite basis of a
+lattice is unique, so the two agree.
+
 The boundary facets: `dual_intersection_complex` and `hypersurface_trop`
 take the facets of a subdivision that one cell has.  The scan they replaced
 (`oracle_support_facet_keys`) tests every facet key of the cells against
@@ -113,6 +129,7 @@ from tropdeg.polytope import (
     _hull_full_dim,
     _span_chart,
     barycenter,
+    clip_by_halfspace,
     containing_cell,
     hull,
     is_lattice_point,
@@ -284,6 +301,80 @@ def oracle_clip_by_halfspace(cell, normal, offset):
     if not pts:
         return None
     return LatticePolytope.hull(sorted(set(normalize_point(p) for p in pts)))
+
+
+def oracle_local_fibre(fib, target):
+    """The polytope cut from the cone by <y_i, .> = target_i, <p, .> = target[-1], or None.
+
+    The slice of the cone where w = p + sum y_i equals the sum of the targets
+    is the hull of the generators rescaled onto it, and each y-equation is
+    then a two-sided clip.  Raises ValueError when the fibre is nonempty but
+    unbounded.
+    """
+    if len(target) != len(fib.y) + 1:
+        raise ValueError("target length must be number of y functionals plus one")
+    w = tuple(sum(col) for col in zip(fib.p, *fib.y))
+    level = sum(target)
+    flat = [g for g in fib.cone.generators if dot(w, g) == 0]
+    gens = [g for g in fib.cone.generators if dot(w, g) != 0]
+    if level == 0:
+        poly = hull([tuple(0 for _ in range(fib.cone.ambient_dim))])
+    elif level > 0 and gens:
+        poly = hull([tuple(_ratio(level * x, dot(w, g)) for x in g) for g in gens])
+    else:
+        poly = None
+    for f, t in zip(fib.y, target):
+        if poly is not None:
+            poly = clip_by_halfspace(poly, f, -t)
+        if poly is not None:
+            poly = clip_by_halfspace(poly, tuple(-x for x in f), t)
+    if poly is not None and flat:
+        raise ValueError("local fibre is unbounded: a cone generator has w = 0")
+    return poly
+
+
+def oracle_hnf_column_basis(vectors):
+    vecs = [list(v) for v in vectors if any(v)]
+    if not vecs:
+        return []
+    dim = len(vecs[0])
+    basis = []
+    work = vecs
+    for c in range(dim):
+        nonzero = [v for v in work if v[c] != 0]
+        rest = [v for v in work if v[c] == 0]
+        if not nonzero:
+            work = rest
+            continue
+        # reduce all vectors with nonzero c-entry to a single pivot by gcd steps
+        while len(nonzero) > 1:
+            nonzero.sort(key=lambda v: abs(v[c]))
+            p = nonzero[0]
+            out = [p]
+            for v in nonzero[1:]:
+                q = v[c] // p[c]
+                w = [x - q * y for x, y in zip(v, p)]
+                if w[c] != 0:
+                    out.append(w)
+                elif not all(x == 0 for x in w):
+                    rest.append(w)
+            nonzero = out
+        piv = nonzero[0]
+        if piv[c] < 0:
+            piv = [-x for x in piv]
+        # reduce earlier pivots against this one for canonicity
+        for b in basis:
+            if b[c] != 0:
+                q = b[c] // piv[c]
+                for i in range(dim):
+                    b[i] -= q * piv[i]
+        basis.append(piv)
+        work = rest
+    return [tuple(b) for b in basis]
+
+
+def oracle_product(p, q):
+    return hull([a + b for a in p.vertices for b in q.vertices])
 
 
 def _oracle_reduce_cell(cell, anchor, basis):

@@ -2,10 +2,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
-from oracles import unreduced_cells
+from oracles import oracle_local_fibre, unreduced_cells
 
+from tropdeg import embed
 from tropdeg.exactlin import cone_from_generators
 from tropdeg.embed import (
     FibrationData,
@@ -318,6 +319,24 @@ def test_lg_truncate_keeps_a_cell_below_and_drops_one_above_and_one_touching_fro
     assert out.boundary_keys == frozenset()
 
 
+def test_lg_truncate_clips_only_the_cells_crossing_the_level(monkeypatch):
+    # a cell below the level, above it or touching it from above is decided
+    # by its vertex values, so only [0, 2], which crosses u = 1, is clipped
+    clipped = []
+
+    def counted(cell, normal, offset):
+        clipped.append(cell.key())
+        return clip_by_halfspace(cell, normal, offset)
+
+    monkeypatch.setattr(embed, "clip_by_halfspace", counted)
+    cells = [segment(-1, 0), segment(2, 3), segment(1, 2), segment(-2, -1), segment(0, 2)]
+    space = TropicalSpace(1, 1, cells, "solid")
+    out = lg_truncate(space, ((1,), 0))
+    assert clipped == [segment(0, 2).key()]
+    assert [c.key() for c in out.maximal_cells] == [((-2,), (-1,)), ((-1,), (0,)), ((0,), (1,))]
+    assert out.boundary_keys == frozenset({((1,),)})
+
+
 def test_lg_truncate_rejects_a_level_wall_between_two_cells_below():
     # two copies of [0, 1] share the facet x = 1 at the level u = 1
     twice = TropicalSpace(1, 1, [segment(0, 1), segment(0, 1)], "solid")
@@ -487,3 +506,88 @@ def test_cone_over_cell_matches_cone_of_lifted_vertices(cell):
     for x in box:
         for t in range(4):
             assert cone.contains(x + (t,)) == ref.contains(x + (t,))
+
+
+def _fields(poly):
+    return None if poly is None else vars(poly)
+
+
+def _outcome(f, *args):
+    """("value", fields) of the polytope f returns, or ("error", message) of its ValueError."""
+    try:
+        return "value", _fields(f(*args))
+    except ValueError as e:
+        return "error", str(e)
+
+
+@st.composite
+def fibre_problems(draw):
+    """(fibration data, target) on the cone over a small cell, or on the cone
+    of a few generators, which may hold a line.  Each functional is a
+    nonnegative combination of the cone's facet normals, so some generators
+    may have w = 0, and the target may sum to a negative, zero or positive
+    level."""
+    if draw(st.booleans()):
+        cone = cone_over_cell(draw(small_polytopes()))
+    else:
+        dim = draw(st.integers(min_value=1, max_value=3))
+        gens = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * dim).filter(any), min_size=1, max_size=4))
+        if draw(st.booleans()):
+            gens.append(tuple(-x for x in gens[0]))
+        cone = cone_from_generators(gens, dim)
+    normals = cone.facet_normals
+    assume(normals)
+
+    def functional():
+        weights = draw(st.lists(st.integers(0, 2), min_size=len(normals), max_size=len(normals)))
+        return tuple(sum(w * n[i] for w, n in zip(weights, normals)) for i in range(cone.ambient_dim))
+
+    ys = [functional() for _ in range(draw(st.integers(min_value=1, max_value=2)))]
+    try:
+        fib = FibrationData(cone, ys, functional())
+    except ValueError:
+        assume(False)
+    return fib, draw(st.tuples(*[st.integers(-1, 3)] * (len(ys) + 1)))
+
+
+def _read_off_the_cone(fib, target):
+    """Whether `local_fibre` reads the slice off the cone rather than hulling it."""
+    w = tuple(sum(col) for col in zip(fib.p, *fib.y))
+    values = [sum(a * b for a, b in zip(w, g)) for g in fib.cone.generators]
+    return sum(target) > 0 and bool(values) and min(values) > 0 and fib.cone.is_pointed()
+
+
+@settings(max_examples=200, deadline=None)
+@given(fibre_problems())
+def test_local_fibre_matches_the_hull_of_the_rescaled_generators(problem):
+    fib, target = problem
+    event("read off the cone" if _read_off_the_cone(fib, target) else "hulled")
+    assert _outcome(local_fibre, fib, target) == _outcome(oracle_local_fibre, fib, target)
+
+
+def test_local_fibre_hulls_only_the_cones_it_cannot_read(monkeypatch):
+    hulls = []
+    real = embed.hull
+
+    def counted(points):
+        hulls.append(points)
+        return real(points)
+
+    monkeypatch.setattr(embed, "hull", counted)
+    square = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    pointed = cone_over_cell(square)
+    cases = [
+        # pointed, w = 3t > 0 on every generator: read off the cone
+        (FibrationData(pointed, [(1, 0, 0), (-1, 0, 1)], (0, 0, 1)), (1, 1, 1), 0),
+        # level 0: the origin alone
+        (FibrationData(pointed, [(1, 0, 0), (-1, 0, 1)], (0, 0, 1)), (0, 0, 0), 1),
+        # a half-plane holds the line through (0, 1): w vanishes on it
+        (FibrationData(cone_from_generators([(1, 0), (0, 1), (0, -1)], 2), [(1, 0)], (0, 0)), (1, 1), 1),
+        # the positive orthant with w = e1*: the generator e2 has w = 0
+        (FibrationData(orthant_cone(2), [(1, 0)], (0, 0)), (1, 1), 1),
+    ]
+    for fib, target, hulled in cases:
+        hulls.clear()
+        assert _outcome(local_fibre, fib, target) == _outcome(oracle_local_fibre, fib, target)
+        assert len(hulls) == hulled
+        assert _read_off_the_cone(fib, target) == (hulled == 0)

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import basis_coordinates, oracle_dot, oracle_mat_mul
+from oracles import basis_coordinates, oracle_dot, oracle_hnf_column_basis, oracle_mat_mul
 
 from tropdeg.exactlin import (
     RationalCone,
@@ -207,6 +207,20 @@ def test_hnf_and_saturation():
     assert sorted(sat) == [(0, 1), (1, 0)]
     sat2 = saturate_lattice([(2, 4)], 2)
     assert sat2 == [(1, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda dim: st.lists(
+            st.tuples(*[st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**40), 2**40))] * dim), max_size=7
+        )
+    )
+)
+def test_hermite_basis_by_extended_gcd_matches_the_euclid_rounds(vectors):
+    # the Hermite basis of a lattice is unique, so folding each column by
+    # extended-gcd steps gives the basis the round-by-round reduction gives
+    assert hnf_column_basis(vectors) == oracle_hnf_column_basis(vectors)
 
 
 def test_complete_to_unimodular():

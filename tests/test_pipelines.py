@@ -139,10 +139,11 @@ def test_golden_reports_cheap():
 
 
 def test_kp1_2_k2_embed_d_hulls_only_reduced_cells_and_no_extra_left_inverse():
-    # embed_D takes no hull but the reduced cells and those inside
-    # local_fibre; and normalized_volume, regular_subdivision and embed_D
-    # make no left inverse outside _span_chart's misses, _hull_full_dim and
-    # the boundary vertex charts that the fan compatibility check reads
+    # embed_D takes no hull but the reduced cells: local_fibre reads each
+    # slice off its cone; and normalized_volume, regular_subdivision and
+    # embed_D make no left inverse outside _span_chart's misses,
+    # _hull_full_dim and the sections of the boundary vertex charts, which
+    # the fan compatibility check does not read
     from tropdeg import embed, exactlin, polytope, subdivision
 
     watched = {
@@ -181,7 +182,7 @@ def test_kp1_2_k2_embed_d_hulls_only_reduced_cells_and_no_extra_left_inverse():
     finally:
         sys.setprofile(None)
     assert entered == set(watched.values())
-    direct = [names for names in embed_hulls if "local_fibre" not in names]
-    assert direct and all(names == ["hull", "embed_D"] for names in direct)
-    assert len(direct) == len(result.t_d.maximal_cells)
+    assert not any("local_fibre" in names for names in embed_hulls)
+    assert embed_hulls and all(names == ["hull", "embed_D"] for names in embed_hulls)
+    assert len(embed_hulls) == len(result.t_d.maximal_cells)
     assert stray_inverses == []

@@ -6,9 +6,17 @@ from itertools import product as iproduct
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import _integer_basis_coordinates, basis_coordinates, oracle_clip_by_halfspace, oracle_dilate_lattice_points, oracle_facet_keys, oracle_hull
+from oracles import (
+    _integer_basis_coordinates,
+    basis_coordinates,
+    oracle_clip_by_halfspace,
+    oracle_dilate_lattice_points,
+    oracle_facet_keys,
+    oracle_hull,
+    oracle_product,
+)
 
 from tropdeg import exactlin, polytope, render
 from tropdeg.exactlin import (
@@ -670,6 +678,58 @@ def test_graph_lift_matches_hull_of_lifted_vertices(pts, rational, dens, data):
     pieces = data.draw(affine_pieces(cell.ambient_dim))
     lifted = [tuple(v) + tuple(dot(a, v) + b for a, b in pieces) for v in cell.vertices]
     assert _fields(graph_lift(cell, pieces)) == _fields(hull(lifted))
+
+
+@settings(max_examples=60, deadline=None)
+@given(embedded_point_sets(max_ambient=4), st.integers(min_value=0, max_value=31), st.data())
+def test_graph_chart_is_the_chart_of_the_lifted_points(pts, bits, data):
+    # coefficients over denominators up to 2^31, as jittered heights give,
+    # so the graph's lattice can be a sublattice of large index of the lifts
+    cell = hull(pts)
+    assume(cell.dim > 0)
+    den = st.integers(min_value=1, max_value=2**bits)
+    coeff = st.builds(Fraction, st.integers(min_value=-(2**bits), max_value=2**bits), den)
+    linears = data.draw(st.lists(st.tuples(*[coeff] * cell.ambient_dim), min_size=1, max_size=3))
+    lifted = [tuple(v) + tuple(dot(a, v) for a in linears) for v in cell.vertices]
+    assert polytope._graph_chart(cell.chart, linears) == polytope._lattice_chart(lifted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(embedded_point_sets(max_ambient=3), embedded_point_sets(max_ambient=3), st.integers(min_value=1, max_value=3))
+def test_product_matches_hull_of_vertex_pairs(pts_p, pts_q, den):
+    p = hull([tuple(Fraction(x, den) for x in v) for v in pts_p])
+    q = hull(pts_q)
+    for a, b in ((p, q), (q, p), (p, hull([pts_q[0]]))):
+        assert _fields(product(a, b)) == _fields(oracle_product(a, b))
+
+
+def test_hull_clears_the_differences_once_and_graph_lifts_saturate_nothing(monkeypatch):
+    # a hull clears its points' differences from the anchor once, for both
+    # its chart and its coordinates, and a graph over a cell that spans
+    # something reads its chart off the cell's, so a degeneration's lifts
+    # make no `_lattice_chart` call and saturate no lattice
+    square = [(x, y) for x in range(3) for y in range(3)]
+    sub_f, f = regular_subdivision(square, [x * x + y * y for x, y in square])
+    sub_g, g = regular_subdivision(square, [x * x + 2 * y * y + x * y for x, y in square])
+    refined = common_refinement(sub_f, sub_g)
+    calls = {name: [] for name in ("_cleared_differences", "_lattice_chart", "_span_coordinates")}
+    for name, made in calls.items():
+        real = getattr(polytope, name)
+        monkeypatch.setattr(polytope, name, lambda *args, _real=real, _made=made: (_made.append(args), _real(*args))[1])
+    saturations = []
+    real_saturate = polytope.saturate_lattice
+    monkeypatch.setattr(polytope, "saturate_lattice", lambda *args: (saturations.append(args), real_saturate(*args))[1])
+    polytope._span_chart.cache_clear()
+    poly = hull([(0, 0, Fraction(1, 2)), (1, 0, 0), (0, 1, 0), (1, 1, Fraction(1, 3))])
+    assert [len(c) for c in calls.values()] == [1, 0, 0] and len(saturations) == 1
+    for made in calls.values():
+        made.clear()
+    saturations.clear()
+    degeneration = graph_degeneration([(sub_f, f), (sub_g, g)], refinement=refined)
+    assert calls["_lattice_chart"] == [] and saturations == []
+    for cell in degeneration.total_complex:
+        assert _fields(cell) == _fields(hull(cell.vertices))
+    assert poly.dim == 3
 
 
 def test_clip_face_and_graph_degeneration_take_no_hull():

@@ -41,7 +41,7 @@ from tropdeg.tropical import (
     TropicalSpace,
     _compute_discriminant,
     _displacement,
-    classify_face,
+    classify_faces,
     count_focus_focus,
     discriminant,
     dual_intersection_complex,
@@ -210,7 +210,7 @@ def test_dual_complex_k3_is_3d_with_four_face_types(k3):
     kinds = set()
     for key, cell in solid.cells().items():
         if solid.is_boundary_cell(key):
-            kinds.add(classify_face(solid, key))
+            kinds.add(classify_faces(solid, [key])[0])
     assert kinds == {"InteriorCap", "BoundaryCap", "HorizontalSide", "VerticalSide"}
 
 
@@ -504,7 +504,7 @@ def test_classify_face_examples(k3):
     by_type = {}
     for key, cell in solid.cells().items():
         if solid.is_boundary_cell(key):
-            by_type.setdefault(classify_face(solid, key), []).append(cell)
+            by_type.setdefault(classify_faces(solid, [key])[0], []).append(cell)
     # top-cap interior triangles exist (the 9 MPCP triangles per cap)
     assert any(c.dim == 2 for c in by_type["InteriorCap"])
     # horizontal side faces sit in the vanishing of the final coordinate
@@ -520,7 +520,7 @@ def test_classify_face_requires_product_typed():
     space = trivial_solid_2d()
     key = space.maximal_cells[0].key()
     with pytest.raises(ValueError, match="product-typed"):
-        classify_face(space, key)
+        classify_faces(space, [key])
 
 
 # --- the face table against the walkers it replaced ----------------------------
@@ -678,6 +678,44 @@ def test_faces_facet_keys_and_face_table_read_the_incidence_with_no_dot_call(kp1
     assert cube(2).incidence and calls
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_face_table_makes_one_face_lattice_per_incidence_type(kp1_2_results, monkeypatch, k):
+    made = []
+    real = tropical._face_masks
+
+    def counted(*kind):
+        made.append(kind)
+        return real(*kind)
+
+    monkeypatch.setattr(tropical, "_face_masks", counted)
+    for space in (kp1_2_results[k].sphere, kp1_2_results[k].solid):
+        made.clear()
+        cells = space.maximal_cells
+        table = tropical._face_table(cells, space.boundary_keys)
+        kinds = {(c.incidence, len(c.vertices), c.dim) for c in cells}
+        assert len(made) == len(set(made)) == len(kinds) < len(cells)
+        assert table == (space.faces(), space._boundary_faces, space._face_owners)
+        # each cell's masks are those of its own face lattice
+        for cell in cells:
+            assert cell.face_masks() == real(cell.incidence, len(cell.vertices), cell.dim)
+
+
+def test_discriminant_reads_each_normal_and_barycenter_once(kp1_2_results, monkeypatch):
+    sphere = kp1_2_results[3].sphere
+    space = TropicalSpace(sphere.ambient_dim, sphere.dim, sphere.maximal_cells, sphere.chart_kind)
+    normals, centers = [], []
+    real_normal, real_barycenter = tropical._normal, tropical.barycenter
+    monkeypatch.setattr(tropical, "_normal", lambda cell: (normals.append(cell.key()), real_normal(cell))[1])
+    monkeypatch.setattr(tropical, "barycenter", lambda key: (centers.append(key), real_barycenter(key))[1])
+    entries = _compute_discriminant(space).entries
+    assert entries == kp1_2_results[3].discriminant.entries
+    # one normal per cell of a nontrivial loop, where each loop reads two,
+    # and one barycenter per edge or wall key, where each entry reads two
+    assert len(normals) == len(set(normals)) <= len(space.maximal_cells) < 2 * len(entries)
+    keys = {e["edge"] for e in entries} | {e["wall"] for e in entries}
+    assert len(centers) == len(set(centers)) == len(keys) < 2 * len(entries)
+
+
 # --- closed-form loops against restricted charts, and shared monodromy polytopes --
 #
 # `_loop_matrix` and `transition` against the restricted-chart definition in
@@ -785,12 +823,15 @@ def test_build_kp1_2_reads_pieces_charts_and_polytopes_once(monkeypatch):
     result = build_kp1_2(2)
     assert piece_calls and contains_in_piece == []
     # one chart per vertex: the base of each nontrivial loop, and each
-    # lattice vertex of a fibre that the fan compatibility check reads
+    # lattice vertex of a fibre that the fan compatibility check reads; a
+    # section, the one left inverse, only at the bases, so a fibre vertex
+    # that no loop is based at inverts nothing
     sphere = result.sphere
     bases = {e["edge"][0] for e in result.discriminant.entries}
     fibre_vertices = {v for verts in result.iota.metadata["fibres"] for v in verts if is_lattice_point(v)}
-    assert len(inverses) == len(sphere._chart_cache)
     assert set(sphere._chart_cache) == bases | fibre_vertices
+    assert set(sphere._sections) == bases and len(inverses) == len(bases)
+    assert len(fibre_vertices - bases) == 6
     # the discriminant and the simplicity verdict build no monodromy polytope
     assert monodromy_stages == ["discriminant", "is_simple"] and hulls == []
 
