@@ -27,11 +27,13 @@ from .polytope import (
     _assemble,
     _facet,
     _lattice_chart,
+    _low,
     _span_coordinates,
     clip_by_halfspace,
     containing_cell,
     hull,
     is_lattice_point,
+    section,
     standard_simplex,
     walls,
 )
@@ -67,10 +69,11 @@ def local_fibre(fib, target):
     Returns None (the explicit empty polytope) when the fibre is empty.  The
     fibre lies in the slice of the cone where w = p + sum y_i equals the sum of
     the targets; that slice is spanned by the generators rescaled onto it
-    (read off the cone by `_cone_slice` when it is pointed and w > 0 on every
-    generator, else their hull), and each y-equation is then a two-sided
-    clip (the p-equation follows).  Raises ValueError when the fibre is
-    nonempty but unbounded, which happens when some generator has w = 0.
+    (read off the cone by `_cone_slice` when w > 0 on every generator, which
+    makes the cone pointed, else their hull), and each y-equation is then
+    one `section` (the p-equation follows).  Raises ValueError when the
+    fibre is nonempty but unbounded, which happens when some generator has
+    w = 0.
     """
     if len(target) != len(fib.y) + 1:
         raise ValueError("target length must be number of y functionals plus one")
@@ -82,7 +85,8 @@ def local_fibre(fib, target):
     gens = [(g, v) for g, v in zip(cone.generators, values) if v != 0]
     if level == 0:
         poly = hull([tuple(0 for _ in range(cone.ambient_dim))])
-    elif level > 0 and gens and min(values) > 0 and cone.is_pointed():
+    elif level > 0 and gens and min(values) > 0:
+        # w > 0 on every generator is > 0 on every nonzero point of the cone, so the cone is pointed
         poly = _cone_slice(cone, values, level)
     elif level > 0 and gens:
         poly = hull([tuple(_ratio(level * x, v) for x in g) for g, v in gens])
@@ -90,9 +94,7 @@ def local_fibre(fib, target):
         poly = None
     for f, t in zip(fib.y, target):
         if poly is not None:
-            poly = clip_by_halfspace(poly, f, -t)
-        if poly is not None:
-            poly = clip_by_halfspace(poly, tuple(-x for x in f), t)
+            poly = section(poly, f, t)
     # the generators with w = 0 lie in the recession cone of the fibre
     if poly is not None and flat:
         raise ValueError("local fibre is unbounded: a cone generator has w = 0")
@@ -105,13 +107,15 @@ def _cone_slice(cone, values, level):
     The generators are the cone's extreme rays and the slice meets each once,
     at level / <w, g> times it, so these points are its vertices.  Its faces
     are the cone's nonzero faces cut by it, so its facets are read off the
-    cone's facet normals that do not vanish on its span (`_facet`); the
-    others are the equations of the cone's span.
+    cone's facet normals that do not vanish on its span (`_facet`), each
+    tight at the generators it vanishes on; the others are the equations of
+    the cone's span.
     """
     verts = [tuple(_ratio(level * x, v) for x in g) for g, v in zip(cone.generators, values)]
     chart = _lattice_chart(verts)
     normals = [n for n in cone.facet_normals if any(dot(n, b) for b in chart[0])]
-    return _assemble(chart, verts, [_facet(chart, n, verts) for n in normals])
+    incidence = [sum(1 << i for i, g in enumerate(cone.generators) if not dot(n, g)) for n in normals]
+    return _assemble(chart, verts, [_facet(chart, n, verts[_low(m)]) for n, m in zip(normals, incidence)], incidence)
 
 
 def cone_over_cell(cell):
@@ -319,7 +323,7 @@ def barycenter_fibre(space, fibration):
     """Fibre of the simplex fibration over the barycenter, as sorted cell keys.
 
     Each host cell is cut by the simplex map's equations y_i(x, 1) = 1,
-    i = 1..r, each a pair of clips; no cone and no local fibre is used, so
+    i = 1..r, each one `section`; no cone and no local fibre is used, so
     the keys check those of `embed_D` independently.
     """
     host_cells = {c.key(): c for c in space.maximal_cells}
@@ -327,11 +331,8 @@ def barycenter_fibre(space, fibration):
     for key, fib in fibration.items():
         cell = host_cells[key]
         for y in fib.y[1:]:
-            f, c = y[:-1], y[-1] - 1
             if cell is not None:
-                cell = clip_by_halfspace(cell, f, c)
-            if cell is not None:
-                cell = clip_by_halfspace(cell, vneg(f), -c)
+                cell = section(cell, y[:-1], 1 - y[-1])
         if cell is not None:
             out.add(cell.key())
     return sorted(out)

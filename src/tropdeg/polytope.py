@@ -13,7 +13,7 @@ carry an explicit affine-span basis.
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from itertools import product as iproduct
 
@@ -190,6 +190,23 @@ def _span_chart(key, ambient):
     return basis, a, dd, annihilators
 
 
+@lru_cache(maxsize=128)
+def _facet_chart(basis, normal):
+    """The span chart of the hyperplane section {<normal, x> = const} of a span with saturated echelon basis.
+
+    normal is an integer functional not constant on the span.  The section's
+    lattice is the span's on which normal vanishes: the kernel of the
+    integer row basis . normal, lifted through basis.  The kernel is
+    saturated and so is the basis, so the lift is the section's saturated
+    lattice, and its Hermite basis keys `_span_chart` to the chart
+    `_lattice_chart` finds from the section's vertices.  A facet's chart is
+    its polytope's basis cut by the facet normal; few hyperplanes recur, so
+    the memo is keyed on int tuples only, like `_span_chart`.
+    """
+    lifted = [tuple(dot(column, t) for column in zip(*basis)) for t in kernel_basis((mat_vec(basis, normal),))]
+    return _span_chart(tuple(hnf_column_basis(lifted)), len(normal))
+
+
 def _lift(chart, n):
     """The ambient functional dd * a^T n, which takes the values dd^2 * n on the basis.
 
@@ -197,7 +214,7 @@ def _lift(chart, n):
     tight where n is, and vanishes off the basis' pivot coordinates.
     """
     _, a, dd, _ = chart
-    return tuple(dd * sum(row[j] * x for row, x in zip(a, n)) for j in range(len(a[0])))
+    return tuple(dd * dot(column, n) for column in zip(*a))
 
 
 def _cleared_differences(anchor, points):
@@ -273,33 +290,50 @@ def _span_points(chart, pivots, origin, box):
             yield tuple(point)
 
 
-def _facet(chart, functional, vertices):
-    """The facet inequality (n, c) on which the functional is least over the vertices.
+def _facet(chart, functional, vertex):
+    """The facet inequality (n, c) of the functional, least over the polytope at vertex.
 
     n is the one representative `hull` finds: the primitive lift of the
     functional's values on the span basis, which vanishes off the basis'
-    pivot coordinates; c is read off the vertices.
+    pivot coordinates; c is read off the vertex, one of those the facet
+    holds.
     """
     basis = chart[0]
     g = clear_fractions(functional)
     n = primitive(g if len(basis) == len(g) else _lift(chart, mat_vec(basis, g)))
-    return n, _ratio(-min(dot(n, v) for v in vertices))
+    return n, _ratio(-dot(n, vertex))
 
 
-def _assemble(chart, vertices, facets):
-    """The LatticePolytope with these vertices and facet inequalities, and no hull.
+def _low(mask):
+    """The index of the lowest set bit of a nonzero bitmask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _assemble(chart, vertices, facets, incidence):
+    """The LatticePolytope with these vertices, facet inequalities and incidence, and no hull.
 
     This is the one place a polytope is put together: `hull` passes the
-    facets its double description finds, and the clip, the face and the
-    graph lift pass facets they read off a cell they already have.  The
-    vertices are tuples in the number form of `_ratio` and span the chart's
-    span; each facet is (n, c) in the form `_facet` gives.  The equations are
-    the chart's annihilators through the least vertex, which is also the
-    anchor, and the polytope keeps the chart.
+    facets and tight sets its double description finds, and every other
+    construction passes facets and incidences it reads off the cells it is
+    made from.  The vertices are distinct tuples in the number form of
+    `_ratio` and span the chart's span; each facet is (n, c) in the form
+    `_facet` gives, and incidence[k] is the bitmask of the vertices, in the
+    order given, tight at facets[k].  The vertices are sorted and the
+    facets sorted and made distinct, the incidence re-indexed with them.
+    The equations are the chart's annihilators through the least vertex,
+    which is also the anchor, and the polytope keeps the chart.
     """
-    anchor = min(vertices)
-    eqs = [(f, _ratio(-dot(f, anchor))) for f in chart[3]]
-    return LatticePolytope(vertices, sorted(set(facets)), eqs, chart)
+    order = sorted(range(len(vertices)), key=vertices.__getitem__)
+    if any(i != j for i, j in enumerate(order)):
+        moved = [0] * len(order)
+        for j, i in enumerate(order):
+            moved[i] = 1 << j
+        incidence = [sum(moved[i] for i in _bits(m)) for m in incidence]
+        vertices = [vertices[i] for i in order]
+    table = dict(zip(facets, incidence))
+    facets = sorted(table)
+    eqs = [(f, _ratio(-dot(f, vertices[0]))) for f in chart[3]]
+    return LatticePolytope(vertices, facets, eqs, chart, tuple(table[f] for f in facets))
 
 
 class FaceLattice:
@@ -328,16 +362,19 @@ class LatticePolytope:
     lower-dimensional polytope, `equations` pins down the affine span.  The
     polytope keeps the span chart it is built with (`chart`); its saturated
     `span_basis`, anchor (least vertex) and dimensions are read off it and
-    the vertices.  Every coordinate, offset and constant is an int or a
-    Fraction with denominator above 1, as the constructions (`_assemble`)
-    make them; the constructor takes them as they are.
+    the vertices.  `incidence[k]` is the bitmask of the indices of the
+    vertices tight at `facets[k]`.  Every coordinate, offset and constant is
+    an int or a Fraction with denominator above 1, and the vertices and
+    facets are sorted, as the constructions (`_assemble`) make them; the
+    constructor takes them as they are.
     """
 
-    def __init__(self, vertices, facets, equations, chart):
-        self.vertices = tuple(sorted(vertices))
+    def __init__(self, vertices, facets, equations, chart, incidence):
+        self.vertices = tuple(vertices)
         self.facets = tuple(facets)
         self.equations = tuple(equations)
         self.chart = chart
+        self.incidence = incidence
         self.anchor = self.vertices[0]
         self.ambient_dim = len(self.anchor)
         self.span_basis = chart[0]
@@ -358,23 +395,27 @@ class LatticePolytope:
         chart = _span_chart(tuple(hnf_column_basis(ws)), ambient)
         d = len(chart[0])
         if d == 0:
-            return _assemble(chart, pts, [])
+            return _assemble(chart, pts, [], [])
         facs = _hull_full_dim(_cleared_coordinates(chart, ws, s)[0], d)
         # vertices: points whose facets meet in that point alone
         meet = {}
         for n, c, tight in facs:
             for i in tight:
                 meet[i] = meet[i].intersection(tight) if i in meet else frozenset(tight)
-        verts = [pts[i] for i, face in meet.items() if len(face) == 1]
+        # the points are sorted, so the vertices are too, and vertex j is point index[j]
+        index = sorted(i for i, face in meet.items() if len(face) == 1)
+        bit = {i: 1 << j for j, i in enumerate(index)}
         # a lifted facet functional is inward and tight where n is
         facets = []
+        incidence = []
         for n, c, tight in facs:
             f = primitive(_lift(chart, n))
             vals = [dot(f, p) for p in pts]
             lo = min(vals)
             assert frozenset(i for i, v in enumerate(vals) if v == lo) == frozenset(tight)
             facets.append((f, _ratio(-lo)))
-        return _assemble(chart, verts, facets)
+            incidence.append(sum(bit.get(i, 0) for i in tight))
+        return _assemble(chart, [pts[i] for i in index], facets, incidence)
 
     @staticmethod
     def from_json(obj):
@@ -463,14 +504,26 @@ class LatticePolytope:
         """The face with the vertices indexed by the bitmask, and no hull.
 
         Its facets are `_facets_of` it, each reduced to the face's own span
-        chart; the full mask gives the polytope itself.
+        chart, and their vertex masks are the parent's, compressed to the
+        face's vertices.  A facet's chart is the polytope's cut by the facet
+        normal (`_facet_chart`).  The full mask gives the polytope itself.
         """
         if mask == (1 << len(self.vertices)) - 1:
             return self
         verts = self.vertices_of(mask)
-        chart = _lattice_chart(verts)
-        facets = [_facet(chart, self.facets[k][0], verts) for k in _facets_of(self.incidence, mask).values()]
-        return _assemble(chart, verts, facets)
+        incidence = self.incidence
+        if mask in incidence:
+            chart = _facet_chart(self.span_basis, self.facets[incidence.index(mask)][0])
+        else:
+            chart = _lattice_chart(verts)
+        facets = _facets_of(incidence, mask)
+        bits = _bits(mask)
+        return _assemble(
+            chart,
+            verts,
+            [_facet(chart, self.facets[k][0], self.vertices[_low(m)]) for m, k in facets.items()],
+            [sum(1 << j for j, i in enumerate(bits) if m >> i & 1) for m in facets],
+        )
 
     def vertices_of(self, mask):
         """The vertices whose index is in the bitmask, in order."""
@@ -514,11 +567,6 @@ class LatticePolytope:
     def transform(self, u):
         """Image under the integer matrix u (applied on the left)."""
         return LatticePolytope.hull([tuple(dot(row, v) for row in u) for v in self.vertices])
-
-    @cached_property
-    def incidence(self):
-        """Entry k is the bitmask of the indices of the vertices tight at `facets[k]`, made on first use."""
-        return tuple(sum(1 << i for i, v in enumerate(self.vertices) if tight_at(f, (v,))) for f in self.facets)
 
     def facet_keys(self):
         """Entry i is the sorted tuple of vertices tight at `facets[i]`, read off the incidence."""
@@ -631,8 +679,10 @@ def clip_by_halfspace(cell, normal, offset):
     to the touching face (`LatticePolytope.face`).  When the cut crosses the
     cell, the clip keeps the cell's span and chart; its vertices are the
     cell's vertices inside the halfspace plus the points where edges cross
-    the hyperplane, and its facets are the cell's facets holding a vertex
-    strictly inside, verbatim, plus the cut.  No hull is taken.
+    the hyperplane (`_crossings`), and its facets are the cell's facets
+    holding a vertex strictly inside, verbatim, plus the cut.  A kept vertex
+    keeps its facets and a crossing has those of its edge, so the incidence
+    is read off the cell's.  No hull is taken.
     """
     vals = [dot(normal, v) + offset for v in cell.vertices]
     if all(v >= 0 for v in vals):
@@ -641,23 +691,67 @@ def clip_by_halfspace(cell, normal, offset):
         return None
     if all(v <= 0 for v in vals):
         return cell.face(normal, offset)
+    masks = _transpose(cell.incidence, range(len(vals)))
+    kept = [(v, m, val == 0) for v, m, val in zip(cell.vertices, masks, vals) if val >= 0]
+    kept += [(p, m, True) for p, m in _crossings(cell, vals, masks)]
+    pts = [p for p, _, _ in kept]
+    inside = 0
+    for mask, val in zip(masks, vals):
+        if val > 0:
+            inside |= mask
+    held = [k for k in range(len(cell.facets)) if inside >> k & 1]
+    cut = sum(1 << i for i, (_, _, on) in enumerate(kept) if on)
+    facets = [cell.facets[k] for k in held] + [_facet(cell.chart, normal, pts[_low(cut)])]
+    return _assemble(cell.chart, pts, facets, _transpose([m for _, m, _ in kept], held) + [cut])
+
+
+def section(cell, f, t):
+    """cell intersected with the hyperplane {<f, x> = t}, by one double-description step.
+
+    Returns None when the intersection is empty, and the face on the
+    hyperplane (`LatticePolytope.face_from_mask`) when the hyperplane only
+    touches the cell or holds it.  When it crosses the cell, the section's vertices are
+    the cell's vertices on it plus the points where edges cross it
+    (`_crossings`), each with its facets or its edge's, and its facets are
+    `_facets_of` that incidence, each a cell facet reduced to the section's
+    chart, the cell's cut by f (`_facet_chart`).  No hull is taken.
+    """
+    vals = [dot(f, v) - t for v in cell.vertices]
+    if min(vals) > 0 or max(vals) < 0:
+        return None
+    if min(vals) == 0 or max(vals) == 0:
+        return cell.face_from_mask(sum(1 << i for i, x in enumerate(vals) if x == 0))
+    masks = _transpose(cell.incidence, range(len(vals)))
+    cut = [(v, m) for v, m, val in zip(cell.vertices, masks, vals) if val == 0] + _crossings(cell, vals, masks)
+    pts = [p for p, _ in cut]
+    chart = _facet_chart(cell.span_basis, primitive(clear_fractions(f)))
+    facets = _facets_of(_transpose([m for _, m in cut], range(len(cell.facets))), (1 << len(pts)) - 1)
+    return _assemble(chart, pts, [_facet(chart, cell.facets[k][0], pts[_low(m)]) for m, k in facets.items()], list(facets))
+
+
+def _transpose(masks, indices):
+    """Entry j is the bitmask of the items i whose masks[i] has bit indices[j] set."""
+    return [sum(1 << i for i, m in enumerate(masks) if m >> k & 1) for k in indices]
+
+
+def _crossings(cell, vals, masks):
+    """Each point where an edge of the cell crosses the hyperplane on which vals vanish, with the edge's facet mask.
+
+    vals[i] is an affine function's value at vertex i, and masks[i] the
+    bitmask of the facets tight at vertex i; an edge is a pair of vertices
+    on opposite sides that `_adjacent` finds, and the facets tight at a point
+    inside it are those holding both ends.
+    """
     verts = cell.vertices
-    # vertex i's tight facets as a bitmask over the facet indices: the incidence transposed
-    masks = [sum(1 << k for k, m in enumerate(cell.incidence) if m >> i & 1) for i in range(len(verts))]
-    pts = [v for v, val in zip(verts, vals) if val >= 0]
+    out = []
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
             if vals[i] * vals[j] >= 0 or not _adjacent(masks, i, j, cell.dim):
                 continue
             # the crossing a + t (b - a), t = vals[i] / (vals[i] - vals[j]), divided once
             gap = vals[i] - vals[j]
-            pts.append(tuple(_ratio(vals[i] * b - vals[j] * a, gap) for a, b in zip(verts[i], verts[j])))
-    inside = 0
-    for mask, val in zip(masks, vals):
-        if val > 0:
-            inside |= mask
-    kept = [facet for k, facet in enumerate(cell.facets) if inside >> k & 1]
-    return _assemble(cell.chart, pts, kept + [_facet(cell.chart, normal, pts)])
+            out.append((tuple(_ratio(vals[i] * b - vals[j] * a, gap) for a, b in zip(verts[i], verts[j])), masks[i] & masks[j]))
+    return out
 
 
 def graph_points(cell, pieces):
@@ -679,13 +773,14 @@ def graph_lift(cell, pieces):
     Its vertices are the `graph_points`, and its facets are the cell's facet
     inequalities padded with r zeros: they are still primitive, least on the
     same vertices, and vanish off the pivot coordinates of the lifted span,
-    which are the cell's.  The span chart is read off the cell's
-    (`_graph_chart`); no hull is taken.
+    which are the cell's.  Padding keeps the order of both the vertices and
+    the facets, so the incidence is the cell's.  The span chart is read off
+    the cell's (`_graph_chart`); no hull is taken.
     """
     pts = graph_points(cell, pieces)
     zeros = (0,) * len(pieces)
     chart = _graph_chart(cell.chart, [a for a, _ in pieces]) if cell.dim and pieces else _lattice_chart(pts)
-    return _assemble(chart, pts, [(n + zeros, c) for n, c in cell.facets])
+    return _assemble(chart, pts, [(n + zeros, c) for n, c in cell.facets], cell.incidence)
 
 
 def _graph_chart(chart, linears):
@@ -731,12 +826,19 @@ def product(p, q):
 
     Its vertices are the pairs of vertices, and its facets are each factor's
     facets padded with zeros, reduced to the product's span chart (`_facet`).
+    Pair (i, j) is vertex i * len(q.vertices) + j, and a padded facet is
+    tight at the pairs whose entry from its factor is tight at it.  The
+    product's lattice is the sum of its factors', so its Hermite basis is
+    their bases padded, one after the other, and keys its chart.
     """
     verts = [a + b for a in p.vertices for b in q.vertices]
-    chart = _lattice_chart(verts)
     zp, zq = (0,) * p.ambient_dim, (0,) * q.ambient_dim
+    chart = _span_chart(tuple(b + zq for b in p.span_basis) + tuple(zp + b for b in q.span_basis), len(verts[0]))
     functionals = [n + zq for n, _ in p.facets] + [zp + m for m, _ in q.facets]
-    return _assemble(chart, verts, [_facet(chart, f, verts) for f in functionals])
+    nq = len(q.vertices)
+    incidence = [sum(1 << i * nq for i in _bits(m)) * ((1 << nq) - 1) for m in p.incidence]
+    incidence += [m * sum(1 << i * nq for i in range(len(p.vertices))) for m in q.incidence]
+    return _assemble(chart, verts, [_facet(chart, f, verts[_low(m)]) for f, m in zip(functionals, incidence)], incidence)
 
 
 def standard_simplex(dim, dilation=1):

@@ -313,7 +313,8 @@ def fine_crepant_subdivision(poly):
             a, d = left_inverse(tuple(v + (1,) for v in verts))
             s = 1 if d > 0 else -1
             facets = [primitive(tuple(s * x for x in col)) for col in zip(*a)]
-            cone = _assemble(chart, verts, [(y[:-1], y[-1]) for y in facets])
+            full = (1 << len(verts)) - 1
+            cone = _assemble(chart, verts, [(y[:-1], y[-1]) for y in facets], [full ^ 1 << k for k in range(len(verts))])
             cones.append(cone)
             base = mat_vec(a, [0 if v == origin else table[v] for v in verts])
             correction = tuple(row[verts.index(origin)] for row in a)

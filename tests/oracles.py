@@ -30,9 +30,12 @@ only the last host written for each fibre, and the `barycenter_fibre` it
 replaced repeated that fibre loop.
 
 The vertex-facet incidence: `LatticePolytope.incidence` holds, per facet,
-the bitmask of the vertices tight on it, built once per polytope; facet
-keys, faces, the clip and the face table read it.  Each of them used to
-re-scan every facet inequality over the vertices, as `facet_keys` did.
+the bitmask of the vertices tight on it, handed to `_assemble` by the
+construction that makes the polytope; facet keys, faces, the clip and the
+face table read it.  Each of them used to re-scan every facet inequality
+over the vertices, as `facet_keys` did, and the incidence itself was such a
+scan until the constructions handed theirs over; `oracle_hull` still makes
+it by that scan.
 
 The affine pieces: `regular_subdivision` reads each cell's piece off its
 lower facet of the lifted hull, and `fine_crepant_subdivision` fits each
@@ -84,6 +87,12 @@ cone whose generators all have w > 0 off the cone (`_cone_slice`: the
 rescaled generators are its vertices, and the facet normals that do not
 vanish on its span its facets).  The fibre it replaced (`oracle_local_fibre`)
 hulls the rescaled generators for every cone.
+
+The section: `polytope.section` cuts a cell by a hyperplane in one
+double-description step, with the cell's chart cut by the hyperplane
+(`_facet_chart`).  The section it replaced (`oracle_section`) clips to each
+side of the hyperplane in turn, and the second clip takes the face of the
+first, with a fresh chart.
 
 The product: `polytope.product` reads its vertices and facets off its
 factors.  The product it replaced (`oracle_product`) hulls the vertex pairs.
@@ -235,7 +244,7 @@ def oracle_hull(points):
         for f in kernel_basis(tuple(basis)) if basis else [tuple(1 if i == j else 0 for i in range(ambient)) for j in range(ambient)]:
             eqs.append((f, -dot(f, anchor)))
     if d == 0:
-        return LatticePolytope([anchor], [], eqs, _span_chart((), ambient))
+        return LatticePolytope([anchor], [], eqs, _span_chart((), ambient), ())
     facs = _hull_full_dim(_integer_basis_coordinates(int_diffs, basis), d)
     # vertices: points whose facets meet in that point alone
     meet = {}
@@ -258,7 +267,9 @@ def oracle_hull(points):
         off = int(off) if Fraction(off).denominator == 1 else Fraction(off)
         ambient_facets.append((f, off))
     ambient_facets = sorted(set(ambient_facets))
-    return LatticePolytope(verts, ambient_facets, eqs, _span_chart(tuple(basis), ambient))
+    verts = sorted(verts)
+    incidence = tuple(sum(1 << i for i, v in enumerate(verts) if tight_at(f, (v,))) for f in ambient_facets)
+    return LatticePolytope(verts, ambient_facets, eqs, _span_chart(tuple(basis), ambient), incidence)
 
 
 def oracle_facet_keys(poly):
@@ -301,6 +312,12 @@ def oracle_clip_by_halfspace(cell, normal, offset):
     if not pts:
         return None
     return LatticePolytope.hull(sorted(set(normalize_point(p) for p in pts)))
+
+
+def oracle_section(cell, f, t):
+    """cell intersected with {<f, x> = t} as two clips: to <f, x> >= t, then to <f, x> <= t, or None."""
+    cell = clip_by_halfspace(cell, f, -t)
+    return None if cell is None else clip_by_halfspace(cell, tuple(-x for x in f), t)
 
 
 def oracle_local_fibre(fib, target):

@@ -2,7 +2,8 @@
 exported, or marked `# noqa: F401`), no tropdeg function repeats an import
 its module already makes at top level, the geometric modules take their
 numbers from `exactlin._ratio` rather than from `fractions`, only
-`polytope` tests whether a facet inequality is tight, `tropical` takes no
+`polytope` tests whether a facet inequality is tight, no construction in
+`polytope` calls that test (`tight_at`), `tropical` takes no
 matrix product or rank, builds no hull and inverts only its per-vertex chart,
 and the `assert`s left in each module are pinned, so their count only falls."""
 
@@ -182,6 +183,17 @@ def test_callers_are_detected():
     )
     assert _callers(source, "left_inverse") == [None, "inner", "chart"]
     assert {"left_inverse", "mat_mul"} <= _imported_names(source)
+
+
+def test_no_construction_in_polytope_tests_tightness():
+    # polytope only defines tight_at: every construction there hands its
+    # incidence to `_assemble`, and only the readers below scan facets
+    found = {p.stem: _callers(p.read_text(), "tight_at") for p in sorted(SRC.glob("*.py"))}
+    assert {stem: names for stem, names in found.items() if names} == {
+        "render": ["host_facet"],
+        "subdivision": ["boundary_triangulation"],
+        "tropical": ["classify_faces"],
+    }
 
 
 def test_tropical_takes_no_product_and_inverts_only_its_vertex_chart():

@@ -26,6 +26,63 @@ def test_kp1_2_k2_k3_report(kp2):
     assert set(r["face_census"]) == {"InteriorCap", "BoundaryCap", "HorizontalSide", "VerticalSide"}
 
 
+def test_kp1_2_constructions_scan_no_incidence_and_facets_take_no_fresh_chart(monkeypatch):
+    # during build_kp1_2(2) tight_at runs only in the readers that test
+    # points against a polytope's facets, never under a construction, and a
+    # face that is a facet of its cell reads its chart off the cell's
+    from tropdeg import polytope, render, subdivision, tropical
+
+    constructions = {
+        "hull",
+        "clip_by_halfspace",
+        "face",
+        "face_from_mask",
+        "section",
+        "graph_lift",
+        "product",
+        "_cone_slice",
+        "_assemble",
+    }
+    tight_callers = []
+    real_tight_at = polytope.tight_at
+
+    def counted_tight_at(facet, points):
+        frame, stack = sys._getframe(1), []
+        while frame is not None:
+            stack.append(frame.f_code.co_name)
+            frame = frame.f_back
+        tight_callers.append(stack)
+        return real_tight_at(facet, points)
+
+    for module in (polytope, render, subdivision, tropical):
+        monkeypatch.setattr(module, "tight_at", counted_tight_at, raising=False)
+    facet_faces = []
+    fresh_facet_charts = []
+    real_chart = polytope._lattice_chart
+
+    def counted_chart(points):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "face_from_mask" and caller.f_locals["mask"] in caller.f_locals["self"].incidence:
+            fresh_facet_charts.append(points)
+        return real_chart(points)
+
+    real_face = polytope.LatticePolytope.face_from_mask
+
+    def counted_face(self, mask):
+        if mask in self.incidence:
+            facet_faces.append(mask)
+        return real_face(self, mask)
+
+    monkeypatch.setattr(polytope, "_lattice_chart", counted_chart)
+    monkeypatch.setattr(polytope.LatticePolytope, "face_from_mask", counted_face)
+    build_kp1_2(2).report()
+    callers = {next(name for name in stack if not name.startswith("<")) for stack in tight_callers}
+    assert callers == {"boundary_triangulation", "classify_faces"}
+    assert not [stack for stack in tight_callers if constructions & set(stack)]
+    # the boundary sphere's cells and the fibres are facet faces
+    assert facet_faces and fresh_facet_charts == []
+
+
 def test_kp1_2_k1():
     res = build_kp1_2(1)
     r = res.report()

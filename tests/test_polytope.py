@@ -16,9 +16,11 @@ from oracles import (
     oracle_facet_keys,
     oracle_hull,
     oracle_product,
+    oracle_section,
 )
 
 from tropdeg import exactlin, polytope, render
+from tropdeg.embed import _cone_slice, cone_over_cell
 from tropdeg.exactlin import (
     dot,
     hnf_column_basis,
@@ -43,10 +45,11 @@ from tropdeg.polytope import (
     minkowski_sum,
     polytope_from_inequalities,
     product,
+    section,
     segment,
     standard_simplex,
 )
-from tropdeg.subdivision import common_refinement, graph_degeneration, regular_subdivision
+from tropdeg.subdivision import common_refinement, fine_crepant_subdivision, graph_degeneration, regular_subdivision
 from tropdeg.tropical import TropicalSpace
 
 QUINTIC_COLUMNS = [
@@ -509,10 +512,17 @@ def _scanned_incidence(poly):
     return tuple(sum(1 << index[v] for v in key) for key in oracle_facet_keys(poly))
 
 
+def _levels(vals):
+    """Levels missing, touching and crossing a polytope on which a functional takes the sorted values vals."""
+    return [vals[0] - 1, *vals, vals[-1] + 1, *(Fraction(a + b, 2) for a, b in zip(vals, vals[1:]))]
+
+
 @settings(max_examples=60, deadline=None)
 @given(embedded_point_sets(max_ambient=4), st.booleans(), st.lists(st.integers(min_value=1, max_value=3), min_size=9, max_size=9), st.data())
 def test_incidence_matches_the_retired_scan(pts, rational, dens, data):
-    # hulls, clips crossing and touching the hull, every face, and a graph lift
+    # hulls, clips crossing and touching the hull, sections crossing,
+    # touching and missing it, every face, a graph lift, products with a
+    # second hull, and a slice of the cone over the hull
     if rational:
         pts = [tuple(Fraction(x, den) for x in p) for p, den in zip(pts, dens)]
     poly = hull(pts)
@@ -521,11 +531,63 @@ def test_incidence_matches_the_retired_scan(pts, rational, dens, data):
     vals = sorted({dot(normal, v) for v in poly.vertices})
     made = [poly, graph_lift(poly, data.draw(affine_pieces(ambient)))]
     made += [clip_by_halfspace(poly, normal, -x) for x in vals]
+    made += [section(poly, normal, x) for x in _levels(vals)]
     made += [poly.face_from_mask(m) for masks in poly.face_masks().values() for m in masks]
+    other = hull(data.draw(embedded_point_sets(max_ambient=2)))
+    made += [product(poly, other), product(other, poly)]
+    cone = cone_over_cell(poly)
+    if cone.is_pointed():
+        # w > 0 on every generator (v, 1) cleared, whose last entry is positive
+        w = normal + (1 + max(abs(dot(normal, g[:-1])) for g in cone.generators),)
+        level = data.draw(st.integers(min_value=1, max_value=3))
+        made.append(_cone_slice(cone, [dot(w, g) for g in cone.generators], level))
     for p in made:
         if p is not None:
             assert p.incidence == _scanned_incidence(p)
             assert p.facet_keys() == oracle_facet_keys(p)
+
+
+@pytest.mark.parametrize("poly", [cube(2), centered_dilated_simplex(2), hull([(1, 0), (0, 1), (-1, -1)]), centered_dilated_simplex(3)])
+def test_incidence_of_fine_crepant_cones_matches_the_retired_scan(poly):
+    sub, _ = fine_crepant_subdivision(poly)
+    for cone in sub.maximal_cells:
+        assert cone.incidence == _scanned_incidence(cone)
+
+
+@settings(max_examples=80, deadline=None)
+@given(embedded_point_sets(), st.booleans(), st.lists(st.integers(min_value=1, max_value=3), min_size=9, max_size=9))
+def test_facet_chart_is_the_chart_of_the_facet_vertices(pts, rational, dens):
+    # integer and rational polytopes, in any ambient dimension: the span's
+    # basis cut by the facet normal gives the chart the facet's vertices do
+    if rational:
+        pts = [tuple(Fraction(x, den) for x in p) for p, den in zip(pts, dens)]
+    p = hull(pts)
+    for (n, _), mask in zip(p.facets, p.incidence):
+        assert polytope._facet_chart(p.chart[0], n) == polytope._lattice_chart(p.vertices_of(mask))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    embedded_point_sets(max_ambient=4),
+    st.booleans(),
+    st.lists(st.integers(min_value=1, max_value=3), min_size=9, max_size=9),
+    st.integers(min_value=1, max_value=3),
+    st.data(),
+)
+def test_section_matches_two_clips(pts, rational, dens, scale, data):
+    # planes crossing, touching and missing the polytope, for an integer or
+    # rational functional: every field, the incidence and the chart
+    # included, equals the two-clip oracle's and the hull's of its vertices
+    if rational:
+        pts = [tuple(Fraction(x, den) for x in p) for p, den in zip(pts, dens)]
+    poly = hull(pts)
+    normal = data.draw(st.tuples(*[st.integers(min_value=-2, max_value=2)] * poly.ambient_dim).filter(any))
+    f = tuple(Fraction(x, scale) for x in normal)
+    for t in _levels(sorted({dot(f, v) for v in poly.vertices})):
+        cut = section(poly, f, t)
+        assert _fields(cut) == _fields(oracle_section(poly, f, t))
+        if cut is not None:
+            assert _fields(cut) == _fields(hull(cut.vertices))
 
 
 @settings(max_examples=100, deadline=None)
@@ -598,8 +660,9 @@ def test_hull_matches_retired_hull(pts, rational, dens):
 def test_hull_makes_one_chart_and_hull_and_clip_share_one_adjacency_rule():
     # the first hull of a span makes its chart (one saturation and one left
     # inverse beyond _hull_full_dim's); a second hull with the same span
-    # reads the memo and makes neither; the clip finds edges with the same
-    # _adjacent as the double description and makes no rank computation
+    # reads the memo and makes neither; the clip finds edges (`_crossings`)
+    # with the same _adjacent as the double description and makes no rank
+    # computation
     calls = []
 
     def counted(name, fn):
@@ -621,7 +684,7 @@ def test_hull_makes_one_chart_and_hull_and_clip_share_one_adjacency_rule():
         second = sorted(calls)
         del calls[:]
         clipped = clip_by_halfspace(cell, (1, 1, 1), 0)
-        clip_calls = [call for call in calls if call[1] == "clip_by_halfspace"]
+        clip_calls = [call for call in calls if call[1] in ("clip_by_halfspace", "_crossings")]
     assert (lower.dim, again.dim, clipped.dim) == (3, 3, 3)
     assert again.span_basis == lower.span_basis
     assert sorted(set(first)) == [
@@ -632,7 +695,7 @@ def test_hull_makes_one_chart_and_hull_and_clip_share_one_adjacency_rule():
     ]
     assert first.count(("left_inverse", "_span_chart")) == first.count(("saturate_lattice", "_span_chart")) == 1
     assert sorted(set(second)) == [("_adjacent", "_hull_full_dim"), ("left_inverse", "_hull_full_dim")]
-    assert clip_calls and set(clip_calls) == {("_adjacent", "clip_by_halfspace")}
+    assert clip_calls and set(clip_calls) == {("_adjacent", "_crossings")}
 
 
 def _face_functional(poly, face):
