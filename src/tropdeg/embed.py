@@ -173,24 +173,6 @@ class ComplexMap:
         self.warnings = tuple(warnings)
         self.metadata = dict(metadata or {})
 
-    def to_json(self):
-        from .jsonio import key_json
-
-        return {
-            "cells": [
-                {
-                    "source": key_json(e["source"]),
-                    "target": key_json(e["target"]),
-                    "matrix": [list(r) for r in e["matrix"]] if e.get("matrix") is not None else None,
-                    "translation": list(e["translation"]) if e.get("translation") is not None else None,
-                }
-                for e in self.entries
-            ],
-            "surjective": self.surjective,
-            "missing_cells": [key_json(k) for k in self.missing_cells],
-            "warnings": list(self.warnings),
-        }
-
 
 def _tangent_map(host, fib):
     """Integer matrix of y_1..y_r on the host cell's tangent lattice."""

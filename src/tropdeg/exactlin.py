@@ -450,12 +450,6 @@ class RationalCone:
     def contains_all(self, vs):
         return all(self.contains(v) for v in vs)
 
-    def is_pointed(self):
-        return mat_rank(self.facet_normals) == self.ambient_dim if self.facet_normals else self.ambient_dim == 0
-
-    def dim(self):
-        return mat_rank(self.generators) if self.generators else 0
-
 
 def cone_from_generators(gens, ambient_dim):
     """Build a RationalCone from ray generators, rational ones included.

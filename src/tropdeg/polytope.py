@@ -336,24 +336,6 @@ def _assemble(chart, vertices, facets, incidence):
     return LatticePolytope(vertices, facets, eqs, chart, tuple(table[f] for f in facets))
 
 
-class FaceLattice:
-    """Graded face poset of a polytope, faces keyed by vertex index sets."""
-
-    def __init__(self, faces_by_dim, top_dim):
-        self.faces_by_dim = faces_by_dim  # dim -> sorted list of frozensets
-        self.top_dim = top_dim
-
-    def f_vector(self):
-        return tuple(len(self.faces_by_dim.get(d, [])) for d in range(self.top_dim + 1))
-
-    def faces(self, dim):
-        return self.faces_by_dim.get(dim, [])
-
-    def euler_alternating_sum(self):
-        """Alternating sum over nonempty faces including the full face."""
-        return sum((-1) ** d * len(fs) for d, fs in self.faces_by_dim.items() if d >= 0)
-
-
 class LatticePolytope:
     """A convex polytope with exact vertices and inward facet inequalities.
 
@@ -564,23 +546,9 @@ class LatticePolytope:
     def translate(self, t):
         return LatticePolytope.hull([vadd(v, t) for v in self.vertices])
 
-    def transform(self, u):
-        """Image under the integer matrix u (applied on the left)."""
-        return LatticePolytope.hull([tuple(dot(row, v) for row in u) for v in self.vertices])
-
     def facet_keys(self):
         """Entry i is the sorted tuple of vertices tight at `facets[i]`, read off the incidence."""
         return [self.vertices_of(m) for m in self.incidence]
-
-    def face_masks(self):
-        """The nonempty faces as vertex bitmasks by dimension, from the top down (`_face_masks`)."""
-        return _face_masks(self.incidence, len(self.vertices), self.dim)
-
-    def faces(self):
-        """The complete graded face poset, faces as vertex index sets, plus the empty face."""
-        faces_by_dim = {d: [frozenset(_bits(m)) for m in masks] for d, masks in self.face_masks().items()}
-        faces_by_dim[-1] = [frozenset()]
-        return FaceLattice(faces_by_dim, self.dim)
 
 
 def _face_masks(incidence, nverts, dim):

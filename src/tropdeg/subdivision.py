@@ -46,18 +46,12 @@ class PLFunction:
         self.tag = tag
         self.convex = convex
 
-    def value_at(self, point, subdivision):
-        for cell in subdivision.maximal_cells:
-            if cell.contains(point):
-                return affine_value(self.pieces[cell.key()], point)
-        raise ValueError("point outside the subdivision support")
-
 
 class Subdivision:
     """A polyhedral decomposition of a support polytope into maximal cells.
 
     Maximal cells cover the support and intersect in common faces; normalized
-    volumes of the cells sum to the support's.  The face poset is computed on
+    volumes of the cells sum to the support's.  The walls are computed on
     demand.  `parents` holds, for a common refinement, one pair (source,
     {cell key: key of the source cell holding it}) per subdivision it refines.
     """
@@ -71,9 +65,6 @@ class Subdivision:
     def __repr__(self):
         return f"Subdivision({len(self.maximal_cells)} cells, support dim={self.support.dim})"
 
-    def cell_keys(self):
-        return [c.key() for c in self.maximal_cells]
-
     def walls(self):
         """Codimension-1 cells with the list of maximal cells containing each."""
         if self._walls is None:
@@ -82,13 +73,6 @@ class Subdivision:
 
     def interior_walls(self):
         return {k: v for k, v in self.walls().items() if len(v) == 2}
-
-    def transform(self, u):
-        """Image subdivision under a unimodular integer matrix u."""
-        new_support = self.support.transform(u)
-        cells = [c.transform(u) for c in self.maximal_cells]
-        cell_map = {c.key(): image.key() for c, image in zip(self.maximal_cells, cells)}
-        return Subdivision(new_support, cells), cell_map
 
 
 def regular_subdivision(points, heights):
@@ -391,14 +375,6 @@ class GraphDegeneration:
         self.refinement = refinement
         self.total_complex = tuple(sorted(total_cells, key=lambda c: c.key()))
         self.parameter_count = parameter_count
-
-    def diagonal_restriction(self):
-        """Map (x, t_1..t_r) -> (x, sum t_i) applied to the lifted cells."""
-        n = self.base.ambient_dim
-        cells = []
-        for c in self.total_complex:
-            cells.append(hull([v[:n] + (sum(v[n:]),) for v in c.vertices]))
-        return tuple(sorted(cells, key=lambda c: c.key()))
 
 
 def graph_degeneration(subs_and_fs, refinement=None):

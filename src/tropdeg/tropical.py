@@ -21,7 +21,6 @@ from .exactlin import (
     _ratio,
     clear_fractions,
     complete_to_unimodular,
-    cone_from_generators,
     content,
     dot,
     left_inverse,
@@ -89,15 +88,6 @@ class TropicalSpace:
             self.faces()
             self._cells = {k: cell.face_from_mask(mask) for k, (cell, mask, _) in self._face_owners.items()}
         return self._cells
-
-    def cells_of_dim(self, d):
-        return {k: c for k, c in self.cells().items() if c.dim == d}
-
-    def vertices(self):
-        return [k[0] for k, d in self.faces().items() if d == 0]
-
-    def edges(self):
-        return self.cells_of_dim(1)
 
     def walls(self):
         """Codimension-1 cells mapped to the maximal cells containing them."""
@@ -167,39 +157,7 @@ class TropicalSpace:
         """Saturated lattice basis of the cell's direction space."""
         return cell.span_basis
 
-    def fan_cone(self, v, cell):
-        """The cone of the fan structure at v corresponding to a cell at v."""
-        chart = self.chart_matrix(v)
-        gens = []
-        for w in cell.vertices:
-            d = vsub(w, v)
-            if all(x == 0 for x in d):
-                continue
-            gens.append(mat_vec(chart, d))
-        rank = len(chart)
-        return cone_from_generators(gens, rank)
-
     # -- monodromy
-
-    def monodromy(self, edge, wall):
-        """Loop transformation v+ -> sigma+ -> v- -> sigma- -> v+ at v+.
-
-        edge and wall are cells (the edge's lex-smaller endpoint is the base
-        chart); the result is an integer matrix on the chart lattice at v+.
-        """
-        edge_key = edge.key()
-        wall_key = wall.key()
-        if self.is_boundary_cell(edge_key) or self.is_boundary_cell(wall_key):
-            raise ValueError("monodromy needs interior cells")
-        if not set(edge_key) <= set(wall_key):
-            raise ValueError("edge must be a face of the wall")
-        adj = self.walls().get(wall_key)
-        if adj is None or len(adj) != 2:
-            raise ValueError("wall must separate exactly two maximal cells")
-        sigma_plus = self.maximal_cells[adj[0]]
-        sigma_minus = self.maximal_cells[adj[1]]
-        v_plus, v_minus = sorted(edge.vertices)[:2]
-        return self._loop_matrix(v_plus, v_minus, sigma_plus, sigma_minus)
 
     def _bend(self, sigma_plus, sigma_minus):
         """None when sigma+- have the same equations, and always in a solid space, else n- - n+.
@@ -478,9 +436,6 @@ class MonodromyReport:
 
     def __init__(self, entries):
         self.entries = tuple(entries)
-
-    def all_elementary(self):
-        return all(e["elementary"] for e in self.entries)
 
     def to_json(self):
         out = []

@@ -86,12 +86,6 @@ class RingPresentation:
         self.degree_bound = degree_bound
         self.hilbert = tuple(hilbert)
 
-    def zero_relations(self):
-        return [r for r in self.relations if r[1] is None]
-
-    def binomial_relations(self):
-        return [r for r in self.relations if r[1] is not None]
-
     def to_json(self):
         from .jsonio import key_json, num_json, point_json
 

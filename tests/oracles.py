@@ -135,6 +135,7 @@ from tropdeg.exactlin import (
 from tropdeg.embed import ComplexMap, _check_face_consistency, local_fibre
 from tropdeg.polytope import (
     LatticePolytope,
+    _face_masks,
     _hull_full_dim,
     _span_chart,
     barycenter,
@@ -696,11 +697,9 @@ def _faces_by_key(polys):
     """
     out = {}
     for poly in polys:
-        for dim, faces in poly.faces().faces_by_dim.items():
-            if dim < 0:
-                continue
-            for face in faces:
-                key = tuple(poly.vertices[i] for i in sorted(face))
+        for masks in _face_masks(poly.incidence, len(poly.vertices), poly.dim).values():
+            for mask in masks:
+                key = poly.vertices_of(mask)
                 if key not in out:
                     out[key] = poly if key == poly.vertices else hull(list(key))
     return dict(sorted(out.items()))

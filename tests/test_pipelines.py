@@ -1,8 +1,12 @@
+import hashlib
 import sys
 
 import pytest
 
-from tropdeg.pipelines import build_example, build_hypercube, build_kp1_2, build_quintic
+from tropdeg.embed import specialization_map
+from tropdeg.pipelines import _linear_across, build_example, build_hypercube, build_kp1_2, build_quintic
+from tropdeg.polytope import containing_cell
+from tropdeg.tropical import TropicalSpace
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +115,31 @@ def test_quintic_i2(quintic2):
     assert r["embedding"]["fibre_dim"] == 2
     assert r["phi_linear_across_wall"] is True
     assert r["diagonal_compatible"] is True
+
+
+def test_phi_linear_across_wall_is_false_for_the_tyurin_tent(quintic2):
+    # the Tyurin tent bends across the wall x_0 = 1 that the toric tents stay linear across
+    r = quintic2
+    assert _linear_across(r.tyurin_function, r.split, r.refinement, 0, 1) is False
+
+
+def test_specialization_is_not_surjective_onto_one_side(quintic2):
+    # the refined cells inside one split cell cover that cell alone
+    r = quintic2
+    one = r.split.maximal_cells[0]
+    inside = [c for c in r.refinement.maximal_cells if containing_cell([one], c) is not None]
+    assert 0 < len(inside) < len(r.refinement.maximal_cells)
+    rho = specialization_map(TropicalSpace(4, 4, r.split.maximal_cells, "solid"), TropicalSpace(4, 4, inside, "solid"))
+    assert rho.surjective is False
+    assert {e["source"] for e in rho.entries} == {one.key()}
+
+
+def test_kp1_2_k4_report_is_pinned():
+    # the k=4 report is about 10 MB, so it is pinned by its SHA-256 rather than a golden file
+    r = build_kp1_2(4)
+    assert r.report()["simple"] is True
+    digest = hashlib.sha256(r.report_json().encode()).hexdigest()
+    assert digest == "0e4521cc7a48235e49ccefc7a29fea82b0001b5912f78388581bfc61a3dd5cc4"
 
 
 def test_quintic_i1_point_factor():

@@ -53,12 +53,22 @@ def tent_on_segment():
     return regular_subdivision([(-1,), (0,), (1,)], [1, 0, 1])
 
 
+def _keys(sub):
+    return [c.key() for c in sub.maximal_cells]
+
+
+def _value_at(f, sub, point):
+    """f at a point, read off the piece of the first cell containing it."""
+    cell = next(c for c in sub.maximal_cells if c.contains(point))
+    return affine_value(f.pieces[cell.key()], point)
+
+
 def test_regular_subdivision_tent():
     sub, f = tent_on_segment()
     assert len(sub.maximal_cells) == 2
-    keys = sub.cell_keys()
+    keys = _keys(sub)
     assert ((-1,), (0,)) in keys and ((0,), (1,)) in keys
-    assert f.value_at((Fraction(1, 2),), sub) == Fraction(1, 2)
+    assert _value_at(f, sub, (Fraction(1, 2),)) == Fraction(1, 2)
 
 
 def test_regular_subdivision_trivial():
@@ -117,7 +127,7 @@ def test_sum_refinement_tent_plus_constant():
     sub, f = tent_on_segment()
     triv_sub, triv_f = regular_subdivision([(-1,), (1,)], [0, 0])
     refined, g = sum_refinement(f, triv_f, sub, triv_sub)
-    assert refined.cell_keys() == sub.cell_keys()
+    assert _keys(refined) == _keys(sub)
     assert is_strictly_convex(g, refined)
 
 
@@ -164,7 +174,7 @@ def test_fine_crepant_3delta2():
 def test_fine_crepant_segment():
     p = cube(1)
     sub, f = fine_crepant_subdivision(p)
-    assert sorted(sub.cell_keys()) == [(((-1,), (0,))), ((0,), (1,))]
+    assert sorted(_keys(sub)) == [(((-1,), (0,))), ((0,), (1,))]
 
 
 def test_fine_crepant_quintic_elementary():
@@ -185,14 +195,14 @@ def test_hyperplane_split_quintic():
     assert len(sub.maximal_cells) == 2
     assert sum(c.normalized_volume() for c in sub.maximal_cells) == 625
     # tent is min(0, level - u): zero on the low side, negative above
-    assert f.value_at((-1, 0, 0, 0), sub) == 0
-    assert f.value_at((2, -1, -1, -1), sub) == -1
+    assert _value_at(f, sub, (-1, 0, 0, 0)) == 0
+    assert _value_at(f, sub, (2, -1, -1, -1)) == -1
 
 
 def test_hyperplane_split_segment():
     s = cube(1)
     sub, f = hyperplane_split(s, 0, 0)
-    assert sorted(sub.cell_keys()) == [((-1,), (0,)), ((0,), (1,))]
+    assert sorted(_keys(sub)) == [((-1,), (0,)), ((0,), (1,))]
 
 
 def test_hyperplane_split_level_out_of_range():
@@ -228,9 +238,11 @@ def test_graph_degeneration_diagonal_18_cells():
     assert all(c.ambient_dim == 5 for c in two.total_complex)
     refined, g_sum = sum_refinement(g_q, g_s, big_q, big_s)
     one = graph_degeneration([(refined, g_sum)])
-    # diagonal restriction reproduces the one-parameter degeneration cell by cell
-    diag = two.diagonal_restriction()
-    assert [c.key() for c in diag] == [c.key() for c in one.total_complex]
+    # the map (x, t_1, t_2) -> (x, t_1 + t_2) takes the two-parameter cells
+    # to the one-parameter degeneration's, cell by cell
+    n = two.base.ambient_dim
+    diag = sorted(hull([v[:n] + (sum(v[n:]),) for v in c.vertices]).key() for c in two.total_complex)
+    assert diag == [c.key() for c in one.total_complex]
 
 
 def test_graph_degeneration_rejects_nonconvex():
@@ -277,7 +289,7 @@ def test_split_and_sum_commute():
     split_sub, tent = hyperplane_split(sq, 1, 0)
     a, _ = sum_refinement(f, PLFunction(sq, {c.key(): ((0, 0), Fraction(0)) for c in split_sub.maximal_cells}, "sum", True), sub_f, split_sub)
     b = common_refinement(split_sub, sub_f)
-    assert a.cell_keys() == b.cell_keys()
+    assert _keys(a) == _keys(b)
 
 
 # --- piece lookup against the containment scan it replaced --------------------
@@ -449,7 +461,7 @@ def test_fine_crepant_pieces_match_retired_interpolation(poly):
     sub, f = fine_crepant_subdivision(poly)
     origin = (0,) * poly.ambient_dim
     cells, table = boundary_triangulation(poly, 0)
-    assert sorted(hull(list(c.vertices) + [origin]).key() for c in cells) == sub.cell_keys()
+    assert sorted(hull(list(c.vertices) + [origin]).key() for c in cells) == _keys(sub)
     for cone in sub.maximal_cells:
         drop = f.pieces[cone.key()][1]
         assert drop < 0 and (-drop) & (-drop - 1) == 0
@@ -492,7 +504,7 @@ REFLEXIVE_CORPUS = pytest.mark.parametrize(
 def test_pull_down_matches_retired_round_loop(poly):
     sub, f = fine_crepant_subdivision(poly)
     old_sub, old_f = oracle_fine_crepant_subdivision(poly)
-    assert sub.cell_keys() == old_sub.cell_keys()
+    assert _keys(sub) == _keys(old_sub)
     # every piece takes the origin's pulled-down value, drop, as its constant
     (drop,) = {c for _, c in f.pieces.values()}
     assert {c for _, c in old_f.pieces.values()} == {drop}
