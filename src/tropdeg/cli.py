@@ -18,8 +18,11 @@ class InputError(Exception):
     pass
 
 
-def _max_dim():
-    return int(os.environ.get("TROPDEG_MAX_DIM", "6"))
+def _check_dim(ambient):
+    """InputError if the ambient dimension exceeds TROPDEG_MAX_DIM (default 6); called before any hull."""
+    cap = int(os.environ.get("TROPDEG_MAX_DIM", "6"))
+    if ambient > cap:
+        raise InputError(f"ambient dimension {ambient} exceeds TROPDEG_MAX_DIM={cap}")
 
 
 def _load_json(path):
@@ -81,15 +84,21 @@ def _example_from_args(args):
 
 
 def _polytope_from_json(obj):
+    """The polytope of a JSON object, its dimension checked against the cap before any hull."""
     from .polytope import LatticePolytope
 
+    bad = "bad polytope JSON (field 'vertices'/'ambient_dim')"
+    ambient = obj.get("ambient_dim") if isinstance(obj, dict) else None
+    if type(ambient) is not int:
+        raise InputError(f"{bad}: the polytope must be an object with an integer 'ambient_dim'")
+    _check_dim(ambient)
+    vertices = obj.get("vertices")
+    if not isinstance(vertices, list) or any(not isinstance(v, list) or len(v) != ambient for v in vertices):
+        raise InputError(f"{bad}: each vertex must be a list of {ambient} numbers")
     try:
-        poly = LatticePolytope.from_json(obj)
+        return LatticePolytope.from_json(obj)
     except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"bad polytope JSON (field 'vertices'/'ambient_dim'): {e}")
-    if poly.ambient_dim > _max_dim():
-        raise InputError(f"ambient dimension {poly.ambient_dim} exceeds TROPDEG_MAX_DIM={_max_dim()}")
-    return poly
+        raise InputError(f"{bad}: {e}")
 
 
 def _point_table(cells):
@@ -194,13 +203,12 @@ def cmd_ring(args):
             raise InputError(f"ring cell {ci} is empty")
         if ambient is None:
             ambient = len(pts[0])
+            _check_dim(ambient)
         if any(len(p) != ambient for p in pts):
             raise InputError(f"ring cell {ci} has a point whose dimension is not {ambient}, the dimension of cell 0")
         cells.append(hull(pts))
     if ambient is None:
         raise InputError("ring input has no cells")
-    if ambient > _max_dim():
-        raise InputError(f"ambient dimension {ambient} exceeds TROPDEG_MAX_DIM={_max_dim()}")
     space = TropicalSpace(ambient, max(c.dim for c in cells), cells, "solid")
     gluing = vanilla_gluing(ambient)
     if "gluing" in obj:

@@ -90,16 +90,16 @@ def _diagonal_matches(two_param, summed):
     acc_sub, acc_f = summed
     n = two_param.base.ambient_dim
     expected = sorted(tuple(graph_points(cell, [acc_f.pieces[cell.key()]])) for cell in acc_sub.maximal_cells)
-    got = sorted(
-        tuple(sorted(tuple(v[:n]) + (sum(v[n:]),) for v in c.vertices))
-        for c in two_param.total_complex
-    )
+    got = sorted(tuple(sorted(v[:n] + (sum(v[n:]),) for v in c)) for c in two_param.total_complex)
     return expected == got
 
 
-def _face_census(solid):
-    """Number of boundary faces of each of the four types of a product solid."""
-    return dict(sorted(Counter(classify_faces(solid, [k for k in solid.faces() if solid.is_boundary_cell(k)])).items()))
+def _face_census(solid, sphere):
+    """Number of boundary faces of each of the four types of a product solid, read off its sphere's face keys.
+
+    Both are the faces of the refinement's one-cell walls.
+    """
+    return dict(sorted(Counter(classify_faces(solid, sphere.faces())).items()))
 
 
 def build_kp1_2(k):
@@ -155,7 +155,7 @@ def build_kp1_2(k):
             "warnings": list(fmap.warnings),
         },
         "diagonal_compatible": diagonal_ok,
-        "face_census": _face_census(solid),
+        "face_census": _face_census(solid, sphere),
         "specialization_surjective": rho.surjective,
     }
     return PipelineResult(

@@ -735,54 +735,6 @@ def graph_points(cell, pieces):
     return [v + tuple(_ratio(dot(a, v) + b, den) for a, b, den in cleared) for v in cell.vertices]
 
 
-def graph_lift(cell, pieces):
-    """The graph over the cell of the affine functions (coeffs, const) in pieces.
-
-    Its vertices are the `graph_points`, and its facets are the cell's facet
-    inequalities padded with r zeros: they are still primitive, least on the
-    same vertices, and vanish off the pivot coordinates of the lifted span,
-    which are the cell's.  Padding keeps the order of both the vertices and
-    the facets, so the incidence is the cell's.  The span chart is read off
-    the cell's (`_graph_chart`); no hull is taken.
-    """
-    pts = graph_points(cell, pieces)
-    zeros = (0,) * len(pieces)
-    chart = _graph_chart(cell.chart, [a for a, _ in pieces]) if cell.dim and pieces else _lattice_chart(pts)
-    return _assemble(chart, pts, [(n + zeros, c) for n, c in cell.facets], cell.incidence)
-
-
-def _graph_chart(chart, linears):
-    """The span chart of the graph of the linear maps in linears over a span of dimension k > 0, read off its chart.
-
-    A point of the graph's saturated lattice is (x, L x) with x = t @ basis
-    for an integral t and L x integral.  With P the images L b of the basis,
-    cleared by their least common denominator den, those t are the integral
-    t with P t = 0 mod den: the vectors of the lattice generated by the
-    (P e_i, e_i) and the (den e_j, 0) whose first r coordinates vanish,
-    which its Hermite basis lists last.  Their lifts have the graph's
-    Hermite basis, which its left inverse and annihilators follow as in
-    `_span_chart`, so the chart is the one `_lattice_chart` finds, with no
-    saturation.
-    """
-    basis = chart[0]
-    k, r = len(basis), len(linears)
-    images = [[dot(f, b) for f in linears] for b in basis]
-    den = denominator_lcm(x for row in images for x in row)
-    cleared = [[int(x * den) for x in row] for row in images]
-    gens = [tuple(row) + tuple(int(i == j) for j in range(k)) for i, row in enumerate(cleared)]
-    gens += [tuple(den * (i == j) for j in range(r)) + (0,) * k for i in range(r)]
-    lifted = []
-    for v in hnf_column_basis(gens):
-        if any(v[:r]):
-            continue
-        t = v[r:]
-        x = [sum(ti * b[j] for ti, b in zip(t, basis)) for j in range(len(basis[0]))]
-        lifted.append(tuple(x) + tuple(sum(ti * row[j] for ti, row in zip(t, cleared)) // den for j in range(r)))
-    graph = tuple(hnf_column_basis(lifted))
-    a, dd = left_inverse(mat_transpose(graph))
-    return graph, a, dd, tuple(kernel_basis(graph))
-
-
 def minkowski_sum(p, q):
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("dimension mismatch in Minkowski sum")

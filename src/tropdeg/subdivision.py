@@ -16,7 +16,7 @@ from .polytope import (
     _lift,
     _span_coordinates,
     clip_by_halfspace,
-    graph_lift,
+    graph_points,
     hull,
     minkowski_sum,
     normalize_point,
@@ -364,16 +364,18 @@ def negate_pl(f, sub):
 class GraphDegeneration:
     """Graphs of convex PL functions over a common refinement of their cells.
 
-    Cells of `total_complex` are the lifted graphs over the refinement's
-    cells; restricting to the diagonal reproduces the one-parameter
-    degeneration of the summed function.
+    Each cell of `total_complex` is the graph over a refined cell, kept as
+    its vertex key: the sorted tuple of the lifted vertices (`graph_points`),
+    since every lifted vertex is a vertex of the graph.  Restricting to the
+    diagonal reproduces the one-parameter degeneration of the summed
+    function.
     """
 
     def __init__(self, base, height_functions, refinement, total_cells, parameter_count):
         self.base = base
         self.heights = tuple(height_functions)
         self.refinement = refinement
-        self.total_complex = tuple(sorted(total_cells, key=lambda c: c.key()))
+        self.total_complex = tuple(sorted(total_cells))
         self.parameter_count = parameter_count
 
 
@@ -400,7 +402,7 @@ def graph_degeneration(subs_and_fs, refinement=None):
     total = []
     for cell in refined.maximal_cells:
         pieces = [_piece_on(f, s, refined, cell) for s, f in subs_and_fs]
-        total.append(graph_lift(cell, pieces))
+        total.append(tuple(graph_points(cell, pieces)))
     return GraphDegeneration(refined.support, [f for _, f in subs_and_fs], refined, total, r)
 
 

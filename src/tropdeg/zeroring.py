@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .exactlin import vadd
+from .polytope import _low
 
 
 class GluingData:
@@ -118,10 +119,6 @@ def _lattice_point_table(cells, d):
     return table
 
 
-def _lowest_bit(mask):
-    return (mask & -mask).bit_length() - 1
-
-
 def proj_ring(space, gluing, degree_bound):
     """Presentation of the glued cone algebra up to the given degree.
 
@@ -149,7 +146,7 @@ def proj_ring(space, gluing, degree_bound):
     # space.maximal_cells is sorted by key, so that chart is the lowest bit.
     gen_points = sorted(tables[1])
     masks = [tables[1][p] for p in gen_points]
-    rep_chart = [keys[_lowest_bit(m)] for m in masks]
+    rep_chart = [keys[_low(m)] for m in masks]
     generators = list(zip(gen_points, rep_chart))
     n_gen = len(generators)
 
@@ -171,7 +168,7 @@ def proj_ring(space, gluing, degree_bound):
                 hosts &= masks[i]
             if not hosts:
                 continue
-            chart = keys[_lowest_bit(hosts)]
+            chart = keys[_low(hosts)]
             total = gen_points[combo[0]]
             for i in combo[1:]:
                 total = vadd(total, gen_points[i])
@@ -180,7 +177,7 @@ def proj_ring(space, gluing, degree_bound):
             coeff = Fraction(1)
             for i in combo:
                 coeff *= gluing.transport(rep_chart[i], chart, gen_points[i], 1)
-            canonical = keys[_lowest_bit(tables[d][total])]
+            canonical = keys[_low(tables[d][total])]
             coeff *= gluing.transport(chart, canonical, total, d)
             expo = [0] * n_gen
             for i in combo:

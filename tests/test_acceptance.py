@@ -239,6 +239,15 @@ def test_criterion_7_diagonal_compatibility(kp12, quintics, hypercubes):
     _line(7, "two-parameter diagonal restriction reproduces the one-parameter degeneration on every example")
 
 
+def test_graph_cells_are_the_vertex_keys_of_their_hulls(kp12, quintics, hypercubes):
+    # every lifted vertex is a vertex of its graph, so a graph cell kept as
+    # its lifted points is the key its hull would have
+    for group in (kp12, quintics, hypercubes):
+        for res in group.values():
+            for cell in res.two_param.total_complex:
+                assert cell == hull(cell).key()
+
+
 def test_criterion_8_determinism(kp12, quintics, hypercubes):
     from tropdeg.pipelines import build_example
 

@@ -10,6 +10,7 @@ import pytest
 import tropdeg
 from tropdeg.cli import main
 from tropdeg.jsonio import parse_num
+from tropdeg.polytope import LatticePolytope
 
 
 def run(args):
@@ -118,6 +119,33 @@ def test_tropicalize_max_dim(tmp_path, monkeypatch):
     inp = tmp_path / "big.json"
     inp.write_text(json.dumps(data))
     assert run(["tropicalize", "--input", str(inp)]) == 2
+
+
+def _cross_polytope(n):
+    return [[s * (i == j) for j in range(n)] for i in range(n) for s in (1, -1)]
+
+
+@pytest.mark.parametrize(
+    "verb, data",
+    [
+        ("tropicalize", {"support": {"ambient_dim": 7, "vertices": _cross_polytope(7)}, "heights": [[[0] * 7, 0]]}),
+        ("tropicalize", {"support": {"ambient_dim": 2, "vertices": _cross_polytope(7)}, "heights": [[[0] * 7, 0]]}),
+        ("ring", {"cells": [_cross_polytope(7), _cross_polytope(7)]}),
+    ],
+    ids=["tropicalize-7d", "tropicalize-vertices-longer-than-ambient-dim", "ring-7d"],
+)
+def test_dimension_checks_exit_2_before_any_hull(tmp_path, monkeypatch, verb, data):
+    # a 7-dimensional cross-polytope has 128 facets; the cap of 6 turns it
+    # away before the double description finds them
+    monkeypatch.delenv("TROPDEG_MAX_DIM", raising=False)
+    calls = []
+    real = LatticePolytope.hull
+    monkeypatch.setattr(LatticePolytope, "hull", staticmethod(lambda points: (calls.append(points), real(points))[1]))
+    inp = tmp_path / "big.json"
+    inp.write_text(json.dumps(data))
+    flag = "--complex" if verb == "ring" else "--input"
+    assert run([verb, flag, str(inp)]) == 2
+    assert calls == []
 
 
 def test_render_k3_svg(tmp_path):

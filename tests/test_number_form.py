@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from tropdeg.embed import FibrationData, cone_over_cell, local_fibre
 from tropdeg.exactlin import _ratio
 from tropdeg.pipelines import build_hypercube, build_kp1_2, build_quintic
-from tropdeg.polytope import LatticePolytope, clip_by_halfspace, graph_lift, hull
+from tropdeg.polytope import LatticePolytope, clip_by_halfspace, graph_points, hull
 from tropdeg.subdivision import PLFunction
 
 
@@ -98,7 +98,9 @@ def test_hulls_clips_faces_and_graph_lifts_keep_the_number_form(poly, data):
             break
         assert _form_errors(clipped) == []
     pieces = data.draw(st.lists(st.tuples(st.tuples(*[rationals] * poly.ambient_dim), rationals), min_size=1, max_size=2))
-    assert _form_errors(graph_lift(poly, pieces)) == []
+    lifted = graph_points(poly, pieces)
+    assert [x for v in lifted for x in v if not _exact(x)] == []
+    assert tuple(lifted) == hull(lifted).key()
 
 
 @settings(max_examples=100, deadline=None)

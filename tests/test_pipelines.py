@@ -42,7 +42,6 @@ def test_kp1_2_constructions_scan_no_incidence_and_facets_take_no_fresh_chart(mo
         "face",
         "face_from_mask",
         "section",
-        "graph_lift",
         "product",
         "_cone_slice",
         "_assemble",

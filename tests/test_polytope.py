@@ -6,7 +6,7 @@ from itertools import product as iproduct
 from math import comb
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     _integer_basis_coordinates,
@@ -41,7 +41,6 @@ from tropdeg.polytope import (
     centered_dilated_simplex,
     clip_by_halfspace,
     cube,
-    graph_lift,
     hull,
     minkowski_sum,
     polytope_from_inequalities,
@@ -525,15 +524,15 @@ def _levels(vals):
 @given(embedded_point_sets(max_ambient=4), st.booleans(), st.lists(st.integers(min_value=1, max_value=3), min_size=9, max_size=9), st.data())
 def test_incidence_matches_the_retired_scan(pts, rational, dens, data):
     # hulls, clips crossing and touching the hull, sections crossing,
-    # touching and missing it, every face, a graph lift, products with a
-    # second hull, and a slice of the cone over the hull
+    # touching and missing it, every face, products with a second hull,
+    # and a slice of the cone over the hull
     if rational:
         pts = [tuple(Fraction(x, den) for x in p) for p, den in zip(pts, dens)]
     poly = hull(pts)
     ambient = poly.ambient_dim
     normal = data.draw(st.tuples(*[st.integers(min_value=-2, max_value=2)] * ambient).filter(any))
     vals = sorted({dot(normal, v) for v in poly.vertices})
-    made = [poly, graph_lift(poly, data.draw(affine_pieces(ambient)))]
+    made = [poly]
     made += [clip_by_halfspace(poly, normal, -x) for x in vals]
     made += [section(poly, normal, x) for x in _levels(vals)]
     masks = _face_masks(poly.incidence, len(poly.vertices), poly.dim)
@@ -727,41 +726,6 @@ def test_face_matches_hull_of_its_vertices(pts, rational, dens):
             assert _fields(poly.face(*_face_functional(poly, verts))) == _fields(oracle_hull(verts))
 
 
-@st.composite
-def affine_pieces(draw, ambient):
-    """One to three affine functions (coeffs, const) on Q^ambient."""
-    num = st.integers(min_value=-3, max_value=3)
-    den = st.integers(min_value=1, max_value=3)
-    value = st.builds(Fraction, num, den)
-    count = draw(st.integers(min_value=1, max_value=3))
-    return [(tuple(draw(value) for _ in range(ambient)), draw(value)) for _ in range(count)]
-
-
-@settings(max_examples=60, deadline=None)
-@given(embedded_point_sets(max_ambient=4), st.booleans(), st.lists(st.integers(min_value=1, max_value=3), min_size=9, max_size=9), st.data())
-def test_graph_lift_matches_hull_of_lifted_vertices(pts, rational, dens, data):
-    if rational:
-        pts = [tuple(Fraction(x, den) for x in p) for p, den in zip(pts, dens)]
-    cell = hull(pts)
-    pieces = data.draw(affine_pieces(cell.ambient_dim))
-    lifted = [tuple(v) + tuple(dot(a, v) + b for a, b in pieces) for v in cell.vertices]
-    assert _fields(graph_lift(cell, pieces)) == _fields(hull(lifted))
-
-
-@settings(max_examples=60, deadline=None)
-@given(embedded_point_sets(max_ambient=4), st.integers(min_value=0, max_value=31), st.data())
-def test_graph_chart_is_the_chart_of_the_lifted_points(pts, bits, data):
-    # coefficients over denominators up to 2^31, as jittered heights give,
-    # so the graph's lattice can be a sublattice of large index of the lifts
-    cell = hull(pts)
-    assume(cell.dim > 0)
-    den = st.integers(min_value=1, max_value=2**bits)
-    coeff = st.builds(Fraction, st.integers(min_value=-(2**bits), max_value=2**bits), den)
-    linears = data.draw(st.lists(st.tuples(*[coeff] * cell.ambient_dim), min_size=1, max_size=3))
-    lifted = [tuple(v) + tuple(dot(a, v) for a in linears) for v in cell.vertices]
-    assert polytope._graph_chart(cell.chart, linears) == polytope._lattice_chart(lifted)
-
-
 @settings(max_examples=60, deadline=None)
 @given(embedded_point_sets(max_ambient=3), embedded_point_sets(max_ambient=3), st.integers(min_value=1, max_value=3))
 def test_product_matches_hull_of_vertex_pairs(pts_p, pts_q, den):
@@ -773,9 +737,9 @@ def test_product_matches_hull_of_vertex_pairs(pts_p, pts_q, den):
 
 def test_hull_clears_the_differences_once_and_graph_lifts_saturate_nothing(monkeypatch):
     # a hull clears its points' differences from the anchor once, for both
-    # its chart and its coordinates, and a graph over a cell that spans
-    # something reads its chart off the cell's, so a degeneration's lifts
-    # make no `_lattice_chart` call and saturate no lattice
+    # its chart and its coordinates, and a degeneration keeps each graph
+    # cell as its lifted vertex key, so it makes no `_lattice_chart` call
+    # and saturates no lattice
     square = [(x, y) for x in range(3) for y in range(3)]
     sub_f, f = regular_subdivision(square, [x * x + y * y for x, y in square])
     sub_g, g = regular_subdivision(square, [x * x + 2 * y * y + x * y for x, y in square])
@@ -796,12 +760,12 @@ def test_hull_clears_the_differences_once_and_graph_lifts_saturate_nothing(monke
     degeneration = graph_degeneration([(sub_f, f), (sub_g, g)], refinement=refined)
     assert calls["_lattice_chart"] == [] and saturations == []
     for cell in degeneration.total_complex:
-        assert _fields(cell) == _fields(hull(cell.vertices))
+        assert cell == hull(cell).key()
     assert poly.dim == 3
 
 
 def test_clip_face_and_graph_degeneration_take_no_hull():
-    # the clip (crossing and touching), the face, the graph lifts of a
+    # the clip (crossing and touching), the face, the graph cells of a
     # degeneration, a tropical space's faces and the render net's facet
     # charts are all read off cells already built
     square = [(x, y) for x in range(3) for y in range(3)]

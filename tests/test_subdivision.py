@@ -216,7 +216,7 @@ def test_graph_degeneration_1d_tent():
     assert g.parameter_count == 1
     assert len(g.total_complex) == 2
     for c in g.total_complex:
-        assert c.ambient_dim == 2
+        assert len(c[0]) == 2
 
 
 def test_graph_degeneration_trivial():
@@ -235,14 +235,14 @@ def test_graph_degeneration_diagonal_18_cells():
     two = graph_degeneration([(big_q, g_q), (big_s, g_s)])
     assert two.parameter_count == 2
     assert len(two.total_complex) == 18
-    assert all(c.ambient_dim == 5 for c in two.total_complex)
+    assert all(len(c[0]) == 5 for c in two.total_complex)
     refined, g_sum = sum_refinement(g_q, g_s, big_q, big_s)
     one = graph_degeneration([(refined, g_sum)])
     # the map (x, t_1, t_2) -> (x, t_1 + t_2) takes the two-parameter cells
     # to the one-parameter degeneration's, cell by cell
     n = two.base.ambient_dim
-    diag = sorted(hull([v[:n] + (sum(v[n:]),) for v in c.vertices]).key() for c in two.total_complex)
-    assert diag == [c.key() for c in one.total_complex]
+    diag = sorted(hull([v[:n] + (sum(v[n:]),) for v in c]).key() for c in two.total_complex)
+    assert diag == list(one.total_complex)
 
 
 def test_graph_degeneration_rejects_nonconvex():
@@ -325,7 +325,7 @@ def _check_pieces(inputs):
                 else:
                     parent += 1
             graphs.append(hull([tuple(v) + tuple(affine_value(p, v) for p in pieces) for v in cell.vertices]).key())
-        assert [c.key() for c in gd.total_complex] == sorted(graphs)
+        assert list(gd.total_complex) == sorted(graphs)
     return own, parent
 
 
@@ -371,6 +371,23 @@ def test_recorded_parents_give_the_pieces_containment_finds(build, branch):
     own, parent = _check_pieces(build())
     # each case reads every piece by the branch of _piece_on it names
     assert (own > 0, parent > 0) == (branch == "own", branch == "parent")
+
+
+def test_graph_degeneration_assembles_no_polytope_and_takes_no_chart(monkeypatch):
+    # each graph cell is kept as its lifted vertex key, so given the
+    # refinement the degeneration puts no polytope together and charts nothing
+    inputs = _kp1_2_inputs(2)
+    (sub_q, g_q), (sub_s, g_s) = inputs
+    refined, _ = sum_refinement(g_q, g_s, sub_q, sub_s)
+    calls = []
+    for name in ("_assemble", "_lattice_chart", "_span_chart"):
+        real = getattr(polytope, name)
+        counted = lambda *args, _real=real, _name=name: (calls.append(_name), _real(*args))[1]
+        for module in (polytope, subdivision):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    gd = graph_degeneration(inputs, refinement=refined)
+    assert calls == []
+    assert len(gd.total_complex) == len(refined.maximal_cells) == 18
 
 
 _RANDOM_SUPPORTS = [

@@ -2,6 +2,7 @@ import importlib.util
 import pathlib
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -664,9 +665,27 @@ def test_discriminant_and_face_census_make_no_hull_call(kp1_2_results, monkeypat
     calls = _counting_hulls(monkeypatch)
     for space in (sphere, fresh_sphere):
         assert _compute_discriminant(space).entries == result.discriminant.entries
-    for space in (solid, fresh_solid):
-        assert _face_census(space) == result.report()["face_census"]
+    for space, boundary in ((solid, sphere), (fresh_solid, fresh_sphere)):
+        assert _face_census(space, boundary) == result.report()["face_census"]
     assert calls == []
+
+
+def test_face_census_off_the_sphere_equals_the_one_off_the_solids_table(kp1_2_results):
+    # the sphere's face keys are the solid's boundary faces, in the same order
+    for result in kp1_2_results.values():
+        solid, sphere = result.solid, result.sphere
+        boundary = [key for key in solid.faces() if solid.is_boundary_cell(key)]
+        assert list(sphere.faces()) == boundary
+        want = dict(sorted(Counter(classify_faces(solid, boundary)).items()))
+        assert _face_census(solid, sphere) == want == result.report()["face_census"]
+
+
+def test_kp1_2_build_makes_one_face_table(monkeypatch):
+    tables = []
+    real = tropical._face_table
+    monkeypatch.setattr(tropical, "_face_table", lambda *args: (tables.append(args), real(*args))[1])
+    build_kp1_2(2)
+    assert len(tables) == 1
 
 
 def test_faces_facet_keys_and_face_table_read_the_incidence_with_no_dot_call(kp1_2_results, monkeypatch):
