@@ -7,6 +7,7 @@ error.  All file I/O is UTF-8 JSON plus SVG 1.1; reports are byte-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,8 +20,17 @@ class InputError(Exception):
 
 
 def _check_dim(ambient):
-    """InputError if the ambient dimension exceeds TROPDEG_MAX_DIM (default 6); called before any hull."""
-    cap = int(os.environ.get("TROPDEG_MAX_DIM", "6"))
+    """InputError if the ambient dimension exceeds TROPDEG_MAX_DIM (default 6); called before any hull.
+
+    A setting that is not a positive integer is an InputError that names it.
+    """
+    raw = os.environ.get("TROPDEG_MAX_DIM", "6")
+    try:
+        cap = int(raw)
+        if cap < 1:
+            raise ValueError
+    except ValueError:
+        raise InputError(f"TROPDEG_MAX_DIM must be a positive integer, not {raw!r}") from None
     if ambient > cap:
         raise InputError(f"ambient dimension {ambient} exceeds TROPDEG_MAX_DIM={cap}")
 
@@ -74,6 +84,8 @@ def _example_from_args(args):
     name = args.example
     if name not in EXAMPLES:
         raise InputError(f"unknown example {name!r}; choose from {sorted(EXAMPLES)}")
+    if args.k is not None and args.i is not None:
+        raise InputError(f"example {name!r} takes --k or --i, not both")
     value = args.k if args.k is not None else args.i
     if value is None:
         raise InputError(f"example {name!r} needs --k or --i")
@@ -244,7 +256,13 @@ def cmd_render(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The CLI's argument parser, built on the first call and shared by every later one in the process.
+
+    Parsing leaves a parser unchanged, so one serves every `main` call; it
+    is not built at import, so importing the package builds no parser.
+    """
     parser = argparse.ArgumentParser(
         prog="tropdeg",
         description="Exact combinatorics of toric Tyurin degenerations: polytopes, subdivisions, tropical spaces, monodromy, mirror rings.",
@@ -294,8 +312,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (InputError, ValueError) as e:

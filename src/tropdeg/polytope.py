@@ -304,6 +304,21 @@ def _facet(chart, functional, vertex):
     return n, _ratio(-dot(n, vertex))
 
 
+def _vertex_indices(tights):
+    """The sorted indices of the points alone in the meet of the facets holding them: the vertices.
+
+    tights[k] holds the indices of the points tight at facet k of the
+    polytope the points span.  A point on a face of dimension 1 or more is
+    in the meet of its facets with that face's vertices; a point on no
+    facet is in no meet.
+    """
+    meet = {}
+    for tight in tights:
+        for i in tight:
+            meet[i] = meet[i].intersection(tight) if i in meet else frozenset(tight)
+    return sorted(i for i, face in meet.items() if len(face) == 1)
+
+
 def _low(mask):
     """The index of the lowest set bit of a nonzero bitmask."""
     return (mask & -mask).bit_length() - 1
@@ -379,13 +394,8 @@ class LatticePolytope:
         if d == 0:
             return _assemble(chart, pts, [], [])
         facs = _hull_full_dim(_cleared_coordinates(chart, ws, s)[0], d)
-        # vertices: points whose facets meet in that point alone
-        meet = {}
-        for n, c, tight in facs:
-            for i in tight:
-                meet[i] = meet[i].intersection(tight) if i in meet else frozenset(tight)
         # the points are sorted, so the vertices are too, and vertex j is point index[j]
-        index = sorted(i for i, face in meet.items() if len(face) == 1)
+        index = _vertex_indices([tight for _, _, tight in facs])
         bit = {i: 1 << j for j, i in enumerate(index)}
         # a lifted facet functional is inward and tight where n is
         facets = []

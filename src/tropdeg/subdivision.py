@@ -12,9 +12,12 @@ from .exactlin import _ratio, denominator_lcm, dot, left_inverse, mat_vec, primi
 from .polytope import (
     NefPartition,
     _assemble,
+    _bits,
+    _facets_of,
     _hull_full_dim,
     _lift,
     _span_coordinates,
+    _vertex_indices,
     clip_by_halfspace,
     graph_points,
     hull,
@@ -79,8 +82,18 @@ def regular_subdivision(points, heights):
     """Lower-envelope subdivision of lifted points with its convex certificate.
 
     Points must affinely span their hull; duplicate points with conflicting
-    heights are an error.  Returns (Subdivision, PLFunction).  Each cell is a
-    lower facet of the lifted hull, and its piece is read off that facet.
+    heights are an error.  Returns (Subdivision, PLFunction).  Each cell is
+    the projection of a lower facet F of the lifted points' double
+    description (De Loera, Rambau and Santos, *Triangulations*, 2010), read
+    off that description with no hull of its own: it spans the support, so
+    it takes the support's chart; its facets are the inclusion-maximal
+    ridges F & G over the other lifted facets G (`_facets_of` on their tight
+    bitmasks), each the functional n_F[-1] g' - g[-1] n_F' with the height
+    coordinate dropped (for a vertical G, g' itself), which is the
+    inequality of G with the height of F put in; its vertices are the tight
+    points alone in the meet of their ridges (`_vertex_indices`, the hull's
+    rule), so a tight point of tied heights that is not a vertex drops out;
+    and its incidence is read off the ridge masks.  Its piece is read off F.
     """
     table = {}
     for p, h in zip(points, heights, strict=True):
@@ -112,12 +125,25 @@ def regular_subdivision(points, heights):
     lifted.append(lifted[0][:-1] + (lifted[0][-1] + 1,))
     chart = support.chart
     dd = chart[2]
+    facs = _hull_full_dim(lifted, d + 1)
+    masks = [sum(1 << i for i in tight) for _, _, tight in facs]
     cells = []
     pieces = {}
-    for n, c, tight in _hull_full_dim(lifted, d + 1):
-        if n[-1] <= 0:
+    for (n, c, _), mask in zip(facs, masks):
+        top = n[-1]
+        if top <= 0:
             continue  # not a lower facet
-        cell = hull([pts[i] for i in tight])
+        ridges = _facets_of(masks, mask)
+        tights = [_bits(m) for m in ridges]
+        index = _vertex_indices(tights)
+        bit = {i: 1 << j for j, i in enumerate(index)}
+        facets = []
+        for k, t in zip(ridges.values(), tights):
+            g = facs[k][0]
+            f = primitive(_lift(chart, tuple(top * a - g[-1] * b for a, b in zip(g[:-1], n[:-1]))))
+            facets.append((f, _ratio(-dot(f, pts[t[0]]))))
+        incidence = [sum(bit.get(i, 0) for i in t) for t in tights]
+        cell = _assemble(chart, [pts[i] for i in index], facets, incidence)
         cells.append(cell)
         # on the facet den * sden * h = -(c + sden <n', s>) / n[-1], where
         # s = a (x - anchor) / dd are the span coordinates and n' = n[:-1];

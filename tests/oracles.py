@@ -104,6 +104,12 @@ that entry and reduces them by the least, round after round, which takes as
 many rounds as Euclid's algorithm on the entries.  The Hermite basis of a
 lattice is unique, so the two agree.
 
+The regular-subdivision cells: `regular_subdivision` reads each cell off its
+lower facet of the lifted double description, with the support's chart: its
+facets are the facet's inclusion-maximal ridges, its vertices the tight
+points alone in the meet of their ridges.  The subdivision it replaced
+(`oracle_regular_subdivision`) hulls each lower facet's tight points again.
+
 The boundary facets: `dual_intersection_complex` and `hypersurface_trop`
 take the facets of a subdivision that one cell has.  The scan they replaced
 (`oracle_support_facet_keys`) tests every facet key of the cells against
@@ -137,7 +143,9 @@ from tropdeg.polytope import (
     LatticePolytope,
     _face_masks,
     _hull_full_dim,
+    _lift,
     _span_chart,
+    _span_coordinates,
     barycenter,
     clip_by_halfspace,
     containing_cell,
@@ -602,6 +610,60 @@ def oracle_fine_crepant_subdivision(poly):
 def oracle_volume_check(sub):
     total = sum(c.normalized_volume() for c in sub.maximal_cells)
     return total == sub.support.normalized_volume()
+
+
+def oracle_regular_subdivision(points, heights):
+    """Lower-envelope subdivision of lifted points with its convex certificate.
+
+    Points must affinely span their hull; duplicate points with conflicting
+    heights are an error.  Returns (Subdivision, PLFunction).  Each cell is a
+    lower facet of the lifted hull, and its piece is read off that facet.
+    """
+    table = {}
+    for p, h in zip(points, heights, strict=True):
+        key = normalize_point(p)
+        h = _ratio(h)
+        if key in table and table[key] != h:
+            raise ValueError(f"duplicate point {key} with conflicting heights")
+        table[key] = h
+    pts = sorted(table)
+    hts = [table[p] for p in pts]
+    support = hull(pts)
+    ambient = support.ambient_dim
+
+    # work in span coordinates of the support, heights cleared to integers
+    anchor = support.anchor
+    d = support.dim
+    if d == 0:
+        cell = support
+        f = PLFunction(support, {cell.key(): (tuple(0 for _ in range(ambient)), hts[0])}, "from_heights", True)
+        return Subdivision(support, [cell]), f
+    den = denominator_lcm(hts)
+    # rational span coordinates (rational inputs) come over one denominator
+    # sden, and the heights are cleared to match
+    span_rows, sden = _span_coordinates(support.chart, anchor, pts)
+    lifted = [c + (int(h * den) * sden,) for c, h in zip(span_rows, hts)]
+    # a point one above the first keeps the lifted set full-dimensional when
+    # the heights are affine; it lies strictly above every lower facet, so it
+    # changes none of them
+    lifted.append(lifted[0][:-1] + (lifted[0][-1] + 1,))
+    chart = support.chart
+    dd = chart[2]
+    cells = []
+    pieces = {}
+    for n, c, tight in _hull_full_dim(lifted, d + 1):
+        if n[-1] <= 0:
+            continue  # not a lower facet
+        cell = hull([pts[i] for i in tight])
+        cells.append(cell)
+        # on the facet den * sden * h = -(c + sden <n', s>) / n[-1], where
+        # s = a (x - anchor) / dd are the span coordinates and n' = n[:-1];
+        # `_lift` gives w = dd * a^T n', so <n', s> = <w, x - anchor> / dd^2
+        w = _lift(chart, n[:-1])
+        scale = den * n[-1] * dd * dd
+        coeffs = tuple(_ratio(-x, scale) for x in w)
+        pieces[cell.key()] = (coeffs, _ratio(sden * dot(w, anchor) - c * dd * dd, sden * scale))
+    return Subdivision(support, cells), PLFunction(support, pieces, "from_heights", True)
 
 
 def _oracle_piece_on(f, sub, cell):

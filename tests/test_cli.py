@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import tropdeg
-from tropdeg.cli import main
+from tropdeg.cli import build_parser, main
 from tropdeg.jsonio import parse_num
 from tropdeg.polytope import LatticePolytope
 
@@ -17,10 +17,15 @@ def run(args):
     return main(args)
 
 
+def fresh_cli(args):
+    """Run the CLI in a fresh interpreter; the finished process, with its output as text."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tropdeg.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-m", "tropdeg.cli", *args], capture_output=True, text=True, env=env)
+
+
 def run_cli(args):
     """Run the CLI in a fresh interpreter; (exit code, stderr)."""
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(tropdeg.__file__).resolve().parent.parent))
-    proc = subprocess.run([sys.executable, "-m", "tropdeg.cli", *args], capture_output=True, text=True, env=env)
+    proc = fresh_cli(args)
     return proc.returncode, proc.stderr
 
 
@@ -293,3 +298,55 @@ def test_json_shape_errors_exit_2(tmp_path, verb, data, words):
     inp.write_text(json.dumps(data))
     flag = "--complex" if verb == "ring" else "--input"
     assert_input_error([verb, flag, str(inp)], *words)
+
+
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    # each call in one process, the flags of the one before it included,
+    # writes what a fresh interpreter writes for it alone
+    assert build_parser() is build_parser()
+    heights = tmp_path / "square.json"
+    square = [[x, y] for x in (-1, 0, 1) for y in (-1, 0, 1)]
+    heights.write_text(json.dumps({
+        "support": {"ambient_dim": 2, "vertices": [[-1, -1], [1, -1], [-1, 1], [1, 1]]},
+        "heights": [[p, abs(p[0]) + abs(p[1])] for p in square],
+    }))
+    segments = tmp_path / "two-segments.json"
+    segments.write_text(json.dumps({"cells": [[[0], [1]], [[1], [2]]]}))
+    calls = [
+        ["tropicalize", "--hypersurface", "--coarse", "--input", str(heights)],
+        ["tropicalize", "--input", str(heights)],
+        ["ring", "--complex", str(segments), "--degree", "1"],
+        ["ring", "--complex", str(segments)],
+        ["ring", "--degree", "1"],
+        ["ring", "--complex", str(segments), "--degree", "1"],
+    ]
+    codes = []
+    for args in calls:
+        try:
+            codes.append(main(args))
+        except SystemExit as e:
+            codes.append(e.code)
+        out, err = capsys.readouterr()
+        fresh = fresh_cli(args)
+        assert (codes[-1], out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    # the missing --complex is argparse's SystemExit(2)
+    assert codes == [0, 0, 0, 0, 2, 0]
+
+
+@pytest.mark.parametrize("verb, value", [("tropicalize", "abc"), ("ring", "0"), ("tropicalize", "-3")])
+def test_max_dim_setting_must_be_a_positive_integer(tmp_path, monkeypatch, verb, value):
+    monkeypatch.setenv("TROPDEG_MAX_DIM", value)
+    inp = tmp_path / "input.json"
+    if verb == "ring":
+        inp.write_text(json.dumps({"cells": [[[0], [1]], [[1], [2]]]}))
+        args = ["ring", "--complex", str(inp)]
+    else:
+        inp.write_text(json.dumps({"support": {"ambient_dim": 1, "vertices": [[-1], [1]]}, "heights": [[[-1], 1], [[1], 1]]}))
+        args = ["tropicalize", "--input", str(inp)]
+    assert_input_error(args, "TROPDEG_MAX_DIM", "positive integer", repr(value))
+
+
+@pytest.mark.parametrize("verb", ["example", "check-simple", "embed-check", "lg-truncate", "render"])
+def test_k_and_i_together_exit_2(verb):
+    # neither flag is silently dropped for the other
+    assert_input_error([verb, "--example", "hypercube", "--k", "2", "--i", "3"], "--k", "--i", "not both")

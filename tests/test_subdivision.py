@@ -1,7 +1,8 @@
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     _oracle_piece_on,
@@ -9,6 +10,7 @@ from oracles import (
     is_strictly_convex,
     oracle_fine_crepant_subdivision,
     oracle_interpolate_ambient,
+    oracle_regular_subdivision,
     oracle_volume_check,
 )
 
@@ -16,6 +18,7 @@ from tropdeg import exactlin, polytope, subdivision
 from tropdeg.exactlin import dot
 from tropdeg.pipelines import _orthant_tents
 from tropdeg.polytope import (
+    LatticePolytope,
     NefPartition,
     centered_dilated_simplex,
     cube,
@@ -502,6 +505,98 @@ def test_pieces_make_no_linear_solve(monkeypatch):
     regular_subdivision(pts, [abs(p[0]) + 2 * abs(p[1]) for p in pts])
     regular_subdivision(pts, [p[0] - p[1] for p in pts])
     assert calls == []
+
+
+# --- cells read off the lifted double description ----------------------------
+
+
+@st.composite
+def lifted_point_sets(draw):
+    """Points spanning dimension 1 to 4, in an ambient space of dimension up to 4, each with a height.
+
+    Either a few random points or every lattice point of a small box, mapped
+    by a random integer matrix plus a translation when the ambient dimension
+    is larger (and sometimes when not), so the span can be lower-dimensional.
+    Coordinates are divided by 1 or 2; heights are ints or Fractions from a
+    short range, so ties are common and a box's inner points are often tight
+    at a cell without being its vertices.  A point met twice keeps its first
+    height.
+    """
+    d = draw(st.integers(1, 4))
+    ambient = draw(st.integers(d, 4))
+    coord = st.integers(-2, 2)
+    if draw(st.booleans()):
+        pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=d + 6))
+    else:
+        # at most 3 * 3 * 2 * 2 points
+        sides = [draw(st.integers(1, 2 if i < 2 else 1)) for i in range(d)]
+        pts = list(iproduct(*(range(s + 1) for s in sides)))
+    if ambient > d or draw(st.booleans()):
+        m = draw(st.lists(st.tuples(*[coord] * d), min_size=ambient, max_size=ambient))
+        shift = draw(st.tuples(*[coord] * ambient))
+        pts = [tuple(dot(row, p) + t for row, t in zip(m, shift)) for p in pts]
+    pden = draw(st.integers(1, 2))
+    hden = draw(st.integers(1, 2))
+    table = {}
+    for p in pts:
+        table.setdefault(tuple(Fraction(x, pden) for x in p), Fraction(draw(st.integers(0, 2)), hden))
+    return list(table), list(table.values())
+
+
+def _cell_fields(cell):
+    return cell.vertices, cell.facets, cell.equations, cell.chart, cell.incidence
+
+
+def _square_tied():
+    # every height 0: one cell, whose 5 points off the corners are tight but no vertices
+    pts = cube(2).lattice_points()
+    return pts, [0] * len(pts)
+
+
+# points spanning a plane in 3-space, one height rational; (1, 1, 1), halfway
+# between (0, 0, 0) and (2, 2, 2), lies below their chord, so it is a vertex
+_PLANE_IN_3D = ([(0, 0, 0), (2, 2, 2), (1, 1, 1), (0, 2, 4)], [Fraction(1, 2), 1, 0, 3])
+
+
+def _cube_tied():
+    # heights |x| on the cube's 27 points: two cells, each with tight points that are no vertices
+    pts = cube(3).lattice_points()
+    return pts, [abs(p[0]) for p in pts]
+
+
+@settings(max_examples=150, deadline=None)
+@given(lifted_point_sets())
+@example(_square_tied())
+@example(_cube_tied())
+@example(_PLANE_IN_3D)
+def test_cells_match_the_per_cell_hull(case):
+    pts, heights = case
+    sub, f = regular_subdivision(pts, heights)
+    old_sub, old_f = oracle_regular_subdivision(pts, heights)
+    assert _cell_fields(sub.support) == _cell_fields(old_sub.support)
+    assert len(sub.maximal_cells) == len(old_sub.maximal_cells)
+    for cell, old in zip(sub.maximal_cells, old_sub.maximal_cells):
+        assert _cell_fields(cell) == _cell_fields(old)
+    assert (f.pieces, f.tag, f.convex) == (old_f.pieces, old_f.tag, old_f.convex)
+
+
+def test_regular_subdivision_hulls_the_support_alone(monkeypatch):
+    pts = cube(3).lattice_points()
+    cases = [
+        ([(-1,), (0,), (1,)], [1, 0, 1]),
+        _square_tied(),
+        _cube_tied(),
+        (pts, [abs(p[0]) + 2 * abs(p[1]) + 3 * abs(p[2]) for p in pts]),
+        _PLANE_IN_3D,
+    ]
+    calls = []
+    real = LatticePolytope.hull
+    monkeypatch.setattr(LatticePolytope, "hull", staticmethod(lambda points: (calls.append(points), real(points))[1]))
+    for case in cases:
+        calls.clear()
+        sub, _ = regular_subdivision(*case)
+        assert len(calls) == 1
+        assert real(calls[0]).vertices == sub.support.vertices
 
 
 # --- the origin pull-down against the round loop it replaced ------------------
