@@ -2,36 +2,36 @@
 
 The fibration data of a wall-type degeneration lives on the cone over each
 wall-adjacent cell at level 1: component functionals y_0..y_r and the level
-functional p, all nonnegative on the cone.  The deepest-stratum complex is the
-union of the local fibres over (1,...,1), and integral tangent surjectivity of
-the embedding is a Smith-normal-form check on every host cell.
+functional p, all nonnegative on the cone.  Its slice p = 1 is the cell, so
+the deepest-stratum complex is the union of the cells cut by y_i(x, 1) = 1,
+and integral tangent surjectivity of the embedding is a Smith-normal-form
+check on every host cell.
 """
 
 from __future__ import annotations
 
 from .exactlin import (
-    RationalCone,
     _ratio,
-    clear_fractions,
     dot,
     is_integrally_surjective,
     mat_identity,
     mat_rank,
     mat_vec,
-    primitive,
     snf_diagonal,
     vneg,
     vsub,
 )
 from .polytope import (
     _assemble,
+    _bits,
     _facet,
     _lattice_chart,
     _low,
+    _span_chart,
     _span_coordinates,
+    _support_mask,
     clip_by_halfspace,
     containing_cell,
-    hull,
     is_lattice_point,
     section,
     standard_simplex,
@@ -41,19 +41,22 @@ from .tropical import TropicalSpace
 
 
 class FibrationData:
-    """Local model of the log structure at a deepest stratum.
+    """Local model of the log structure at a deepest stratum: the cone over (cell, 1) in M + Z.
 
-    cone lives in M + Z (position, level); the component functionals y_i and
-    the smoothing functional p are linear there and nonnegative on the cone.
+    The points (v, 1) over the cell's vertices generate the cone; the
+    functionals y_i and the smoothing functional p, the level (0,...,0,1),
+    are nonnegative on it, and its slice p = t is t * cell.
     """
 
-    def __init__(self, cone, y_functionals, p_functional):
-        self.cone = cone
+    def __init__(self, cell, y_functionals, p_functional):
+        self.cell = cell
         self.y = tuple(tuple(f) for f in y_functionals)
         self.p = tuple(p_functional)
-        for f in list(self.y) + [self.p]:
-            for g in cone.generators:
-                if dot(f, g) < 0:
+        if self.p != (0,) * cell.ambient_dim + (1,):
+            raise ValueError("the smoothing functional must be the level (0,...,0,1)")
+        for f in self.y:
+            for v in cell.vertices:
+                if dot(f, v + (1,)) < 0:
                     raise ValueError("fibration functional is negative on the cone")
         if mat_rank(self.y) != len(self.y):
             raise ValueError("component functionals must be linearly independent")
@@ -64,80 +67,61 @@ class FibrationData:
 
 
 def local_fibre(fib, target):
-    """The polytope cut from the cone by <y_i, .> = target_i, <p, .> = target[-1].
+    """The polytope cut from the cone by <y_i, .> = target_i, <p, .> = target[-1], or None when it is empty.
 
-    Returns None (the explicit empty polytope) when the fibre is empty.  The
-    fibre lies in the slice of the cone where w = p + sum y_i equals the sum of
-    the targets; that slice is spanned by the generators rescaled onto it
-    (read off the cone by `_cone_slice` when w > 0 on every generator, which
-    makes the cone pointed, else their hull), and each y-equation is then
-    one `section` (the p-equation follows).  Raises ValueError when the
-    fibre is nonempty but unbounded, which happens when some generator has
-    w = 0.
+    The slice p = t is t * cell, the origin at t = 0; each y-equation is one
+    `section` of it, <y_i[:-1], x> = target_i - y_i[-1] t, and the cut is
+    set at height t with its facets and incidence.  No cone, no hull.
     """
     if len(target) != len(fib.y) + 1:
         raise ValueError("target length must be number of y functionals plus one")
-    w = tuple(sum(col) for col in zip(fib.p, *fib.y))
-    level = sum(target)
-    cone = fib.cone
-    values = [dot(w, g) for g in cone.generators]
-    flat = [g for g, v in zip(cone.generators, values) if v == 0]
-    gens = [(g, v) for g, v in zip(cone.generators, values) if v != 0]
-    if level == 0:
-        poly = hull([tuple(0 for _ in range(cone.ambient_dim))])
-    elif level > 0 and gens and min(values) > 0:
-        # w > 0 on every generator is > 0 on every nonzero point of the cone, so the cone is pointed
-        poly = _cone_slice(cone, values, level)
-    elif level > 0 and gens:
-        poly = hull([tuple(_ratio(level * x, v) for x in g) for g, v in gens])
-    else:
-        poly = None
-    for f, t in zip(fib.y, target):
-        if poly is not None:
-            poly = section(poly, f, t)
-    # the generators with w = 0 lie in the recession cone of the fibre
-    if poly is not None and flat:
-        raise ValueError("local fibre is unbounded: a cone generator has w = 0")
-    return poly
+    t = target[-1]
+    if t < 0:
+        return None
+    cell = fib.cell
+    if t == 0:
+        cell = _assemble(_span_chart((), cell.ambient_dim), [(0,) * cell.ambient_dim], [], [])
+    elif t != 1:
+        # t * cell keeps the cell's chart, facet normals and incidence
+        verts = [tuple(_ratio(t * x) for x in v) for v in cell.vertices]
+        cell = _assemble(cell.chart, verts, [(n, _ratio(t * c)) for n, c in cell.facets], cell.incidence)
+    for f, target_i in zip(fib.y, target):
+        cell = section(cell, f[:-1], target_i - f[-1] * t)
+        if cell is None:
+            return None
+    chart = _span_chart(tuple(b + (0,) for b in cell.span_basis), cell.ambient_dim + 1)
+    return _assemble(chart, [v + (t,) for v in cell.vertices], [(n + (0,), c) for n, c in cell.facets], cell.incidence)
 
 
-def _cone_slice(cone, values, level):
-    """The slice <w, x> = level > 0 of a pointed cone, values[i] = <w, g_i> > 0 at its generators, with no hull.
+def _cut(cell, functionals):
+    """(polytope, mask): the cell cut by y(x, 1) = 1 for each y is polytope.face_from_mask(mask), or None when empty.
 
-    The generators are the cone's extreme rays and the slice meets each once,
-    at level / <w, g> times it, so these points are its vertices.  Its faces
-    are the cone's nonzero faces cut by it, so its facets are read off the
-    cone's facet normals that do not vanish on its span (`_facet`), each
-    tight at the generators it vanishes on; the others are the equations of
-    the cone's span.
+    While no hyperplane crosses the cut so far, it is a face of the cell,
+    named by its vertex mask (`_support_mask`) and not built; from the
+    first crossing on, it is taken one `section` at a time.
     """
-    verts = [tuple(_ratio(level * x, v) for x in g) for g, v in zip(cone.generators, values)]
-    chart = _lattice_chart(verts)
-    normals = [n for n in cone.facet_normals if any(dot(n, b) for b in chart[0])]
-    incidence = [sum(1 << i for i, g in enumerate(cone.generators) if not dot(n, g)) for n in normals]
-    return _assemble(chart, verts, [_facet(chart, n, verts[_low(m)]) for n, m in zip(normals, incidence)], incidence)
-
-
-def cone_over_cell(cell):
-    """The cone over (cell, 1) in M + Z, read off the cell's own facets.
-
-    Each vertex v gives the ray (v, 1), each facet <n, x> >= -c the facet
-    normal (n, c), and each span equation <f, x> = -e the pair +-(f, e),
-    all cleared of denominators and made primitive; no hull is computed.
-    """
-    rays = [primitive(clear_fractions(v + (1,))) for v in cell.vertices]
-    normals = [primitive(clear_fractions(n + (c,))) for n, c in cell.facets]
-    for f, e in cell.equations:
-        lift = primitive(clear_fractions(f + (e,)))
-        normals += [lift, vneg(lift)]
-    return RationalCone(cell.ambient_dim + 1, rays, normals)
+    mask = (1 << len(cell.vertices)) - 1
+    for i, y in enumerate(functionals):
+        bits = _bits(mask)
+        face = _support_mask([dot(y[:-1], cell.vertices[j]) + y[-1] - 1 for j in bits])
+        if face is None:
+            cell = cell.face_from_mask(mask)
+            for z in functionals[i:]:
+                cell = section(cell, z[:-1], 1 - z[-1])
+                if cell is None:
+                    return None
+            return cell, (1 << len(cell.vertices)) - 1
+        if not face:
+            return None
+        mask = sum(1 << j for k, j in enumerate(bits) if face >> k & 1)
+    return cell, mask
 
 
 def wall_fibration_data(space, coord, level):
     """Per-cell fibration data for a rank-1 Tyurin wall {x_coord = level}.
 
     Only cells meeting the wall get data (the positive integral
-    neighbourhood); each gets the cone over its clip to the unit collar, so
+    neighbourhood); each gets its clip to the unit collar, on whose cone
     the component functionals stay nonnegative.
     """
     n = space.ambient_dim
@@ -155,7 +139,7 @@ def wall_fibration_data(space, coord, level):
             clipped = clip_by_halfspace(clipped, tuple(-x for x in e), 1 + level)
         if clipped is None or clipped.dim != cell.dim:
             continue
-        out[cell.key()] = FibrationData(cone_over_cell(clipped), [y0, y1], p)
+        out[cell.key()] = FibrationData(clipped, [y0, y1], p)
     return out
 
 
@@ -184,12 +168,12 @@ def embed_D(space, fibration):
 
     Returns (T_D, iota, surjective): T_D in reduced slice coordinates, iota a
     ComplexMap back into the host, and surjective the conjunction of the
-    integral tangent surjectivity checks.  Each fibre is computed once, into
-    a table of fibre vertices -> (dimension, host keys), and only the reduced
-    cells are hulled.  Tangent surjectivity is checked on every host, and
-    fan compatibility once per fibre, since the charts are the vertices';
-    iota maps a fibre to its last host, and iota.metadata["fibres"] lists
-    the keys.
+    integral tangent surjectivity checks.  Each host's fibre, its cell cut
+    by every y_i (`_cut`), is named by its vertices and built once; its
+    reduced cell is its image under the slice chart, facets carried through
+    the chart, so no hull is taken.  Tangent surjectivity is checked on
+    every host, fan compatibility once per fibre; iota maps a fibre to its
+    last host, and iota.metadata["fibres"] maps it to its sorted hosts.
     """
     if not fibration:
         raise ValueError("no fibration data supplied")
@@ -197,12 +181,9 @@ def embed_D(space, fibration):
     rank = None
     for key, fib in sorted(fibration.items()):
         rank = fib.rank
-        f = local_fibre(fib, (1,) * (len(fib.y) + 1))
-        if f is None:
-            continue
-        # the fibre lies in the level p = 1, so dropping that coordinate keeps its sorted vertices
-        level_one = tuple(v[:-1] for v in f.vertices)
-        table.setdefault(level_one, (f.dim, []))[1].append(key)
+        cut = _cut(fib.cell, fib.y)
+        if cut is not None:
+            table.setdefault(cut[0].vertices_of(cut[1]), (cut, []))[1].append(key)
     if not table:
         raise ValueError("all local fibres over (1,...,1) are empty")
     _check_face_consistency(fibration)
@@ -210,26 +191,24 @@ def embed_D(space, fibration):
     # least point, the first vertex of the least key
     chart = _lattice_chart([v for verts in table for v in verts])
     anchor, basis = min(table)[0], chart[0]
+    matrix = tuple(zip(*basis)) if basis else ((0,),) * len(anchor)
     surjective = True
     entries = []
     reduced_cells = []
     host_cells = {c.key(): c for c in space.maximal_cells}
-    for verts, (dim, hosts) in sorted(table.items()):
+    for verts, ((cell, mask), hosts) in sorted(table.items()):
+        fibre = cell.face_from_mask(mask)
         for h in hosts:
             if not is_integrally_surjective(_tangent_map(host_cells[h], fibration[h])):
                 surjective = False
-        _assert_fan_compatibility(space, verts, dim)
+        _assert_fan_compatibility(space, verts, fibre.dim)
         rows, den = _span_coordinates(chart, anchor, verts)
-        reduced = hull([tuple(_ratio(x, den) for x in r) for r in rows]) if basis else hull([(0,)])
+        pts = [tuple(_ratio(x, den) for x in r) for r in rows] if basis else [(0,)]
+        rchart = _lattice_chart(pts)
+        facets = [_facet(rchart, mat_vec(basis, n), pts[_low(m)]) for (n, _), m in zip(fibre.facets, fibre.incidence)]
+        reduced = _assemble(rchart, pts, facets, fibre.incidence)
         reduced_cells.append(reduced)
-        entries.append(
-            {
-                "source": reduced.key(),
-                "target": hosts[-1],
-                "matrix": tuple(zip(*basis)) if basis else ((0,),) * len(anchor),
-                "translation": anchor,
-            }
-        )
+        entries.append({"source": reduced.key(), "target": hosts[-1], "matrix": matrix, "translation": anchor})
     t_d = TropicalSpace(
         len(basis) or 1,
         max(c.dim for c in reduced_cells),
@@ -237,7 +216,8 @@ def embed_D(space, fibration):
         "solid",
         metadata={"embedded": "deepest stratum fibre over (1,...,1)", "anchor": anchor, "basis": basis, "rank": rank},
     )
-    iota = ComplexMap(entries, surjective=surjective, metadata={"anchor": anchor, "fibration": dict(fibration), "fibres": sorted(table)})
+    fibres = {verts: hosts for verts, (_, hosts) in sorted(table.items())}
+    iota = ComplexMap(entries, surjective=surjective, metadata={"anchor": anchor, "fibration": dict(fibration), "fibres": fibres})
     return t_d, iota, surjective
 
 
@@ -290,34 +270,24 @@ def simplex_fibration(space, fibration):
         translation = tuple(y[-1] for y in fib.y[1:])
         if any(d > 1 for d in snf_diagonal(_tangent_map(host_cells[key], fib))):
             warnings.append(f"fibration rescales the integral affine structure on {key}")
-        entries.append(
-            {
-                "source": key,
-                "target": target.key(),
-                "matrix": matrix,
-                "translation": translation,
-            }
-        )
+        entries.append({"source": key, "target": target.key(), "matrix": matrix, "translation": translation})
     return ComplexMap(entries, surjective=None, warnings=warnings, metadata={"target": target, "rank": rank})
 
 
 def barycenter_fibre(space, fibration):
-    """Fibre of the simplex fibration over the barycenter, as sorted cell keys.
+    """Fibre of the simplex fibration over the barycenter: each cell key, with its sorted host keys.
 
-    Each host cell is cut by the simplex map's equations y_i(x, 1) = 1,
-    i = 1..r, each one `section`; no cone and no local fibre is used, so
-    the keys check those of `embed_D` independently.
+    Each host cell of the space is cut by the simplex map's equations
+    y_i(x, 1) = 1, i = 1..r (`_cut`); neither the fibration's own cells
+    nor y_0 is read, so the map checks `embed_D`'s independently.
     """
     host_cells = {c.key(): c for c in space.maximal_cells}
-    out = set()
-    for key, fib in fibration.items():
-        cell = host_cells[key]
-        for y in fib.y[1:]:
-            if cell is not None:
-                cell = section(cell, y[:-1], 1 - y[-1])
-        if cell is not None:
-            out.add(cell.key())
-    return sorted(out)
+    out = {}
+    for key, fib in sorted(fibration.items()):
+        cut = _cut(host_cells[key], fib.y[1:])
+        if cut is not None:
+            out.setdefault(cut[0].vertices_of(cut[1]), []).append(key)
+    return dict(sorted(out.items()))
 
 
 def side_subcomplex(space, coord, level, side):

@@ -432,23 +432,8 @@ class RationalCone:
                 if dot(g, h) < 0:
                     raise ValueError("generator violates facet inequality")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalCone)
-            and self.ambient_dim == other.ambient_dim
-            and self.contains_all(other.generators)
-            and other.contains_all(self.generators)
-            and len(self.generators) == len(other.generators)
-        )
-
     def __repr__(self):
         return f"RationalCone(dim={self.ambient_dim}, rays={list(self.generators)})"
-
-    def contains(self, v):
-        return all(dot(v, h) >= 0 for h in self.facet_normals)
-
-    def contains_all(self, vs):
-        return all(self.contains(v) for v in vs)
 
 
 def cone_from_generators(gens, ambient_dim):

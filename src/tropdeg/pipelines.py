@@ -12,7 +12,6 @@ from collections import Counter
 from .embed import (
     FibrationData,
     barycenter_fibre,
-    cone_over_cell,
     embed_D,
     lg_truncate,
     open_embed_LG,
@@ -316,13 +315,8 @@ def build_hypercube(k):
     for cell in solid.maximal_cells:
         bary = cell.barycenter()
         signs = [1 if b > 0 else -1 for b in bary]
-        ys = [tuple(signs) + (1,)]
-        for idx, s in enumerate(signs):
-            row = [0] * (k + 1)
-            row[idx] = -s
-            row[k] = 1
-            ys.append(tuple(row))
-        fibration[cell.key()] = FibrationData(cone_over_cell(cell), ys, tuple([0] * k + [1]))
+        ys = [tuple(signs) + (1,)] + [tuple(-s if j == i else 0 for j in range(k)) + (1,) for i, s in enumerate(signs)]
+        fibration[cell.key()] = FibrationData(cell, ys, tuple([0] * k + [1]))
     t_d, iota, surjective = embed_D(solid, fibration)
     fmap = simplex_fibration(solid, fibration)
     target = fmap.metadata["target"]

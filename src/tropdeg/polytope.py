@@ -483,14 +483,14 @@ class LatticePolytope:
     def face(self, normal, offset):
         """The face cut out by the supporting hyperplane <normal, x> = -offset.
 
-        Its vertices are the vertices on the hyperplane (`face_from_mask`).
+        Its vertices are the vertices on the hyperplane (`_support_mask`, `face_from_mask`).
         Raises ValueError when the hyperplane misses the polytope or cuts
         through it.
         """
-        vals = [dot(normal, v) + offset for v in self.vertices]
-        if min(vals) < 0 < max(vals) or 0 not in vals:
+        mask = _support_mask([dot(normal, v) + offset for v in self.vertices])
+        if not mask:
             raise ValueError("the hyperplane does not support the polytope")
-        return self.face_from_mask(sum(1 << i for i, x in enumerate(vals) if x == 0))
+        return self.face_from_mask(mask)
 
     def face_from_mask(self, mask):
         """The face with the vertices indexed by the bitmask, and no hull.
@@ -687,24 +687,33 @@ def section(cell, f, t):
     """cell intersected with the hyperplane {<f, x> = t}, by one double-description step.
 
     Returns None when the intersection is empty, and the face on the
-    hyperplane (`LatticePolytope.face_from_mask`) when the hyperplane only
-    touches the cell or holds it.  When it crosses the cell, the section's vertices are
-    the cell's vertices on it plus the points where edges cross it
+    hyperplane (`_support_mask`, `LatticePolytope.face_from_mask`) when the
+    hyperplane only touches the cell or holds it.  When it crosses the cell,
+    the section's vertices are the cell's vertices on it plus the points where edges cross it
     (`_crossings`), each with its facets or its edge's, and its facets are
     `_facets_of` that incidence, each a cell facet reduced to the section's
     chart, the cell's cut by f (`_facet_chart`).  No hull is taken.
     """
     vals = [dot(f, v) - t for v in cell.vertices]
-    if min(vals) > 0 or max(vals) < 0:
-        return None
-    if min(vals) == 0 or max(vals) == 0:
-        return cell.face_from_mask(sum(1 << i for i, x in enumerate(vals) if x == 0))
+    face = _support_mask(vals)
+    if face is not None:
+        return cell.face_from_mask(face) if face else None
     masks = _transpose(cell.incidence, range(len(vals)))
     cut = [(v, m) for v, m, val in zip(cell.vertices, masks, vals) if val == 0] + _crossings(cell, vals, masks)
     pts = [p for p, _ in cut]
     chart = _facet_chart(cell.span_basis, primitive(clear_fractions(f)))
     facets = _facets_of(_transpose([m for _, m in cut], range(len(cell.facets))), (1 << len(pts)) - 1)
     return _assemble(chart, pts, [_facet(chart, cell.facets[k][0], pts[_low(m)]) for m, k in facets.items()], list(facets))
+
+
+def _support_mask(vals):
+    """The vertex mask of a hyperplane's face of a cell, 0 when it misses the cell and None when it crosses it.
+
+    vals are an affine function's values at the cell's vertices.
+    """
+    if min(vals) < 0 < max(vals):
+        return None
+    return sum(1 << i for i, x in enumerate(vals) if x == 0)
 
 
 def _transpose(masks, indices):

@@ -82,11 +82,19 @@ composes each loop of restricted charts (`_oracle_monodromy`) and finds the
 faces and the boundary with the re-hulling walkers (`_faces_by_key`,
 `_oracle_is_boundary_cell`, `_oracle_boundary_cells`).
 
-The local fibre: `embed.local_fibre` reads the slice w = level of a pointed
-cone whose generators all have w > 0 off the cone (`_cone_slice`: the
-rescaled generators are its vertices, and the facet normals that do not
-vanish on its span its facets).  The fibre it replaced (`oracle_local_fibre`)
-hulls the rescaled generators for every cone.
+The local fibre: `embed.local_fibre` reads the fibre off the fibration's
+cell, since p is the level and the cone's slice p = t is t * cell: one
+`section` per y-equation, set at height t.  `embed_D` names each host's
+fibre by its face mask (`embed._cut`) and builds each fibre once, and a
+reduced cell is its fibre carried through the slice chart.  The fibre they
+replaced (`cone_local_fibre`, on `ConeFibrationData`) builds the cone over
+the cell (`cone_over_cell`), reads its slice w = level off the cone when the
+cone is pointed and w > 0 on every generator (`_cone_slice`: the rescaled
+generators are its vertices, and the facet normals that do not vanish on its
+span its facets), and cuts that slice by one `section` per y-equation; it
+takes any cone and any p.  `oracle_embed_D` and `oracle_barycenter_fibre` run
+on it, and hull every reduced fibre.  The fibre it replaced in turn
+(`oracle_local_fibre`) hulls the rescaled generators for every cone.
 
 The section: `polytope.section` cuts a cell by a hyperplane in one
 double-description step, with the cell's chart cut by the hyperplane
@@ -110,6 +118,21 @@ facets are the facet's inclusion-maximal ridges, its vertices the tight
 points alone in the meet of their ridges.  The subdivision it replaced
 (`oracle_regular_subdivision`) hulls each lower facet's tight points again.
 
+The hull's facets: `_hull_full_dim` runs an integer double description.
+The hull it replaced was a gift wrap in Fraction ratios that wrapped every
+ridge from both of its facets, with a separate simplex branch
+(`gift_wrap_full_dim`), and it called a point a vertex by the rank of its
+tight facets (`_rank_vertices`).
+
+The cone: `cone_from_generators` reads its facets off `hull`.  The double
+description it replaced (`_cone_by_subset_scan`) tries every subset of
+dim - 1 normals of the dual cone.  `RationalCone` keeps no membership test;
+the tests read one off its facet normals (`cone_contains`).
+
+The elimination: `det`, `mat_rank` and `solve_linear` share one
+fraction-free elimination.  The forms they replaced are `_bareiss_det`,
+`_fraction_rank` and `_fraction_solve`.
+
 The boundary facets: `dual_intersection_complex` and `hypersurface_trop`
 take the facets of a subdivision that one cell has.  The scan they replaced
 (`oracle_support_facet_keys`) tests every facet key of the cells against
@@ -117,14 +140,20 @@ every facet of the support.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from itertools import product as iproduct
 
 from tropdeg.exactlin import (
+    RationalCone,
+    _extreme_generators,
     _ratio,
+    clear_fractions,
     denominator_lcm,
     dot,
     content,
+    hnf_column_basis,
     is_integrally_surjective,
+    is_zero,
     kernel_basis,
     left_inverse,
     mat_identity,
@@ -136,14 +165,20 @@ from tropdeg.exactlin import (
     saturate_lattice,
     solve_linear,
     vadd,
+    vneg,
     vsub,
 )
-from tropdeg.embed import ComplexMap, _check_face_consistency, local_fibre
+from tropdeg.embed import ComplexMap, _check_face_consistency
 from tropdeg.polytope import (
     LatticePolytope,
+    _assemble,
+    _face_facets,
     _face_masks,
+    _facet,
     _hull_full_dim,
+    _lattice_chart,
     _lift,
+    _low,
     _span_chart,
     _span_coordinates,
     barycenter,
@@ -152,6 +187,7 @@ from tropdeg.polytope import (
     hull,
     is_lattice_point,
     normalize_point,
+    section,
     tight_at,
 )
 from tropdeg.subdivision import PLFunction, Subdivision, affine_value, boundary_triangulation
@@ -329,6 +365,110 @@ def oracle_section(cell, f, t):
     return None if cell is None else clip_by_halfspace(cell, tuple(-x for x in f), t)
 
 
+class ConeFibrationData:
+    """Local model of the log structure at a deepest stratum.
+
+    cone lives in M + Z (position, level); the component functionals y_i and
+    the smoothing functional p are linear there and nonnegative on the cone.
+    """
+
+    def __init__(self, cone, y_functionals, p_functional):
+        self.cone = cone
+        self.y = tuple(tuple(f) for f in y_functionals)
+        self.p = tuple(p_functional)
+        for f in list(self.y) + [self.p]:
+            for g in cone.generators:
+                if dot(f, g) < 0:
+                    raise ValueError("fibration functional is negative on the cone")
+        if mat_rank(self.y) != len(self.y):
+            raise ValueError("component functionals must be linearly independent")
+
+    @property
+    def rank(self):
+        return len(self.y) - 1
+
+
+def cone_local_fibre(fib, target):
+    """The polytope cut from the cone by <y_i, .> = target_i, <p, .> = target[-1].
+
+    Returns None (the explicit empty polytope) when the fibre is empty.  The
+    fibre lies in the slice of the cone where w = p + sum y_i equals the sum of
+    the targets; that slice is spanned by the generators rescaled onto it
+    (read off the cone by `_cone_slice` when w > 0 on every generator, which
+    makes the cone pointed, else their hull), and each y-equation is then
+    one `section` (the p-equation follows).  Raises ValueError when the
+    fibre is nonempty but unbounded, which happens when some generator has
+    w = 0.
+    """
+    if len(target) != len(fib.y) + 1:
+        raise ValueError("target length must be number of y functionals plus one")
+    w = tuple(sum(col) for col in zip(fib.p, *fib.y))
+    level = sum(target)
+    cone = fib.cone
+    values = [dot(w, g) for g in cone.generators]
+    flat = [g for g, v in zip(cone.generators, values) if v == 0]
+    gens = [(g, v) for g, v in zip(cone.generators, values) if v != 0]
+    if level == 0:
+        poly = hull([tuple(0 for _ in range(cone.ambient_dim))])
+    elif level > 0 and gens and min(values) > 0:
+        # w > 0 on every generator is > 0 on every nonzero point of the cone, so the cone is pointed
+        poly = _cone_slice(cone, values, level)
+    elif level > 0 and gens:
+        poly = hull([tuple(_ratio(level * x, v) for x in g) for g, v in gens])
+    else:
+        poly = None
+    for f, t in zip(fib.y, target):
+        if poly is not None:
+            poly = section(poly, f, t)
+    # the generators with w = 0 lie in the recession cone of the fibre
+    if poly is not None and flat:
+        raise ValueError("local fibre is unbounded: a cone generator has w = 0")
+    return poly
+
+
+def _cone_slice(cone, values, level):
+    """The slice <w, x> = level > 0 of a pointed cone, values[i] = <w, g_i> > 0 at its generators, with no hull.
+
+    The generators are the cone's extreme rays and the slice meets each once,
+    at level / <w, g> times it, so these points are its vertices.  Its faces
+    are the cone's nonzero faces cut by it, so its facets are read off the
+    cone's facet normals that do not vanish on its span (`_facet`), each
+    tight at the generators it vanishes on; the others are the equations of
+    the cone's span.
+    """
+    verts = [tuple(_ratio(level * x, v) for x in g) for g, v in zip(cone.generators, values)]
+    chart = _lattice_chart(verts)
+    normals = [n for n in cone.facet_normals if any(dot(n, b) for b in chart[0])]
+    incidence = [sum(1 << i for i, g in enumerate(cone.generators) if not dot(n, g)) for n in normals]
+    return _assemble(chart, verts, [_facet(chart, n, verts[_low(m)]) for n, m in zip(normals, incidence)], incidence)
+
+
+def cone_over_cell(cell):
+    """The cone over (cell, 1) in M + Z, read off the cell's own facets.
+
+    Each vertex v gives the ray (v, 1), each facet <n, x> >= -c the facet
+    normal (n, c), and each span equation <f, x> = -e the pair +-(f, e),
+    all cleared of denominators and made primitive; no hull is computed.
+    """
+    rays = [primitive(clear_fractions(v + (1,))) for v in cell.vertices]
+    normals = [primitive(clear_fractions(n + (c,))) for n, c in cell.facets]
+    for f, e in cell.equations:
+        lift = primitive(clear_fractions(f + (e,)))
+        normals += [lift, vneg(lift)]
+    return RationalCone(cell.ambient_dim + 1, rays, normals)
+
+
+def cone_contains(cone, v):
+    """Whether v pairs >= 0 with every facet normal of the RationalCone, as `RationalCone.contains` read it."""
+    return all(dot(v, h) >= 0 for h in cone.facet_normals)
+
+
+def cone_fibre_over_ones(fib):
+    """The fibre over (1,...,1) of `embed.FibrationData` fib, by the cone path: the cone over fib.cell, sliced and cut."""
+    cone_fib = ConeFibrationData(cone_over_cell(fib.cell), fib.y, fib.p)
+    return cone_local_fibre(cone_fib, (1,) * (len(fib.y) + 1))
+
+
 def oracle_local_fibre(fib, target):
     """The polytope cut from the cone by <y_i, .> = target_i, <p, .> = target[-1], or None.
 
@@ -421,8 +561,7 @@ def oracle_embed_D(space, fibration):
     rank = None
     for key, fib in sorted(fibration.items()):
         rank = fib.rank
-        target = tuple(1 for _ in range(len(fib.y))) + (1,)
-        f = local_fibre(fib, target)
+        f = cone_fibre_over_ones(fib)
         if f is None:
             continue
         level_one = hull([v[:-1] for v in f.vertices])
@@ -488,15 +627,14 @@ def _oracle_assert_fan_compatibility(space, cells):
 
 
 def oracle_barycenter_fibre(space, fibration):
-    """Fibre of the simplex fibration over the barycenter, as cell keys."""
-    out = []
+    """Fibre of the simplex fibration over the barycenter: each cell key, with its sorted host keys."""
+    out = {}
     for key, fib in sorted(fibration.items()):
-        target = tuple(1 for _ in range(len(fib.y))) + (1,)
-        f = local_fibre(fib, target)
+        f = cone_fibre_over_ones(fib)
         if f is None:
             continue
-        out.append(hull([v[:-1] for v in f.vertices]).key())
-    return sorted(set(out))
+        out.setdefault(hull([v[:-1] for v in f.vertices]).key(), []).append(key)
+    return dict(sorted(out.items()))
 
 
 def unreduced_cells(t_d, iota):
@@ -887,3 +1025,339 @@ def _oracle_is_simple(space):
             }
         )
     return verdict, MonodromyReport(entries)
+
+
+# The double description by subset scan that cone_from_generators used before
+# it read facets off `hull`, kept verbatim as the differential oracle.
+
+
+def _extreme_rays_of_halfspaces(normals, dim):
+    """Extreme rays of {x : <n,x> >= 0 for all n}, assuming the cone is pointed.
+
+    In a pointed cone a ray is extreme exactly when the normals tight at it
+    have rank dim - 1, so it spans the kernel of some dim - 1 of them.  The
+    scan tries every (dim-1)-subset of rank dim - 1 and keeps the kernel
+    direction that satisfies all inequalities; brute force, fine for the
+    small cones here.
+    """
+    if mat_rank(normals) < dim:
+        raise ValueError("cone is not pointed")
+    if dim == 1:
+        return sorted(c for c in ((1,), (-1,)) if all(dot(c, n) >= 0 for n in normals))
+    rays = set()
+    for sub in combinations(range(len(normals)), dim - 1):
+        m = tuple(normals[i] for i in sub)
+        if mat_rank(m) != dim - 1:
+            continue
+        r = primitive(kernel_basis(m)[0])
+        for cand in (r, vneg(r)):
+            if all(dot(cand, n) >= 0 for n in normals):
+                rays.add(cand)
+    return sorted(rays)
+
+
+def _cone_by_subset_scan(gens, ambient_dim):
+    """Build a RationalCone from ray generators (double description)."""
+    gens = [primitive(g) for g in gens if not is_zero(g)]
+    gens = sorted(set(gens))
+    if not gens:
+        return RationalCone(ambient_dim, [], [tuple(r) for r in mat_identity(ambient_dim)] + [vneg(r) for r in mat_identity(ambient_dim)])
+    # facet normals of cone(gens) = extreme rays of the dual cone, computed in
+    # the span when the cone is not full dimensional
+    span = saturate_lattice(gens, ambient_dim)
+    rank = len(span)
+    # coordinates of generators in the span basis
+    span_t = mat_transpose(tuple(span))
+    coords = []
+    for g in gens:
+        x = solve_linear(span_t, g)
+        assert x is not None and all(xf.denominator == 1 for xf in x)
+        coords.append(tuple(int(xf) for xf in x))
+    dual_in_span = _dual_rays_general(coords, rank)
+    # facet normals back in ambient coordinates: n_span composed with the
+    # coordinate functionals of the span; plus +-normals cutting the span
+    ann = kernel_basis(tuple(span))
+    span_cut = [tuple(a) for a in ann] + [vneg(a) for a in ann]
+    # lift span-normals: need integer functional on Z^n restricting correctly;
+    # use a rational solve against span basis then clear denominators
+    facet_normals = []
+    for n_span in dual_in_span:
+        # functional f with f(span_j) = n_span_j, f = y @ (rows = identity):
+        # solve span_t^T y = n_span  (y in Q^n), then clear denominators
+        y = solve_linear(tuple(span), n_span)
+        assert y is not None
+        den = denominator_lcm(y)
+        f = tuple(int(c * den) for c in y)
+        if not is_zero(f):
+            facet_normals.append(primitive(f))
+    facet_normals = sorted(set(facet_normals + span_cut))
+    # extreme rays among gens, by the rank of their tight facet normals
+    extreme = _extreme_generators(gens, facet_normals, ambient_dim)
+    return RationalCone(ambient_dim, extreme, facet_normals)
+
+
+def _dual_rays_general(gens, dim):
+    """Extreme rays of the dual cone {m : <m,g> >= 0}, gens full rank in Z^dim.
+
+    Handles the non-pointed dual (when gens do not span positively) by
+    splitting off the lineality space {m : <m,g> = 0 for all g}.
+    """
+    if dim == 0:
+        return []
+    lin = kernel_basis(tuple(gens))
+    if not lin:
+        return _extreme_rays_of_halfspaces(tuple(gens), dim)
+    # dual = lineality + pointed part in the quotient by the lineality span
+    lin_t = tuple(lin)
+    comp = kernel_basis(lin_t)  # functionals vanishing... complement lattice
+    if not comp:
+        return sorted(set([primitive(b) for b in lin] + [vneg(primitive(b)) for b in lin]))
+    proj = tuple(comp)  # rows: basis of the complement lattice (as vectors)
+    # constraints in complement coordinates: <m, g> with m = sum c_i comp_i
+    constr = tuple(tuple(dot(c, g) for c in proj) for g in gens)
+    sub_rays = _extreme_rays_of_halfspaces(constr, len(proj))
+    rays = [primitive(tuple(dot(tuple(r[i] for i in range(len(proj))), col) for col in zip(*proj))) for r in sub_rays]
+    rays += [primitive(b) for b in lin] + [vneg(primitive(b)) for b in lin]
+    return sorted(set(rays))
+
+
+# det, mat_rank and solve_linear as they were before they shared one
+# fraction-free elimination, kept verbatim as the differential oracles.
+
+
+def _bareiss_det(m):
+    """Determinant by fraction-free Bareiss elimination (exact ints)."""
+    n = len(m)
+    if n == 0:
+        return 1
+    assert all(len(row) == n for row in m)
+    a = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def _fraction_rank(m):
+    """Rank over the rationals, by fraction-free elimination."""
+    if not m:
+        return 0
+    a = [[Fraction(x) for x in row] for row in m]
+    rows, cols = len(a), len(a[0])
+    rank = 0
+    for c in range(cols):
+        piv = next((r for r in range(rank, rows) if a[r][c] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        pr = a[rank]
+        for r in range(rows):
+            if r != rank and a[r][c] != 0:
+                f = a[r][c] / pr[c]
+                a[r] = [x - f * y for x, y in zip(a[r], pr)]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def _fraction_solve(m, rhs):
+    """One rational solution x of m x = rhs, or None if inconsistent.
+
+    Free variables are set to 0.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [[Fraction(x) for x in m[r]] + [Fraction(rhs[r])] for r in range(rows)]
+    pivots = []
+    rank = 0
+    for c in range(cols):
+        piv = next((r for r in range(rank, rows) if a[r][c] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        pr = [x / a[rank][c] for x in a[rank]]
+        a[rank] = pr
+        for r in range(rows):
+            if r != rank and a[r][c] != 0:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], pr)]
+        pivots.append(c)
+        rank += 1
+    for r in range(rank, rows):
+        if a[r][cols] != 0:
+            return None
+    x = [Fraction(0)] * cols
+    for r, c in enumerate(pivots):
+        x[c] = a[r][cols]
+    return tuple(x)
+
+
+# --- gift wrapping ---------------------------------------------------------
+#
+# The hull as it was before double description replaced it, in the form it
+# had before it went integer-only and wrapped each ridge once: gift wrapping
+# with Fraction ratios, every ridge wrapped from both of its facets, a
+# separate simplex branch, and a rank test for vertices.  Kept verbatim as the
+# differential oracle (`gift_wrap_full_dim`, formerly a second `_hull_full_dim`
+# in tests/test_polytope.py); it must run with polytope._hull_full_dim patched
+# to it, so the facet sub-hulls that _face_facets makes go through the oracle
+# too.
+
+
+def _simplex_facets(pts, d):
+    """Facets of a d-simplex given by exactly d+1 affinely independent points."""
+    out = []
+    for drop in range(d + 1):
+        rest = [pts[i] for i in range(d + 1) if i != drop]
+        anchor = rest[0]
+        tangent = tuple(vsub(p, anchor) for p in rest[1:])
+        ker = kernel_basis(tangent)
+        assert len(ker) == 1
+        n = primitive(ker[0])
+        if dot(n, vsub(pts[drop], anchor)) < 0:
+            n = tuple(-x for x in n)
+        c = -dot(n, anchor)
+        out.append((n, c, tuple(i for i in range(d + 1) if i != drop)))
+    return sorted(out)
+
+
+def _initial_facet(pts, d):
+    """One hull facet of a full-dimensional integer point set, by rotation.
+
+    Returns (inward_normal, tight_indices).
+    """
+    # inward normal convention: <n, p> >= <n, p0> for all p
+    n = tuple(1 if i == 0 else 0 for i in range(d))
+    vals = [dot(n, p) for p in pts]
+    lo = min(vals)
+    contact = [i for i, v in enumerate(vals) if v == lo]
+    p0 = pts[contact[0]]
+    while True:
+        tangent = hnf_column_basis([vsub(pts[i], p0) for i in contact])
+        if len(tangent) == d - 1:
+            return n, contact
+        ann = kernel_basis(tuple(tangent)) if tangent else [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
+        moved = False
+        for v in ann:
+            pairs = [(dot(n, vsub(p, p0)), dot(v, vsub(p, p0))) for p in pts]
+            if all(b == 0 for a, b in pairs if a > 0):
+                continue
+            # rotate n toward -v until the first outside point is hit
+            t_star = max(Fraction(b, a) for a, b in pairs if a > 0)
+            num, den = t_star.numerator, t_star.denominator
+            cand = tuple(num * ni - den * vi for ni, vi in zip(n, v))
+            if is_zero(cand):
+                continue
+            n = primitive(cand)
+            vals = [dot(n, p) for p in pts]
+            lo = min(vals)
+            contact = [i for i, val in enumerate(vals) if val == lo]
+            p0 = pts[contact[0]]
+            moved = True
+            break
+        if not moved:
+            raise AssertionError("initial facet search stalled; input not full-dimensional?")
+
+
+def _neighbor_facet(pts, d, normal, facet_idx, ridge_idx):
+    """Wrap across a ridge: the other facet containing the given ridge."""
+    p_r = pts[ridge_idx[0]]
+    tangent = hnf_column_basis([vsub(pts[i], p_r) for i in ridge_idx])
+    if tangent:
+        ann = kernel_basis(tuple(tangent))
+    else:
+        ann = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
+    w = None
+    for cand in ann:
+        if any(dot(cand, vsub(pts[i], p_r)) != 0 for i in facet_idx):
+            w = cand
+            break
+    assert w is not None, "ridge annihilator degenerate"
+    beta = next(dot(w, vsub(pts[i], p_r)) for i in facet_idx if dot(w, vsub(pts[i], p_r)) != 0)
+    if beta > 0:
+        w = tuple(-x for x in w)
+    # new normal n' = t*n - w with t* = max over off-facet points of w_q/a_q
+    best = None
+    for q in pts:
+        a_q = dot(normal, vsub(q, p_r))
+        if a_q <= 0:
+            continue
+        w_q = dot(w, vsub(q, p_r))
+        r = Fraction(w_q, a_q)
+        if best is None or r > best:
+            best = r
+    assert best is not None, "no neighbor facet; point set not full-dimensional"
+    num, den = best.numerator, best.denominator
+    n2 = primitive(tuple(num * ni - den * wi for ni, wi in zip(normal, w)))
+    vals = [dot(n2, p) for p in pts]
+    lo = min(vals)
+    tight = [i for i, v in enumerate(vals) if v == lo]
+    return n2, tight
+
+
+def gift_wrap_full_dim(pts, d):
+    """All facets of conv(pts), pts integer and affinely spanning R^d.
+
+    Returns a list of (inward primitive normal, offset c, tight index tuple)
+    for the inequality <n, x> >= -c.
+    """
+    if d == 0:
+        return []
+    if d == 1:
+        vals = [p[0] for p in pts]
+        lo, hi = min(vals), max(vals)
+        return [
+            ((1,), -lo, tuple(i for i, v in enumerate(vals) if v == lo)),
+            ((-1,), hi, tuple(i for i, v in enumerate(vals) if v == hi)),
+        ]
+    if len(pts) == d + 1:
+        return _simplex_facets(pts, d)
+    first_n, first_tight = _initial_facet(pts, d)
+    facets = {}
+    queue = [(first_n, tuple(first_tight))]
+    while queue:
+        n, tight = queue.pop()
+        if n in facets:
+            continue
+        facets[n] = tight
+        # ridges = facets of the (d-1)-dimensional face conv(tight); for a
+        # simplicial facet these are just the (d-1)-subsets
+        if len(tight) == d:
+            ridge_sets = [tuple(tight[j] for j in range(d) if j != i) for i in range(d)]
+        else:
+            sub_pts = [pts[i] for i in tight]
+            ridge_sets = [tuple(tight[i] for i in ridge_local) for ridge_local in _face_facets(sub_pts)]
+        for ridge_idx in ridge_sets:
+            n2, tight2 = _neighbor_facet(pts, d, n, tight, ridge_idx)
+            if n2 not in facets:
+                queue.append((n2, tuple(tight2)))
+    out = []
+    for n, tight in sorted(facets.items()):
+        c = -dot(n, pts[tight[0]])
+        out.append((n, c, tuple(sorted(tight))))
+    return out
+
+
+def _rank_vertices(pts, facs, d):
+    """The points of pts that hull's former rank test calls vertices."""
+    # vertices: points whose tight facet normals span the full span dim
+    tight_at = {i: [] for i in range(len(pts))}
+    for n, c, tight in facs:
+        for i in tight:
+            tight_at[i].append(n)
+    verts = [pts[i] for i in range(len(pts)) if mat_rank(tuple(tight_at[i])) == d]
+    return verts

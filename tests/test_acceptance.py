@@ -12,9 +12,16 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from oracles import oracle_barycenter_fibre, oracle_dilate_lattice_points, oracle_embed_D, unreduced_cells
+from oracles import (
+    cone_fibre_over_ones,
+    oracle_barycenter_fibre,
+    oracle_dilate_lattice_points,
+    oracle_embed_D,
+    unreduced_cells,
+)
 
 from tropdeg.cli import main as cli_main
+from tropdeg.embed import local_fibre
 from tropdeg.exactlin import det, mat_identity, mat_mul, mat_vec
 from tropdeg.pipelines import build_hypercube, build_kp1_2, build_quintic
 from tropdeg.polytope import hull, polytope_from_inequalities
@@ -126,6 +133,19 @@ def test_embed_d_matches_the_retired_fibre_loop(kp12, quintics, hypercubes):
             assert res.surjective == surjective
             fibres = oracle_barycenter_fibre(space, res.fibration)
             assert res.iota.metadata["fibres"] == fibres == barycenter_fibre(space, res.fibration)
+
+
+def test_local_fibre_matches_the_cone_path_on_every_host(kp12, quintics, hypercubes):
+    # the fibre read off each host's cell is the retired cone slice's, field
+    # by field, chart and incidence included
+    hosts = 0
+    for group in (kp12, quintics, hypercubes):
+        for res in group.values():
+            for fib in res.fibration.values():
+                expected = cone_fibre_over_ones(fib)
+                assert vars(local_fibre(fib, (1,) * (len(fib.y) + 1))) == vars(expected)
+                hosts += 1
+    assert hosts > 100
 
 
 def test_criterion_5_monodromy_algebra(kp12):

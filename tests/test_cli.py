@@ -259,6 +259,33 @@ def test_parse_num_gives_the_normal_form(text, value):
     assert parse_num(text) == value and type(parse_num(text)) is type(value)
 
 
+MALFORMED_NUMBERS = ["3/", "1_000", " 2 ", "\u0663", "", "/2", "1/2/3", "+", "2.5", "1e3", "3\n", "0x10", "\uff17"]
+MALFORMED_IDS = ["no-q", "underscore", "spaces", "arabic-indic", "empty", "no-p", "two-slashes", "sign-only", "decimal",
+                 "exponent", "newline", "hex", "fullwidth"]
+
+
+@pytest.mark.parametrize("text", MALFORMED_NUMBERS, ids=MALFORMED_IDS)
+def test_parse_num_takes_only_ascii_p_or_p_over_q(text):
+    # int() would read several of these, "3/" as 3 and "1_000" as 1000
+    with pytest.raises(ValueError, match="not a number of the form p or p/q") as err:
+        parse_num(text)
+    assert repr(text) in str(err.value)
+
+
+@pytest.mark.parametrize("text", ["3/", "1_000", " 2 ", "\u0663"], ids=["no-q", "underscore", "spaces", "arabic-indic"])
+def test_malformed_number_strings_exit_2(tmp_path, text):
+    # as a tropicalize height and as a ring cell coordinate
+    heights = tmp_path / "heights.json"
+    heights.write_text(json.dumps({
+        "support": {"ambient_dim": 1, "vertices": [[-1], [1]]},
+        "heights": [[[-1], 1], [[0], text], [[1], 1]],
+    }))
+    assert_input_error(["tropicalize", "--input", str(heights)], "bad heights entry", "not a number of the form p or p/q")
+    cells = tmp_path / "cells.json"
+    cells.write_text(json.dumps({"cells": [[[0], [text]]]}))
+    assert_input_error(["ring", "--complex", str(cells), "--degree", "1"], "not a number of the form p or p/q")
+
+
 @pytest.mark.parametrize("degree", [0, 1, 2])
 def test_ring_relations_stop_at_the_degree_bound(tmp_path, degree):
     # x0 * x2 = 0 has degree 2, so it appears only from --degree 2 on

@@ -6,12 +6,20 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import basis_coordinates, oracle_dot, oracle_hnf_column_basis, oracle_mat_mul
+from oracles import (
+    _bareiss_det,
+    _cone_by_subset_scan,
+    _fraction_rank,
+    _fraction_solve,
+    basis_coordinates,
+    cone_contains,
+    oracle_dot,
+    oracle_hnf_column_basis,
+    oracle_mat_mul,
+)
 
 from tropdeg.exactlin import (
-    RationalCone,
     _ratio,
-    _extreme_generators,
     cone_from_generators,
     complete_to_unimodular,
     content,
@@ -20,7 +28,6 @@ from tropdeg.exactlin import (
     dot,
     hnf_column_basis,
     is_integrally_surjective,
-    is_zero,
     kernel_basis,
     left_inverse,
     mat_identity,
@@ -33,7 +40,6 @@ from tropdeg.exactlin import (
     smith_normal_form,
     snf_diagonal,
     solve_linear,
-    vneg,
 )
 from tropdeg.polytope import _span_chart, _span_coordinates
 
@@ -239,9 +245,9 @@ def test_complete_to_unimodular():
 def test_cone_lower_dimensional():
     c = cone_from_generators([(1, 1, 0)], 3)
     assert c.generators == ((1, 1, 0),)
-    assert c.contains((2, 2, 0))
-    assert not c.contains((1, 0, 0))
-    assert not c.contains((-1, -1, 0))
+    assert cone_contains(c, (2, 2, 0))
+    assert not cone_contains(c, (1, 0, 0))
+    assert not cone_contains(c, (-1, -1, 0))
 
 
 def test_cone_rejects_redundant_generators():
@@ -308,100 +314,6 @@ def test_cone_from_rational_generators_clears_denominators():
     assert c.generators == ((0, 0, 1), (0, 1, 2), (1, 0, 2))
 
 
-# The double description by subset scan that cone_from_generators used before
-# it read facets off `hull`, kept verbatim as the differential oracle.
-
-
-def _extreme_rays_of_halfspaces(normals, dim):
-    """Extreme rays of {x : <n,x> >= 0 for all n}, assuming the cone is pointed.
-
-    In a pointed cone a ray is extreme exactly when the normals tight at it
-    have rank dim - 1, so it spans the kernel of some dim - 1 of them.  The
-    scan tries every (dim-1)-subset of rank dim - 1 and keeps the kernel
-    direction that satisfies all inequalities; brute force, fine for the
-    small cones here.
-    """
-    if mat_rank(normals) < dim:
-        raise ValueError("cone is not pointed")
-    if dim == 1:
-        return sorted(c for c in ((1,), (-1,)) if all(dot(c, n) >= 0 for n in normals))
-    rays = set()
-    for sub in combinations(range(len(normals)), dim - 1):
-        m = tuple(normals[i] for i in sub)
-        if mat_rank(m) != dim - 1:
-            continue
-        r = primitive(kernel_basis(m)[0])
-        for cand in (r, vneg(r)):
-            if all(dot(cand, n) >= 0 for n in normals):
-                rays.add(cand)
-    return sorted(rays)
-
-
-def _cone_by_subset_scan(gens, ambient_dim):
-    """Build a RationalCone from ray generators (double description)."""
-    gens = [primitive(g) for g in gens if not is_zero(g)]
-    gens = sorted(set(gens))
-    if not gens:
-        return RationalCone(ambient_dim, [], [tuple(r) for r in mat_identity(ambient_dim)] + [vneg(r) for r in mat_identity(ambient_dim)])
-    # facet normals of cone(gens) = extreme rays of the dual cone, computed in
-    # the span when the cone is not full dimensional
-    span = saturate_lattice(gens, ambient_dim)
-    rank = len(span)
-    # coordinates of generators in the span basis
-    span_t = mat_transpose(tuple(span))
-    coords = []
-    for g in gens:
-        x = solve_linear(span_t, g)
-        assert x is not None and all(xf.denominator == 1 for xf in x)
-        coords.append(tuple(int(xf) for xf in x))
-    dual_in_span = _dual_rays_general(coords, rank)
-    # facet normals back in ambient coordinates: n_span composed with the
-    # coordinate functionals of the span; plus +-normals cutting the span
-    ann = kernel_basis(tuple(span))
-    span_cut = [tuple(a) for a in ann] + [vneg(a) for a in ann]
-    # lift span-normals: need integer functional on Z^n restricting correctly;
-    # use a rational solve against span basis then clear denominators
-    facet_normals = []
-    for n_span in dual_in_span:
-        # functional f with f(span_j) = n_span_j, f = y @ (rows = identity):
-        # solve span_t^T y = n_span  (y in Q^n), then clear denominators
-        y = solve_linear(tuple(span), n_span)
-        assert y is not None
-        den = denominator_lcm(y)
-        f = tuple(int(c * den) for c in y)
-        if not is_zero(f):
-            facet_normals.append(primitive(f))
-    facet_normals = sorted(set(facet_normals + span_cut))
-    # extreme rays among gens, by the rank of their tight facet normals
-    extreme = _extreme_generators(gens, facet_normals, ambient_dim)
-    return RationalCone(ambient_dim, extreme, facet_normals)
-
-
-def _dual_rays_general(gens, dim):
-    """Extreme rays of the dual cone {m : <m,g> >= 0}, gens full rank in Z^dim.
-
-    Handles the non-pointed dual (when gens do not span positively) by
-    splitting off the lineality space {m : <m,g> = 0 for all g}.
-    """
-    if dim == 0:
-        return []
-    lin = kernel_basis(tuple(gens))
-    if not lin:
-        return _extreme_rays_of_halfspaces(tuple(gens), dim)
-    # dual = lineality + pointed part in the quotient by the lineality span
-    lin_t = tuple(lin)
-    comp = kernel_basis(lin_t)  # functionals vanishing... complement lattice
-    if not comp:
-        return sorted(set([primitive(b) for b in lin] + [vneg(primitive(b)) for b in lin]))
-    proj = tuple(comp)  # rows: basis of the complement lattice (as vectors)
-    # constraints in complement coordinates: <m, g> with m = sum c_i comp_i
-    constr = tuple(tuple(dot(c, g) for c in proj) for g in gens)
-    sub_rays = _extreme_rays_of_halfspaces(constr, len(proj))
-    rays = [primitive(tuple(dot(tuple(r[i] for i in range(len(proj))), col) for col in zip(*proj))) for r in sub_rays]
-    rays += [primitive(b) for b in lin] + [vneg(primitive(b)) for b in lin]
-    return sorted(set(rays))
-
-
 @st.composite
 def cone_generator_sets(draw):
     """Generators of a random cone in Z^dim, dim = 1..4.
@@ -430,91 +342,6 @@ def test_cone_from_generators_matches_subset_scan(case):
     c = cone_from_generators(gens, dim)
     ref = _cone_by_subset_scan(gens, dim)
     assert (c.generators, c.facet_normals) == (ref.generators, ref.facet_normals)
-
-
-# det, mat_rank and solve_linear as they were before they shared one
-# fraction-free elimination, kept verbatim as the differential oracles.
-
-
-def _bareiss_det(m):
-    """Determinant by fraction-free Bareiss elimination (exact ints)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    assert all(len(row) == n for row in m)
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _fraction_rank(m):
-    """Rank over the rationals, by fraction-free elimination."""
-    if not m:
-        return 0
-    a = [[Fraction(x) for x in row] for row in m]
-    rows, cols = len(a), len(a[0])
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if a[r][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pr = a[rank]
-        for r in range(rows):
-            if r != rank and a[r][c] != 0:
-                f = a[r][c] / pr[c]
-                a[r] = [x - f * y for x, y in zip(a[r], pr)]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def _fraction_solve(m, rhs):
-    """One rational solution x of m x = rhs, or None if inconsistent.
-
-    Free variables are set to 0.
-    """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [[Fraction(x) for x in m[r]] + [Fraction(rhs[r])] for r in range(rows)]
-    pivots = []
-    rank = 0
-    for c in range(cols):
-        piv = next((r for r in range(rank, rows) if a[r][c] != 0), None)
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pr = [x / a[rank][c] for x in a[rank]]
-        a[rank] = pr
-        for r in range(rows):
-            if r != rank and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], pr)]
-        pivots.append(c)
-        rank += 1
-    for r in range(rank, rows):
-        if a[r][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = a[r][cols]
-    return tuple(x)
 
 
 @st.composite

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tropdeg.embed import FibrationData, cone_over_cell, local_fibre
+from oracles import cone_over_cell
+
+from tropdeg.embed import FibrationData, local_fibre
 from tropdeg.exactlin import _ratio
 from tropdeg.pipelines import build_hypercube, build_kp1_2, build_quintic
 from tropdeg.polytope import LatticePolytope, clip_by_halfspace, graph_points, hull
@@ -106,8 +108,8 @@ def test_hulls_clips_faces_and_graph_lifts_keep_the_number_form(poly, data):
 @settings(max_examples=100, deadline=None)
 @given(polytopes(), st.data())
 def test_local_fibres_over_integer_targets_keep_the_number_form(cell, data):
-    # y and p are nonnegative combinations of the cone's facet normals, and p
-    # also counts the level, so every generator has w > 0 and the fibre is bounded
+    # the y are nonnegative combinations of the facet normals of the cone
+    # over the cell, so nonnegative on it, and p is the level
     cone = cone_over_cell(cell)
     level = (0,) * cell.ambient_dim + (1,)
 
@@ -116,9 +118,8 @@ def test_local_fibres_over_integer_targets_keep_the_number_form(cell, data):
         return tuple(sum(w * n[i] for w, n in zip(weights, cone.facet_normals)) for i in range(len(level)))
 
     ys = [functional() for _ in range(data.draw(st.integers(1, 2)))]
-    p = tuple(a + b for a, b in zip(functional(), level))
     try:
-        fib = FibrationData(cone, ys, p)
+        fib = FibrationData(cell, ys, level)
     except ValueError:
         assume(False)
     target = data.draw(st.tuples(*[st.integers(0, 3)] * (len(ys) + 1)))

@@ -9,8 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    _cone_slice,
     _integer_basis_coordinates,
+    _rank_vertices,
     basis_coordinates,
+    cone_over_cell,
+    gift_wrap_full_dim,
     oracle_clip_by_halfspace,
     oracle_dilate_lattice_points,
     oracle_facet_keys,
@@ -20,14 +24,9 @@ from oracles import (
 )
 
 from tropdeg import exactlin, polytope, render
-from tropdeg.embed import _cone_slice, cone_over_cell
 from tropdeg.exactlin import (
     dot,
-    hnf_column_basis,
-    is_zero,
-    kernel_basis,
     mat_rank,
-    primitive,
     saturate_lattice,
     vadd,
     vsub,
@@ -798,157 +797,10 @@ def test_clip_face_and_graph_degeneration_take_no_hull():
 
 # --- gift wrapping ---------------------------------------------------------
 #
-# The hull as it was before double description replaced it, in the form it
-# had before it went integer-only and wrapped each ridge once: gift wrapping
-# with Fraction ratios, every ridge wrapped from both of its facets, a
-# separate simplex branch, and a rank test for vertices.  Kept verbatim as the
-# differential oracle; it must run with polytope._hull_full_dim patched to it,
-# so the facet sub-hulls that _face_facets makes go through the oracle too.
-
-
-def _simplex_facets(pts, d):
-    """Facets of a d-simplex given by exactly d+1 affinely independent points."""
-    out = []
-    for drop in range(d + 1):
-        rest = [pts[i] for i in range(d + 1) if i != drop]
-        anchor = rest[0]
-        tangent = tuple(vsub(p, anchor) for p in rest[1:])
-        ker = kernel_basis(tangent)
-        assert len(ker) == 1
-        n = primitive(ker[0])
-        if dot(n, vsub(pts[drop], anchor)) < 0:
-            n = tuple(-x for x in n)
-        c = -dot(n, anchor)
-        out.append((n, c, tuple(i for i in range(d + 1) if i != drop)))
-    return sorted(out)
-
-
-def _initial_facet(pts, d):
-    """One hull facet of a full-dimensional integer point set, by rotation.
-
-    Returns (inward_normal, tight_indices).
-    """
-    # inward normal convention: <n, p> >= <n, p0> for all p
-    n = tuple(1 if i == 0 else 0 for i in range(d))
-    vals = [dot(n, p) for p in pts]
-    lo = min(vals)
-    contact = [i for i, v in enumerate(vals) if v == lo]
-    p0 = pts[contact[0]]
-    while True:
-        tangent = hnf_column_basis([vsub(pts[i], p0) for i in contact])
-        if len(tangent) == d - 1:
-            return n, contact
-        ann = kernel_basis(tuple(tangent)) if tangent else [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-        moved = False
-        for v in ann:
-            pairs = [(dot(n, vsub(p, p0)), dot(v, vsub(p, p0))) for p in pts]
-            if all(b == 0 for a, b in pairs if a > 0):
-                continue
-            # rotate n toward -v until the first outside point is hit
-            t_star = max(Fraction(b, a) for a, b in pairs if a > 0)
-            num, den = t_star.numerator, t_star.denominator
-            cand = tuple(num * ni - den * vi for ni, vi in zip(n, v))
-            if is_zero(cand):
-                continue
-            n = primitive(cand)
-            vals = [dot(n, p) for p in pts]
-            lo = min(vals)
-            contact = [i for i, val in enumerate(vals) if val == lo]
-            p0 = pts[contact[0]]
-            moved = True
-            break
-        if not moved:
-            raise AssertionError("initial facet search stalled; input not full-dimensional?")
-
-
-def _neighbor_facet(pts, d, normal, facet_idx, ridge_idx):
-    """Wrap across a ridge: the other facet containing the given ridge."""
-    p_r = pts[ridge_idx[0]]
-    tangent = hnf_column_basis([vsub(pts[i], p_r) for i in ridge_idx])
-    if tangent:
-        ann = kernel_basis(tuple(tangent))
-    else:
-        ann = [tuple(1 if i == j else 0 for i in range(d)) for j in range(d)]
-    w = None
-    for cand in ann:
-        if any(dot(cand, vsub(pts[i], p_r)) != 0 for i in facet_idx):
-            w = cand
-            break
-    assert w is not None, "ridge annihilator degenerate"
-    beta = next(dot(w, vsub(pts[i], p_r)) for i in facet_idx if dot(w, vsub(pts[i], p_r)) != 0)
-    if beta > 0:
-        w = tuple(-x for x in w)
-    # new normal n' = t*n - w with t* = max over off-facet points of w_q/a_q
-    best = None
-    for q in pts:
-        a_q = dot(normal, vsub(q, p_r))
-        if a_q <= 0:
-            continue
-        w_q = dot(w, vsub(q, p_r))
-        r = Fraction(w_q, a_q)
-        if best is None or r > best:
-            best = r
-    assert best is not None, "no neighbor facet; point set not full-dimensional"
-    num, den = best.numerator, best.denominator
-    n2 = primitive(tuple(num * ni - den * wi for ni, wi in zip(normal, w)))
-    vals = [dot(n2, p) for p in pts]
-    lo = min(vals)
-    tight = [i for i, v in enumerate(vals) if v == lo]
-    return n2, tight
-
-
-def _hull_full_dim(pts, d):
-    """All facets of conv(pts), pts integer and affinely spanning R^d.
-
-    Returns a list of (inward primitive normal, offset c, tight index tuple)
-    for the inequality <n, x> >= -c.
-    """
-    if d == 0:
-        return []
-    if d == 1:
-        vals = [p[0] for p in pts]
-        lo, hi = min(vals), max(vals)
-        return [
-            ((1,), -lo, tuple(i for i, v in enumerate(vals) if v == lo)),
-            ((-1,), hi, tuple(i for i, v in enumerate(vals) if v == hi)),
-        ]
-    if len(pts) == d + 1:
-        return _simplex_facets(pts, d)
-    first_n, first_tight = _initial_facet(pts, d)
-    facets = {}
-    queue = [(first_n, tuple(first_tight))]
-    while queue:
-        n, tight = queue.pop()
-        if n in facets:
-            continue
-        facets[n] = tight
-        # ridges = facets of the (d-1)-dimensional face conv(tight); for a
-        # simplicial facet these are just the (d-1)-subsets
-        if len(tight) == d:
-            ridge_sets = [tuple(tight[j] for j in range(d) if j != i) for i in range(d)]
-        else:
-            sub_pts = [pts[i] for i in tight]
-            ridge_sets = [tuple(tight[i] for i in ridge_local) for ridge_local in _face_facets(sub_pts)]
-        for ridge_idx in ridge_sets:
-            n2, tight2 = _neighbor_facet(pts, d, n, tight, ridge_idx)
-            if n2 not in facets:
-                queue.append((n2, tuple(tight2)))
-    out = []
-    for n, tight in sorted(facets.items()):
-        c = -dot(n, pts[tight[0]])
-        out.append((n, c, tuple(sorted(tight))))
-    return out
-
-
-def _rank_vertices(pts, facs, d):
-    """The points of pts that hull's former rank test calls vertices."""
-    # vertices: points whose tight facet normals span the full span dim
-    tight_at = {i: [] for i in range(len(pts))}
-    for n, c, tight in facs:
-        for i in tight:
-            tight_at[i].append(n)
-    verts = [pts[i] for i in range(len(pts)) if mat_rank(tuple(tight_at[i])) == d]
-    return verts
+# The Fraction gift wrap the double description replaced is kept in
+# tests/oracles.py (`gift_wrap_full_dim`); it must run with
+# polytope._hull_full_dim patched to it, so the facet sub-hulls that
+# _face_facets makes go through the oracle too.
 
 
 def _box_points(draw, dim, most):
@@ -1015,8 +867,8 @@ def test_integer_wrap_matches_fraction_wrap(pts):
     faces = list(_face_sets(poly).items())
     volume = poly.normalized_volume()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polytope, "_hull_full_dim", _hull_full_dim)
-        oracle_facs = _hull_full_dim(coords, d)
+        mp.setattr(polytope, "_hull_full_dim", gift_wrap_full_dim)
+        oracle_facs = gift_wrap_full_dim(coords, d)
         oracle = hull(pts)
         oracle_faces = list(_faces_by_rehulling(oracle).items())
         oracle_volume = oracle.normalized_volume()
