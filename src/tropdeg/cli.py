@@ -1,7 +1,8 @@
 """Command-line front end: build examples, run checks, emit reports and SVG.
 
 Exit codes: 0 success, 1 check failure (not simple, not surjective), 2 input
-error.  All file I/O is UTF-8 JSON plus SVG 1.1; reports are byte-stable.
+error, 3 internal error (an `InvariantError`).  All file I/O is UTF-8 JSON
+plus SVG 1.1; reports are byte-stable.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import os
 import sys
 
+from .exactlin import InvariantError
 from .jsonio import dumps, parse_num, point_json
 
 
@@ -318,6 +320,9 @@ def main(argv=None):
     except (InputError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+    except InvariantError as e:
+        sys.stderr.write(f"internal error: {e}\n")
+        return 3
 
 
 if __name__ == "__main__":

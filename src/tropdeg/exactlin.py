@@ -11,6 +11,14 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
+
+class InvariantError(Exception):
+    """An internal invariant of a construction failed: a defect of the package, not of its input.
+
+    It is not a ValueError, so the CLI reports it apart from bad input.
+    """
+
+
 def content(v):
     """gcd of the entries of v (0 for the zero vector).
 
@@ -408,10 +416,12 @@ def complete_to_unimodular(v):
     if content(v) != 1:
         raise ValueError("vector must be primitive")
     s, u, vv = smith_normal_form(tuple((x,) for x in v))
-    assert s[0][0] == 1
+    if s[0][0] != 1:
+        raise InvariantError(f"Smith form of primitive {v} has leading entry {s[0][0]}")
     if vv[0][0] == -1:
         u = tuple(tuple(-x for x in row) for row in u)
-    assert mat_vec(u, v) == tuple(1 if i == 0 else 0 for i in range(len(v)))
+    if mat_vec(u, v) != tuple(1 if i == 0 else 0 for i in range(len(v))):
+        raise InvariantError(f"completion of {v} does not send it to e1")
     return u
 
 

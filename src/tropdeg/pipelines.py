@@ -20,6 +20,7 @@ from .embed import (
     specialization_map,
     wall_fibration_data,
 )
+from .exactlin import InvariantError
 from .jsonio import dumps, key_json
 from .polytope import (
     NefPartition,
@@ -219,7 +220,8 @@ def build_quintic(i):
     if not 1 <= i <= 4:
         raise ValueError("i must be between 1 and 4")
     poly = hull(list(QUINTIC_COLUMNS))
-    assert poly.is_reflexive()
+    if not poly.is_reflexive():
+        raise InvariantError("the quintic polytope is not reflexive")
     level = i - 1
     split_sub, tent = hyperplane_split(poly, 0, level)
     h_tyu = negate_pl(tent, split_sub)
@@ -305,7 +307,8 @@ def build_hypercube(k):
     pts = box.lattice_points()
     heights = [sum(abs(int(x)) for x in p) for p in pts]
     sub, f = regular_subdivision(pts, heights)
-    assert len(sub.maximal_cells) == 2**k
+    if len(sub.maximal_cells) != 2**k:
+        raise InvariantError(f"the hypercube's tent subdivision has {len(sub.maximal_cells)} cells, not {2**k}")
     summed = sum_refinement(f, f, sub, sub)
     two_param = graph_degeneration([(sub, f), (sub, f)], refinement=summed[0])
     diagonal_ok = _diagonal_matches(two_param, summed)

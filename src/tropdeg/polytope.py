@@ -18,6 +18,7 @@ from itertools import combinations
 from itertools import product as iproduct
 
 from .exactlin import (
+    InvariantError,
     _eliminate,
     _ratio,
     clear_fractions,
@@ -265,29 +266,84 @@ def _cleared_coordinates(chart, ws, s):
 
 
 def _span_points(chart, pivots, origin, box):
-    """The integer points of the affine span through origin over a pivot box.
+    """The integer points of the affine span through origin over tuples of pivot coordinates.
 
-    For each tuple of pivot coordinates in box, the chart's left inverse,
-    which vanishes off the pivots, gives the span coordinates t = a (x -
-    origin) / dd, and the point is origin + t @ basis; a point with a
-    non-integer coordinate is skipped.  All in integers: with den clearing
-    origin, den * dd * point = dd * den * origin + (den * a (x - origin)) @ basis.
+    A point x of the span is origin + t @ basis with span coordinates
+    t = a (x - origin) / dd, read off its pivot coordinates, since the
+    chart's left inverse a vanishes off the pivots; so x keeps the given
+    pivot coordinates, and each other coordinate j is an affine function of
+    them.  All in integers: with den clearing origin and m_j the column
+    (a^T basis)_j at the pivots, den * dd * x_j = dd * den * origin_j +
+    <m_j, den * x_pivots - den * origin_pivots>.  A point with a
+    non-integer coordinate is skipped; a full-dimensional span has no other
+    coordinate to solve for.
     """
     basis, a, dd, _ = chart
     den = denominator_lcm(origin)
     o = [int(x * den) for x in origin]
-    rows = [[row[p] for p in pivots] for row in a]
     scale = den * dd
+    solved = []
+    for j in range(len(o)):
+        if j not in pivots:
+            m = [sum(row[p] * b[j] for row, b in zip(a, basis)) for p in pivots]
+            solved.append((j, m, dd * o[j] - sum(x * o[p] for x, p in zip(m, pivots))))
     for xp in box:
-        w = [sum(r * (den * x - o[p]) for r, x, p in zip(row, xp, pivots)) for row in rows]
-        point = []
-        for j, oj in enumerate(o):
-            q, r = divmod(dd * oj + sum(wi * b[j] for wi, b in zip(w, basis)), scale)
+        point = [0] * len(o)
+        for p, x in zip(pivots, xp):
+            point[p] = x
+        for j, m, c in solved:
+            q, r = divmod(c + den * dot(m, xp), scale)
             if r:
                 break
-            point.append(q)
+            point[j] = q
         else:
             yield tuple(point)
+
+
+def _pivot_cuts(poly, pivots, origin, dilation):
+    """Each facet of dilation * poly as an integer inequality (g, r): <g, x_pivots> >= r on the dilate's span.
+
+    origin is the dilated anchor.  A point x of the span through origin is
+    origin + t @ basis with t = a (x - origin) / dd (`_span_points`), so
+    <n, x> = <n, origin> + <g, x - origin> / dd, where g = a^T (basis n)
+    vanishes off the pivots.  Then <n, x> >= -dilation * c reads
+    <g, x_pivots> >= dd (-dilation * c - <n, origin>) + <g, origin>, whose
+    right side may be rounded up, as the left is an integer.
+    """
+    basis, a, dd, _ = poly.chart
+    cuts = []
+    for n, c in poly.facets:
+        bn = mat_vec(basis, n)
+        g = [dot(column, bn) for column in zip(*a)]
+        cuts.append(([g[p] for p in pivots], math.ceil(dd * (-dilation * c - dot(n, origin)) + dot(g, origin))))
+    return cuts
+
+
+def _scan_rows(cuts, ranges):
+    """The integer points of the box ranges (inclusive (lo, hi) pairs) that satisfy every cut (g, r): <g, x> >= r.
+
+    In lexicographic order: the box of every coordinate but the last is
+    scanned, and on each row the last coordinate runs over the interval the
+    cuts leave it.  No coordinates at all give the one empty point.
+    """
+    if not ranges:
+        yield ()
+        return
+    *head, (lo, hi) = ranges
+    split = [(g[:-1], g[-1], r) for g, r in cuts]
+    for row in iproduct(*(range(a, b + 1) for a, b in head)):
+        low, high = lo, hi
+        for g, last, r in split:
+            rest = r - dot(g, row)
+            if last > 0:
+                low = max(low, -(-rest // last))
+            elif last < 0:
+                high = min(high, rest // last)
+            elif rest > 0:
+                break
+        else:
+            for x in range(low, high + 1):
+                yield row + (x,)
 
 
 def _facet(chart, functional, vertex):
@@ -404,7 +460,8 @@ class LatticePolytope:
             f = primitive(_lift(chart, n))
             vals = [dot(f, p) for p in pts]
             lo = min(vals)
-            assert frozenset(i for i, v in enumerate(vals) if v == lo) == frozenset(tight)
+            if frozenset(i for i, v in enumerate(vals) if v == lo) != frozenset(tight):
+                raise InvariantError(f"hull facet {f} is not tight at exactly its points")
             facets.append((f, _ratio(-lo)))
             incidence.append(sum(bit.get(i, 0) for i in tight))
         return _assemble(chart, [pts[i] for i in index], facets, incidence)
@@ -460,25 +517,25 @@ class LatticePolytope:
     def lattice_points(self, dilation=1):
         """All integer points of dilation * self, in lexicographic order.
 
-        The dilate is read off the polytope's own data: its equation
-        constants and facet offsets scale by the dilation (a nonnegative
-        integer), and its vertices by the dilation give the box to scan.
-        Only the box of the span's pivot coordinates is scanned: the span
-        basis is in echelon form, so a point of the span is fixed by those
-        coordinates, in the same lexicographic order, and `_span_points`
-        solves for the others.  Each integer point is tested against the
-        scaled constraints directly, so no hull is taken and no point is
-        normalized; rational polytopes are counted exactly too.
+        The dilate is read off the polytope's own data: its vertices and
+        facet offsets scale by the dilation (a nonnegative integer).  A point
+        of the dilate's affine span is fixed by its pivot coordinates, since
+        the span basis is in echelon form, in the same lexicographic order,
+        and `_span_points` solves for the others.  Each facet is pulled back
+        once to an integer inequality <g, x_pivots> >= r (`_pivot_cuts`).
+        The box of every pivot but the last is scanned, and on each row the
+        last pivot runs over the integer interval those inequalities cut:
+        a ceiling for a positive coefficient, a floor for a negative one,
+        and a test on the row for a zero one.  So no candidate is tested
+        against the facets, no hull is taken and no point is normalized;
+        rational polytopes are counted exactly too.
         """
         lo, hi = self.bounding_box()
-        equations = [(f, -dilation * c) for f, c in self.equations]
-        facets = [(n, -dilation * c) for n, c in self.facets]
         chart = self.chart
         pivots = [next(i for i, x in enumerate(b) if x) for b in chart[0]]
-        box = iproduct(*(range(math.ceil(dilation * lo[i]), math.floor(dilation * hi[i]) + 1) for i in pivots))
-        if len(pivots) < self.ambient_dim:
-            box = _span_points(chart, pivots, tuple(dilation * x for x in self.vertices[0]), box)
-        return [p for p in box if all(dot(f, p) == e for f, e in equations) and all(dot(n, p) >= e for n, e in facets)]
+        origin = tuple(dilation * x for x in self.anchor)
+        ranges = [(math.ceil(dilation * lo[i]), math.floor(dilation * hi[i])) for i in pivots]
+        return list(_span_points(chart, pivots, origin, _scan_rows(_pivot_cuts(self, pivots, origin, dilation), ranges)))
 
     def face(self, normal, offset):
         """The face cut out by the supporting hyperplane <normal, x> = -offset.
@@ -527,7 +584,8 @@ class LatticePolytope:
             return 1
         rows, den = _span_coordinates(self.chart, self.anchor, self.vertices)
         nv = _ratio(_nvol_full_dim(rows, self.dim), den**self.dim)
-        assert nv.denominator == 1 or not self.is_lattice()
+        if nv.denominator != 1 and self.is_lattice():
+            raise InvariantError(f"{self!r} is a lattice polytope of normalized volume {nv}")
         return nv
 
     def is_simplex(self):
@@ -554,7 +612,15 @@ class LatticePolytope:
     # -- algebra
 
     def translate(self, t):
-        return LatticePolytope.hull([vadd(v, t) for v in self.vertices])
+        """self + t, read off the polytope with no hull.
+
+        A translate keeps the span, so the chart, and the vertex order, so
+        the incidence; each facet keeps its normal, its offset read off a
+        shifted vertex it holds (`_facet`).
+        """
+        verts = [normalize_point(vadd(v, t)) for v in self.vertices]
+        facets = [_facet(self.chart, n, verts[_low(m)]) for (n, _), m in zip(self.facets, self.incidence)]
+        return _assemble(self.chart, verts, facets, self.incidence)
 
     def facet_keys(self):
         """Entry i is the sorted tuple of vertices tight at `facets[i]`, read off the incidence."""
@@ -755,9 +821,42 @@ def graph_points(cell, pieces):
 
 
 def minkowski_sum(p, q):
+    """p + q, the hull of the vertex sums.  No construction calls it: `is_minkowski_sum` decides a sum with no hull."""
     if p.ambient_dim != q.ambient_dim:
         raise ValueError("dimension mismatch in Minkowski sum")
     return LatticePolytope.hull([vadd(a, b) for a in p.vertices for b in q.vertices])
+
+
+def is_minkowski_sum(parts, target):
+    """Whether target is the Minkowski sum of the parts, decided by support functions with no hull.
+
+    The support function h(u) = sum over the parts of min <u, v> over each
+    part's vertices is that of the sum (Schneider, *Convex Bodies*, 2014).
+    The sum lies in the target exactly when h(n) + c >= 0 at every facet
+    (n, c) and h(f) + e = 0 = -h(-f) + e at every equation (f, e); and
+    then it holds a vertex v of the target exactly when h(u) = <u, v> for u
+    the sum of the facet normals tight at v, which the target meets at v
+    alone.  Raises ValueError, as `minkowski_sum` does, on ambient
+    dimensions that differ.
+    """
+    if any(p.ambient_dim != target.ambient_dim for p in parts):
+        raise ValueError("dimension mismatch in Minkowski sum")
+
+    def h(u):
+        return sum(min(dot(u, v) for v in p.vertices) for p in parts)
+
+    if any(h(n) + c < 0 for n, c in target.facets):
+        return False
+    if any(h(f) + e != 0 or h(tuple(-x for x in f)) - e != 0 for f, e in target.equations):
+        return False
+    for i, v in enumerate(target.vertices):
+        u = [0] * target.ambient_dim
+        for (n, _), m in zip(target.facets, target.incidence):
+            if m >> i & 1:
+                u = vadd(u, n)
+        if h(u) != dot(u, v):
+            return False
+    return True
 
 
 def product(p, q):
@@ -808,10 +907,7 @@ class NefPartition:
     def __init__(self, parent, parts):
         self.parent = parent
         self.parts = tuple(parts)
-        s = parts[0]
-        for q in parts[1:]:
-            s = minkowski_sum(s, q)
-        if s.vertices != parent.vertices:
+        if not is_minkowski_sum(self.parts, parent):
             raise ValueError("nef partition parts do not sum to the parent polytope")
 
     def __repr__(self):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactlin import clear_fractions, det, left_inverse, mat_mul, primitive, vsub
+from .exactlin import InvariantError, clear_fractions, det, left_inverse, mat_mul, primitive, vsub
 from .polytope import _lattice_chart, _span_coordinates, tight_at
 from .tropical import discriminant
 
@@ -83,7 +83,7 @@ def _net_charts(poly):
                     charts[j] = (anchor_j, chart_j, m, off)
                     break
             else:
-                raise AssertionError("could not orient facet in the net")
+                raise InvariantError("could not orient facet in the net")
             seen.add(j)
             queue.append(j)
     return facets, charts
@@ -92,7 +92,8 @@ def _net_charts(poly):
 def _completion(d):
     """The first of four fixed vectors completing d to a unimodular basis of Z^2."""
     e = next((c for c in ((0, 1), (1, 0), (1, 1), (-1, 1)) if abs(det(((d[0], c[0]), (d[1], c[1])))) == 1), None)
-    assert e is not None
+    if e is None:
+        raise InvariantError(f"no fixed vector completes {d} to a unimodular basis")
     return e
 
 

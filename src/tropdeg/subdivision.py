@@ -21,7 +21,7 @@ from .polytope import (
     clip_by_halfspace,
     graph_points,
     hull,
-    minkowski_sum,
+    is_minkowski_sum,
     normalize_point,
     product,
     segment,
@@ -160,13 +160,16 @@ def common_refinement(sub1, sub2):
 
     Each intersection clips a cell a of sub1 by the facets of a cell b of
     sub2; both cells span the common support, so the equations already agree.
+    A facet of b that is a facet of the support holds all of a, so it is
+    skipped, and a pair stops at the first facet that leaves no vertex of
+    the clip strictly inside, as what is left then has a lower dimension.
     The refinement records, for each kept cell, the key of a in sub1 and of b
     in sub2, and through them its parent in every subdivision an input
     itself refines, so `_piece_on` reads each piece with no containment test.
     """
     if sub1.support.vertices != sub2.support.vertices:
         raise ValueError("domain mismatch")
-    dim = sub1.support.dim
+    bounding = set(sub1.support.facets)
     cells = {}
     up1 = {}
     up2 = {}
@@ -174,9 +177,11 @@ def common_refinement(sub1, sub2):
         for b in sub2.maximal_cells:
             x = a
             for n, c in b.facets:
-                x = clip_by_halfspace(x, n, c)
-                if x is None or x.dim != dim:
+                if (n, c) in bounding:
+                    continue
+                if all(dot(n, v) + c <= 0 for v in x.vertices):
                     break
+                x = clip_by_halfspace(x, n, c)
             else:
                 key = x.key()
                 if key not in cells:
@@ -436,10 +441,10 @@ def blowup_refinement(nef, delta_a, delta_b):
     """Blow-up polytope data for a refined nef partition.
 
     parts are Delta_a x [0,1], Delta_b x [-1,0] and Delta_i x {0} for i >= 1;
-    the Minkowski sum of the parts is parent x [-1,1].
+    the Minkowski sum of the parts is parent x [-1,1], which is returned as
+    the total.  Both sums are decided by `is_minkowski_sum`, with no hull.
     """
-    delta0 = nef.parts[0]
-    if minkowski_sum(delta_a, delta_b).vertices != delta0.vertices:
+    if not is_minkowski_sum([delta_a, delta_b], nef.parts[0]):
         raise ValueError("Minkowski split invalid: delta_a + delta_b != Delta_0")
     up = segment(0, 1)
     down = segment(-1, 0)
@@ -447,10 +452,7 @@ def blowup_refinement(nef, delta_a, delta_b):
     parts = [product(delta_a, up), product(delta_b, down)]
     for part in nef.parts[1:]:
         parts.append(product(part, origin))
-    total = parts[0]
-    for p in parts[1:]:
-        total = minkowski_sum(total, p)
-    expected = product(nef.parent, segment(-1, 1))
-    if total.vertices != expected.vertices:
+    total = product(nef.parent, segment(-1, 1))
+    if not is_minkowski_sum(parts, total):
         raise ValueError("Minkowski split invalid: parts do not tile parent x [-1,1]")
     return total, parts, NefPartition(total, parts)

@@ -1,10 +1,14 @@
 """Retired implementations, kept verbatim as the tests' independent oracles.
 
 The lattice-point enumerator: `LatticePolytope.lattice_points` scans the
-bounding box of a dilate against the polytope's own inequalities.  The
-enumerator it replaced scans a lattice polytope in coordinates of its
-saturated span basis, a rational one over its bounding box, and sends
-every candidate through `contains`.  The ring and criterion-6 oracles count
+box of every pivot coordinate of a dilate's span but the last, and on each
+row runs the last over the interval its facets, pulled back to the pivot
+coordinates, cut.  The scan it replaced (`oracle_box_lattice_points`) runs
+over the whole pivot box and tests every candidate against the dilate's
+scaled equations and facet inequalities.  The enumerator before that
+(`oracle_lattice_points`) scans a lattice polytope in coordinates of its
+saturated span basis, a rational one over its bounding box, and sends every
+candidate through `contains`.  The ring and criterion-6 oracles count
 through it, so they do not share the primitive they check.
 
 The hull's lattice chart: `LatticePolytope.hull` reads the span basis,
@@ -59,6 +63,13 @@ entry the same way.  The forms they replaced, `oracle_dot` and
 The piece lookup: `subdivision._piece_on` reads the parent keys that
 `common_refinement` records.  The lookup it replaced scans the coarser
 subdivision's cells for one containing the cell.
+
+The common refinement: `subdivision.common_refinement` clips a cell of the
+first input only by the facets of a cell of the second that are not facets
+of the support, and stops a pair at the first facet that leaves no vertex
+strictly inside.  The refinement it replaced (`oracle_common_refinement`)
+clips by every facet and drops a pair when a clip comes out empty or of
+lower dimension.
 
 The monodromy: `TropicalSpace._loop_matrix` and `transition` are closed
 forms, read off one chart and section per vertex and the hyperplane of each
@@ -139,6 +150,7 @@ take the facets of a subdivision that one cell has.  The scan they replaced
 every facet of the support.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from itertools import product as iproduct
@@ -261,6 +273,81 @@ def oracle_lattice_points(self):
 def oracle_dilate_lattice_points(poly, d):
     """Lattice points of d * poly: the oracle run on the hull of the dilated vertices."""
     return oracle_lattice_points(hull([tuple(d * Fraction(x) for x in v) for v in poly.vertices]))
+
+
+def _oracle_span_points(chart, pivots, origin, box):
+    """The integer points of the affine span through origin over a pivot box.
+
+    For each tuple of pivot coordinates in box, the chart's left inverse,
+    which vanishes off the pivots, gives the span coordinates t = a (x -
+    origin) / dd, and the point is origin + t @ basis; a point with a
+    non-integer coordinate is skipped.  All in integers: with den clearing
+    origin, den * dd * point = dd * den * origin + (den * a (x - origin)) @ basis.
+    """
+    basis, a, dd, _ = chart
+    den = denominator_lcm(origin)
+    o = [int(x * den) for x in origin]
+    rows = [[row[p] for p in pivots] for row in a]
+    scale = den * dd
+    for xp in box:
+        w = [sum(r * (den * x - o[p]) for r, x, p in zip(row, xp, pivots)) for row in rows]
+        point = []
+        for j, oj in enumerate(o):
+            q, r = divmod(dd * oj + sum(wi * b[j] for wi, b in zip(w, basis)), scale)
+            if r:
+                break
+            point.append(q)
+        else:
+            yield tuple(point)
+
+
+def oracle_box_lattice_points(poly, dilation=1):
+    """All integer points of dilation * poly, in lexicographic order, by the retired pivot-box scan.
+
+    The box of the span's pivot coordinates is scanned, `_oracle_span_points`
+    solves for the other coordinates, and each point is tested against the
+    scaled equations and facet inequalities.
+    """
+    lo, hi = poly.bounding_box()
+    equations = [(f, -dilation * c) for f, c in poly.equations]
+    facets = [(n, -dilation * c) for n, c in poly.facets]
+    chart = poly.chart
+    pivots = [next(i for i, x in enumerate(b) if x) for b in chart[0]]
+    box = iproduct(*(range(math.ceil(dilation * lo[i]), math.floor(dilation * hi[i]) + 1) for i in pivots))
+    if len(pivots) < poly.ambient_dim:
+        box = _oracle_span_points(chart, pivots, tuple(dilation * x for x in poly.vertices[0]), box)
+    return [p for p in box if all(dot(f, p) == e for f, e in equations) and all(dot(n, p) >= e for n, e in facets)]
+
+
+def oracle_common_refinement(sub1, sub2):
+    """Cells = full-dimensional intersections of cells from the two inputs, each cell clipped by every facet.
+
+    The retired `common_refinement`, with the same parent records.
+    """
+    if sub1.support.vertices != sub2.support.vertices:
+        raise ValueError("domain mismatch")
+    dim = sub1.support.dim
+    cells = {}
+    up1 = {}
+    up2 = {}
+    for a in sub1.maximal_cells:
+        for b in sub2.maximal_cells:
+            x = a
+            for n, c in b.facets:
+                x = clip_by_halfspace(x, n, c)
+                if x is None or x.dim != dim:
+                    break
+            else:
+                key = x.key()
+                if key not in cells:
+                    cells[key] = x
+                    up1[key] = a.key()
+                    up2[key] = b.key()
+    parents = []
+    for sub, up in ((sub1, up1), (sub2, up2)):
+        parents.append((sub, up))
+        parents.extend((source, {key: older[k] for key, k in up.items()}) for source, older in sub.parents)
+    return Subdivision(sub1.support, cells.values(), parents)
 
 
 def _integer_basis_coordinates(diffs, basis):

@@ -85,6 +85,15 @@ def test_scale_limit_exit_2(capsys):
     assert run(["check-simple", "--example", "kp1-2", "--k", "9"]) == 2
 
 
+def test_failed_invariant_exits_3_with_one_line(capsys, monkeypatch):
+    # a kernel that calls the quintic polytope not reflexive breaks an
+    # invariant of the build, not the input
+    monkeypatch.setattr(LatticePolytope, "is_reflexive", lambda self: False)
+    assert run(["example", "--example", "quintic", "--i", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: the quintic polytope is not reflexive\n"
+
+
 def test_example_report_and_determinism(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

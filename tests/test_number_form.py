@@ -57,10 +57,14 @@ def test_every_polytope_and_piece_a_build_makes_is_in_the_number_form(build, val
             made.append(self)
 
         monkeypatch.setattr(cls, "__init__", record)
-    build(value)
+    result = build(value)
     polytopes = [x for x in made if isinstance(x, LatticePolytope)]
     functions = [x for x in made if isinstance(x, PLFunction)]
-    assert len(polytopes) > 20 and len(functions) > 1
+    # the recorder saw every maximal cell of the refinement and of the
+    # space the build returns, and every height function
+    recorded = {id(x) for x in made}
+    built = [*result.two_param.refinement.maximal_cells, *result.solid.maximal_cells, *result.two_param.heights]
+    assert [x for x in built if id(x) not in recorded] == []
     errors = [e for p in polytopes for e in _form_errors(p)] + [e for f in functions for e in _piece_errors(f)]
     assert errors == []
 

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from tropdeg import polytope, subdivision
 from tropdeg.embed import specialization_map
 from tropdeg.pipelines import _linear_across, build_example, build_hypercube, build_kp1_2, build_quintic
 from tropdeg.polytope import containing_cell
@@ -272,3 +273,65 @@ def test_kp1_2_k2_embed_d_takes_no_hull_and_no_extra_left_inverse():
     assert embed_hulls == []
     assert len(result.t_d.maximal_cells) == 9
     assert stray_inverses == []
+
+
+# --- quintic and hypercube builds: sums by support functions, clips that can cut
+
+
+QUINTIC_AND_HYPERCUBE = [*((build_quintic, i) for i in range(1, 5)), *((build_hypercube, k) for k in range(1, 4))]
+
+
+def test_quintic_and_hypercube_builds_take_no_minkowski_sum(monkeypatch):
+    calls = []
+    real = polytope.minkowski_sum
+
+    def counted(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    for module in (polytope, subdivision):
+        monkeypatch.setattr(module, "minkowski_sum", counted, raising=False)
+    for build, value in QUINTIC_AND_HYPERCUBE:
+        build(value)
+    assert calls == []
+
+
+def test_common_refinement_never_clips_by_a_facet_of_the_support(monkeypatch):
+    supports = []
+    clips = []
+    real_refinement = subdivision.common_refinement
+    real_clip = subdivision.clip_by_halfspace
+
+    def tracked(sub1, sub2):
+        supports.append(set(sub1.support.facets))
+        try:
+            return real_refinement(sub1, sub2)
+        finally:
+            supports.pop()
+
+    def counted(cell, normal, offset):
+        if supports:
+            clips.append((normal, offset) in supports[-1])
+        return real_clip(cell, normal, offset)
+
+    monkeypatch.setattr(subdivision, "common_refinement", tracked)
+    monkeypatch.setattr(subdivision, "clip_by_halfspace", counted)
+    for build, value in QUINTIC_AND_HYPERCUBE:
+        build(value)
+    assert clips and not any(clips)
+
+
+def test_quintic_builds_hull_only_small_point_sets(monkeypatch):
+    # the input polytope, the simplices and segments: no Minkowski sum and
+    # no translate is hulled
+    sizes = []
+    real = polytope.LatticePolytope.hull
+
+    def counted(points):
+        sizes.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(polytope.LatticePolytope, "hull", staticmethod(counted))
+    for i in range(1, 5):
+        build_quintic(i)
+    assert sizes and max(sizes) <= 5

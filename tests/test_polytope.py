@@ -15,6 +15,7 @@ from oracles import (
     basis_coordinates,
     cone_over_cell,
     gift_wrap_full_dim,
+    oracle_box_lattice_points,
     oracle_clip_by_halfspace,
     oracle_dilate_lattice_points,
     oracle_facet_keys,
@@ -41,6 +42,7 @@ from tropdeg.polytope import (
     clip_by_halfspace,
     cube,
     hull,
+    is_minkowski_sum,
     minkowski_sum,
     polytope_from_inequalities,
     product,
@@ -316,9 +318,29 @@ def lattice_point_cells(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(lattice_point_cells(), st.integers(min_value=1, max_value=3))
+@given(lattice_point_cells(), st.integers(min_value=0, max_value=3))
 def test_lattice_points_match_retired_enumerator(poly, dilation):
-    assert poly.lattice_points(dilation) == oracle_dilate_lattice_points(poly, dilation)
+    points = poly.lattice_points(dilation)
+    assert points == oracle_dilate_lattice_points(poly, dilation)
+    assert points == oracle_box_lattice_points(poly, dilation)
+
+
+def test_quintic_lattice_points_scan_only_the_rows_the_facets_leave(quintic):
+    # the pivot box of the quintic has 6^4 = 1296 points; each row of the
+    # first three pivots runs the last only over the facets' interval, so
+    # no point is generated that is not one of the 126
+    made = []
+    real = polytope._span_points
+
+    def counted(chart, pivots, origin, box):
+        box = list(box)
+        made.extend(box)
+        return real(chart, pivots, origin, box)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytope, "_span_points", counted)
+        points = quintic.lattice_points()
+    assert len(points) == len(made) == 126
 
 
 def test_lattice_points_of_a_thin_diagonal_dilate():
@@ -732,6 +754,70 @@ def test_product_matches_hull_of_vertex_pairs(pts_p, pts_q, den):
     q = hull(pts_q)
     for a, b in ((p, q), (q, p), (p, hull([pts_q[0]]))):
         assert _fields(product(a, b)) == _fields(oracle_product(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(embedded_point_sets(max_ambient=4), st.integers(min_value=1, max_value=3), st.data())
+def test_translate_matches_hull_of_shifted_vertices(pts, den, data):
+    poly = hull([tuple(Fraction(x, den) for x in v) for v in pts])
+    shift = data.draw(st.tuples(*[st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))] * poly.ambient_dim))
+    assert _fields(poly.translate(shift)) == _fields(hull([vadd(v, shift) for v in poly.vertices]))
+
+
+def test_translate_takes_no_hull(monkeypatch):
+    poly = standard_simplex(4, 3)
+    monkeypatch.setattr(LatticePolytope, "hull", None)
+    assert poly.translate((-1, -1, -1, -1)).vertices[0] == (-1, -1, -1, -1)
+
+
+@st.composite
+def minkowski_cases(draw):
+    """(parts, target): one to three parts of small rational hulls in a common ambient space, and a target.
+
+    Few points give lower-dimensional parts.  The target is the sum, the sum
+    with a vertex dropped, a translate of it, a dilate of it by 2 or 1/2, or
+    another random hull.
+    """
+    n = draw(st.integers(1, 3))
+    coord = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+    point = st.tuples(*[coord] * n)
+    parts = [hull(draw(st.lists(point, min_size=1, max_size=4))) for _ in range(draw(st.integers(1, 3)))]
+    total = parts[0]
+    for q in parts[1:]:
+        total = minkowski_sum(total, q)
+    kind = draw(st.sampled_from(["sum", "drop", "translate", "dilate", "other"]))
+    if kind == "drop" and len(total.vertices) > 1:
+        i = draw(st.integers(0, len(total.vertices) - 1))
+        return parts, hull(total.vertices[:i] + total.vertices[i + 1 :])
+    if kind == "translate":
+        return parts, total.translate(draw(point))
+    if kind == "dilate":
+        k = draw(st.sampled_from([2, Fraction(1, 2)]))
+        return parts, hull([tuple(k * x for x in v) for v in total.vertices])
+    if kind == "other":
+        return parts, hull(draw(st.lists(point, min_size=1, max_size=6)))
+    return parts, total
+
+
+@settings(max_examples=200, deadline=None)
+@given(minkowski_cases())
+def test_minkowski_sum_predicate_matches_the_hull_of_vertex_sums(case):
+    parts, target = case
+    total = parts[0]
+    for q in parts[1:]:
+        total = minkowski_sum(total, q)
+    assert is_minkowski_sum(parts, target) == (total.vertices == target.vertices)
+
+
+def test_minkowski_sum_predicate_on_the_quintic_splits(quintic):
+    for i in range(1, 5):
+        d_a = standard_simplex(4, i)
+        d_b = standard_simplex(4, 5 - i).translate((-1, -1, -1, -1))
+        assert is_minkowski_sum([d_a, d_b], quintic)
+        assert not is_minkowski_sum([d_a, d_a], quintic)
+        assert not is_minkowski_sum([d_a, d_b, hull([(0, 0, 0, 1)])], quintic)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        is_minkowski_sum([quintic, segment(0, 1)], quintic)
 
 
 def test_hull_clears_the_differences_once_and_graph_lifts_saturate_nothing(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from oracles import (
     _oracle_piece_on,
     check_convex_certificate,
+    oracle_common_refinement,
     is_strictly_convex,
     oracle_fine_crepant_subdivision,
     oracle_interpolate_ambient,
@@ -410,6 +411,21 @@ def test_recorded_parents_match_containment_on_random_pairs(data):
     pts = data.draw(st.sampled_from(_RANDOM_SUPPORTS))
     heights = st.lists(st.integers(0, 4), min_size=len(pts), max_size=len(pts))
     _check_pieces([regular_subdivision(pts, data.draw(heights)) for _ in range(2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_common_refinement_matches_the_clip_every_facet_loop(data):
+    # the random supports, and point sets that may span a lower-dimensional
+    # or rational support
+    pts = data.draw(st.one_of(st.sampled_from(_RANDOM_SUPPORTS), heights_on_points().map(lambda case: case[0])))
+    heights = st.lists(st.integers(0, 4), min_size=len(pts), max_size=len(pts))
+    sub1, sub2, sub3 = (regular_subdivision(pts, data.draw(heights))[0] for _ in range(3))
+    first = common_refinement(sub1, sub2)
+    # a refinement of a refinement carries its input's parents on
+    for new, old in ((first, oracle_common_refinement(sub1, sub2)), (common_refinement(first, sub3), oracle_common_refinement(first, sub3))):
+        assert [_cell_fields(c) for c in new.maximal_cells] == [_cell_fields(c) for c in old.maximal_cells]
+        assert new.parents == old.parents
 
 
 def test_refinement_not_built_from_the_inputs_is_rejected():
