@@ -1,8 +1,9 @@
 """Command-line front end: build examples, run checks, emit reports and SVG.
 
 Exit codes: 0 success, 1 check failure (not simple, not surjective), 2 input
-error, 3 internal error (an `InvariantError`).  All file I/O is UTF-8 JSON
-plus SVG 1.1; reports are byte-stable.
+error, 3 internal error (an `InvariantError` or any other uncaught
+exception).  All file I/O is UTF-8 JSON plus SVG 1.1; reports are
+byte-stable.
 """
 
 from __future__ import annotations
@@ -322,6 +323,9 @@ def main(argv=None):
         return 2
     except InvariantError as e:
         sys.stderr.write(f"internal error: {e}\n")
+        return 3
+    except Exception as e:
+        sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")
         return 3
 
 

@@ -1,9 +1,9 @@
 """Tropical embedding machinery: fibres, simplex fibrations, LG truncation.
 
 The fibration data of a wall-type degeneration lives on the cone over each
-wall-adjacent cell at level 1: component functionals y_0..y_r and the level
-functional p, all nonnegative on the cone.  Its slice p = 1 is the cell, so
-the deepest-stratum complex is the union of the cells cut by y_i(x, 1) = 1,
+wall-adjacent cell at level 1: component functionals y_0..y_r, all
+nonnegative on the cone.  Its slice at level 1 is the cell, so the
+deepest-stratum complex is the union of the cells cut by y_i(x, 1) = 1,
 and integral tangent surjectivity of the embedding is a Smith-normal-form
 check on every host cell.
 """
@@ -44,16 +44,13 @@ class FibrationData:
     """Local model of the log structure at a deepest stratum: the cone over (cell, 1) in M + Z.
 
     The points (v, 1) over the cell's vertices generate the cone; the
-    functionals y_i and the smoothing functional p, the level (0,...,0,1),
-    are nonnegative on it, and its slice p = t is t * cell.
+    functionals y_i are nonnegative on it, and its slice at level t, the
+    smoothing functional (0,...,0,1), is t * cell.
     """
 
-    def __init__(self, cell, y_functionals, p_functional):
+    def __init__(self, cell, y_functionals):
         self.cell = cell
         self.y = tuple(tuple(f) for f in y_functionals)
-        self.p = tuple(p_functional)
-        if self.p != (0,) * cell.ambient_dim + (1,):
-            raise ValueError("the smoothing functional must be the level (0,...,0,1)")
         for f in self.y:
             for v in cell.vertices:
                 if dot(f, v + (1,)) < 0:
@@ -67,9 +64,9 @@ class FibrationData:
 
 
 def local_fibre(fib, target):
-    """The polytope cut from the cone by <y_i, .> = target_i, <p, .> = target[-1], or None when it is empty.
+    """The polytope cut from the cone by <y_i, .> = target_i at level t = target[-1], or None when it is empty.
 
-    The slice p = t is t * cell, the origin at t = 0; each y-equation is one
+    The slice at level t is t * cell, the origin at t = 0; each y-equation is one
     `section` of it, <y_i[:-1], x> = target_i - y_i[-1] t, and the cut is
     set at height t with its facets and incidence.  No cone, no hull.
     """
@@ -128,7 +125,6 @@ def wall_fibration_data(space, coord, level):
     e = tuple(1 if i == coord else 0 for i in range(n))
     y0 = tuple(x for x in e) + (1 - level,)  # y0(x,t) = x_coord + (1-level) t
     y1 = tuple(-x for x in e) + (1 + level,)  # y1(x,t) = -x_coord + (1+level) t
-    p = tuple(0 for _ in range(n)) + (1,)
     out = {}
     for cell in space.maximal_cells:
         vals = [v[coord] for v in cell.vertices]
@@ -139,7 +135,7 @@ def wall_fibration_data(space, coord, level):
             clipped = clip_by_halfspace(clipped, tuple(-x for x in e), 1 + level)
         if clipped is None or clipped.dim != cell.dim:
             continue
-        out[cell.key()] = FibrationData(clipped, [y0, y1], p)
+        out[cell.key()] = FibrationData(clipped, [y0, y1])
     return out
 
 
@@ -178,9 +174,7 @@ def embed_D(space, fibration):
     if not fibration:
         raise ValueError("no fibration data supplied")
     table = {}
-    rank = None
     for key, fib in sorted(fibration.items()):
-        rank = fib.rank
         cut = _cut(fib.cell, fib.y)
         if cut is not None:
             table.setdefault(cut[0].vertices_of(cut[1]), (cut, []))[1].append(key)
@@ -209,15 +203,9 @@ def embed_D(space, fibration):
         reduced = _assemble(rchart, pts, facets, fibre.incidence)
         reduced_cells.append(reduced)
         entries.append({"source": reduced.key(), "target": hosts[-1], "matrix": matrix, "translation": anchor})
-    t_d = TropicalSpace(
-        len(basis) or 1,
-        max(c.dim for c in reduced_cells),
-        reduced_cells,
-        "solid",
-        metadata={"embedded": "deepest stratum fibre over (1,...,1)", "anchor": anchor, "basis": basis, "rank": rank},
-    )
+    t_d = TropicalSpace(len(basis) or 1, max(c.dim for c in reduced_cells), reduced_cells, "solid")
     fibres = {verts: hosts for verts, (_, hosts) in sorted(table.items())}
-    iota = ComplexMap(entries, surjective=surjective, metadata={"anchor": anchor, "fibration": dict(fibration), "fibres": fibres})
+    iota = ComplexMap(entries, surjective=surjective, metadata={"fibration": dict(fibration), "fibres": fibres})
     return t_d, iota, surjective
 
 
@@ -271,7 +259,7 @@ def simplex_fibration(space, fibration):
         if any(d > 1 for d in snf_diagonal(_tangent_map(host_cells[key], fib))):
             warnings.append(f"fibration rescales the integral affine structure on {key}")
         entries.append({"source": key, "target": target.key(), "matrix": matrix, "translation": translation})
-    return ComplexMap(entries, surjective=None, warnings=warnings, metadata={"target": target, "rank": rank})
+    return ComplexMap(entries, surjective=None, warnings=warnings, metadata={"target": target})
 
 
 def barycenter_fibre(space, fibration):
@@ -300,14 +288,7 @@ def side_subcomplex(space, coord, level, side):
         elif side == "high" and min(vals) >= level:
             cells.append(c)
     boundary = [k for k in space.boundary_keys if any(set(k) <= set(c.vertices) for c in cells)]
-    return TropicalSpace(
-        space.ambient_dim,
-        space.dim,
-        cells,
-        space.chart_kind,
-        boundary_keys=boundary,
-        metadata=dict(space.metadata),
-    )
+    return TropicalSpace(space.ambient_dim, space.dim, cells, space.chart_kind, boundary_keys=boundary)
 
 
 def lg_truncate(space, u_functional):
@@ -317,7 +298,6 @@ def lg_truncate(space, u_functional):
     functional); no interior walls are created inside the fibre over 1.
     """
     coeffs, const = u_functional
-    ambient = space.ambient_dim
     neg_coeffs = vneg(coeffs)
     clipped = []
     for c in space.maximal_cells:
@@ -339,15 +319,7 @@ def lg_truncate(space, u_functional):
         if sum(1 for i in hosts if below[i]) > 1:
             raise ValueError("interior wall created inside the fibre over 1")
     new_boundary = set(space.boundary_keys) | level_keys
-    out = TropicalSpace(
-        ambient,
-        space.dim,
-        clipped,
-        space.chart_kind,
-        boundary_keys=sorted(new_boundary),
-        metadata={**space.metadata, "lg_truncated": True},
-    )
-    return out
+    return TropicalSpace(space.ambient_dim, space.dim, clipped, space.chart_kind, boundary_keys=sorted(new_boundary))
 
 
 def _containment_entries(cells, hosts, ambient_dim, unmatched, host_is_source=False):
@@ -386,15 +358,16 @@ def open_embed_LG(t_z, t_x):
 
 
 def specialization_map(xi_gen, xi_zero):
-    """Cellwise specialization from the generic-fibre complex onto the central one.
+    """Cellwise specialization from the generic-fibre subdivision onto the central one.
 
-    Every cell of xi_zero must lie in a cell of xi_gen (closure containment in
-    the common refinement); the map is the identity on supports.
+    Every cell of the Subdivision xi_zero must lie in a cell of the
+    Subdivision xi_gen (closure containment in the common refinement); the
+    map is the identity on supports.
     """
     entries, covered = _containment_entries(
         xi_zero.maximal_cells,
         xi_gen.maximal_cells,
-        xi_gen.ambient_dim,
+        xi_gen.support.ambient_dim,
         "inputs come from unrelated pipelines: unmatched cell ",
         host_is_source=True,
     )

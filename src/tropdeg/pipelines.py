@@ -41,13 +41,11 @@ from .subdivision import (
     fine_crepant_subdivision,
     graph_degeneration,
     hyperplane_split,
-    negate_pl,
     product_pullback,
     regular_subdivision,
     sum_refinement,
 )
 from .tropical import (
-    TropicalSpace,
     classify_faces,
     count_focus_focus,
     discriminant,
@@ -68,9 +66,7 @@ QUINTIC_COLUMNS = (
 class PipelineResult:
     """All artifacts of one example build plus its deterministic report."""
 
-    def __init__(self, name, parameters, **objects):
-        self.name = name
-        self.parameters = dict(parameters)
+    def __init__(self, **objects):
         self.objects = objects
         for k, v in objects.items():
             if k != "report":
@@ -94,12 +90,13 @@ def _diagonal_matches(two_param, summed):
     return expected == got
 
 
-def _face_census(solid, sphere):
-    """Number of boundary faces of each of the four types of a product solid, read off its sphere's face keys.
+def _face_census(sphere, base):
+    """Number of boundary faces of each of the four types of the solid base x [-1, 1], read off its sphere's face keys.
 
-    Both are the faces of the refinement's one-cell walls.
+    The solid's boundary faces are the faces of the refinement's one-cell
+    walls, which are the sphere's faces.
     """
-    return dict(sorted(Counter(classify_faces(solid, sphere.faces())).items()))
+    return dict(sorted(Counter(classify_faces(sphere.faces(), base.facets, base.ambient_dim, (-1, 1))).items()))
 
 
 def build_kp1_2(k):
@@ -119,13 +116,6 @@ def build_kp1_2(k):
     diagonal_ok = _diagonal_matches(two_param, (refined, g_sum))
     prism = product(base, seg)
     solid = dual_intersection_complex(two_param)
-    solid.metadata.update(
-        {
-            "product_vertical_coord": k,
-            "factor_facets": list(base.facets),
-            "vertical_levels": (-1, 1),
-        }
-    )
     sphere = hypersurface_trop(prism, refined)
     disc = discriminant(sphere)
     simple, mono_report = is_simple(sphere)
@@ -135,9 +125,7 @@ def build_kp1_2(k):
     fmap = simplex_fibration(sphere, fibration)
     fibre_keys = barycenter_fibre(sphere, fibration)
     # specialization data: Tyurin-only refinement versus the full central one
-    gen_space = TropicalSpace(prism.ambient_dim, prism.dim, big_s.maximal_cells, "solid", metadata={"fan_structure": False})
-    zero_space = TropicalSpace(prism.ambient_dim, prism.dim, refined.maximal_cells, "solid", metadata={"fan_structure": True})
-    rho = specialization_map(gen_space, zero_space)
+    rho = specialization_map(big_s, refined)
     report = {
         "example": "kp1-2",
         "parameters": {"k": k},
@@ -155,12 +143,10 @@ def build_kp1_2(k):
             "warnings": list(fmap.warnings),
         },
         "diagonal_compatible": diagonal_ok,
-        "face_census": _face_census(solid, sphere),
+        "face_census": _face_census(sphere, base),
         "specialization_surjective": rho.surjective,
     }
     return PipelineResult(
-        "kp1-2",
-        {"k": k},
         base=base,
         prism=prism,
         refinement=refined,
@@ -188,7 +174,7 @@ def _orthant_tents(poly, skip_coord):
     verifies.
     """
     sub = Subdivision(poly, [poly])
-    f = PLFunction(poly, {poly.key(): (tuple(0 for _ in range(poly.ambient_dim)), 0)}, "sum", True)
+    f = PLFunction({poly.key(): (tuple(0 for _ in range(poly.ambient_dim)), 0)}, True)
     for j in range(poly.ambient_dim):
         if j == skip_coord:
             continue
@@ -196,8 +182,7 @@ def _orthant_tents(poly, skip_coord):
         if not (min(vals) < 0 < max(vals)):
             continue
         split_sub, tent = hyperplane_split(poly, j, 0)
-        conv = negate_pl(tent, split_sub)
-        sub, f = sum_refinement(f, conv, sub, split_sub)
+        sub, f = sum_refinement(f, tent, sub, split_sub)
     return sub, f
 
 
@@ -223,8 +208,7 @@ def build_quintic(i):
     if not poly.is_reflexive():
         raise InvariantError("the quintic polytope is not reflexive")
     level = i - 1
-    split_sub, tent = hyperplane_split(poly, 0, level)
-    h_tyu = negate_pl(tent, split_sub)
+    split_sub, h_tyu = hyperplane_split(poly, 0, level)
     # nef partition O(5) = O(i) + O(5-i) and its blow-up refinement
     nef = NefPartition(poly, [poly])
     delta_a = standard_simplex(4, i)
@@ -246,9 +230,7 @@ def build_quintic(i):
     t_z = side_subcomplex(sphere, 0, level, "low")
     truncated = lg_truncate(t_z, (tuple(-1 if c == 0 else 0 for c in range(4)), level))
     lg_embedding = open_embed_LG(truncated, sphere)
-    gen_space = TropicalSpace(4, 4, split_sub.maximal_cells, "solid", metadata={"fan_structure": False})
-    zero_space = TropicalSpace(4, 4, refined.maximal_cells, "solid", metadata={"fan_structure": True})
-    rho = specialization_map(gen_space, zero_space)
+    rho = specialization_map(split_sub, refined)
     report = {
         "example": "quintic",
         "parameters": {"i": i},
@@ -273,12 +255,10 @@ def build_quintic(i):
         },
         "diagonal_compatible": diagonal_ok,
         "specialization_surjective": rho.surjective,
-        "gen_cells": len(gen_space.maximal_cells),
-        "zero_cells": len(zero_space.maximal_cells),
+        "gen_cells": len(split_sub.maximal_cells),
+        "zero_cells": len(refined.maximal_cells),
     }
     return PipelineResult(
-        "quintic",
-        {"i": i},
         polytope=poly,
         split=split_sub,
         tyurin_function=h_tyu,
@@ -319,13 +299,11 @@ def build_hypercube(k):
         bary = cell.barycenter()
         signs = [1 if b > 0 else -1 for b in bary]
         ys = [tuple(signs) + (1,)] + [tuple(-s if j == i else 0 for j in range(k)) + (1,) for i, s in enumerate(signs)]
-        fibration[cell.key()] = FibrationData(cell, ys, tuple([0] * k + [1]))
+        fibration[cell.key()] = FibrationData(cell, ys)
     t_d, iota, surjective = embed_D(solid, fibration)
     fmap = simplex_fibration(solid, fibration)
     target = fmap.metadata["target"]
-    gen_space = TropicalSpace(k, k, sub.maximal_cells, "solid", metadata={"fan_structure": False})
-    zero_space = TropicalSpace(k, k, sub.maximal_cells, "solid", metadata={"fan_structure": True})
-    rho = specialization_map(gen_space, zero_space)
+    rho = specialization_map(sub, sub)
     report = {
         "example": "hypercube",
         "parameters": {"k": k},
@@ -342,8 +320,6 @@ def build_hypercube(k):
         "specialization_surjective": rho.surjective,
     }
     return PipelineResult(
-        "hypercube",
-        {"k": k},
         box=box,
         subdivision=sub,
         two_param=two_param,

@@ -38,15 +38,12 @@ def affine_value(functional, point):
 class PLFunction:
     """A piecewise-linear function given by one affine piece per maximal cell.
 
-    `tag` records the construction (from_heights, max_combination,
-    min_combination, sum); `convex` is the certified convexity flag.  Pieces
-    are keyed by the cell's canonical vertex tuple.
+    `convex` is the certified convexity flag.  Pieces are keyed by the
+    cell's canonical vertex tuple.
     """
 
-    def __init__(self, domain, pieces, tag, convex):
-        self.domain = domain
+    def __init__(self, pieces, convex):
         self.pieces = dict(pieces)
-        self.tag = tag
         self.convex = convex
 
 
@@ -112,7 +109,7 @@ def regular_subdivision(points, heights):
     d = support.dim
     if d == 0:
         cell = support
-        f = PLFunction(support, {cell.key(): (tuple(0 for _ in range(ambient)), hts[0])}, "from_heights", True)
+        f = PLFunction({cell.key(): (tuple(0 for _ in range(ambient)), hts[0])}, True)
         return Subdivision(support, [cell]), f
     den = denominator_lcm(hts)
     # rational span coordinates (rational inputs) come over one denominator
@@ -152,7 +149,7 @@ def regular_subdivision(points, heights):
         scale = den * n[-1] * dd * dd
         coeffs = tuple(_ratio(-x, scale) for x in w)
         pieces[cell.key()] = (coeffs, _ratio(sden * dot(w, anchor) - c * dd * dd, sden * scale))
-    return Subdivision(support, cells), PLFunction(support, pieces, "from_heights", True)
+    return Subdivision(support, cells), PLFunction(pieces, True)
 
 
 def common_refinement(sub1, sub2):
@@ -203,8 +200,7 @@ def sum_refinement(f, g, sub_f, sub_g):
         pf = _piece_on(f, sub_f, refined, cell)
         pg = _piece_on(g, sub_g, refined, cell)
         pieces[cell.key()] = (tuple(_ratio(a + b) for a, b in zip(pf[0], pg[0])), _ratio(pf[1] + pg[1]))
-    conv = f.convex and g.convex
-    return refined, PLFunction(refined.support, pieces, "sum", conv)
+    return refined, PLFunction(pieces, f.convex and g.convex)
 
 
 def _piece_on(f, sub, refined, cell):
@@ -242,7 +238,7 @@ def product_pullback(f, sub, other, side="left"):
             new_coeffs = zeros + tuple(coeffs)
         pieces[big.key()] = (new_coeffs, const)
     support = product(sub.support, other) if side == "left" else product(other, sub.support)
-    return Subdivision(support, cells), PLFunction(support, pieces, f.tag, f.convex)
+    return Subdivision(support, cells), PLFunction(pieces, f.convex)
 
 
 def deterministic_jitter(point, seed=0):
@@ -359,7 +355,7 @@ def fine_crepant_subdivision(poly):
         for key, (base, correction, d) in fits.items():
             x = tuple(_ratio(b + drop * c, d) for b, c in zip(base, correction))
             pieces[key] = (x[:-1], x[-1])
-        return sub, PLFunction(poly, pieces, "from_heights", True)
+        return sub, PLFunction(pieces, True)
     raise ValueError(
         "height perturbation failed to reach an elementary triangulation; "
         f"non-elementary boundary cells remain after all deterministic seeds ({len(last_bad)} at the last seed)"
@@ -367,29 +363,16 @@ def fine_crepant_subdivision(poly):
 
 
 def hyperplane_split(poly, coord_index, level):
-    """Split along u_i = level with the concave tent min(0, level - u_i)."""
+    """Split along u_i = level with the convex tent max(0, u_i - level)."""
     vals = [v[coord_index] for v in poly.vertices]
     if not (min(vals) < level < max(vals)):
         raise ValueError("level outside the open coordinate range")
     ambient = poly.ambient_dim
     e_i = tuple(1 if j == coord_index else 0 for j in range(ambient))
-    neg_e_i = tuple(-x for x in e_i)
-    low = clip_by_halfspace(poly, neg_e_i, level)
+    low = clip_by_halfspace(poly, tuple(-x for x in e_i), level)
     high = clip_by_halfspace(poly, e_i, -level)
-    sub = Subdivision(poly, [low, high])
-    zero = tuple(0 for _ in range(ambient))
-    pieces = {
-        low.key(): (zero, 0),
-        high.key(): (neg_e_i, level),
-    }
-    f = PLFunction(poly, pieces, "min_combination", False)
-    return sub, f
-
-
-def negate_pl(f, sub):
-    pieces = {k: (tuple(-c for c in coeffs), -const) for k, (coeffs, const) in f.pieces.items()}
-    tag = {"min_combination": "max_combination", "max_combination": "min_combination"}.get(f.tag, f.tag)
-    return PLFunction(f.domain, pieces, tag, not f.convex if f.tag in ("min_combination", "max_combination") else f.convex)
+    pieces = {low.key(): (tuple(0 for _ in range(ambient)), 0), high.key(): (e_i, -level)}
+    return Subdivision(poly, [low, high]), PLFunction(pieces, True)
 
 
 class GraphDegeneration:
@@ -402,12 +385,11 @@ class GraphDegeneration:
     function.
     """
 
-    def __init__(self, base, height_functions, refinement, total_cells, parameter_count):
+    def __init__(self, base, height_functions, refinement, total_cells):
         self.base = base
         self.heights = tuple(height_functions)
         self.refinement = refinement
         self.total_complex = tuple(sorted(total_cells))
-        self.parameter_count = parameter_count
 
 
 def graph_degeneration(subs_and_fs, refinement=None):
@@ -429,12 +411,11 @@ def graph_degeneration(subs_and_fs, refinement=None):
         refined = subs_and_fs[0][0]
         for s, _ in subs_and_fs[1:]:
             refined = common_refinement(refined, s)
-    r = len(subs_and_fs)
     total = []
     for cell in refined.maximal_cells:
         pieces = [_piece_on(f, s, refined, cell) for s, f in subs_and_fs]
         total.append(tuple(graph_points(cell, pieces)))
-    return GraphDegeneration(refined.support, [f for _, f in subs_and_fs], refined, total, r)
+    return GraphDegeneration(refined.support, [f for _, f in subs_and_fs], refined, total)
 
 
 def blowup_refinement(nef, delta_a, delta_b):
@@ -442,7 +423,9 @@ def blowup_refinement(nef, delta_a, delta_b):
 
     parts are Delta_a x [0,1], Delta_b x [-1,0] and Delta_i x {0} for i >= 1;
     the Minkowski sum of the parts is parent x [-1,1], which is returned as
-    the total.  Both sums are decided by `is_minkowski_sum`, with no hull.
+    the total.  Delta_a + Delta_b = Delta_0 is decided by `is_minkowski_sum`,
+    with no hull; given it, the parts sum to the total, which the returned
+    `NefPartition` checks again.
     """
     if not is_minkowski_sum([delta_a, delta_b], nef.parts[0]):
         raise ValueError("Minkowski split invalid: delta_a + delta_b != Delta_0")
@@ -453,6 +436,4 @@ def blowup_refinement(nef, delta_a, delta_b):
     for part in nef.parts[1:]:
         parts.append(product(part, origin))
     total = product(nef.parent, segment(-1, 1))
-    if not is_minkowski_sum(parts, total):
-        raise ValueError("Minkowski split invalid: parts do not tile parent x [-1,1]")
     return total, parts, NefPartition(total, parts)

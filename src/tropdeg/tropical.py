@@ -18,6 +18,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .exactlin import (
+    InvariantError,
     _ratio,
     clear_fractions,
     complete_to_unimodular,
@@ -43,7 +44,7 @@ class TropicalSpace:
     boundary.
     """
 
-    def __init__(self, ambient_dim, dim, maximal_cells, chart_kind, boundary_keys=(), metadata=None):
+    def __init__(self, ambient_dim, dim, maximal_cells, chart_kind, boundary_keys=()):
         if chart_kind not in CHART_KINDS:
             raise ValueError(f"unknown chart kind {chart_kind!r}; choose from {CHART_KINDS}")
         self.ambient_dim = ambient_dim
@@ -51,7 +52,6 @@ class TropicalSpace:
         self.maximal_cells = tuple(sorted(maximal_cells, key=lambda c: c.key()))
         self.chart_kind = chart_kind
         self.boundary_keys = frozenset(boundary_keys)
-        self.metadata = dict(metadata or {})
         self._faces = None
         self._boundary_faces = None
         self._face_owners = None
@@ -212,10 +212,10 @@ class TropicalSpace:
 
 
 def _transvection(a, phi):
-    """The integer matrix I - a (x) phi; ValueError when an entry is not an integer."""
+    """The integer matrix I - a (x) phi; InvariantError when an entry is not an integer."""
     m = [[(1 if i == j else 0) - x * p for j, p in enumerate(phi)] for i, x in enumerate(a)]
     if any(x.denominator != 1 for row in m for x in row):
-        raise ValueError("monodromy is not integral; charts are incompatible on the lattice")
+        raise InvariantError("monodromy is not integral; charts are incompatible on the lattice")
     return tuple(tuple(x.numerator for x in row) for row in m)
 
 
@@ -256,9 +256,8 @@ def _face_table(cells, boundary_keys):
 def dual_intersection_complex(graph_deg):
     """Tropicalization of the toric total space: the base with its refinement.
 
-    Fan structure at each vertex is the star with identity reference charts;
-    the level-1 slice semantics are recorded in the metadata.  The boundary
-    keys are the refinement's walls that one cell has.
+    Fan structure at each vertex is the star with identity reference charts.
+    The boundary keys are the refinement's walls that one cell has.
     """
     for f in graph_deg.heights:
         if not f.convex:
@@ -271,7 +270,6 @@ def dual_intersection_complex(graph_deg):
         refinement.maximal_cells,
         "solid",
         boundary_keys=[key for key, adj in refinement.walls().items() if len(adj) == 1],
-        metadata={"slice": "fibre over (1,...,1) of the cone complex", "parameters": graph_deg.parameter_count},
     )
 
 
@@ -304,22 +302,14 @@ def hypersurface_trop(poly, subdivision, enforce_fine=True):
         for p in poly.lattice_points():
             if not poly.contains_strictly(p) and p not in vertex_set:
                 raise ValueError("subdivision is not fine on the boundary: missing vertex " + str(p))
-    return TropicalSpace(
-        poly.ambient_dim,
-        poly.dim - 1,
-        cells,
-        "boundary",
-        boundary_keys=(),
-        metadata={"support": "boundary of reflexive polytope", "fine": enforce_fine},
-    )
+    return TropicalSpace(poly.ambient_dim, poly.dim - 1, cells, "boundary")
 
 
 class Discriminant:
     """Singular locus data: barycentric joints (edge, wall) with monodromy."""
 
-    def __init__(self, entries, dim):
+    def __init__(self, entries):
         self.entries = tuple(entries)
-        self.dim = dim
 
     def __len__(self):
         return len(self.entries)
@@ -346,30 +336,19 @@ def _compute_discriminant(space):
     entries = []
     n = space.dim
     if n == 0:
-        return Discriminant([], n)
+        return Discriminant([])
     if n == 1:
         if space.chart_kind != "boundary":
             # identity charts on a 1-complex are globally flat
-            return Discriminant([], n)
+            return Discriminant([])
         for cell in space.maximal_cells:
             key = cell.key()
             if space.is_boundary_cell(key):
                 continue
-            length = cell.normalized_volume()
+            length = int(cell.normalized_volume())
             mid = barycenter(key)
-            entries.append(
-                {
-                    "edge": key,
-                    "wall": key,
-                    "edge_midpoint": mid,
-                    "wall_barycenter": mid,
-                    "matrix": None,
-                    "displacement": None,
-                    "multiplicity": int(length),
-                    "kind": "rotation",
-                }
-            )
-        return Discriminant(entries, n)
+            entries.append(_entry(key, key, mid, mid, None, (length,), length))
+        return Discriminant(entries)
     # each loop is an interior edge of an interior wall: a vertex pair of the
     # wall that is an edge key; sorted, the loops come edge first, wall second
     faces = space.faces()
@@ -397,19 +376,26 @@ def _compute_discriminant(space):
         factors = space._loop_factors(edge_key[0], edge_key[1], bends[wall_key])
         m = _transvection(*factors)
         disp, mult = _displacement(*factors)
-        entries.append(
-            {
-                "edge": edge_key,
-                "wall": wall_key,
-                "edge_midpoint": center(edge_key),
-                "wall_barycenter": center(wall_key),
-                "matrix": m,
-                "displacement": disp,
-                "multiplicity": mult,
-                "kind": "transvection",
-            }
-        )
-    return Discriminant(entries, n)
+        entries.append(_entry(edge_key, wall_key, center(edge_key), center(wall_key), m, disp, mult))
+    return Discriminant(entries)
+
+
+def _entry(edge, wall, edge_midpoint, wall_barycenter, matrix, end, multiplicity):
+    """One discriminant entry; its monodromy polytope is the segment [0, end], kept as its sorted vertex pair.
+
+    The segment has lattice length the multiplicity, so it is an elementary
+    simplex exactly when the multiplicity is 1, and no polytope is built.
+    """
+    return {
+        "edge": edge,
+        "wall": wall,
+        "edge_midpoint": edge_midpoint,
+        "wall_barycenter": wall_barycenter,
+        "matrix": matrix,
+        "polytope": tuple(sorted([tuple(0 for _ in end), end])),
+        "multiplicity": multiplicity,
+        "elementary": multiplicity == 1,
+    }
 
 
 def _displacement(a, phi):
@@ -456,26 +442,8 @@ class MonodromyReport:
 
 
 def is_simple(space):
-    """(verdict, report): simple iff every monodromy polytope is elementary.
-
-    Each polytope is a lattice segment of length the entry's multiplicity,
-    [0, displacement] for a transvection and [0, multiplicity] for a
-    rotation, kept as its sorted vertex pair; so it is an elementary simplex
-    exactly when the multiplicity is 1, and no polytope is built.
-    """
-    entries = []
-    for e in discriminant(space).entries:
-        end = (e["multiplicity"],) if e["kind"] == "rotation" else e["displacement"]
-        entries.append(
-            {
-                "edge": e["edge"],
-                "wall": e["wall"],
-                "matrix": e["matrix"],
-                "polytope": tuple(sorted([tuple(0 for _ in end), end])),
-                "multiplicity": e["multiplicity"],
-                "elementary": e["multiplicity"] == 1,
-            }
-        )
+    """(verdict, report): simple iff every monodromy polytope of the discriminant's entries is elementary."""
+    entries = discriminant(space).entries
     return all(e["elementary"] for e in entries), MonodromyReport(entries)
 
 
@@ -486,30 +454,26 @@ def count_focus_focus(space):
     return discriminant(space).total_multiplicity()
 
 
-def classify_faces(space, keys):
-    """The boundary face type of each face key of a (dilated simplex) x (segment) space, in order.
+def classify_faces(keys, factor_facets, coord, levels):
+    """The boundary face type of each face key of a (factor) x [low, high] product, in order.
 
-    A face lies on the factor's boundary when one factor facet is tight at
-    the projections of all its vertices, so each vertex is tested once, into
-    the bitmask of the factor facets tight at it, and a face ANDs those of
-    its vertices.
+    The segment is the coordinate `coord` and levels is (low, high); the
+    factor's facets are read on the other coordinates.  A face lies on the
+    factor's boundary when one factor facet is tight at the projections of
+    all its vertices, so each vertex is tested once, into the bitmask of the
+    factor facets tight at it, and a face ANDs those of its vertices.
     """
-    meta = space.metadata
-    if "product_vertical_coord" not in meta:
-        raise ValueError("space is not product-typed")
-    last = meta["product_vertical_coord"]
-    factor_facets = meta["factor_facets"]
-    low, high = meta["vertical_levels"]
+    low, high = levels
     tight = {}
     out = []
     for key in keys:
         on_factor_boundary = -1
         for v in key:
             if v not in tight:
-                proj = v[:last] + v[last + 1 :]
+                proj = v[:coord] + v[coord + 1 :]
                 tight[v] = sum(1 << i for i, f in enumerate(factor_facets) if tight_at(f, (proj,)))
             on_factor_boundary &= tight[v]
-        zs = {v[last] for v in key}
+        zs = {v[coord] for v in key}
         if zs == {high} or zs == {low}:
             out.append("BoundaryCap" if on_factor_boundary else "InteriorCap")
         elif zs == {0}:

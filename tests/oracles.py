@@ -83,11 +83,12 @@ reads those instead of the vertex chart.
 The discriminant and its simplicity verdict: `tropical._compute_discriminant`
 reads each loop's rank-one factors (a, phi) once, with the loop I - a (x) phi,
 and `tropical._displacement(a, phi)` reads the displacement and multiplicity
-off them in closed form; `is_simple` calls an entry elementary when its
-multiplicity is 1 and keeps each segment as its vertex pair.  The displacement
-they replaced (`oracle_displacement`) recovers the factors from the matrix by a
-rank computation and a division scan, and `monodromy_polytope` hulls the
-segment for `is_elementary_simplex`.  The discriminant before the face table
+off them in closed form; each entry keeps its monodromy segment as its
+vertex pair and is elementary when its multiplicity is 1, and `is_simple`
+reports the entries themselves.  The displacement they replaced
+(`oracle_displacement`) recovers the factors from the matrix by a rank
+computation and a division scan, and `monodromy_polytope` hulls the segment
+for `is_elementary_simplex`.  The discriminant before the face table
 (`_oracle_discriminant`) scans every edge against every interior wall,
 composes each loop of restricted charts (`_oracle_monodromy`) and finds the
 faces and the boundary with the re-hulling walkers (`_faces_by_key`,
@@ -106,6 +107,12 @@ span its facets), and cuts that slice by one `section` per y-equation; it
 takes any cone and any p.  `oracle_embed_D` and `oracle_barycenter_fibre` run
 on it, and hull every reduced fibre.  The fibre it replaced in turn
 (`oracle_local_fibre`) hulls the rescaled generators for every cone.
+
+The hyperplane split: `subdivision.hyperplane_split` returns the convex tent
+max(0, u_i - level).  The pair it replaced (`oracle_hyperplane_split`, with
+the concave tent min(0, level - u_i), and `oracle_negate_pl`, which every
+caller applied to it) is kept on a stand-in `RetiredPLFunction`, which
+carries the domain and construction tag that `PLFunction` no longer has.
 
 The section: `polytope.section` cuts a cell by a hyperplane in one
 double-description step, with the cell's chart cut by the hyperplane
@@ -350,6 +357,42 @@ def oracle_common_refinement(sub1, sub2):
     return Subdivision(sub1.support, cells.values(), parents)
 
 
+class RetiredPLFunction:
+    """The retired `PLFunction(domain, pieces, tag, convex)`, which the retired split and negation below build."""
+
+    def __init__(self, domain, pieces, tag, convex):
+        self.domain = domain
+        self.pieces = dict(pieces)
+        self.tag = tag
+        self.convex = convex
+
+
+def oracle_hyperplane_split(poly, coord_index, level):
+    """Split along u_i = level with the concave tent min(0, level - u_i)."""
+    vals = [v[coord_index] for v in poly.vertices]
+    if not (min(vals) < level < max(vals)):
+        raise ValueError("level outside the open coordinate range")
+    ambient = poly.ambient_dim
+    e_i = tuple(1 if j == coord_index else 0 for j in range(ambient))
+    neg_e_i = tuple(-x for x in e_i)
+    low = clip_by_halfspace(poly, neg_e_i, level)
+    high = clip_by_halfspace(poly, e_i, -level)
+    sub = Subdivision(poly, [low, high])
+    zero = tuple(0 for _ in range(ambient))
+    pieces = {
+        low.key(): (zero, 0),
+        high.key(): (neg_e_i, level),
+    }
+    f = RetiredPLFunction(poly, pieces, "min_combination", False)
+    return sub, f
+
+
+def oracle_negate_pl(f, sub):
+    pieces = {k: (tuple(-c for c in coeffs), -const) for k, (coeffs, const) in f.pieces.items()}
+    tag = {"min_combination": "max_combination", "max_combination": "min_combination"}.get(f.tag, f.tag)
+    return RetiredPLFunction(f.domain, pieces, tag, not f.convex if f.tag in ("min_combination", "max_combination") else f.convex)
+
+
 def _integer_basis_coordinates(diffs, basis):
     """Integer coordinates of difference vectors in a lattice basis of them."""
     coords = basis_coordinates(basis, diffs)
@@ -550,10 +593,14 @@ def cone_contains(cone, v):
     return all(dot(v, h) >= 0 for h in cone.facet_normals)
 
 
+def cone_fibration(fib):
+    """The `ConeFibrationData` of `embed.FibrationData` fib: the cone over fib.cell, with p the level (0,...,0,1)."""
+    return ConeFibrationData(cone_over_cell(fib.cell), fib.y, (0,) * fib.cell.ambient_dim + (1,))
+
+
 def cone_fibre_over_ones(fib):
     """The fibre over (1,...,1) of `embed.FibrationData` fib, by the cone path: the cone over fib.cell, sliced and cut."""
-    cone_fib = ConeFibrationData(cone_over_cell(fib.cell), fib.y, fib.p)
-    return cone_local_fibre(cone_fib, (1,) * (len(fib.y) + 1))
+    return cone_local_fibre(cone_fibration(fib), (1,) * (len(fib.y) + 1))
 
 
 def oracle_local_fibre(fib, target):
@@ -645,9 +692,7 @@ def oracle_embed_D(space, fibration):
         raise ValueError("no fibration data supplied")
     fibres = {}
     hosts = {}
-    rank = None
     for key, fib in sorted(fibration.items()):
-        rank = fib.rank
         f = cone_fibre_over_ones(fib)
         if f is None:
             continue
@@ -684,15 +729,9 @@ def oracle_embed_D(space, fibration):
                 "translation": anchor,
             }
         )
-    t_d = TropicalSpace(
-        len(basis) or 1,
-        max(c.dim for c in reduced_cells),
-        reduced_cells,
-        "solid",
-        metadata={"embedded": "deepest stratum fibre over (1,...,1)", "anchor": anchor, "basis": basis, "rank": rank},
-    )
+    t_d = TropicalSpace(len(basis) or 1, max(c.dim for c in reduced_cells), reduced_cells, "solid")
     _oracle_assert_fan_compatibility(space, cells)
-    iota = ComplexMap(entries, surjective=surjective, metadata={"anchor": anchor, "fibration": dict(fibration)})
+    iota = ComplexMap(entries, surjective=surjective, metadata={"fibration": dict(fibration)})
     return t_d, iota, surjective
 
 
@@ -819,7 +858,7 @@ def oracle_fine_crepant_subdivision(poly):
             for key, base, correction, d in fits:
                 x = tuple(_ratio(b + drop * c, d) for b, c in zip(base, correction))
                 pieces[key] = (x[:-1], x[-1])
-            f = PLFunction(poly, pieces, "from_heights", True)
+            f = PLFunction(pieces, True)
             if check_convex_certificate(f, sub) and is_strictly_convex(f, sub):
                 if not oracle_volume_check(sub):
                     raise ValueError("boundary triangulation does not tile the polytope")
@@ -861,7 +900,7 @@ def oracle_regular_subdivision(points, heights):
     d = support.dim
     if d == 0:
         cell = support
-        f = PLFunction(support, {cell.key(): (tuple(0 for _ in range(ambient)), hts[0])}, "from_heights", True)
+        f = PLFunction({cell.key(): (tuple(0 for _ in range(ambient)), hts[0])}, True)
         return Subdivision(support, [cell]), f
     den = denominator_lcm(hts)
     # rational span coordinates (rational inputs) come over one denominator
@@ -888,7 +927,7 @@ def oracle_regular_subdivision(points, heights):
         scale = den * n[-1] * dd * dd
         coeffs = tuple(_ratio(-x, scale) for x in w)
         pieces[cell.key()] = (coeffs, _ratio(sden * dot(w, anchor) - c * dd * dd, sden * scale))
-    return Subdivision(support, cells), PLFunction(support, pieces, "from_heights", True)
+    return Subdivision(support, cells), PLFunction(pieces, True)
 
 
 def _oracle_piece_on(f, sub, cell):
@@ -967,13 +1006,15 @@ def oracle_displacement(m):
 
 
 def monodromy_polytope(space, disc_entry):
-    """Convex hull of 0 and the loop displacement, in the base vertex chart."""
-    if disc_entry.get("kind") == "rotation":
-        mult = disc_entry["multiplicity"]
-        return hull([(0,), (mult,)])
+    """Convex hull of 0 and the loop displacement, in the base vertex chart.
+
+    An entry with no matrix is a rotation of a 1-dimensional space, whose
+    polytope is [0, multiplicity]; any other has its displacement re-derived
+    from its matrix.
+    """
     if disc_entry["matrix"] is None:
-        raise ValueError("cell is not singular")
-    disp = disc_entry["displacement"]
+        return hull([(0,), (disc_entry["multiplicity"],)])
+    disp, _ = oracle_displacement(disc_entry["matrix"])
     return hull([tuple(0 for _ in disp), disp])
 
 
@@ -1030,7 +1071,8 @@ def _oracle_discriminant(space):
         for key, cell in sorted((k, c) for k, c in all_cells.items() if c.dim == 1):
             if _oracle_is_boundary_cell(space, key):
                 continue
-            length = cell.normalized_volume()
+            length = int(cell.normalized_volume())
+            poly = hull([(0,), (length,)])
             entries.append(
                 {
                     "edge": key,
@@ -1038,9 +1080,9 @@ def _oracle_discriminant(space):
                     "edge_midpoint": barycenter(key),
                     "wall_barycenter": barycenter(key),
                     "matrix": None,
-                    "displacement": None,
-                    "multiplicity": int(length),
-                    "kind": "rotation",
+                    "polytope": poly.vertices,
+                    "multiplicity": length,
+                    "elementary": poly.is_elementary_simplex(),
                 }
             )
         return entries
@@ -1061,6 +1103,7 @@ def _oracle_discriminant(space):
             if m == ident:
                 continue
             disp, mult = oracle_displacement(m)
+            poly = hull([tuple(0 for _ in disp), disp])
             entries.append(
                 {
                     "edge": edge_key,
@@ -1068,25 +1111,12 @@ def _oracle_discriminant(space):
                     "edge_midpoint": barycenter(edge_key),
                     "wall_barycenter": barycenter(wall_key),
                     "matrix": m,
-                    "displacement": disp,
+                    "polytope": poly.vertices,
                     "multiplicity": mult,
-                    "kind": "transvection",
+                    "elementary": poly.is_elementary_simplex(),
                 }
             )
     return entries
-
-
-def _oracle_report_json(entries):
-    """MonodromyReport JSON with each polytope re-derived from the matrix."""
-    out = []
-    for e in entries:
-        if e["kind"] == "rotation":
-            poly = hull([(0,), (e["multiplicity"],)])
-        else:
-            disp, _ = oracle_displacement(e["matrix"])
-            poly = hull([tuple(0 for _ in disp), disp])
-        out.append({**e, "polytope": poly.vertices, "elementary": poly.is_elementary_simplex()})
-    return MonodromyReport(out).to_json()
 
 
 def _oracle_is_simple(space):
@@ -1095,8 +1125,6 @@ def _oracle_is_simple(space):
     entries = []
     verdict = True
     for e in disc.entries:
-        if e["kind"] == "transvection":
-            e = {**e, "displacement": oracle_displacement(e["matrix"])[0]}
         poly = monodromy_polytope(space, e)
         elementary = poly.is_elementary_simplex()
         if not elementary:

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import tropdeg
+from tropdeg import pipelines, tropical
 from tropdeg.cli import build_parser, main
 from tropdeg.jsonio import parse_num
 from tropdeg.polytope import LatticePolytope
@@ -92,6 +93,27 @@ def test_failed_invariant_exits_3_with_one_line(capsys, monkeypatch):
     assert run(["example", "--example", "quintic", "--i", "2"]) == 3
     err = capsys.readouterr().err
     assert err == "internal error: the quintic polytope is not reflexive\n"
+
+
+def test_non_integral_monodromy_exits_3_not_2(capsys, monkeypatch):
+    # loop factors whose transvection has the entry 1/2: the charts broke an
+    # invariant of the construction, which is no fault of the input
+    monkeypatch.setattr(tropical.TropicalSpace, "_loop_factors", lambda self, v_plus, v_minus, bend: ((Fraction(1, 2), 0), (1, 0)))
+    assert run(["check-simple", "--example", "kp1-2", "--k", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: monodromy is not integral; charts are incompatible on the lattice\n"
+
+
+def test_any_other_uncaught_exception_exits_3_with_one_line(capsys, monkeypatch):
+    # exit 1 means a failed check, so a stray exception must not reach the
+    # interpreter, which would exit 1 with a traceback
+    def broken(value):
+        raise KeyError("cell")
+
+    monkeypatch.setitem(pipelines.EXAMPLES, "hypercube", broken)
+    assert run(["example", "--example", "hypercube", "--k", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: KeyError: 'cell'\n"
 
 
 def test_example_report_and_determinism(tmp_path):

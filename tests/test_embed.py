@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from oracles import (
     ConeFibrationData,
     cone_contains,
+    cone_fibration,
     cone_local_fibre,
     cone_over_cell,
     oracle_local_fibre,
@@ -36,7 +37,6 @@ from tropdeg.subdivision import (
     product_pullback,
     regular_subdivision,
     sum_refinement,
-    negate_pl,
 )
 from tropdeg.tropical import TropicalSpace, dual_intersection_complex, hypersurface_trop
 
@@ -92,31 +92,27 @@ def test_local_fibre_unbounded_raises():
     assert cone_local_fibre(fib, (1, 2)) is None
 
 
-def test_fibration_data_keeps_its_cell_and_takes_the_level_as_p():
+def test_fibration_data_keeps_its_cell_and_functionals():
     square = cube(2)
-    fib = FibrationData(square, [(1, 0, 1), (-1, 0, 1)], (0, 0, 1))
-    assert fib.cell is square and fib.rank == 1
-    # p must be the level (0, 0, 1)
-    for p in [(0, 0, 2), (1, 0, 1), (0, 0)]:
-        with pytest.raises(ValueError, match="level"):
-            FibrationData(square, [(1, 0, 1), (-1, 0, 1)], p)
+    fib = FibrationData(square, [(1, 0, 1), (-1, 0, 1)])
+    assert fib.cell is square and fib.y == ((1, 0, 1), (-1, 0, 1)) and fib.rank == 1
     # y_0 = x_0 is -1 at the point (-1, -1, 1) over a vertex
     with pytest.raises(ValueError, match="negative on the cone"):
-        FibrationData(square, [(1, 0, 0), (-1, 0, 1)], (0, 0, 1))
+        FibrationData(square, [(1, 0, 0), (-1, 0, 1)])
     with pytest.raises(ValueError, match="linearly independent"):
-        FibrationData(square, [(1, 0, 1), (2, 0, 2)], (0, 0, 1))
+        FibrationData(square, [(1, 0, 1), (2, 0, 2)])
 
 
 def test_local_fibre_of_a_cell_at_each_level():
     # on [-1, 1]^2 with y_0 = x_0 + t and y_1 = -x_0 + t, the slice p = t is
     # t * square and the fibre over (a, b, t) is its segment x_0 = (a - b) / 2
     square = cube(2)
-    fib = FibrationData(square, [(1, 0, 1), (-1, 0, 1)], (0, 0, 1))
+    fib = FibrationData(square, [(1, 0, 1), (-1, 0, 1)])
     assert local_fibre(fib, (1, 1, 1)).vertices == ((0, -1, 1), (0, 1, 1))
     assert local_fibre(fib, (2, 2, 2)).vertices == ((0, -2, 2), (0, 2, 2))
     assert local_fibre(fib, (1, 3, 2)).vertices == ((-1, -2, 2), (-1, 2, 2))
     assert local_fibre(fib, (1, 2, 2)) is None  # y_0 + y_1 = 2t
-    steep = FibrationData(square, [(2, 0, 2), (-2, 0, 2)], (0, 0, 1))
+    steep = FibrationData(square, [(2, 0, 2), (-2, 0, 2)])
     assert local_fibre(steep, (1, 3, 1)).vertices == ((Fraction(-1, 2), -1, 1), (Fraction(-1, 2), 1, 1))
     # a face: x_0 = 1 is the square's right edge at t = 1
     assert local_fibre(fib, (2, 0, 1)).vertices == ((1, -1, 1), (1, 1, 1))
@@ -249,7 +245,7 @@ def test_embed_d_rejects_fibration_data_disagreeing_at_a_shared_vertex():
     # y_0 = x_0 + 2t instead of x_0 + t on the right square: still nonnegative
     # there, but it gives 2, not 1, at the shared vertices (0, +-1)
     data = fib[right.key()]
-    fib[right.key()] = FibrationData(data.cell, [(1, 0, 2), data.y[1]], data.p)
+    fib[right.key()] = FibrationData(data.cell, [(1, 0, 2), data.y[1]])
     with pytest.raises(ValueError, match="fibration data inconsistent across a shared face"):
         embed_D(space, fib)
 
@@ -275,7 +271,7 @@ def test_embed_d_checks_every_host_of_a_fibre():
     fib = wall_fibration_data(space, 0, 0)
     assert embed_D(space, fib)[2]
     data = fib[left.key()]
-    fib[left.key()] = FibrationData(data.cell, [data.y[0], (-2, 1)], data.p)
+    fib[left.key()] = FibrationData(data.cell, [data.y[0], (-2, 1)])
     _, iota, surjective = embed_D(space, fib)
     assert not surjective and not iota.surjective
     assert [e["target"] for e in iota.entries] == [right.key()]
@@ -291,7 +287,7 @@ def test_barycenter_fibre_slices_the_host_cells():
     fib = wall_fibration_data(space, 0, 0)
     _, iota, _ = embed_D(space, fib)
     data = fib[square.key()]
-    tilted = {square.key(): FibrationData(data.cell, [(1, 1, 2), data.y[1]], data.p)}
+    tilted = {square.key(): FibrationData(data.cell, [(1, 1, 2), data.y[1]])}
     _, tilted_iota, _ = embed_D(space, tilted)
     assert barycenter_fibre(space, fib) == barycenter_fibre(space, tilted) == {((0, -1), (0, 1)): [square.key()]}
     assert iota.metadata["fibres"] == {((0, -1), (0, 1)): [square.key()]}
@@ -311,7 +307,7 @@ def test_barycenter_fibre_verdict_is_false_when_one_host_tilts_y0(k3):
     assert barycenter_fibre(space, fib) == iota.metadata["fibres"]
     assert iota.metadata["fibres"][((0, -1), (0, 1))] == [left.key(), right.key()]
     data = fib[square.key()]
-    fib[square.key()] = FibrationData(data.cell, [(1, 1, -1), data.y[1]], data.p)
+    fib[square.key()] = FibrationData(data.cell, [(1, 1, -1), data.y[1]])
     _, tilted_iota, _ = embed_D(space, fib)
     assert tilted_iota.metadata["fibres"] != barycenter_fibre(space, fib)
     assert tilted_iota.metadata["fibres"][((0, 2),)] == [square.key()]
@@ -373,7 +369,7 @@ def test_hypercube_point_fibre():
             row[i] = -s
             y.append(tuple(row))
         y0 = tuple(signs) + (1,)
-        fib[cell.key()] = FibrationData(cell, [y0] + y, (0, 0, 1))
+        fib[cell.key()] = FibrationData(cell, [y0] + y)
     t_d, iota, surjective = embed_D(solid, fib)
     assert surjective
     assert t_d.dim == 0  # the minimal Tyurin stratum is a point
@@ -499,24 +495,19 @@ def test_open_embed_lg_reports_extra_cell():
 
 def test_specialization_identity():
     sub, f = regular_subdivision([(-1,), (0,), (1,)], [1, 0, 1])
-    gd = graph_degeneration([(sub, f)])
-    space = dual_intersection_complex(gd)
-    rho = specialization_map(space, space)
+    rho = specialization_map(sub, sub)
     assert rho.surjective
     assert all(e["source"] == e["target"] for e in rho.entries)
 
 
 def test_specialization_quintic():
     p = hull(QUINTIC_COLUMNS)
-    split_sub, tent = hyperplane_split(p, 0, 1)
-    tyu = negate_pl(tent, split_sub)
+    gen, _ = hyperplane_split(p, 0, 1)
     pts = p.lattice_points()
     tor_sub, tor_f = regular_subdivision(pts, [sum(max(0, x) for x in q) for q in pts])
-    gen = dual_intersection_complex(graph_degeneration([(split_sub, tyu)]))
     from tropdeg.subdivision import common_refinement
 
-    both = common_refinement(split_sub, tor_sub)
-    zero = TropicalSpace(4, 4, both.maximal_cells, "solid")
+    zero = common_refinement(gen, tor_sub)
     assert len(gen.maximal_cells) == 2
     rho = specialization_map(gen, zero)
     assert rho.surjective
@@ -530,11 +521,9 @@ def test_specialization_quintic():
 
 def test_specialization_rejects_unrelated():
     sub, f = regular_subdivision([(0,), (1,)], [0, 0])
-    space = dual_intersection_complex(graph_degeneration([(sub, f)]))
     sub2, f2 = regular_subdivision([(5,), (6,)], [0, 0])
-    other = dual_intersection_complex(graph_degeneration([(sub2, f2)]))
     with pytest.raises(ValueError, match="unrelated"):
-        specialization_map(space, other)
+        specialization_map(sub, sub2)
 
 
 def test_complex_map_fields(quintic2):
@@ -698,7 +687,7 @@ def cell_fibre_problems(draw):
 
     ys = [functional() for _ in range(draw(st.integers(min_value=1, max_value=3)))]
     try:
-        fib = FibrationData(cell, ys, (0,) * cell.ambient_dim + (1,))
+        fib = FibrationData(cell, ys)
     except ValueError:
         assume(False)
     t = draw(st.integers(0, 3))
@@ -714,7 +703,7 @@ def test_local_fibre_of_the_cell_matches_the_cone_path(problem):
     # field by field, chart and incidence included, against the cone over
     # the cell sliced and cut as the retired fibre did
     fib, target = problem
-    cone_fib = ConeFibrationData(cone_over_cell(fib.cell), fib.y, fib.p)
+    cone_fib = cone_fibration(fib)
     outcome = _outcome(local_fibre, fib, target)
     event("empty" if outcome == ("value", None) else "nonempty")
     assert outcome == _outcome(cone_local_fibre, cone_fib, target)

@@ -113,17 +113,16 @@ def test_hulls_clips_faces_and_graph_lifts_keep_the_number_form(poly, data):
 @given(polytopes(), st.data())
 def test_local_fibres_over_integer_targets_keep_the_number_form(cell, data):
     # the y are nonnegative combinations of the facet normals of the cone
-    # over the cell, so nonnegative on it, and p is the level
+    # over the cell, so nonnegative on it
     cone = cone_over_cell(cell)
-    level = (0,) * cell.ambient_dim + (1,)
 
     def functional():
         weights = data.draw(st.lists(st.integers(0, 2), min_size=len(cone.facet_normals), max_size=len(cone.facet_normals)))
-        return tuple(sum(w * n[i] for w, n in zip(weights, cone.facet_normals)) for i in range(len(level)))
+        return tuple(sum(w * n[i] for w, n in zip(weights, cone.facet_normals)) for i in range(cell.ambient_dim + 1))
 
     ys = [functional() for _ in range(data.draw(st.integers(1, 2)))]
     try:
-        fib = FibrationData(cell, ys, level)
+        fib = FibrationData(cell, ys)
     except ValueError:
         assume(False)
     target = data.draw(st.tuples(*[st.integers(0, 3)] * (len(ys) + 1)))

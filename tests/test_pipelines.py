@@ -7,7 +7,7 @@ from tropdeg import polytope, subdivision
 from tropdeg.embed import specialization_map
 from tropdeg.pipelines import _linear_across, build_example, build_hypercube, build_kp1_2, build_quintic
 from tropdeg.polytope import containing_cell
-from tropdeg.tropical import TropicalSpace
+from tropdeg.subdivision import Subdivision
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +128,7 @@ def test_specialization_is_not_surjective_onto_one_side(quintic2):
     one = r.split.maximal_cells[0]
     inside = [c for c in r.refinement.maximal_cells if containing_cell([one], c) is not None]
     assert 0 < len(inside) < len(r.refinement.maximal_cells)
-    rho = specialization_map(TropicalSpace(4, 4, r.split.maximal_cells, "solid"), TropicalSpace(4, 4, inside, "solid"))
+    rho = specialization_map(r.split, Subdivision(r.polytope, inside))
     assert rho.surjective is False
     assert {e["source"] for e in rho.entries} == {one.key()}
 

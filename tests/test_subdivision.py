@@ -10,14 +10,16 @@ from oracles import (
     oracle_common_refinement,
     is_strictly_convex,
     oracle_fine_crepant_subdivision,
+    oracle_hyperplane_split,
     oracle_interpolate_ambient,
+    oracle_negate_pl,
     oracle_regular_subdivision,
     oracle_volume_check,
 )
 
 from tropdeg import exactlin, polytope, subdivision
 from tropdeg.exactlin import dot
-from tropdeg.pipelines import _orthant_tents
+from tropdeg.pipelines import _orthant_tents, build_quintic
 from tropdeg.polytope import (
     LatticePolytope,
     NefPartition,
@@ -38,7 +40,6 @@ from tropdeg.subdivision import (
     fine_crepant_subdivision,
     graph_degeneration,
     hyperplane_split,
-    negate_pl,
     product_pullback,
     regular_subdivision,
     sum_refinement,
@@ -123,7 +124,7 @@ def test_volume_additivity_and_regularity():
 def test_is_strictly_convex_tent_and_constant():
     sub, f = tent_on_segment()
     assert is_strictly_convex(f, sub)
-    const = PLFunction(sub.support, {c.key(): ((0,), Fraction(0)) for c in sub.maximal_cells}, "from_heights", True)
+    const = PLFunction({c.key(): ((0,), Fraction(0)) for c in sub.maximal_cells}, True)
     assert not is_strictly_convex(const, sub)
 
 
@@ -198,9 +199,10 @@ def test_hyperplane_split_quintic():
     sub, f = hyperplane_split(p, 0, 1)  # i = 2: wall u_1 = 1
     assert len(sub.maximal_cells) == 2
     assert sum(c.normalized_volume() for c in sub.maximal_cells) == 625
-    # tent is min(0, level - u): zero on the low side, negative above
+    # tent is max(0, u - level): zero on the low side, positive above
+    assert f.convex
     assert _value_at(f, sub, (-1, 0, 0, 0)) == 0
-    assert _value_at(f, sub, (2, -1, -1, -1)) == -1
+    assert _value_at(f, sub, (2, -1, -1, -1)) == 1
 
 
 def test_hyperplane_split_segment():
@@ -217,7 +219,7 @@ def test_hyperplane_split_level_out_of_range():
 def test_graph_degeneration_1d_tent():
     sub, f = tent_on_segment()
     g = graph_degeneration([(sub, f)])
-    assert g.parameter_count == 1
+    assert len(g.heights) == 1
     assert len(g.total_complex) == 2
     for c in g.total_complex:
         assert len(c[0]) == 2
@@ -237,7 +239,7 @@ def test_graph_degeneration_diagonal_18_cells():
     big_q, g_q = product_pullback(f_q, sub_q, seg, side="left")
     big_s, g_s = product_pullback(f_s, sub_s, base, side="right")
     two = graph_degeneration([(big_q, g_q), (big_s, g_s)])
-    assert two.parameter_count == 2
+    assert len(two.heights) == 2
     assert len(two.total_complex) == 18
     assert all(len(c[0]) == 5 for c in two.total_complex)
     refined, g_sum = sum_refinement(g_q, g_s, big_q, big_s)
@@ -250,9 +252,11 @@ def test_graph_degeneration_diagonal_18_cells():
 
 
 def test_graph_degeneration_rejects_nonconvex():
+    # the concave tent min(0, -u) on [-1, 1]
     sub, f = hyperplane_split(cube(1), 0, 0)
+    concave = PLFunction({k: (tuple(-c for c in coeffs), -const) for k, (coeffs, const) in f.pieces.items()}, False)
     with pytest.raises(ValueError, match="convex"):
-        graph_degeneration([(sub, f)])
+        graph_degeneration([(sub, concave)])
 
 
 def test_blowup_refinement_quintic():
@@ -285,13 +289,51 @@ def test_blowup_refinement_invalid_split():
         blowup_refinement(nef, standard_simplex(4, 2), standard_simplex(4, 2))
 
 
+@pytest.mark.parametrize(
+    "poly, coord, level",
+    [(hull(QUINTIC_COLUMNS), 0, i - 1) for i in (1, 2, 3, 4)]
+    + [(hull(QUINTIC_COLUMNS), j, 0) for j in (1, 2, 3)]
+    + [(cube(2), 1, 0), (cube(2), 0, 0)],
+    ids=[f"quintic-wall-{i}" for i in (1, 2, 3, 4)] + [f"quintic-tent-{j}" for j in (1, 2, 3)] + ["square-1", "square-0"],
+)
+def test_hyperplane_split_is_the_negated_retired_concave_tent(poly, coord, level):
+    # the convex tent, piece for piece and byte for byte, is the retired
+    # concave split negated, which is how every caller used it
+    sub, f = hyperplane_split(poly, coord, level)
+    old_sub, old_tent = oracle_hyperplane_split(poly, coord, level)
+    old = oracle_negate_pl(old_tent, old_sub)
+    assert _keys(sub) == _keys(old_sub)
+    assert list(f.pieces.items()) == list(old.pieces.items())
+    assert [type(x) for piece in f.pieces.values() for x in (*piece[0], piece[1])] == [
+        type(x) for piece in old.pieces.values() for x in (*piece[0], piece[1])
+    ]
+    assert f.convex is old.convex is True
+
+
+def test_blowup_refinement_decides_each_minkowski_sum_once(monkeypatch):
+    # build_quintic(2): the quintic's own nef partition, Delta_a + Delta_b =
+    # Delta_0, and the blow-up parts summing to the prism, checked by the
+    # NefPartition returned
+    calls = []
+    real = polytope.is_minkowski_sum
+
+    def counted(parts, target):
+        calls.append(len(parts))
+        return real(parts, target)
+
+    monkeypatch.setattr(polytope, "is_minkowski_sum", counted)
+    monkeypatch.setattr(subdivision, "is_minkowski_sum", counted)
+    build_quintic(2)
+    assert calls == [1, 2, 2]
+
+
 def test_split_and_sum_commute():
     # hyperplane_split then sum_refinement == sum_refinement then split
     sq = cube(2)
     pts = sq.lattice_points()
     sub_f, f = regular_subdivision(pts, [abs(p[0]) for p in pts])
     split_sub, tent = hyperplane_split(sq, 1, 0)
-    a, _ = sum_refinement(f, PLFunction(sq, {c.key(): ((0, 0), Fraction(0)) for c in split_sub.maximal_cells}, "sum", True), sub_f, split_sub)
+    a, _ = sum_refinement(f, PLFunction({c.key(): ((0, 0), Fraction(0)) for c in split_sub.maximal_cells}, True), sub_f, split_sub)
     b = common_refinement(split_sub, sub_f)
     assert _keys(a) == _keys(b)
 
@@ -342,8 +384,7 @@ def _kp1_2_inputs(k):
 
 def _quintic_inputs(i):
     poly = hull(QUINTIC_COLUMNS)
-    split_sub, tent = hyperplane_split(poly, 0, i - 1)
-    return [_orthant_tents(poly, skip_coord=0), (split_sub, negate_pl(tent, split_sub))]
+    return [_orthant_tents(poly, skip_coord=0), hyperplane_split(poly, 0, i - 1)]
 
 
 def _orthant_tent_inputs():
@@ -351,8 +392,7 @@ def _orthant_tent_inputs():
     poly = hull(QUINTIC_COLUMNS)
     out = []
     for j in (1, 2, 3):
-        split_sub, tent = hyperplane_split(poly, j, 0)
-        out.append((split_sub, negate_pl(tent, split_sub)))
+        out.append(hyperplane_split(poly, j, 0))
     return out
 
 
@@ -593,7 +633,7 @@ def test_cells_match_the_per_cell_hull(case):
     assert len(sub.maximal_cells) == len(old_sub.maximal_cells)
     for cell, old in zip(sub.maximal_cells, old_sub.maximal_cells):
         assert _cell_fields(cell) == _cell_fields(old)
-    assert (f.pieces, f.tag, f.convex) == (old_f.pieces, old_f.tag, old_f.convex)
+    assert (f.pieces, f.convex) == (old_f.pieces, old_f.convex)
 
 
 def test_regular_subdivision_hulls_the_support_alone(monkeypatch):
@@ -670,8 +710,8 @@ def test_pull_down_builds_one_function_and_scans_no_wall(monkeypatch):
     real_function = subdivision.PLFunction
 
     def counted_function(*args, **kwargs):
-        built.append(args)
-        return real_function(*args, **kwargs)
+        built.append(real_function(*args, **kwargs))
+        return built[-1]
 
     values = []
     real_value = subdivision.affine_value
@@ -692,11 +732,12 @@ def test_pull_down_builds_one_function_and_scans_no_wall(monkeypatch):
     monkeypatch.setattr(subdivision, "affine_value", counted_value)
     monkeypatch.setattr(polytope.LatticePolytope, "normalized_volume", counted_volume)
     sub, f = fine_crepant_subdivision(poly)
-    # the facets' own triangulations build theirs on the facets
-    assert sum(args[0] is poly for args in built) == 1
+    # the facets' own triangulations build theirs on the facets' cells
+    cones = {c.key() for c in sub.maximal_cells}
+    assert [g for g in built if set(g.pieces) == cones] == [f]
     assert values == []
     assert volumes == [poly]
-    assert sub.support is poly and f.domain is poly
+    assert sub.support is poly
 
 
 def _patched_triangulation(monkeypatch, change):

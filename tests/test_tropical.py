@@ -16,7 +16,6 @@ from oracles import (
     _oracle_is_boundary_cell,
     _oracle_is_simple,
     _oracle_monodromy,
-    _oracle_report_json,
     monodromy_polytope,
     oracle_displacement,
     oracle_loop_matrix,
@@ -39,6 +38,7 @@ from tropdeg.subdivision import (
     sum_refinement,
 )
 from tropdeg.tropical import (
+    MonodromyReport,
     TropicalSpace,
     _compute_discriminant,
     _displacement,
@@ -61,13 +61,6 @@ def k3_solid_and_sphere():
     refined, g = sum_refinement(g_q, g_s, big_q, big_s)
     two_param = graph_degeneration([(big_q, g_q), (big_s, g_s)])
     solid = dual_intersection_complex(two_param)
-    solid.metadata.update(
-        {
-            "product_vertical_coord": 2,
-            "factor_facets": list(base.facets),
-            "vertical_levels": (-1, 1),
-        }
-    )
     prism = product(base, seg)
     sphere = hypersurface_trop(prism, refined)
     return base, prism, refined, solid, sphere
@@ -215,7 +208,7 @@ def test_dual_complex_k3_is_3d_with_four_face_types(k3):
     kinds = set()
     for key, cell in solid.cells().items():
         if solid.is_boundary_cell(key):
-            kinds.add(classify_faces(solid, [key])[0])
+            kinds.add(classify_faces([key], base.facets, 2, (-1, 1))[0])
     assert kinds == {"InteriorCap", "BoundaryCap", "HorizontalSide", "VerticalSide"}
 
 
@@ -362,11 +355,12 @@ def test_k3_vertical_faces_have_vertical_displacement(k3):
         n = len(m)
         d = tuple(tuple(m[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n))
         assert mat_mul(d, d) == tuple(tuple(0 for _ in range(n)) for _ in range(n))
-        # displacement is parallel to the chart image of the vertical direction
+        # the displacement, the monodromy segment's far end, is parallel to
+        # the chart image of the vertical direction
         v_plus = sorted(e["edge"])[0]
         chart = sphere.chart_matrix(v_plus)
         vert = mat_vec(chart, (0, 0, 1))
-        disp = e["displacement"]
+        (disp,) = [v for v in e["polytope"] if any(v)]
         assert disp[0] * vert[1] == disp[1] * vert[0]
 
 
@@ -387,6 +381,29 @@ def test_k3_simple_and_count(k3):
     assert simple
     assert all(e["elementary"] for e in report.entries)
     assert count_focus_focus(sphere) == 24
+
+
+def elliptic_circle():
+    base = centered_dilated_simplex(2)
+    return hypersurface_trop(base, fine_crepant_subdivision(base)[0])
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: k3_solid_and_sphere()[4], cube_boundary, length_two_pair, elliptic_circle], ids=["k3", "cube", "pair", "circle"]
+)
+def test_is_simple_reports_the_discriminants_own_entries(build):
+    # one monodromy record: the report holds the very entries of the discriminant
+    space = build()
+    simple, report = is_simple(space)
+    assert report.entries is discriminant(space).entries
+    assert report.entries and simple == all(e["multiplicity"] == 1 for e in report.entries)
+
+
+def test_a_non_integral_loop_is_an_internal_error():
+    # I - a (x) phi with a (x) phi = 1/2 at one entry: incompatible charts, a defect of the package
+    with pytest.raises(exactlin.InvariantError, match="monodromy is not integral"):
+        tropical._transvection((Fraction(1, 2), 0), (1, 0))
+    assert not issubclass(exactlin.InvariantError, ValueError)
 
 
 def test_count_focus_focus_trivial_zero():
@@ -516,7 +533,7 @@ def test_classify_face_examples(k3):
     by_type = {}
     for key, cell in solid.cells().items():
         if solid.is_boundary_cell(key):
-            by_type.setdefault(classify_faces(solid, [key])[0], []).append(cell)
+            by_type.setdefault(classify_faces([key], base.facets, 2, (-1, 1))[0], []).append(cell)
     # top-cap interior triangles exist (the 9 MPCP triangles per cap)
     assert any(c.dim == 2 for c in by_type["InteriorCap"])
     # horizontal side faces sit in the vanishing of the final coordinate
@@ -528,11 +545,11 @@ def test_classify_face_examples(k3):
         assert any(all(dot(n, p) == -c0 for p in proj) for n, c0 in base.facets)
 
 
-def test_classify_face_requires_product_typed():
-    space = trivial_solid_2d()
-    key = space.maximal_cells[0].key()
-    with pytest.raises(ValueError, match="product-typed"):
-        classify_faces(space, [key])
+def test_classify_face_rejects_a_face_off_the_product_boundary(k3):
+    base, prism, refined, solid, sphere = k3
+    # a maximal cell of the solid product lies on no boundary face of it
+    with pytest.raises(ValueError, match="not a boundary face of the product"):
+        classify_faces([solid.maximal_cells[0].key()], base.facets, 2, (-1, 1))
 
 
 # --- the face table against the walkers it replaced ----------------------------
@@ -596,7 +613,8 @@ def test_face_table_matches_rehulling_walkers_and_pair_scan(face_corpus):
         want = _outcome(_oracle_discriminant, space)
         assert got == want, name
         if got[0] == "value":
-            assert is_simple(space)[1].to_json() == _oracle_report_json(want[1]), name
+            # each oracle entry's polytope is hulled from its matrix
+            assert is_simple(space)[1].to_json() == MonodromyReport(want[1]).to_json(), name
 
 
 def _cli_random_subdivisions():
@@ -622,7 +640,7 @@ def test_boundary_facets_are_the_walls_of_one_cell(kp1_2_results):
         split_sub, tent = hyperplane_split(poly, 0, i - 1)
         tor_sub, h_tor = pipelines._orthant_tents(poly, skip_coord=0)
         subs[f"quintic i={i} split"] = split_sub
-        subs[f"quintic i={i} refined"] = sum_refinement(h_tor, pipelines.negate_pl(tent, split_sub), tor_sub, split_sub)[0]
+        subs[f"quintic i={i} refined"] = sum_refinement(h_tor, tent, tor_sub, split_sub)[0]
     for k in (1, 2, 3):
         pts = cube(k).lattice_points()
         sub, f = regular_subdivision(pts, [sum(abs(x) for x in p) for p in pts])
@@ -659,14 +677,12 @@ def test_discriminant_and_face_census_make_no_hull_call(kp1_2_results, monkeypat
     sphere, solid = result.sphere, result.solid
     # fresh copies build their face tables and walls inside the count
     fresh_sphere = TropicalSpace(sphere.ambient_dim, sphere.dim, sphere.maximal_cells, sphere.chart_kind)
-    fresh_solid = TropicalSpace(
-        solid.ambient_dim, solid.dim, solid.maximal_cells, solid.chart_kind, boundary_keys=solid.boundary_keys, metadata=solid.metadata
-    )
+    fresh_solid = TropicalSpace(solid.ambient_dim, solid.dim, solid.maximal_cells, solid.chart_kind, boundary_keys=solid.boundary_keys)
     calls = _counting_hulls(monkeypatch)
     for space in (sphere, fresh_sphere):
         assert _compute_discriminant(space).entries == result.discriminant.entries
-    for space, boundary in ((solid, sphere), (fresh_solid, fresh_sphere)):
-        assert _face_census(space, boundary) == result.report()["face_census"]
+        assert _face_census(space, result.base) == result.report()["face_census"]
+    assert fresh_solid.boundary_cells().keys() == solid.boundary_cells().keys()
     assert calls == []
 
 
@@ -676,8 +692,8 @@ def test_face_census_off_the_sphere_equals_the_one_off_the_solids_table(kp1_2_re
         solid, sphere = result.solid, result.sphere
         boundary = [key for key in solid.faces() if solid.is_boundary_cell(key)]
         assert list(sphere.faces()) == boundary
-        want = dict(sorted(Counter(classify_faces(solid, boundary)).items()))
-        assert _face_census(solid, sphere) == want == result.report()["face_census"]
+        want = dict(sorted(Counter(classify_faces(boundary, result.base.facets, result.base.ambient_dim, (-1, 1))).items()))
+        assert _face_census(sphere, result.base) == want == result.report()["face_census"]
 
 
 def test_kp1_2_build_makes_one_face_table(monkeypatch):
