@@ -25,7 +25,6 @@ from .subdivision import (
     sum_refinement,
 )
 from .tropical import (
-    MonodromyReport,
     TropicalSpace,
     count_focus_focus,
     discriminant,
@@ -71,7 +70,6 @@ __all__ = [
     "hyperplane_split",
     "regular_subdivision",
     "sum_refinement",
-    "MonodromyReport",
     "TropicalSpace",
     "count_focus_focus",
     "discriminant",

@@ -133,7 +133,7 @@ def cmd_example(args):
 
 
 def cmd_tropicalize(args):
-    from .subdivision import graph_degeneration, regular_subdivision
+    from .subdivision import regular_subdivision
     from .tropical import dual_intersection_complex, hypersurface_trop
 
     obj = _load_json(args.input)
@@ -154,7 +154,7 @@ def cmd_tropicalize(args):
         if len(points[-1]) != support.ambient_dim or not support.contains(points[-1]):
             raise InputError(f"heights point {point_json(points[-1])} lies outside 'support'")
     try:
-        sub, f = regular_subdivision(points, heights)
+        sub, _ = regular_subdivision(points, heights)
     except ValueError as e:
         raise InputError(str(e))
     if sub.support.vertices != support.vertices:
@@ -162,7 +162,7 @@ def cmd_tropicalize(args):
     if args.hypersurface:
         space = hypersurface_trop(support, sub, enforce_fine=not args.coarse)
     else:
-        space = dual_intersection_complex(graph_degeneration([(sub, f)]))
+        space = dual_intersection_complex(sub)
     report = {**_point_table(space.maximal_cells), "dim": space.dim, "kind": space.chart_kind}
     _write(dumps(report) + "\n", args.out)
     return 0
@@ -247,10 +247,12 @@ def cmd_ring(args):
 
 def cmd_render(args):
     from .render import render_svg
+    from .tropical import dual_intersection_complex
 
     result = _example_from_args(args)
-    sphere = getattr(result, "sphere", None)
-    space = sphere if sphere is not None and sphere.dim == 2 else result.solid
+    space = getattr(result, "sphere", None)
+    if space is None or space.dim != 2:
+        space = getattr(result, "solid", None) or dual_intersection_complex(result.refinement)
     if space.dim != 2:
         raise InputError("render needs a 2-dimensional tropical space; pick a surface example")
     support = getattr(result, "prism", None) or getattr(result, "polytope", None) or getattr(result, "box", None)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from .exactlin import (
     _ratio,
     dot,
-    is_integrally_surjective,
     mat_identity,
     mat_rank,
     mat_vec,
@@ -45,7 +44,10 @@ class FibrationData:
 
     The points (v, 1) over the cell's vertices generate the cone; the
     functionals y_i are nonnegative on it, and its slice at level t, the
-    smoothing functional (0,...,0,1), is t * cell.
+    smoothing functional (0,...,0,1), is t * cell.  `diagonal` is the Smith
+    diagonal of y_1..y_r on the cell's tangent lattice, made once: the
+    embedding is integrally surjective on the cell when it is r ones, and
+    the simplex map rescales the lattice there when an entry exceeds 1.
     """
 
     def __init__(self, cell, y_functionals):
@@ -57,6 +59,7 @@ class FibrationData:
                     raise ValueError("fibration functional is negative on the cone")
         if mat_rank(self.y) != len(self.y):
             raise ValueError("component functionals must be linearly independent")
+        self.diagonal = snf_diagonal(tuple(tuple(dot(y[:-1], b) for b in cell.span_basis) for y in self.y[1:]))
 
     @property
     def rank(self):
@@ -119,7 +122,9 @@ def wall_fibration_data(space, coord, level):
 
     Only cells meeting the wall get data (the positive integral
     neighbourhood); each gets its clip to the unit collar, on whose cone
-    the component functionals stay nonnegative.
+    the component functionals stay nonnegative.  The clip keeps the host's
+    chart, so its tangent lattice, and the Smith diagonal read on it, are
+    the host's.
     """
     n = space.ambient_dim
     e = tuple(1 if i == coord else 0 for i in range(n))
@@ -154,11 +159,6 @@ class ComplexMap:
         self.metadata = dict(metadata or {})
 
 
-def _tangent_map(host, fib):
-    """Integer matrix of y_1..y_r on the host cell's tangent lattice."""
-    return tuple(tuple(dot(y[:-1], b) for b in host.span_basis) for y in fib.y[1:])
-
-
 def embed_D(space, fibration):
     """The deepest-stratum complex as fibres over (1,...,1), with its embedding.
 
@@ -186,15 +186,11 @@ def embed_D(space, fibration):
     chart = _lattice_chart([v for verts in table for v in verts])
     anchor, basis = min(table)[0], chart[0]
     matrix = tuple(zip(*basis)) if basis else ((0,),) * len(anchor)
-    surjective = True
+    surjective = all(fibration[h].diagonal == (1,) * fibration[h].rank for _, hosts in table.values() for h in hosts)
     entries = []
     reduced_cells = []
-    host_cells = {c.key(): c for c in space.maximal_cells}
     for verts, ((cell, mask), hosts) in sorted(table.items()):
         fibre = cell.face_from_mask(mask)
-        for h in hosts:
-            if not is_integrally_surjective(_tangent_map(host_cells[h], fibration[h])):
-                surjective = False
         _assert_fan_compatibility(space, verts, fibre.dim)
         rows, den = _span_coordinates(chart, anchor, verts)
         pts = [tuple(_ratio(x, den) for x in r) for r in rows] if basis else [(0,)]
@@ -239,12 +235,12 @@ def _assert_fan_compatibility(space, vertices, dim):
             raise ValueError("embedding is not compatible with the fan structure at " + str(v))
 
 
-def simplex_fibration(space, fibration):
+def simplex_fibration(fibration):
     """Cellwise affine map onto the (r+1)-dilated r-simplex.
 
     Its fibre over the barycenter (1,...,1) is `barycenter_fibre`; a warning
-    is flagged when the fibration rescales the integral affine structure (a
-    nontrivial SNF diagonal on some cell).
+    is flagged when the fibration rescales the integral affine structure (an
+    entry above 1 in some cell's `FibrationData.diagonal`).
     """
     if not fibration:
         raise ValueError("no fibration data supplied")
@@ -252,11 +248,10 @@ def simplex_fibration(space, fibration):
     target = standard_simplex(rank, rank + 1)
     entries = []
     warnings = []
-    host_cells = {c.key(): c for c in space.maximal_cells}
     for key, fib in sorted(fibration.items()):
         matrix = tuple(tuple(y[:-1]) for y in fib.y[1:])
         translation = tuple(y[-1] for y in fib.y[1:])
-        if any(d > 1 for d in snf_diagonal(_tangent_map(host_cells[key], fib))):
+        if any(d > 1 for d in fib.diagonal):
             warnings.append(f"fibration rescales the integral affine structure on {key}")
         entries.append({"source": key, "target": target.key(), "matrix": matrix, "translation": translation})
     return ComplexMap(entries, surjective=None, warnings=warnings, metadata={"target": target})

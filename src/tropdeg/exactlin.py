@@ -332,15 +332,6 @@ def snf_diagonal(m):
     return tuple(s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)))
 
 
-def is_integrally_surjective(m):
-    """True iff m: Z^cols -> Z^rows is onto, i.e. the SNF has rows many 1s."""
-    rows = len(m)
-    if rows == 0:
-        return True
-    d = snf_diagonal(m)
-    return len(d) >= rows and all(d[i] == 1 for i in range(rows))
-
-
 def hnf_column_basis(vectors):
     """Column-style Hermite basis of the lattice spanned by the given vectors.
 

@@ -48,7 +48,6 @@ from .subdivision import (
 from .tropical import (
     classify_faces,
     count_focus_focus,
-    discriminant,
     dual_intersection_complex,
     hypersurface_trop,
     is_simple,
@@ -115,14 +114,12 @@ def build_kp1_2(k):
     two_param = graph_degeneration([(big_q, g_q), (big_s, g_s)], refinement=refined)
     diagonal_ok = _diagonal_matches(two_param, (refined, g_sum))
     prism = product(base, seg)
-    solid = dual_intersection_complex(two_param)
     sphere = hypersurface_trop(prism, refined)
-    disc = discriminant(sphere)
-    simple, mono_report = is_simple(sphere)
+    simple, disc = is_simple(sphere)
     focus = count_focus_focus(sphere) if sphere.dim == 2 else None
     fibration = wall_fibration_data(sphere, k, 0)
     t_d, iota, surjective = embed_D(sphere, fibration)
-    fmap = simplex_fibration(sphere, fibration)
+    fmap = simplex_fibration(fibration)
     fibre_keys = barycenter_fibre(sphere, fibration)
     # specialization data: Tyurin-only refinement versus the full central one
     rho = specialization_map(big_s, refined)
@@ -130,12 +127,12 @@ def build_kp1_2(k):
         "example": "kp1-2",
         "parameters": {"k": k},
         "polytope": prism.to_json(),
-        "solid_cells": len(solid.maximal_cells),
+        "solid_cells": len(refined.maximal_cells),
         "hypersurface_cells": len(sphere.maximal_cells),
         "simple": simple,
         "focus_focus_total": focus,
         "discriminant_points": len(disc.entries),
-        "monodromy_report": mono_report.to_json(),
+        "monodromy_report": disc.to_json(),
         "embedding": {
             "integrally_surjective": surjective,
             "fibre_cells": len(t_d.maximal_cells),
@@ -151,11 +148,9 @@ def build_kp1_2(k):
         prism=prism,
         refinement=refined,
         two_param=two_param,
-        solid=solid,
         sphere=sphere,
         discriminant=disc,
         simple=simple,
-        monodromy_report=mono_report,
         fibration=fibration,
         t_d=t_d,
         iota=iota,
@@ -220,11 +215,10 @@ def build_quintic(i):
     phi_linear_across_wall = _linear_across(h_tor, tor_sub, refined, 0, level)
     two_param = graph_degeneration([(tor_sub, h_tor), (split_sub, h_tyu)], refinement=refined)
     diagonal_ok = _diagonal_matches(two_param, (refined, h_total))
-    solid = dual_intersection_complex(two_param)
     sphere = hypersurface_trop(poly, split_sub, enforce_fine=False)
     fibration = wall_fibration_data(sphere, 0, level)
     t_d, iota, surjective = embed_D(sphere, fibration)
-    fmap = simplex_fibration(sphere, fibration)
+    fmap = simplex_fibration(fibration)
     fibre_keys = barycenter_fibre(sphere, fibration)
     # LG model of the low (degree-i) component, truncated one unit in
     t_z = side_subcomplex(sphere, 0, level, "low")
@@ -265,7 +259,6 @@ def build_quintic(i):
         blowup=(blow_total, blow_parts, blow_nef),
         refinement=refined,
         two_param=two_param,
-        solid=solid,
         sphere=sphere,
         fibration=fibration,
         t_d=t_d,
@@ -292,7 +285,7 @@ def build_hypercube(k):
     summed = sum_refinement(f, f, sub, sub)
     two_param = graph_degeneration([(sub, f), (sub, f)], refinement=summed[0])
     diagonal_ok = _diagonal_matches(two_param, summed)
-    solid = dual_intersection_complex(two_param)
+    solid = dual_intersection_complex(summed[0])
     # rank-k fibration: folded tents y_i = t - s_i x_i per orthant cell
     fibration = {}
     for cell in solid.maximal_cells:
@@ -301,7 +294,7 @@ def build_hypercube(k):
         ys = [tuple(signs) + (1,)] + [tuple(-s if j == i else 0 for j in range(k)) + (1,) for i, s in enumerate(signs)]
         fibration[cell.key()] = FibrationData(cell, ys)
     t_d, iota, surjective = embed_D(solid, fibration)
-    fmap = simplex_fibration(solid, fibration)
+    fmap = simplex_fibration(fibration)
     target = fmap.metadata["target"]
     rho = specialization_map(sub, sub)
     report = {

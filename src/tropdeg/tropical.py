@@ -192,7 +192,7 @@ class TropicalSpace:
         bend = self._bend(sigma_plus, sigma_minus)
         if bend is None:
             return mat_identity(self.ambient_dim - (self.chart_kind == "boundary"))
-        return _transvection(*self._loop_factors(v_plus, v_minus, bend))
+        return _loop(*self._loop_factors(v_plus, v_minus, bend))[0]
 
     def transition(self, v_from, v_to, cell):
         """Chart transition v_from -> v_to across a maximal cell having both vertices.
@@ -209,14 +209,6 @@ class TropicalSpace:
         n = self._cell_normal(cell)
         phi = [dot(n, col) for col in s]
         return tuple(tuple(_ratio(dot(row, col) - ui * p) for col, p in zip(s, phi)) for row, ui in zip(q, mat_vec(q, v_from)))
-
-
-def _transvection(a, phi):
-    """The integer matrix I - a (x) phi; InvariantError when an entry is not an integer."""
-    m = [[(1 if i == j else 0) - x * p for j, p in enumerate(phi)] for i, x in enumerate(a)]
-    if any(x.denominator != 1 for row in m for x in row):
-        raise InvariantError("monodromy is not integral; charts are incompatible on the lattice")
-    return tuple(tuple(x.numerator for x in row) for row in m)
 
 
 def _normal(cell):
@@ -253,23 +245,18 @@ def _face_table(cells, boundary_keys):
 # --- constructions ----------------------------------------------------------
 
 
-def dual_intersection_complex(graph_deg):
-    """Tropicalization of the toric total space: the base with its refinement.
+def dual_intersection_complex(subdivision):
+    """Tropicalization of the toric total space: the subdivision's cells, with identity charts.
 
-    Fan structure at each vertex is the star with identity reference charts.
-    The boundary keys are the refinement's walls that one cell has.
+    The boundary keys are the subdivision's walls that one cell has.
     """
-    for f in graph_deg.heights:
-        if not f.convex:
-            raise ValueError("graph degeneration carries a non-convex certificate")
-    support = graph_deg.base
-    refinement = graph_deg.refinement
+    support = subdivision.support
     return TropicalSpace(
         support.ambient_dim,
         support.dim,
-        refinement.maximal_cells,
+        subdivision.maximal_cells,
         "solid",
-        boundary_keys=[key for key, adj in refinement.walls().items() if len(adj) == 1],
+        boundary_keys=[key for key, adj in subdivision.walls().items() if len(adj) == 1],
     )
 
 
@@ -306,16 +293,25 @@ def hypersurface_trop(poly, subdivision, enforce_fine=True):
 
 
 class Discriminant:
-    """Singular locus data: barycentric joints (edge, wall) with monodromy."""
+    """Singular locus data: barycentric joints (edge, wall) with monodromy and elementary-simplex verdicts."""
 
     def __init__(self, entries):
         self.entries = tuple(entries)
 
-    def __len__(self):
-        return len(self.entries)
-
     def total_multiplicity(self):
         return sum(e["multiplicity"] for e in self.entries)
+
+    def to_json(self):
+        return [
+            {
+                "loop": {"edge": key_json(e["edge"]), "wall": key_json(e["wall"])},
+                "matrix": [list(r) for r in e["matrix"]] if e["matrix"] is not None else None,
+                "polytope": key_json(e["polytope"]),
+                "multiplicity": e["multiplicity"],
+                "elementary": e["elementary"],
+            }
+            for e in self.entries
+        ]
 
 
 def discriminant(space):
@@ -373,9 +369,7 @@ def _compute_discriminant(space):
             bends[wall_key] = space._bend(cells[adj[0]], cells[adj[1]])
         if bends[wall_key] is None:
             continue
-        factors = space._loop_factors(edge_key[0], edge_key[1], bends[wall_key])
-        m = _transvection(*factors)
-        disp, mult = _displacement(*factors)
+        m, disp, mult = _loop(*space._loop_factors(edge_key[0], edge_key[1], bends[wall_key]))
         entries.append(_entry(edge_key, wall_key, center(edge_key), center(wall_key), m, disp, mult))
     return Discriminant(entries)
 
@@ -398,53 +392,34 @@ def _entry(edge, wall, edge_midpoint, wall_barycenter, matrix, end, multiplicity
     }
 
 
-def _displacement(a, phi):
-    """(displacement, multiplicity) of the nontrivial loop M = I - a (x) phi, an integer matrix.
+def _loop(a, phi):
+    """(matrix, displacement, multiplicity) of the nontrivial loop M = I - a (x) phi.
 
-    Write a = c u with u primitive and c > 0.  Then M - I = -u (x) c phi,
-    and c phi is integral because u is primitive, so the multiplicity, the
-    gcd of the entries of M - I, is content(c phi).  With the covector of
-    M - I oriented so that its first nonzero entry is positive, a primitive
-    t pairing with it to the least positive value is displaced by
-    (M - I) t = -sgn(phi_j0) * multiplicity * u, phi_j0 the first nonzero
-    entry of phi; so the segment [0, displacement] has lattice length the
-    multiplicity.
+    Write a = c u with u primitive and c > 0, so M = I - u (x) c phi.  M is
+    integral exactly when c phi is, since an integer combination of the
+    entries of u is 1; so InvariantError is raised on the n entries of c phi,
+    and M is built in ints.  The multiplicity, the gcd of the entries of
+    M - I, is content(c phi).  With the covector of M - I oriented so that
+    its first nonzero entry is positive, a primitive t pairing with it to the
+    least positive value is displaced by (M - I) t = -sgn(phi_j0) *
+    multiplicity * u, phi_j0 the first nonzero entry of phi; so the segment
+    [0, displacement] has lattice length the multiplicity.
     """
     u = primitive(clear_fractions(a))
-    i = next(i for i, x in enumerate(u) if x)
-    mult = content([_ratio(a[i] * p, u[i]) for p in phi])
+    k = next(k for k, x in enumerate(u) if x)
+    cphi = [_ratio(a[k] * p, u[k]) for p in phi]
+    if any(type(x) is not int for x in cphi):
+        raise InvariantError("monodromy is not integral; charts are incompatible on the lattice")
+    m = tuple(tuple((1 if i == j else 0) - x * p for j, p in enumerate(cphi)) for i, x in enumerate(u))
+    mult = content(cphi)
     sign = -1 if next(p for p in phi if p) > 0 else 1
-    return tuple(sign * mult * x for x in u), mult
-
-
-class MonodromyReport:
-    """Per-singular-cell loop data with elementary-simplex verdicts."""
-
-    def __init__(self, entries):
-        self.entries = tuple(entries)
-
-    def to_json(self):
-        out = []
-        for e in self.entries:
-            out.append(
-                {
-                    "loop": {
-                        "edge": key_json(e["edge"]),
-                        "wall": key_json(e["wall"]),
-                    },
-                    "matrix": [list(r) for r in e["matrix"]] if e["matrix"] is not None else None,
-                    "polytope": key_json(e["polytope"]),
-                    "multiplicity": e["multiplicity"],
-                    "elementary": e["elementary"],
-                }
-            )
-        return out
+    return m, tuple(sign * mult * x for x in u), mult
 
 
 def is_simple(space):
-    """(verdict, report): simple iff every monodromy polytope of the discriminant's entries is elementary."""
-    entries = discriminant(space).entries
-    return all(e["elementary"] for e in entries), MonodromyReport(entries)
+    """(verdict, discriminant(space)): simple iff every monodromy polytope of the discriminant's entries is elementary."""
+    disc = discriminant(space)
+    return all(e["elementary"] for e in disc.entries), disc
 
 
 def count_focus_focus(space):

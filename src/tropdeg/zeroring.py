@@ -213,9 +213,8 @@ class EmbeddedIdeal:
     its first one, so rescaling the parameter vector is invisible.
     """
 
-    def __init__(self, relations, parameters):
+    def __init__(self, relations):
         self.relations = dict(relations)
-        self.parameters = tuple(Fraction(a) for a in parameters)
 
     def normalized(self):
         out = {}
@@ -223,20 +222,6 @@ class EmbeddedIdeal:
             base = rels[0][1]
             out[key] = tuple((m, a / base) for m, a in rels)
         return out
-
-    def to_json(self):
-        from .jsonio import key_json, num_json
-
-        return {
-            "charts": [
-                {
-                    "cell": key_json(k),
-                    "relations": [{"exponent": list(m), "scalar": num_json(a)} for m, a in rels],
-                }
-                for k, rels in sorted(self.relations.items())
-            ],
-            "parameters": [num_json(a) for a in self.parameters],
-        }
 
 
 def embedded_ideal(space, t_d, iota, parameters, gluing):
@@ -282,7 +267,7 @@ def embedded_ideal(space, t_d, iota, parameters, gluing):
     for key in charts:
         fib = fibration[key]
         relations[key] = tuple((fib.y[i], values[key][i]) for i in range(rank + 1))
-    return EmbeddedIdeal(relations, parameters)
+    return EmbeddedIdeal(relations)
 
 
 def genericity_scan(space, t_d, iota, gluing, samples):

@@ -80,12 +80,20 @@ composes those restrictions and their inverses (`oracle_loop_matrix`,
 `explicit_charts`, as hand-built models in the tests do, the restriction
 reads those instead of the vertex chart.
 
+Integral surjectivity: each `embed.FibrationData` keeps the Smith diagonal
+of its tangent map, and `embed_D` calls a host surjective when that diagonal
+is r ones.  The predicate it replaced, `oracle_is_integrally_surjective`,
+took the matrix and made its own Smith form.
+
 The discriminant and its simplicity verdict: `tropical._compute_discriminant`
 reads each loop's rank-one factors (a, phi) once, with the loop I - a (x) phi,
-and `tropical._displacement(a, phi)` reads the displacement and multiplicity
-off them in closed form; each entry keeps its monodromy segment as its
-vertex pair and is elementary when its multiplicity is 1, and `is_simple`
-reports the entries themselves.  The displacement they replaced
+and `tropical._loop(a, phi)` reads the matrix, displacement and multiplicity
+off one factorization a = c u in closed form; each entry keeps its monodromy
+segment as its vertex pair and is elementary when its multiplicity is 1, and
+`is_simple` reports the discriminant itself.  The two functions `_loop`
+replaced are `oracle_transvection` (the matrix, checked integral entry by
+entry in Fractions) and `oracle_loop_displacement` (the displacement and
+multiplicity).  The displacement they in turn replaced
 (`oracle_displacement`) recovers the factors from the matrix by a rank
 computation and a division scan, and `monodromy_polytope` hulls the segment
 for `is_elementary_simplex`.  The discriminant before the face table
@@ -163,6 +171,7 @@ from itertools import combinations
 from itertools import product as iproduct
 
 from tropdeg.exactlin import (
+    InvariantError,
     RationalCone,
     _extreme_generators,
     _ratio,
@@ -171,7 +180,6 @@ from tropdeg.exactlin import (
     dot,
     content,
     hnf_column_basis,
-    is_integrally_surjective,
     is_zero,
     kernel_basis,
     left_inverse,
@@ -182,6 +190,7 @@ from tropdeg.exactlin import (
     mat_vec,
     primitive,
     saturate_lattice,
+    snf_diagonal,
     solve_linear,
     vadd,
     vneg,
@@ -210,7 +219,7 @@ from tropdeg.polytope import (
     tight_at,
 )
 from tropdeg.subdivision import PLFunction, Subdivision, affine_value, boundary_triangulation
-from tropdeg.tropical import MonodromyReport, TropicalSpace, discriminant
+from tropdeg.tropical import Discriminant, TropicalSpace, discriminant
 
 
 def basis_coordinates(basis, vectors):
@@ -717,7 +726,7 @@ def oracle_embed_D(space, fibration):
         rows = []
         for y in fib.y[1:]:
             rows.append(tuple(dot(y[:-1], b) for b in tangent))
-        if not is_integrally_surjective(tuple(rows)):
+        if not oracle_is_integrally_surjective(tuple(rows)):
             surjective = False
         reduced = _oracle_reduce_cell(cell, anchor, basis) if basis else hull([(0,)])
         reduced_cells.append(reduced)
@@ -1005,6 +1014,42 @@ def oracle_displacement(m):
     return disp, g
 
 
+def oracle_is_integrally_surjective(m):
+    """True iff m: Z^cols -> Z^rows is onto, i.e. the SNF has rows many 1s."""
+    rows = len(m)
+    if rows == 0:
+        return True
+    d = snf_diagonal(m)
+    return len(d) >= rows and all(d[i] == 1 for i in range(rows))
+
+
+def oracle_transvection(a, phi):
+    """The integer matrix I - a (x) phi; InvariantError when an entry is not an integer."""
+    m = [[(1 if i == j else 0) - x * p for j, p in enumerate(phi)] for i, x in enumerate(a)]
+    if any(x.denominator != 1 for row in m for x in row):
+        raise InvariantError("monodromy is not integral; charts are incompatible on the lattice")
+    return tuple(tuple(x.numerator for x in row) for row in m)
+
+
+def oracle_loop_displacement(a, phi):
+    """(displacement, multiplicity) of the nontrivial loop M = I - a (x) phi, an integer matrix.
+
+    Write a = c u with u primitive and c > 0.  Then M - I = -u (x) c phi,
+    and c phi is integral because u is primitive, so the multiplicity, the
+    gcd of the entries of M - I, is content(c phi).  With the covector of
+    M - I oriented so that its first nonzero entry is positive, a primitive
+    t pairing with it to the least positive value is displaced by
+    (M - I) t = -sgn(phi_j0) * multiplicity * u, phi_j0 the first nonzero
+    entry of phi; so the segment [0, displacement] has lattice length the
+    multiplicity.
+    """
+    u = primitive(clear_fractions(a))
+    i = next(i for i, x in enumerate(u) if x)
+    mult = content([_ratio(a[i] * p, u[i]) for p in phi])
+    sign = -1 if next(p for p in phi if p) > 0 else 1
+    return tuple(sign * mult * x for x in u), mult
+
+
 def monodromy_polytope(space, disc_entry):
     """Convex hull of 0 and the loop displacement, in the base vertex chart.
 
@@ -1139,7 +1184,7 @@ def _oracle_is_simple(space):
                 "elementary": elementary,
             }
         )
-    return verdict, MonodromyReport(entries)
+    return verdict, Discriminant(entries)
 
 
 # The double description by subset scan that cone_from_generators used before

@@ -126,7 +126,7 @@ def test_embed_d_matches_the_retired_fibre_loop(kp12, quintics, hypercubes):
 
     for group in (kp12, quintics, hypercubes):
         for res in group.values():
-            space = getattr(res, "sphere", res.solid)  # the hypercube embeds into its solid
+            space = res.sphere if hasattr(res, "sphere") else res.solid  # the hypercube embeds into its solid
             t_d, iota, surjective = oracle_embed_D(space, res.fibration)
             assert [c.key() for c in res.t_d.maximal_cells] == [c.key() for c in t_d.maximal_cells]
             assert res.iota.entries == iota.entries

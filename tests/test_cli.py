@@ -146,6 +146,26 @@ def test_tropicalize_solid(tmp_path):
     assert report["dim"] == 1
 
 
+def test_tropicalize_solid_builds_no_graph_lift(tmp_path, monkeypatch):
+    # the solid is the subdivision's own cells: no graph degeneration is made
+    from tropdeg import subdivision
+
+    calls = []
+    real = subdivision.graph_degeneration
+    monkeypatch.setattr(subdivision, "graph_degeneration", lambda *args, **kw: (calls.append(args), real(*args, **kw))[1])
+    data = {
+        "support": {"ambient_dim": 2, "vertices": [[-1, -1], [1, -1], [-1, 1], [1, 1]]},
+        "heights": [[[x, y], x * x + y * y] for x in (-1, 0, 1) for y in (-1, 0, 1)],
+    }
+    inp = tmp_path / "square.json"
+    inp.write_text(json.dumps(data))
+    out = tmp_path / "trop.json"
+    assert run(["tropicalize", "--input", str(inp), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert (len(report["maximal_cells"]), report["dim"], report["kind"]) == (4, 2, "solid")
+    assert calls == []
+
+
 def test_tropicalize_max_dim(tmp_path, monkeypatch):
     monkeypatch.setenv("TROPDEG_MAX_DIM", "1")
     data = {

@@ -195,7 +195,7 @@ def test_embed_d_matches_local_fibres(k3):
 def test_simplex_fibration_k3(k3):
     prism, sphere = k3
     fib = wall_fibration_data(sphere, 2, 0)
-    fmap = simplex_fibration(sphere, fib)
+    fmap = simplex_fibration(fib)
     target = fmap.metadata["target"]
     assert sorted(target.vertices) == [(0,), (2,)]  # 2*Delta^1 = [0, 2]
     assert fmap.warnings == ()
@@ -207,7 +207,7 @@ def test_simplex_fibration_k3(k3):
 def test_simplex_fibration_quintic_midpoint(quintic2):
     poly, sphere = quintic2
     fib = wall_fibration_data(sphere, 0, 1)
-    fmap = simplex_fibration(sphere, fib)
+    fmap = simplex_fibration(fib)
     target = fmap.metadata["target"]
     assert sorted(target.vertices) == [(0,), (2,)]
     # the wall slice lies over the midpoint 1 of [0, 2]
@@ -226,7 +226,7 @@ def test_trivial_product_embed():
     sub_d, f_d = regular_subdivision([(-1,), (0,), (1,)], [1, 0, 1])
     big, g = product_pullback(f_d, sub_d, seg2, side="left")
     gd = graph_degeneration([(big, g)])
-    solid = dual_intersection_complex(gd)
+    solid = dual_intersection_complex(gd.refinement)
     fib = wall_fibration_data(solid, 1, 0)
     t_d, iota, surjective = embed_D(solid, fib)
     assert surjective
@@ -358,7 +358,7 @@ def test_hypercube_point_fibre():
     pts = sq.lattice_points()
     sub, f = regular_subdivision(pts, [abs(p[0]) + abs(p[1]) for p in pts])
     gd = graph_degeneration([(sub, f)])
-    solid = dual_intersection_complex(gd)
+    solid = dual_intersection_complex(gd.refinement)
     fib = {}
     for cell in solid.maximal_cells:
         bary = cell.barycenter()
@@ -373,7 +373,7 @@ def test_hypercube_point_fibre():
     t_d, iota, surjective = embed_D(solid, fib)
     assert surjective
     assert t_d.dim == 0  # the minimal Tyurin stratum is a point
-    fmap = simplex_fibration(solid, fib)
+    fmap = simplex_fibration(fib)
     target = fmap.metadata["target"]
     assert target.normalized_volume() == 9  # 3*Delta^2
 
@@ -382,7 +382,7 @@ def test_lg_truncate_halfline_analogue():
     # [0, 3] with u = identity clipped at 1 -> [0, 1]
     sub, f = regular_subdivision([(0,), (1,), (2,), (3,)], [0, 0, 0, 0])
     gd = graph_degeneration([(sub, f)])
-    solid = dual_intersection_complex(gd)
+    solid = dual_intersection_complex(gd.refinement)
     out = lg_truncate(solid, ((1,), 0))
     assert len(out.maximal_cells) == 1
     assert sorted(out.maximal_cells[0].vertices) == [(0,), (1,)]
@@ -485,10 +485,10 @@ def test_open_embed_lg_trivial_iso(k3):
 def test_open_embed_lg_reports_extra_cell():
     sub, f = regular_subdivision([(0,), (1,)], [0, 0])
     gd = graph_degeneration([(sub, f)])
-    small = dual_intersection_complex(gd)
+    small = dual_intersection_complex(gd.refinement)
     sub2, f2 = regular_subdivision([(0,), (1,), (2,)], [1, 0, 1])
     gd2 = graph_degeneration([(sub2, f2)])
-    big = dual_intersection_complex(gd2)
+    big = dual_intersection_complex(gd2.refinement)
     emb = open_embed_LG(small, big)
     assert emb.missing_cells == (((1,), (2,)),)
 
@@ -540,7 +540,7 @@ def test_complex_map_face_compatibility(k3):
     # the restriction of the map of the cell
     prism, sphere = k3
     fib = wall_fibration_data(sphere, 2, 0)
-    fmap = simplex_fibration(sphere, fib)
+    fmap = simplex_fibration(fib)
     values = {}
     for entry in fmap.entries:
         cell = next(c for c in sphere.maximal_cells if c.key() == entry["source"])

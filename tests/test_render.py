@@ -46,6 +46,8 @@ def test_render_rejects_a_boundary_space_whose_support_is_not_3_dimensional():
     [
         (["--example", "kp1-2", "--k", "2"], "85cefbb756957bfd01ec782863712abb90cb3bd5e902852dc588ab9304f5ec09"),
         (["--example", "hypercube", "--k", "2"], "af28ac650e3083fd0d88b7e5d3e2dc6b0bc6be410a707d8d41ba607a86ec4d2b"),
+        # a 1-dimensional sphere: the net falls back to the solid of the refinement
+        (["--example", "kp1-2", "--k", "1"], "af28ac650e3083fd0d88b7e5d3e2dc6b0bc6be410a707d8d41ba607a86ec4d2b"),
     ],
 )
 def test_render_bytes_are_pinned(tmp_path, args, sha256):

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import (
     _faces_by_key,
@@ -18,9 +18,11 @@ from oracles import (
     _oracle_monodromy,
     monodromy_polytope,
     oracle_displacement,
+    oracle_loop_displacement,
     oracle_loop_matrix,
     oracle_support_facet_keys,
     oracle_transition,
+    oracle_transvection,
 )
 
 from tropdeg import exactlin, pipelines, subdivision, tropical
@@ -38,10 +40,9 @@ from tropdeg.subdivision import (
     sum_refinement,
 )
 from tropdeg.tropical import (
-    MonodromyReport,
+    Discriminant,
     TropicalSpace,
     _compute_discriminant,
-    _displacement,
     classify_faces,
     count_focus_focus,
     discriminant,
@@ -60,7 +61,7 @@ def k3_solid_and_sphere():
     big_s, g_s = product_pullback(f_s, sub_s, base, side="right")
     refined, g = sum_refinement(g_q, g_s, big_q, big_s)
     two_param = graph_degeneration([(big_q, g_q), (big_s, g_s)])
-    solid = dual_intersection_complex(two_param)
+    solid = dual_intersection_complex(two_param.refinement)
     prism = product(base, seg)
     sphere = hypersurface_trop(prism, refined)
     return base, prism, refined, solid, sphere
@@ -112,7 +113,7 @@ def length_two_pair():
 def trivial_solid_2d():
     sub, f = regular_subdivision([(0, 0), (1, 0), (0, 1)], [0, 0, 0])
     g = graph_degeneration([(sub, f)])
-    return dual_intersection_complex(g)
+    return dual_intersection_complex(g.refinement)
 
 
 # --- dual intersection complex --------------------------------------------
@@ -134,7 +135,7 @@ def _star_rays(space, v, cell):
 def test_dual_complex_tent_1d():
     sub, f = regular_subdivision([(-1,), (0,), (1,)], [1, 0, 1])
     g = graph_degeneration([(sub, f)])
-    space = dual_intersection_complex(g)
+    space = dual_intersection_complex(g.refinement)
     assert len(space.maximal_cells) == 2
     rays = sorted(_star_rays(space, (0,), space.maximal_cells[0]) + _star_rays(space, (0,), space.maximal_cells[1]))
     assert rays == [(-1,), (1,)]  # complete 1D fan at the interior vertex
@@ -395,6 +396,7 @@ def test_is_simple_reports_the_discriminants_own_entries(build):
     # one monodromy record: the report holds the very entries of the discriminant
     space = build()
     simple, report = is_simple(space)
+    assert report is discriminant(space)
     assert report.entries is discriminant(space).entries
     assert report.entries and simple == all(e["multiplicity"] == 1 for e in report.entries)
 
@@ -402,7 +404,7 @@ def test_is_simple_reports_the_discriminants_own_entries(build):
 def test_a_non_integral_loop_is_an_internal_error():
     # I - a (x) phi with a (x) phi = 1/2 at one entry: incompatible charts, a defect of the package
     with pytest.raises(exactlin.InvariantError, match="monodromy is not integral"):
-        tropical._transvection((Fraction(1, 2), 0), (1, 0))
+        tropical._loop((Fraction(1, 2), 0), (1, 0))
     assert not issubclass(exactlin.InvariantError, ValueError)
 
 
@@ -413,7 +415,7 @@ def test_count_focus_focus_trivial_zero():
 def test_count_focus_focus_wrong_dim():
     sub, f = regular_subdivision([(-1,), (0,), (1,)], [1, 0, 1])
     g = graph_degeneration([(sub, f)])
-    space = dual_intersection_complex(g)
+    space = dual_intersection_complex(g.refinement)
     with pytest.raises(ValueError, match="2-dimensional"):
         count_focus_focus(space)
 
@@ -577,7 +579,7 @@ def face_corpus(kp1_2_results):
     spaces = {}
     for k, result in kp1_2_results.items():
         spaces[f"kp1-2 k={k} sphere"] = result.sphere
-        spaces[f"kp1-2 k={k} solid"] = result.solid
+        spaces[f"kp1-2 k={k} solid"] = dual_intersection_complex(result.refinement)
     # the quintic i=1 sphere and its LG model, as build_quintic(1) makes them
     poly = hull(list(QUINTIC_COLUMNS))
     split_sub, _ = hyperplane_split(poly, 0, 0)
@@ -614,7 +616,7 @@ def test_face_table_matches_rehulling_walkers_and_pair_scan(face_corpus):
         assert got == want, name
         if got[0] == "value":
             # each oracle entry's polytope is hulled from its matrix
-            assert is_simple(space)[1].to_json() == MonodromyReport(want[1]).to_json(), name
+            assert is_simple(space)[1].to_json() == Discriminant(want[1]).to_json(), name
 
 
 def _cli_random_subdivisions():
@@ -655,11 +657,11 @@ def test_boundary_facets_are_the_walls_of_one_cell(kp1_2_results):
     # the two constructions read them
     for name, (sub, f) in randoms.items():
         want = oracle_support_facet_keys(sub.maximal_cells, sub.support)
-        assert sorted(dual_intersection_complex(graph_degeneration([(sub, f)])).boundary_keys) == want, name
+        assert sorted(dual_intersection_complex(sub).boundary_keys) == want, name
         assert [c.key() for c in hypersurface_trop(sub.support, sub).maximal_cells] == want, name
     for k, result in kp1_2_results.items():
         want = oracle_support_facet_keys(result.refinement.maximal_cells, result.prism)
-        assert sorted(result.solid.boundary_keys) == want
+        assert sorted(dual_intersection_complex(result.refinement).boundary_keys) == want
         assert [c.key() for c in result.sphere.maximal_cells] == want
 
 
@@ -674,7 +676,7 @@ def test_corpus_has_boundaries_and_singular_loops(face_corpus):
 
 def test_discriminant_and_face_census_make_no_hull_call(kp1_2_results, monkeypatch):
     result = kp1_2_results[2]
-    sphere, solid = result.sphere, result.solid
+    sphere, solid = result.sphere, dual_intersection_complex(result.refinement)
     # fresh copies build their face tables and walls inside the count
     fresh_sphere = TropicalSpace(sphere.ambient_dim, sphere.dim, sphere.maximal_cells, sphere.chart_kind)
     fresh_solid = TropicalSpace(solid.ambient_dim, solid.dim, solid.maximal_cells, solid.chart_kind, boundary_keys=solid.boundary_keys)
@@ -689,7 +691,7 @@ def test_discriminant_and_face_census_make_no_hull_call(kp1_2_results, monkeypat
 def test_face_census_off_the_sphere_equals_the_one_off_the_solids_table(kp1_2_results):
     # the sphere's face keys are the solid's boundary faces, in the same order
     for result in kp1_2_results.values():
-        solid, sphere = result.solid, result.sphere
+        solid, sphere = dual_intersection_complex(result.refinement), result.sphere
         boundary = [key for key in solid.faces() if solid.is_boundary_cell(key)]
         assert list(sphere.faces()) == boundary
         want = dict(sorted(Counter(classify_faces(boundary, result.base.facets, result.base.ambient_dim, (-1, 1))).items()))
@@ -708,7 +710,7 @@ def test_faces_facet_keys_and_face_table_read_the_incidence_with_no_dot_call(kp1
     result = kp1_2_results[2]
     spaces = [
         TropicalSpace(s.ambient_dim, s.dim, s.maximal_cells, s.chart_kind, boundary_keys=s.boundary_keys)
-        for s in (result.sphere, result.solid)
+        for s in (result.sphere, dual_intersection_complex(result.refinement))
     ]
     for space in spaces:
         for cell in space.maximal_cells:
@@ -734,7 +736,7 @@ def test_face_table_makes_one_face_lattice_per_incidence_type(kp1_2_results, mon
         return real(*kind)
 
     monkeypatch.setattr(tropical, "_face_masks", counted)
-    for space in (kp1_2_results[k].sphere, kp1_2_results[k].solid):
+    for space in (kp1_2_results[k].sphere, dual_intersection_complex(kp1_2_results[k].refinement)):
         made.clear()
         cells = space.maximal_cells
         table = tropical._face_table(cells, space.boundary_keys)
@@ -762,8 +764,8 @@ def test_discriminant_reads_each_normal_and_barycenter_once(kp1_2_results, monke
 # --- closed-form loops against restricted charts, and shared monodromy polytopes --
 #
 # `_loop_matrix` and `transition` against the restricted-chart definition in
-# the oracles, `_displacement` against the matrix elimination it replaced, and
-# `is_simple` against one hull per entry.
+# the oracles, `_loop` against the matrix elimination and the two functions it
+# replaced, and `is_simple` against one hull per entry.
 
 
 def _simple_json(simple, space):
@@ -817,8 +819,35 @@ def _loop_factors(draw):
 def test_closed_form_displacement_matches_the_matrix_elimination(factors):
     a, phi = factors
     m = tuple(tuple((1 if i == j else 0) - x * p for j, p in enumerate(phi)) for i, x in enumerate(a))
-    assert tropical._transvection(a, phi) == m
-    assert _displacement(a, phi) == oracle_displacement(m)
+    assert tropical._loop(a, phi) == (m, *oracle_displacement(m))
+
+
+@st.composite
+def _rational_loop_factors(draw):
+    """(a, phi) = (c x, p / d): x and p nonzero integer vectors, c > 0 rational and d > 0, so I - a (x) phi need not be integral."""
+    n = draw(st.integers(1, 5))
+    entries = st.lists(st.integers(-6, 6), min_size=n, max_size=n).filter(any)
+    c = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    d = draw(st.integers(1, 6))
+    return tuple(exactlin._ratio(c * x) for x in draw(entries)), tuple(exactlin._ratio(p, d) for p in draw(entries))
+
+
+@given(_rational_loop_factors())
+@example(((Fraction(1, 2), 0), (1, 0)))
+@example(((Fraction(2, 3), Fraction(4, 3)), (Fraction(3, 2), 3)))
+def test_loop_matches_the_retired_transvection_and_displacement(factors):
+    # the same matrix, in ints, and the same displacement and multiplicity;
+    # InvariantError exactly when the retired transvection raised it
+    a, phi = factors
+    try:
+        want = oracle_transvection(a, phi)
+    except exactlin.InvariantError:
+        with pytest.raises(exactlin.InvariantError, match="monodromy is not integral"):
+            tropical._loop(a, phi)
+        return
+    m, disp, mult = tropical._loop(a, phi)
+    assert m == want and all(type(x) is int for row in m for x in row)
+    assert (disp, mult) == oracle_loop_displacement(a, phi)
 
 
 def test_build_kp1_2_reads_pieces_charts_and_polytopes_once(monkeypatch):
@@ -861,8 +890,9 @@ def test_build_kp1_2_reads_pieces_charts_and_polytopes_once(monkeypatch):
     monkeypatch.setattr(LatticePolytope, "contains", counting_contains)
     monkeypatch.setattr(tropical, "left_inverse", counting_left_inverse)
     hulls = _counting_hulls(monkeypatch, inside=in_monodromy)
-    for name in ("discriminant", "is_simple"):
-        monkeypatch.setattr(pipelines, name, watching_monodromy(getattr(tropical, name)))
+    # the build calls is_simple, which reads the discriminant
+    monkeypatch.setattr(pipelines, "is_simple", watching_monodromy(tropical.is_simple))
+    monkeypatch.setattr(tropical, "discriminant", watching_monodromy(tropical.discriminant))
     result = build_kp1_2(2)
     assert piece_calls and contains_in_piece == []
     # one chart per vertex: the base of each nontrivial loop, and each
@@ -876,7 +906,8 @@ def test_build_kp1_2_reads_pieces_charts_and_polytopes_once(monkeypatch):
     assert set(sphere._sections) == bases and len(inverses) == len(bases)
     assert len(fibre_vertices - bases) == 6
     # the discriminant and the simplicity verdict build no monodromy polytope
-    assert monodromy_stages == ["discriminant", "is_simple"] and hulls == []
+    # (count_focus_focus reads the discriminant's record a second time)
+    assert monodromy_stages == ["is_simple", "discriminant", "discriminant"] and hulls == []
 
 
 # --- loops read off shared transitions ------------------------------------
@@ -941,7 +972,7 @@ def test_discriminant_makes_no_matrix_product_and_one_chart_per_vertex(kp1_2_res
     assert entries == kp1_2_results[k].discriminant.entries
     assert len(entries) == {2: 24, 3: 576}[k]
     simple, report = is_simple(space)
-    assert simple and report.entries == kp1_2_results[k].monodromy_report.entries
+    assert simple and report.entries == kp1_2_results[k].discriminant.entries
     assert products == ranks == identities == hulls == []
     # the charts are made at the base vertices of the nontrivial loops, once each
     assert set(space._chart_cache) == {e["edge"][0] for e in entries}
