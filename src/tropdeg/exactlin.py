@@ -399,21 +399,45 @@ def saturate_lattice(vectors, dim):
     return hnf_column_basis(kernel_basis(tuple(kernel_basis(tuple(basis)))))
 
 
-def complete_to_unimodular(v):
-    """A unimodular matrix U with U @ v = e1, for primitive v.
+def unimodular_completion(v):
+    """(u, w): a unimodular u with u @ v = e1 and its inverse w, for primitive v, in one sweep.
 
-    Rows 2..n of U give a basis of functionals cutting out the quotient Z^n/Zv.
+    The sweep takes the steps `smith_normal_form` takes on the column v:
+    the first nonzero entry swapped to the top, each later nonzero entry b
+    folded into the top one a by the determinant-1 step [[s, t], [-b/g, a/g]]
+    with s a + t b = g (`_exgcd`), and the top row negated if a is left
+    negative.  Applied to the identity the steps give u, the same u the
+    Smith form gives; their inverses [[a/g, -t], [b/g, s]], applied on the
+    right in the same order, give w.  Rows 2..n of u cut out the quotient
+    Z^n/Zv, and columns 2..n of w are an integer section of them.  Raises
+    ValueError when v is not primitive.
     """
     if content(v) != 1:
         raise ValueError("vector must be primitive")
-    s, u, vv = smith_normal_form(tuple((x,) for x in v))
-    if s[0][0] != 1:
-        raise InvariantError(f"Smith form of primitive {v} has leading entry {s[0][0]}")
-    if vv[0][0] == -1:
-        u = tuple(tuple(-x for x in row) for row in u)
-    if mat_vec(u, v) != tuple(1 if i == 0 else 0 for i in range(len(v))):
-        raise InvariantError(f"completion of {v} does not send it to e1")
-    return u
+    n = len(v)
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    wt = [row[:] for row in u]  # w transposed: its columns, so each column step is a row step
+    p = next(i for i, x in enumerate(v) if x)
+    u[0], u[p] = u[p], u[0]
+    wt[0], wt[p] = wt[p], wt[0]
+    a = v[p]
+    # the entries above p are zero, and the swap leaves v[0] = 0 at p
+    for i in range(p + 1, n):
+        b = v[i]
+        if b:
+            g, s, t = _exgcd(a, b)
+            c1, c2 = -b // g, a // g
+            u0, ui = u[0], u[i]
+            u[0] = [s * x + t * y for x, y in zip(u0, ui)]
+            u[i] = [c1 * x + c2 * y for x, y in zip(u0, ui)]
+            w0, wi = wt[0], wt[i]
+            wt[0] = [c2 * x - c1 * y for x, y in zip(w0, wi)]
+            wt[i] = [s * y - t * x for x, y in zip(w0, wi)]
+            a = g
+    if a < 0:
+        u[0] = [-x for x in u[0]]
+        wt[0] = [-x for x in wt[0]]
+    return tuple(map(tuple, u)), tuple(zip(*wt))
 
 
 class RationalCone:

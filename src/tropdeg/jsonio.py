@@ -52,12 +52,17 @@ def dumps(obj):
     Fraction included, raises TypeError: no inexact number reaches a report.
     """
     out = []
-    _write(obj, "\n", out.append)
+    _write(obj, "\n", out.append, {})
     return "".join(out)
 
 
-def _write(obj, newline, out):
-    """Append obj's text to out; newline starts each of its nested lines, one space deeper."""
+def _write(obj, newline, out, rows):
+    """Append obj's text to out; newline starts each of its nested lines, one space deeper.
+
+    A report repeats its integer rows (points, matrix rows), so rows maps
+    each (row, depth) written in this call to its text, and each is
+    written once.
+    """
     inner = newline + " "
     if isinstance(obj, str):
         out(encode_basestring_ascii(obj))
@@ -66,16 +71,20 @@ def _write(obj, newline, out):
     elif isinstance(obj, int):
         out(int.__repr__(obj))
     elif isinstance(obj, (list, tuple)) and all(type(x) is int for x in obj):
-        out("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]" if obj else "[]")
+        key = (tuple(obj), len(newline))
+        text = rows.get(key)
+        if text is None:
+            text = rows[key] = "[" + inner + ("," + inner).join(map(int.__repr__, obj)) + newline + "]" if obj else "[]"
+        out(text)
     elif isinstance(obj, (list, tuple)):
         for i, x in enumerate(obj):
             out(("," if i else "[") + inner)
-            _write(x, inner, out)
+            _write(x, inner, out, rows)
         out(newline + "]")
     elif isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
         for i, k in enumerate(sorted(obj)):
             out(("," if i else "{") + inner + encode_basestring_ascii(k) + ": ")
-            _write(obj[k], inner, out)
+            _write(obj[k], inner, out, rows)
         out(newline + "}" if obj else "{}")
     else:
         raise TypeError(f"{type(obj).__name__} is not written exactly, or a dict key is not a str")

@@ -349,15 +349,24 @@ def _scan_rows(cuts, ranges):
 def _facet(chart, functional, vertex):
     """The facet inequality (n, c) of the functional, least over the polytope at vertex.
 
-    n is the one representative `hull` finds: the primitive lift of the
-    functional's values on the span basis, which vanishes off the basis'
-    pivot coordinates; c is read off the vertex, one of those the facet
-    holds.
+    n is the one representative `hull` finds (`_facet_normal`); c is read
+    off the vertex, one of those the facet holds.
+    """
+    n = _facet_normal(chart, clear_fractions(functional))
+    return n, _ratio(-dot(n, vertex))
+
+
+@lru_cache(maxsize=512)
+def _facet_normal(chart, g):
+    """The primitive lift of the integer functional g's values on the chart's basis.
+
+    It vanishes off the basis' pivot coordinates, and is g made primitive
+    when the span is the whole space.  The faces of a complex share few
+    (chart, functional) pairs, so the lift is memoized, keyed on int tuples
+    like `_facet_chart`.
     """
     basis = chart[0]
-    g = clear_fractions(functional)
-    n = primitive(g if len(basis) == len(g) else _lift(chart, mat_vec(basis, g)))
-    return n, _ratio(-dot(n, vertex))
+    return primitive(g if len(basis) == len(g) else _lift(chart, mat_vec(basis, g)))
 
 
 def _vertex_indices(tights):

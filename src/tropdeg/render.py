@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactlin import InvariantError, clear_fractions, det, left_inverse, mat_mul, primitive, vsub
-from .polytope import _lattice_chart, _span_coordinates, tight_at
+from .polytope import _lattice_chart, _span_coordinates, barycenter, tight_at
 from .tropical import discriminant
 
 SCALE = 48
@@ -157,13 +157,13 @@ def render_svg(space, support=None):
             adj = next(c for c in space.maximal_cells if c.key() == adj_key)
             idx = host_facet(adj)
             anchor, chart, m, off = charts[idx]
-            (loc,) = _local_coords([entry["edge_midpoint"]], anchor, chart)
+            (loc,) = _local_coords([barycenter(entry["edge"])], anchor, chart)
             placed_points.append(_apply(m, off, loc))
     else:
         for cell in space.maximal_cells:
             placed_cells.append([(Fraction(v[0]), Fraction(v[1])) for v in _cycle(cell)])
         for entry in disc.entries:
-            mid = entry["edge_midpoint"]
+            mid = barycenter(entry["edge"])
             placed_points.append((Fraction(mid[0]), Fraction(mid[1])))
         for key, adj in space.walls().items():
             if len(adj) == 1 and len(key) == 2:

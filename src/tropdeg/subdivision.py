@@ -310,13 +310,17 @@ def fine_crepant_subdivision(poly):
             last_bad = bad
             continue
         # certify regularity: interpolate the boundary heights with the origin
-        # pulled down until the assembled function is strictly convex.  Each
-        # cone is a full-dimensional simplex, so one left inverse a of its
-        # rows (v, 1), with a @ rows = d * I, fits it once: the piece is a base
-        # fit (origin at 0) plus drop times a correction (1 at the origin, 0
-        # on the base), divided by d, and |d| is the cone's normalized volume.
+        # pulled down until the assembled function is strictly convex.  The
+        # heights are cleared once, by the lcm s of their denominators, so
+        # every fit is in ints.  Each cone is a full-dimensional simplex, so
+        # one left inverse a of its rows (v, 1), with a @ rows = d * I, fits
+        # it once: the piece is a base fit of the cleared heights (origin at
+        # 0) plus drop * s times a correction (1 at the origin, 0 on the
+        # base), divided by d * s, and |d| is the cone's normalized volume.
         # Column k of a, signed by d, is inward and vanishes at every vertex
         # but the k-th, so made primitive it is the facet opposite that vertex
+        scale = denominator_lcm(table.values())
+        cleared = {p: h.numerator * (scale // h.denominator) for p, h in table.items()}
         cones = []
         fits = {}
         for c in cells:
@@ -327,21 +331,22 @@ def fine_crepant_subdivision(poly):
             full = (1 << len(verts)) - 1
             cone = _assemble(chart, verts, [(y[:-1], y[-1]) for y in facets], [full ^ 1 << k for k in range(len(verts))])
             cones.append(cone)
-            base = mat_vec(a, [0 if v == origin else table[v] for v in verts])
+            base = mat_vec(a, [0 if v == origin else cleared[v] for v in verts])
             correction = tuple(row[verts.index(origin)] for row in a)
             fits[cone.key()] = (base, correction, d)
         sub = Subdivision(poly, cones)
         # both cells of an interior wall are simplices sharing that facet, and
         # their pieces agree on it, so the one vertex p of cell j off the wall
         # decides the bend: f is strictly convex across the wall iff cell i's
-        # piece at p lies strictly below table[p].  Times |d| of cell i that
-        # reads a + drop * b > 0, with a and b fixed by the boundary heights
+        # piece at p lies strictly below table[p].  Times s * |d| of cell i
+        # that reads a + drop * b > 0, with a and b fixed by the boundary
+        # heights
         bends = []
         for wall, (i, j) in sub.interior_walls().items():
             base, correction, d = fits[sub.maximal_cells[i].key()]
             p = next(v for v in sub.maximal_cells[j].vertices if v not in wall)
-            s = 1 if d > 0 else -1
-            bends.append((s * (d * table[p] - dot(base, p + (1,))), -s * dot(correction, p + (1,))))
+            sign = 1 if d > 0 else -1
+            bends.append((sign * (d * cleared[p] - dot(base, p + (1,))), -sign * scale * dot(correction, p + (1,))))
         drop = -1
         for _ in range(40):
             if all(a + drop * b > 0 for a, b in bends):
@@ -353,7 +358,7 @@ def fine_crepant_subdivision(poly):
             raise ValueError("boundary triangulation does not tile the polytope")
         pieces = {}
         for key, (base, correction, d) in fits.items():
-            x = tuple(_ratio(b + drop * c, d) for b, c in zip(base, correction))
+            x = tuple(_ratio(b + drop * scale * c, d * scale) for b, c in zip(base, correction))
             pieces[key] = (x[:-1], x[-1])
         return sub, PLFunction(pieces, True)
     raise ValueError(

@@ -21,17 +21,16 @@ from .exactlin import (
     InvariantError,
     _ratio,
     clear_fractions,
-    complete_to_unimodular,
     content,
     dot,
-    left_inverse,
     mat_identity,
     mat_vec,
     primitive,
+    unimodular_completion,
     vsub,
 )
-from .jsonio import key_json
-from .polytope import _bits, _face_masks, barycenter, tight_at, walls
+from .jsonio import key_json, point_json
+from .polytope import _bits, _face_masks, tight_at, walls
 
 CHART_KINDS = ("solid", "boundary")
 
@@ -57,8 +56,7 @@ class TropicalSpace:
         self._face_owners = None
         self._cells = None
         self._walls = None
-        self._chart_cache = {}
-        self._sections = {}
+        self._charts = {}
         self._normals = {}
         self._disc_cache = None
 
@@ -113,31 +111,25 @@ class TropicalSpace:
         """Integer matrix taking ambient tangent vectors to chart coordinates at the vertex v."""
         if self.chart_kind == "solid":
             return mat_identity(self.ambient_dim)
-        return self._completion(v)[1:]
-
-    def _completion(self, v):
-        """A unimodular u with u v = e_1 (v made primitive), made once per vertex.
-
-        Its last n - 1 rows are the boundary chart q at v, with kernel Zv.
-        """
-        if v not in self._chart_cache:
-            if all(x == 0 for x in v):
-                raise ValueError("boundary chart undefined at the origin")
-            self._chart_cache[v] = complete_to_unimodular(primitive(clear_fractions(v)))
-        return self._chart_cache[v]
+        return self._vertex_chart(v)[0]
 
     def _vertex_chart(self, v):
-        """(q, s): the boundary chart q at v and the columns s of an integer section, q @ s = I.
+        """(q, s): the boundary chart q at v, with kernel Zv, and the columns s of an integer section, q @ s = I.
 
-        s is the last n - 1 columns of the inverse of the completion u, made
-        once per vertex on the first loop or transition based there, so a
-        vertex only charted (`chart_matrix`) inverts nothing.
+        Both are read off one unimodular completion u of v made primitive,
+        u v = e_1, and its inverse (`unimodular_completion`): q is the last
+        n - 1 rows of u and s the last n - 1 columns of u^-1.  Made once per
+        vertex.
         """
-        if v not in self._sections:
-            u = self._completion(v)
-            inv, d = left_inverse(u)  # d = det u = +-1, so u^-1 = d * inv
-            self._sections[v] = u[1:], tuple(tuple(d * row[j] for row in inv) for j in range(1, len(u)))
-        return self._sections[v]
+        if v not in self._charts:
+            if all(x == 0 for x in v):
+                raise ValueError("boundary chart undefined at the origin")
+            p = primitive(clear_fractions(v))
+            u, w = unimodular_completion(p)
+            if mat_vec(u, p) != (1,) + (0,) * (len(p) - 1):
+                raise InvariantError(f"the chart completion at vertex {point_json(v)} does not send it to e1")
+            self._charts[v] = u[1:], tuple(zip(*w))[1:]
+        return self._charts[v]
 
     def _equations(self, cell):
         """The cell's equations: none for a cell of a solid space, one (f, e) with e != 0 for a boundary one.
@@ -302,11 +294,14 @@ class Discriminant:
         return sum(e["multiplicity"] for e in self.entries)
 
     def to_json(self):
+        # the entries share their edges and walls: one JSON list per distinct key
+        keys = dict.fromkeys(k for e in self.entries for k in (e["edge"], e["wall"], e["polytope"]))
+        keys = {k: key_json(k) for k in keys}
         return [
             {
-                "loop": {"edge": key_json(e["edge"]), "wall": key_json(e["wall"])},
+                "loop": {"edge": keys[e["edge"]], "wall": keys[e["wall"]]},
                 "matrix": [list(r) for r in e["matrix"]] if e["matrix"] is not None else None,
-                "polytope": key_json(e["polytope"]),
+                "polytope": keys[e["polytope"]],
                 "multiplicity": e["multiplicity"],
                 "elementary": e["elementary"],
             }
@@ -342,49 +337,45 @@ def _compute_discriminant(space):
             if space.is_boundary_cell(key):
                 continue
             length = int(cell.normalized_volume())
-            mid = barycenter(key)
-            entries.append(_entry(key, key, mid, mid, None, (length,), length))
+            entries.append(_entry(key, key, None, (length,), length))
         return Discriminant(entries)
     # each loop is an interior edge of an interior wall: a vertex pair of the
-    # wall that is an edge key; sorted, the loops come edge first, wall second
+    # wall that is an edge key.  Only a bent wall (`_bend`, one per wall: the
+    # loops across it share their two cells) has nontrivial loops, so only
+    # its pairs are listed; sorted, the loops come edge first, wall second
     faces = space.faces()
-    loops = sorted(
-        (pair, wall_key, adj)
-        for wall_key, adj in space.interior_walls().items()
-        for pair in combinations(wall_key, 2)
-        if faces.get(pair) == 1 and not space.is_boundary_cell(pair)
-    )
-    # one barycenter per key: the entries share their edges and walls
-    centers = {}
-
-    def center(key):
-        if key not in centers:
-            centers[key] = barycenter(key)
-        return centers[key]
-
     cells = space.maximal_cells
-    bends = {}  # one per interior wall: the loops across it share their two cells
-    for edge_key, wall_key, adj in loops:
-        if wall_key not in bends:
-            bends[wall_key] = space._bend(cells[adj[0]], cells[adj[1]])
-        if bends[wall_key] is None:
-            continue
-        m, disp, mult = _loop(*space._loop_factors(edge_key[0], edge_key[1], bends[wall_key]))
-        entries.append(_entry(edge_key, wall_key, center(edge_key), center(wall_key), m, disp, mult))
+    loops = []
+    for wall_key, (i, j) in space.interior_walls().items():
+        bend = space._bend(cells[i], cells[j])
+        if bend is not None:
+            loops += [
+                (pair, wall_key, bend)
+                for pair in combinations(wall_key, 2)
+                if faces.get(pair) == 1 and not space.is_boundary_cell(pair)
+            ]
+    loops.sort()  # each (edge, wall) is listed once, so no two bends are compared
+    for edge_key, wall_key, bend in loops:
+        a, phi = space._loop_factors(edge_key[0], edge_key[1], bend)
+        try:
+            m, disp, mult = _loop(a, phi)
+        except InvariantError as e:
+            raise InvariantError(f"{e}, at the loop across edge {key_json(edge_key)} and wall {key_json(wall_key)}") from None
+        entries.append(_entry(edge_key, wall_key, m, disp, mult))
     return Discriminant(entries)
 
 
-def _entry(edge, wall, edge_midpoint, wall_barycenter, matrix, end, multiplicity):
+def _entry(edge, wall, matrix, end, multiplicity):
     """One discriminant entry; its monodromy polytope is the segment [0, end], kept as its sorted vertex pair.
 
     The segment has lattice length the multiplicity, so it is an elementary
     simplex exactly when the multiplicity is 1, and no polytope is built.
+    The entry keeps no point of its edge or wall: a reader that needs one
+    takes the barycenter of the key.
     """
     return {
         "edge": edge,
         "wall": wall,
-        "edge_midpoint": edge_midpoint,
-        "wall_barycenter": wall_barycenter,
         "matrix": matrix,
         "polytope": tuple(sorted([tuple(0 for _ in end), end])),
         "multiplicity": multiplicity,

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .exactlin import vadd
-from .polytope import _low
+from .polytope import _low, barycenter
 
 
 class GluingData:
@@ -292,8 +292,7 @@ def genericity_scan(space, t_d, iota, gluing, samples):
         generic = True
         if disc.entries:
             for entry in disc.entries:
-                for point_name in ("edge_midpoint", "wall_barycenter"):
-                    pt = entry[point_name]
+                for pt in (barycenter(entry["edge"]), barycenter(entry["wall"])):
                     for key, fib in fibration.items():
                         cell = next(c for c in space.maximal_cells if c.key() == key)
                         if not cell.contains(pt):

@@ -163,6 +163,22 @@ The boundary facets: `dual_intersection_complex` and `hypersurface_trop`
 take the facets of a subdivision that one cell has.  The scan they replaced
 (`oracle_support_facet_keys`) tests every facet key of the cells against
 every facet of the support.
+
+The boundary charts: `TropicalSpace._vertex_chart` reads the chart and
+section at a vertex off one sweep of extended-gcd steps that makes a
+unimodular completion and its inverse together
+(`exactlin.unimodular_completion`).  The completion it replaced
+(`oracle_complete_to_unimodular`) took a Smith normal form of the column,
+and the section a left inverse of the completion (`oracle_vertex_chart`).
+
+The facet lift: `polytope._facet` reads each primitive lifted normal from a
+bounded memo (`_facet_normal`).  The form it replaced (`oracle_facet`) lifts
+on every call.
+
+The crepant fits: `fine_crepant_subdivision` clears the boundary heights
+once by the lcm of their denominators and fits every cone in ints.  The
+form it replaced (`oracle_fraction_crepant_subdivision`) fits the Fraction
+heights.
 """
 
 import math
@@ -190,6 +206,7 @@ from tropdeg.exactlin import (
     mat_vec,
     primitive,
     saturate_lattice,
+    smith_normal_form,
     snf_diagonal,
     solve_linear,
     vadd,
@@ -209,7 +226,6 @@ from tropdeg.polytope import (
     _low,
     _span_chart,
     _span_coordinates,
-    barycenter,
     clip_by_halfspace,
     containing_cell,
     hull,
@@ -1122,8 +1138,6 @@ def _oracle_discriminant(space):
                 {
                     "edge": key,
                     "wall": key,
-                    "edge_midpoint": barycenter(key),
-                    "wall_barycenter": barycenter(key),
                     "matrix": None,
                     "polytope": poly.vertices,
                     "multiplicity": length,
@@ -1153,8 +1167,6 @@ def _oracle_discriminant(space):
                 {
                     "edge": edge_key,
                     "wall": wall_key,
-                    "edge_midpoint": barycenter(edge_key),
-                    "wall_barycenter": barycenter(wall_key),
                     "matrix": m,
                     "polytope": poly.vertices,
                     "multiplicity": mult,
@@ -1521,3 +1533,88 @@ def _rank_vertices(pts, facs, d):
             tight_at[i].append(n)
     verts = [pts[i] for i in range(len(pts)) if mat_rank(tuple(tight_at[i])) == d]
     return verts
+
+
+def oracle_complete_to_unimodular(v):
+    """A unimodular matrix U with U @ v = e1, for primitive v, read off a Smith normal form of the column v.
+
+    Rows 2..n of U give a basis of functionals cutting out the quotient Z^n/Zv.
+    """
+    if content(v) != 1:
+        raise ValueError("vector must be primitive")
+    s, u, vv = smith_normal_form(tuple((x,) for x in v))
+    if s[0][0] != 1:
+        raise InvariantError(f"Smith form of primitive {v} has leading entry {s[0][0]}")
+    if vv[0][0] == -1:
+        u = tuple(tuple(-x for x in row) for row in u)
+    if mat_vec(u, v) != tuple(1 if i == 0 else 0 for i in range(len(v))):
+        raise InvariantError(f"completion of {v} does not send it to e1")
+    return u
+
+
+def oracle_vertex_chart(v):
+    """(q, s) at the vertex v as the retired `_vertex_chart` made it: the Smith completion u, and a left inverse of u."""
+    u = oracle_complete_to_unimodular(primitive(clear_fractions(v)))
+    inv, d = left_inverse(u)  # d = det u = +-1, so u^-1 = d * inv
+    return u[1:], tuple(tuple(d * row[j] for row in inv) for j in range(1, len(u)))
+
+
+def oracle_facet(chart, functional, vertex):
+    """`polytope._facet` with the lift made on every call."""
+    basis = chart[0]
+    g = clear_fractions(functional)
+    n = primitive(g if len(basis) == len(g) else _lift(chart, mat_vec(basis, g)))
+    return n, _ratio(-dot(n, vertex))
+
+
+def oracle_fraction_crepant_subdivision(poly):
+    """`fine_crepant_subdivision` with every fit made in the Fraction heights."""
+    if not poly.is_reflexive():
+        raise ValueError("fine crepant subdivision needs a reflexive polytope")
+    origin = tuple(0 for _ in range(poly.ambient_dim))
+    chart = poly.chart
+    last_bad = None
+    for seed in range(8):
+        cells, table = boundary_triangulation(poly, seed)
+        bad = [c.key() for c in cells if not c.is_elementary_simplex()]
+        if bad:
+            last_bad = bad
+            continue
+        cones = []
+        fits = {}
+        for c in cells:
+            verts = sorted(c.vertices + (origin,))
+            a, d = left_inverse(tuple(v + (1,) for v in verts))
+            s = 1 if d > 0 else -1
+            facets = [primitive(tuple(s * x for x in col)) for col in zip(*a)]
+            full = (1 << len(verts)) - 1
+            cone = _assemble(chart, verts, [(y[:-1], y[-1]) for y in facets], [full ^ 1 << k for k in range(len(verts))])
+            cones.append(cone)
+            base = mat_vec(a, [0 if v == origin else table[v] for v in verts])
+            correction = tuple(row[verts.index(origin)] for row in a)
+            fits[cone.key()] = (base, correction, d)
+        sub = Subdivision(poly, cones)
+        bends = []
+        for wall, (i, j) in sub.interior_walls().items():
+            base, correction, d = fits[sub.maximal_cells[i].key()]
+            p = next(v for v in sub.maximal_cells[j].vertices if v not in wall)
+            s = 1 if d > 0 else -1
+            bends.append((s * (d * table[p] - dot(base, p + (1,))), -s * dot(correction, p + (1,))))
+        drop = -1
+        for _ in range(40):
+            if all(a + drop * b > 0 for a, b in bends):
+                break
+            drop *= 2
+        else:
+            raise ValueError("origin pull-down failed to certify a convex function")
+        if sum(abs(d) for _, _, d in fits.values()) != poly.normalized_volume():
+            raise ValueError("boundary triangulation does not tile the polytope")
+        pieces = {}
+        for key, (base, correction, d) in fits.items():
+            x = tuple(_ratio(b + drop * c, d) for b, c in zip(base, correction))
+            pieces[key] = (x[:-1], x[-1])
+        return sub, PLFunction(pieces, True)
+    raise ValueError(
+        "height perturbation failed to reach an elementary triangulation; "
+        f"non-elementary boundary cells remain after all deterministic seeds ({len(last_bad)} at the last seed)"
+    )

@@ -10,6 +10,7 @@ import pytest
 import tropdeg
 from tropdeg import pipelines, tropical
 from tropdeg.cli import build_parser, main
+from tropdeg.exactlin import mat_identity
 from tropdeg.jsonio import parse_num
 from tropdeg.polytope import LatticePolytope
 
@@ -101,7 +102,35 @@ def test_non_integral_monodromy_exits_3_not_2(capsys, monkeypatch):
     monkeypatch.setattr(tropical.TropicalSpace, "_loop_factors", lambda self, v_plus, v_minus, bend: ((Fraction(1, 2), 0), (1, 0)))
     assert run(["check-simple", "--example", "kp1-2", "--k", "2"]) == 3
     err = capsys.readouterr().err
-    assert err == "internal error: monodromy is not integral; charts are incompatible on the lattice\n"
+    assert err == (
+        "internal error: monodromy is not integral; charts are incompatible on the lattice, "
+        "at the loop across edge [[-1, -1, -1], [-1, -1, 0]] and wall [[-1, -1, -1], [-1, -1, 0]]\n"
+    )
+
+
+def test_a_non_integral_bend_names_its_loop(capsys, monkeypatch):
+    # every bend halved: each loop of kp1-2 k=2 has multiplicity 1, so the
+    # first one is not integral, and it is named by its edge and wall
+    real_bend = tropical.TropicalSpace._bend
+
+    def half_bend(self, sigma_plus, sigma_minus):
+        bend = real_bend(self, sigma_plus, sigma_minus)
+        return None if bend is None else tuple(Fraction(x, 2) for x in bend)
+
+    monkeypatch.setattr(tropical.TropicalSpace, "_bend", half_bend)
+    assert run(["check-simple", "--example", "kp1-2", "--k", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("internal error: monodromy is not integral")
+    assert err.endswith(", at the loop across edge [[-1, -1, -1], [-1, -1, 0]] and wall [[-1, -1, -1], [-1, -1, 0]]\n")
+
+
+def test_a_failed_chart_completion_names_its_vertex(capsys, monkeypatch):
+    # a completion that does not send its vertex to e1 breaks the chart at
+    # that vertex
+    monkeypatch.setattr(tropical, "unimodular_completion", lambda v: (mat_identity(len(v)), mat_identity(len(v))))
+    assert run(["check-simple", "--example", "kp1-2", "--k", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: the chart completion at vertex [-1, -1, -1] does not send it to e1\n"
 
 
 def test_any_other_uncaught_exception_exits_3_with_one_line(capsys, monkeypatch):

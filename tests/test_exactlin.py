@@ -16,13 +16,13 @@ from oracles import (
     oracle_dot,
     oracle_hnf_column_basis,
     oracle_is_integrally_surjective,
+    oracle_complete_to_unimodular,
     oracle_mat_mul,
 )
 
 from tropdeg.exactlin import (
     _ratio,
     cone_from_generators,
-    complete_to_unimodular,
     content,
     denominator_lcm,
     det,
@@ -40,6 +40,7 @@ from tropdeg.exactlin import (
     smith_normal_form,
     snf_diagonal,
     solve_linear,
+    unimodular_completion,
 )
 from tropdeg.polytope import _span_chart, _span_coordinates
 
@@ -233,12 +234,36 @@ def test_hermite_basis_by_extended_gcd_matches_the_euclid_rounds(vectors):
 
 def test_complete_to_unimodular():
     for v in [(1, 0, 0), (2, -1, 1), (3, 5), (0, 0, -1)]:
-        u = complete_to_unimodular(v)
+        u, w = unimodular_completion(v)
         assert det(u) in (1, -1)
         e1 = tuple(1 if i == 0 else 0 for i in range(len(v)))
         assert mat_vec(u, v) == e1
         # its last rows are the quotient chart Z^n -> Z^n/Zv
         assert mat_vec(u[1:], v) == tuple(0 for _ in range(len(v) - 1))
+        assert mat_mul(u, w) == mat_identity(len(v))
+    with pytest.raises(ValueError, match="primitive"):
+        unimodular_completion((2, 4))
+
+
+@st.composite
+def _primitive_vectors(draw):
+    """A primitive integer vector of dimension 1 to 6, often with leading zeros and negative entries."""
+    n = draw(st.integers(1, 6))
+    zeros = draw(st.integers(0, n - 1))
+    tail = draw(st.lists(st.integers(-30, 30), min_size=n - zeros, max_size=n - zeros).filter(any))
+    return (0,) * zeros + primitive(tail)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_primitive_vectors())
+def test_unimodular_completion_matches_the_smith_completion_and_left_inverse(v):
+    # the sweep takes the Smith form's steps, so u is the same matrix, and w
+    # is the inverse that the retired left inverse of u gave
+    u, w = unimodular_completion(v)
+    assert u == oracle_complete_to_unimodular(v)
+    inv, d = left_inverse(u)
+    assert w == tuple(tuple(d * x for x in row) for row in inv)
+    assert all(type(x) is int for row in u + w for x in row)
 
 
 # --- cones ---------------------------------------------------------------

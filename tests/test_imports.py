@@ -194,9 +194,11 @@ def test_no_construction_in_polytope_tests_tightness():
 
 
 def test_tropical_takes_no_product_and_inverts_only_its_vertex_chart():
+    # a vertex chart and its section come from one Bezout sweep, with no
+    # Smith form and no left inverse
     source = (SRC / "tropical.py").read_text()
-    assert not {"mat_mul", "mat_rank", "hull"} & _imported_names(source)
-    assert _callers(source, "left_inverse") == ["_vertex_chart"]
+    assert not {"mat_mul", "mat_rank", "hull", "left_inverse", "smith_normal_form", "barycenter"} & _imported_names(source)
+    assert _callers(source, "unimodular_completion") == ["_vertex_chart"]
 
 
 def _asserts(source):

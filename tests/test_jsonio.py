@@ -84,6 +84,34 @@ def test_dumps_matches_json_on_drawn_values(obj):
     assert dumps(obj) == oracle_dumps(obj)
 
 
+@st.composite
+def _values_repeating_a_row(draw):
+    """A JSON value in which one int row recurs, as a list and as a tuple, at several depths, beside other rows and bools."""
+    row = draw(st.lists(st.integers(-3, 3), max_size=3))
+    leaves = st.sampled_from([row, tuple(row), list(row)]) | st.lists(st.integers(-3, 3), max_size=3) | st.booleans() | st.integers(-3, 3)
+    return draw(
+        st.recursive(
+            leaves,
+            lambda children: st.lists(children, max_size=4) | st.dictionaries(st.sampled_from("abc"), children, max_size=3),
+            max_leaves=20,
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_values_repeating_a_row())
+def test_dumps_matches_json_on_values_repeating_a_row(obj):
+    # a row written once at one depth must not be reused at another, nor
+    # for a row of bools that compares equal to it
+    assert dumps(obj) == oracle_dumps(obj)
+    assert dumps([obj, [obj, [obj]], {"a": obj}]) == oracle_dumps([obj, [obj, [obj]], {"a": obj}])
+
+
+def test_dumps_keeps_bools_apart_from_equal_ints():
+    obj = [[1, 0], [True, False], {"a": [1, 0], "b": [[True, 0]]}]
+    assert dumps(obj) == oracle_dumps(obj)
+
+
 @pytest.mark.parametrize(
     "obj",
     [0.5, 2.0, Fraction(1, 2), {"a": [1, 2.5]}, [Fraction(3, 1)], {1: "a"}, {("a",): 1}, {"a": {2: 3}}, {None: 1}, {1.5, 2}],

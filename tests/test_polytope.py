@@ -18,6 +18,7 @@ from oracles import (
     oracle_box_lattice_points,
     oracle_clip_by_halfspace,
     oracle_dilate_lattice_points,
+    oracle_facet,
     oracle_facet_keys,
     oracle_hull,
     oracle_product,
@@ -983,3 +984,28 @@ def test_full_dimensional_hull_needs_no_kernel_basis():
         polys = [cube(3), quintic, minkowski_sum(quintic, cube(4))]
     assert [p.dim for p in polys] == [3, 4, 4]
     assert calls == []
+
+
+def test_memoized_facet_lift_matches_the_direct_lift(monkeypatch):
+    # every facet a kp1-2 build reads, from a cleared memo, against the lift
+    # made on every call; the memo is hit, and only on equal keys
+    from tropdeg import embed
+    from tropdeg.pipelines import build_kp1_2
+
+    polytope._facet_normal.cache_clear()
+    calls = []
+    real = polytope._facet
+
+    def recorded(chart, functional, vertex):
+        got = real(chart, functional, vertex)
+        calls.append(((chart, functional, vertex), got))
+        return got
+
+    for module in (polytope, embed):
+        monkeypatch.setattr(module, "_facet", recorded)
+    build_kp1_2(2)
+    assert calls and polytope._facet_normal.cache_info().hits > 0
+    for args, got in calls:
+        want = oracle_facet(*args)
+        assert got == want and all(type(x) is int for x in got[0]), args
+        assert type(got[1]) is type(want[1])

@@ -10,6 +10,7 @@ from oracles import (
     oracle_common_refinement,
     is_strictly_convex,
     oracle_fine_crepant_subdivision,
+    oracle_fraction_crepant_subdivision,
     oracle_hyperplane_split,
     oracle_interpolate_ambient,
     oracle_negate_pl,
@@ -677,6 +678,18 @@ def test_pull_down_matches_retired_round_loop(poly):
     (drop,) = {c for _, c in f.pieces.values()}
     assert {c for _, c in old_f.pieces.values()} == {drop}
     assert f.pieces == old_f.pieces
+
+
+@REFLEXIVE_CORPUS
+def test_integer_fits_match_the_fraction_fits(poly):
+    # the same cones, and the same pieces in the same number form
+    sub, f = fine_crepant_subdivision(poly)
+    old_sub, old_f = oracle_fraction_crepant_subdivision(poly)
+    assert [vars(c) for c in sub.maximal_cells] == [vars(c) for c in old_sub.maximal_cells]
+    assert f.pieces == old_f.pieces
+    assert [type(x) for coeffs, c in f.pieces.values() for x in (*coeffs, c)] == [
+        type(x) for coeffs, c in old_f.pieces.values() for x in (*coeffs, c)
+    ]
 
 
 @REFLEXIVE_CORPUS

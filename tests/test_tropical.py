@@ -23,13 +23,14 @@ from oracles import (
     oracle_support_facet_keys,
     oracle_transition,
     oracle_transvection,
+    oracle_vertex_chart,
 )
 
-from tropdeg import exactlin, pipelines, subdivision, tropical
+from tropdeg import exactlin, pipelines, polytope, subdivision, tropical
 from tropdeg.exactlin import clear_fractions, dot, mat_identity, mat_mul, mat_vec, primitive, vsub
 from tropdeg.embed import lg_truncate, side_subcomplex
 from tropdeg.pipelines import QUINTIC_COLUMNS, _face_census, build_hypercube, build_kp1_2
-from tropdeg.polytope import LatticePolytope, _face_masks, centered_dilated_simplex, cube, hull, is_lattice_point, product, segment
+from tropdeg.polytope import LatticePolytope, _face_masks, barycenter, centered_dilated_simplex, cube, hull, is_lattice_point, product, segment
 from tropdeg.subdivision import (
     Subdivision,
     fine_crepant_subdivision,
@@ -371,7 +372,7 @@ def test_k3_discriminant_support_on_one_skeleton(k3):
     assert len(disc.entries) == 24
     assert disc.total_multiplicity() == 24
     for e in disc.entries:
-        mid = e["edge_midpoint"]
+        mid = barycenter(e["edge"])
         tight = sum(1 for n, c in prism.facets if dot(n, mid) == -c)
         assert tight >= 2  # midpoint sits on an edge of the prism polytope
 
@@ -749,16 +750,17 @@ def test_discriminant_reads_each_normal_and_barycenter_once(kp1_2_results, monke
     sphere = kp1_2_results[3].sphere
     space = TropicalSpace(sphere.ambient_dim, sphere.dim, sphere.maximal_cells, sphere.chart_kind)
     normals, centers = [], []
-    real_normal, real_barycenter = tropical._normal, tropical.barycenter
+    real_normal, real_barycenter = tropical._normal, polytope.barycenter
     monkeypatch.setattr(tropical, "_normal", lambda cell: (normals.append(cell.key()), real_normal(cell))[1])
-    monkeypatch.setattr(tropical, "barycenter", lambda key: (centers.append(key), real_barycenter(key))[1])
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("tropdeg") and getattr(module, "barycenter", None) is real_barycenter:
+            monkeypatch.setattr(module, "barycenter", lambda key: (centers.append(key), real_barycenter(key))[1])
     entries = _compute_discriminant(space).entries
     assert entries == kp1_2_results[3].discriminant.entries
-    # one normal per cell of a nontrivial loop, where each loop reads two,
-    # and one barycenter per edge or wall key, where each entry reads two
+    # one normal per cell of a nontrivial loop, where each loop reads two;
+    # no barycenter at all, since an entry keeps its keys alone
     assert len(normals) == len(set(normals)) <= len(space.maximal_cells) < 2 * len(entries)
-    keys = {e["edge"] for e in entries} | {e["wall"] for e in entries}
-    assert len(centers) == len(set(centers)) == len(keys) < 2 * len(entries)
+    assert centers == [] and all(set(e) == {"edge", "wall", "matrix", "polytope", "multiplicity", "elementary"} for e in entries)
 
 
 # --- closed-form loops against restricted charts, and shared monodromy polytopes --
@@ -851,11 +853,11 @@ def test_loop_matches_the_retired_transvection_and_displacement(factors):
 
 
 def test_build_kp1_2_reads_pieces_charts_and_polytopes_once(monkeypatch):
-    inside, piece_calls, contains_in_piece, inverses = [], [], [], []
+    inside, piece_calls, contains_in_piece, completions = [], [], [], []
     in_monodromy, monodromy_stages = [], []
     real_piece_on = subdivision._piece_on
     real_contains = LatticePolytope.contains
-    real_left_inverse = tropical.left_inverse
+    real_completion = tropical.unimodular_completion
 
     def watched_piece_on(*args):
         piece_calls.append(args)
@@ -870,9 +872,9 @@ def test_build_kp1_2_reads_pieces_charts_and_polytopes_once(monkeypatch):
             contains_in_piece.append(point)
         return real_contains(self, point)
 
-    def counting_left_inverse(m):
-        inverses.append(m)
-        return real_left_inverse(m)
+    def counting_completion(v):
+        completions.append(v)
+        return real_completion(v)
 
     def watching_monodromy(real):
         def watched(space):
@@ -888,7 +890,7 @@ def test_build_kp1_2_reads_pieces_charts_and_polytopes_once(monkeypatch):
     monkeypatch.setattr(subdivision, "_piece_on", watched_piece_on)
     monkeypatch.setattr(pipelines, "_piece_on", watched_piece_on)
     monkeypatch.setattr(LatticePolytope, "contains", counting_contains)
-    monkeypatch.setattr(tropical, "left_inverse", counting_left_inverse)
+    monkeypatch.setattr(tropical, "unimodular_completion", counting_completion)
     hulls = _counting_hulls(monkeypatch, inside=in_monodromy)
     # the build calls is_simple, which reads the discriminant
     monkeypatch.setattr(pipelines, "is_simple", watching_monodromy(tropical.is_simple))
@@ -896,14 +898,13 @@ def test_build_kp1_2_reads_pieces_charts_and_polytopes_once(monkeypatch):
     result = build_kp1_2(2)
     assert piece_calls and contains_in_piece == []
     # one chart per vertex: the base of each nontrivial loop, and each
-    # lattice vertex of a fibre that the fan compatibility check reads; a
-    # section, the one left inverse, only at the bases, so a fibre vertex
-    # that no loop is based at inverts nothing
+    # lattice vertex of a fibre that the fan compatibility check reads; the
+    # chart and its section come from one completion, made once per vertex
     sphere = result.sphere
     bases = {e["edge"][0] for e in result.discriminant.entries}
     fibre_vertices = {v for verts in result.iota.metadata["fibres"] for v in verts if is_lattice_point(v)}
-    assert set(sphere._chart_cache) == bases | fibre_vertices
-    assert set(sphere._sections) == bases and len(inverses) == len(bases)
+    assert set(sphere._charts) == bases | fibre_vertices
+    assert sorted(completions) == sorted(primitive(clear_fractions(v)) for v in sphere._charts)
     assert len(fibre_vertices - bases) == 6
     # the discriminant and the simplicity verdict build no monodromy polytope
     # (count_focus_focus reads the discriminant's record a second time)
@@ -963,8 +964,9 @@ def test_discriminant_makes_no_matrix_product_and_one_chart_per_vertex(kp1_2_res
     space = TropicalSpace(sphere.ambient_dim, sphere.dim, sphere.maximal_cells, sphere.chart_kind)
     products = _counting(monkeypatch, "mat_mul")
     inverses = _counting(monkeypatch, "left_inverse")
-    # each loop's factors are read once: no elimination, no identity (the
-    # vertex charts' own unimodular completions aside) and no hull
+    smith_forms = _counting(monkeypatch, "smith_normal_form")
+    completions = _counting(monkeypatch, "unimodular_completion")
+    # each loop's factors are read once: no elimination, no identity and no hull
     ranks = _counting(monkeypatch, "mat_rank")
     identities = _counting(monkeypatch, "mat_identity", "tropdeg.tropical")
     hulls = _counting_hulls(monkeypatch)
@@ -973,10 +975,24 @@ def test_discriminant_makes_no_matrix_product_and_one_chart_per_vertex(kp1_2_res
     assert len(entries) == {2: 24, 3: 576}[k]
     simple, report = is_simple(space)
     assert simple and report.entries == kp1_2_results[k].discriminant.entries
-    assert products == ranks == identities == hulls == []
-    # the charts are made at the base vertices of the nontrivial loops, once each
-    assert set(space._chart_cache) == {e["edge"][0] for e in entries}
-    assert len(inverses) == len(space._chart_cache) < sum(1 for d in space.faces().values() if d == 0)
+    assert products == ranks == identities == hulls == inverses == smith_forms == []
+    # the charts are made at the base vertices of the nontrivial loops, once
+    # each, by one completion with its inverse
+    assert set(space._charts) == {e["edge"][0] for e in entries}
+    assert len(completions) == len(space._charts) < sum(1 for d in space.faces().values() if d == 0)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_vertex_charts_match_the_smith_completion_and_left_inverse(kp1_2_results, k):
+    # at every vertex of the sphere, the chart and section of one Bezout
+    # sweep are those of the Smith completion and its left inverse
+    sphere = kp1_2_results[k].sphere
+    space = TropicalSpace(sphere.ambient_dim, sphere.dim, sphere.maximal_cells, sphere.chart_kind)
+    vertices = [key[0] for key, d in space.faces().items() if d == 0]
+    assert len(vertices) == {2: 29, 3: 104}[k]
+    for v in vertices:
+        assert space._vertex_chart(v) == oracle_vertex_chart(v), v
+        assert space.chart_matrix(v) == oracle_vertex_chart(v)[0]
 
 
 def test_a_trivial_loop_makes_no_product_beyond_its_two_transitions(kp1_2_results, monkeypatch):
@@ -984,20 +1000,21 @@ def test_a_trivial_loop_makes_no_product_beyond_its_two_transitions(kp1_2_result
     space = TropicalSpace(sphere.ambient_dim, sphere.dim, sphere.maximal_cells, sphere.chart_kind)
     products = _counting(monkeypatch, "mat_mul")
     inverses = _counting(monkeypatch, "left_inverse")
+    completions = _counting(monkeypatch, "unimodular_completion")
     seen = set()
     for loop in _discriminant_loops(space):
-        inverses.clear()
-        made = set(space._chart_cache)
+        completions.clear()
+        made = set(space._charts)
         m = space._loop_matrix(*loop)
         trivial = m == mat_identity(len(m))
         # a trivial loop reads its cells' equations and makes no chart; any
         # other makes the chart at its base vertex unless it is made already
         assert trivial == (loop[2].equations == loop[3].equations)
-        new = set(space._chart_cache) - made
+        new = set(space._charts) - made
         assert new == (set() if trivial or loop[0] in made else {loop[0]})
-        assert len(inverses) == len(new)
+        assert len(completions) == len(new)
         seen.add(trivial)
-    assert products == [] and seen == {True, False}
+    assert products == inverses == [] and seen == {True, False}
 
 
 def test_loop_is_identity_iff_forward_transitions_agree(face_corpus):
