@@ -144,10 +144,10 @@ def cmd_tropicalize(args):
     support = _polytope_from_json(obj["support"])
     points = []
     heights = []
-    for item in obj["heights"]:
+    for i, item in enumerate(obj["heights"]):
         try:
             p, h = item
-            points.append(tuple(parse_num(x) for x in p))
+            points.append(_point(p, f"heights entry {i} point"))
             heights.append(parse_num(h))
         except (TypeError, ValueError) as e:
             raise InputError(f"bad heights entry {item!r}: {e}")

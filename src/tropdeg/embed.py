@@ -16,7 +16,7 @@ from .exactlin import (
     mat_identity,
     mat_rank,
     mat_vec,
-    snf_diagonal,
+    smith_normal_form,
     vneg,
     vsub,
 )
@@ -59,7 +59,7 @@ class FibrationData:
                     raise ValueError("fibration functional is negative on the cone")
         if mat_rank(self.y) != len(self.y):
             raise ValueError("component functionals must be linearly independent")
-        self.diagonal = snf_diagonal(tuple(tuple(dot(y[:-1], b) for b in cell.span_basis) for y in self.y[1:]))
+        self.diagonal = smith_normal_form(tuple(tuple(dot(y[:-1], b) for b in cell.span_basis) for y in self.y[1:]))
 
     @property
     def rank(self):

@@ -218,7 +218,10 @@ def _exgcd(a, b):
     """(g, s, t) with s*a + t*b = g = gcd(a, b), g >= 0.
 
     When a divides b, t is guaranteed to be 0, so the associated 2x2 transform
-    is a plain elimination and never swaps; the clearing loops rely on this.
+    is a plain elimination and never swaps: a fold step leaves a pivot that
+    divides its column as it is, and the sweep of `unimodular_completion`
+    takes the steps of the retired Smith form (`oracle_smith_normal_form` in
+    the tests).
     """
     if a != 0 and b % a == 0:
         return (abs(a), 1 if a > 0 else -1, 0)
@@ -235,125 +238,25 @@ def _exgcd(a, b):
     return old_r, old_s, old_t
 
 
-def smith_normal_form(m):
-    """Smith normal form with transforms.
+def _fold(vectors, ncoords):
+    """(pivots, rest): integer vectors folded by unimodular steps on their first ncoords coordinates.
 
-    Returns (S, U, V) with S = U @ m @ V, U and V unimodular, S diagonal with
-    nonnegative entries d1 | d2 | ...
+    For each coordinate c in turn, the vectors with a nonzero c-entry are
+    folded into one pivot, a pair at a time: with s a + t b = g = gcd(a, b)
+    (`_exgcd`) the step takes (p, v) to (s p + t v, (b/g) p - (a/g) v),
+    whose c-entries are g and 0.  The pivot, negated if its c-entry is
+    negative, leaves the work.  The pivots come in order of their leading
+    coordinate, each with a positive leading entry; rest holds the nonzero
+    vectors left zero on the first ncoords coordinates.  Pivots and rest
+    span the lattice the vectors span, and later coordinates ride along.
     """
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [list(r) for r in m]
-    u = [list(r) for r in mat_identity(rows)]
-    v = [list(r) for r in mat_identity(cols)]
-
-    def row_op(i, j, g, s, t, ai, aj):
-        # rows i,j <- (s*i + t*j, (-aj/g)*i + (ai/g)*j); determinant 1
-        c1, c2 = -aj // g, ai // g
-        for mat in (a, u):
-            ri, rj = mat[i], mat[j]
-            mat[i] = [s * x + t * y for x, y in zip(ri, rj)]
-            mat[j] = [c1 * x + c2 * y for x, y in zip(ri, rj)]
-
-    def col_op(i, j, g, s, t, ai, aj):
-        c1, c2 = -aj // g, ai // g
-        for mat in (a, v):
-            for row in mat:
-                x, y = row[i], row[j]
-                row[i] = s * x + t * y
-                row[j] = c1 * x + c2 * y
-
-    def clear_pivot(k):
-        """Alternate row/column gcd steps until row k and column k are clear."""
-        while True:
-            for i in range(k + 1, rows):
-                if a[i][k] != 0:
-                    g, s, t = _exgcd(a[k][k], a[i][k])
-                    row_op(k, i, g, s, t, a[k][k], a[i][k])
-            changed = False
-            for j in range(k + 1, cols):
-                if a[k][j] != 0:
-                    g, s, t = _exgcd(a[k][k], a[k][j])
-                    col_op(k, j, g, s, t, a[k][k], a[k][j])
-                    changed = True
-            if not changed or all(a[i][k] == 0 for i in range(k + 1, rows)):
-                if all(a[i][k] == 0 for i in range(k + 1, rows)) and all(
-                    a[k][j] == 0 for j in range(k + 1, cols)
-                ):
-                    return
-
-    n = min(rows, cols)
-    for k in range(n):
-        while True:
-            piv = next(
-                ((i, j) for i in range(k, rows) for j in range(k, cols) if a[i][j] != 0),
-                None,
-            )
-            if piv is None:
-                break
-            pi, pj = piv
-            if pi != k:
-                a[k], a[pi] = a[pi], a[k]
-                u[k], u[pi] = u[pi], u[k]
-            if pj != k:
-                for mat in (a, v):
-                    for row in mat:
-                        row[k], row[pj] = row[pj], row[k]
-            clear_pivot(k)
-            # enforce d_k | everything in the remaining block, else fold the
-            # offending row into row k and redo the clearing
-            bad = next(
-                (
-                    i
-                    for i in range(k + 1, rows)
-                    for j in range(k + 1, cols)
-                    if a[i][j] % a[k][k] != 0
-                ),
-                None,
-            )
-            if bad is None:
-                break
-            for mat in (a, u):
-                mat[k] = [x + y for x, y in zip(mat[k], mat[bad])]
-    # normalize signs into U
-    for k in range(n):
-        if a[k][k] < 0:
-            a[k] = [-x for x in a[k]]
-            u[k] = [-x for x in u[k]]
-    return (
-        tuple(tuple(r) for r in a),
-        tuple(tuple(r) for r in u),
-        tuple(tuple(r) for r in v),
-    )
-
-
-def snf_diagonal(m):
-    s, _, _ = smith_normal_form(m)
-    return tuple(s[i][i] for i in range(min(len(s), len(s[0]) if s else 0)))
-
-
-def hnf_column_basis(vectors):
-    """Column-style Hermite basis of the lattice spanned by the given vectors.
-
-    Returns a list of r independent integer vectors spanning the same lattice,
-    in a canonical (lower-triangular-ish) form.  Empty list for rank 0.
-    """
-    vecs = [list(v) for v in vectors if not is_zero(v)]
-    if not vecs:
-        return []
-    dim = len(vecs[0])
-    basis = []
-    work = vecs
-    for c in range(dim):
-        nonzero = [v for v in work if v[c] != 0]
-        rest = [v for v in work if v[c] == 0]
+    pivots = []
+    work = [list(v) for v in vectors if any(v)]
+    for c in range(ncoords):
+        nonzero = [v for v in work if v[c]]
         if not nonzero:
-            work = rest
             continue
-        # fold the vectors with nonzero c-entry into one pivot, a pair at a
-        # time: with s a + t b = g = gcd(a, b) (`_exgcd`) the unimodular step
-        # takes (p, v) to (s p + t v, (b/g) p - (a/g) v), whose c-entries are
-        # g and 0
+        work = [v for v in work if not v[c]]
         piv = nonzero[0]
         for v in nonzero[1:]:
             a, b = piv[c], v[c]
@@ -362,54 +265,91 @@ def hnf_column_basis(vectors):
             w = [bg * x - ag * y for x, y in zip(piv, v)]
             piv = [s * x + t * y for x, y in zip(piv, v)]
             if any(w):
-                rest.append(w)
+                work.append(w)
         if piv[c] < 0:
             piv = [-x for x in piv]
-        # reduce earlier pivots against this one for canonicity
-        for b in basis:
-            if b[c] != 0:
-                q = b[c] // piv[c]
-                for i in range(dim):
-                    b[i] -= q * piv[i]
-        basis.append(piv)
-        work = rest
+        pivots.append(piv)
+    return pivots, work
+
+
+def smith_normal_form(m):
+    """The Smith diagonal d1 | d2 | ... of an integer matrix: min(rows, cols) nonnegative entries.
+
+    Row and column folds (`_fold`) alternate until every vector left has one
+    nonzero entry (Kannan and Bachem, SIAM J. Comput. 8, 1979): each fold is
+    unimodular, and the leading entry shrinks until it divides its row and
+    column, which a fold then leaves alone.  One sweep of gcd/lcm pairs
+    orders the entries left by divisibility.
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    vecs, _ = _fold(m, cols)
+    while any(sum(map(bool, v)) > 1 for v in vecs):
+        vecs, _ = _fold(list(zip(*vecs)), len(vecs))
+    d = [next(filter(None, v)) for v in vecs]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] // g * d[j]
+    return tuple(d) + (0,) * (min(rows, cols) - len(d))
+
+
+def hnf_column_basis(vectors):
+    """Column-style Hermite basis of the lattice spanned by the given vectors.
+
+    The pivots of one fold (`_fold`), each earlier pivot reduced by the
+    later ones, so the basis is canonical (lower-triangular-ish).  Empty
+    list for rank 0.
+    """
+    basis, _ = _fold(vectors, len(vectors[0]) if vectors else 0)
+    for k, piv in enumerate(basis):
+        c = next(i for i, x in enumerate(piv) if x)
+        for b in basis[:k]:
+            q = b[c] // piv[c]
+            if q:
+                b[:] = [x - q * y for x, y in zip(b, piv)]
     return [tuple(b) for b in basis]
 
 
 def kernel_basis(m):
-    """Integer basis of the kernel lattice {x in Z^cols : m x = 0}."""
+    """Integer basis of the kernel lattice {x in Z^cols : m x = 0}, in Hermite form.
+
+    The columns of m, each with e_j appended, are folded on m's rows
+    (Cohen, A Course in Computational Algebraic Number Theory, 2.4): the
+    fold is unimodular, so the e-parts of the vectors it leaves zero there
+    are a basis of the kernel.
+    """
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    if rows == 0:
-        return [tuple(mat_identity(cols)[i]) for i in range(cols)]
-    s, _, v = smith_normal_form(m)
-    rank = sum(1 for i in range(min(rows, cols)) if s[i][i] != 0)
-    vt = mat_transpose(v)
-    return [vt[j] for j in range(rank, cols)]
+    _, rest = _fold([col + tuple(int(i == j) for i in range(cols)) for j, col in enumerate(zip(*m))], rows)
+    return hnf_column_basis([v[rows:] for v in rest])
 
 
 def saturate_lattice(vectors, dim):
-    """Basis of the saturation (span over Q intersected with Z^dim)."""
+    """Basis of the saturation (span over Q intersected with Z^dim), in Hermite form."""
     basis = hnf_column_basis(vectors)
     if not basis:
         return []
     if len(basis) == dim:
         return [tuple(r) for r in mat_identity(dim)]
     # saturation = ker(ann) where ann = ker(basis), both over Z
-    return hnf_column_basis(kernel_basis(tuple(kernel_basis(tuple(basis)))))
+    return kernel_basis(kernel_basis(basis))
 
 
 def unimodular_completion(v):
     """(u, w): a unimodular u with u @ v = e1 and its inverse w, for primitive v, in one sweep.
 
-    The sweep takes the steps `smith_normal_form` takes on the column v:
-    the first nonzero entry swapped to the top, each later nonzero entry b
+    The sweep takes the steps the transform-carrying Smith form
+    (`oracle_smith_normal_form` in the tests) takes on the column v: the
+    first nonzero entry swapped to the top, each later nonzero entry b
     folded into the top one a by the determinant-1 step [[s, t], [-b/g, a/g]]
     with s a + t b = g (`_exgcd`), and the top row negated if a is left
-    negative.  Applied to the identity the steps give u, the same u the
+    negative.  Applied to the identity the steps give u, the same u that
     Smith form gives; their inverses [[a/g, -t], [b/g, s]], applied on the
     right in the same order, give w.  Rows 2..n of u cut out the quotient
-    Z^n/Zv, and columns 2..n of w are an integer section of them.  Raises
+    Z^n/Zv, and columns 2..n of w are an integer section of them.  The
+    rows of u are the boundary charts the reports write monodromy in, so
+    the sweep is kept as it is rather than made a `_fold`.  Raises
     ValueError when v is not primitive.
     """
     if content(v) != 1:

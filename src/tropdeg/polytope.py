@@ -901,8 +901,8 @@ def centered_dilated_simplex(dim):
     return standard_simplex(dim, dim + 1).translate(tuple(-1 for _ in range(dim)))
 
 
-def cube(dim, radius=1):
-    pts = list(iproduct(*[(-radius, radius)] * dim))
+def cube(dim):
+    pts = list(iproduct(*[(-1, 1)] * dim))
     return LatticePolytope.hull(pts)
 
 

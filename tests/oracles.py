@@ -171,6 +171,15 @@ unimodular completion and its inverse together
 (`oracle_complete_to_unimodular`) took a Smith normal form of the column,
 and the section a left inverse of the completion (`oracle_vertex_chart`).
 
+The Smith form: `exactlin.smith_normal_form` returns the diagonal alone,
+read off alternating row and column folds (`exactlin._fold`) and one gcd/lcm
+sweep, and `exactlin.kernel_basis` folds the columns of m, each with e_j
+appended, on m's rows.  The Smith form they replaced
+(`oracle_smith_normal_form`) cleared each pivot's row and column by
+extended-gcd steps and carried both transforms U and V; the diagonal was
+read off S, and the kernel off the last columns of V.
+`oracle_complete_to_unimodular` reads its U.
+
 The facet lift: `polytope._facet` reads each primitive lifted normal from a
 bounded memo (`_facet_normal`).  The form it replaced (`oracle_facet`) lifts
 on every call.
@@ -189,6 +198,7 @@ from itertools import product as iproduct
 from tropdeg.exactlin import (
     InvariantError,
     RationalCone,
+    _exgcd,
     _extreme_generators,
     _ratio,
     clear_fractions,
@@ -206,8 +216,6 @@ from tropdeg.exactlin import (
     mat_vec,
     primitive,
     saturate_lattice,
-    smith_normal_form,
-    snf_diagonal,
     solve_linear,
     vadd,
     vneg,
@@ -1035,8 +1043,8 @@ def oracle_is_integrally_surjective(m):
     rows = len(m)
     if rows == 0:
         return True
-    d = snf_diagonal(m)
-    return len(d) >= rows and all(d[i] == 1 for i in range(rows))
+    s, _, _ = oracle_smith_normal_form(m)
+    return len(s[0]) >= rows and all(s[i][i] == 1 for i in range(rows))
 
 
 def oracle_transvection(a, phi):
@@ -1535,6 +1543,98 @@ def _rank_vertices(pts, facs, d):
     return verts
 
 
+def oracle_smith_normal_form(m):
+    """Smith normal form with transforms.
+
+    Returns (S, U, V) with S = U @ m @ V, U and V unimodular, S diagonal with
+    nonnegative entries d1 | d2 | ...
+    """
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [list(r) for r in m]
+    u = [list(r) for r in mat_identity(rows)]
+    v = [list(r) for r in mat_identity(cols)]
+
+    def row_op(i, j, g, s, t, ai, aj):
+        # rows i,j <- (s*i + t*j, (-aj/g)*i + (ai/g)*j); determinant 1
+        c1, c2 = -aj // g, ai // g
+        for mat in (a, u):
+            ri, rj = mat[i], mat[j]
+            mat[i] = [s * x + t * y for x, y in zip(ri, rj)]
+            mat[j] = [c1 * x + c2 * y for x, y in zip(ri, rj)]
+
+    def col_op(i, j, g, s, t, ai, aj):
+        c1, c2 = -aj // g, ai // g
+        for mat in (a, v):
+            for row in mat:
+                x, y = row[i], row[j]
+                row[i] = s * x + t * y
+                row[j] = c1 * x + c2 * y
+
+    def clear_pivot(k):
+        """Alternate row/column gcd steps until row k and column k are clear."""
+        while True:
+            for i in range(k + 1, rows):
+                if a[i][k] != 0:
+                    g, s, t = _exgcd(a[k][k], a[i][k])
+                    row_op(k, i, g, s, t, a[k][k], a[i][k])
+            changed = False
+            for j in range(k + 1, cols):
+                if a[k][j] != 0:
+                    g, s, t = _exgcd(a[k][k], a[k][j])
+                    col_op(k, j, g, s, t, a[k][k], a[k][j])
+                    changed = True
+            if not changed or all(a[i][k] == 0 for i in range(k + 1, rows)):
+                if all(a[i][k] == 0 for i in range(k + 1, rows)) and all(
+                    a[k][j] == 0 for j in range(k + 1, cols)
+                ):
+                    return
+
+    n = min(rows, cols)
+    for k in range(n):
+        while True:
+            piv = next(
+                ((i, j) for i in range(k, rows) for j in range(k, cols) if a[i][j] != 0),
+                None,
+            )
+            if piv is None:
+                break
+            pi, pj = piv
+            if pi != k:
+                a[k], a[pi] = a[pi], a[k]
+                u[k], u[pi] = u[pi], u[k]
+            if pj != k:
+                for mat in (a, v):
+                    for row in mat:
+                        row[k], row[pj] = row[pj], row[k]
+            clear_pivot(k)
+            # enforce d_k | everything in the remaining block, else fold the
+            # offending row into row k and redo the clearing
+            bad = next(
+                (
+                    i
+                    for i in range(k + 1, rows)
+                    for j in range(k + 1, cols)
+                    if a[i][j] % a[k][k] != 0
+                ),
+                None,
+            )
+            if bad is None:
+                break
+            for mat in (a, u):
+                mat[k] = [x + y for x, y in zip(mat[k], mat[bad])]
+    # normalize signs into U
+    for k in range(n):
+        if a[k][k] < 0:
+            a[k] = [-x for x in a[k]]
+            u[k] = [-x for x in u[k]]
+    return (
+        tuple(tuple(r) for r in a),
+        tuple(tuple(r) for r in u),
+        tuple(tuple(r) for r in v),
+    )
+
+
 def oracle_complete_to_unimodular(v):
     """A unimodular matrix U with U @ v = e1, for primitive v, read off a Smith normal form of the column v.
 
@@ -1542,7 +1642,7 @@ def oracle_complete_to_unimodular(v):
     """
     if content(v) != 1:
         raise ValueError("vector must be primitive")
-    s, u, vv = smith_normal_form(tuple((x,) for x in v))
+    s, u, vv = oracle_smith_normal_form(tuple((x,) for x in v))
     if s[0][0] != 1:
         raise InvariantError(f"Smith form of primitive {v} has leading entry {s[0][0]}")
     if vv[0][0] == -1:

@@ -396,9 +396,15 @@ def test_ring_relations_stop_at_the_degree_bound(tmp_path, degree):
             ["gluing entry 0 field 'from'"],
         ),
         ("tropicalize", {"support": {"ambient_dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}, "heights": 5}, ["'heights'"]),
+        # a string point is not read character by character as the point (0, 0)
+        (
+            "tropicalize",
+            {"support": {"ambient_dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}, "heights": [["00", 0], [[1, 0], 0], [[0, 1], 0]]},
+            ["heights entry 0 point", "list of numbers"],
+        ),
     ],
     ids=["ring-top-level", "tropicalize-top-level", "cells-not-list", "cell-not-points", "gluing-no-twist",
-         "gluing-from-not-points", "heights-not-list"],
+         "gluing-from-not-points", "heights-not-list", "heights-point-not-list"],
 )
 def test_json_shape_errors_exit_2(tmp_path, verb, data, words):
     inp = tmp_path / "input.json"

@@ -18,6 +18,7 @@ from oracles import (
     oracle_is_integrally_surjective,
     oracle_complete_to_unimodular,
     oracle_mat_mul,
+    oracle_smith_normal_form,
 )
 
 from tropdeg.exactlin import (
@@ -38,7 +39,6 @@ from tropdeg.exactlin import (
     primitive,
     saturate_lattice,
     smith_normal_form,
-    snf_diagonal,
     solve_linear,
     unimodular_completion,
 )
@@ -77,29 +77,31 @@ def test_primitive_idempotent(coords):
 
 
 def test_snf_identity():
-    s, u, v = smith_normal_form(mat_identity(3))
+    s, u, v = oracle_smith_normal_form(mat_identity(3))
     assert s == mat_identity(3)
+    assert smith_normal_form(mat_identity(3)) == (1, 1, 1)
 
 
 def test_snf_2x2_example():
     m = ((2, 4), (6, 8))
-    s, u, v = smith_normal_form(m)
-    d = snf_diagonal(m)
+    s, u, v = oracle_smith_normal_form(m)
+    d = smith_normal_form(m)
     # oracle: d1 | d2, d1*d2 = |det| = 8, transforms unimodular
     assert d[1] % d[0] == 0
     assert d[0] * d[1] == abs(det(m)) == 8
     assert abs(det(u)) == 1 and abs(det(v)) == 1
     assert mat_mul(mat_mul(u, m), v) == s
-    assert d == (2, 4)
+    assert d == (2, 4) == (s[0][0], s[1][1])
 
 
 def test_snf_1x2_bezout():
     m = ((2, 3),)
-    s, u, v = smith_normal_form(m)
+    s, u, v = oracle_smith_normal_form(m)
     assert s == ((1, 0),)
     # oracle: gcd(2,3) = 1 and the column transform is an explicit Bezout matrix
     assert abs(det(v)) == 1
     assert mat_mul(mat_mul(u, m), v) == s
+    assert smith_normal_form(m) == (1,)
 
 
 def _random_matrix(rng, rows, cols, lo=-9, hi=9):
@@ -112,7 +114,7 @@ def test_snf_random_property():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = _random_matrix(rng, rows, cols)
-        s, u, v = smith_normal_form(m)
+        s, u, v = oracle_smith_normal_form(m)
         assert mat_mul(mat_mul(u, m), v) == s
         assert det(u) in (1, -1)
         assert det(v) in (1, -1)
@@ -127,6 +129,38 @@ def test_snf_random_property():
             for j in range(cols):
                 if i != j:
                     assert s[i][j] == 0
+        assert smith_normal_form(m) == tuple(d)
+
+
+_fold_entries = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**40), 2**40))
+
+
+@st.composite
+def _fold_matrices(draw):
+    """A 1x1 to 7x7 integer matrix, some of whose rows are integer combinations of earlier ones."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    m = [draw(st.lists(_fold_entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for i in range(1, rows):
+        if draw(st.booleans()):
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            m[i] = [a * x + b * y for x, y in zip(m[j], m[k])]
+    return tuple(map(tuple, m))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_fold_matrices())
+def test_smith_diagonal_and_kernel_by_folds_match_the_transform_smith_form(m):
+    # the diagonal is unique, and so is the Hermite basis of the kernel
+    # lattice the last columns of the oracle's V span
+    s, _, v = oracle_smith_normal_form(m)
+    rows, cols = len(m), len(m[0])
+    assert smith_normal_form(m) == tuple(s[i][i] for i in range(min(rows, cols)))
+    rank = sum(1 for i in range(min(rows, cols)) if s[i][i])
+    ker = kernel_basis(m)
+    assert len(ker) == cols - rank
+    assert all(mat_vec(m, k) == (0,) * rows for k in ker)
+    assert ker == hnf_column_basis(ker) == hnf_column_basis(mat_transpose(v)[rank:])
 
 
 def test_integrally_surjective_examples():
@@ -195,7 +229,7 @@ def test_integrally_surjective_vs_minor_gcd():
         m = _random_matrix(rng, rows, cols, -4, 4)
         assert oracle_is_integrally_surjective(m) == _surjective_by_minor_gcd(m)
         # the rule embed_D reads off each host's diagonal
-        assert (snf_diagonal(m) == (1,) * rows) == _surjective_by_minor_gcd(m)
+        assert (smith_normal_form(m) == (1,) * rows) == _surjective_by_minor_gcd(m)
 
 
 def test_kernel_and_solve():

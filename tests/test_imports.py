@@ -5,7 +5,8 @@ numbers from `exactlin._ratio` rather than from `fractions`, only
 `polytope` tests whether a facet inequality is tight, no construction in
 `polytope` calls that test (`tight_at`), `tropical` takes no
 matrix product or rank, builds no hull and inverts only its per-vertex chart,
-and no module has an `assert`, which `python -O` would drop."""
+only `exactlin._fold` and the chart sweep take extended-gcd steps, and no
+module has an `assert`, which `python -O` would drop."""
 
 import ast
 import pathlib
@@ -199,6 +200,21 @@ def test_tropical_takes_no_product_and_inverts_only_its_vertex_chart():
     source = (SRC / "tropical.py").read_text()
     assert not {"mat_mul", "mat_rank", "hull", "left_inverse", "smith_normal_form", "barycenter"} & _imported_names(source)
     assert _callers(source, "unimodular_completion") == ["_vertex_chart"]
+
+
+def _defined_names(source):
+    """Names a module defines with `def` or `class`, at any depth."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name for node in ast.walk(ast.parse(source)) if isinstance(node, kinds)}
+
+
+def test_one_fold_engine_takes_extended_gcd_steps():
+    # Hermite bases, integer kernels and Smith diagonals all come from
+    # `exactlin._fold`; only the chart sweep keeps steps of its own
+    found = {p.stem: names for p in sorted(SRC.glob("*.py")) if (names := _callers(p.read_text(), "_exgcd"))}
+    assert found == {"exactlin": ["_fold", "unimodular_completion"]}
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert not any("snf_diagonal" in _defined_names(s) | _imported_names(s) for s in sources)
 
 
 def _asserts(source):

@@ -13,12 +13,26 @@ import pytest
 
 from tropdeg import exactlin, pipelines, polytope, tropical
 
-# per build, from cleared caches before k=2: the Smith forms, left inverses
-# and facet lifts made anywhere, and the barycenters taken while the
-# discriminant is computed
+# per build, from cleared caches before k=2: the Smith diagonals, integer
+# kernels, Hermite bases, left inverses and facet lifts made anywhere, and
+# the barycenters taken while the discriminant is computed
 COUNTS = {
-    2: {"smith_normal_form": 59, "left_inverse": 36, "_lift": 96, "discriminant barycenter": 0},
-    3: {"smith_normal_form": 174, "left_inverse": 93, "_lift": 490, "discriminant barycenter": 0},
+    2: {
+        "smith_normal_form": 18,
+        "kernel_basis": 41,
+        "hnf_column_basis": 82,
+        "left_inverse": 36,
+        "_lift": 96,
+        "discriminant barycenter": 0,
+    },
+    3: {
+        "smith_normal_form": 128,
+        "kernel_basis": 46,
+        "hnf_column_basis": 145,
+        "left_inverse": 93,
+        "_lift": 490,
+        "discriminant barycenter": 0,
+    },
 }
 
 
@@ -52,7 +66,8 @@ def counters(monkeypatch):
             in_discriminant.pop()
 
     monkeypatch.setattr(tropical, "_compute_discriminant", watched)
-    _count(monkeypatch, exactlin, "smith_normal_form", counts, "smith_normal_form")
+    for name in ("smith_normal_form", "kernel_basis", "hnf_column_basis"):
+        _count(monkeypatch, exactlin, name, counts, name)
     _count(monkeypatch, exactlin, "left_inverse", counts, "left_inverse")
     _count(monkeypatch, polytope, "_lift", counts, "_lift")
     _count(monkeypatch, polytope, "barycenter", counts, "discriminant barycenter", when=lambda: bool(in_discriminant))

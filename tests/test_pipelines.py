@@ -372,7 +372,7 @@ def test_each_build_makes_one_tangent_smith_form_per_fibration_host(monkeypatch,
     # check and the simplex map's rescaling warnings both read it
     from tropdeg import embed, exactlin
 
-    calls = _counting_calls(monkeypatch, (exactlin, embed), "snf_diagonal")
+    calls = _counting_calls(monkeypatch, (exactlin, embed), "smith_normal_form")
     result = build(value)
     assert len(calls) == len(result.fibration) > 0
 
