@@ -1,4 +1,4 @@
-"""Kernel call counts of the kp1-2 builds, pinned.
+"""Kernel call counts of the example builds, pinned.
 
 Call counts do not depend on the speed of the machine, so they show a
 change in the work a build does where timings cannot.  The memo caches are
@@ -13,26 +13,39 @@ import pytest
 
 from tropdeg import exactlin, pipelines, polytope, tropical
 
-# per build, from cleared caches before k=2: the Smith diagonals, integer
-# kernels, Hermite bases, left inverses and facet lifts made anywhere, and
-# the barycenters taken while the discriminant is computed
+# the builds in the order they run, each from the memo state the ones
+# before it leave
+BUILDS = [
+    ("kp1-2", 2),
+    ("kp1-2", 3),
+    *(("quintic", i) for i in range(1, 5)),
+    *(("hypercube", k) for k in range(1, 4)),
+]
+
+# per build, from cleared caches before the first: the Smith diagonals,
+# integer kernels, Hermite bases, left inverses, facet lifts, hulls and
+# double descriptions made anywhere, and the barycenters taken while the
+# discriminant is computed
+COLUMNS = (
+    "smith_normal_form",
+    "kernel_basis",
+    "hnf_column_basis",
+    "left_inverse",
+    "_lift",
+    "LatticePolytope.hull",
+    "_hull_full_dim",
+    "discriminant barycenter",
+)
 COUNTS = {
-    2: {
-        "smith_normal_form": 18,
-        "kernel_basis": 41,
-        "hnf_column_basis": 82,
-        "left_inverse": 36,
-        "_lift": 96,
-        "discriminant barycenter": 0,
-    },
-    3: {
-        "smith_normal_form": 128,
-        "kernel_basis": 46,
-        "hnf_column_basis": 145,
-        "left_inverse": 93,
-        "_lift": 490,
-        "discriminant barycenter": 0,
-    },
+    ("kp1-2", 2): (18, 41, 82, 36, 96, 7, 12, 0),
+    ("kp1-2", 3): (128, 46, 145, 93, 490, 8, 15, 0),
+    ("quintic", 1): (8, 38, 74, 25, 42, 8, 10, 0),
+    ("quintic", 2): (8, 15, 38, 17, 23, 8, 10, 0),
+    ("quintic", 3): (8, 15, 36, 15, 23, 8, 10, 0),
+    ("quintic", 4): (8, 15, 36, 15, 23, 8, 10, 0),
+    ("hypercube", 1): (2, 1, 7, 4, 12, 3, 4, 0),
+    ("hypercube", 2): (4, 0, 10, 8, 31, 3, 4, 0),
+    ("hypercube", 3): (8, 0, 10, 8, 72, 3, 4, 0),
 }
 
 
@@ -54,7 +67,7 @@ def _count(monkeypatch, module, name, counts, key, when=None):
 def counters(monkeypatch):
     for memo in (polytope._span_chart, polytope._facet_chart, polytope._facet_normal):
         memo.cache_clear()
-    counts = dict.fromkeys(COUNTS[2], 0)
+    counts = dict.fromkeys(COLUMNS, 0)
     in_discriminant = []
     real_compute = tropical._compute_discriminant
 
@@ -66,16 +79,25 @@ def counters(monkeypatch):
             in_discriminant.pop()
 
     monkeypatch.setattr(tropical, "_compute_discriminant", watched)
-    for name in ("smith_normal_form", "kernel_basis", "hnf_column_basis"):
+    for name in ("smith_normal_form", "kernel_basis", "hnf_column_basis", "left_inverse"):
         _count(monkeypatch, exactlin, name, counts, name)
-    _count(monkeypatch, exactlin, "left_inverse", counts, "left_inverse")
-    _count(monkeypatch, polytope, "_lift", counts, "_lift")
+    for name in ("_lift", "_hull_full_dim"):
+        _count(monkeypatch, polytope, name, counts, name)
     _count(monkeypatch, polytope, "barycenter", counts, "discriminant barycenter", when=lambda: bool(in_discriminant))
+    real_hull = polytope.LatticePolytope.hull
+
+    def counted_hull(points):
+        counts["LatticePolytope.hull"] += 1
+        return real_hull(points)
+
+    monkeypatch.setattr(polytope.LatticePolytope, "hull", staticmethod(counted_hull))
     return counts
 
 
-def test_kp1_2_kernel_counts_are_pinned(counters):
-    for k in (2, 3):
+def test_example_kernel_counts_are_pinned(counters):
+    moved = {}
+    for build in BUILDS:
         before = dict(counters)
-        pipelines.build_kp1_2(k).report_json()
-        assert {name: counters[name] - before[name] for name in counters} == COUNTS[k], k
+        pipelines.build_example(*build).report_json()
+        moved[build] = tuple(counters[name] - before[name] for name in COLUMNS)
+    assert moved == COUNTS
