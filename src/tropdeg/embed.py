@@ -201,7 +201,7 @@ def embed_D(space, fibration):
         entries.append({"source": reduced.key(), "target": hosts[-1], "matrix": matrix, "translation": anchor})
     t_d = TropicalSpace(len(basis) or 1, max(c.dim for c in reduced_cells), reduced_cells, "solid")
     fibres = {verts: hosts for verts, (_, hosts) in sorted(table.items())}
-    iota = ComplexMap(entries, surjective=surjective, metadata={"fibration": dict(fibration), "fibres": fibres})
+    iota = ComplexMap(entries, surjective=surjective, metadata={"fibres": fibres})
     return t_d, iota, surjective
 
 

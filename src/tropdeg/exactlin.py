@@ -326,14 +326,19 @@ def kernel_basis(m):
 
 
 def saturate_lattice(vectors, dim):
-    """Basis of the saturation (span over Q intersected with Z^dim), in Hermite form."""
+    """(basis, annihilators): the saturation (span over Q intersected with Z^dim) and the integer functionals cutting it out.
+
+    Both in Hermite form: the annihilators are the kernel of the vectors,
+    and the saturation is the kernel of the annihilators.
+    """
     basis = hnf_column_basis(vectors)
+    identity = [tuple(r) for r in mat_identity(dim)]
     if not basis:
-        return []
+        return [], identity
     if len(basis) == dim:
-        return [tuple(r) for r in mat_identity(dim)]
-    # saturation = ker(ann) where ann = ker(basis), both over Z
-    return kernel_basis(kernel_basis(basis))
+        return identity, []
+    annihilators = kernel_basis(basis)
+    return kernel_basis(annihilators), annihilators
 
 
 def unimodular_completion(v):

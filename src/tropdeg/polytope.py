@@ -170,25 +170,19 @@ def _span_chart(key, ambient):
     key is the Hermite basis (`hnf_column_basis`) of integer vectors
     spanning it, and the chart depends on the span alone, so one chart
     serves every polytope with that span.  basis is the saturated lattice
-    basis of the span, in echelon form; a @ basis^T = dd * I is one left
-    inverse, whose columns vanish off the basis' pivot coordinates; and the
-    annihilators are integer functionals cutting out the span (none when it
-    is the whole space).  Every entry is a tuple of ints, so the memo holds
-    no reference to a polytope.  It is kept small: a run meets few spans
-    at a time, and each module import holds its own memo until collected.
+    basis of the span, in echelon form, and the annihilators are integer
+    functionals cutting it out (none when it is the whole space), both from
+    one `saturate_lattice`; a @ basis^T = dd * I is one left inverse, whose
+    columns vanish off the basis' pivot coordinates.  Every entry is a
+    tuple of ints, so the memo holds no reference to a polytope.  It is
+    kept small: a run meets few spans at a time, and each module import
+    holds its own memo until collected.
     """
-    basis = tuple(saturate_lattice(key, ambient))
+    basis, annihilators = saturate_lattice(key, ambient)
     # an already saturated key is the basis: keep one copy of its tuples
-    if basis == key:
-        basis = key
+    basis = key if tuple(basis) == key else tuple(basis)
     a, dd = left_inverse(mat_transpose(basis))
-    if len(basis) == ambient:
-        annihilators = ()
-    elif basis:
-        annihilators = tuple(kernel_basis(basis))
-    else:
-        annihilators = tuple(tuple(1 if i == j else 0 for i in range(ambient)) for j in range(ambient))
-    return basis, a, dd, annihilators
+    return basis, a, dd, tuple(annihilators)
 
 
 @lru_cache(maxsize=128)
@@ -546,18 +540,6 @@ class LatticePolytope:
         ranges = [(math.ceil(dilation * lo[i]), math.floor(dilation * hi[i])) for i in pivots]
         return list(_span_points(chart, pivots, origin, _scan_rows(_pivot_cuts(self, pivots, origin, dilation), ranges)))
 
-    def face(self, normal, offset):
-        """The face cut out by the supporting hyperplane <normal, x> = -offset.
-
-        Its vertices are the vertices on the hyperplane (`_support_mask`, `face_from_mask`).
-        Raises ValueError when the hyperplane misses the polytope or cuts
-        through it.
-        """
-        mask = _support_mask([dot(normal, v) + offset for v in self.vertices])
-        if not mask:
-            raise ValueError("the hyperplane does not support the polytope")
-        return self.face_from_mask(mask)
-
     def face_from_mask(self, mask):
         """The face with the vertices indexed by the bitmask, and no hull.
 
@@ -588,11 +570,8 @@ class LatticePolytope:
         return tuple(self.vertices[i] for i in _bits(mask))
 
     def normalized_volume(self):
-        """dim! times the Euclidean volume within the affine span (an integer)."""
-        if self.dim == 0:
-            return 1
-        rows, den = _span_coordinates(self.chart, self.anchor, self.vertices)
-        nv = _ratio(_nvol_full_dim(rows, self.dim), den**self.dim)
+        """dim! times the Euclidean volume within the affine span (an integer for a lattice polytope)."""
+        nv = _face_volume(self, (1 << len(self.vertices)) - 1, self.span_basis, self.dim)
         if nv.denominator != 1 and self.is_lattice():
             raise InvariantError(f"{self!r} is a lattice polytope of normalized volume {nv}")
         return nv
@@ -650,26 +629,28 @@ def _face_masks(incidence, nverts, dim):
     return out
 
 
-def _nvol_full_dim(coords, d):
-    """Normalized volume of conv(coords), full-dimensional in Z^d."""
-    if d == 0:
+def _face_volume(poly, face, basis, dim):
+    """The normalized volume of the face of poly with vertex mask face, span basis basis and dimension dim.
+
+    The sum of the pyramids over its facets from its least vertex
+    (Lasserre's decomposition; Bueler, Enge and Fukuda, 2000), each facet
+    read off poly's incidence (`_facets_of`) with a facet (n, c) of poly
+    cutting it out, so no face is hulled or built.  A pyramid's lattice
+    height is <n, anchor> + c over the gcd of basis . n, and its base's
+    basis is the face's cut by n (`_facet_chart`).
+    """
+    if dim == 0:
         return 1
-    if d == 1:
-        return max(c[0] for c in coords) - min(c[0] for c in coords)
-    facs = _hull_full_dim(coords, d)
-    v0 = coords[0]
+    anchor = poly.vertices[_low(face)]
     total = 0
-    for n, c, tight in facs:
-        h = dot(n, v0) + c
-        if h == 0:
-            continue
-        sub = [coords[i] for i in tight]
-        # the saturated lattice, so facet volumes are measured in the induced
-        # lattice of the ambient space rather than the sublattice the
-        # differences happen to generate
-        rows, _ = _span_coordinates(_lattice_chart(sub), sub[0], sub)
-        total += abs(h) * _nvol_full_dim(rows, d - 1)
-    return total
+    for m, k in _facets_of(poly.incidence, face).items():
+        n, c = poly.facets[k]
+        h = dot(n, anchor) + c
+        # the facets holding the anchor span no pyramid, and a segment's are points
+        if h:
+            base = 1 if dim == 1 else _face_volume(poly, m, _facet_chart(basis, n)[0], dim - 1)
+            total += _ratio(h, math.gcd(*mat_vec(basis, n))) * base
+    return _ratio(total)
 
 
 # --- derived constructions -------------------------------------------------
@@ -729,21 +710,20 @@ def clip_by_halfspace(cell, normal, offset):
 
     Returns the cell itself when it lies inside, and None when the
     intersection is empty; a cell touching the hyperplane from outside clips
-    to the touching face (`LatticePolytope.face`).  When the cut crosses the
-    cell, the clip keeps the cell's span and chart; its vertices are the
-    cell's vertices inside the halfspace plus the points where edges cross
-    the hyperplane (`_crossings`), and its facets are the cell's facets
-    holding a vertex strictly inside, verbatim, plus the cut.  A kept vertex
-    keeps its facets and a crossing has those of its edge, so the incidence
-    is read off the cell's.  No hull is taken.
+    to the face its values name (`_support_mask`, `face_from_mask`).  When
+    the cut crosses the cell, the clip keeps the cell's span and chart; its
+    vertices are the cell's vertices inside the halfspace plus the points
+    where edges cross the hyperplane (`_crossings`), and its facets are the
+    cell's facets holding a vertex strictly inside, verbatim, plus the cut.
+    A kept vertex keeps its facets and a crossing has those of its edge, so
+    the incidence is read off the cell's.  No hull is taken.
     """
     vals = [dot(normal, v) + offset for v in cell.vertices]
     if all(v >= 0 for v in vals):
         return cell
-    if all(v < 0 for v in vals):
-        return None
-    if all(v <= 0 for v in vals):
-        return cell.face(normal, offset)
+    face = _support_mask(vals)
+    if face is not None:
+        return cell.face_from_mask(face) if face else None
     masks = _transpose(cell.incidence, range(len(vals)))
     kept = [(v, m, val == 0) for v, m, val in zip(cell.vertices, masks, vals) if val >= 0]
     kept += [(p, m, True) for p, m in _crossings(cell, vals, masks)]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .exactlin import vadd
+from .exactlin import dot, vadd
 from .polytope import _low, barycenter
 
 
@@ -224,17 +224,17 @@ class EmbeddedIdeal:
         return out
 
 
-def embedded_ideal(space, t_d, iota, parameters, gluing):
+def embedded_ideal(fibration, parameters, gluing):
     """Relations z^(m) = a per chart, transported through the gluing data.
 
-    The exponents m are the fibration functionals stashed on the embedding
-    map; charts are the wall-adjacent cells.  Restriction compatibility is
-    verified along every shared face, and the normalized class identifies
-    parameter vectors up to common rescaling.
+    The exponents m are the fibration's functionals (`wall_fibration_data`);
+    charts are its cells.  Restriction compatibility is verified along
+    every shared face, and the normalized class identifies parameter
+    vectors up to common rescaling.  Raises ValueError on an empty
+    fibration, as `embed_D` does.
     """
-    fibration = iota.metadata.get("fibration")
-    if fibration is None:
-        raise ValueError("embedding map carries no fibration data")
+    if not fibration:
+        raise ValueError("no fibration data supplied")
     if any(Fraction(a) == 0 for a in parameters):
         raise ValueError("parameters must be nonzero")
     charts = sorted(fibration.keys())
@@ -270,38 +270,32 @@ def embedded_ideal(space, t_d, iota, parameters, gluing):
     return EmbeddedIdeal(relations)
 
 
-def genericity_scan(space, t_d, iota, gluing, samples):
-    """Flag which parameter vectors give fibres transverse to the discriminant.
+def genericity_scan(space, fibration, samples):
+    """Flag which parameter vectors give fibres transverse to the discriminant of space.
 
     The tropical shadow of a parameter vector a is the simplex position
     (r+1) * a_i / sum(a); a choice is non-generic when its translated fibre
-    passes through a discriminant barycenter.
+    passes through a discriminant barycenter.  Raises ValueError on an
+    empty fibration, as `embed_D` does.
     """
     from .tropical import discriminant
 
-    fibration = iota.metadata.get("fibration")
-    if fibration is None:
-        raise ValueError("embedding map carries no fibration data")
-    disc = discriminant(space)
+    if not fibration:
+        raise ValueError("no fibration data supplied")
     rank = next(iter(fibration.values())).rank
+    # the simplex position of each discriminant barycenter in each cell holding it
+    hit = {
+        tuple(dot(y, pt + (1,)) for y in fib.y[1:])
+        for entry in discriminant(space).entries
+        for pt in (barycenter(entry["edge"]), barycenter(entry["wall"]))
+        for fib in fibration.values()
+        if fib.cell.contains(pt)
+    }
     report = []
     for a in samples:
         a = tuple(Fraction(x) for x in a)
-        total = sum(a)
-        position = tuple((rank + 1) * x / total for x in a[1:])
-        generic = True
-        if disc.entries:
-            for entry in disc.entries:
-                for pt in (barycenter(entry["edge"]), barycenter(entry["wall"])):
-                    for key, fib in fibration.items():
-                        cell = next(c for c in space.maximal_cells if c.key() == key)
-                        if not cell.contains(pt):
-                            continue
-                        w = tuple(pt) + (1,)
-                        vals = tuple(sum(Fraction(y[i]) * Fraction(w[i]) for i in range(len(w))) for y in fib.y[1:])
-                        if vals == position:
-                            generic = False
-        report.append({"a": a, "position": position, "generic": generic})
+        position = tuple((rank + 1) * x / sum(a) for x in a[1:])
+        report.append({"a": a, "position": position, "generic": position not in hit})
     return {
         "samples": report,
         "generic_subset": [r["a"] for r in report if r["generic"]],

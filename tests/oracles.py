@@ -188,6 +188,12 @@ The crepant fits: `fine_crepant_subdivision` clears the boundary heights
 once by the lcm of their denominators and fits every cone in ints.  The
 form it replaced (`oracle_fraction_crepant_subdivision`) fits the Fraction
 heights.
+
+The volume: `LatticePolytope.normalized_volume` sums the pyramids over the
+polytope's own facets, read off its incidence, so no face is hulled.  The
+form it replaced (`oracle_normalized_volume`, with `oracle_nvol_full_dim`)
+took the vertices' span coordinates and re-hulled every facet at every
+level with `_hull_full_dim`.
 """
 
 import math
@@ -444,7 +450,7 @@ def oracle_hull(points):
     diffs = [vsub(p, anchor) for p in pts]
     den = denominator_lcm(x for v in diffs for x in v)
     int_diffs = [tuple(int(x * den) for x in v) for v in diffs]
-    basis = saturate_lattice(int_diffs, ambient)
+    basis, _ = saturate_lattice(int_diffs, ambient)
     d = len(basis)
     # affine-span equations: annihilator functionals of the direction space
     eqs = []
@@ -1244,7 +1250,7 @@ def _cone_by_subset_scan(gens, ambient_dim):
         return RationalCone(ambient_dim, [], [tuple(r) for r in mat_identity(ambient_dim)] + [vneg(r) for r in mat_identity(ambient_dim)])
     # facet normals of cone(gens) = extreme rays of the dual cone, computed in
     # the span when the cone is not full dimensional
-    span = saturate_lattice(gens, ambient_dim)
+    span, _ = saturate_lattice(gens, ambient_dim)
     rank = len(span)
     # coordinates of generators in the span basis
     span_t = mat_transpose(tuple(span))
@@ -1718,3 +1724,33 @@ def oracle_fraction_crepant_subdivision(poly):
         "height perturbation failed to reach an elementary triangulation; "
         f"non-elementary boundary cells remain after all deterministic seeds ({len(last_bad)} at the last seed)"
     )
+
+
+def oracle_nvol_full_dim(coords, d):
+    """Normalized volume of conv(coords), full-dimensional in Z^d."""
+    if d == 0:
+        return 1
+    if d == 1:
+        return max(c[0] for c in coords) - min(c[0] for c in coords)
+    facs = _hull_full_dim(coords, d)
+    v0 = coords[0]
+    total = 0
+    for n, c, tight in facs:
+        h = dot(n, v0) + c
+        if h == 0:
+            continue
+        sub = [coords[i] for i in tight]
+        # the saturated lattice, so facet volumes are measured in the induced
+        # lattice of the ambient space rather than the sublattice the
+        # differences happen to generate
+        rows, _ = _span_coordinates(_lattice_chart(sub), sub[0], sub)
+        total += abs(h) * oracle_nvol_full_dim(rows, d - 1)
+    return total
+
+
+def oracle_normalized_volume(poly):
+    """dim! times the Euclidean volume of poly within its affine span, by re-hulling its facets."""
+    if poly.dim == 0:
+        return 1
+    rows, den = _span_coordinates(poly.chart, poly.anchor, poly.vertices)
+    return _ratio(oracle_nvol_full_dim(rows, poly.dim), den**poly.dim)

@@ -219,7 +219,7 @@ def _nerve_inclusion_exclusion(space, d):
 
 
 def test_criterion_6_ring_oracles(kp12):
-    from tropdeg.embed import embed_D, wall_fibration_data
+    from tropdeg.embed import wall_fibration_data
     from tropdeg.polytope import segment
     from tropdeg.subdivision import fine_crepant_subdivision
     from tropdeg.polytope import centered_dilated_simplex
@@ -241,13 +241,12 @@ def test_criterion_6_ring_oracles(kp12):
     # rescaling invariance of embedded ideals for 10 random scalar vectors
     toy = TropicalSpace(2, 1, [hull([(0, 0), (1, 0)]), hull([(1, 0), (2, 0)])], "solid")
     fib = wall_fibration_data(toy, 1, 0)
-    t_d, iota, _ = embed_D(toy, fib)
     gluing = vanilla_gluing(2)
     rng = random.Random(77)
-    base = embedded_ideal(toy, t_d, iota, (2, 3), gluing).normalized()
+    base = embedded_ideal(fib, (2, 3), gluing).normalized()
     for _ in range(10):
         lam = Fraction(rng.randint(1, 30), rng.randint(1, 30))
-        scaled = embedded_ideal(toy, t_d, iota, (2 * lam, 3 * lam), gluing).normalized()
+        scaled = embedded_ideal(fib, (2 * lam, 3 * lam), gluing).normalized()
         assert scaled == base
     _line(6, "hilbert counts match inclusion-exclusion (d <= 5); 2d+1 on segments; rescaling invariance x10")
 

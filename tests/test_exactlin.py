@@ -246,10 +246,13 @@ def test_kernel_and_solve():
 def test_hnf_and_saturation():
     basis = hnf_column_basis([(2, 0), (0, 2), (2, 2)])
     assert len(basis) == 2
-    sat = saturate_lattice([(2, 0), (0, 2)], 2)
-    assert sorted(sat) == [(0, 1), (1, 0)]
-    sat2 = saturate_lattice([(2, 4)], 2)
+    sat, ann = saturate_lattice([(2, 0), (0, 2)], 2)
+    assert sorted(sat) == [(0, 1), (1, 0)] and ann == []
+    sat2, ann2 = saturate_lattice([(2, 4)], 2)
     assert sat2 == [(1, 2)]
+    # the annihilators are the kernel the saturation is taken from
+    assert ann2 == kernel_basis(((2, 4),)) == kernel_basis(tuple(sat2))
+    assert saturate_lattice([], 2) == ([], [(1, 0), (0, 1)])
 
 
 @settings(max_examples=200, deadline=None)

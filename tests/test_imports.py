@@ -217,6 +217,18 @@ def test_one_fold_engine_takes_extended_gcd_steps():
     assert not any("snf_diagonal" in _defined_names(s) | _imported_names(s) for s in sources)
 
 
+def test_only_hulls_with_unknown_vertices_call_the_double_description():
+    # the volume sums the pyramids over a polytope's own facets and the clip
+    # reads its touching face off its mask, so only the hull of points, the
+    # lifted hull of a regular subdivision and the tracer-held face helper
+    # call `_hull_full_dim`; the re-hulling volume and `LatticePolytope.face`
+    # are gone
+    found = {p.stem: names for p in sorted(SRC.glob("*.py")) if (names := _callers(p.read_text(), "_hull_full_dim"))}
+    assert found == {"polytope": ["_face_facets", "hull"], "subdivision": ["regular_subdivision"]}
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert not any({"_nvol_full_dim", "face"} & _defined_names(s) for s in sources)
+
+
 def _asserts(source):
     """How many `assert` statements a module has, at any depth."""
     return sum(isinstance(node, ast.Assert) for node in ast.walk(ast.parse(source)))

@@ -96,8 +96,8 @@ def polytopes(draw):
 @given(polytopes(), st.data())
 def test_hulls_clips_faces_and_graph_lifts_keep_the_number_form(poly, data):
     assert _form_errors(poly) == []
-    for n, c in poly.facets:
-        assert _form_errors(poly.face(n, c)) == []
+    for m in poly.incidence:
+        assert _form_errors(poly.face_from_mask(m)) == []
     clipped = poly
     for _ in range(data.draw(st.integers(1, 3))):
         normal = data.draw(st.tuples(*[st.integers(-2, 2)] * poly.ambient_dim))

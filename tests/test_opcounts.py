@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from tropdeg import exactlin, pipelines, polytope, tropical
+from tropdeg import exactlin, pipelines, polytope, subdivision, tropical
 
 # the builds in the order they run, each from the memo state the ones
 # before it leave
@@ -37,12 +37,12 @@ COLUMNS = (
     "discriminant barycenter",
 )
 COUNTS = {
-    ("kp1-2", 2): (18, 41, 82, 36, 96, 7, 12, 0),
-    ("kp1-2", 3): (128, 46, 145, 93, 490, 8, 15, 0),
-    ("quintic", 1): (8, 38, 74, 25, 42, 8, 10, 0),
-    ("quintic", 2): (8, 15, 38, 17, 23, 8, 10, 0),
-    ("quintic", 3): (8, 15, 36, 15, 23, 8, 10, 0),
-    ("quintic", 4): (8, 15, 36, 15, 23, 8, 10, 0),
+    ("kp1-2", 2): (18, 29, 69, 34, 96, 7, 11, 0),
+    ("kp1-2", 3): (128, 32, 129, 89, 490, 8, 13, 0),
+    ("quintic", 1): (8, 27, 61, 21, 42, 8, 7, 0),
+    ("quintic", 2): (8, 10, 30, 14, 23, 8, 7, 0),
+    ("quintic", 3): (8, 10, 28, 12, 23, 8, 7, 0),
+    ("quintic", 4): (8, 10, 28, 12, 23, 8, 7, 0),
     ("hypercube", 1): (2, 1, 7, 4, 12, 3, 4, 0),
     ("hypercube", 2): (4, 0, 10, 8, 31, 3, 4, 0),
     ("hypercube", 3): (8, 0, 10, 8, 72, 3, 4, 0),
@@ -101,3 +101,23 @@ def test_example_kernel_counts_are_pinned(counters):
         pipelines.build_example(*build).report_json()
         moved[build] = tuple(counters[name] - before[name] for name in COLUMNS)
     assert moved == COUNTS
+
+
+def test_only_hulls_with_unknown_vertices_run_the_double_description(monkeypatch):
+    # the volume reads its facets off the polytope and the clip its touching
+    # face off its mask, so in every example build the double description
+    # runs only under a hull of points and the lifted hull of a regular
+    # subdivision
+    callers = set()
+    real = polytope._hull_full_dim
+
+    def watched(pts, d):
+        callers.add(sys._getframe(1).f_code)
+        return real(pts, d)
+
+    for module_name, bound in list(sys.modules.items()):
+        if module_name.startswith("tropdeg") and getattr(bound, "_hull_full_dim", None) is real:
+            monkeypatch.setattr(bound, "_hull_full_dim", watched)
+    for build in [("kp1-2", 1), *BUILDS]:
+        pipelines.build_example(*build).report_json()
+    assert callers == {polytope.LatticePolytope.hull.__code__, subdivision.regular_subdivision.__code__}

@@ -40,7 +40,6 @@ def test_kp1_2_constructions_scan_no_incidence_and_facets_take_no_fresh_chart(mo
     constructions = {
         "hull",
         "clip_by_halfspace",
-        "face",
         "face_from_mask",
         "section",
         "product",

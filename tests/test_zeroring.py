@@ -10,7 +10,7 @@ from oracles import oracle_dilate_lattice_points, oracle_lattice_points
 
 from tropdeg import zeroring
 from tropdeg.cli import main
-from tropdeg.embed import embed_D, wall_fibration_data
+from tropdeg.embed import wall_fibration_data
 from tropdeg.exactlin import vadd
 from tropdeg.polytope import (
     LatticePolytope,
@@ -375,27 +375,26 @@ def toy_embedding(twist=None):
     space = TropicalSpace(2, 1, [a, b], "solid")
     fib = wall_fibration_data(space, 1, 0)
     assert set(fib) == {a.key(), b.key()}
-    t_d, iota, surj = embed_D(space, fib)
     gluing = vanilla_gluing(2) if twist is None else GluingData(2, {(a.key(), b.key()): twist})
-    return space, t_d, iota, gluing
+    return space, fib, gluing
 
 
 def test_embedded_ideal_vanilla():
-    space, t_d, iota, gluing = toy_embedding()
-    ideal = embedded_ideal(space, t_d, iota, (1, 1), gluing)
+    _, fib, gluing = toy_embedding()
+    ideal = embedded_ideal(fib, (1, 1), gluing)
     for key, rels in ideal.relations.items():
         assert all(a == 1 for _, a in rels)
 
 
 def test_embedded_ideal_rescaling_invariance():
-    space, t_d, iota, gluing = toy_embedding()
+    _, fib, gluing = toy_embedding()
     rng = random.Random(5)
-    base = embedded_ideal(space, t_d, iota, (1, 2), gluing).normalized()
+    base = embedded_ideal(fib, (1, 2), gluing).normalized()
     for _ in range(10):
         lam = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        scaled = embedded_ideal(space, t_d, iota, (lam, 2 * lam), gluing).normalized()
+        scaled = embedded_ideal(fib, (lam, 2 * lam), gluing).normalized()
         assert scaled == base
-    other = embedded_ideal(space, t_d, iota, (1, 3), gluing).normalized()
+    other = embedded_ideal(fib, (1, 3), gluing).normalized()
     assert other != base
 
 
@@ -403,20 +402,28 @@ def test_embedded_ideal_twisted_transport():
     # gluing twist 2 on the vertical generator at the shared face: the
     # transported relations differ from vanilla by the hand-computed factors
     # 2 (for y0 = x2 + t) and 1/2 (for y1 = -x2 + t) in exactly the far chart
-    space, t_d, iota, gluing = toy_embedding(twist=(1, 2, 1))
-    ideal = embedded_ideal(space, t_d, iota, (1, 1), gluing)
+    _, fib, gluing = toy_embedding(twist=(1, 2, 1))
+    ideal = embedded_ideal(fib, (1, 1), gluing)
     a_key = hull([(0, 0), (1, 0)]).key()
     b_key = hull([(1, 0), (2, 0)]).key()
     assert [a for _, a in ideal.relations[a_key]] == [1, 1]
     assert [a for _, a in ideal.relations[b_key]] == [2, Fraction(1, 2)]
-    vanilla_ideal = embedded_ideal(space, t_d, iota, (1, 1), vanilla_gluing(2))
+    vanilla_ideal = embedded_ideal(fib, (1, 1), vanilla_gluing(2))
     assert [a for _, a in vanilla_ideal.relations[b_key]] == [1, 1]
 
 
 def test_embedded_ideal_rejects_zero_parameter():
-    space, t_d, iota, gluing = toy_embedding()
+    _, fib, gluing = toy_embedding()
     with pytest.raises(ValueError, match="nonzero"):
-        embedded_ideal(space, t_d, iota, (1, 0), gluing)
+        embedded_ideal(fib, (1, 0), gluing)
+
+
+def test_embedded_ideal_and_genericity_scan_reject_an_empty_fibration():
+    space, _, gluing = toy_embedding()
+    with pytest.raises(ValueError, match="no fibration data"):
+        embedded_ideal({}, (1, 1), gluing)
+    with pytest.raises(ValueError, match="no fibration data"):
+        genericity_scan(space, {}, [(1, 1)])
 
 
 # --- genericity --------------------------------------------------------------
@@ -434,16 +441,14 @@ def k3_embedding():
     prism = product(base, seg)
     sphere = hypersurface_trop(prism, refined)
     fib = wall_fibration_data(sphere, 2, 0)
-    t_d, iota, surj = embed_D(sphere, fib)
-    return sphere, t_d, iota
+    return sphere, fib
 
 
 def test_genericity_scan_k3(k3_embedding):
-    sphere, t_d, iota = k3_embedding
-    gluing = vanilla_gluing(3)
+    sphere, fib = k3_embedding
     # barycentric choice (position 1) avoids all discriminant barycenters;
     # position 1/2 passes through the corner-vertical focus-focus points
-    report = genericity_scan(sphere, t_d, iota, gluing, [(1, 1), (3, 1)])
+    report = genericity_scan(sphere, fib, [(1, 1), (3, 1)])
     by_a = {r["a"]: r for r in report["samples"]}
     assert by_a[(Fraction(1), Fraction(1))]["generic"] is True
     assert by_a[(Fraction(3), Fraction(1))]["position"] == (Fraction(1, 2),)
@@ -452,8 +457,8 @@ def test_genericity_scan_k3(k3_embedding):
 
 
 def test_genericity_empty_discriminant_all_generic():
-    space, t_d, iota, gluing = toy_embedding()
-    report = genericity_scan(space, t_d, iota, gluing, [(1, 1), (5, 1), (1, 7)])
+    space, fib, _ = toy_embedding()
+    report = genericity_scan(space, fib, [(1, 1), (5, 1), (1, 7)])
     assert all(r["generic"] for r in report["samples"])
 
 
