@@ -7,11 +7,14 @@ report, as the CLI's `example` verb does.  A change that moves a count
 updates the table and says which count moved and why.
 """
 
+import importlib.util
+import json
+import pathlib
 import sys
 
 import pytest
 
-from tropdeg import exactlin, pipelines, polytope, subdivision, tropical
+from tropdeg import cli, exactlin, pipelines, polytope, subdivision, tropical, zeroring
 
 # the builds in the order they run, each from the memo state the ones
 # before it leave
@@ -121,3 +124,69 @@ def test_only_hulls_with_unknown_vertices_run_the_double_description(monkeypatch
     for build in [("kp1-2", 1), *BUILDS]:
         pipelines.build_example(*build).report_json()
     assert callers == {polytope.LatticePolytope.hull.__code__, subdivision.regular_subdivision.__code__}
+
+
+# the verbs of the cli-random benchmark pass over the twelve heights files
+# of its first pass at the default seed, each verb summed over the files:
+# hulls and double descriptions, lattice-point scans with the facet cuts
+# they pull back, and gluing transports
+CLI_COLUMNS = ("LatticePolytope.hull", "_hull_full_dim", "lattice_points", "_pivot_cuts", "GluingData.transport")
+CLI_COUNTS = {
+    "tropicalize": (24, 36, 0, 0, 0),
+    "tropicalize --hypersurface --coarse": (24, 36, 0, 0, 0),
+    "ring --degree 3": (95, 95, 285, 285, 3483),
+}
+
+
+def _cli_inputs():
+    """perfbench/cli_inputs.py, loaded read-only from the source checkout."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "cli_inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_cli_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+def test_cli_random_verb_counts_are_pinned(tmp_path, monkeypatch):
+    for memo in (polytope._span_chart, polytope._facet_chart, polytope._facet_normal):
+        memo.cache_clear()
+    counts = dict.fromkeys(CLI_COLUMNS, 0)
+    for name in ("_hull_full_dim", "_pivot_cuts"):
+        _count(monkeypatch, polytope, name, counts, name)
+    for cls, name, key in (
+        (polytope.LatticePolytope, "lattice_points", "lattice_points"),
+        (zeroring.GluingData, "transport", "GluingData.transport"),
+    ):
+
+        def counted(*args, _real=getattr(cls, name), _key=key):
+            counts[_key] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cls, name, counted)
+    real_hull = polytope.LatticePolytope.hull
+
+    def counted_hull(points):
+        counts["LatticePolytope.hull"] += 1
+        return real_hull(points)
+
+    monkeypatch.setattr(polytope.LatticePolytope, "hull", staticmethod(counted_hull))
+    inputs = _cli_inputs()
+    inputs.write_inputs(inputs.DEFAULT_SEED, 1, str(tmp_path))
+    heights_dir = pathlib.Path(inputs.pass_dir(str(tmp_path), 0))
+    moved = dict.fromkeys(CLI_COUNTS, (0,) * len(CLI_COLUMNS))
+
+    def verb(label, argv):
+        before = dict(counts)
+        assert cli.main(argv) == 0
+        moved[label] = tuple(m + counts[k] - before[k] for m, k in zip(moved[label], CLI_COLUMNS))
+
+    for name in inputs.SUPPORTS:
+        heights = str(heights_dir / f"{name}.heights.json")
+        solid, boundary = tmp_path / f"{name}.solid.json", tmp_path / f"{name}.boundary.json"
+        complex_in, ring = tmp_path / f"{name}.complex.json", tmp_path / f"{name}.ring.json"
+        verb("tropicalize", ["tropicalize", "--input", heights, "--out", str(solid)])
+        verb("tropicalize --hypersurface --coarse", ["tropicalize", "--input", heights, "--hypersurface", "--coarse", "--out", str(boundary)])
+        complex_in.write_text(json.dumps(inputs.ring_complex(json.loads(solid.read_text()))))
+        verb("ring --degree 3", ["ring", "--complex", str(complex_in), "--degree", str(inputs.RING_DEGREE), "--out", str(ring)])
+        assert inputs.check_ring(name, json.loads(ring.read_text())) is None
+    assert moved == CLI_COUNTS
