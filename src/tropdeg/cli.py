@@ -153,11 +153,15 @@ def cmd_tropicalize(args):
             raise InputError(f"bad heights entry {item!r}: {e}")
         if len(points[-1]) != support.ambient_dim or not support.contains(points[-1]):
             raise InputError(f"heights point {point_json(points[-1])} lies outside 'support'")
+    # every point lies in the support, so the points' hull is the support
+    # exactly when every support vertex is a point; the subdivision then
+    # takes the support's hull rather than hulling the points again
+    covered = set(support.vertices) <= set(points)
     try:
-        sub, _ = regular_subdivision(points, heights)
+        sub, _ = regular_subdivision(points, heights, support if covered else None)
     except ValueError as e:
         raise InputError(str(e))
-    if sub.support.vertices != support.vertices:
+    if not covered:
         raise InputError("the hull of the 'heights' points is not the polytope 'support'")
     if args.hypersurface:
         space = hypersurface_trop(support, sub, enforce_fine=not args.coarse)

@@ -13,9 +13,10 @@ carry an explicit affine-span basis.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from itertools import product as iproduct
+from operator import mul
 
 from .exactlin import (
     InvariantError,
@@ -206,9 +207,13 @@ def _lift(chart, n):
     """The ambient functional dd * a^T n, which takes the values dd^2 * n on the basis.
 
     So a functional n on span coordinates lifts to one that is inward and
-    tight where n is, and vanishes off the basis' pivot coordinates.
+    tight where n is, and vanishes off the basis' pivot coordinates.  The
+    chart of the whole space, the one with no annihilators, is the
+    identity with dd = 1, and lifts n to itself.
     """
-    _, a, dd, _ = chart
+    _, a, dd, annihilators = chart
+    if not annihilators:
+        return tuple(n)
     return tuple(dd * dot(column, n) for column in zip(*a))
 
 
@@ -248,10 +253,12 @@ def _cleared_coordinates(chart, ws, s):
     """`_span_coordinates` of differences cleared by s (`_cleared_differences`), known to lie on the span.
 
     All in integers: the chart's left inverse gives the coordinates
-    a (s (p - anchor)) / (dd s).
+    a (s (p - anchor)) / (dd s); the chart of the whole space, the one
+    with no annihilators, is the identity with dd = 1, and leaves the
+    differences as they are.
     """
-    _, a, dd, _ = chart
-    raw = [[dot(row, w) for row in a] for w in ws]
+    _, a, dd, annihilators = chart
+    raw = ws if not annihilators else [[dot(row, w) for row in a] for w in ws]
     scale = dd * s
     g = math.gcd(scale, *(x for r in raw for x in r))
     if scale < 0:
@@ -269,9 +276,12 @@ def _span_points(chart, pivots, origin, box):
     them.  All in integers: with den clearing origin and m_j the column
     (a^T basis)_j at the pivots, den * dd * x_j = dd * den * origin_j +
     <m_j, den * x_pivots - den * origin_pivots>.  A point with a
-    non-integer coordinate is skipped; a full-dimensional span has no other
-    coordinate to solve for.
+    non-integer coordinate is skipped.  A full-dimensional span has every
+    coordinate as a pivot, in order, and none to solve for, so its tuples
+    are its points and box is returned as it is.
     """
+    if len(pivots) == len(origin):
+        return box
     basis, a, dd, _ = chart
     den = denominator_lcm(origin)
     o = [int(x * den) for x in origin]
@@ -281,63 +291,77 @@ def _span_points(chart, pivots, origin, box):
         if j not in pivots:
             m = [sum(row[p] * b[j] for row, b in zip(a, basis)) for p in pivots]
             solved.append((j, m, dd * o[j] - sum(x * o[p] for x, p in zip(m, pivots))))
-    for xp in box:
-        point = [0] * len(o)
-        for p, x in zip(pivots, xp):
-            point[p] = x
-        for j, m, c in solved:
-            q, r = divmod(c + den * dot(m, xp), scale)
-            if r:
-                break
-            point[j] = q
-        else:
-            yield tuple(point)
+
+    def points():
+        for xp in box:
+            point = [0] * len(o)
+            for p, x in zip(pivots, xp):
+                point[p] = x
+            for j, m, c in solved:
+                q, r = divmod(c + den * sum(map(mul, m, xp)), scale)
+                if r:
+                    break
+                point[j] = q
+            else:
+                yield tuple(point)
+
+    return points()
 
 
-def _pivot_cuts(poly, pivots, origin, dilation):
-    """Each facet of dilation * poly as an integer inequality (g, r): <g, x_pivots> >= r on the dilate's span.
+def _pivot_cuts(poly, pivots):
+    """Each facet of poly as an inequality (g, r) on pivot coordinates: <g, x_pivots> >= ceil(dilation * r) on dilation * poly.
 
-    origin is the dilated anchor.  A point x of the span through origin is
-    origin + t @ basis with t = a (x - origin) / dd (`_span_points`), so
-    <n, x> = <n, origin> + <g, x - origin> / dd, where g = a^T (basis n)
-    vanishes off the pivots.  Then <n, x> >= -dilation * c reads
-    <g, x_pivots> >= dd (-dilation * c - <n, origin>) + <g, origin>, whose
-    right side may be rounded up, as the left is an integer.
+    g is an integer vector and r a rational, both read once for every
+    dilation.  A point x of the span through the dilated anchor
+    o = dilation * anchor is o + t @ basis with t = a (x - o) / dd
+    (`_span_points`), so <n, x> = <n, o> + <g, x - o> / dd, where
+    g = a^T (basis n) vanishes off the pivots.  Then <n, x> >= -dilation * c
+    reads <g, x_pivots> >= dilation * (dd (-c - <n, anchor>) + <g, anchor>),
+    linear in the dilation, whose right side may be rounded up, as the left
+    is an integer.  The chart of the whole space is the identity with
+    dd = 1, so there g = n and r = -c.
     """
     basis, a, dd, _ = poly.chart
+    anchor = poly.anchor
+    if len(pivots) == len(anchor):
+        return [(n, -c) for n, c in poly.facets]
     cuts = []
     for n, c in poly.facets:
         bn = mat_vec(basis, n)
         g = [dot(column, bn) for column in zip(*a)]
-        cuts.append(([g[p] for p in pivots], math.ceil(dd * (-dilation * c - dot(n, origin)) + dot(g, origin))))
+        cuts.append(([g[p] for p in pivots], dd * (-c - dot(n, anchor)) + dot(g, anchor)))
     return cuts
 
 
 def _scan_rows(cuts, ranges):
-    """The integer points of the box ranges (inclusive (lo, hi) pairs) that satisfy every cut (g, r): <g, x> >= r.
+    """The list of the integer points of the box ranges (inclusive (lo, hi) pairs) that satisfy every cut (g, r): <g, x> >= r.
 
     In lexicographic order: the box of every coordinate but the last is
     scanned, and on each row the last coordinate runs over the interval the
     cuts leave it.  No coordinates at all give the one empty point.
     """
     if not ranges:
-        yield ()
-        return
+        return [()]
+    out = []
     *head, (lo, hi) = ranges
     split = [(g[:-1], g[-1], r) for g, r in cuts]
     for row in iproduct(*(range(a, b + 1) for a, b in head)):
         low, high = lo, hi
         for g, last, r in split:
-            rest = r - dot(g, row)
+            rest = r - sum(map(mul, g, row))
             if last > 0:
-                low = max(low, -(-rest // last))
+                rest = -(-rest // last)
+                if rest > low:
+                    low = rest
             elif last < 0:
-                high = min(high, rest // last)
+                rest //= last
+                if rest < high:
+                    high = rest
             elif rest > 0:
                 break
         else:
-            for x in range(low, high + 1):
-                yield row + (x,)
+            out += [row + (x,) for x in range(low, high + 1)]
+    return out
 
 
 def _facet(chart, functional, vertex):
@@ -517,6 +541,18 @@ class LatticePolytope:
 
     # -- lattice data
 
+    @cached_property
+    def _scan(self):
+        """(pivots, bounds, cuts): what `lattice_points` reads for every dilation, made on its first call.
+
+        The pivots are the span basis' pivot coordinates, bounds the least
+        and greatest vertex coordinate at each pivot, and cuts the facets
+        pulled back to the pivots per unit dilation (`_pivot_cuts`).
+        """
+        pivots = [next(i for i, x in enumerate(b) if x) for b in self.span_basis]
+        lo, hi = self.bounding_box()
+        return pivots, [(lo[i], hi[i]) for i in pivots], _pivot_cuts(self, pivots)
+
     def lattice_points(self, dilation=1):
         """All integer points of dilation * self, in lexicographic order.
 
@@ -525,20 +561,20 @@ class LatticePolytope:
         of the dilate's affine span is fixed by its pivot coordinates, since
         the span basis is in echelon form, in the same lexicographic order,
         and `_span_points` solves for the others.  Each facet is pulled back
-        once to an integer inequality <g, x_pivots> >= r (`_pivot_cuts`).
-        The box of every pivot but the last is scanned, and on each row the
-        last pivot runs over the integer interval those inequalities cut:
-        a ceiling for a positive coefficient, a floor for a negative one,
-        and a test on the row for a zero one.  So no candidate is tested
-        against the facets, no hull is taken and no point is normalized;
-        rational polytopes are counted exactly too.
+        once per polytope to an inequality <g, x_pivots> >= dilation * r
+        (`_pivot_cuts`, kept in `_scan`), whose right side each dilation
+        rounds up.  The box of every pivot but the last is scanned, and on
+        each row the last pivot runs over the integer interval those
+        inequalities cut: a ceiling for a positive coefficient, a floor for
+        a negative one, and a test on the row for a zero one.  So no
+        candidate is tested against the facets, no hull is taken and no
+        point is normalized; rational polytopes are counted exactly too.
         """
-        lo, hi = self.bounding_box()
-        chart = self.chart
-        pivots = [next(i for i, x in enumerate(b) if x) for b in chart[0]]
+        pivots, bounds, cuts = self._scan
         origin = tuple(dilation * x for x in self.anchor)
-        ranges = [(math.ceil(dilation * lo[i]), math.floor(dilation * hi[i])) for i in pivots]
-        return list(_span_points(chart, pivots, origin, _scan_rows(_pivot_cuts(self, pivots, origin, dilation), ranges)))
+        ranges = [(math.ceil(dilation * a), math.floor(dilation * b)) for a, b in bounds]
+        cuts = [(g, math.ceil(dilation * r)) for g, r in cuts]
+        return list(_span_points(self.chart, pivots, origin, _scan_rows(cuts, ranges)))
 
     def face_from_mask(self, mask):
         """The face with the vertices indexed by the bitmask, and no hull.

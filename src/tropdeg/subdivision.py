@@ -75,22 +75,25 @@ class Subdivision:
         return {k: v for k, v in self.walls().items() if len(v) == 2}
 
 
-def regular_subdivision(points, heights):
+def regular_subdivision(points, heights, support=None):
     """Lower-envelope subdivision of lifted points with its convex certificate.
 
     Points must affinely span their hull; duplicate points with conflicting
-    heights are an error.  Returns (Subdivision, PLFunction).  Each cell is
-    the projection of a lower facet F of the lifted points' double
-    description (De Loera, Rambau and Santos, *Triangulations*, 2010), read
-    off that description with no hull of its own: it spans the support, so
-    it takes the support's chart; its facets are the inclusion-maximal
-    ridges F & G over the other lifted facets G (`_facets_of` on their tight
-    bitmasks), each the functional n_F[-1] g' - g[-1] n_F' with the height
-    coordinate dropped (for a vertical G, g' itself), which is the
-    inequality of G with the height of F put in; its vertices are the tight
-    points alone in the meet of their ridges (`_vertex_indices`, the hull's
-    rule), so a tight point of tied heights that is not a vertex drops out;
-    and its incidence is read off the ridge masks.  Its piece is read off F.
+    heights are an error.  support, when given, is taken for that hull
+    unchecked, so the caller passes it only when it knows every point lies
+    in it and every vertex of it is a point.  Returns (Subdivision,
+    PLFunction).  Each cell is the projection of a lower facet F of the
+    lifted points' double description (De Loera, Rambau and Santos,
+    *Triangulations*, 2010), read off that description with no hull of its
+    own: it spans the support, so it takes the support's chart; its facets
+    are the inclusion-maximal ridges F & G over the other lifted facets G
+    (`_facets_of` on their tight bitmasks), each the functional
+    n_F[-1] g' - g[-1] n_F' with the height coordinate dropped (for a
+    vertical G, g' itself), which is the inequality of G with the height of
+    F put in; its vertices are the tight points alone in the meet of their
+    ridges (`_vertex_indices`, the hull's rule), so a tight point of tied
+    heights that is not a vertex drops out; and its incidence is read off
+    the ridge masks.  Its piece is read off F.
     """
     table = {}
     for p, h in zip(points, heights, strict=True):
@@ -101,7 +104,8 @@ def regular_subdivision(points, heights):
         table[key] = h
     pts = sorted(table)
     hts = [table[p] for p in pts]
-    support = hull(pts)
+    if support is None:
+        support = hull(pts)
     ambient = support.ambient_dim
 
     # work in span coordinates of the support, heights cleared to integers

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .exactlin import dot, vadd
+from .exactlin import _ratio, dot
 from .polytope import _low, barycenter
 
 
@@ -35,20 +35,23 @@ class GluingData:
             self.twists[pair] = vec
 
     def transport(self, from_key, to_key, point, height):
-        """Scalar applied to z^(point, height) when moving between charts."""
+        """Scalar applied to z^(point, height) when moving between charts.
+
+        In the number form of `exactlin._ratio`: an untwisted pair
+        transports by the int 1.
+        """
         if from_key == to_key:
-            return Fraction(1)
+            return 1
         vec = self.twists.get((from_key, to_key))
         if vec is None:
             rev = self.twists.get((to_key, from_key))
             if rev is None:
-                return Fraction(1)
+                return 1
             vec = tuple(1 / x for x in rev)
-        out = Fraction(1)
+        out = vec[-1] ** int(height)
         for x, t in zip(point, vec[:-1]):
             out *= t ** int(x)
-        out *= vec[-1] ** int(height)
-        return out
+        return _ratio(out)
 
     def validate_cocycle(self, cells):
         """Characters must compose along chains sharing a common point.
@@ -169,12 +172,10 @@ def proj_ring(space, gluing, degree_bound):
             if not hosts:
                 continue
             chart = keys[_low(hosts)]
-            total = gen_points[combo[0]]
-            for i in combo[1:]:
-                total = vadd(total, gen_points[i])
+            total = tuple(map(sum, zip(*[gen_points[i] for i in combo])))
             # transport each factor from its representative chart, then the
             # product to the lex-min chart containing the total point
-            coeff = Fraction(1)
+            coeff = 1
             for i in combo:
                 coeff *= gluing.transport(rep_chart[i], chart, gen_points[i], 1)
             canonical = keys[_low(tables[d][total])]
@@ -187,7 +188,7 @@ def proj_ring(space, gluing, degree_bound):
             monos.sort()
             base_expo, base_coeff = monos[0]
             for expo, coeff in monos[1:]:
-                relations.append((expo, base_expo, coeff / base_coeff))
+                relations.append((expo, base_expo, _ratio(coeff, base_coeff)))
     hilbert = [1] + [len(tables[d]) for d in range(1, degree_bound + 1)]
     return RingPresentation(generators, relations, degree_bound, hilbert)
 

@@ -3,13 +3,18 @@
 The lattice-point enumerator: `LatticePolytope.lattice_points` scans the
 box of every pivot coordinate of a dilate's span but the last, and on each
 row runs the last over the interval its facets, pulled back to the pivot
-coordinates, cut.  The scan it replaced (`oracle_box_lattice_points`) runs
-over the whole pivot box and tests every candidate against the dilate's
-scaled equations and facet inequalities.  The enumerator before that
-(`oracle_lattice_points`) scans a lattice polytope in coordinates of its
-saturated span basis, a rational one over its bounding box, and sends every
-candidate through `contains`.  The ring and criterion-6 oracles count
-through it, so they do not share the primitive they check.
+coordinates, cut; the pull-back is made once per polytope, per unit
+dilation, and a full-dimensional span's rows are its points.  The same scan
+as it was before (`oracle_lattice_points`) pulls every facet back again at
+each dilation (`_oracle_pivot_cuts`) and copies every point through the
+solver (`_oracle_solved_span_points`), full-dimensional or not.  The scan
+before that (`oracle_box_lattice_points`) runs over the whole pivot box and
+tests every candidate against the dilate's scaled equations and facet
+inequalities.  The enumerator before that (`oracle_basis_lattice_points`)
+scans a lattice polytope in coordinates of its saturated span basis, a
+rational one over its bounding box, and sends every candidate through
+`contains`.  The ring and criterion-6 oracles count through it, so they do
+not share the primitive they check.
 
 The hull's lattice chart: `LatticePolytope.hull` reads the span basis,
 integer coordinates and facet lift off one left inverse of the memoized span
@@ -291,7 +296,7 @@ def _floor(x):
     return f.numerator // f.denominator
 
 
-def oracle_lattice_points(self):
+def oracle_basis_lattice_points(self):
     """All integer points of the polytope, in lexicographic order."""
     if self.dim == 0:
         v = self.vertices[0]
@@ -318,7 +323,7 @@ def oracle_lattice_points(self):
 
 def oracle_dilate_lattice_points(poly, d):
     """Lattice points of d * poly: the oracle run on the hull of the dilated vertices."""
-    return oracle_lattice_points(hull([tuple(d * Fraction(x) for x in v) for v in poly.vertices]))
+    return oracle_basis_lattice_points(hull([tuple(d * Fraction(x) for x in v) for v in poly.vertices]))
 
 
 def _oracle_span_points(chart, pivots, origin, box):
@@ -363,6 +368,111 @@ def oracle_box_lattice_points(poly, dilation=1):
     if len(pivots) < poly.ambient_dim:
         box = _oracle_span_points(chart, pivots, tuple(dilation * x for x in poly.vertices[0]), box)
     return [p for p in box if all(dot(f, p) == e for f, e in equations) and all(dot(n, p) >= e for n, e in facets)]
+
+
+def oracle_lattice_points(self, dilation=1):
+    """All integer points of dilation * self, in lexicographic order.
+
+    The dilate is read off the polytope's own data: its vertices and
+    facet offsets scale by the dilation (a nonnegative integer).  A point
+    of the dilate's affine span is fixed by its pivot coordinates, since
+    the span basis is in echelon form, in the same lexicographic order,
+    and `_span_points` solves for the others.  Each facet is pulled back
+    once to an integer inequality <g, x_pivots> >= r (`_pivot_cuts`).
+    The box of every pivot but the last is scanned, and on each row the
+    last pivot runs over the integer interval those inequalities cut:
+    a ceiling for a positive coefficient, a floor for a negative one,
+    and a test on the row for a zero one.  So no candidate is tested
+    against the facets, no hull is taken and no point is normalized;
+    rational polytopes are counted exactly too.
+    """
+    lo, hi = self.bounding_box()
+    chart = self.chart
+    pivots = [next(i for i, x in enumerate(b) if x) for b in chart[0]]
+    origin = tuple(dilation * x for x in self.anchor)
+    ranges = [(math.ceil(dilation * lo[i]), math.floor(dilation * hi[i])) for i in pivots]
+    return list(_oracle_solved_span_points(chart, pivots, origin, _oracle_scan_rows(_oracle_pivot_cuts(self, pivots, origin, dilation), ranges)))
+
+
+def _oracle_solved_span_points(chart, pivots, origin, box):
+    """The integer points of the affine span through origin over tuples of pivot coordinates.
+
+    A point x of the span is origin + t @ basis with span coordinates
+    t = a (x - origin) / dd, read off its pivot coordinates, since the
+    chart's left inverse a vanishes off the pivots; so x keeps the given
+    pivot coordinates, and each other coordinate j is an affine function of
+    them.  All in integers: with den clearing origin and m_j the column
+    (a^T basis)_j at the pivots, den * dd * x_j = dd * den * origin_j +
+    <m_j, den * x_pivots - den * origin_pivots>.  A point with a
+    non-integer coordinate is skipped; a full-dimensional span has no other
+    coordinate to solve for.
+    """
+    basis, a, dd, _ = chart
+    den = denominator_lcm(origin)
+    o = [int(x * den) for x in origin]
+    scale = den * dd
+    solved = []
+    for j in range(len(o)):
+        if j not in pivots:
+            m = [sum(row[p] * b[j] for row, b in zip(a, basis)) for p in pivots]
+            solved.append((j, m, dd * o[j] - sum(x * o[p] for x, p in zip(m, pivots))))
+    for xp in box:
+        point = [0] * len(o)
+        for p, x in zip(pivots, xp):
+            point[p] = x
+        for j, m, c in solved:
+            q, r = divmod(c + den * dot(m, xp), scale)
+            if r:
+                break
+            point[j] = q
+        else:
+            yield tuple(point)
+
+
+def _oracle_pivot_cuts(poly, pivots, origin, dilation):
+    """Each facet of dilation * poly as an integer inequality (g, r): <g, x_pivots> >= r on the dilate's span.
+
+    origin is the dilated anchor.  A point x of the span through origin is
+    origin + t @ basis with t = a (x - origin) / dd (`_span_points`), so
+    <n, x> = <n, origin> + <g, x - origin> / dd, where g = a^T (basis n)
+    vanishes off the pivots.  Then <n, x> >= -dilation * c reads
+    <g, x_pivots> >= dd (-dilation * c - <n, origin>) + <g, origin>, whose
+    right side may be rounded up, as the left is an integer.
+    """
+    basis, a, dd, _ = poly.chart
+    cuts = []
+    for n, c in poly.facets:
+        bn = mat_vec(basis, n)
+        g = [dot(column, bn) for column in zip(*a)]
+        cuts.append(([g[p] for p in pivots], math.ceil(dd * (-dilation * c - dot(n, origin)) + dot(g, origin))))
+    return cuts
+
+
+def _oracle_scan_rows(cuts, ranges):
+    """The integer points of the box ranges (inclusive (lo, hi) pairs) that satisfy every cut (g, r): <g, x> >= r.
+
+    In lexicographic order: the box of every coordinate but the last is
+    scanned, and on each row the last coordinate runs over the interval the
+    cuts leave it.  No coordinates at all give the one empty point.
+    """
+    if not ranges:
+        yield ()
+        return
+    *head, (lo, hi) = ranges
+    split = [(g[:-1], g[-1], r) for g, r in cuts]
+    for row in iproduct(*(range(a, b + 1) for a, b in head)):
+        low, high = lo, hi
+        for g, last, r in split:
+            rest = r - dot(g, row)
+            if last > 0:
+                low = max(low, -(-rest // last))
+            elif last < 0:
+                high = min(high, rest // last)
+            elif rest > 0:
+                break
+        else:
+            for x in range(low, high + 1):
+                yield row + (x,)
 
 
 def oracle_common_refinement(sub1, sub2):

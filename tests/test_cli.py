@@ -288,6 +288,43 @@ def test_tropicalize_heights_short_of_support_exit_2(tmp_path):
         assert_input_error([*args, "--input", str(inp)], "'heights'", "'support'")
 
 
+def test_tropicalize_hulls_the_support_once(tmp_path, monkeypatch):
+    # every support vertex is a heights point, so the subdivision takes the
+    # support's hull and does not hull the heights points again
+    calls = []
+    real = LatticePolytope.hull
+    monkeypatch.setattr(LatticePolytope, "hull", staticmethod(lambda points: (calls.append(points), real(points))[1]))
+    data = {
+        "support": {"ambient_dim": 2, "vertices": [[-1, -1], [1, -1], [-1, 1], [1, 1]]},
+        "heights": [[[x, y], 10 * (x * x + y * y) + 3 * x + y] for x in (-1, 0, 1) for y in (-1, 0, 1)],
+    }
+    inp = tmp_path / "square.json"
+    inp.write_text(json.dumps(data))
+    for args in (["tropicalize"], ["tropicalize", "--hypersurface", "--coarse"]):
+        calls.clear()
+        assert run([*args, "--input", str(inp), "--out", str(tmp_path / "out.json")]) == 0
+        assert calls == [[(-1, -1), (1, -1), (-1, 1), (1, 1)]]
+
+
+@pytest.mark.parametrize(
+    "heights, message",
+    [
+        ([], "empty point list has no hull"),
+        ([[[-1, -1], 0], [[-1, -1], 1], [[1, -1], 0], [[-1, 1], 0], [[1, 1], 0]], "duplicate point (-1, -1) with conflicting heights"),
+        ([[[-1, -1], 0], [[-1, -1], 1], [[1, -1], 0]], "duplicate point (-1, -1) with conflicting heights"),
+        ([[[-1, -1], 0], [[1, -1], 0], [[1, 1], 1]], "the hull of the 'heights' points is not the polytope 'support'"),
+    ],
+    ids=["empty", "conflict-covering", "conflict-short", "short"],
+)
+def test_tropicalize_reports_the_first_of_its_heights_errors(tmp_path, capsys, heights, message):
+    # a conflict is found before the support is compared, whether or not
+    # the heights points reach every support vertex
+    inp = tmp_path / "square.json"
+    inp.write_text(json.dumps({"support": {"ambient_dim": 2, "vertices": [[-1, -1], [1, -1], [-1, 1], [1, 1]]}, "heights": heights}))
+    assert run(["tropicalize", "--input", str(inp)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "args, words",
     [

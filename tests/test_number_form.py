@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import cone_over_cell
+from test_zeroring import ring_inputs, two_segments
 
 from tropdeg.embed import FibrationData, local_fibre
 from tropdeg.exactlin import _ratio
@@ -17,6 +18,7 @@ from tropdeg.pipelines import build_hypercube, build_kp1_2, build_quintic
 from tropdeg.polytope import LatticePolytope, clip_by_halfspace, graph_points, hull
 from tropdeg.subdivision import PLFunction
 from tropdeg.tropical import dual_intersection_complex
+from tropdeg.zeroring import GluingData, proj_ring
 
 
 def _exact(x):
@@ -131,3 +133,33 @@ def test_local_fibres_over_integer_targets_keep_the_number_form(cell, data):
     fibre = local_fibre(fib, target)
     if fibre is not None:
         assert _form_errors(fibre) == []
+
+
+def _ring_form_errors(space, gluing, degree):
+    """The relation scalars of the ring and the transport values it reads that are outside the number form."""
+    values = []
+    real = GluingData.transport
+
+    def recorded(self, *args):
+        values.append(real(self, *args))
+        return values[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(GluingData, "transport", recorded)
+        pres = proj_ring(space, gluing, degree)
+    scalars = [s for _, rhs, s in pres.relations if rhs is not None]
+    return [("scalar", x) for x in scalars if not _exact(x)] + [("transport", x) for x in values if not _exact(x)]
+
+
+def test_ring_scalars_and_transports_of_a_twisted_pair_keep_the_number_form():
+    # x1 twisted by 3/2 on one segment: every scalar and transport is 1,
+    # 3/2 or their inverses and products, in the number form
+    twisted = GluingData(1, {(((0,), (1,)), ((1,), (2,))): (Fraction(3, 2), 1)})
+    for gluing in (GluingData(1), twisted):
+        assert _ring_form_errors(two_segments(), gluing, 3) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_inputs())
+def test_ring_scalars_and_transports_keep_the_number_form(case):
+    assert _ring_form_errors(*case) == []

@@ -132,9 +132,9 @@ def test_only_hulls_with_unknown_vertices_run_the_double_description(monkeypatch
 # they pull back, and gluing transports
 CLI_COLUMNS = ("LatticePolytope.hull", "_hull_full_dim", "lattice_points", "_pivot_cuts", "GluingData.transport")
 CLI_COUNTS = {
-    "tropicalize": (24, 36, 0, 0, 0),
-    "tropicalize --hypersurface --coarse": (24, 36, 0, 0, 0),
-    "ring --degree 3": (95, 95, 285, 285, 3483),
+    "tropicalize": (12, 24, 0, 0, 0),
+    "tropicalize --hypersurface --coarse": (12, 24, 0, 0, 0),
+    "ring --degree 3": (95, 95, 285, 95, 3483),
 }
 
 

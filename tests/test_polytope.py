@@ -22,6 +22,7 @@ from oracles import (
     oracle_facet,
     oracle_facet_keys,
     oracle_hull,
+    oracle_lattice_points,
     oracle_normalized_volume,
     oracle_product,
     oracle_section,
@@ -327,6 +328,16 @@ def test_lattice_points_match_retired_enumerator(poly, dilation):
     points = poly.lattice_points(dilation)
     assert points == oracle_dilate_lattice_points(poly, dilation)
     assert points == oracle_box_lattice_points(poly, dilation)
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_point_cells(), st.permutations(range(5)))
+def test_lattice_points_with_kept_cuts_match_the_scan_that_cuts_each_dilation(poly, order):
+    # one polytope keeps its cuts from its first query, so it is asked for
+    # every dilation 0..4 in a drawn order and then in the reverse order,
+    # and each answer must be the one cut afresh for that dilation
+    for dilation in [*order, *reversed(order)]:
+        assert poly.lattice_points(dilation) == oracle_lattice_points(poly, dilation)
 
 
 def test_quintic_lattice_points_scan_only_the_rows_the_facets_leave(quintic):

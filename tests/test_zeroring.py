@@ -6,12 +6,12 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_dilate_lattice_points, oracle_lattice_points
+from oracles import oracle_basis_lattice_points, oracle_dilate_lattice_points
 
 from tropdeg import zeroring
 from tropdeg.cli import main
 from tropdeg.embed import wall_fibration_data
-from tropdeg.exactlin import vadd
+from tropdeg.exactlin import _ratio, vadd
 from tropdeg.polytope import (
     LatticePolytope,
     centered_dilated_simplex,
@@ -157,7 +157,7 @@ def oracle_proj_ring(space, gluing, degree_bound):
             raise ValueError("proj ring needs integral cells")
     gluing.validate_cocycle(cells)
     # generators: one per lattice point, in its lex-min containing chart
-    gen_points = sorted({p for c in cells for p in oracle_lattice_points(c)})
+    gen_points = sorted({p for c in cells for p in oracle_basis_lattice_points(c)})
     rep_chart = {}
     for p in gen_points:
         rep_chart[p] = min(c.key() for c in cells if c.contains(p))
@@ -271,6 +271,8 @@ def test_proj_ring_matches_contains_oracle(case):
     slow = oracle_proj_ring(space, gluing, degree)
     assert fast.generators == slow.generators
     assert fast.relations == slow.relations
+    # the oracle divides Fractions; the ring's scalars are in the number form
+    assert [type(s) for *_, s in fast.relations] == [type(_ratio(s)) for *_, s in slow.relations]
     assert fast.hilbert == slow.hilbert
     assert [hilbert_count(space, d) for d in range(degree + 1)] == list(slow.hilbert)
 
