@@ -119,7 +119,10 @@ def _hull_full_dim(pts, d):
     over the point indices.
     """
     lifted = [tuple(p) + (1,) for p in pts]
-    start, _, _ = _eliminate([list(col) for col in zip(*lifted)], len(lifted))
+    if len(lifted) == d + 1:
+        start = range(d + 1)  # d + 1 points spanning R^d are a simplex already
+    else:
+        start, _, _ = _eliminate([list(col) for col in zip(*lifted)], len(lifted))
     a, det = left_inverse(mat_transpose([lifted[j] for j in start]))
     sign = 1 if det > 0 else -1
     simplex = sum(1 << j for j in start)
